@@ -270,12 +270,11 @@ int main(int argc, char** argv) {
 
   const RunOut baseline = run_once(0);
   const RunOut faulted = run_once(baseline.makespan_ns);
-  // Same crash schedule with hedged + load-aware reads: a Get whose k-set
+  // Same crash schedule with hedged, load-ranked reads: a Get whose k-set
   // includes the (not-yet-detected) dead server completes on its hedge
   // fetch instead of waiting out the full RPC deadline ladder.
   resilience::HedgeParams hedge;
   hedge.delta = 1;
-  hedge.load_aware = true;
   const RunOut hedged = run_once(baseline.makespan_ns, hedge);
 
   print_header("YCSB under mid-workload crash",

@@ -95,7 +95,6 @@ void run_hedged_section(int argc, char** argv) {
 
   opts.hedge.delta = delta;
   opts.hedge.delay_ns = delay_ns;
-  opts.hedge.load_aware = true;
   opts.point_label = "fig11-hedged";
   const YcsbRun hedged =
       run_ycsb(cluster::sdsc_comet(), resilience::Design::kEraCeCd, cfg, opts);

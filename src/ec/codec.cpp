@@ -51,6 +51,30 @@ std::optional<std::vector<std::size_t>> greedy_spanning_subset(
   if (rank < k) return std::nullopt;
   return survivors;
 }
+
+/// Available slots ordered preference-first (duplicates and unavailable
+/// entries in `preference` are skipped), then the remaining available
+/// slots in natural order.
+std::vector<std::size_t> ordered_candidates(
+    std::size_t n, const std::vector<bool>& available,
+    std::span<const std::size_t> preference) {
+  std::vector<std::size_t> out;
+  out.reserve(n);
+  // n is a stripe width, so a linear scan of the slots taken so far beats
+  // a side table.
+  const auto taken = [&out](std::size_t s) {
+    return std::find(out.begin(), out.end(), s) != out.end();
+  };
+  for (const std::size_t s : preference) {
+    if (s < available.size() && s < n && available[s] && !taken(s)) {
+      out.push_back(s);
+    }
+  }
+  for (std::size_t i = 0; i < n && i < available.size(); ++i) {
+    if (available[i] && !taken(i)) out.push_back(i);
+  }
+  return out;
+}
 }  // namespace
 
 MatrixCodec::MatrixCodec(std::size_t k, std::size_t m, GfMatrix generator)
@@ -97,19 +121,10 @@ void MatrixCodec::encode_parity_row(std::size_t parity_index,
 }
 
 Result<std::vector<std::size_t>> MatrixCodec::select_read_set(
-    const std::vector<bool>& available) const {
-  Result<RecoveryPlan> plan = plan_recovery(available);
-  if (!plan.ok()) return plan.status();
-  std::vector<std::size_t> chosen = plan->survivors;
-  std::sort(chosen.begin(), chosen.end());
-  return chosen;
-}
-
-Result<std::vector<std::size_t>> MatrixCodec::select_read_set_ordered(
     const std::vector<bool>& available,
     std::span<const std::size_t> preference) const {
   const std::vector<std::size_t> candidates =
-      ordered_candidates(available, preference);
+      ordered_candidates(n(), available, preference);
   if (candidates.size() < k()) {
     return Status{StatusCode::kTooManyFailures,
                   "fewer than k fragments available"};
@@ -117,9 +132,14 @@ Result<std::vector<std::size_t>> MatrixCodec::select_read_set_ordered(
   std::vector<std::size_t> chosen(
       candidates.begin(),
       candidates.begin() + static_cast<std::ptrdiff_t>(k()));
-  // MDS fast path: any k rows are independent, so the top-k-by-preference
-  // choice stands.
-  if (generator_.select_rows(chosen).inverted().ok()) return chosen;
+  // The top-k choice stands when its rows are independent: at once for k
+  // distinct data slots (identity rows of the systematic generator, the
+  // healthy read), else by inversion (always true for MDS generators).
+  const bool all_data = std::all_of(chosen.begin(), chosen.end(),
+                                    [this](std::size_t s) { return s < k(); });
+  if (all_data || generator_.select_rows(chosen).inverted().ok()) {
+    return chosen;
+  }
   std::optional<std::vector<std::size_t>> spanning =
       greedy_spanning_subset(generator_, k(), candidates);
   if (!spanning) {

@@ -69,43 +69,18 @@ class Codec {
     return std::nullopt;
   }
 
-  /// Chooses which fragments a reader should fetch, given which slots are
-  /// available: k fragments whose generator rows span the data (data slots
-  /// preferred). For MDS codes any k available slots work; non-MDS codes
-  /// (LRC) must pick an information-complete subset. kTooManyFailures when
-  /// no decodable subset exists.
+  /// Chooses which k fragments a reader should fetch, given which slots
+  /// are available: slots whose generator rows span the data. For MDS codes
+  /// any k available slots work; non-MDS codes (LRC) must pick an
+  /// information-complete subset. Candidates are tried in `preference`
+  /// order (e.g. least loaded server first; duplicates and unavailable
+  /// entries skipped), then the remaining available slots in slot order,
+  /// and the result keeps that order. An empty preference therefore yields
+  /// the first decodable slots in slot order: data slots first.
+  /// kTooManyFailures when no decodable subset exists.
   [[nodiscard]] virtual Result<std::vector<std::size_t>> select_read_set(
-      const std::vector<bool>& available) const {
-    std::vector<std::size_t> chosen;
-    chosen.reserve(k());
-    for (std::size_t i = 0; i < n() && chosen.size() < k(); ++i) {
-      if (i < available.size() && available[i]) chosen.push_back(i);
-    }
-    if (chosen.size() < k()) {
-      return Status{StatusCode::kTooManyFailures,
-                    "fewer than k fragments available"};
-    }
-    return chosen;
-  }
-
-  /// select_read_set with a caller-supplied preference order (e.g. least
-  /// loaded server first): picks k decodable slots, trying slots in
-  /// `preference` order before the remaining available slots in natural
-  /// order. The result preserves preference order — callers that rank by
-  /// load want the cheap slots fetched, not a sorted list. An empty
-  /// preference degrades to natural order (NOT necessarily the same set as
-  /// select_read_set, which may prefer data slots).
-  [[nodiscard]] virtual Result<std::vector<std::size_t>>
-  select_read_set_ordered(const std::vector<bool>& available,
-                          std::span<const std::size_t> preference) const {
-    std::vector<std::size_t> chosen = ordered_candidates(available, preference);
-    if (chosen.size() < k()) {
-      return Status{StatusCode::kTooManyFailures,
-                    "fewer than k fragments available"};
-    }
-    chosen.resize(k());
-    return chosen;
-  }
+      const std::vector<bool>& available,
+      std::span<const std::size_t> preference = {}) const = 0;
 
   /// Rebuilds fragment `slot` from exactly the fragments named by
   /// minimal_repair_sources (same order). Only meaningful for codecs with
@@ -118,28 +93,6 @@ class Codec {
     (void)out;
     return Status{StatusCode::kInvalidArgument,
                   "codec has no repair locality"};
-  }
-
- protected:
-  /// Available slots ordered preference-first (duplicates and unavailable
-  /// entries in `preference` are skipped), then the remaining available
-  /// slots in natural order.
-  [[nodiscard]] std::vector<std::size_t> ordered_candidates(
-      const std::vector<bool>& available,
-      std::span<const std::size_t> preference) const {
-    std::vector<std::size_t> out;
-    out.reserve(n());
-    std::vector<bool> taken(n(), false);
-    for (const std::size_t s : preference) {
-      if (s < available.size() && s < n() && available[s] && !taken[s]) {
-        out.push_back(s);
-        taken[s] = true;
-      }
-    }
-    for (std::size_t i = 0; i < n() && i < available.size(); ++i) {
-      if (available[i] && !taken[i]) out.push_back(i);
-    }
-    return out;
   }
 
  private:
@@ -170,19 +123,13 @@ class MatrixCodec : public Codec {
     return generator_;
   }
 
-  /// Rank-aware fetch selection: the survivors of the recovery plan (for
-  /// MDS generators this matches the default first-k choice; for LRC it
-  /// skips linearly dependent rows such as a redundant local parity).
+  /// Rank-aware selection: the first k candidates when their generator
+  /// rows are independent (always, for MDS generators), else a greedy
+  /// spanning pass that still walks candidates in order, skipping linearly
+  /// dependent rows such as a redundant local parity.
   [[nodiscard]] Result<std::vector<std::size_t>> select_read_set(
-      const std::vector<bool>& available) const override;
-
-  /// Rank-aware preference-ordered selection: tries the first k candidates
-  /// in preference order; when their generator rows are dependent (non-MDS
-  /// patterns) falls back to the greedy spanning pass, still walking
-  /// candidates in preference order so load ranking survives.
-  [[nodiscard]] Result<std::vector<std::size_t>> select_read_set_ordered(
       const std::vector<bool>& available,
-      std::span<const std::size_t> preference) const override;
+      std::span<const std::size_t> preference = {}) const override;
 
  protected:
   /// How to rebuild the erased fragments from a chosen set of k survivors:

@@ -63,6 +63,7 @@ void Server::HandlerTrace::compute_span(std::string_view name,
 
 void Server::fail() {
   failed_ = true;
+  ++crashes_;
   fabric().set_node_up(id(), false);
 }
 
@@ -132,6 +133,7 @@ void Server::on_request(KvEnvelope env) {
 sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
   auto& req = std::get<Request>(env.body);
   HandlerTrace ht(*self, req);
+  const std::uint64_t life = self->crashes_;
   std::size_t touched =
       req.value ? req.value->size()
                 : (req.verb == Verb::kGet ? 0 : req.key.size());
@@ -143,6 +145,7 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
   const SimDur first_cost = self->touch_cost(touched);
   co_await self->workers_.execute(first_cost);
   ht.queue_span(enqueued, first_cost);
+  if (self->crashed_since(life)) co_return;
 
   Response resp;
   resp.rpc_id = req.rpc_id;
@@ -288,6 +291,7 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   auto& req = std::get<Request>(env.body);
   HandlerTrace ht(*self, req);
   const ServerEcContext& ec = *self->ec_;
+  const std::uint64_t life = self->crashes_;
   const std::size_t value_size = req.value ? req.value->size() : 0;
   const std::size_t k = ec.codec->k();
   const std::size_t n = ec.codec->n();
@@ -303,6 +307,7 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   const SimDur first_cost = self->touch_cost(value_size);
   co_await self->workers_.execute(first_cost);
   ht.queue_span(enqueued, first_cost);
+  if (self->crashed_since(life)) co_return;
   const Status staged = self->store_.set(req.key, req.value);
   {
     Response resp;
@@ -343,6 +348,7 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   std::vector<sim::Future<Response>> pending;
   pending.reserve(n);
   for (std::size_t slot = 0; slot < n; ++slot) {
+    if (self->crashed_since(life)) co_return;
     const std::size_t owner = ec.ring->slot_index(req.key, slot);
     ChunkInfo info{value_size, static_cast<std::uint32_t>(slot),
                    static_cast<std::uint16_t>(k),
@@ -368,6 +374,7 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
     if (r.code != StatusCode::kOk) worst = r.code;
   }
   if (worst != StatusCode::kOk) ++self->background_set_failures_;
+  if (self->crashed_since(life)) co_return;
   // All fragments placed: the staged full copy is no longer needed.
   self->store_.erase(req.key);
 }

@@ -172,6 +172,14 @@ class Server final : public RpcNode {
                                     static_cast<double>(bytes)));
   }
 
+  /// True when the process that accepted a request with crash count
+  /// `crashes` is gone: the server is down now, or it crashed and
+  /// restarted meanwhile. Handlers re-check after every worker wait that
+  /// precedes a store write, so queued work dies with the process.
+  [[nodiscard]] bool crashed_since(std::uint64_t crashes) const noexcept {
+    return failed_ || crashes_ != crashes;
+  }
+
   /// respond() with the current handler queue depth stamped on the
   /// response, dropped when this server has failed. All handler replies go
   /// through here so the load signal is never forgotten.
@@ -192,6 +200,7 @@ class Server final : public RpcNode {
   std::optional<ServerEcContext> ec_;
   obs::LanePool handler_lanes_;
   bool failed_ = false;
+  std::uint64_t crashes_ = 0;  ///< fail() calls so far
   double slowdown_ = 1.0;
   std::uint64_t background_set_failures_ = 0;
   std::uint64_t placement_epoch_ = 0;

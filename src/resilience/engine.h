@@ -35,30 +35,28 @@ struct PhaseBreakdown {
   }
 };
 
-/// Hedged-read configuration for the erasure Get path. The default (delta
-/// 0, load_aware false) disables both mechanisms and keeps the byte-exact
-/// legacy path — benchmarks and determinism tests compare against it.
+/// Hedged-read configuration for the client-decode erasure Get. The
+/// default (delta 0) fetches exactly the k-fragment read set in slot order
+/// and arms no hedge — benchmarks and determinism tests compare against it.
+// GCC reports a deprecated member's default initializer at every implicit
+// construction; only explicit uses of load_aware should warn.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct HedgeParams {
-  /// Extra fragment fetches issued beyond k; the op completes on the first
-  /// k decodable arrivals and cancels the rest. 0 = hedging off.
+  /// Extra fragment fetches armed beyond k; the op completes on the first
+  /// k decodable arrivals and cancels the rest. Any delta > 0 also orders
+  /// candidate fragments by per-server load score (queue-depth and RTT
+  /// EWMAs from piggybacked responses) instead of fixed slot order.
   std::uint32_t delta = 0;
-  /// Delay before the hedges fire. The op hedges only if its first k
-  /// fetches have not all arrived after max(delay_ns, the running get
-  /// latency quantile `delay_quantile`). 0/0 = hedge immediately with the
-  /// initial fan-out.
+  /// Delay before the hedges fire: they go out only if the op is still
+  /// short of k arrivals this long after its fan-out. 0 = with the fan-out.
   SimDur delay_ns = 0;
-  /// Running quantile of this engine's own get latency used as an adaptive
-  /// hedge delay ("hedge only past the p95"); 0 disables the adaptive term.
-  double delay_quantile = 0.0;
-  /// Order candidate fragments by per-server load score (queue-depth and
-  /// RTT EWMAs from piggybacked responses) instead of fixed slot order.
+  /// Ignored: load-aware selection follows delta > 0. Kept only so callers
+  /// that still set it alongside delta compile, with a warning.
+  [[deprecated("ignored: any delta > 0 ranks fragments by load")]]
   bool load_aware = false;
-
-  /// Either mechanism routes Gets onto the hedged code path.
-  [[nodiscard]] bool enabled() const noexcept {
-    return delta > 0 || load_aware;
-  }
 };
+#pragma GCC diagnostic pop
 
 /// Packed-stripe (batched small-object) write-path configuration. The
 /// default (pack_threshold 0) disables packing entirely and keeps the
@@ -100,6 +98,7 @@ struct EngineStats {
   std::uint64_t hedge_wins = 0;      ///< hedge fetches that made the decode set
   std::uint64_t hedges_suppressed = 0;  ///< hedges skipped: no spare buffer
   std::uint64_t hedge_wasted_bytes = 0;  ///< fragment bytes fetched but unused
+                                         ///< (hedging engines only)
   // Packed-stripe write path (zero when packing is off).
   std::uint64_t packed_sets = 0;        ///< sets routed through stripe packing
   std::uint64_t stripes_sealed = 0;     ///< stripes handed to group commit

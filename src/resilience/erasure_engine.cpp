@@ -38,15 +38,8 @@ sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
 sim::Task<Result<Bytes>> ErasureEngine::do_get(kv::Key key,
                                                OpPhases* phases) {
   if (client_decodes(mode_)) {
-    // Packing first (it falls back to the legacy paths below for keys
-    // without a locator), then hedging; the default path stays byte-exact
-    // (no extra state, no RNG draws).
-    if (packing_active()) {
-      return get_packed(std::move(key), phases);
-    }
-    if (hedge_.enabled()) {
-      return get_client_decode_hedged(std::move(key), phases);
-    }
+    // Packed Gets fall back to the per-key path for keys without a locator.
+    if (packing_active()) return get_packed(std::move(key), phases);
     return get_client_decode(std::move(key), phases);
   }
   return get_server_decode(std::move(key), phases);
@@ -253,35 +246,68 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
 
 sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
                                                           OpPhases* phases) {
+  FragmentFetch f(std::move(key), codec_->n());
+  const Status s = co_await fetch_fragments(&f, phases);
+  if (s.ok() && f.meta) {
+    co_return co_await decode_fragments(&f, f.meta->original_size, nullptr,
+                                        phases);
+  }
+  if (f.posted && !client_encodes(mode_)) {
+    // Server-side encode may still be distributing this key's fragments;
+    // the stager holds the full value until every fragment is acked, so
+    // one server-side aggregate resolves the race (read-after-write).
+    ++stats().fallback_gets;
+    if (flight() != nullptr) {
+      flight()->record(sim().now(), client().id(),
+                       obs::FlightEventType::kFallback);
+    }
+    co_return co_await get_server_decode(std::move(f.base), phases);
+  }
+  co_return s.ok() ? Status{f.worst, "missing fragments"} : s;
+}
+
+sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
+                                                 OpPhases* phases) {
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
+  const bool hedging = hedge_.delta > 0;
 
-  // Select which fragments to fetch, codec-aware (an MDS code takes the
-  // first k live owners, data slots first; LRC skips dependent rows).
   // Needing to work around a dead owner costs one T_check (Equation 4).
-  std::vector<bool> available(n, false);
-  bool degraded = false;
+  bool down = false;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (membership().up(ring().slot_index(key, slot))) {
-      available[slot] = true;
-    } else {
-      degraded = true;
+    if (!membership().up(ring().slot_index(f->base, slot))) {
+      f->available[slot] = false;
+      down = true;
     }
+    f->slots[slot].attempted = f->have[slot];
+    if (f->have[slot]) ++f->arrived;
   }
-  if (degraded) {
-    ++stats().degraded_gets;
+  if (down || f->degraded) {
+    if (!f->degraded) {
+      f->degraded = true;
+      ++stats().degraded_gets;
+    }
     phases->degraded = true;
     co_await sim().delay(membership().check_cost_ns());
   }
-  Result<std::vector<std::size_t>> selected =
-      codec_->select_read_set(available);
-  if (!selected.ok()) co_return selected.status();
-  std::vector<std::size_t> chosen = *selected;
 
-  // K non-blocking fragment fetches posted back-to-back from one CPU
-  // slice; the responses overlap (Equation 8).
+  // Codec-aware read set: an MDS code takes the first k live owners, data
+  // slots first; LRC skips dependent rows. Hedging ranks owners by load
+  // (power-of-two-choices among near-equal scores).
+  std::vector<std::size_t> preference;
+  if (hedging) preference = load_preference(f->base, /*randomize=*/true);
+  Result<std::vector<std::size_t>> selected =
+      codec_->select_read_set(f->available, preference);
+  if (!selected.ok()) co_return selected.status();
+
+  // The non-blocking fetches are posted back-to-back from one CPU slice;
+  // the responses overlap (Equation 8).
+  std::size_t to_post = 0;
+  for (const std::size_t slot : *selected) {
+    if (!f->have[slot]) ++to_post;
+  }
   const SimDur post_ns =
-      static_cast<SimDur>(k) * issue_cost(key.size() + 2);
+      static_cast<SimDur>(to_post) * issue_cost(f->base.size() + 2);
   co_await client().cpu().execute(post_ns);
   phases->request_ns += post_ns;
   obs::Tracer* const tr = tracer();
@@ -289,139 +315,245 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
     tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
                  sim().now() - post_ns, post_ns, phases->trace.trace_id);
   }
-
-  // Failover fetch loop. Fragments are cached per slot across rounds: a
-  // chosen fragment that fails (dead owner, RPC timeout, or a miss on a
-  // live server) marks its slot unavailable, the read set is re-selected
-  // over the survivors, and only the replacement fragments are fetched.
-  // The Get therefore succeeds whenever any k live fragments exist,
-  // regardless of which initially-chosen fragment failed.
-  std::vector<SharedBytes> frag(n);
-  std::vector<bool> have(n, false);
-  std::optional<kv::ChunkInfo> meta;
-  StatusCode worst = StatusCode::kNotFound;
-  bool complete = false;
-  std::size_t round = 0;
+  f->posted = true;
   const SimTime fetch_t0 = sim().now();
+  for (const std::size_t slot : *selected) {
+    if (!f->have[slot]) issue_fetch(f, slot, /*hedge=*/false, phases->trace);
+  }
+
+  // Arm up to Δ hedges over the next-best candidates. They fire once the
+  // hedge delay has passed, and only while the op is short of k arrivals.
+  std::vector<std::size_t> hedges;
+  for (std::size_t i = 0; i < n && hedges.size() < hedge_.delta; ++i) {
+    const std::size_t slot = preference.empty() ? i : preference[i];
+    if (!f->slots[slot].attempted && f->available[slot]) {
+      hedges.push_back(slot);
+    }
+  }
+  const SimTime hedge_due = fetch_t0 + hedge_.delay_ns;
+
   for (;;) {
-    std::vector<sim::Future<kv::Response>> pending;
-    std::vector<std::size_t> pending_slots;
-    pending.reserve(chosen.size());
-    for (const std::size_t slot : chosen) {
-      if (have[slot]) continue;
-      if (round > 0) {
+    fold_arrivals(f);
+    if (f->arrived == k &&
+        std::all_of(selected->begin(), selected->end(),
+                    [f](std::size_t slot) { return f->have[slot]; })) {
+      // Exactly the selection arrived: it is the decode set (the codec's
+      // answer over these k arrivals, without asking it again).
+      f->decode_set = std::move(*selected);
+      break;
+    }
+    if (f->arrived >= k) {
+      Result<std::vector<std::size_t>> fin = codec_->select_read_set(f->have);
+      if (fin.ok()) {
+        f->decode_set = std::move(*fin);
+        break;
+      }
+    }
+    if (f->failed) {
+      // Working around a failed fetch is a degraded read even when the
+      // membership oracle claimed every owner was up. Re-selection pays one
+      // more T_check and consults the load scores, so replacement fetches
+      // spread over the survivors instead of piling onto the first one.
+      // Fetches that resolved during the T_check count toward the new
+      // selection; a failure among them triggers another round.
+      f->failed = false;
+      if (!f->degraded) {
+        f->degraded = true;
+        ++stats().degraded_gets;
+      }
+      phases->degraded = true;
+      co_await sim().delay(membership().check_cost_ns());
+      fold_arrivals(f);
+      preference = load_preference(f->base, /*randomize=*/hedging);
+      selected = codec_->select_read_set(f->available, preference);
+      if (!selected.ok()) break;  // fewer than k survivors
+      for (const std::size_t slot : *selected) {
+        if (f->slots[slot].attempted) continue;
         ++stats().failover_fetches;
         if (flight() != nullptr) {
-          flight()->record(sim().now(), node_of(ring().slot_index(key, slot)),
+          flight()->record(sim().now(),
+                           node_of(ring().slot_index(f->base, slot)),
                            obs::FlightEventType::kFailover, 0,
                            static_cast<std::uint32_t>(client().id()));
         }
+        issue_fetch(f, slot, /*hedge=*/false, phases->trace);
       }
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(key, slot);
-      req.trace = phases->trace;
-      pending.push_back(client().guarded_future(
-          node_of(ring().slot_index(key, slot)), std::move(req)));
-      pending_slots.push_back(slot);
+      continue;
     }
-    bool failure = false;
-    const SimTime round_t0 = sim().now();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      kv::Response resp = co_await pending[i].wait();
-      const std::size_t slot = pending_slots[i];
-      if (resp.code == StatusCode::kOk) {
-        // Passive load learning (observation only: no events, no RNG).
-        load_.observe_rtt(ring().slot_index(key, slot),
-                          sim().now() - round_t0, resp.queue_depth);
-        frag[slot] = std::move(resp.value);
-        have[slot] = true;
-        if (resp.chunk) meta = resp.chunk;
-      } else {
-        worst = resp.code;
-        available[slot] = false;
-        failure = true;
+    if (!hedges.empty() && sim().now() >= hedge_due) {
+      bool fired = false;
+      for (const std::size_t slot : hedges) {
+        if (f->arrived >= k) break;
+        if (f->slots[slot].attempted || !f->available[slot]) continue;
+        if (!arpe().try_acquire_hedge_buffer()) {
+          // Pool tight: hedging is best-effort and must never add
+          // backpressure to admitted work.
+          ++stats().hedges_suppressed;
+          break;
+        }
+        // The duplicate request costs real client CPU: that is the p50
+        // price of hedging and must show up in the schedule.
+        co_await client().cpu().execute(issue_cost(f->base.size() + 2));
+        fold_arrivals(f);
+        if (f->arrived >= k) {  // the primaries landed while queued on CPU
+          arpe().release_hedge_buffer();
+          break;
+        }
+        ++stats().hedges_fired;
+        fired = true;
+        if (tr != nullptr) {
+          tr->instant(trace_pid(), phases->trace_tid, "hedge/fire", "engine",
+                      sim().now(), phases->trace.trace_id);
+        }
+        if (flight() != nullptr) {
+          flight()->record(sim().now(),
+                           node_of(ring().slot_index(f->base, slot)),
+                           obs::FlightEventType::kHedgeFired, 0,
+                           static_cast<std::uint32_t>(client().id()));
+        }
+        issue_fetch(f, slot, /*hedge=*/true, phases->trace);
       }
+      if (fired) ++stats().hedged_gets;
+      hedges.clear();
+      continue;
     }
-    if (!failure) {
-      complete = true;
+    if (std::none_of(f->inflight.begin(), f->inflight.end(),
+                     [](const auto& fut) { return fut.valid(); })) {
       break;
     }
-    // Working around the failure is a degraded read even when the
-    // membership oracle claimed every owner was up; re-selection pays
-    // one more T_check.
-    if (!degraded) {
-      degraded = true;
-      ++stats().degraded_gets;
+    co_await sim::wait_any<kv::Response>(
+        f->inflight, hedges.empty() ? sim::Simulator::kNever : hedge_due);
+  }
+
+  // Bind the result: everything still in flight is a straggler. Unguarded
+  // calls are cancel-resolved through the stale-response machinery so no
+  // response is left pending; guarded ones expire on their own deadline.
+  std::size_t stragglers = 0;
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (!f->inflight[slot].valid()) continue;
+    ++stragglers;
+    FragmentFetch::Slot& s = f->slots[slot];
+    if (s.hedge) arpe().release_hedge_buffer();
+    if (s.rpc_id != 0) client().cancel_resolve(s.rpc_id);
+    f->inflight[slot] = {};
+  }
+  const bool bound = !f->decode_set.empty();
+  for (const std::size_t slot : f->decode_set) {
+    if (!f->slots[slot].hedge) continue;
+    ++stats().hedge_wins;
+    if (flight() != nullptr) {
+      flight()->record(sim().now(), node_of(ring().slot_index(f->base, slot)),
+                       obs::FlightEventType::kHedgeWon, 0,
+                       static_cast<std::uint32_t>(client().id()));
     }
-    phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
-    // Failover re-selection consults the per-node load scores (when the
-    // tracker has learned any): before this, every retry round re-selected
-    // from scratch in slot order and deterministically piled replacement
-    // fetches onto the first survivor. Deterministic (no tie-breaking RNG
-    // on this path): scores come only from observed responses.
-    const std::vector<std::size_t> preference =
-        load_preference(key, /*randomize=*/false, /*force=*/true);
-    selected = preference.empty()
-                   ? codec_->select_read_set(available)
-                   : codec_->select_read_set_ordered(available, preference);
-    if (!selected.ok()) break;  // not enough survivors: fall back / fail
-    chosen = *selected;
-    ++round;
+  }
+  // Fragments fetched beyond the k that bound are the wire price of
+  // hedging: each straggler's response (in flight or about to be produced)
+  // and each arrival left out of the decode set. An unhedged engine's
+  // failover leftovers are not hedge waste.
+  if (hedging && f->meta && stragglers > 0) {
+    stats().hedge_wasted_bytes +=
+        stragglers *
+        ec::make_layout(f->meta->original_size, k, codec_->alignment())
+            .fragment_size;
+  }
+  if (hedging && bound) {
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      if (f->have[slot] &&
+          std::find(f->decode_set.begin(), f->decode_set.end(), slot) ==
+              f->decode_set.end()) {
+        const SharedBytes& frag = f->slots[slot].frag;
+        stats().hedge_wasted_bytes += frag ? frag->size() : 0;
+      }
+    }
   }
   if (tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
                  fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
   }
-  if (!complete || !meta) {
-    if (!client_encodes(mode_)) {
-      // Server-side encode may still be distributing this key's fragments;
-      // the stager holds the full value until every fragment is acked, so
-      // one server-side aggregate resolves the race (read-after-write).
-      ++stats().fallback_gets;
-      if (flight() != nullptr) {
-        flight()->record(sim().now(), client().id(),
-                         obs::FlightEventType::kFallback);
-      }
-      co_return co_await get_server_decode(std::move(key), phases);
-    }
-    co_return Status{worst, "missing fragments"};
-  }
+  co_return bound ? Status::Ok() : Status{f->worst, "missing fragments"};
+}
 
-  const std::size_t value_size = meta->original_size;
+void ErasureEngine::issue_fetch(FragmentFetch* f, std::size_t slot,
+                                bool hedge, const obs::TraceContext& trace) {
+  kv::Request req;
+  req.verb = kv::Verb::kGet;
+  req.key = kv::chunk_key(f->base, slot);
+  req.trace = trace;
+  f->inflight[slot] = client().guarded_future(
+      node_of(ring().slot_index(f->base, slot)), std::move(req));
+  FragmentFetch::Slot& s = f->slots[slot];
+  // Only plain unguarded calls can be cancel-resolved at bind: guarded
+  // calls resolve through their own deadline, and a failed-fast call has
+  // id 0.
+  s.rpc_id = client().policy().timeout_ns <= 0 ? client().last_call_id() : 0;
+  s.issued_at = sim().now();
+  s.attempted = true;
+  s.hedge = hedge;
+}
+
+void ErasureEngine::fold_arrivals(FragmentFetch* f) {
+  for (std::size_t slot = 0; slot < f->inflight.size(); ++slot) {
+    const kv::Response* resp = f->inflight[slot].try_get();
+    if (resp == nullptr) continue;
+    FragmentFetch::Slot& s = f->slots[slot];
+    if (s.hedge) arpe().release_hedge_buffer();
+    if (resp->code == StatusCode::kOk) {
+      // Passive load learning (observation only: no events, no RNG).
+      load_.observe_rtt(ring().slot_index(f->base, slot),
+                        sim().now() - s.issued_at, resp->queue_depth);
+      s.frag = resp->value;
+      f->have[slot] = true;
+      ++f->arrived;
+      if (resp->chunk) f->meta = resp->chunk;
+    } else {
+      f->worst = resp->code;
+      f->available[slot] = false;
+      f->failed = true;
+    }
+    f->inflight[slot] = {};
+    s.rpc_id = 0;
+  }
+}
+
+sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
+    const FragmentFetch* f, std::size_t coded_bytes,
+    const kv::StripeLoc* slice, OpPhases* phases) {
+  const std::size_t k = codec_->k();
+  const std::size_t n = codec_->n();
   std::size_t missing_data = k;
-  for (const std::size_t slot : chosen) {
+  for (const std::size_t slot : f->decode_set) {
     if (slot < k) --missing_data;
   }
-
   if (missing_data > 0) {
     // T_decode on the client CPU, only on the degraded path.
     const SimDur decode_ns =
-        cost_.decode_ns(value_size, static_cast<unsigned>(missing_data));
+        cost_.decode_ns(coded_bytes, static_cast<unsigned>(missing_data));
     co_await client().cpu().execute(decode_ns);
     phases->compute_ns += decode_ns;
-    if (tr != nullptr) {
+    if (obs::Tracer* const tr = tracer(); tr != nullptr) {
       tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
                    sim().now() - decode_ns, decode_ns,
                    phases->trace.trace_id);
     }
   }
-
-  const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, codec_->alignment());
-  if (!ctx().materialize) co_return Bytes(value_size);
+  if (!ctx().materialize) {
+    co_return Bytes(slice != nullptr ? slice->len : coded_bytes);
+  }
 
   // Rebuild missing data fragments for real, then reassemble. Runs on the
-  // engine-wide scratch (no co_await from here to join_fragments): fetched
-  // fragments copy-assign into slots whose capacity persists across ops,
-  // and absent slots are zero-filled in place for the reconstruct kernels.
+  // engine-wide scratch (no co_await from here on): fetched fragments
+  // copy-assign into slots whose capacity persists across ops, and absent
+  // slots are zero-filled in place for the reconstruct kernels.
+  const ec::ChunkLayout layout =
+      ec::make_layout(coded_bytes, k, codec_->alignment());
   DecodeScratch& sc = scratch_;
   sc.storage.resize(n);
   sc.present.assign(n, false);
-  for (const std::size_t slot : chosen) {
-    if (!frag[slot]) continue;
-    sc.storage[slot] = *frag[slot];
+  for (const std::size_t slot : f->decode_set) {
+    const SharedBytes& frag = f->slots[slot].frag;
+    if (!frag) continue;
+    sc.storage[slot] = *frag;
     sc.present[slot] = true;
   }
   for (std::size_t slot = 0; slot < n; ++slot) {
@@ -434,18 +566,24 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
     const Status s = codec_->reconstruct_data(sc.spans, sc.present);
     if (!s.ok()) co_return s;
   }
-  std::vector<ConstByteSpan> data(
-      sc.storage.begin(), sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
-  co_return ec::join_fragments(data, layout);
+  if (slice == nullptr) {
+    std::vector<ConstByteSpan> data(
+        sc.storage.begin(),
+        sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
+    co_return ec::join_fragments(data, layout);
+  }
+  const ec::FragmentRange range =
+      ec::owning_fragments(layout, slice->offset, slice->len);
+  std::vector<ConstByteSpan> spans(
+      sc.storage.begin() + static_cast<std::ptrdiff_t>(range.first),
+      sc.storage.begin() + static_cast<std::ptrdiff_t>(range.last + 1));
+  co_return ec::extract_from_fragments(spans, range, layout, slice->offset,
+                                       slice->len);
 }
 
 std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
-                                                        bool randomize,
-                                                        bool force) {
-  // Cold tracker: nothing learned, keep the deterministic natural order.
-  // Without `force`, a preference is only produced when load-aware
-  // selection was asked for.
-  if ((!force && !hedge_.load_aware) || load_.total_samples() == 0) return {};
+                                                        bool randomize) {
+  if (load_.total_samples() == 0) return {};
   const std::size_t n = codec_->n();
   std::vector<std::size_t> slots(n);
   std::iota(slots.begin(), slots.end(), std::size_t{0});
@@ -454,338 +592,6 @@ std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
     owners[slot] = ring().slot_index(key, slot);
   }
   return load_.order_slots(slots, owners, randomize);
-}
-
-SimDur ErasureEngine::hedge_delay() const noexcept {
-  SimDur d = hedge_.delay_ns;
-  if (hedge_.delay_quantile > 0.0 && stats().get_latency.count() > 0) {
-    d = std::max(d, stats().get_latency.quantile(hedge_.delay_quantile));
-  }
-  return d;
-}
-
-sim::Task<void> ErasureEngine::hedged_collector(
-    ErasureEngine* self, std::shared_ptr<HedgeFetchState> st,
-    std::size_t slot, bool is_hedge, sim::Future<kv::Response> fut,
-    SimTime issued_at) {
-  kv::Response resp = co_await fut.wait();
-  if (is_hedge) self->arpe().release_hedge_buffer();
-  st->rpc_of_slot[slot] = 0;
-  --st->outstanding;
-  if (resp.code == StatusCode::kOk) {
-    self->load_.observe_rtt(st->owner[slot], self->sim().now() - issued_at,
-                            resp.queue_depth);
-    if (st->op_done) {
-      // Arrived after the op already completed: fetched bytes were wasted.
-      self->stats().hedge_wasted_bytes +=
-          resp.value ? resp.value->size() : 0;
-    } else {
-      st->frag[slot] = std::move(resp.value);
-      st->have[slot] = true;
-      ++st->ok;
-      if (resp.chunk) st->meta = resp.chunk;
-    }
-  } else if (resp.code != StatusCode::kCancelled) {
-    st->worst = resp.code;
-    st->available[slot] = false;
-    st->failed_any = true;
-  }
-  st->progress.notify_all();
-}
-
-void ErasureEngine::issue_hedged_fetch(
-    const kv::Key& key, const std::shared_ptr<HedgeFetchState>& st,
-    std::size_t slot, bool is_hedge, const obs::TraceContext& trace) {
-  st->attempted[slot] = true;
-  if (is_hedge) st->hedge_slot[slot] = true;
-  kv::Request req;
-  req.verb = kv::Verb::kGet;
-  req.key = kv::chunk_key(key, slot);
-  req.trace = trace;
-  sim::Future<kv::Response> fut =
-      client().guarded_future(node_of(st->owner[slot]), std::move(req));
-  // Remember the rpc id so stragglers can be cancel-resolved at op
-  // completion — but only for plain unguarded calls: guarded calls resolve
-  // themselves through their deadline, and a failed-fast call has id 0.
-  if (client().policy().timeout_ns <= 0) {
-    st->rpc_of_slot[slot] = client().last_call_id();
-  }
-  ++st->outstanding;
-  sim().spawn(hedged_collector(this, st, slot, is_hedge, std::move(fut),
-                               sim().now()));
-}
-
-sim::Task<void> ErasureEngine::hedge_firer(
-    ErasureEngine* self, kv::Key key, std::shared_ptr<HedgeFetchState> st,
-    std::vector<std::size_t> hedge_slots, obs::TraceContext trace,
-    std::uint64_t trace_tid) {
-  const std::size_t k = self->codec_->k();
-  const SimDur delay = self->hedge_delay();
-  if (delay > 0) co_await self->sim().delay(delay);
-  bool fired = false;
-  for (const std::size_t slot : hedge_slots) {
-    // Late binding: a hedge only fires while the op is still short of k
-    // arrivals and its target slot has not failed meanwhile.
-    if (st->op_done || st->ok >= k) break;
-    if (st->attempted[slot] || !st->available[slot]) continue;
-    if (!self->arpe().try_acquire_hedge_buffer()) {
-      // Pool tight: hedging is best-effort and must never add
-      // backpressure to admitted work.
-      ++self->stats().hedges_suppressed;
-      break;
-    }
-    // The duplicate request costs real client CPU — that is the p50 price
-    // of hedging and must show up in the schedule.
-    co_await self->client().cpu().execute(
-        self->issue_cost(key.size() + 2));
-    if (st->op_done || st->ok >= k) {  // op finished while queued on CPU
-      self->arpe().release_hedge_buffer();
-      break;
-    }
-    ++self->stats().hedges_fired;
-    fired = true;
-    if (obs::Tracer* const tr = self->tracer(); tr != nullptr) {
-      tr->instant(self->trace_pid(), trace_tid, "hedge/fire", "engine",
-                  self->sim().now(), trace.trace_id);
-    }
-    if (obs::FlightRecorder* const fl = self->flight(); fl != nullptr) {
-      fl->record(self->sim().now(), self->node_of(st->owner[slot]),
-                 obs::FlightEventType::kHedgeFired, 0,
-                 static_cast<std::uint32_t>(self->client().id()));
-    }
-    self->issue_hedged_fetch(key, st, slot, true, trace);
-  }
-  if (fired) ++self->stats().hedged_gets;
-}
-
-sim::Task<Result<Bytes>> ErasureEngine::get_client_decode_hedged(
-    kv::Key key, OpPhases* phases) {
-  const std::size_t k = codec_->k();
-  const std::size_t n = codec_->n();
-
-  auto st = std::make_shared<HedgeFetchState>(sim(), n);
-  bool degraded = false;
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    st->owner[slot] = ring().slot_index(key, slot);
-    if (membership().up(st->owner[slot])) {
-      st->available[slot] = true;
-    } else {
-      degraded = true;
-    }
-  }
-  if (degraded) {
-    ++stats().degraded_gets;
-    phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
-  }
-
-  // Load-ranked candidate order (power-of-two-choices among near-equal
-  // scores); natural order while the tracker is cold or load-aware
-  // selection is off.
-  std::vector<std::size_t> preference =
-      load_preference(key, /*randomize=*/hedge_.load_aware,
-                      /*force=*/false);
-  Result<std::vector<std::size_t>> selected =
-      preference.empty()
-          ? codec_->select_read_set(st->available)
-          : codec_->select_read_set_ordered(st->available, preference);
-  if (!selected.ok()) co_return selected.status();
-
-  // K non-blocking fragment fetches posted back-to-back from one CPU
-  // slice (Equation 8), exactly like the unhedged path.
-  const SimDur post_ns =
-      static_cast<SimDur>(k) * issue_cost(key.size() + 2);
-  co_await client().cpu().execute(post_ns);
-  phases->request_ns += post_ns;
-  obs::Tracer* const tr = tracer();
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
-                 sim().now() - post_ns, post_ns, phases->trace.trace_id);
-  }
-
-  const SimTime fetch_t0 = sim().now();
-  for (const std::size_t slot : *selected) {
-    issue_hedged_fetch(key, st, slot, false, phases->trace);
-  }
-
-  // Queue up to Δ hedges over the next-best candidates, fired after the
-  // hedge delay if the op is still short of k arrivals.
-  if (hedge_.delta > 0) {
-    std::vector<std::size_t> hedge_slots;
-    const std::vector<std::size_t> pool =
-        preference.empty()
-            ? [n] {
-                std::vector<std::size_t> natural(n);
-                std::iota(natural.begin(), natural.end(), std::size_t{0});
-                return natural;
-              }()
-            : preference;
-    for (const std::size_t slot : pool) {
-      if (hedge_slots.size() >= hedge_.delta) break;
-      if (!st->attempted[slot] && st->available[slot]) {
-        hedge_slots.push_back(slot);
-      }
-    }
-    if (!hedge_slots.empty()) {
-      sim().spawn(hedge_firer(this, key, st, std::move(hedge_slots),
-                              phases->trace, phases->trace_tid));
-    }
-  }
-
-  // Late-binding wait: complete on the first k decodable arrivals,
-  // failing over (load-aware) when fetches die.
-  bool complete = false;
-  std::vector<std::size_t> decode_set;
-  for (;;) {
-    if (st->ok >= k) {
-      Result<std::vector<std::size_t>> fin =
-          codec_->select_read_set(st->have);
-      if (fin.ok()) {
-        decode_set = *fin;
-        complete = true;
-        break;
-      }
-    }
-    if (st->failed_any) {
-      st->failed_any = false;
-      if (!degraded) {
-        degraded = true;
-        ++stats().degraded_gets;
-      }
-      phases->degraded = true;
-      co_await sim().delay(membership().check_cost_ns());
-      // Failover re-selection consults the same load scores as the
-      // initial choice, so repeated retries spread over the survivors
-      // instead of piling onto the first one.
-      preference = load_preference(key, /*randomize=*/hedge_.load_aware,
-                                   /*force=*/true);
-      Result<std::vector<std::size_t>> resel =
-          preference.empty()
-              ? codec_->select_read_set(st->available)
-              : codec_->select_read_set_ordered(st->available, preference);
-      if (resel.ok()) {
-        for (const std::size_t slot : *resel) {
-          if (st->attempted[slot] || st->have[slot]) continue;
-          ++stats().failover_fetches;
-          if (flight() != nullptr) {
-            flight()->record(sim().now(), node_of(st->owner[slot]),
-                             obs::FlightEventType::kFailover, 0,
-                             static_cast<std::uint32_t>(client().id()));
-          }
-          issue_hedged_fetch(key, st, slot, false, phases->trace);
-        }
-      } else if (st->outstanding == 0) {
-        break;  // not enough survivors and nothing in flight
-      }
-      continue;
-    }
-    if (st->outstanding == 0) break;
-    co_await st->progress.wait();
-  }
-
-  // Bind the result: everything still in flight is a straggler. Cancel
-  // through the stale-response machinery and resolve the futures so the
-  // collectors unwind instead of leaking parked until process exit.
-  st->op_done = true;
-  std::size_t cancelled = 0;
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::uint64_t rpc_id = st->rpc_of_slot[slot];
-    if (rpc_id == 0) continue;
-    ++cancelled;
-    client().cancel_resolve(rpc_id);
-  }
-  if (st->meta != std::nullopt && cancelled > 0) {
-    // A cancelled fetch's response (in flight or about to be produced) is
-    // one fragment of wasted wire work.
-    stats().hedge_wasted_bytes +=
-        cancelled * ec::make_layout(st->meta->original_size, k,
-                                    codec_->alignment())
-                        .fragment_size;
-  }
-  if (complete) {
-    for (const std::size_t slot : decode_set) {
-      if (st->hedge_slot[slot]) {
-        ++stats().hedge_wins;
-        if (flight() != nullptr) {
-          flight()->record(sim().now(), node_of(st->owner[slot]),
-                           obs::FlightEventType::kHedgeWon, 0,
-                           static_cast<std::uint32_t>(client().id()));
-        }
-      }
-    }
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      if (!st->have[slot]) continue;
-      if (std::find(decode_set.begin(), decode_set.end(), slot) ==
-          decode_set.end()) {
-        stats().hedge_wasted_bytes +=
-            st->frag[slot] ? st->frag[slot]->size() : 0;
-      }
-    }
-  }
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                 fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
-  }
-  if (!complete || !st->meta) {
-    if (!client_encodes(mode_)) {
-      // Server-side encode may still be distributing this key's fragments;
-      // the stager resolves the race (read-after-write) — see
-      // get_client_decode.
-      ++stats().fallback_gets;
-      if (flight() != nullptr) {
-        flight()->record(sim().now(), client().id(),
-                         obs::FlightEventType::kFallback);
-      }
-      co_return co_await get_server_decode(std::move(key), phases);
-    }
-    co_return Status{st->worst, "missing fragments"};
-  }
-
-  const std::size_t value_size = st->meta->original_size;
-  std::size_t missing_data = k;
-  for (const std::size_t slot : decode_set) {
-    if (slot < k) --missing_data;
-  }
-
-  if (missing_data > 0) {
-    const SimDur decode_ns =
-        cost_.decode_ns(value_size, static_cast<unsigned>(missing_data));
-    co_await client().cpu().execute(decode_ns);
-    phases->compute_ns += decode_ns;
-    if (tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
-                   sim().now() - decode_ns, decode_ns,
-                   phases->trace.trace_id);
-    }
-  }
-
-  const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, codec_->alignment());
-  if (!ctx().materialize) co_return Bytes(value_size);
-
-  // Same engine-wide scratch as the unhedged path; the fill-and-consume
-  // region below is synchronous (no co_await), so it is race-free.
-  DecodeScratch& sc = scratch_;
-  sc.storage.resize(n);
-  sc.present.assign(n, false);
-  for (const std::size_t slot : decode_set) {
-    if (!st->frag[slot]) continue;
-    sc.storage[slot] = *st->frag[slot];
-    sc.present[slot] = true;
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!sc.present[slot]) {
-      sc.storage[slot].assign(layout.fragment_size, std::byte{0});
-    }
-  }
-  sc.spans.assign(sc.storage.begin(), sc.storage.end());
-  if (missing_data > 0) {
-    const Status s = codec_->reconstruct_data(sc.spans, sc.present);
-    if (!s.ok()) co_return s;
-  }
-  std::vector<ConstByteSpan> data(
-      sc.storage.begin(), sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
-  co_return ec::join_fragments(data, layout);
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
@@ -1176,10 +982,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   }
   if (!loc) {
     if (notfound == lookups.size()) {
-      // Definitively unpacked: legacy per-key path (hedged when on).
-      if (hedge_.enabled()) {
-        co_return co_await get_client_decode_hedged(std::move(key), phases);
-      }
+      // Definitively unpacked: the per-key path.
       co_return co_await get_client_decode(std::move(key), phases);
     }
     if (!degraded) {
@@ -1199,8 +1002,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
 
   // Healthy path: fetch only the whole data fragments covering the
   // sub-slot range (usually one, at most two for threshold-sized values).
-  std::vector<SharedBytes> frag(n);
-  std::vector<bool> have(n, false);
+  FragmentFetch f(loc->stripe, n);
   bool healthy = true;
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
     if (!membership().up(ring().slot_index(loc->stripe, slot))) {
@@ -1231,9 +1033,10 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
       if (resp.code == StatusCode::kOk) {
         load_.observe_rtt(ring().slot_index(loc->stripe, slot),
                           sim().now() - fetch_t0, resp.queue_depth);
-        frag[slot] = std::move(resp.value);
-        have[slot] = true;
+        f.slots[slot].frag = std::move(resp.value);
+        f.have[slot] = true;
       } else {
+        f.available[slot] = false;
         healthy = false;
       }
     }
@@ -1246,7 +1049,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
       std::vector<ConstByteSpan> spans;
       spans.reserve(range.count());
       for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-        spans.push_back(*frag[slot]);
+        spans.push_back(*f.slots[slot].frag);
       }
       co_return ec::extract_from_fragments(spans, range, layout, loc->offset,
                                            loc->len);
@@ -1254,118 +1057,14 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   }
 
   // Degraded: reconstruct the stripe's data from any k live fragments
-  // (whole-stripe decode), then splice the value out.
+  // (whole-stripe decode, keeping the range fragments already fetched),
+  // then splice the value out.
   ++stats().packed_degraded_gets;
   if (!degraded) ++stats().degraded_gets;
-  phases->degraded = true;
-  co_await sim().delay(membership().check_cost_ns());
-
-  std::vector<bool> available(n, false);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    available[slot] =
-        membership().up(ring().slot_index(loc->stripe, slot));
-  }
-  Result<std::vector<std::size_t>> selected =
-      codec_->select_read_set(available);
-  if (!selected.ok()) co_return selected.status();
-  std::vector<std::size_t> chosen = *selected;
-
-  StatusCode worst = StatusCode::kNotFound;
-  bool complete = false;
-  const SimTime fetch_t0 = sim().now();
-  for (;;) {
-    std::vector<sim::Future<kv::Response>> pending;
-    std::vector<std::size_t> pending_slots;
-    std::size_t to_fetch = 0;
-    for (const std::size_t slot : chosen) {
-      if (!have[slot]) ++to_fetch;
-    }
-    if (to_fetch > 0) {
-      const SimDur post_ns = static_cast<SimDur>(to_fetch) *
-                             issue_cost(loc->stripe.size() + 2);
-      co_await client().cpu().execute(post_ns);
-      phases->request_ns += post_ns;
-    }
-    for (const std::size_t slot : chosen) {
-      if (have[slot]) continue;
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(loc->stripe, slot);
-      req.trace = phases->trace;
-      pending.push_back(client().guarded_future(
-          node_of(ring().slot_index(loc->stripe, slot)), std::move(req)));
-      pending_slots.push_back(slot);
-    }
-    bool failure = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      kv::Response resp = co_await pending[i].wait();
-      const std::size_t slot = pending_slots[i];
-      if (resp.code == StatusCode::kOk) {
-        frag[slot] = std::move(resp.value);
-        have[slot] = true;
-      } else {
-        worst = resp.code;
-        available[slot] = false;
-        failure = true;
-      }
-    }
-    if (!failure) {
-      complete = true;
-      break;
-    }
-    co_await sim().delay(membership().check_cost_ns());
-    selected = codec_->select_read_set(available);
-    if (!selected.ok()) break;
-    chosen = *selected;
-  }
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                 fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
-  }
-  if (!complete) co_return Status{worst, "missing stripe fragments"};
-
-  std::size_t missing_data = k;
-  for (const std::size_t slot : chosen) {
-    if (slot < k) --missing_data;
-  }
-  if (missing_data > 0) {
-    const SimDur decode_ns = cost_.decode_ns(
-        loc->stripe_bytes, static_cast<unsigned>(missing_data));
-    co_await client().cpu().execute(decode_ns);
-    phases->compute_ns += decode_ns;
-    if (tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
-                   sim().now() - decode_ns, decode_ns,
-                   phases->trace.trace_id);
-    }
-  }
-  if (!ctx().materialize) co_return Bytes(loc->len);
-
-  DecodeScratch& sc = scratch_;
-  sc.storage.resize(n);
-  sc.present.assign(n, false);
-  for (const std::size_t slot : chosen) {
-    if (!frag[slot]) continue;
-    sc.storage[slot] = *frag[slot];
-    sc.present[slot] = true;
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!sc.present[slot]) {
-      sc.storage[slot].assign(layout.fragment_size, std::byte{0});
-    }
-  }
-  sc.spans.assign(sc.storage.begin(), sc.storage.end());
-  if (missing_data > 0) {
-    const Status s = codec_->reconstruct_data(sc.spans, sc.present);
-    if (!s.ok()) co_return s;
-  }
-  std::vector<ConstByteSpan> spans;
-  spans.reserve(range.count());
-  for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    spans.push_back(ConstByteSpan(sc.storage[slot]));
-  }
-  co_return ec::extract_from_fragments(spans, range, layout, loc->offset,
-                                       loc->len);
+  f.degraded = true;
+  const Status s = co_await fetch_fragments(&f, phases);
+  if (!s.ok()) co_return s;
+  co_return co_await decode_fragments(&f, loc->stripe_bytes, &*loc, phases);
 }
 
 }  // namespace hpres::resilience

@@ -43,12 +43,13 @@ class ErasureEngine final : public Engine {
  public:
   /// The codec must outlive the engine. Server-side modes additionally
   /// require every server to have ServerEcContext enabled (see
-  /// Cluster::enable_server_ec). `hedge` configures the hedged-read /
-  /// load-aware Get path; the default keeps the legacy byte-exact path.
-  /// `pack` configures the batched small-object write path (stripe packing
-  /// + group commit); the default (threshold 0) keeps every Set on the
-  /// legacy per-key path. Packing requires client-side encode AND decode
-  /// (kCeCd) — other modes ignore it.
+  /// Cluster::enable_server_ec). `hedge` arms late-binding hedged,
+  /// load-ranked fetches on the client-decode Get; the default (delta 0)
+  /// fetches exactly the k-fragment read set. `pack` configures the
+  /// batched small-object write path (stripe packing + group commit); the
+  /// default (threshold 0) keeps every Set on the legacy per-key path.
+  /// Packing requires client-side encode AND decode (kCeCd) — other modes
+  /// ignore it.
   ErasureEngine(EngineContext ctx, const ec::Codec& codec,
                 ec::CostModel cost, EraMode mode, ArpeParams arpe = {},
                 HedgeParams hedge = {}, PackParams pack = {});
@@ -91,6 +92,62 @@ class ErasureEngine final : public Engine {
   sim::Task<Result<Bytes>> get_client_decode(kv::Key key, OpPhases* phases);
   sim::Task<Result<Bytes>> get_server_decode(kv::Key key, OpPhases* phases);
 
+  /// One erasure read's fetch state, owned by the Get's frame and driven by
+  /// fetch_fragments. A caller may mark slots unavailable and pre-load
+  /// fragments it already holds; the machine leaves the k slots it bound
+  /// in `decode_set` (empty when the read failed).
+  struct FragmentFetch {
+    FragmentFetch(kv::Key base_key, std::size_t n)
+        : base(std::move(base_key)), available(n, true), have(n, false),
+          slots(n), inflight(n) {}
+    kv::Key base;                     ///< slot i lives at chunk_key(base, i)
+    std::vector<bool> available;      ///< slot not (yet) known-failed
+    std::vector<bool> have;           ///< slots[slot].frag is valid
+    struct Slot {
+      SharedBytes frag;               ///< the arrived fragment
+      // In-flight bookkeeping, private to fetch_fragments.
+      SimTime issued_at = 0;
+      std::uint64_t rpc_id = 0;       ///< cancellable unguarded call or 0
+      bool attempted = false;         ///< fetched, in flight, or pre-loaded
+      bool hedge = false;             ///< that fetch was a hedge
+    };
+    std::vector<Slot> slots;
+    std::vector<sim::Future<kv::Response>> inflight;  ///< invalid = idle
+    std::vector<std::size_t> decode_set;
+    std::optional<kv::ChunkInfo> meta;  ///< chunk header of any arrival
+    StatusCode worst = StatusCode::kNotFound;
+    bool degraded = false;  ///< degraded_gets counted; T_check due upfront
+    bool posted = false;    ///< the fan-out went out
+    std::size_t arrived = 0;          ///< slots in `have`
+    bool failed = false;              ///< a fetch failed since re-selection
+  };
+
+  /// The late-binding fetch machine behind every client-decode Get (the
+  /// paper's Era-*-CD read, Equations 4 and 8). Charges T_check when an
+  /// owner is down, selects a codec-aware read set, posts its fetches from
+  /// one CPU slice and arms up to hedge().delta hedges. It then waits on
+  /// the fetches with sim::wait_any and on every wake folds each resolved
+  /// fetch in slot order, re-selects (load-ranked) over the survivors as
+  /// soon as one fails, fires hedges once due, and binds on the first k
+  /// decodable arrivals, cancelling the stragglers.
+  sim::Task<Status> fetch_fragments(FragmentFetch* f, OpPhases* phases);
+
+  /// Issues one fragment fetch for `slot` of `f`.
+  void issue_fetch(FragmentFetch* f, std::size_t slot, bool hedge,
+                   const obs::TraceContext& trace);
+
+  /// Folds every resolved in-flight fetch of `f` into its state.
+  void fold_arrivals(FragmentFetch* f);
+
+  /// Charges T_decode when the bound read set misses a data fragment and,
+  /// in materialize mode, rebuilds the data fragments of a `coded_bytes`
+  /// object into the engine scratch. Returns the whole object, or only
+  /// `slice`'s record when reading one value out of a packed stripe.
+  sim::Task<Result<Bytes>> decode_fragments(const FragmentFetch* f,
+                                            std::size_t coded_bytes,
+                                            const kv::StripeLoc* slice,
+                                            OpPhases* phases);
+
   // ---- Packed-stripe (batched small-object) write path ----------------
 
   /// One stripe being filled or committed. shared_ptr-held: the group
@@ -122,8 +179,8 @@ class ErasureEngine final : public Engine {
 
   /// Resolves a Get through the stripe locator directory: staging-map hit,
   /// else locator query at the key's directory owners, then a sub-slot
-  /// fragment-range fetch (whole-stripe degraded decode when owners of the
-  /// needed range are unreachable). Falls back to the legacy per-key path
+  /// fragment-range fetch (a whole-stripe decode through fetch_fragments
+  /// when the needed range is unreachable). Falls back to the per-key path
   /// when no locator exists.
   sim::Task<Result<Bytes>> get_packed(kv::Key key, OpPhases* phases);
 
@@ -146,69 +203,11 @@ class ErasureEngine final : public Engine {
   sim::Task<void> unlink_locator(kv::Key key,
                                  std::vector<sim::Future<kv::Response>>* out);
 
-  /// Late-binding variant of get_client_decode, taken when hedge().enabled():
-  /// issues the (load-ranked) primary k fetches plus up to Δ delayed hedges,
-  /// completes on the first k decodable arrivals, and cancels stragglers
-  /// through the RPC stale-response machinery.
-  sim::Task<Result<Bytes>> get_client_decode_hedged(kv::Key key,
-                                                    OpPhases* phases);
-
-  /// Shared per-op state between the hedged Get, its spawned per-fetch
-  /// collectors and the hedge-firer. shared_ptr-held: collectors of
-  /// never-resolving futures (crash-after-send with no RpcPolicy) may
-  /// outlive the op.
-  struct HedgeFetchState {
-    HedgeFetchState(sim::Simulator& sim, std::size_t n)
-        : progress(sim), frag(n), have(n, false), available(n, false),
-          attempted(n, false), hedge_slot(n, false), rpc_of_slot(n, 0),
-          owner(n, 0) {}
-    sim::Condition progress;            ///< notified on every fetch event
-    std::vector<SharedBytes> frag;      ///< arrived fragment per slot
-    std::vector<bool> have;             ///< frag[slot] is valid
-    std::vector<bool> available;        ///< slot not (yet) known-failed
-    std::vector<bool> attempted;        ///< a fetch was issued for slot
-    std::vector<bool> hedge_slot;       ///< that fetch was a hedge
-    std::vector<std::uint64_t> rpc_of_slot;  ///< live unguarded rpc id or 0
-    std::vector<std::size_t> owner;     ///< slot -> server index
-    std::optional<kv::ChunkInfo> meta;
-    std::size_t ok = 0;                 ///< fragments arrived
-    std::size_t outstanding = 0;        ///< fetches in flight
-    StatusCode worst = StatusCode::kNotFound;
-    bool failed_any = false;            ///< a fetch failed since last check
-    bool op_done = false;               ///< the op has completed/abandoned
-  };
-
-  /// Awaits one fetch and folds the outcome into the shared state.
-  static sim::Task<void> hedged_collector(ErasureEngine* self,
-                                          std::shared_ptr<HedgeFetchState> st,
-                                          std::size_t slot, bool is_hedge,
-                                          sim::Future<kv::Response> fut,
-                                          SimTime issued_at);
-
-  /// Sleeps the hedge delay, then fires up to Δ extra fetches if the op is
-  /// still short of k arrivals (borrowing spare ARPE buffers; suppressed
-  /// when the pool is tight).
-  static sim::Task<void> hedge_firer(ErasureEngine* self, kv::Key key,
-                                     std::shared_ptr<HedgeFetchState> st,
-                                     std::vector<std::size_t> hedge_slots,
-                                     obs::TraceContext trace,
-                                     std::uint64_t trace_tid);
-
-  /// Issues one fragment fetch for `slot` and spawns its collector.
-  void issue_hedged_fetch(const kv::Key& key,
-                          const std::shared_ptr<HedgeFetchState>& st,
-                          std::size_t slot, bool is_hedge,
-                          const obs::TraceContext& trace);
-
-  /// Candidate slot order by per-server load score (empty = natural order:
-  /// tracker cold, or load-aware selection off and `force` false).
+  /// Slots of `key` ordered by their owners' load scores, near-equal
+  /// neighbours swapped by a seeded coin when `randomize`; empty while the
+  /// tracker is cold (natural order).
   [[nodiscard]] std::vector<std::size_t> load_preference(const kv::Key& key,
-                                                         bool randomize,
-                                                         bool force);
-
-  /// Effective hedge delay: max of the fixed delay and the engine's own
-  /// running get-latency quantile (when delay_quantile is set).
-  [[nodiscard]] SimDur hedge_delay() const noexcept;
+                                                         bool randomize);
 
   /// First live owner among the key's n slots (for SE/SD targets), paying
   /// T_check when the designated one is down. `degraded` reports whether a
@@ -239,7 +238,7 @@ class ErasureEngine final : public Engine {
   /// read path asks for a load preference.
   NodeLoadTracker load_;
 
-  /// Reusable buffers for get_client_decode's materialize step. The region
+  /// Reusable buffers for decode_fragments' materialize step. The region
   /// that fills and consumes them is synchronous (no co_await between the
   /// two), so one scratch per engine is race-free even with many in-flight
   /// ops; reuse makes the fused decode path allocation-free per op once the

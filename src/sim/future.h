@@ -9,6 +9,7 @@
 #include <cassert>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "sim/sync.h"
@@ -17,6 +18,10 @@ namespace hpres::sim {
 
 template <typename T>
 class Future;
+
+template <typename T>
+Task<bool> wait_any(std::span<const Future<T>> futures,
+                    SimTime deadline = Simulator::kNever);
 
 template <typename T>
 class Promise {
@@ -82,10 +87,57 @@ class Future {
 
  private:
   friend class Promise<T>;
+  template <typename U>
+  friend Task<bool> wait_any(std::span<const Future<U>>, SimTime);
   explicit Future(std::shared_ptr<typename Promise<T>::State> s)
       : state_(std::move(s)) {}
 
   std::shared_ptr<typename Promise<T>::State> state_;
 };
+
+namespace detail {
+
+/// Hands the suspending coroutine to a waiter that is already registered.
+/// Trivially destructible for the same reason as TimedParkAwaiter.
+struct BindWaiterAwaiter {
+  const std::shared_ptr<TimedWaiter>* waiter;
+
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const noexcept {
+    (*waiter)->handle = h;
+  }
+  void await_resume() const noexcept {}
+};
+
+}  // namespace detail
+
+/// Suspends until any valid future in `futures` is ready, or until the
+/// absolute simulated time `deadline`. Returns true for a ready future —
+/// at once, without suspending, if one already is — and false at the
+/// deadline. One one-shot waiter is shared by every pending future: the
+/// first fulfillment wakes the caller, and later ones (or one that never
+/// comes) find it fired, so the caller is never resumed after it has moved
+/// on. Invalid futures are skipped, and at least one must be valid.
+/// `futures` is read only before the first suspension.
+template <typename T>
+Task<bool> wait_any(std::span<const Future<T>> futures, SimTime deadline) {
+  Simulator* sim = nullptr;
+  for (const Future<T>& f : futures) {
+    if (!f.valid()) continue;
+    if (f.ready()) co_return true;
+    sim = &f.state_->event.simulator();
+  }
+  assert(sim != nullptr && "wait_any needs a pending future");
+  if (deadline <= sim->now()) co_return false;
+  auto waiter = std::make_shared<detail::TimedWaiter>();
+  for (const Future<T>& f : futures) {
+    if (f.valid()) f.state_->event.add_waiter(waiter);
+  }
+  if (deadline != Simulator::kNever) {
+    sim->spawn(detail::wake_at_deadline(sim, waiter, deadline - sim->now()));
+  }
+  co_await detail::BindWaiterAwaiter{&waiter};
+  co_return waiter->signaled;
+}
 
 }  // namespace hpres::sim

@@ -61,6 +61,17 @@ struct TimedParkAwaiter {
   void await_resume() const noexcept {}
 };
 
+/// The deadline side of a TimedWaiter race: resumes the waiter `timeout`
+/// from now unless a primitive fired it first.
+inline Task<void> wake_at_deadline(Simulator* sim,
+                                   std::shared_ptr<TimedWaiter> waiter,
+                                   SimDur timeout) {
+  co_await sim->delay(timeout);
+  if (waiter->fired) co_return;  // lost the race: a signal already woke it
+  waiter->fired = true;
+  sim->schedule(waiter->handle, 0);
+}
+
 }  // namespace detail
 
 /// One-shot broadcast event. `wait()` suspends until `set()`; waiting on an
@@ -104,21 +115,27 @@ class Event {
   Task<bool> wait_for(SimDur timeout) {
     if (set_) co_return true;
     auto waiter = std::make_shared<detail::TimedWaiter>();
-    sim_->spawn(deadline_coro(sim_, waiter, timeout));
+    sim_->spawn(detail::wake_at_deadline(sim_, waiter, timeout));
     co_await detail::TimedParkAwaiter{&timed_waiters_, &waiter};
     co_return waiter->signaled;
   }
 
- private:
-  static Task<void> deadline_coro(Simulator* sim,
-                                  std::shared_ptr<detail::TimedWaiter> waiter,
-                                  SimDur timeout) {
-    co_await sim->delay(timeout);
-    if (waiter->fired) co_return;  // lost the race: set() already woke it
-    waiter->fired = true;
-    sim->schedule(waiter->handle, 0);
+  /// Registers a one-shot waiter that other events may share (see
+  /// sim::wait_any): the first set() among them schedules its handle, and
+  /// the rest find it fired. The event must not be set yet.
+  void add_waiter(std::shared_ptr<detail::TimedWaiter> waiter) {
+    assert(!set_ && "waiter registered on a set event");
+    // Fired waiters are inert; dropping them keeps the list of an event
+    // that stays pending across many registrations bounded.
+    while (!timed_waiters_.empty() && timed_waiters_.front()->fired) {
+      timed_waiters_.pop_front();
+    }
+    timed_waiters_.push_back(std::move(waiter));
   }
 
+  [[nodiscard]] Simulator& simulator() const noexcept { return *sim_; }
+
+ private:
   Simulator* sim_;
   bool set_ = false;
   std::deque<std::coroutine_handle<>> waiters_;

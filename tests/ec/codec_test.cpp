@@ -10,7 +10,11 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "ec/cauchy_rs.h"
 #include "ec/chunker.h"
+#include "ec/lrc.h"
+#include "ec/raid6.h"
+#include "ec/rs_vandermonde.h"
 
 namespace hpres::ec {
 namespace {
@@ -191,6 +195,60 @@ TEST(CodecCross, StorageOverheadMatchesTheory) {
   std::size_t stored = 0;
   for (const auto& f : enc.fragments) stored += f.size();
   EXPECT_EQ(stored, value_size * 5 / 3);
+}
+
+// --- Read-set selection ------------------------------------------------------
+
+/// Brute-force oracle: the lexicographically first k-subset of the
+/// available slots whose generator rows are independent — data slots have
+/// the lowest indices, so it prefers data — or nullopt when none decodes.
+std::optional<std::vector<std::size_t>> first_decodable_subset(
+    const MatrixCodec& c, const std::vector<bool>& available) {
+  std::vector<std::size_t> avail;
+  for (std::size_t i = 0; i < c.n(); ++i) {
+    if (available[i]) avail.push_back(i);
+  }
+  const std::size_t k = c.k();
+  if (avail.size() < k) return std::nullopt;
+  std::vector<std::size_t> pick(k);  // indices into avail, increasing
+  for (std::size_t i = 0; i < k; ++i) pick[i] = i;
+  for (;;) {
+    std::vector<std::size_t> subset(k);
+    for (std::size_t i = 0; i < k; ++i) subset[i] = avail[pick[i]];
+    if (c.generator().select_rows(subset).inverted().ok()) return subset;
+    std::size_t i = k;
+    while (i > 0 && pick[i - 1] == avail.size() - k + i - 1) --i;
+    if (i == 0) return std::nullopt;
+    ++pick[i - 1];
+    for (std::size_t j = i; j < k; ++j) pick[j] = pick[j - 1] + 1;
+  }
+}
+
+TEST(SelectReadSet, EmptyPreferenceMatchesFirstDecodableSubset) {
+  const RsVandermondeCodec rs32(3, 2);
+  const RsVandermondeCodec rs63(6, 3);
+  const CauchyRsCodec crs(3, 2);
+  const Raid6Codec raid6(4, 2);
+  const LrcCodec lrc(6, 2, 2);
+  const std::vector<const MatrixCodec*> codecs{&rs32, &rs63, &crs, &raid6,
+                                               &lrc};
+  for (const MatrixCodec* c : codecs) {
+    const std::size_t n = c->n();
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<bool> available(n, false);
+      for (std::size_t i = 0; i < n; ++i) available[i] = (mask >> i) & 1u;
+      const auto expect = first_decodable_subset(*c, available);
+      const Result<std::vector<std::size_t>> got =
+          c->select_read_set(available);
+      if (expect) {
+        ASSERT_TRUE(got.ok()) << c->name() << " mask " << mask;
+        EXPECT_EQ(*got, *expect) << c->name() << " mask " << mask;
+      } else {
+        ASSERT_FALSE(got.ok()) << c->name() << " mask " << mask;
+        EXPECT_EQ(got.status().code(), StatusCode::kTooManyFailures);
+      }
+    }
+  }
 }
 
 TEST(CodecFactory, NamesAreStable) {

@@ -106,6 +106,35 @@ TEST(ServerClient, CallToFailedServerFailsFast) {
   });
 }
 
+// Sets still waiting on a server's workers when it crashes die with the
+// process. Even when the server restarts with its store intact before
+// those handlers reach the front of the queue, none of them may write a
+// fragment or answer afterwards.
+TEST(ServerClient, SetsQueuedAtCrashNeverLand) {
+  Cluster c(ClusterConfig{.num_servers = 1, .num_clients = 1});
+  run_on(c, [](Cluster* cl) -> sim::Task<void> {
+    constexpr std::size_t kSets = 12;  // more than the 8 workers: some queue
+    Server& server = cl->server(0);
+    server.set_slowdown(1'000.0);  // each Set holds a worker for ~3.5 ms
+    std::vector<sim::Future<Response>> acks;
+    for (std::size_t i = 0; i < kSets; ++i) {
+      acks.push_back(
+          cl->client(0).call(0, make_set(chunk_key("queued", i), 4096)));
+    }
+    co_await cl->sim().delay(20'000);  // every Set is on the workers now
+    server.fail();
+    co_await cl->sim().delay(1'000'000);
+    server.recover();  // restart while the old handlers are still queued
+    server.set_slowdown(1.0);
+    co_await cl->sim().delay(50'000'000);  // long past every worker slot
+    for (std::size_t i = 0; i < kSets; ++i) {
+      EXPECT_FALSE(server.store().get(chunk_key("queued", i)).ok())
+          << "fragment " << i << " landed in a crashed server";
+      EXPECT_FALSE(acks[i].ready()) << "a crashed server acked Set " << i;
+    }
+  });
+}
+
 TEST(ServerClient, ConcurrentClientsAllComplete) {
   Cluster c(ClusterConfig{.num_servers = 3, .num_clients = 8});
   c.start();

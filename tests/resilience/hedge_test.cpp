@@ -5,6 +5,7 @@
 // bytes a Get returns.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "resilience/load_tracker.h"
 #include "testing/fixtures.h"
 
@@ -49,7 +50,7 @@ TEST(SelectReadSetOrdered, PreservesPreferenceOrder) {
   std::vector<bool> available(5, true);
   const std::vector<std::size_t> preference{4, 2, 1, 0, 3};
   const Result<std::vector<std::size_t>> chosen =
-      codec.select_read_set_ordered(available, preference);
+      codec.select_read_set(available, preference);
   ASSERT_TRUE(chosen.ok()) << chosen.status();
   // RS-Vandermonde is MDS: the first k of the preference decode, and the
   // result keeps the caller's order (cheapest server first), unsorted.
@@ -57,13 +58,13 @@ TEST(SelectReadSetOrdered, PreservesPreferenceOrder) {
 
   available[4] = false;
   const Result<std::vector<std::size_t>> without4 =
-      codec.select_read_set_ordered(available, preference);
+      codec.select_read_set(available, preference);
   ASSERT_TRUE(without4.ok());
   EXPECT_EQ(*without4, (std::vector<std::size_t>{2, 1, 0}));
 
   available.assign(5, false);
   available[0] = available[3] = true;  // only 2 of k=3 left
-  EXPECT_FALSE(codec.select_read_set_ordered(available, preference).ok());
+  EXPECT_FALSE(codec.select_read_set(available, preference).ok());
 }
 
 TEST(SelectReadSetOrdered, PartialPreferenceFallsBackToNaturalOrder) {
@@ -71,12 +72,29 @@ TEST(SelectReadSetOrdered, PartialPreferenceFallsBackToNaturalOrder) {
   const std::vector<bool> available(5, true);
   // A preference mentioning fewer than k slots is topped up in slot order.
   const Result<std::vector<std::size_t>> chosen =
-      codec.select_read_set_ordered(available, std::vector<std::size_t>{3});
+      codec.select_read_set(available, std::vector<std::size_t>{3});
   ASSERT_TRUE(chosen.ok());
   EXPECT_EQ(*chosen, (std::vector<std::size_t>{3, 0, 1}));
 }
 
 class HedgeTest : public FiveNodeClusterTest {};
+
+/// The slot a hedged Get of `key` fetches first: the head of the engine's
+/// next load ranking, replayed on a copy of its tracker (same scores, same
+/// tie-break RNG state) so the engine's own draw is untouched. On an MDS
+/// code with every owner up, the read set is the first k of that ranking.
+std::size_t first_selected_slot(const Engine& e, const kv::HashRing& ring,
+                                const kv::Key& key) {
+  NodeLoadTracker probe = *e.load_tracker();
+  if (probe.total_samples() == 0) return 0;  // cold: natural order
+  std::vector<std::size_t> slots(5);
+  std::vector<std::size_t> owners(5);
+  for (std::size_t slot = 0; slot < 5; ++slot) {
+    slots[slot] = slot;
+    owners[slot] = ring.slot_index(key, slot);
+  }
+  return probe.order_slots(slots, owners, /*randomize_ties=*/true).front();
+}
 
 // The flagship scenario: a primary fragment owner crashes after the Get's
 // fetches are sent but before it answers. Without a deadline policy that
@@ -101,8 +119,9 @@ TEST_F(HedgeTest, HedgeWinsOverCrashedPrimary) {
       const Status s =
           co_await e->set("hedged", make_shared_bytes(Bytes(original)));
       EXPECT_TRUE(s.ok()) << s;
-      const std::size_t owner0 = cl->ring().slot_index("hedged", 0);
-      cl->sim().spawn(killer(&cl->sim(), &cl->server(owner0)));
+      const std::size_t first = cl->ring().slot_index(
+          "hedged", first_selected_slot(*e, cl->ring(), "hedged"));
+      cl->sim().spawn(killer(&cl->sim(), &cl->server(first)));
       const Result<Bytes> got = co_await e->get("hedged");
       EXPECT_TRUE(got.ok()) << got.status();
       if (got.ok()) { EXPECT_EQ(*got, original); }
@@ -122,7 +141,8 @@ TEST_F(HedgeTest, HedgeWinsOverCrashedPrimary) {
 
 // Hedges borrow spare ARPE buffers opportunistically: with the pool sized
 // so the admitted op holds the only buffer, every hedge is suppressed and
-// the Get completes exactly like an unhedged one.
+// the Get completes exactly like an unhedged one — even with its first
+// selected owner gray-slow, where a hedge would have helped.
 TEST_F(HedgeTest, HedgeSuppressedWhenBufferPoolTight) {
   HedgeParams hedge;
   hedge.delta = 2;
@@ -131,9 +151,12 @@ TEST_F(HedgeTest, HedgeSuppressedWhenBufferPoolTight) {
   auto engine = make_engine(Design::kEraCeCd, 3, arpe, hedge);
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(Engine* e) {
+    static sim::Task<void> run(Engine* e, cluster::Cluster* cl) {
       const Bytes original = make_pattern(60'000, 4);
       (void)co_await e->set("tight", make_shared_bytes(Bytes(original)));
+      const std::size_t first = cl->ring().slot_index(
+          "tight", first_selected_slot(*e, cl->ring(), "tight"));
+      cl->server(first).set_slowdown(20.0);
       // iget: ARPE admission holds the pool's only buffer for the op's
       // lifetime, so the hedge finds nothing to borrow. (A blocking get()
       // bypasses the window and would leave the pool free.)
@@ -148,49 +171,104 @@ TEST_F(HedgeTest, HedgeSuppressedWhenBufferPoolTight) {
       EXPECT_EQ(e->stats().hedges_fired, 0u);
       EXPECT_GE(e->stats().hedges_suppressed, 1u);
       EXPECT_GE(e->arpe().stats().hedge_denials, 1u);
+      cl->server(first).set_slowdown(1.0);
     }
   };
-  run_sim(cluster_.sim(), Body::run, engine.get());
+  run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
 }
 
 // Property: hedging and load-aware selection change WHICH fragments are
-// fetched and WHEN, never the bytes returned. The same keys read through
-// an unhedged engine and through an aggressive hedged one (delta=2,
-// load-aware, zero delay) must agree exactly, across sizes that exercise
-// padding, sub-fragment tails and multi-MTU fragments.
+// fetched and WHEN, never the bytes returned. Each seeded pass writes keys
+// whose sizes exercise padding, sub-fragment tails and multi-MTU
+// fragments, then reads every key through a plain engine (delta=0) and an
+// aggressive hedged one (delta=2, zero delay) under one drawn fault: none,
+// an owner down before the Get, an owner crashing after the fetches are
+// sent (restarted with its store intact), a fragment missing on a live
+// server, or 25% message loss. Every fetch runs under a 50 us deadline
+// with retries, so no fault can hang a Get; both engines must return
+// exactly the written bytes.
+constexpr SimDur kCrashAfterSendNs = 3'000;  // after the fetches are posted
+
 TEST_F(HedgeTest, HedgingNeverChangesReturnedValues) {
+  kv::RpcPolicy policy;
+  policy.timeout_ns = 50'000;
+  policy.max_retries = 8;
+  cluster_.set_rpc_policy(policy);
   auto plain = make_engine(Design::kEraCeCd);
   HedgeParams hedge;
   hedge.delta = 2;
-  hedge.load_aware = true;
   auto hedged = make_engine(Design::kEraCeCd, 3, {}, hedge);
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(Engine* p, Engine* h) {
+    enum class Fault : std::uint8_t {
+      kNone, kOwnerDown, kCrashAfterSend, kLiveMiss, kLoss, kCount
+    };
+    static sim::Task<void> crash(sim::Simulator* sim, kv::Server* victim) {
+      co_await sim->delay(kCrashAfterSendNs);
+      victim->fail();
+    }
+
+    static sim::Task<void> run(Engine* p, Engine* h, cluster::Cluster* cl) {
       constexpr std::size_t kKeys = 24;
-      for (std::size_t i = 0; i < kKeys; ++i) {
-        const kv::Key key = "prop-" + std::to_string(i);
-        const Bytes original = make_pattern(1'000 + i * 4'337, i + 1);
-        const Status s =
-            co_await p->set(key, make_shared_bytes(Bytes(original)));
-        EXPECT_TRUE(s.ok()) << key << ": " << s;
-      }
-      for (std::size_t i = 0; i < kKeys; ++i) {
-        const kv::Key key = "prop-" + std::to_string(i);
-        const Result<Bytes> via_plain = co_await p->get(key);
-        const Result<Bytes> via_hedged = co_await h->get(key);
-        EXPECT_TRUE(via_plain.ok()) << key << ": " << via_plain.status();
-        EXPECT_TRUE(via_hedged.ok()) << key << ": " << via_hedged.status();
-        if (via_plain.ok() && via_hedged.ok()) {
-          EXPECT_EQ(*via_hedged, *via_plain) << key;
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Xoshiro256 rng(seed);
+        std::vector<Bytes> written;
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          const kv::Key key = "prop-" + std::to_string(seed) + "-" +
+                              std::to_string(i);
+          written.push_back(make_pattern(1 + rng.next_below(32'000),
+                                         seed * 1'000 + i));
+          const Status s =
+              co_await p->set(key, make_shared_bytes(Bytes(written.back())));
+          EXPECT_TRUE(s.ok()) << key << ": " << s;
+        }
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          const kv::Key key = "prop-" + std::to_string(seed) + "-" +
+                              std::to_string(i);
+          const auto fault = static_cast<Fault>(
+              rng.next_below(static_cast<std::uint64_t>(Fault::kCount)));
+          const std::size_t slot = rng.next_below(5);
+          const std::size_t owner = cl->ring().slot_index(key, slot);
+          if (fault == Fault::kOwnerDown) cl->fail_server(owner);
+          if (fault == Fault::kLiveMiss) {
+            (void)cl->server(owner).store().erase(kv::chunk_key(key, slot));
+          }
+          if (fault == Fault::kLoss) cl->fabric().set_loss(0.25, seed + i);
+          for (Engine* e : {p, h}) {
+            const SimTime t0 = cl->sim().now();
+            if (fault == Fault::kCrashAfterSend) {
+              cl->sim().spawn(crash(&cl->sim(), &cl->server(owner)));
+            }
+            const Result<Bytes> got = co_await e->get(key);
+            EXPECT_TRUE(got.ok())
+                << key << " (fault " << static_cast<int>(fault)
+                << "): " << got.status();
+            if (got.ok()) { EXPECT_EQ(*got, written[i]) << key; }
+            if (fault == Fault::kCrashAfterSend) {
+              const SimTime crash_at = t0 + kCrashAfterSendNs;
+              if (cl->sim().now() < crash_at) {
+                co_await cl->sim().delay(crash_at - cl->sim().now());
+              }
+              cl->server(owner).recover();
+            }
+          }
+          if (fault == Fault::kLoss) cl->fabric().set_loss(0.0);
+          if (fault == Fault::kOwnerDown) cl->recover_server(owner);
         }
       }
-      // The hedged engine really took the hedged path throughout.
-      EXPECT_EQ(h->stats().hedged_gets, kKeys);
+      EXPECT_EQ(p->stats().get_failures, 0u);
       EXPECT_EQ(h->stats().get_failures, 0u);
+      // Every hedged Get really hedged: even with one owner down, 4 live
+      // slots leave a spare beyond the 3 primaries, and a blocking get()
+      // leaves the ARPE pool free for the hedge buffer.
+      EXPECT_EQ(p->stats().hedged_gets, 0u);
+      EXPECT_EQ(h->stats().hedged_gets, 4 * kKeys);
+      // The faults really bit: fetches failed over and deadlines expired.
+      EXPECT_GT(p->stats().failover_fetches, 0u);
+      EXPECT_GT(cl->client(0).rpc_stats().timeouts, 0u);
     }
   };
-  run_sim(cluster_.sim(), Body::run, plain.get(), hedged.get());
+  run_sim(cluster_.sim(), Body::run, plain.get(), hedged.get(), &cluster_);
 }
 
 // Degraded reads stay correct on the hedged path: with a fragment owner
@@ -199,7 +277,6 @@ TEST_F(HedgeTest, HedgingNeverChangesReturnedValues) {
 TEST_F(HedgeTest, HedgedDegradedReadReconstructs) {
   HedgeParams hedge;
   hedge.delta = 1;
-  hedge.load_aware = true;
   auto engine = make_engine(Design::kEraCeCd, 3, {}, hedge);
   cluster_.start();
   struct Body {

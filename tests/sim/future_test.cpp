@@ -1,10 +1,13 @@
-// Promise/Future completion semantics (the iset/iget handle machinery).
+// Promise/Future completion semantics (the iset/iget handle machinery) and
+// sim::wait_any, the multiplexer behind the erasure Get's fetch machine.
 #include "sim/future.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
+
+#include "cluster/cluster.h"
 
 namespace hpres::sim {
 namespace {
@@ -157,6 +160,122 @@ TEST(FutureWaitFor, ManyRacingWaitersStress) {
       EXPECT_LE(8 + (i % 9), 10 + (i % 7)) << "value delivered past deadline";
     }
   }
+}
+
+// --- wait_any ----------------------------------------------------------------
+
+using WakeLog = std::vector<std::pair<bool, SimTime>>;
+
+/// Waits once on `futures`, logs (result, time), then sleeps 50 ns and logs
+/// again: a second, stray resumption would land inside that sleep.
+Task<void> any_waiter(Simulator* sim, std::vector<Future<int>> futures,
+                      SimTime deadline, WakeLog* log) {
+  const bool ready = co_await wait_any<int>(futures, deadline);
+  log->push_back({ready, sim->now()});
+  co_await sim->delay(50);
+  log->push_back({ready, sim->now()});
+}
+
+Task<void> fulfill_both_after(Simulator* sim, Promise<int> a, Promise<int> b,
+                              SimDur d) {
+  co_await sim->delay(d);
+  a.set_value(1);
+  b.set_value(2);
+}
+
+TEST(WaitAny, SimultaneousFulfillmentsWakeOnce) {
+  Simulator sim;
+  Promise<int> a(sim);
+  Promise<int> b(sim);
+  WakeLog log;
+  // The invalid future is skipped.
+  sim.spawn(any_waiter(&sim, {Future<int>{}, a.get_future(), b.get_future()},
+                       Simulator::kNever, &log));
+  sim.spawn(fulfill_both_after(&sim, a, b, 100));
+  sim.run();
+  EXPECT_EQ(log, (WakeLog{{true, 100}, {true, 150}}));
+  // Two process starts, the fulfiller's delay, ONE wake, the waiter's sleep.
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+TEST(WaitAny, ReadyFutureReturnsWithoutSuspending) {
+  Simulator sim;
+  Promise<int> pending(sim);
+  Promise<int> done(sim);
+  done.set_value(4);
+  WakeLog log;
+  sim.spawn(any_waiter(&sim, {pending.get_future(), done.get_future()},
+                       Simulator::kNever, &log));
+  sim.run();
+  EXPECT_EQ(log, (WakeLog{{true, 0}, {true, 50}}));
+  EXPECT_EQ(sim.events_executed(), 2u);  // start + sleep: no wake event
+}
+
+TEST(WaitAny, NeverResolvingFutureNeverResumesTheMovedOnWaiter) {
+  Simulator sim;
+  Promise<int> never(sim);  // kept alive, never fulfilled
+  Promise<int> late(sim);   // fulfilled long after the waiter moved on
+  Promise<int> first(sim);
+  WakeLog log;
+  sim.spawn(any_waiter(
+      &sim, {never.get_future(), late.get_future(), first.get_future()},
+      Simulator::kNever, &log));
+  sim.spawn(fulfill_after(&sim, first, 10, 1));
+  sim.spawn(fulfill_after(&sim, late, 500, 2));
+  sim.run();
+  EXPECT_EQ(log, (WakeLog{{true, 10}, {true, 60}}));
+  // Three starts, two fulfiller delays, one wake, one sleep: the late
+  // fulfillment finds the shared waiter fired and schedules nothing.
+  EXPECT_EQ(sim.events_executed(), 7u);
+  EXPECT_FALSE(never.get_future().ready());
+}
+
+TEST(WaitAny, DeadlineFormTimesOut) {
+  Simulator sim;
+  Promise<int> never(sim);
+  Promise<int> soon(sim);
+  WakeLog timed_out;
+  WakeLog served;
+  sim.spawn(any_waiter(&sim, {never.get_future()}, 300, &timed_out));
+  sim.spawn(any_waiter(&sim, {soon.get_future()}, 300, &served));
+  sim.spawn(fulfill_after(&sim, soon, 120, 9));
+  sim.run();
+  EXPECT_EQ(timed_out, (WakeLog{{false, 300}, {false, 350}}));
+  // Fulfilled first: the deadline timer still runs out, waking nobody.
+  EXPECT_EQ(served, (WakeLog{{true, 120}, {true, 170}}));
+}
+
+TEST(WaitAny, CancelResolvedFetchWakesTheWaiter) {
+  cluster::Cluster c(
+      cluster::ClusterConfig{.num_servers = 1, .num_clients = 1});
+  struct Body {
+    static Task<void> cancel_at(Simulator* sim, kv::Client* client,
+                                std::uint64_t rpc_id, SimDur at) {
+      co_await sim->delay(at);
+      client->cancel_resolve(rpc_id);
+    }
+    static Task<void> run(cluster::Cluster* cl, WakeLog* log) {
+      kv::Client& client = cl->client(0);
+      kv::Request req;
+      req.verb = kv::Verb::kGet;
+      req.key = "k";
+      const Future<kv::Response> fetch =
+          client.call(cl->server_nodes()[0], std::move(req));
+      cl->server(0).fail();  // crash after send: no response ever comes
+      cl->sim().spawn(cancel_at(&cl->sim(), &client,
+                                client.last_call_id(), 1'000));
+      const bool ready = co_await wait_any<kv::Response>(
+          std::span<const Future<kv::Response>>(&fetch, 1));
+      log->push_back({ready, cl->sim().now()});
+      const kv::Response* resp = fetch.try_get();
+      EXPECT_TRUE(resp != nullptr && resp->code == StatusCode::kCancelled);
+    }
+  };
+  WakeLog log;
+  c.start();
+  c.sim().spawn(Body::run(&c, &log));
+  c.run();
+  EXPECT_EQ(log, (WakeLog{{true, 1'000}}));
 }
 
 }  // namespace

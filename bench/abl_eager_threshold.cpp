@@ -29,7 +29,7 @@ double set_latency_us(const cluster::Testbed& bed, resilience::Design design,
   cfg.value_size = value_size;
   workload::OhbResult result;
   bench.spawn(run_sets(&bench.sim(), &bench.engine(), cfg, &result));
-  bench.sim().run();
+  bench.run();
   return result.avg_latency_us();
 }
 

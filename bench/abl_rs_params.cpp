@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     workload::OhbResult get_result;
     bench.spawn(run_point(&bench.sim(), &bench.engine(), cfg, &set_result,
                           &get_result));
-    bench.sim().run();
+    bench.run();
     print_cell("RS(" + std::to_string(shape.k) + "," +
                std::to_string(shape.m) + ")");
     print_cell(std::to_string(shape.m));

@@ -56,7 +56,7 @@ Point run_point(resilience::Design design, bool with_ssd,
     for (std::size_t c = 0; c < kClients; ++c) {
       bench.spawn(writer(&bench.engine(c), c, pairs, &done));
     }
-    bench.sim().run();
+    bench.run();
   }
   Point point;
   point.lost_gib =
@@ -70,7 +70,7 @@ Point run_point(resilience::Design design, bool with_ssd,
       bench.spawn(reader(&bench.sim(), &bench.engine(c), c, pairs, &done,
                          &lat[c], &failures[c]));
     }
-    bench.sim().run();
+    bench.run();
     RunningStats all;
     std::uint64_t fail = 0;
     for (std::size_t c = 0; c < kClients; ++c) {

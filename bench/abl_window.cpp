@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     Testbench bench(cluster::ri_qdr(), 5, 1, resilience::Design::kEraCeCd, 3,
                     2, 3, arpe);
     bench.spawn(pipelined_sets(&bench.engine(), ops, kValue));
-    const SimTime makespan = bench.sim().run();
+    const SimTime makespan = bench.run();
     const double mib =
         static_cast<double>(ops * kValue) / (1024.0 * 1024.0);
     print_cell(std::to_string(window));

@@ -8,7 +8,6 @@
 // absolute microseconds — are the reproduction target (EXPERIMENTS.md).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -380,8 +379,8 @@ inline void require_oracle_shards(const char* harness, const char* why) {
 /// Every Testbench registers itself with the process ObsSession: it becomes
 /// one trace process (pid) named `point_label`, its stats structs bind into
 /// the metrics registry under that op label, and — when sampling is on — a
-/// periodic gauge sampler starts with the first spawn() and stops when the
-/// last spawned workload completes. The destructor freezes bound metrics
+/// periodic gauge sampler starts with the first spawn() and takes its
+/// final sample at teardown. The destructor freezes bound metrics
 /// (registry capture) so snapshots survive per-point teardown.
 class Testbench {
  public:
@@ -459,7 +458,7 @@ class Testbench {
     // Quiesced teardown order: final gauge sample, then fold the per-shard
     // observability domains into the process instruments (canonical shard
     // order), then snapshot/export — so every export sees the merged view.
-    if (wsampler_ != nullptr) wsampler_->flush(cluster_.now_quiesced());
+    if (sampler_ != nullptr) sampler_->flush(cluster_.now_quiesced());
     cluster_.merge_obs_domains();
     const sim::RuntimeProfile prof = cluster_.runtime().profile();
     // shard.* runtime gauges only exist for parallel points: an oracle
@@ -517,17 +516,15 @@ class Testbench {
     for (const auto& r : engine_recorders_) r->clear();
   }
 
-  /// Runs the cluster to quiescence — all shards in parallel when sharded,
-  /// the classic single loop otherwise.
+  /// Runs the cluster to quiescence (Cluster::run), so the quiesce hooks
+  /// — sampling, faults, health ticks — fire at every shard count.
   SimTime run() { return cluster_.run(); }
 
-  /// Spawns a workload task, tracking it so the gauge sampler (when
-  /// enabled) stops once every spawned task has completed — otherwise the
-  /// sampler's periodic ticks would keep sim().run() from draining.
+  /// Spawns a workload task onto shard 0's loop (the only loop in oracle
+  /// mode). Starts the gauge sampler first when sampling is on.
   void spawn(sim::Task<void> task) {
     maybe_start_sampler();
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
-    sim().spawn(tracked(this, std::move(task)));
+    sim().spawn(std::move(task));
   }
 
   /// Spawns a workload task onto client `i`'s own shard loop. Sharded
@@ -535,19 +532,10 @@ class Testbench {
   /// engine's shard. In oracle mode this is exactly spawn().
   void spawn_client(std::size_t i, sim::Task<void> task) {
     maybe_start_sampler();
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
-    cluster_.sim_for_client(i).spawn(tracked(this, std::move(task)));
+    cluster_.sim_for_client(i).spawn(std::move(task));
   }
 
  private:
-  static sim::Task<void> tracked(Testbench* self, sim::Task<void> inner) {
-    co_await std::move(inner);
-    if (self->outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        self->sampler_ != nullptr) {
-      self->sampler_->request_stop();
-    }
-  }
-
   static cluster::ClusterConfig shard_config(const cluster::Testbed& bed,
                                              std::size_t servers,
                                              std::size_t clients,
@@ -588,82 +576,41 @@ class Testbench {
     }
   }
 
+  /// Starts the gauge sampler on the first spawn when tracing and sampling
+  /// are on. Each gauge records into its owner's shard domain; the fabric
+  /// in-flight gauge is per shard because the merged counter is only
+  /// refreshed after run().
   void maybe_start_sampler() {
     ObsSession& obs = ObsSession::instance();
-    if (sampler_ != nullptr || wsampler_ != nullptr ||
-        !obs.tracer().enabled() || obs.sample_interval_ns() <= 0) {
+    if (sampler_ != nullptr || !obs.tracer().enabled() ||
+        obs.sample_interval_ns() <= 0) {
       return;
     }
-    if (cluster_.num_shards() > 1) {
-      start_window_sampler(obs);
-      return;
-    }
-    sampler_ = std::make_unique<obs::Sampler>(sim(), obs.tracer(), trace_pid_,
+    sampler_ = std::make_unique<obs::Sampler>(cluster_.runtime(),
                                               obs.sample_interval_ns());
     for (std::size_t i = 0; i < engines_.size(); ++i) {
       resilience::Engine* engine = engines_[i].get();
+      obs::Tracer* const dom = cluster_.tracer_for_client(i);
       const std::string node = "client" + std::to_string(i);
-      sampler_->add_gauge(node + "/arpe.in_flight", [engine] {
-        return static_cast<std::int64_t>(engine->arpe().in_flight());
-      });
-      sampler_->add_gauge(node + "/bufpool.in_use", [engine] {
-        return static_cast<std::int64_t>(engine->arpe().buffers_in_use());
-      });
+      sampler_->add_gauge(dom, trace_pid_, node + "/arpe.in_flight",
+                          [engine] {
+                            return static_cast<std::int64_t>(
+                                engine->arpe().in_flight());
+                          });
+      sampler_->add_gauge(dom, trace_pid_, node + "/bufpool.in_use",
+                          [engine] {
+                            return static_cast<std::int64_t>(
+                                engine->arpe().buffers_in_use());
+                          });
     }
     // Per-server load scores as seen by client 0's tracker (when the
     // engine has one): what load-aware read-set selection actually ranks
     // on, scaled x1000 so fractional EWMA movement survives the int gauge.
     if (const resilience::NodeLoadTracker* lt = engines_[0]->load_tracker();
         lt != nullptr) {
-      for (std::size_t s = 0; s < cluster_.num_servers(); ++s) {
-        sampler_->add_gauge(
-            "server" + std::to_string(s) + "/load_score_x1000", [lt, s] {
-              return static_cast<std::int64_t>(lt->score(s) * 1000.0);
-            });
-      }
-    }
-    cluster::Cluster* cl = &cluster_;
-    sampler_->add_gauge("fabric/in_flight_bytes", [cl] {
-      return static_cast<std::int64_t>(cl->fabric().in_flight_bytes());
-    });
-    for (std::size_t i = 0; i < cluster_.num_servers(); ++i) {
-      const net::NodeId node = cluster_.server_nodes()[i];
-      sampler_->add_gauge("server" + std::to_string(i) + "/inbox_depth",
-                          [cl, node] {
-                            return static_cast<std::int64_t>(
-                                cl->fabric().inbox(node).size());
-                          });
-    }
-    sampler_->start();
-  }
-
-  /// Sharded counterpart of the block above: the same gauges, but sampled
-  /// at runtime quiesce points and recorded into each owner's shard
-  /// domain. Extra per-shard fabric/in-flight gauges replace the global
-  /// one (the merged counter is only refreshed after run()).
-  void start_window_sampler(ObsSession& obs) {
-    wsampler_ = std::make_unique<obs::WindowSampler>(
-        cluster_.runtime(), obs.sample_interval_ns());
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      resilience::Engine* engine = engines_[i].get();
-      obs::Tracer* const dom = cluster_.tracer_for_client(i);
-      const std::string node = "client" + std::to_string(i);
-      wsampler_->add_gauge(dom, trace_pid_, node + "/arpe.in_flight",
-                           [engine] {
-                             return static_cast<std::int64_t>(
-                                 engine->arpe().in_flight());
-                           });
-      wsampler_->add_gauge(dom, trace_pid_, node + "/bufpool.in_use",
-                           [engine] {
-                             return static_cast<std::int64_t>(
-                                 engine->arpe().buffers_in_use());
-                           });
-    }
-    if (const resilience::NodeLoadTracker* lt = engines_[0]->load_tracker();
-        lt != nullptr) {
       obs::Tracer* const dom = cluster_.tracer_for_client(0);
       for (std::size_t s = 0; s < cluster_.num_servers(); ++s) {
-        wsampler_->add_gauge(
+        sampler_->add_gauge(
             dom, trace_pid_,
             "server" + std::to_string(s) + "/load_score_x1000", [lt, s] {
               return static_cast<std::int64_t>(lt->score(s) * 1000.0);
@@ -672,7 +619,7 @@ class Testbench {
     }
     cluster::Cluster* cl = &cluster_;
     for (std::size_t s = 0; s < cluster_.num_shards(); ++s) {
-      wsampler_->add_gauge(
+      sampler_->add_gauge(
           cluster_.tracer_domain(s), trace_pid_,
           "fabric/shard" + std::to_string(s) + "/in_flight_bytes", [cl, s] {
             return static_cast<std::int64_t>(
@@ -681,14 +628,14 @@ class Testbench {
     }
     for (std::size_t i = 0; i < cluster_.num_servers(); ++i) {
       const net::NodeId node = cluster_.server_nodes()[i];
-      wsampler_->add_gauge(cluster_.tracer_for_node(node), trace_pid_,
-                           "server" + std::to_string(i) + "/inbox_depth",
-                           [cl, node] {
-                             return static_cast<std::int64_t>(
-                                 cl->fabric().inbox(node).size());
-                           });
+      sampler_->add_gauge(cluster_.tracer_for_node(node), trace_pid_,
+                          "server" + std::to_string(i) + "/inbox_depth",
+                          [cl, node] {
+                            return static_cast<std::int64_t>(
+                                cl->fabric().inbox(node).size());
+                          });
     }
-    wsampler_->start();
+    sampler_->start();
   }
 
   ec::RsVandermondeCodec codec_;
@@ -699,9 +646,7 @@ class Testbench {
   std::vector<std::unique_ptr<resilience::Engine>> engines_;
   std::string label_;
   std::uint32_t trace_pid_ = 0;
-  std::atomic<std::uint64_t> outstanding_{0};
   std::unique_ptr<obs::Sampler> sampler_;  // declared last: destroyed first
-  std::unique_ptr<obs::WindowSampler> wsampler_;  // sharded runs only
 };
 
 // --- Table printing -----------------------------------------------------------

@@ -13,12 +13,10 @@
 // zero). Run with --flight-out=FILE to also exercise the flight-recorder
 // dump triggers (crash + timeout burst) for tools/health_report.
 //
-// Shard-audited: with --shards=N the clients spawn onto their own shard
-// loops, fault injection and the health monitor run from runtime quiesce
-// hooks, and the workload-end stamp is the quiesced clock. Oracle runs
-// (the default) keep the original latch/supervisor driver, byte-identical
-// to the pre-shard harness.
-#include <optional>
+// Runs at any shard count (--shards=N): the clients spawn onto their own
+// shard loops, fault injection and the health monitor run from runtime
+// quiesce hooks, and the workload end is the latest client completion.
+#include <algorithm>
 
 #include "bench_util.h"
 #include "cluster/fault_schedule.h"
@@ -87,29 +85,15 @@ struct RunOut {
   }
 };
 
-// `done` is null in sharded runs: completion is the runtime reaching
-// quiescence, and a latch shared across shard loops would not be safe.
+/// Runs one client's op stream and stamps its completion time into the
+/// client's own slot: the latest slot ends the measured pass, so detection
+/// metrics cover exactly the workload, not the stray RPC-deadline timers
+/// that outlive it.
 sim::Task<void> client_proc(sim::Simulator* sim, resilience::Engine* engine,
                             workload::YcsbConfig cfg, std::uint64_t seed,
-                            workload::YcsbResult* result, sim::Latch* done) {
+                            workload::YcsbResult* result, SimTime* done_at) {
   co_await workload::ycsb_client(sim, engine, cfg, seed, result);
-  if (done != nullptr) done->count_down();
-}
-
-sim::Task<void> loader_proc(sim::Simulator* sim, resilience::Engine* engine,
-                            workload::YcsbConfig cfg, std::uint64_t first,
-                            std::uint64_t last, sim::Latch* done) {
-  co_await workload::ycsb_load(sim, engine, cfg, first, last);
-  if (done != nullptr) done->count_down();
-}
-
-/// Stamps the workload end time and stops the health monitor there, so
-/// detection metrics cover exactly the measured pass.
-sim::Task<void> supervisor(sim::Simulator* sim, sim::Latch* done, SimTime* end,
-                           cluster::HealthMonitor* monitor) {
-  co_await done->wait();
-  *end = sim->now();
-  monitor->request_stop();
+  *done_at = sim->now();
 }
 
 /// One full experiment: preload, then the op streams with `mode`'s fault
@@ -121,7 +105,6 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
   Testbench bench(cluster::ri_qdr(), kServers, kClients,
                   resilience::Design::kEraCeCd, 3, 2, 3, {}, {}, {}, {},
                   Testbench::kAutoShards);
-  const bool sharded = bench.cluster().num_shards() > 1;
   bench.cluster().set_rpc_policy(guard_policy());
   cluster::FaultSchedule faults(bench.cluster(), kDetectionLagNs);
   obs::FaultLog fault_log;
@@ -135,31 +118,17 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
   }
 
   {  // Preload, partitioned across the clients.
-    std::optional<sim::Latch> done;
-    if (!sharded) done.emplace(bench.sim(), kClients);
     const std::uint64_t stride = (cfg.record_count + kClients - 1) / kClients;
     for (std::size_t l = 0; l < kClients; ++l) {
       const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
       const std::uint64_t last =
           std::min<std::uint64_t>(first + stride, cfg.record_count);
-      if (first >= last) {
-        if (done) done->count_down();
-        continue;
-      }
-      if (sharded) {
-        bench.spawn_client(
-            l, loader_proc(&bench.cluster().sim_for_client(l),
-                           &bench.engine(l), cfg, first, last, nullptr));
-      } else {
-        bench.spawn(loader_proc(&bench.sim(), &bench.engine(l), cfg, first,
-                                last, &*done));
-      }
+      if (first >= last) continue;
+      bench.spawn_client(
+          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
+                                 &bench.engine(l), cfg, first, last));
     }
-    if (sharded) {
-      bench.run();
-    } else {
-      bench.sim().run();
-    }
+    bench.run();
   }
   bench.clear_latency();  // percentiles cover the measured pass only
 
@@ -189,28 +158,16 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
 
   RunOut out;
   std::vector<workload::YcsbResult> results(kClients);
-  SimTime end = start;
-  if (sharded) {
-    // No latch/supervisor: completion is runtime quiescence, and the
-    // monitor's final tick runs from the main thread once all shards park.
-    for (std::size_t c = 0; c < kClients; ++c) {
-      bench.spawn_client(
-          c, client_proc(&bench.cluster().sim_for_client(c),
-                         &bench.engine(c), cfg, cfg.seed + 1000 + c,
-                         &results[c], nullptr));
-    }
-    bench.run();
-    end = bench.cluster().now_quiesced();
-    monitor.request_stop();
-  } else {
-    sim::Latch done(bench.sim(), kClients);
-    for (std::size_t c = 0; c < kClients; ++c) {
-      bench.spawn(client_proc(&bench.sim(), &bench.engine(c), cfg,
-                              cfg.seed + 1000 + c, &results[c], &done));
-    }
-    bench.spawn(supervisor(&bench.sim(), &done, &end, &monitor));
-    bench.sim().run();
+  std::vector<SimTime> done_at(kClients, start);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    bench.spawn_client(
+        c, client_proc(&bench.cluster().sim_for_client(c), &bench.engine(c),
+                       cfg, cfg.seed + 1000 + c, &results[c], &done_at[c]));
   }
+  bench.run();
+  // The monitor's final tick runs from the main thread once all shards park.
+  monitor.request_stop();
+  const SimTime end = *std::max_element(done_at.begin(), done_at.end());
   out.makespan_ns = end - start;
   for (const auto& r : results) out.merged.merge(r);
   for (std::size_t c = 0; c < kClients; ++c) {

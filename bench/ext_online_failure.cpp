@@ -9,13 +9,11 @@
 // failure counts, RPC timeout/retry totals, degraded-path counters, and
 // the cost of the post-restart repair pass that restores full redundancy.
 //
-// Shard-audited: with --shards=N the clients spawn onto their own shard
-// loops, crash/restart injection and the health monitor run from runtime
-// quiesce hooks, and the workload-end stamp is the quiesced clock. The
-// repair pass stays a single coroutine on client 0's loop. Oracle runs
-// (the default) keep the original latch/supervisor driver, byte-identical
-// to the pre-shard harness.
-#include <optional>
+// Runs at any shard count (--shards=N): the clients spawn onto their own
+// shard loops, crash/restart injection and the health monitor run from
+// runtime quiesce hooks, and the workload end is the latest client
+// completion. The repair pass stays a single coroutine on client 0's loop.
+#include <algorithm>
 
 #include "bench_util.h"
 #include "cluster/fault_schedule.h"
@@ -79,30 +77,14 @@ struct RunOut {
   }
 };
 
-// `done` is null in sharded runs: completion is the runtime reaching
-// quiescence, and a latch shared across shard loops would not be safe.
+/// Runs one client's op stream and stamps its completion time into the
+/// client's own slot: with deadlines armed, stray timer events outlive the
+/// last op, so the quiesced clock overstates the makespan.
 sim::Task<void> client_proc(sim::Simulator* sim, resilience::Engine* engine,
                             workload::YcsbConfig cfg, std::uint64_t seed,
-                            workload::YcsbResult* result, sim::Latch* done) {
+                            workload::YcsbResult* result, SimTime* done_at) {
   co_await workload::ycsb_client(sim, engine, cfg, seed, result);
-  if (done != nullptr) done->count_down();
-}
-
-sim::Task<void> loader_proc(sim::Simulator* sim, resilience::Engine* engine,
-                            workload::YcsbConfig cfg, std::uint64_t first,
-                            std::uint64_t last, sim::Latch* done) {
-  co_await workload::ycsb_load(sim, engine, cfg, first, last);
-  if (done != nullptr) done->count_down();
-}
-
-/// Awaits workload completion and stamps the end time: with deadlines
-/// armed, stray timer events outlive the last op, so sim().run()'s return
-/// value overstates the makespan.
-sim::Task<void> supervisor(sim::Simulator* sim, sim::Latch* done,
-                           SimTime* end, cluster::HealthMonitor* monitor) {
-  co_await done->wait();
-  *end = sim->now();
-  monitor->request_stop();
+  *done_at = sim->now();
 }
 
 sim::Task<void> repair_proc(resilience::RepairCoordinator* repair) {
@@ -120,7 +102,6 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   Testbench bench(cluster::ri_qdr(), kServers, kClients,
                   resilience::Design::kEraCeCd, 3, 2, 3, {}, hedge, {}, {},
                   Testbench::kAutoShards);
-  const bool sharded = bench.cluster().num_shards() > 1;
   if (inject) bench.cluster().set_rpc_policy(guard_policy());
   cluster::FaultSchedule faults(bench.cluster(), kDetectionLagNs);
   obs::FaultLog fault_log;
@@ -133,31 +114,17 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   cluster::HealthMonitor monitor(bench.cluster(), hm);
 
   {  // Preload, partitioned across the clients.
-    std::optional<sim::Latch> done;
-    if (!sharded) done.emplace(bench.sim(), kClients);
     const std::uint64_t stride = (cfg.record_count + kClients - 1) / kClients;
     for (std::size_t l = 0; l < kClients; ++l) {
       const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
       const std::uint64_t last =
           std::min<std::uint64_t>(first + stride, cfg.record_count);
-      if (first >= last) {
-        if (done) done->count_down();
-        continue;
-      }
-      if (sharded) {
-        bench.spawn_client(
-            l, loader_proc(&bench.cluster().sim_for_client(l),
-                           &bench.engine(l), cfg, first, last, nullptr));
-      } else {
-        bench.spawn(loader_proc(&bench.sim(), &bench.engine(l), cfg, first,
-                                last, &*done));
-      }
+      if (first >= last) continue;
+      bench.spawn_client(
+          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
+                                 &bench.engine(l), cfg, first, last));
     }
-    if (sharded) {
-      bench.run();
-    } else {
-      bench.sim().run();
-    }
+    bench.run();
   }
   bench.clear_latency();  // percentiles cover the measured pass only
 
@@ -174,28 +141,16 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
 
   RunOut out;
   std::vector<workload::YcsbResult> results(kClients);
-  SimTime end = start;
-  if (sharded) {
-    // No latch/supervisor: completion is runtime quiescence, and the
-    // monitor's final tick runs from the main thread once all shards park.
-    for (std::size_t c = 0; c < kClients; ++c) {
-      bench.spawn_client(
-          c, client_proc(&bench.cluster().sim_for_client(c),
-                         &bench.engine(c), cfg, cfg.seed + 1000 + c,
-                         &results[c], nullptr));
-    }
-    bench.run();
-    end = bench.cluster().now_quiesced();
-    monitor.request_stop();
-  } else {
-    sim::Latch done(bench.sim(), kClients);
-    for (std::size_t c = 0; c < kClients; ++c) {
-      bench.spawn(client_proc(&bench.sim(), &bench.engine(c), cfg,
-                              cfg.seed + 1000 + c, &results[c], &done));
-    }
-    bench.spawn(supervisor(&bench.sim(), &done, &end, &monitor));
-    bench.sim().run();
+  std::vector<SimTime> done_at(kClients, start);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    bench.spawn_client(
+        c, client_proc(&bench.cluster().sim_for_client(c), &bench.engine(c),
+                       cfg, cfg.seed + 1000 + c, &results[c], &done_at[c]));
   }
+  bench.run();
+  // The monitor's final tick runs from the main thread once all shards park.
+  monitor.request_stop();
+  const SimTime end = *std::max_element(done_at.begin(), done_at.end());
   out.makespan_ns = end - start;
   // 10 ms symptom-propagation grace: the full RPC deadline ladder plus a
   // couple of detector windows (see obs::analyze_detection).
@@ -235,11 +190,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
     repair.set_purge_orphans(true);
     const SimTime t0 = bench.cluster().now_quiesced();
     bench.spawn(repair_proc(&repair));
-    if (sharded) {
-      bench.run();
-    } else {
-      bench.sim().run();
-    }
+    bench.run();
     out.repair_ms = units::to_ms(bench.cluster().now_quiesced() - t0);
     out.fragments_rebuilt = repair.stats().fragments_rebuilt;
   }

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     Point point;
     bench.spawn(scenario(&bench.sim(), &bench.engine(), &repair,
                          &bench.cluster(), keys, size, &point));
-    bench.sim().run();
+    bench.run();
     print_cell(size_label(size));
     print_cell(point.repair_ms);
     print_cell(point.repair_mib_s);

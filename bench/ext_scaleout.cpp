@@ -13,8 +13,9 @@
 // record and a host-side audit cross-checks the moved-key set against
 // HashRing::moved_ranges on the before/after rings.
 //
-// Works in oracle mode (byte-identical replays; CI diffs two seeds) and
-// sharded mode (cutover rides the runtime's quiesce hooks).
+// Runs at any shard count (byte-identical replays; CI diffs two same-seed
+// runs at one shard): the cutover rides the placement manager's quiesce
+// hook.
 #include <cstdio>
 #include <memory>
 #include <optional>

@@ -69,7 +69,7 @@ Point run_point(std::size_t value_size, std::uint64_t keys,
                   arpe, {}, {}, pack);
   sim::Latch done(bench.sim(), 1);
   bench.spawn(loader(&bench.engine(0), keys, value_size, &done));
-  bench.sim().run();
+  bench.run();
   Point p;
   std::uint64_t stored = bench.cluster().total_bytes_used();
   for (std::size_t s = 0; s < 5; ++s) {

@@ -67,7 +67,7 @@ void run_table(const char* title, Exp exp) {
       workload::OhbResult result;
       bench.spawn(run_point(&bench.sim(), &bench.engine(), &bench.cluster(),
                             cfg, exp, &result));
-      bench.sim().run();
+      bench.run();
       print_cell(result.avg_latency_us());
     }
     end_row();

@@ -175,7 +175,7 @@ int run_table(const char* title, bool get_with_failures) {
                             cfg, get_with_failures, &obs.tracer(),
                             bench.trace_pid(), &result, &traced, &wm_lo,
                             &wm_hi));
-      bench.sim().run();
+      bench.run();
 
       // The span-derived phases must agree with the legacy PhaseBreakdown
       // accumulators (they are computed from the same charged costs).

@@ -43,7 +43,7 @@ Point run_point(resilience::Design design, std::size_t clients,
     bench.spawn(writer(&bench.engine(c), c, pairs_per_client,
                        1024 * 1024, &done));
   }
-  bench.sim().run();
+  bench.run();
   Point p;
   p.used_pct = 100.0 *
                static_cast<double>(bench.cluster().total_bytes_used()) /
@@ -63,7 +63,7 @@ void check_footprint_accounting(std::uint64_t pairs) {
                   resilience::Design::kEraCeCd);
   sim::Latch done(bench.sim(), 1);
   bench.spawn(writer(&bench.engine(0), 0, pairs, 1024 * 1024, &done));
-  bench.sim().run();
+  bench.run();
   const double measured =
       static_cast<double>(bench.cluster().total_bytes_used());
   ec::FootprintParams p;

@@ -80,7 +80,7 @@ BoldioOutcome run_boldio(resilience::Design design, std::uint64_t data_bytes) {
           clients[host].get(), "dfsio/part-" + std::to_string(m), file_bytes,
           write, &done, &failures));
     }
-    bench.sim().run();
+    bench.run();
     DfsioResult& r = write ? out.write : out.read;
     r.total_bytes = file_bytes * maps;
     r.makespan_ns = finished_at - start;

@@ -132,8 +132,8 @@ struct YcsbRunOpts {
   std::string point_label = {};
   /// Shard count for the parallel runtime. Defaults to the harness-wide
   /// resolution (--shards / HPRES_SHARDS, oracle when unset). Fault
-  /// injection works at any count: FaultSchedule applies events from
-  /// runtime quiesce points when sharded.
+  /// injection works at any count: FaultSchedule applies events from a
+  /// runtime quiesce hook.
   std::size_t shards = Testbench::kAutoShards;
 };
 

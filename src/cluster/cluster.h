@@ -39,11 +39,12 @@ struct ClusterConfig {
   /// Event-loop shards for the parallel runtime. 0 or 1 = the
   /// deterministic single-threaded oracle mode; N > 1 partitions servers
   /// and clients round-robin over N event loops run by real threads
-  /// (capped to num_servers + num_clients). Fault injection and the whole
-  /// observability stack (tracing, flight recorder, health monitor) work
-  /// in either mode: parallel runs use per-shard observability domains
-  /// merged deterministically at quiescence, and faults apply at runtime
-  /// quiesce points.
+  /// (capped to num_servers + num_clients). Fault injection, placement
+  /// changes and the whole observability stack (tracing, flight recorder,
+  /// health monitor, sampler) work the same at every shard count: they
+  /// act from runtime quiesce hooks, and parallel runs record into
+  /// per-shard observability domains merged deterministically at
+  /// quiescence.
   std::size_t shards = 1;
 };
 
@@ -61,10 +62,9 @@ class Cluster {
   [[nodiscard]] std::size_t num_shards() const noexcept {
     return runtime_.num_shards();
   }
-  /// Shard 0's event loop — the only loop in oracle mode, where this is
-  /// exactly the classic single-simulator API. Harness code driving a
-  /// multi-shard cluster must spawn onto each node's own loop instead
-  /// (sim_for_node) and run via Cluster::run().
+  /// Shard 0's event loop — the only loop in oracle mode. Spawn onto it,
+  /// but run via Cluster::run(). Harness code driving a multi-shard
+  /// cluster must spawn onto each node's own loop instead (sim_for_node).
   [[nodiscard]] sim::Simulator& sim() noexcept { return runtime_.shard(0); }
   /// The event loop that drives `node`'s coroutines (its shard's loop).
   [[nodiscard]] sim::Simulator& sim_for_node(net::NodeId node) noexcept {
@@ -78,7 +78,7 @@ class Cluster {
   [[nodiscard]] const kv::HashRing& ring() const noexcept { return ring_; }
   /// Mutable ring access for the placement plane (PlacementManager
   /// cutover). Harness code must not mutate the ring while shards run —
-  /// with shards > 1 mutations go through a runtime quiesce hook.
+  /// mutations go through a runtime quiesce hook.
   [[nodiscard]] kv::HashRing& mutable_ring() noexcept { return ring_; }
   [[nodiscard]] kv::Membership& membership() noexcept { return membership_; }
   [[nodiscard]] const ClusterConfig& config() const noexcept { return config_; }
@@ -209,10 +209,13 @@ class Cluster {
   /// Starts every node's dispatch loop. Call once, before running.
   void start();
 
-  /// Runs the simulation to quiescence; returns final simulated time. In
-  /// oracle mode this is the classic single event loop; with shards > 1 it
-  /// runs all shard loops conservatively in parallel and refreshes the
-  /// merged fabric counters afterwards.
+  /// Runs the simulation to quiescence; returns final simulated time. With
+  /// one shard this is the single event loop in hook-capped windows; with
+  /// shards > 1 it runs all shard loops conservatively in parallel. Either
+  /// way the registered quiesce hooks (faults, health ticks, sampling,
+  /// placement cutover) fire, and the merged fabric counters are refreshed
+  /// afterwards. Harnesses drive every run through here, never through
+  /// sim().run(), which bypasses the hooks.
   SimTime run() {
     const SimTime end = runtime_.run();
     fabric_.merge_stats();

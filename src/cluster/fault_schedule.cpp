@@ -50,7 +50,7 @@ void FaultSchedule::add_leave(SimTime at_ns, std::size_t server_index) {
 }
 
 FaultSchedule::~FaultSchedule() {
-  if (hook_armed_) cluster_->runtime().remove_quiesce_hook(hook_id_);
+  if (armed_) cluster_->runtime().remove_quiesce_hook(hook_id_);
 }
 
 void FaultSchedule::arm() {
@@ -62,17 +62,12 @@ void FaultSchedule::arm() {
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at_ns < b.at_ns;
                    });
-  if (cluster_->num_shards() > 1) {
-    // Fault application mutates fabric topology flags, membership, and
-    // server state, which every shard reads without locks — so with real
-    // threads it runs from a quiesce hook, where all shards are parked and
-    // windows are capped so no event at or past a due fault runs first.
-    hook_id_ = cluster_->runtime().add_quiesce_hook(
-        [this](SimTime min_next) { return on_quiesce(min_next); });
-    hook_armed_ = true;
-  } else {
-    cluster_->sim().spawn(driver(this));
-  }
+  // Fault application mutates fabric topology flags, membership, and
+  // server state, which every shard reads without locks — so it runs from
+  // a quiesce hook, where all shards are parked and windows are capped so
+  // no event at or past a due fault runs first.
+  hook_id_ = cluster_->runtime().add_quiesce_hook(
+      [this](SimTime min_next) { return on_quiesce(min_next); });
   if (!placement_events_.empty()) {
     assert(placement_ != nullptr &&
            "add_join/add_leave require set_placement_manager");
@@ -80,9 +75,9 @@ void FaultSchedule::arm() {
                      [](const PlacementEvent& a, const PlacementEvent& b) {
                        return a.at_ns < b.at_ns;
                      });
-    // One sequential driver in both modes: changes execute one at a time
-    // on the coordinator's own event loop, and the manager internally
-    // routes its cross-shard mutations through a quiesce hook.
+    // One sequential driver: changes execute one at a time on the
+    // coordinator's own event loop, and the manager internally routes its
+    // cross-shard mutations through a quiesce hook.
     placement_->coordinator_sim().spawn(placement_driver(this));
   }
 }
@@ -147,19 +142,17 @@ void FaultSchedule::apply(const FaultEvent& ev, SimTime now) {
   ++fired_;
   if (detection_lag_ns_ <= 0) {
     cluster_->membership().set_up(ev.server, ev.restart);
-  } else if (hook_armed_) {
+  } else {
     detects_.push_back(
         PendingDetect{now + detection_lag_ns_, ev.server, ev.restart});
-  } else {
-    cluster_->sim().spawn(detect_coro(this, ev.server, ev.restart));
   }
 }
 
 SimTime FaultSchedule::on_quiesce(SimTime min_next) {
   constexpr SimTime kNever = sim::Simulator::kNever;
   // Events scheduled before the hook could first observe them (e.g. armed
-  // mid-run with past due times) apply at the current quiesced instant,
-  // mirroring the driver coroutine's "already late, fire now" behaviour.
+  // with past due times) apply at the current quiesced instant: already
+  // late, fire now.
   const SimTime floor = cluster_->now_quiesced();
   for (;;) {
     // Earliest pending action: the next schedule event or a lagged
@@ -187,16 +180,6 @@ SimTime FaultSchedule::on_quiesce(SimTime min_next) {
   }
 }
 
-sim::Task<void> FaultSchedule::driver(FaultSchedule* self) {
-  for (const FaultEvent& ev : self->events_) {
-    const SimTime now = self->cluster_->sim().now();
-    if (ev.at_ns > now) {
-      co_await self->cluster_->sim().delay(ev.at_ns - now);
-    }
-    self->apply(ev, self->cluster_->sim().now());
-  }
-}
-
 sim::Task<void> FaultSchedule::placement_driver(FaultSchedule* self) {
   sim::Simulator& sim = self->placement_->coordinator_sim();
   for (const PlacementEvent& ev : self->placement_events_) {
@@ -209,12 +192,6 @@ sim::Task<void> FaultSchedule::placement_driver(FaultSchedule* self) {
     }
     ++self->fired_;
   }
-}
-
-sim::Task<void> FaultSchedule::detect_coro(FaultSchedule* self,
-                                           std::size_t server, bool up) {
-  co_await self->cluster_->sim().delay(self->detection_lag_ns_);
-  self->cluster_->membership().set_up(server, up);
 }
 
 }  // namespace hpres::cluster

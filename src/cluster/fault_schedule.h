@@ -10,14 +10,13 @@
 // simulated time, so the same schedule on the same seed replays
 // bit-identically.
 //
-// Works in both runtime modes. In oracle mode the schedule is a driver
-// coroutine, byte-identical to the pre-shard implementation. With
-// shards > 1 it is a ShardRuntime quiesce hook: windows are capped at the
-// next due event, so each fault applies at its exact scheduled instant
-// while every shard thread is parked — the fabric topology flags,
-// membership oracle, and server state mutate race-free, and detection-lag
-// membership flips queue on the same hook. Crash dumps fold the per-shard
-// flight domains into the parent recorder before writing the file.
+// The schedule is a ShardRuntime quiesce hook at every shard count:
+// windows are capped at the next due event, so each fault applies at its
+// exact scheduled instant, before any event at that instant, while every
+// shard thread is parked — the fabric topology flags, membership oracle,
+// and server state mutate race-free, and detection-lag membership flips
+// queue on the same hook. Crash dumps fold the per-shard flight domains
+// into the parent recorder before writing the file.
 #pragma once
 
 #include <vector>
@@ -63,9 +62,9 @@ class FaultSchedule {
 
   /// Schedules a ring join of `server_index` at simulated time `at_ns`,
   /// executed by the attached PlacementManager (set_placement_manager).
-  /// Placement changes run on a dedicated sequential driver coroutine in
-  /// both runtime modes — the manager already defers its cross-shard
-  /// mutations to a quiesce hook, so no hook plumbing is needed here.
+  /// Placement changes run on a dedicated sequential driver coroutine —
+  /// the manager already defers its cross-shard mutations to its own
+  /// quiesce hook, so no hook plumbing is needed here.
   void add_join(SimTime at_ns, std::size_t server_index);
 
   /// Schedules a graceful ring leave of `server_index` at `at_ns`.
@@ -84,9 +83,9 @@ class FaultSchedule {
   /// must infer the faulty node from symptoms.
   void set_fault_log(obs::FaultLog* log) noexcept { fault_log_ = log; }
 
-  /// Starts the schedule: a driver coroutine in oracle mode, a runtime
-  /// quiesce hook with shards > 1. Call exactly once, before running the
-  /// simulation; the schedule must outlive the simulation.
+  /// Starts the schedule by registering its runtime quiesce hook (a
+  /// schedule that is never armed costs nothing). Call exactly once,
+  /// between runs; the schedule must outlive the simulation.
   void arm();
 
   /// Number of crash/restart events applied so far.
@@ -103,7 +102,7 @@ class FaultSchedule {
   };
 
   /// A membership flip (crash/restart observation) still pending its
-  /// detection lag — quiesce-hook mode's equivalent of detect_coro.
+  /// detection lag.
   struct PendingDetect {
     SimTime at_ns = 0;
     std::size_t server = 0;
@@ -116,16 +115,13 @@ class FaultSchedule {
     bool join = false;
   };
 
-  static sim::Task<void> driver(FaultSchedule* self);
   static sim::Task<void> placement_driver(FaultSchedule* self);
-  static sim::Task<void> detect_coro(FaultSchedule* self, std::size_t server,
-                                     bool up);
 
   void apply(const FaultEvent& ev, SimTime now);
-  /// Quiesce-hook body (shards > 1): applies every event and pending
-  /// membership flip due at or before `min_next`, each stamped at its own
-  /// due time; returns the earliest remaining due time so the runtime caps
-  /// windows at it.
+  /// Quiesce-hook body: applies every event and pending membership flip
+  /// due at or before `min_next`, each stamped at its own due time;
+  /// returns the earliest remaining due time so the runtime caps windows
+  /// at it.
   SimTime on_quiesce(SimTime min_next);
 
   Cluster* cluster_;
@@ -133,11 +129,10 @@ class FaultSchedule {
   PlacementManager* placement_ = nullptr;
   std::vector<FaultEvent> events_;
   std::vector<PlacementEvent> placement_events_;
-  std::vector<PendingDetect> detects_;  ///< quiesce-hook mode only
-  std::size_t idx_ = 0;                 ///< next unapplied event (hook mode)
+  std::vector<PendingDetect> detects_;
+  std::size_t idx_ = 0;  ///< next unapplied event
   std::size_t fired_ = 0;
-  std::size_t hook_id_ = 0;
-  bool hook_armed_ = false;
+  std::size_t hook_id_ = 0;  ///< runtime hook slot, valid once armed
   bool armed_ = false;
   obs::FaultLog* fault_log_ = nullptr;
 };

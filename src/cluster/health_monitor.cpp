@@ -10,25 +10,19 @@ HealthMonitor::HealthMonitor(Cluster& cluster, HealthMonitorParams params)
       samples_(cluster.num_servers()) {}
 
 HealthMonitor::~HealthMonitor() {
-  if (hook_armed_) cluster_->runtime().remove_quiesce_hook(hook_id_);
+  if (armed_) cluster_->runtime().remove_quiesce_hook(hook_id_);
 }
 
 void HealthMonitor::arm() {
   if (armed_) return;
   armed_ = true;
   cluster_->set_health_signals(&signals_);
-  if (cluster_->num_shards() > 1) {
-    // Parallel runs tick from a runtime quiesce hook: every shard thread is
-    // parked when it fires, so sampling queue depths, membership and the
-    // per-shard signal domains is race-free, and capping windows at the
-    // next boundary keeps tick times exact and deterministic.
-    next_tick_ = cluster_->now_quiesced() + params_.interval_ns;
-    hook_id_ = cluster_->runtime().add_quiesce_hook(
-        [this](SimTime min_next) { return on_quiesce(min_next); });
-    hook_armed_ = true;
-  } else {
-    cluster_->sim().spawn(run(this));
-  }
+  // Every shard thread is parked when the hook fires, so sampling queue
+  // depths, membership and the per-shard signal domains is race-free, and
+  // capping windows at the next boundary keeps tick times exact.
+  next_tick_ = cluster_->now_quiesced() + params_.interval_ns;
+  hook_id_ = cluster_->runtime().add_quiesce_hook(
+      [this](SimTime min_next) { return on_quiesce(min_next); });
 }
 
 void HealthMonitor::request_stop() {
@@ -126,14 +120,6 @@ SimTime HealthMonitor::on_quiesce(SimTime min_next) {
   // partial window is covered by the request_stop() tick.
   return min_next == sim::Simulator::kNever ? sim::Simulator::kNever
                                             : next_tick_;
-}
-
-sim::Task<void> HealthMonitor::run(HealthMonitor* self) {
-  for (;;) {
-    co_await self->cluster_->sim().delay(self->params_.interval_ns);
-    if (self->stop_) break;
-    self->tick_at(self->cluster_->sim().now());
-  }
 }
 
 }  // namespace hpres::cluster

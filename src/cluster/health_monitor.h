@@ -10,22 +10,19 @@
 // cluster-wide burst of RPC deadline expiries in one window triggers an
 // automatic flight dump.
 //
-// In oracle mode the ticker is a spawned coroutine, byte-identical to the
-// pre-shard monitor. Under shards > 1 the ticker is a ShardRuntime quiesce
-// hook instead: tick times stay the exact interval boundaries (windows are
-// capped so no event at or past a boundary runs first), ticks are stamped
-// at those boundaries, and each sample sums the per-shard HealthSignals
-// domains — all cross-shard reads happen while every shard thread is
-// parked, so the detector's inputs are deterministic for a fixed (seed,
-// shard count).
+// The ticker is a ShardRuntime quiesce hook at every shard count: tick
+// times are the exact interval boundaries (windows are capped so no event
+// at or past a boundary runs first), ticks are stamped at those
+// boundaries, and each sample sums the per-shard HealthSignals domains —
+// all cross-shard reads happen while every shard thread is parked, so the
+// detector's inputs are deterministic for a fixed (seed, shard count).
 //
-// Lifecycle mirrors obs::Sampler: the harness calls request_stop() when
-// the workload completes (from inside the sim in oracle mode; from the
-// main thread at quiescence under sharding), a final tick covers the last
-// partial window, and the event queue drains normally. Monitoring is
-// observation-only — it never perturbs workload timing, so a monitored run
-// reports identical workload results to an unmonitored one (byte-identical
-// in oracle mode).
+// Lifecycle mirrors obs::Sampler: the harness calls request_stop() from
+// the main thread once run() returns, and a final tick covers the last
+// partial window. Monitoring is observation-only — the hook adds no
+// simulator events and never perturbs workload timing, so at one shard a
+// monitored run reports identical workload results and event counts to an
+// unmonitored one.
 #pragma once
 
 #include <string>
@@ -59,15 +56,14 @@ class HealthMonitor {
   ~HealthMonitor();
 
   /// Wires the signal counters into the cluster's rpc/fabric layers and
-  /// starts the ticker: a spawned coroutine in oracle mode, a runtime
-  /// quiesce hook with shards > 1. Call once, before running the
-  /// simulation; the monitor must outlive it.
+  /// registers the ticker's runtime quiesce hook. Call once, between
+  /// runs; the monitor must outlive the simulation.
   void arm();
 
   /// Takes one final detector tick at the current (quiesced) instant and
-  /// stops the ticker. Idempotent. With shards > 1 this reads cross-shard
-  /// state, so call it only at quiescence — from the main thread after
-  /// run() returns — never from a coroutine on a shard loop.
+  /// stops the ticker. Idempotent. This reads cross-shard state, so call
+  /// it only at quiescence — from the main thread after run() returns —
+  /// never from a coroutine on a shard loop.
   void request_stop();
 
   /// Registers per-server owned gauges (health.score_x1000 as the
@@ -88,14 +84,13 @@ class HealthMonitor {
   }
 
  private:
-  static sim::Task<void> run(HealthMonitor* self);
   /// One detector tick stamped at `now`: sums the per-shard signal windows,
   /// samples queue depth + membership, runs the detector, mirrors
   /// transitions/gauges, and fires the timeout-burst dump.
   void tick_at(SimTime now);
-  /// Quiesce-hook body (shards > 1): ticks every interval boundary that is
-  /// due at or before `min_next`, returns the next boundary (caps windows
-  /// so no event at or past it runs before the tick).
+  /// Quiesce-hook body: ticks every interval boundary that is due at or
+  /// before `min_next`, returns the next boundary (caps windows so no
+  /// event at or past it runs before the tick).
   SimTime on_quiesce(SimTime min_next);
 
   Cluster* cluster_;
@@ -107,9 +102,8 @@ class HealthMonitor {
   std::vector<obs::Gauge*> state_gauges_;
   std::size_t seen_transitions_ = 0;
   std::uint64_t burst_dumps_ = 0;
-  SimTime next_tick_ = 0;      ///< next boundary (quiesce-hook mode)
-  std::size_t hook_id_ = 0;    ///< runtime hook slot (quiesce-hook mode)
-  bool hook_armed_ = false;
+  SimTime next_tick_ = 0;    ///< next tick boundary
+  std::size_t hook_id_ = 0;  ///< runtime hook slot, valid once armed
   bool stop_ = false;
   bool armed_ = false;
 };

@@ -22,18 +22,16 @@ PlacementManager::PlacementManager(Cluster& cluster, const ec::Codec& codec,
   assert(ctx_.sim != nullptr && ctx_.client != nullptr &&
          ctx_.ring == &cluster.ring() &&
          "coordinator context must reference the cluster's live ring");
+  assert(params_.poll_ns > 0 && "the hook caps windows at poll_ns");
   view_.epoch = cluster.ring().epoch();
-  if (cluster.num_shards() > 1) {
-    // Ring/view mutations are read lock-free by every shard, so with real
-    // threads they apply from a quiesce hook while all shards are parked.
-    hook_id_ = cluster.runtime().add_quiesce_hook(
-        [this](SimTime min_next) { return on_quiesce(min_next); });
-    hook_armed_ = true;
-  }
+  // Ring/view mutations are read lock-free by every shard, so they apply
+  // from a quiesce hook while all shards are parked.
+  hook_id_ = cluster.runtime().add_quiesce_hook(
+      [this](SimTime min_next) { return on_quiesce(min_next); });
 }
 
 PlacementManager::~PlacementManager() {
-  if (hook_armed_) cluster_->runtime().remove_quiesce_hook(hook_id_);
+  cluster_->runtime().remove_quiesce_hook(hook_id_);
 }
 
 void PlacementManager::register_metrics(obs::MetricsRegistry& reg,
@@ -68,14 +66,9 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
   const SimTime t0 = ctx_.sim->now();
 
   // Phase 1 — cutover: swap the live ring and bump the epoch.
-  if (cluster_->num_shards() > 1) {
-    pending_server_ = server;
-    pending_join_ = join;
-    pending_ = Pending::kCutover;
-    co_await await_applied();
-  } else {
-    apply_cutover(server, join);
-  }
+  pending_server_ = server;
+  pending_join_ = join;
+  co_await await_applied(Pending::kCutover);
 
   // Phase 2 — stream the new epoch to every live server. From each ack on,
   // that server bounces writes still stamped with the old epoch.
@@ -102,12 +95,7 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
 
   // Phase 4 — finish: drop the transition flag (and with it the engines'
   // prev-ring fallback path).
-  if (cluster_->num_shards() > 1) {
-    pending_ = Pending::kFinish;
-    co_await await_applied();
-  } else {
-    apply_finish();
-  }
+  co_await await_applied(Pending::kFinish);
   ++stats_.changes;
   if (tr != nullptr) {
     tr->complete(ctx_.trace_pid, tid, join ? "placement/join"
@@ -135,16 +123,15 @@ void PlacementManager::apply_finish() {
   view_.prev = nullptr;
 }
 
-sim::Task<void> PlacementManager::await_applied() {
+sim::Task<void> PlacementManager::await_applied(Pending pending) {
+  pending_ = pending;
   while (pending_ != Pending::kNone) {
     co_await ctx_.sim->delay(params_.poll_ns);
   }
 }
 
-SimTime PlacementManager::on_quiesce(SimTime /*min_next*/) {
-  // Hooks run at every round barrier, so a pending mutation published by
-  // the coordinator coroutine lands within one lookahead window. Flag
-  // flips and ring rebuilds only — no events are scheduled here.
+SimTime PlacementManager::on_quiesce(SimTime min_next) {
+  // Flag flips and ring rebuilds only — no events are scheduled here.
   switch (pending_) {
     case Pending::kNone:
       break;
@@ -157,7 +144,12 @@ SimTime PlacementManager::on_quiesce(SimTime /*min_next*/) {
       pending_ = Pending::kNone;
       break;
   }
-  return sim::Simulator::kNever;
+  // A change can start mid-window, and with one shard nothing else bounds
+  // a window. Capping every window at one poll interval means a mutation
+  // published mid-window is applied before the coordinator's next poll
+  // event runs, at any shard count.
+  return min_next == sim::Simulator::kNever ? sim::Simulator::kNever
+                                            : min_next + params_.poll_ns;
 }
 
 sim::Task<std::size_t> PlacementManager::install_epochs() {

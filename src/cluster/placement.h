@@ -5,9 +5,9 @@
 // ring" into a safe online protocol over the existing data plane:
 //
 //   1. Cutover — the shared ring swaps to the new active set and bumps its
-//      placement epoch. In oracle mode this is a plain in-coroutine
-//      mutation; with shards > 1 it is deferred to a runtime quiesce hook
-//      so no shard observes a half-built ring.
+//      placement epoch. The mutation is applied by the manager's runtime
+//      quiesce hook, at every shard count, so no shard observes a
+//      half-built ring.
 //   2. Install — the new epoch streams to every live server
 //      (kPlacementEpoch). From the moment a server installs it, writes
 //      stamped with an older epoch bounce with kWrongEpoch and the engine
@@ -47,8 +47,9 @@ struct PlacementParams {
   /// migration pass completes and every live server acked the epoch.
   /// Off leaves the old copies in place (space cost, zero risk).
   bool cleanup = true;
-  /// Sharded mode only: poll interval while waiting for the quiesce hook
-  /// to apply a pending cutover/finish.
+  /// Poll interval while waiting for the quiesce hook to apply a pending
+  /// cutover/finish. The hook also caps every runtime window at this
+  /// length, so a published mutation lands before the next poll.
   SimDur poll_ns = 2'000;
 };
 
@@ -86,8 +87,9 @@ class PlacementManager {
   /// `ctx` is the coordinator's engine context (a cluster client plus the
   /// cluster's live ring/membership) — migration and repair RPCs issue
   /// through it. Every referent, the codec, and the cluster must outlive
-  /// the manager. With shards > 1 the constructor installs a runtime
-  /// quiesce hook (between run() calls only).
+  /// the manager. The constructor installs the manager's runtime quiesce
+  /// hook, so construct it between run() calls: the hook must bound
+  /// windows before any change starts mid-window.
   PlacementManager(Cluster& cluster, const ec::Codec& codec,
                    ec::CostModel cost, resilience::EngineContext ctx,
                    PlacementParams params = {});
@@ -144,15 +146,15 @@ class PlacementManager {
 
   sim::Task<void> run_change(std::size_t server, bool join);
   /// Swaps the live ring to the new active set, snapshots the old ring,
-  /// bumps the view's epoch, and raises in_transition. Called inline in
-  /// oracle mode, from the quiesce hook with shards > 1.
+  /// bumps the view's epoch, and raises in_transition. Called from the
+  /// quiesce hook.
   void apply_cutover(std::size_t server, bool join);
   /// Drops in_transition / prev — the transition is over.
   void apply_finish();
-  /// Waits for the quiesce hook to consume the pending mutation (sharded
-  /// mode only; hooks run at every round barrier, so this resolves within
-  /// one lookahead window).
-  sim::Task<void> await_applied();
+  /// Publishes `pending` and waits for the quiesce hook to apply it (the
+  /// hook caps windows at one poll interval, so this resolves at the
+  /// coordinator's first poll).
+  sim::Task<void> await_applied(Pending pending);
   SimTime on_quiesce(SimTime min_next);
 
   /// Streams the current epoch to every live provisioned server; returns
@@ -181,14 +183,13 @@ class PlacementManager {
   std::size_t paced_ = 0;   ///< keys migrated since the last pacing pause
   bool changing_ = false;
 
-  // Quiesce-hook handshake (sharded mode): the coordinator coroutine
-  // publishes a pending mutation, the hook applies it while every shard
-  // is parked, and the coroutine polls until it lands.
+  // Quiesce-hook handshake: the coordinator coroutine publishes a pending
+  // mutation, the hook applies it while every shard is parked, and the
+  // coroutine polls until it lands.
   Pending pending_ = Pending::kNone;
   std::size_t pending_server_ = 0;
   bool pending_join_ = false;
   std::size_t hook_id_ = 0;
-  bool hook_armed_ = false;
 };
 
 }  // namespace hpres::cluster

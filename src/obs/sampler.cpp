@@ -4,46 +4,18 @@
 
 namespace hpres::obs {
 
-void Sampler::start() {
-  if (started_ || !tracer_->enabled() || series_.empty() || interval_ <= 0) {
-    return;
-  }
-  started_ = true;
-  sim_->spawn(run(this));
-}
-
-void Sampler::sample_once() {
-  const SimTime now = sim_->now();
-  for (Series& s : series_) {
-    const std::int64_t v = s.read();
-    s.stats.record(static_cast<double>(v));
-    tracer_->counter(pid_, s.name, now, v);
-  }
-  ++samples_;
-}
-
-void Sampler::request_stop() {
-  if (!stop_ && started_) sample_once();  // terminal flush at run end
-  stop_ = true;
-}
-
-sim::Task<void> Sampler::run(Sampler* self) {
-  self->sample_once();
-  for (;;) {
-    co_await self->sim_->delay(self->interval_);
-    if (self->stop_) co_return;
-    self->sample_once();
-  }
-}
-
-WindowSampler::~WindowSampler() {
+Sampler::~Sampler() {
   if (hook_armed_) runtime_->remove_quiesce_hook(hook_id_);
 }
 
-void WindowSampler::start() {
-  if (hook_armed_ || series_.empty() || interval_ <= 0) return;
+void Sampler::start() {
+  const bool traced =
+      std::any_of(series_.begin(), series_.end(), [](const Series& s) {
+        return s.domain != nullptr && s.domain->enabled();
+      });
+  if (hook_armed_ || !traced || interval_ <= 0) return;
   // First boundary = the current quiesced instant (start() runs from the
-  // main thread between runs), mirroring Sampler's immediate first sample.
+  // main thread between runs): the first sample is taken immediately.
   next_ = 0;
   for (std::size_t s = 0; s < runtime_->num_shards(); ++s) {
     next_ = std::max(next_, runtime_->shard(s).now());
@@ -53,7 +25,7 @@ void WindowSampler::start() {
   hook_armed_ = true;
 }
 
-void WindowSampler::sample_at(SimTime now) {
+void Sampler::sample_at(SimTime now) {
   for (Series& s : series_) {
     const std::int64_t v = s.read();
     s.stats.record(static_cast<double>(v));
@@ -64,7 +36,7 @@ void WindowSampler::sample_at(SimTime now) {
   ++samples_;
 }
 
-SimTime WindowSampler::on_quiesce(SimTime min_next) {
+SimTime Sampler::on_quiesce(SimTime min_next) {
   constexpr SimTime kNever = sim::Simulator::kNever;
   if (stopped_) return kNever;
   while (min_next != kNever && next_ <= min_next) {
@@ -76,7 +48,7 @@ SimTime WindowSampler::on_quiesce(SimTime min_next) {
   return min_next == kNever ? kNever : next_;
 }
 
-void WindowSampler::flush(SimTime now) {
+void Sampler::flush(SimTime now) {
   if (!hook_armed_ || stopped_) return;
   sample_at(now);
   stopped_ = true;

@@ -1,18 +1,19 @@
-// Periodic gauge sampler: a spawned simulator process that reads a set of
-// registered gauges (ARPE window occupancy, buffer-pool usage, fabric
-// in-flight bytes, server queue depth, ...) at a fixed simulated interval
-// and emits them as Chrome trace_event counter samples ("C" events), giving
-// a time-series view alongside the spans.
+// Periodic gauge sampler: reads a set of registered gauges (ARPE window
+// occupancy, buffer-pool usage, fabric in-flight bytes, server queue
+// depth, ...) at a fixed simulated interval and emits them as Chrome
+// trace_event counter samples ("C" events), giving a time-series view
+// alongside the spans.
 //
-// Lifecycle: the harness wraps its workload so that request_stop() runs
-// when the workload completes; the sampler then exits at its next tick and
-// the event queue drains normally. Sampling is read-only — it adds events
-// to the queue but never perturbs workload timing, so enabling it changes
-// no benchmark result.
-//
-// Sampler is the oracle-mode implementation (a spawned coroutine on one
-// event loop). WindowSampler below is its shards > 1 counterpart, driven
-// by runtime quiesce hooks instead of a coroutine.
+// The sampler is a ShardRuntime quiesce hook, so it works the same at
+// every shard count. Each gauge is registered with the tracer domain it
+// records into — pass the owning shard's domain so every counter series
+// stays single-writer; a gauge that reads cross-shard state is still safe
+// because hooks fire while all shard threads are parked. Samples land on
+// exact interval boundaries (the hook caps windows at the next boundary),
+// so the series is deterministic for a fixed (seed, shard count).
+// Sampling is read-only and adds no simulator events, so at one shard
+// enabling it changes no benchmark result. The harness calls flush() at
+// quiescence for the final partial interval.
 #pragma once
 
 #include <cstdint>
@@ -23,77 +24,16 @@
 #include "common/histogram.h"
 #include "obs/trace.h"
 #include "sim/shard_runtime.h"
-#include "sim/simulator.h"
 
 namespace hpres::obs {
 
 class Sampler {
  public:
-  Sampler(sim::Simulator& sim, Tracer& tracer, std::uint32_t pid,
-          SimDur interval_ns)
-      : sim_(&sim), tracer_(&tracer), pid_(pid), interval_(interval_ns) {}
+  Sampler(sim::ShardRuntime& runtime, SimDur interval_ns)
+      : runtime_(&runtime), interval_(interval_ns) {}
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
-
-  /// Registers one gauge; `read` must stay valid until the sampler stops.
-  void add_gauge(std::string name, std::function<std::int64_t()> read) {
-    series_.push_back(Series{std::move(name), std::move(read), {}});
-  }
-
-  /// Spawns the sampling process (samples once immediately, then every
-  /// interval). No-op when the tracer is disabled or nothing is registered.
-  void start();
-
-  /// Takes one final sample at the current instant (so changes in the last
-  /// partial interval are never dropped) and makes the sampling process
-  /// exit at its next tick. Idempotent; the flush only happens on the first
-  /// call of a started sampler.
-  void request_stop();
-
-  [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
-  [[nodiscard]] std::size_t num_gauges() const noexcept {
-    return series_.size();
-  }
-  /// Running min/mean/max of series `i` over all samples taken.
-  [[nodiscard]] const RunningStats& series_stats(std::size_t i) const {
-    return series_.at(i).stats;
-  }
-
- private:
-  struct Series {
-    std::string name;
-    std::function<std::int64_t()> read;
-    RunningStats stats;
-  };
-
-  static sim::Task<void> run(Sampler* self);
-  void sample_once();
-
-  sim::Simulator* sim_;
-  Tracer* tracer_;
-  std::uint32_t pid_;
-  SimDur interval_;
-  std::vector<Series> series_;
-  std::uint64_t samples_ = 0;
-  bool stop_ = false;
-  bool started_ = false;
-};
-
-/// Quiesce-hook gauge sampler for parallel runs (shards > 1). Each gauge
-/// is registered with the tracer domain it records into — pass the owning
-/// shard's domain so every counter series stays single-writer; a gauge
-/// that reads cross-shard state is still safe because hooks fire while all
-/// shard threads are parked. Samples land on exact interval boundaries
-/// (the hook caps windows at the next boundary), so the series is
-/// deterministic for a fixed (seed, shard count). The harness calls
-/// flush() at quiescence for the final partial interval.
-class WindowSampler {
- public:
-  WindowSampler(sim::ShardRuntime& runtime, SimDur interval_ns)
-      : runtime_(&runtime), interval_(interval_ns) {}
-  WindowSampler(const WindowSampler&) = delete;
-  WindowSampler& operator=(const WindowSampler&) = delete;
-  ~WindowSampler();
+  ~Sampler();
 
   /// Registers one gauge recording into `domain` under process `pid`;
   /// `read` must stay valid until the runtime is done. A null or disabled
@@ -104,8 +44,9 @@ class WindowSampler {
         Series{domain, pid, std::move(name), std::move(read), {}});
   }
 
-  /// Registers the quiesce hook (samples at t=0, then every interval).
-  /// No-op when nothing is registered or the interval is not positive.
+  /// Registers the quiesce hook (samples at the current instant, then
+  /// every interval). No-op when no gauge records into an enabled tracer
+  /// domain or the interval is not positive.
   void start();
 
   /// Takes one final sample at `now` (the quiesced instant) and stops

@@ -131,16 +131,10 @@ void ShardRuntime::drain(std::size_t s) {
   msgs.clear();
 }
 
-void ShardRuntime::compute_window() noexcept {
-  SimTime min_next = Simulator::kNever;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    min_next =
-        std::min(min_next, next_time_[i].load(std::memory_order_relaxed));
-  }
-  // Quiesce hooks: every shard thread is parked in the barrier, so hooks
-  // may mutate cross-shard state freely. Each hook applies its pending
-  // actions up to min_next and returns its next action time, which caps
-  // the window so no event at or after it runs before the hook acts.
+SimTime ShardRuntime::run_hooks(SimTime min_next) noexcept {
+  // Each hook applies its pending actions up to min_next and returns its
+  // next action time, which caps the window so no event at or after it
+  // runs before the hook acts.
   SimTime cap = Simulator::kNever;
   for (const QuiesceHook& hook : hooks_) {
     if (!hook) continue;
@@ -148,6 +142,18 @@ void ShardRuntime::compute_window() noexcept {
     assert(due == Simulator::kNever || due > min_next);
     cap = std::min(cap, due);
   }
+  return cap;
+}
+
+void ShardRuntime::compute_window() noexcept {
+  SimTime min_next = Simulator::kNever;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    min_next =
+        std::min(min_next, next_time_[i].load(std::memory_order_relaxed));
+  }
+  // Every shard thread is parked in the barrier, so hooks may mutate
+  // cross-shard state freely.
+  const SimTime cap = run_hooks(min_next);
   if (min_next == Simulator::kNever) {
     done_.store(true, std::memory_order_relaxed);
     return;
@@ -177,16 +183,25 @@ void ShardRuntime::compute_window() noexcept {
 
 SimTime ShardRuntime::run() {
   if (!parallel()) {
-    // Oracle mode: the plain single-threaded event loop, byte-identical to
-    // the pre-shard runtime. Posts (none from the fabric in this mode) are
-    // still honoured so tests can exercise the API uniformly. Quiesce hooks
-    // never fire here — oracle users keep their in-sim coroutines.
+    // One shard: hook-capped windows on the calling thread, no threads and
+    // no barriers. Without hooks the cap is kNever and this is exactly one
+    // Simulator::run(). Windows end strictly before the cap and leave the
+    // clock at the last executed event, so a cap never reorders events and
+    // the returned time is the last event's. Posts (none from the fabric
+    // with one shard) are still honoured so tests exercise the API
+    // uniformly.
     const auto t0 = std::chrono::steady_clock::now();
-    drain(0);
-    const SimTime end = shards_[0]->run();
+    Simulator& sim = *shards_[0];
+    for (;;) {
+      drain(0);
+      const SimTime min_next = sim.next_event_time();
+      const SimTime cap = run_hooks(min_next);
+      if (min_next == Simulator::kNever) break;
+      sim.run(cap);
+    }
     prof_[0].p.busy_wall_ns +=
         wall_ns_since(t0, std::chrono::steady_clock::now());
-    return end;
+    return sim.now();
   }
   const std::size_t n = shards_.size();
   done_.store(false, std::memory_order_relaxed);

@@ -22,7 +22,9 @@
 // counts are statistically equivalent, not bit-identical: cross-shard
 // receive-side NIC contention resolves in arrival order rather than send
 // order. `shards == 1` is the deterministic oracle mode — a single inline
-// event loop, zero threads, byte-identical to the pre-shard runtime.
+// event loop, zero threads. It runs the same quiesce-hook protocol as the
+// parallel mode (windows capped by hook actions, no lookahead bound), so
+// every control-plane action has one implementation at every shard count.
 #pragma once
 
 #include <atomic>
@@ -119,16 +121,19 @@ class ShardRuntime {
 
   /// Runs every shard to global quiescence: no shard has a pending event
   /// and no cross-shard message is in flight. Returns the final simulated
-  /// time (identical on every shard up to the last window boundary).
-  /// Callable repeatedly — the harness pattern "spawn, run, spawn, run"
-  /// works exactly as with a single Simulator.
+  /// time: with one shard the last executed event's time, in parallel runs
+  /// the last window boundary (identical on every shard). Callable
+  /// repeatedly — the harness pattern "spawn, run, spawn, run" works
+  /// exactly as with a single Simulator.
   SimTime run();
 
-  /// A quiesce hook runs inside the barrier completion step of every
-  /// parallel round — all shard threads are parked, so the hook may touch
-  /// any cross-shard state (topology flags, membership, observability
-  /// sinks) without synchronization; the barrier's phase transition
-  /// publishes its writes to every shard. Contract:
+  /// A quiesce hook runs between windows at every shard count. In parallel
+  /// runs it runs inside the barrier completion step of every round — all
+  /// shard threads are parked, so the hook may touch any cross-shard state
+  /// (topology flags, membership, observability sinks) without
+  /// synchronization; the barrier's phase transition publishes its writes
+  /// to every shard. With one shard it runs on the calling thread between
+  /// hook-capped windows. Contract:
   ///   * the hook receives min_next, the earliest pending event time across
   ///     all shards (kNever at quiescence);
   ///   * it must apply every pending action due at or before min_next, in
@@ -140,10 +145,10 @@ class ShardRuntime {
   ///   * it must not throw and must not schedule simulator events (flag
   ///     flips and recorder writes only) — the round's horizon was computed
   ///     before the hook ran.
-  /// Oracle (shards <= 1) runs never invoke hooks; single-shard users keep
-  /// their classic in-sim coroutines, byte-identical to the pre-hook
-  /// runtime. Hooks run in registration order. Returns an id for
-  /// remove_quiesce_hook(); register/remove only between run() calls.
+  /// Hooks add no simulator events; with one shard a hook's window cap
+  /// never changes the event order either. Hooks run in registration
+  /// order. Returns an id for remove_quiesce_hook(); register/remove only
+  /// between run() calls.
   using QuiesceHook = std::function<SimTime(SimTime min_next)>;
   std::size_t add_quiesce_hook(QuiesceHook hook);
   void remove_quiesce_hook(std::size_t id);
@@ -209,6 +214,10 @@ class ShardRuntime {
   /// Merges every queued inbound message into shard `s`'s event queue at
   /// its due time, in canonical (due, source shard, FIFO) order.
   void drain(std::size_t s);
+
+  /// Runs every registered quiesce hook at `min_next`; returns the earliest
+  /// pending hook action (the window cap), kNever when none remain.
+  SimTime run_hooks(SimTime min_next) noexcept;
 
   /// Barrier completion step: runs the quiesce hooks, then computes the
   /// next window (or termination) from the published per-shard horizons,

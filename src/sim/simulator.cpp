@@ -45,8 +45,8 @@ void Simulator::spawn_at(SimTime at, Task<void> task) {
   schedule(run_detached(std::move(task)).handle, at - now_);
 }
 
-SimTime Simulator::run() {
-  while (!queue_.empty()) {
+SimTime Simulator::run(SimTime before) {
+  while (!queue_.empty() && queue_.top().at < before) {
     const Scheduled item = queue_.top();
     queue_.pop();
     now_ = item.at;

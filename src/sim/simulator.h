@@ -71,8 +71,10 @@ class Simulator {
     return Awaiter{this, d};
   }
 
-  /// Runs until the event queue is empty. Returns the final simulated time.
-  SimTime run();
+  /// Runs every event strictly before `before` — by default until the
+  /// event queue is empty. The clock stays at the last executed event.
+  /// Returns the current simulated time.
+  SimTime run(SimTime before = kNever);
 
   /// Runs until the queue is empty or simulated time would exceed
   /// `deadline`; events after the deadline stay queued.

@@ -5,11 +5,12 @@
 // without them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/fault_schedule.h"
 #include "cluster/health_monitor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "sim/sync.h"
 #include "testing/fixtures.h"
 #include "workload/ycsb.h"
 
@@ -46,6 +47,7 @@ struct PlaneOutcome {
   std::uint64_t rpc_timeouts = 0;
   std::int64_t read_latency_sum = 0;
   std::uint64_t detector_ticks = 0;
+  std::uint64_t events = 0;
   obs::DetectionReport report;
   std::string metrics_json;
 };
@@ -102,37 +104,29 @@ PlaneOutcome run_plane_ycsb(std::uint64_t seed, Fault fault,
   cfg.value_size = 8192;
   cfg.seed = seed;
   std::vector<workload::YcsbResult> results(kClients);
-  sim::Latch done(cl.sim(), kClients);
+  // Each client stamps its own completion; the latest one ends the
+  // workload (stray RPC-deadline timers outlive it).
+  std::vector<SimTime> done_at(kClients, 0);
   struct Proc {
     static sim::Task<void> run(sim::Simulator* sim, resilience::Engine* e,
                                workload::YcsbConfig c, std::uint64_t s,
                                workload::YcsbResult* r, bool load,
-                               sim::Latch* done) {
+                               SimTime* done_at) {
       if (load) co_await workload::ycsb_load(sim, e, c, 0, c.record_count);
       co_await workload::ycsb_client(sim, e, c, s, r);
-      done->count_down();
-    }
-  };
-  struct Supervisor {
-    static sim::Task<void> run(sim::Latch* done, SimTime* end,
-                               sim::Simulator* sim,
-                               cluster::HealthMonitor* monitor,
-                               bool stop_monitor) {
-      co_await done->wait();
-      *end = sim->now();
-      if (stop_monitor) monitor->request_stop();
+      *done_at = sim->now();
     }
   };
   for (std::size_t c = 0; c < kClients; ++c) {
     cl.sim().spawn(Proc::run(&cl.sim(), engines[c].get(), cfg, seed + 7 * c,
-                             &results[c], c == 0, &done));
+                             &results[c], c == 0, &done_at[c]));
   }
-  SimTime end = 0;
-  cl.sim().spawn(
-      Supervisor::run(&done, &end, &cl.sim(), &monitor, with_plane));
 
   PlaneOutcome out;
   out.makespan = cl.run();
+  monitor.request_stop();  // a no-op when the monitor was never armed
+  out.events = cl.runtime().events_executed();
+  const SimTime end = *std::max_element(done_at.begin(), done_at.end());
   for (std::size_t c = 0; c < kClients; ++c) {
     out.ops += results[c].reads + results[c].writes;
     out.failures += results[c].failures;
@@ -174,12 +168,14 @@ TEST(HealthPlane, HealthyRunRaisesNoFlags) {
 TEST(HealthPlane, MonitoringIsObservationOnly) {
   // The whole plane — signals, detector ticker, flight recorder — must not
   // perturb the workload: same seed with and without the plane attached
-  // produces byte-identical results, down to the full metrics export.
-  // This is the "detector-disabled runs are byte-identical" determinism
-  // guarantee the observability docs promise.
+  // produces byte-identical results, down to the full metrics export and
+  // the executed event count (the ticker is a quiesce hook, not an event
+  // source). This is the "detector-disabled runs are byte-identical"
+  // determinism guarantee the observability docs promise.
   const PlaneOutcome with_plane = run_plane_ycsb(43, Fault::kCrash, true);
   const PlaneOutcome without = run_plane_ycsb(43, Fault::kCrash, false);
   EXPECT_EQ(with_plane.makespan, without.makespan);
+  EXPECT_EQ(with_plane.events, without.events);
   EXPECT_EQ(with_plane.ops, without.ops);
   EXPECT_EQ(with_plane.failures, without.failures);
   EXPECT_EQ(with_plane.rpc_timeouts, without.rpc_timeouts);

@@ -81,7 +81,7 @@ PipelineOutcome run_pipeline(bool traced, bool fail_server,
   cl.start();
 
   cl.sim().spawn(load_keys(engines[0].get()));
-  cl.sim().run();
+  cl.run();
   recorder.clear();  // measure the get pass only, like the benches
 
   if (fail_server) cl.fail_server(0);

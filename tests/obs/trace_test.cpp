@@ -1,12 +1,12 @@
 // Span tracer and periodic gauge sampler: zero-overhead-when-disabled,
 // duration totals, Chrome trace_event JSON shape, and the sampler's
-// simulated-time tick loop with its stop protocol.
+// interval boundaries at one shard and its final flush.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include "obs/sampler.h"
-#include "sim/simulator.h"
+#include "sim/shard_runtime.h"
 
 namespace hpres::obs {
 namespace {
@@ -216,88 +216,90 @@ TEST(Tracer, JsonEscapesHostileNames) {
 // --- Sampler ---------------------------------------------------------------
 
 struct SamplerRig {
-  sim::Simulator sim;
+  sim::ShardRuntime runtime{1, /*lookahead_ns=*/1'000};
+  sim::Simulator& sim = runtime.shard(0);
   Tracer tracer{true};
   std::uint32_t pid = tracer.declare_process("rig");
   std::int64_t depth = 0;
 };
 
-sim::Task<void> workload(SamplerRig* rig, Sampler* sampler) {
+sim::Task<void> workload(SamplerRig* rig) {
   for (int i = 1; i <= 5; ++i) {
     co_await rig->sim.delay(1'000);
     rig->depth = i;
   }
-  sampler->request_stop();
 }
 
 TEST(Sampler, SamplesGaugesOnSimClockUntilStopped) {
   SamplerRig rig;
-  Sampler sampler(rig.sim, rig.tracer, rig.pid, /*interval_ns=*/500);
-  sampler.add_gauge("queue_depth", [&rig] { return rig.depth; });
-  rig.sim.spawn(workload(&rig, &sampler));
+  Sampler sampler(rig.runtime, /*interval_ns=*/500);
+  sampler.add_gauge(&rig.tracer, rig.pid, "queue_depth",
+                    [&rig] { return rig.depth; });
+  rig.sim.spawn(workload(&rig));
   sampler.start();
-  rig.sim.run();
-  // Workload runs 5 ms of sim time; the 0.5 ms sampler must have ticked
-  // roughly ten times (one immediate sample + one per interval) and then
-  // stopped — the run() above returned, proving the queue drained.
-  EXPECT_GE(sampler.samples(), 10u);
-  EXPECT_LE(sampler.samples(), 12u);
+  const SimTime end = rig.runtime.run();
+  // The hook adds no events: the run ends on the workload's last event and
+  // the sampler never kept the queue alive.
+  EXPECT_EQ(end, 5'000);
+  EXPECT_EQ(rig.runtime.events_executed(), 6u);
+  // One sample per 0.5 us boundary from t=0 through t=5 us, each taken
+  // before any event at that instant: the 5 us sample still sees depth 4.
+  EXPECT_EQ(sampler.samples(), 11u);
   EXPECT_EQ(sampler.num_gauges(), 1u);
   EXPECT_EQ(sampler.series_stats(0).min(), 0.0);
-  // Whether the final tick lands before or after the stop request is a
-  // same-timestamp ordering detail; the sampler saw depth reach at least 4.
-  EXPECT_GE(sampler.series_stats(0).max(), 4.0);
-  EXPECT_LE(sampler.series_stats(0).max(), 5.0);
-  // Every tick emitted one counter event.
+  EXPECT_EQ(sampler.series_stats(0).max(), 4.0);
+  // Counter samples land on the simulated clock's interval boundaries.
   const std::string json = rig.tracer.to_json();
   EXPECT_NE(json.find("\"queue_depth\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-}
-
-sim::Task<void> flush_workload(SamplerRig* rig, Sampler* sampler) {
-  // Change the gauge mid-interval, then stop immediately: no periodic tick
-  // lands between the change and the stop.
-  co_await rig->sim.delay(1'250);
-  rig->depth = 42;
-  sampler->request_stop();
+  EXPECT_NE(json.find("\"ts\":4.500"), std::string::npos);
+  EXPECT_EQ(json.find("\"ts\":4.750"), std::string::npos);
 }
 
 // Regression (terminal flush): a gauge change in the last partial interval
-// must still be observed — request_stop() takes one final sample instead of
-// waiting for a tick that will never come.
-TEST(Sampler, RequestStopFlushesFinalSample) {
+// must still be observed — flush() takes one final sample at the quiesced
+// instant instead of waiting for a boundary that will never come.
+TEST(Sampler, FlushSamplesFinalPartialInterval) {
   SamplerRig rig;
-  Sampler sampler(rig.sim, rig.tracer, rig.pid, /*interval_ns=*/1'000);
-  sampler.add_gauge("queue_depth", [&rig] { return rig.depth; });
-  rig.sim.spawn(flush_workload(&rig, &sampler));
+  Sampler sampler(rig.runtime, /*interval_ns=*/1'000);
+  sampler.add_gauge(&rig.tracer, rig.pid, "queue_depth",
+                    [&rig] { return rig.depth; });
+  rig.sim.spawn([](SamplerRig* r) -> sim::Task<void> {
+    // Change the gauge mid-interval: no boundary lands after the change.
+    co_await r->sim.delay(1'250);
+    r->depth = 42;
+  }(&rig));
   sampler.start();
-  rig.sim.run();
-  // Ticks at t=0 and t=1000 saw depth 0; only the flush can see 42.
+  const SimTime end = rig.runtime.run();
+  // Boundaries at t=0 and t=1000 saw depth 0; only the flush can see 42.
+  EXPECT_EQ(sampler.series_stats(0).max(), 0.0);
+  sampler.flush(end);
   EXPECT_EQ(sampler.series_stats(0).max(), 42.0);
-  // And the flush happens exactly once even if stop is requested again.
+  // And the flush happens exactly once even if requested again.
   const std::uint64_t n = sampler.samples();
-  sampler.request_stop();
+  sampler.flush(end);
   EXPECT_EQ(sampler.samples(), n);
 }
 
 TEST(Sampler, DisabledTracerMakesStartANoOp) {
-  sim::Simulator sim;
+  sim::ShardRuntime runtime(1, 1'000);
   Tracer tracer;  // disabled
-  Sampler sampler(sim, tracer, 0, 500);
+  Sampler sampler(runtime, 500);
   std::int64_t v = 0;
-  sampler.add_gauge("g", [&v] { return v; });
+  sampler.add_gauge(&tracer, 0, "g", [&v] { return v; });
   sampler.start();
-  sim.run();  // no sampler process was spawned; returns immediately
+  runtime.run();  // no hook was registered; returns immediately
+  sampler.flush(runtime.shard(0).now());
   EXPECT_EQ(sampler.samples(), 0u);
   EXPECT_EQ(tracer.event_count(), 0u);
 }
 
 TEST(Sampler, NoGaugesMakesStartANoOp) {
-  sim::Simulator sim;
-  Tracer tracer(true);
-  Sampler sampler(sim, tracer, 0, 500);
+  sim::ShardRuntime runtime(1, 1'000);
+  Sampler sampler(runtime, 500);
   sampler.start();
-  sim.run();
+  runtime.run();
+  sampler.flush(runtime.shard(0).now());
   EXPECT_EQ(sampler.samples(), 0u);
 }
 

@@ -1,5 +1,6 @@
 // Conservative shard-runtime semantics: window math, cross-shard delivery,
-// termination, oracle equivalence, and fixed-shard-count determinism.
+// termination, oracle equivalence, quiesce hooks at one shard, and
+// fixed-shard-count determinism.
 #include "sim/shard_runtime.h"
 
 #include <gtest/gtest.h>
@@ -37,6 +38,58 @@ TEST(ShardRuntime, OracleModeRunsLikePlainSimulator) {
   EXPECT_EQ(log, (std::vector<SimTime>{100, 500}));
   EXPECT_EQ(end, 500);
   EXPECT_EQ(rt.rounds(), 0u);  // oracle never takes the barrier path
+}
+
+Task<void> tag_at(Simulator* sim, SimDur delay, int tag,
+                  std::vector<std::pair<SimTime, int>>* log) {
+  co_await sim->delay(delay);
+  log->emplace_back(sim->now(), tag);
+}
+
+constexpr int kHookTag = -1;  ///< log tag of a hook action
+
+// One shard runs the same quiesce-hook protocol as a parallel run: a hook
+// action applies at its due time before any event at that instant, the
+// window cap it returns never reorders events, and run() still returns the
+// last executed event's time (the clock never jumps to a cap).
+TEST(ShardRuntime, OneShardRunsHooksBetweenCappedWindows) {
+  const auto run = [](bool with_hook) {
+    ShardRuntime rt(1, kLookahead);
+    Simulator& sim = rt.shard(0);
+    std::vector<std::pair<SimTime, int>> log;
+    for (int i = 0; i < 3; ++i) sim.spawn(tag_at(&sim, 300, i, &log));
+    sim.spawn(tag_at(&sim, 100, 3, &log));
+    sim.spawn(tag_at(&sim, 700, 4, &log));
+    // Actions at 300 (an instant with events) and 1'000 (past the last
+    // event, so it is flushed at quiescence).
+    std::vector<SimTime> due{300, 1'000};
+    std::size_t next = 0;
+    if (with_hook) {
+      rt.add_quiesce_hook([&](SimTime min_next) {
+        while (next < due.size() &&
+               (min_next == Simulator::kNever || due[next] <= min_next)) {
+          log.emplace_back(due[next++], kHookTag);
+        }
+        return next < due.size() ? due[next] : Simulator::kNever;
+      });
+    }
+    const SimTime end = rt.run();
+    EXPECT_EQ(rt.rounds(), 0u);  // no barriers with one shard
+    return std::pair{log, end};
+  };
+  const auto [hooked, hooked_end] = run(true);
+  const auto [plain, plain_end] = run(false);
+  const std::vector<std::pair<SimTime, int>> want{
+      {100, 3}, {300, kHookTag}, {300, 0}, {300, 1},
+      {300, 2}, {700, 4},        {1'000, kHookTag}};
+  EXPECT_EQ(hooked, want);
+  std::vector<std::pair<SimTime, int>> events_only;
+  for (const auto& entry : hooked) {
+    if (entry.second != kHookTag) events_only.push_back(entry);
+  }
+  EXPECT_EQ(events_only, plain);
+  EXPECT_EQ(hooked_end, 700);
+  EXPECT_EQ(plain_end, 700);
 }
 
 TEST(ShardRuntime, RunIsRepeatable) {

@@ -8,6 +8,10 @@
 // repair; LRC(6,2,2) reads only its local group (3 + the local parity when
 // applicable). Reported: repair time, network bytes read per key, local
 // repair ratio, and the storage overhead each code pays.
+//
+// Exits non-zero (diagnostic on stderr) when a key is unrepairable, when
+// the fragments rebuilt differ from the fragments the node lost, or when
+// the MDS code reports a local repair.
 #include "bench_util.h"
 #include "ec/lrc.h"
 #include "resilience/repair.h"
@@ -23,6 +27,9 @@ struct Point {
   double frags_per_key = 0.0;
   double local_ratio = 0.0;
   double overhead = 0.0;
+  std::uint64_t lost_fragments = 0;
+  std::uint64_t rebuilt_fragments = 0;
+  std::uint64_t unrepairable_keys = 0;
 };
 
 sim::Task<void> scenario(sim::Simulator* sim, resilience::Engine* engine,
@@ -37,6 +44,7 @@ sim::Task<void> scenario(sim::Simulator* sim, resilience::Engine* engine,
   co_await engine->wait_all();
 
   cluster->fail_server(0);
+  out->lost_fragments = cluster->server(0).store().items();
   while (!cluster->server(0).store().keys().empty()) {
     cluster->server(0).store().erase(cluster->server(0).store().keys().front());
   }
@@ -47,6 +55,8 @@ sim::Task<void> scenario(sim::Simulator* sim, resilience::Engine* engine,
   const SimDur repair_ns = sim->now() - t0;
 
   const auto& stats = repair->stats();
+  out->rebuilt_fragments = stats.fragments_rebuilt;
+  out->unrepairable_keys = stats.unrepairable_keys;
   out->repair_ms = units::to_ms(repair_ns);
   out->read_mib = static_cast<double>(stats.bytes_read) / (1024.0 * 1024.0);
   out->frags_per_key =
@@ -90,6 +100,7 @@ Point run_code(const ec::Codec& codec, std::uint64_t keys,
   cl.sim().spawn(scenario(&cl.sim(), engine.get(), &repair, &cl, keys,
                           value_size, &point));
   cl.run();
+  ObsSession::instance().add_sim_events(cl.runtime().events_executed());
   return point;
 }
 
@@ -112,8 +123,26 @@ int main(int argc, char** argv) {
     const char* label;
     const ec::Codec* codec;
   };
+  bool ok = true;
   for (const Row row : {Row{"RS(6,3)", &rs}, Row{"LRC(6,2,2)", &lrc}}) {
     const Point p = run_code(*row.codec, keys, kValue);
+    if (p.unrepairable_keys != 0) {
+      std::fprintf(stderr, "error: %s left %llu keys unrepairable\n",
+                   row.label,
+                   static_cast<unsigned long long>(p.unrepairable_keys));
+      ok = false;
+    }
+    if (p.rebuilt_fragments != p.lost_fragments) {
+      std::fprintf(stderr, "error: %s rebuilt %llu of %llu lost fragments\n",
+                   row.label,
+                   static_cast<unsigned long long>(p.rebuilt_fragments),
+                   static_cast<unsigned long long>(p.lost_fragments));
+      ok = false;
+    }
+    if (row.codec == &rs && p.local_ratio != 0.0) {
+      std::fprintf(stderr, "error: %s reports local repairs\n", row.label);
+      ok = false;
+    }
     print_cell(row.label);
     print_cell(p.overhead);
     print_cell(p.repair_ms);
@@ -125,5 +154,6 @@ int main(int argc, char** argv) {
   std::printf("LRC buys its repair savings with storage overhead"
               " (10/6 vs 9/6) — the trade the paper's future work"
               " anticipates.\n");
-  return obs_finalize();
+  const int rc = obs_finalize();
+  return ok ? rc : 1;
 }

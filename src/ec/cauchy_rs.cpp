@@ -29,56 +29,10 @@ void CauchyRsCodec::encode(std::span<const ConstByteSpan> data,
   bitmatrix_apply(parity_bits_, kW, data, parity);
 }
 
-Status CauchyRsCodec::reconstruct(std::span<ByteSpan> fragments,
-                                  const std::vector<bool>& present) const {
-  return bit_solve(fragments, present, /*data_only=*/false);
-}
-
-Status CauchyRsCodec::reconstruct_data(std::span<ByteSpan> fragments,
-                                       const std::vector<bool>& present) const {
-  return bit_solve(fragments, present, /*data_only=*/true);
-}
-
-Status CauchyRsCodec::bit_solve(std::span<ByteSpan> fragments,
-                                const std::vector<bool>& present,
-                                bool data_only) const {
-  if (fragments.size() != n()) {
-    return Status{StatusCode::kInvalidArgument,
-                  "fragment arity must equal k+m"};
-  }
-  Result<RecoveryPlan> plan = plan_recovery(present);
-  if (!plan.ok()) return plan.status();
-
-  if (!plan->erased_data.empty()) {
-    // The GF-domain recovery coefficients remain valid in the bit-sliced
-    // domain after bit expansion: multiplication by a field element is the
-    // same linear map either way.
-    const BitMatrix recovery_bits = BitMatrix::from_gf_matrix(plan->coeffs);
-    std::vector<ConstByteSpan> sources;
-    sources.reserve(k());
-    for (const std::size_t s : plan->survivors) sources.push_back(fragments[s]);
-    std::vector<ByteSpan> outputs;
-    outputs.reserve(plan->erased_data.size());
-    for (const std::size_t d : plan->erased_data) outputs.push_back(fragments[d]);
-    bitmatrix_apply(recovery_bits, kW, sources, outputs);
-  }
-
-  if (!data_only && !plan->erased_parity.empty()) {
-    // Re-encode just the missing parity rows from the (now complete) data.
-    for (const std::size_t p : plan->erased_parity) {
-      GfMatrix row(1, k());
-      for (std::size_t c = 0; c < k(); ++c) {
-        row.at(0, c) = generator().at(p, c);
-      }
-      const BitMatrix row_bits = BitMatrix::from_gf_matrix(row);
-      std::vector<ConstByteSpan> sources;
-      sources.reserve(k());
-      for (std::size_t i = 0; i < k(); ++i) sources.push_back(fragments[i]);
-      std::vector<ByteSpan> outputs{fragments[p]};
-      bitmatrix_apply(row_bits, kW, sources, outputs);
-    }
-  }
-  return Status::Ok();
+void CauchyRsCodec::apply(const GfMatrix& coeffs,
+                          std::span<const ConstByteSpan> sources,
+                          std::span<ByteSpan> outputs) const {
+  bitmatrix_apply(BitMatrix::from_gf_matrix(coeffs), kW, sources, outputs);
 }
 
 }  // namespace hpres::ec

@@ -1,7 +1,7 @@
 // Cauchy Reed-Solomon coding (the paper's CRS scheme): the systematic
 // Cauchy generator is expanded into a bit matrix and applied with pure XOR
 // packet operations. Data is bit-sliced, so reconstruction also goes
-// through bit matrices built from the inverted survivor submatrix.
+// through bit matrices, expanded from the decode coefficient matrix.
 #pragma once
 
 #include "ec/bitmatrix.h"
@@ -23,17 +23,13 @@ class CauchyRsCodec final : public MatrixCodec {
 
   void encode(std::span<const ConstByteSpan> data,
               std::span<ByteSpan> parity) const override;
-  [[nodiscard]] Status reconstruct(
-      std::span<ByteSpan> fragments,
-      const std::vector<bool>& present) const override;
-  [[nodiscard]] Status reconstruct_data(
-      std::span<ByteSpan> fragments,
-      const std::vector<bool>& present) const override;
 
  private:
-  [[nodiscard]] Status bit_solve(std::span<ByteSpan> fragments,
-                                 const std::vector<bool>& present,
-                                 bool data_only) const;
+  /// The GF-domain coefficients stay valid in the bit-sliced domain after
+  /// bit expansion: multiplication by a field element is the same linear
+  /// map either way.
+  void apply(const GfMatrix& coeffs, std::span<const ConstByteSpan> sources,
+             std::span<ByteSpan> outputs) const override;
 
   BitMatrix parity_bits_;  // (m*8) x (k*8) expansion of the Cauchy block
 };

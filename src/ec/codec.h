@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -23,7 +22,9 @@ namespace hpres::ec {
 
 class Codec {
  public:
-  Codec(std::size_t k, std::size_t m) : k_(k), m_(m) {}
+  Codec(std::size_t k, std::size_t m) : k_(k), m_(m), data_slots_(k) {
+    for (std::size_t i = 0; i < k; ++i) data_slots_[i] = i;
+  }
   virtual ~Codec() = default;
   Codec(const Codec&) = delete;
   Codec& operator=(const Codec&) = delete;
@@ -41,122 +42,81 @@ class Codec {
   virtual void encode(std::span<const ConstByteSpan> data,
                       std::span<ByteSpan> parity) const = 0;
 
-  /// Restores every absent fragment in place. `fragments` holds k+m spans
-  /// of identical size; `present[i]` says whether fragments[i] currently
-  /// holds valid content. Absent spans must point at writable storage.
-  /// Fails with kTooManyFailures when fewer than k fragments are present.
-  [[nodiscard]] virtual Status reconstruct(
-      std::span<ByteSpan> fragments, const std::vector<bool>& present) const = 0;
-
-  /// Like reconstruct, but restores only the *data* fragments (0..k-1) —
-  /// the cheap path a Get needs to rebuild a value after failures.
-  [[nodiscard]] virtual Status reconstruct_data(
-      std::span<ByteSpan> fragments, const std::vector<bool>& present) const = 0;
-
   /// Required fragment-size alignment in bytes (1 for pure GF codecs, the
   /// packet word size for bit-matrix codecs).
   [[nodiscard]] virtual std::size_t alignment() const noexcept { return 1; }
 
-  /// Minimal set of source fragments from which the single fragment `slot`
-  /// can be rebuilt, given the present map — the repair-locality interface
-  /// of locally repairable codes. nullopt means "no shortcut: fetch any k"
-  /// (the default for MDS codes, where every repair reads k fragments).
-  [[nodiscard]] virtual std::optional<std::vector<std::size_t>>
-  minimal_repair_sources(std::size_t slot,
-                         const std::vector<bool>& present) const {
-    (void)slot;
-    (void)present;
-    return std::nullopt;
-  }
-
-  /// Chooses which k fragments a reader should fetch, given which slots
-  /// are available: slots whose generator rows span the data. For MDS codes
-  /// any k available slots work; non-MDS codes (LRC) must pick an
-  /// information-complete subset. Candidates are tried in `preference`
-  /// order (e.g. least loaded server first; duplicates and unavailable
-  /// entries skipped), then the remaining available slots in slot order,
-  /// and the result keeps that order. An empty preference therefore yields
-  /// the first decodable slots in slot order: data slots first.
-  /// kTooManyFailures when no decodable subset exists.
-  [[nodiscard]] virtual Result<std::vector<std::size_t>> select_read_set(
-      const std::vector<bool>& available,
+  /// Chooses the slots to fetch so that every slot in `want` can be
+  /// produced: a Get wants the data slots, a repair the lost slots.
+  /// Candidates are the `available` slots, walked in `preference` order
+  /// (e.g. least loaded server first; duplicates and unavailable entries
+  /// skipped), then the remaining available slots in slot order, and the
+  /// result keeps that order. An empty preference therefore yields the
+  /// first decodable slots in slot order: data slots first.
+  /// kTooManyFailures when the available slots cannot produce `want`.
+  [[nodiscard]] virtual Result<std::vector<std::size_t>> select_sources(
+      std::span<const std::size_t> want, const std::vector<bool>& available,
       std::span<const std::size_t> preference = {}) const = 0;
 
-  /// Rebuilds fragment `slot` from exactly the fragments named by
-  /// minimal_repair_sources (same order). Only meaningful for codecs with
-  /// repair locality; the default reports kInvalidArgument.
-  [[nodiscard]] virtual Status rebuild_from_sources(
-      std::size_t slot, std::span<const ConstByteSpan> sources,
-      ByteSpan out) const {
-    (void)slot;
-    (void)sources;
-    (void)out;
-    return Status{StatusCode::kInvalidArgument,
-                  "codec has no repair locality"};
+  /// Fills each wanted slot from exactly `sources`, as select_sources
+  /// returned them. `fragments` holds k+m spans of identical size indexed
+  /// by slot: the source spans are read, the wanted spans written (wanted
+  /// slots that are also sources are already in place and left alone).
+  /// kTooManyFailures when the sources do not span a wanted slot.
+  [[nodiscard]] virtual Status decode(
+      std::span<const ByteSpan> fragments, std::span<const std::size_t> sources,
+      std::span<const std::size_t> want) const = 0;
+
+  /// Slots 0..k-1: the `want` of a Get.
+  [[nodiscard]] std::span<const std::size_t> data_slots() const noexcept {
+    return data_slots_;
   }
 
  private:
   std::size_t k_;
   std::size_t m_;
+  std::vector<std::size_t> data_slots_;
 };
 
 /// Codec driven by a systematic (k+m) x k generator matrix over GF(2^8).
 /// Encoding applies the parity block with the fused single-pass stripe
-/// kernel (ec/gf_kernels.h) cached at construction; reconstruction inverts
-/// the survivor-row submatrix (the textbook RS decode) and runs the erased
-/// rows through the same fused kernel. Concrete codecs differ only in
-/// generator construction and, optionally, a faster encode.
+/// kernel (ec/gf_kernels.h) cached at construction. Decoding expresses each
+/// wanted generator row over the source rows (one row reduction, RowBasis)
+/// and runs the resulting coefficient matrix through the same fused kernel.
+/// Concrete codecs differ only in generator construction and, optionally,
+/// the kernels that apply a coefficient matrix.
 class MatrixCodec : public Codec {
  public:
   MatrixCodec(std::size_t k, std::size_t m, GfMatrix generator);
 
   void encode(std::span<const ConstByteSpan> data,
               std::span<ByteSpan> parity) const override;
-  [[nodiscard]] Status reconstruct(
-      std::span<ByteSpan> fragments,
-      const std::vector<bool>& present) const override;
-  [[nodiscard]] Status reconstruct_data(
-      std::span<ByteSpan> fragments,
-      const std::vector<bool>& present) const override;
+
+  /// Reads k slots whose generator rows are independent, which produce any
+  /// slot, so `want` does not narrow the choice: the first k candidates
+  /// when their rows are independent (always, for MDS generators), else a
+  /// greedy spanning pass that still walks candidates in order, skipping
+  /// linearly dependent rows such as a redundant local parity.
+  [[nodiscard]] Result<std::vector<std::size_t>> select_sources(
+      std::span<const std::size_t> want, const std::vector<bool>& available,
+      std::span<const std::size_t> preference = {}) const override;
+
+  [[nodiscard]] Status decode(
+      std::span<const ByteSpan> fragments, std::span<const std::size_t> sources,
+      std::span<const std::size_t> want) const override;
 
   [[nodiscard]] const GfMatrix& generator() const noexcept {
     return generator_;
   }
 
-  /// Rank-aware selection: the first k candidates when their generator
-  /// rows are independent (always, for MDS generators), else a greedy
-  /// spanning pass that still walks candidates in order, skipping linearly
-  /// dependent rows such as a redundant local parity.
-  [[nodiscard]] Result<std::vector<std::size_t>> select_read_set(
-      const std::vector<bool>& available,
-      std::span<const std::size_t> preference = {}) const override;
-
  protected:
-  /// How to rebuild the erased fragments from a chosen set of k survivors:
-  /// erased data fragment erased_data[j] = sum_i coeffs(j, i) * fragment
-  /// survivors[i]; erased parity is re-encoded from the completed data.
-  struct RecoveryPlan {
-    std::vector<std::size_t> survivors;    // exactly k present indices
-    std::vector<std::size_t> erased_data;  // absent indices < k
-    std::vector<std::size_t> erased_parity;  // absent indices >= k
-    GfMatrix coeffs;  // erased_data.size() x k
-  };
-
-  /// Computes the plan, preferring data rows as survivors (their rows of
-  /// the generator are unit vectors, keeping the inversion well-behaved).
-  [[nodiscard]] Result<RecoveryPlan> plan_recovery(
-      const std::vector<bool>& present) const;
-
-  /// Re-encodes one parity fragment from complete data fragments.
-  void encode_parity_row(std::size_t parity_index,
-                         std::span<const ByteSpan> data,
-                         ByteSpan out) const;
+  /// outputs[r] = sum_c coeffs(r, c) * sources[c]: the fused GF(2^8) stripe
+  /// kernel. Bit-sliced codecs override it with their XOR kernel.
+  virtual void apply(const GfMatrix& coeffs,
+                     std::span<const ConstByteSpan> sources,
+                     std::span<ByteSpan> outputs) const;
 
  private:
-  [[nodiscard]] Status solve_erased(std::span<ByteSpan> fragments,
-                                    const std::vector<bool>& present,
-                                    bool data_only) const;
-
   GfMatrix generator_;  // (k+m) x k, top block identity
   StripeCoder parity_coder_;  // m x k parity block, cached for fused encode
 };

@@ -107,9 +107,11 @@ double time_decode_ns(const Codec& codec, std::size_t value_size,
   present[0] = false;  // one lost data fragment
 
   std::vector<ByteSpan> spans(all.begin(), all.end());
+  const std::vector<std::size_t> sources =
+      codec.select_sources(codec.data_slots(), present).value();
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {
-    (void)codec.reconstruct_data(spans, present);
+    (void)codec.decode(spans, sources, codec.data_slots());
   }
   const auto stop = std::chrono::steady_clock::now();
   return static_cast<double>(

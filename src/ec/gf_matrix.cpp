@@ -1,5 +1,6 @@
 #include "ec/gf_matrix.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace hpres::ec {
@@ -105,6 +106,61 @@ GfMatrix GfMatrix::select_rows(const std::vector<std::size_t>& idx) const {
     for (std::size_t c = 0; c < cols_; ++c) out.at(r, c) = at(idx[r], c);
   }
   return out;
+}
+
+RowBasis::RowBasis(const GfMatrix& m)
+    : m_(&m), cols_(m.cols()), work_(2 * m.cols() + 2, m.cols()) {
+  pivots_.reserve(cols_);
+  rows_.reserve(cols_);
+}
+
+void RowBasis::reduce(std::size_t r) const {
+  const GF256& field = gf();
+  std::uint8_t* v = &work_.at(2 * cols_, 0);
+  std::uint8_t* combo = &work_.at(2 * cols_ + 1, 0);
+  std::copy(m_->row(r), m_->row(r) + cols_, v);
+  std::fill(combo, combo + cols_, std::uint8_t{0});
+  // Echelon row i is zero at the pivots of rows 0..i-1, so one pass in row
+  // order clears every pivot column of v.
+  for (std::size_t i = 0; i < rank(); ++i) {
+    const std::uint8_t* e = work_.row(i);
+    if (v[pivots_[i]] == 0) continue;
+    const std::uint8_t* f =
+        field.mul_row(field.div(v[pivots_[i]], e[pivots_[i]]));
+    for (std::size_t c = 0; c < cols_; ++c) v[c] ^= f[e[c]];
+    const std::uint8_t* t = work_.row(cols_ + i);
+    for (std::size_t j = 0; j <= i; ++j) combo[j] ^= f[t[j]];
+  }
+}
+
+bool RowBasis::add(std::size_t r) {
+  if (rank() == cols_) return false;
+  reduce(r);
+  const std::uint8_t* v = work_.row(2 * cols_);
+  std::size_t pivot = 0;
+  while (pivot < cols_ && v[pivot] == 0) ++pivot;
+  if (pivot == cols_) return false;  // dependent on the rows already added
+  // Over GF(2^8) subtraction is addition: the new echelon row is row r plus
+  // the combination just eliminated from it.
+  const std::size_t i = rank();
+  std::copy(v, v + cols_, &work_.at(i, 0));
+  std::copy(work_.row(2 * cols_ + 1), work_.row(2 * cols_ + 1) + cols_,
+            &work_.at(cols_ + i, 0));
+  work_.at(cols_ + i, i) ^= 1;
+  pivots_.push_back(pivot);
+  rows_.push_back(r);
+  return true;
+}
+
+bool RowBasis::express(std::size_t r, std::uint8_t* coeffs) const {
+  reduce(r);
+  const std::uint8_t* v = work_.row(2 * cols_);
+  if (std::any_of(v, v + cols_, [](std::uint8_t x) { return x != 0; })) {
+    return false;
+  }
+  const std::uint8_t* combo = work_.row(2 * cols_ + 1);
+  std::copy(combo, combo + rank(), coeffs);
+  return true;
 }
 
 void GfMatrix::swap_cols(std::size_t a, std::size_t b) {

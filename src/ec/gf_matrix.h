@@ -69,6 +69,47 @@ class GfMatrix {
   std::vector<std::uint8_t> data_;
 };
 
+/// Incremental row reduction over the rows of one matrix (a codec's
+/// generator): rows are added one at a time and kept only while they are
+/// independent of the rows already added, and any row in their span can be
+/// expressed as a combination of them. The one rank routine behind read-set
+/// selection, decoding and LRC construction.
+class RowBasis {
+ public:
+  /// The matrix must outlive the basis.
+  explicit RowBasis(const GfMatrix& m);
+
+  /// Adds row `r` when it is independent of the rows added so far; returns
+  /// whether it was added.
+  bool add(std::size_t r);
+
+  [[nodiscard]] std::size_t rank() const noexcept { return rows_.size(); }
+  /// The rows added so far, in the order they were added.
+  [[nodiscard]] const std::vector<std::size_t>& rows() const noexcept {
+    return rows_;
+  }
+
+  /// Writes coefficients c, one per added row, such that
+  /// row r == sum_i c[i] * rows()[i]; false when row r lies outside their
+  /// span. `coeffs` must hold rank() entries.
+  [[nodiscard]] bool express(std::size_t r, std::uint8_t* coeffs) const;
+
+ private:
+  /// Loads row r into the scratch row and eliminates every pivot column
+  /// from it, accumulating the eliminated combination of added rows into
+  /// the scratch combination.
+  void reduce(std::size_t r) const;
+
+  const GfMatrix* m_;
+  std::size_t cols_;
+  // Rows [0, cols): added row i reduced against rows 0..i-1 (echelon).
+  // Rows [cols, 2 cols): echelon row i as a combination of the added rows.
+  // Row 2 cols: scratch row; row 2 cols + 1: its scratch combination.
+  mutable GfMatrix work_;
+  std::vector<std::size_t> pivots_;  // first nonzero column per echelon row
+  std::vector<std::size_t> rows_;
+};
+
 /// Builds the systematic (k+m) x k Reed-Solomon generator matrix from a
 /// Vandermonde matrix: elementary column operations transform the top k x k
 /// block into the identity while preserving the MDS property (this is the

@@ -2,47 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace hpres::ec {
 
 namespace {
 
 const GF256& gf() { return GF256::instance(); }
-
-/// Rank of the selected rows of `gen` (columns = k), via Gaussian
-/// elimination over GF(2^8).
-std::size_t rank_of_rows(const GfMatrix& gen,
-                         const std::vector<std::size_t>& rows) {
-  const std::size_t k = gen.cols();
-  std::vector<std::vector<std::uint8_t>> work;
-  work.reserve(rows.size());
-  for (const std::size_t r : rows) {
-    std::vector<std::uint8_t> row(k);
-    for (std::size_t c = 0; c < k; ++c) row[c] = gen.at(r, c);
-    work.push_back(std::move(row));
-  }
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < k && rank < work.size(); ++col) {
-    std::size_t pivot = rank;
-    while (pivot < work.size() && work[pivot][col] == 0) ++pivot;
-    if (pivot == work.size()) continue;
-    std::swap(work[rank], work[pivot]);
-    const std::uint8_t inv = gf().inv(work[rank][col]);
-    for (std::size_t c = col; c < k; ++c) {
-      work[rank][c] = gf().mul(work[rank][c], inv);
-    }
-    for (std::size_t r = 0; r < work.size(); ++r) {
-      if (r == rank || work[r][col] == 0) continue;
-      const std::uint8_t factor = work[r][col];
-      for (std::size_t c = col; c < k; ++c) {
-        work[r][c] ^= gf().mul(factor, work[rank][c]);
-      }
-    }
-    ++rank;
-  }
-  return rank;
-}
 
 /// True if the code decodes every erasure pattern of exactly `failures`
 /// fragments (survivor rows span rank k).
@@ -55,12 +20,11 @@ bool all_patterns_decodable(const GfMatrix& gen, std::size_t k,
   // Enumerate combinations via prev_permutation over the failure mask.
   std::sort(failed.begin(), failed.end(), std::greater<>());
   do {
-    std::vector<std::size_t> survivors;
-    survivors.reserve(n - failures);
+    RowBasis survivors(gen);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!failed[i]) survivors.push_back(i);
+      if (!failed[i]) survivors.add(i);
     }
-    if (rank_of_rows(gen, survivors) < k) return false;
+    if (survivors.rank() < k) return false;
   } while (std::prev_permutation(failed.begin(), failed.end()));
   return true;
 }
@@ -111,10 +75,13 @@ std::optional<std::size_t> LrcCodec::group_of(std::size_t slot) const {
   return std::nullopt;  // global parity
 }
 
-std::optional<std::vector<std::size_t>> LrcCodec::minimal_repair_sources(
-    std::size_t slot, const std::vector<bool>& present) const {
-  const std::optional<std::size_t> group = group_of(slot);
-  if (!group) return std::nullopt;  // global parity: generic path
+Result<std::vector<std::size_t>> LrcCodec::select_sources(
+    std::span<const std::size_t> want, const std::vector<bool>& available,
+    std::span<const std::size_t> preference) const {
+  const std::optional<std::size_t> group =
+      want.size() == 1 ? group_of(want[0]) : std::nullopt;
+  if (!group) return MatrixCodec::select_sources(want, available, preference);
+  const std::size_t slot = want[0];
   std::vector<std::size_t> sources;
   sources.reserve(group_size());
   // Group members (data) plus the local parity, minus the slot itself.
@@ -125,28 +92,12 @@ std::optional<std::vector<std::size_t>> LrcCodec::minimal_repair_sources(
   const std::size_t local_parity = k() + *group;
   if (slot != local_parity) sources.push_back(local_parity);
   for (const std::size_t s : sources) {
-    if (s >= present.size() || !present[s]) {
-      return std::nullopt;  // a second loss in the group: generic path
+    if (s >= available.size() || !available[s]) {
+      // A second loss in the group: no shortcut.
+      return MatrixCodec::select_sources(want, available, preference);
     }
   }
   return sources;
-}
-
-Status LrcCodec::rebuild_from_sources(std::size_t slot,
-                                      std::span<const ConstByteSpan> sources,
-                                      ByteSpan out) const {
-  if (!group_of(slot)) {
-    return Status{StatusCode::kInvalidArgument,
-                  "global parities have no local repair"};
-  }
-  if (sources.size() != group_size()) {
-    return Status{StatusCode::kInvalidArgument, "wrong source arity"};
-  }
-  std::memcpy(out.data(), sources[0].data(), out.size());
-  for (std::size_t i = 1; i < sources.size(); ++i) {
-    GF256::xor_region(sources[i], out);
-  }
-  return Status::Ok();
 }
 
 }  // namespace hpres::ec

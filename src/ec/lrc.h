@@ -12,6 +12,8 @@
 // tolerance: repair locality is bought with extra parity.
 #pragma once
 
+#include <optional>
+
 #include "ec/codec.h"
 
 namespace hpres::ec {
@@ -36,19 +38,14 @@ class LrcCodec final : public MatrixCodec {
   /// global parities.
   [[nodiscard]] std::optional<std::size_t> group_of(std::size_t slot) const;
 
-  /// Repair locality: a data fragment rebuilds from its group peers + the
-  /// group's local parity (group_size reads); a local parity from its
-  /// group's data. Global parities and multi-failure patterns fall back to
-  /// the generic any-k path.
-  [[nodiscard]] std::optional<std::vector<std::size_t>>
-  minimal_repair_sources(std::size_t slot,
-                         const std::vector<bool>& present) const override;
-
-  /// Local repair is a pure XOR of the group sources (the local parity is
-  /// the XOR of its group).
-  [[nodiscard]] Status rebuild_from_sources(
-      std::size_t slot, std::span<const ConstByteSpan> sources,
-      ByteSpan out) const override;
+  /// Repair locality: a single wanted slot whose local group is intact
+  /// reads only the group — a data slot its group peers plus the local
+  /// parity (group_size reads), a local parity its group's data. Global
+  /// parities, several wanted slots and broken groups take the any-k
+  /// selection of MatrixCodec.
+  [[nodiscard]] Result<std::vector<std::size_t>> select_sources(
+      std::span<const std::size_t> want, const std::vector<bool>& available,
+      std::span<const std::size_t> preference = {}) const override;
 
  private:
   static GfMatrix build_generator(std::size_t k, std::size_t l,

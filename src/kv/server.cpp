@@ -417,7 +417,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   resp.rpc_id = req.rpc_id;
   resp.trace = ht.ctx();
   const Result<std::vector<std::size_t>> selected =
-      ec.codec->select_read_set(available);
+      ec.codec->select_sources(ec.codec->data_slots(), available);
   if (!selected.ok()) {
     resp.code = selected.status().code();
     self->reply(req.reply_to, std::move(resp));
@@ -479,7 +479,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   const std::size_t fetched =
       static_cast<std::size_t>(std::count_if(fetches.begin(), fetches.end(),
                                              [](const Fetch& f) { return f.ok; }));
-  if (fetched < k || !meta) {
+  if (fetched < chosen.size() || !meta) {
     resp.code = StatusCode::kNotFound;
     self->reply(req.reply_to, std::move(resp));
     co_return;
@@ -499,15 +499,13 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   if (ec.materialize) {
     // Rebuild missing data fragments with the real codec, then join.
     std::vector<Bytes> storage(n, Bytes(layout.fragment_size));
-    std::vector<bool> present(n, false);
     for (const auto& f : fetches) {
-      if (!f.ok || !f.value) continue;
-      storage[f.slot] = *f.value;
-      present[f.slot] = true;
+      if (f.value) storage[f.slot] = *f.value;
     }
     std::vector<ByteSpan> spans(storage.begin(), storage.end());
     if (missing_data > 0) {
-      const Status s = ec.codec->reconstruct_data(spans, present);
+      const Status s =
+          ec.codec->decode(spans, chosen, ec.codec->data_slots());
       if (!s.ok()) {
         resp.code = s.code();
         self->reply(req.reply_to, std::move(resp));

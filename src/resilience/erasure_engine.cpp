@@ -297,7 +297,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   std::vector<std::size_t> preference;
   if (hedging) preference = load_preference(f->base, /*randomize=*/true);
   Result<std::vector<std::size_t>> selected =
-      codec_->select_read_set(f->available, preference);
+      codec_->select_sources(codec_->data_slots(), f->available, preference);
   if (!selected.ok()) co_return selected.status();
 
   // The non-blocking fetches are posted back-to-back from one CPU slice;
@@ -343,7 +343,8 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       break;
     }
     if (f->arrived >= k) {
-      Result<std::vector<std::size_t>> fin = codec_->select_read_set(f->have);
+      Result<std::vector<std::size_t>> fin =
+          codec_->select_sources(codec_->data_slots(), f->have);
       if (fin.ok()) {
         f->decode_set = std::move(*fin);
         break;
@@ -365,7 +366,8 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       co_await sim().delay(membership().check_cost_ns());
       fold_arrivals(f);
       preference = load_preference(f->base, /*randomize=*/hedging);
-      selected = codec_->select_read_set(f->available, preference);
+      selected = codec_->select_sources(codec_->data_slots(), f->available,
+                                        preference);
       if (!selected.ok()) break;  // fewer than k survivors
       for (const std::size_t slot : *selected) {
         if (f->slots[slot].attempted) continue;
@@ -544,7 +546,7 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
   // Rebuild missing data fragments for real, then reassemble. Runs on the
   // engine-wide scratch (no co_await from here on): fetched fragments
   // copy-assign into slots whose capacity persists across ops, and absent
-  // slots are zero-filled in place for the reconstruct kernels.
+  // slots are zero-filled in place as the decode outputs.
   const ec::ChunkLayout layout =
       ec::make_layout(coded_bytes, k, codec_->alignment());
   DecodeScratch& sc = scratch_;
@@ -563,7 +565,8 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
   }
   sc.spans.assign(sc.storage.begin(), sc.storage.end());
   if (missing_data > 0) {
-    const Status s = codec_->reconstruct_data(sc.spans, sc.present);
+    const Status s =
+        codec_->decode(sc.spans, f->decode_set, codec_->data_slots());
     if (!s.ok()) co_return s;
   }
   if (slice == nullptr) {

@@ -66,41 +66,30 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
         static_cast<std::uint64_t>(ctx_.sim->now() - probe_t0), 0,
         /*code=*/0);
   }
-  const auto present_count = static_cast<std::size_t>(
-      std::count(present.begin(), present.end(), true));
-  if (present_count < k || !meta) {
-    ++stats_.unrepairable_keys;
-    if (purge_orphans_ && present_count > 0) {
-      co_await purge_orphan(std::move(key), std::move(present));
-    }
-    co_return Status{StatusCode::kTooManyFailures,
-                     "fewer than k fragments survive"};
-  }
-
   std::vector<std::size_t> rebuild;
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (owner_alive[slot] && !present[slot]) rebuild.push_back(slot);
   }
+  // Phase 2 — choose the fetch set: the codec names the survivors that
+  // produce every lost slot (a local group under repair locality, else k).
+  // An undecodable pattern is unrepairable even with rebuild empty.
+  const Result<std::vector<std::size_t>> selected =
+      codec_->select_sources(rebuild, present);
+  if (!selected.ok() || !meta) {
+    ++stats_.unrepairable_keys;
+    if (purge_orphans_ &&
+        std::find(present.begin(), present.end(), true) != present.end()) {
+      co_await purge_orphan(std::move(key), std::move(present));
+    }
+    co_return Status{StatusCode::kTooManyFailures,
+                     "surviving fragments cannot rebuild the key"};
+  }
   if (rebuild.empty()) co_return Status::Ok();
+  const std::vector<std::size_t>& fetch = *selected;
 
   const std::size_t value_size = meta->original_size;
   const ec::ChunkLayout layout =
       ec::make_layout(value_size, k, codec_->alignment());
-
-  // Phase 2 — choose the fetch set: the codec's minimal repair group for a
-  // single loss with repair locality, otherwise any k survivors.
-  std::optional<std::vector<std::size_t>> local_sources;
-  if (rebuild.size() == 1) {
-    local_sources = codec_->minimal_repair_sources(rebuild[0], present);
-  }
-  std::vector<std::size_t> fetch;
-  if (local_sources) {
-    fetch = *local_sources;
-  } else {
-    for (std::size_t slot = 0; slot < n && fetch.size() < k; ++slot) {
-      if (present[slot]) fetch.push_back(slot);
-    }
-  }
 
   std::vector<SharedBytes> fetched(n);
   const SimTime fetch_t0 = ctx_.sim->now();
@@ -157,30 +146,16 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
 
   std::vector<SharedBytes> rebuilt(n);
   if (ctx_.materialize) {
-    if (local_sources) {
-      Bytes out(layout.fragment_size);
-      std::vector<ConstByteSpan> sources;
-      sources.reserve(fetch.size());
-      for (const std::size_t slot : fetch) sources.push_back(*fetched[slot]);
-      const Status s =
-          codec_->rebuild_from_sources(rebuild[0], sources, out);
-      if (!s.ok()) co_return s;
-      rebuilt[rebuild[0]] = make_shared_bytes(std::move(out));
-    } else {
-      std::vector<Bytes> storage(n, Bytes(layout.fragment_size));
-      std::vector<bool> have(n, false);
-      for (std::size_t slot = 0; slot < n; ++slot) {
-        if (fetched[slot]) {
-          storage[slot] = *fetched[slot];
-          have[slot] = true;
-        }
-      }
-      std::vector<ByteSpan> spans(storage.begin(), storage.end());
-      const Status s = codec_->reconstruct(spans, have);
-      if (!s.ok()) co_return s;
-      for (const std::size_t slot : rebuild) {
-        rebuilt[slot] = make_shared_bytes(std::move(storage[slot]));
-      }
+    std::vector<Bytes> storage(n);
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      storage[slot] =
+          fetched[slot] ? *fetched[slot] : Bytes(layout.fragment_size);
+    }
+    std::vector<ByteSpan> spans(storage.begin(), storage.end());
+    const Status s = codec_->decode(spans, fetch, rebuild);
+    if (!s.ok()) co_return s;
+    for (const std::size_t slot : rebuild) {
+      rebuilt[slot] = make_shared_bytes(std::move(storage[slot]));
     }
   } else {
     for (const std::size_t slot : rebuild) {
@@ -222,7 +197,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   }
   if (worst == StatusCode::kOk) {
     ++stats_.keys_repaired;
-    if (local_sources) ++stats_.local_repairs;
+    if (fetch.size() < k) ++stats_.local_repairs;
     stats_.fragments_rebuilt += rebuild.size();
     stats_.bytes_rebuilt += rebuild.size() * layout.fragment_size;
   }

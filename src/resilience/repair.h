@@ -5,9 +5,9 @@
 // id), every key keeps working in degraded mode, but each degraded Get
 // pays T_decode and one fewer failure is now tolerable. The coordinator
 // restores full redundancy: it discovers affected keys by scanning a live
-// peer's fragment index, fetches k surviving fragments per key, rebuilds
-// the missing ones with the real codec, and re-places them on their
-// designated owners.
+// peer's fragment index, fetches the surviving fragments the codec selects
+// per key (k, or a local group under repair locality), rebuilds the missing
+// ones with the real codec, and re-places them on their designated owners.
 #pragma once
 
 #include "ec/chunker.h"
@@ -24,8 +24,8 @@ struct RepairStats {
   std::uint64_t bytes_rebuilt = 0;
   std::uint64_t fragments_read = 0;     ///< survivor fragments fetched
   std::uint64_t bytes_read = 0;         ///< repair network traffic
-  std::uint64_t local_repairs = 0;      ///< used the codec's repair locality
-  std::uint64_t unrepairable_keys = 0;  ///< fewer than k fragments survive
+  std::uint64_t local_repairs = 0;      ///< read fewer than k fragments
+  std::uint64_t unrepairable_keys = 0;  ///< survivors cannot rebuild the key
   std::uint64_t orphaned_keys = 0;      ///< unreconstructable leftovers found
   std::uint64_t orphan_fragments_purged = 0;  ///< stray fragments deleted
 
@@ -59,10 +59,10 @@ class RepairCoordinator {
 
   [[nodiscard]] const RepairStats& stats() const noexcept { return stats_; }
 
-  /// When enabled, a key with fewer than k surviving fragments and no
-  /// staged full copy is treated as deleted: its leftover fragments are
-  /// purged instead of lingering forever. These orphans arise when a
-  /// Delete runs while a fragment owner is down and the owner later
+  /// When enabled, a key whose surviving fragments cannot decode it and
+  /// which has no staged full copy is treated as deleted: its leftover
+  /// fragments are purged instead of lingering forever. These orphans arise
+  /// when a Delete runs while a fragment owner is down and the owner later
   /// restarts with its store intact. Off by default — purging is only
   /// safe when no in-flight writes race the repair pass, and
   /// unrepairable-key accounting should otherwise stay non-destructive.
@@ -76,7 +76,7 @@ class RepairCoordinator {
 
   /// Restores every missing fragment of `key` whose designated owner is
   /// alive. No-op (OK) when the key is fully intact; kTooManyFailures when
-  /// fewer than k fragments survive.
+  /// the surviving fragments cannot decode it.
   sim::Task<Status> repair_key(kv::Key key);
 
   /// Discovers via every live server and repairs every affected key.

@@ -39,7 +39,21 @@ Encoded encode_value(const Codec& codec, ConstByteSpan value) {
   return out;
 }
 
-/// Zeroes the erased fragments, reconstructs, and checks byte-exactness of
+/// Rebuilds every absent slot as a repair does: the codec selects the
+/// sources for the lost slots, then decodes from exactly those.
+Status rebuild_absent(const Codec& codec, std::span<const ByteSpan> spans,
+                      const std::vector<bool>& present) {
+  std::vector<std::size_t> lost;
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (!present[i]) lost.push_back(i);
+  }
+  const Result<std::vector<std::size_t>> sources =
+      codec.select_sources(lost, present);
+  if (!sources.ok()) return sources.status();
+  return codec.decode(spans, *sources, lost);
+}
+
+/// Zeroes the erased fragments, rebuilds them, and checks byte-exactness of
 /// every fragment plus the re-joined value.
 void expect_full_recovery(const Codec& codec, ConstByteSpan value,
                           const std::vector<bool>& present) {
@@ -49,7 +63,7 @@ void expect_full_recovery(const Codec& codec, ConstByteSpan value,
     if (!present[i]) std::fill(working[i].begin(), working[i].end(), std::byte{0});
   }
   std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(codec.reconstruct(spans, present).ok());
+  ASSERT_TRUE(rebuild_absent(codec, spans, present).ok());
   for (std::size_t i = 0; i < working.size(); ++i) {
     EXPECT_EQ(working[i], golden.fragments[i]) << "fragment " << i;
   }
@@ -101,7 +115,7 @@ TEST_P(CodecRoundTrip, TooManyErasuresRejected) {
   std::vector<ByteSpan> spans(working.begin(), working.end());
   std::vector<bool> present(c->n(), true);
   for (std::size_t i = 0; i <= c->m(); ++i) present[i % c->n()] = false;
-  const Status s = c->reconstruct(spans, present);
+  const Status s = rebuild_absent(*c, spans, present);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kTooManyFailures);
 }
@@ -128,10 +142,21 @@ TEST_P(CodecRoundTrip, ReconstructDataSkipsParityRepair) {
   present[0] = false;
   present[c->k()] = false;  // one data + one parity erased
   if (c->m() < 2) present[c->k()] = true;
-  std::fill(working[0].begin(), working[0].end(), std::byte{0});
+  for (std::size_t i = 0; i < c->n(); ++i) {
+    if (!present[i]) {
+      std::fill(working[i].begin(), working[i].end(), std::byte{0});
+    }
+  }
   std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(c->reconstruct_data(spans, present).ok());
+  const Result<std::vector<std::size_t>> sources =
+      c->select_sources(c->data_slots(), present);
+  ASSERT_TRUE(sources.ok());
+  ASSERT_TRUE(c->decode(spans, *sources, c->data_slots()).ok());
   EXPECT_EQ(working[0], golden.fragments[0]);  // data repaired
+  if (!present[c->k()]) {
+    // The erased parity was not wanted, so decode left it alone.
+    EXPECT_EQ(working[c->k()], Bytes(working[c->k()].size()));
+  }
 }
 
 TEST_P(CodecRoundTrip, EncodeIsDeterministic) {
@@ -197,7 +222,7 @@ TEST(CodecCross, StorageOverheadMatchesTheory) {
   EXPECT_EQ(stored, value_size * 5 / 3);
 }
 
-// --- Read-set selection ------------------------------------------------------
+// --- Source selection + decode -------------------------------------------
 
 /// Brute-force oracle: the lexicographically first k-subset of the
 /// available slots whose generator rows are independent — data slots have
@@ -224,31 +249,139 @@ std::optional<std::vector<std::size_t>> first_decodable_subset(
   }
 }
 
+/// Rank of the given generator rows, by plain Gauss-Jordan elimination.
+std::size_t rank_of(const MatrixCodec& c,
+                    const std::vector<std::size_t>& rows) {
+  const GF256& gf = GF256::instance();
+  GfMatrix m = c.generator().select_rows(rows);
+  std::size_t rank = 0;
+  for (std::size_t col = 0; col < m.cols() && rank < m.rows(); ++col) {
+    std::size_t pivot = rank;
+    while (pivot < m.rows() && m.at(pivot, col) == 0) ++pivot;
+    if (pivot == m.rows()) continue;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      std::swap(m.at(rank, j), m.at(pivot, j));
+    }
+    const std::uint8_t inv = gf.inv(m.at(rank, col));
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      m.at(rank, j) = gf.mul(m.at(rank, j), inv);
+    }
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      const std::uint8_t f = m.at(r, col);
+      if (r == rank || f == 0) continue;
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        m.at(r, j) ^= gf.mul(f, m.at(rank, j));
+      }
+    }
+    ++rank;
+  }
+  return rank;
+}
+
+/// The local group an LRC reads to rebuild `slot` alone (same order as the
+/// selector: data peers, then the local parity), or nullopt for a global
+/// parity.
+std::optional<std::vector<std::size_t>> lrc_group_sources(const LrcCodec& lrc,
+                                                          std::size_t slot) {
+  const std::optional<std::size_t> group = lrc.group_of(slot);
+  if (!group) return std::nullopt;
+  std::vector<std::size_t> out;
+  for (std::size_t c = *group * lrc.group_size();
+       c < (*group + 1) * lrc.group_size(); ++c) {
+    if (c != slot) out.push_back(c);
+  }
+  if (slot != lrc.k() + *group) out.push_back(lrc.k() + *group);
+  return out;
+}
+
 TEST(SelectReadSet, EmptyPreferenceMatchesFirstDecodableSubset) {
   const RsVandermondeCodec rs32(3, 2);
   const RsVandermondeCodec rs63(6, 3);
   const CauchyRsCodec crs(3, 2);
   const Raid6Codec raid6(4, 2);
-  const LrcCodec lrc(6, 2, 2);
-  const std::vector<const MatrixCodec*> codecs{&rs32, &rs63, &crs, &raid6,
-                                               &lrc};
+  const LrcCodec lrc622(6, 2, 2);
+  const LrcCodec lrc421(4, 2, 1);
+  const std::vector<const MatrixCodec*> codecs{&rs32,  &rs63,   &crs,
+                                               &raid6, &lrc622, &lrc421};
   for (const MatrixCodec* c : codecs) {
+    const auto* lrc = dynamic_cast<const LrcCodec*>(c);
     const std::size_t n = c->n();
+    const Encoded golden = encode_value(*c, make_pattern(c->k() * 64, n));
+    std::vector<std::vector<std::size_t>> wants{
+        std::vector<std::size_t>(c->data_slots().begin(),
+                                 c->data_slots().end())};
+    for (std::size_t slot = 0; slot < n; ++slot) wants.push_back({slot});
+
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       std::vector<bool> available(n, false);
-      for (std::size_t i = 0; i < n; ++i) available[i] = (mask >> i) & 1u;
-      const auto expect = first_decodable_subset(*c, available);
-      const Result<std::vector<std::size_t>> got =
-          c->select_read_set(available);
-      if (expect) {
-        ASSERT_TRUE(got.ok()) << c->name() << " mask " << mask;
-        EXPECT_EQ(*got, *expect) << c->name() << " mask " << mask;
-      } else {
-        ASSERT_FALSE(got.ok()) << c->name() << " mask " << mask;
-        EXPECT_EQ(got.status().code(), StatusCode::kTooManyFailures);
+      std::vector<std::size_t> first_k;
+      for (std::size_t i = 0; i < n; ++i) {
+        available[i] = (mask >> i) & 1u;
+        if (available[i] && first_k.size() < c->k()) first_k.push_back(i);
+      }
+      const auto decodable = first_decodable_subset(*c, available);
+      for (const std::vector<std::size_t>& want : wants) {
+        const std::string where = std::string(c->name()) + " mask " +
+                                  std::to_string(mask) + " want " +
+                                  std::to_string(want[0]) + "/" +
+                                  std::to_string(want.size());
+        const Result<std::vector<std::size_t>> got =
+            c->select_sources(want, available);
+        const auto group = (lrc != nullptr && want.size() == 1)
+                               ? lrc_group_sources(*lrc, want[0])
+                               : std::nullopt;
+        const bool group_intact =
+            group && std::all_of(group->begin(), group->end(),
+                                 [&](std::size_t s) { return available[s]; });
+        if (group_intact) {
+          // A single loss in an intact group reads exactly the group.
+          ASSERT_TRUE(got.ok()) << where;
+          EXPECT_EQ(*got, *group) << where;
+        } else if (decodable) {
+          ASSERT_TRUE(got.ok()) << where;
+          EXPECT_EQ(*got, *decodable) << where;
+          if (lrc == nullptr) {
+            // MDS: the first k candidates, in candidate order.
+            EXPECT_EQ(*got, first_k) << where;
+          }
+        } else {
+          ASSERT_FALSE(got.ok()) << where;
+          EXPECT_EQ(got.status().code(), StatusCode::kTooManyFailures);
+          continue;
+        }
+
+        // The answer is available, spans want, and decodes it byte-exactly.
+        std::vector<std::size_t> with_want = *got;
+        with_want.insert(with_want.end(), want.begin(), want.end());
+        for (const std::size_t s : *got) EXPECT_TRUE(available[s]) << where;
+        EXPECT_EQ(rank_of(*c, *got), got->size()) << where;
+        EXPECT_EQ(rank_of(*c, with_want), got->size()) << where;
+        std::vector<Bytes> working(n, Bytes(golden.layout.fragment_size));
+        for (const std::size_t s : *got) working[s] = golden.fragments[s];
+        std::vector<ByteSpan> spans(working.begin(), working.end());
+        ASSERT_TRUE(c->decode(spans, *got, want).ok()) << where;
+        for (const std::size_t w : want) {
+          EXPECT_EQ(working[w], golden.fragments[w]) << where;
+        }
       }
     }
   }
+}
+
+TEST(Decode, RejectsSourcesThatDoNotSpanWant) {
+  const LrcCodec lrc(4, 2, 1);
+  const Encoded golden = encode_value(lrc, make_pattern(4 * 64, 8));
+  std::vector<Bytes> working = golden.fragments;
+  std::vector<ByteSpan> spans(working.begin(), working.end());
+  // Group 0 (slots 0, 1, local parity 4) cannot produce data slot 2.
+  const std::vector<std::size_t> group0{0, 4};
+  const std::vector<std::size_t> want{2};
+  EXPECT_EQ(lrc.decode(spans, group0, want).code(),
+            StatusCode::kTooManyFailures);
+  // Dependent sources are a caller error, not a decodability verdict.
+  const std::vector<std::size_t> dependent{0, 1, 4};
+  EXPECT_EQ(lrc.decode(spans, dependent, want).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CodecFactory, NamesAreStable) {

@@ -1,5 +1,5 @@
 // Locally Repairable Codes: construction guarantees, decodability bounds,
-// repair locality, and the XOR local-rebuild path.
+// repair locality, and the local-rebuild path.
 #include "ec/lrc.h"
 
 #include <gtest/gtest.h>
@@ -31,6 +31,37 @@ Encoded encode_value(const Codec& codec, ConstByteSpan value) {
       out.fragments.end());
   codec.encode(data, parity);
   return out;
+}
+
+/// Rebuilds every absent slot as a repair does: select_sources for the
+/// lost slots, then decode from exactly those sources.
+Status rebuild_absent(const Codec& codec, std::span<const ByteSpan> spans,
+                      const std::vector<bool>& present) {
+  std::vector<std::size_t> lost;
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (!present[i]) lost.push_back(i);
+  }
+  const Result<std::vector<std::size_t>> sources =
+      codec.select_sources(lost, present);
+  if (!sources.ok()) return sources.status();
+  return codec.decode(spans, *sources, lost);
+}
+
+/// Every slot present except `lost`.
+std::vector<bool> all_but(std::size_t n, std::size_t lost) {
+  std::vector<bool> present(n, true);
+  present[lost] = false;
+  return present;
+}
+
+/// select_sources for the single lost slot `slot`.
+std::vector<std::size_t> sources_for(const Codec& codec, std::size_t slot,
+                                     const std::vector<bool>& present) {
+  const std::vector<std::size_t> want{slot};
+  const Result<std::vector<std::size_t>> got =
+      codec.select_sources(want, present);
+  EXPECT_TRUE(got.ok()) << got.status();
+  return got.ok() ? *got : std::vector<std::size_t>{};
 }
 
 TEST(Lrc, ShapeAndGroups) {
@@ -80,7 +111,7 @@ TEST(Lrc, EveryPatternUpToGPlusOneRecovers) {
       }
     }
     std::vector<ByteSpan> spans(working.begin(), working.end());
-    ASSERT_TRUE(lrc.reconstruct(spans, present).ok()) << "mask " << mask;
+    ASSERT_TRUE(rebuild_absent(lrc, spans, present).ok()) << "mask " << mask;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(working[i], golden.fragments[i]) << "mask " << mask;
     }
@@ -96,7 +127,7 @@ TEST(Lrc, SomePatternsBeyondGuaranteeAreUndecodable) {
   std::vector<bool> present(8, true);
   for (const std::size_t slot : {0u, 1u, 4u, 6u}) present[slot] = false;
   std::vector<ByteSpan> spans(working.begin(), working.end());
-  EXPECT_EQ(lrc.reconstruct(spans, present).code(),
+  EXPECT_EQ(rebuild_absent(lrc, spans, present).code(),
             StatusCode::kTooManyFailures);
 }
 
@@ -115,7 +146,7 @@ TEST(Lrc, SomeFourFailurePatternsStillDecode) {
     std::fill(working[slot].begin(), working[slot].end(), std::byte{0});
   }
   std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(lrc.reconstruct(spans, present).ok());
+  ASSERT_TRUE(rebuild_absent(lrc, spans, present).ok());
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(working[i], golden.fragments[i]);
   }
@@ -123,36 +154,36 @@ TEST(Lrc, SomeFourFailurePatternsStillDecode) {
 
 TEST(Lrc, MinimalRepairSourcesAreTheGroup) {
   const LrcCodec lrc(6, 2, 2);
-  std::vector<bool> all_present(10, true);
   // Data slot 1 (group 0): peers 0,2 + local parity 6.
-  const auto src = lrc.minimal_repair_sources(1, all_present);
-  ASSERT_TRUE(src.has_value());
-  EXPECT_EQ(*src, (std::vector<std::size_t>{0, 2, 6}));
+  EXPECT_EQ(sources_for(lrc, 1, all_but(10, 1)),
+            (std::vector<std::size_t>{0, 2, 6}));
   // Local parity 7 (group 1): data 3,4,5.
-  const auto lp = lrc.minimal_repair_sources(7, all_present);
-  ASSERT_TRUE(lp.has_value());
-  EXPECT_EQ(*lp, (std::vector<std::size_t>{3, 4, 5}));
-  // Global parity: no locality.
-  EXPECT_FALSE(lrc.minimal_repair_sources(8, all_present).has_value());
-  // Second loss in the group: no locality.
-  std::vector<bool> degraded = all_present;
+  EXPECT_EQ(sources_for(lrc, 7, all_but(10, 7)),
+            (std::vector<std::size_t>{3, 4, 5}));
+  // Global parity: no locality, the first k slots.
+  EXPECT_EQ(sources_for(lrc, 8, all_but(10, 8)),
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  // Second loss in the group: no locality, k independent survivors.
+  std::vector<bool> degraded = all_but(10, 1);
   degraded[2] = false;
-  EXPECT_FALSE(lrc.minimal_repair_sources(1, degraded).has_value());
+  EXPECT_EQ(sources_for(lrc, 1, degraded),
+            (std::vector<std::size_t>{0, 3, 4, 5, 6, 8}));
 }
 
 TEST(Lrc, RebuildFromSourcesMatchesOriginal) {
   const LrcCodec lrc(6, 2, 2);
   const Bytes value = make_pattern(6 * 128, 5);
   const Encoded enc = encode_value(lrc, value);
-  std::vector<bool> present(10, true);
   for (std::size_t slot = 0; slot < 8; ++slot) {  // data + local parities
-    const auto src = lrc.minimal_repair_sources(slot, present);
-    ASSERT_TRUE(src.has_value()) << slot;
-    std::vector<ConstByteSpan> sources;
-    for (const std::size_t s : *src) sources.push_back(enc.fragments[s]);
-    Bytes out(enc.layout.fragment_size);
-    ASSERT_TRUE(lrc.rebuild_from_sources(slot, sources, out).ok()) << slot;
-    EXPECT_EQ(out, enc.fragments[slot]) << slot;
+    const std::vector<std::size_t> src =
+        sources_for(lrc, slot, all_but(10, slot));
+    ASSERT_EQ(src.size(), lrc.group_size()) << slot;
+    std::vector<Bytes> working(10, Bytes(enc.layout.fragment_size));
+    for (const std::size_t s : src) working[s] = enc.fragments[s];
+    std::vector<ByteSpan> spans(working.begin(), working.end());
+    const std::vector<std::size_t> want{slot};
+    ASSERT_TRUE(lrc.decode(spans, src, want).ok()) << slot;
+    EXPECT_EQ(working[slot], enc.fragments[slot]) << slot;
   }
 }
 
@@ -160,21 +191,15 @@ TEST(Lrc, RepairLocalityBeatsRsReadCount) {
   // The whole point: single-fragment repair reads group_size fragments
   // instead of k.
   const LrcCodec lrc(6, 2, 2);
-  std::vector<bool> present(10, true);
-  const auto src = lrc.minimal_repair_sources(0, present);
-  ASSERT_TRUE(src.has_value());
-  EXPECT_EQ(src->size(), 3u);  // vs k = 6 for RS
-  EXPECT_LT(src->size(), lrc.k());
+  const std::vector<std::size_t> src = sources_for(lrc, 0, all_but(10, 0));
+  EXPECT_EQ(src.size(), 3u);  // vs k = 6 for RS
+  EXPECT_LT(src.size(), lrc.k());
 }
 
 TEST(Lrc, MdsBaseCodecsAdvertiseNoLocality) {
   const RsVandermondeCodec rs(3, 2);
-  EXPECT_FALSE(
-      rs.minimal_repair_sources(0, std::vector<bool>(5, true)).has_value());
-  Bytes out(8);
-  const std::vector<ConstByteSpan> none;
-  EXPECT_EQ(rs.rebuild_from_sources(0, none, out).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sources_for(rs, 0, all_but(5, 0)),
+            (std::vector<std::size_t>{1, 2, 3}));
 }
 
 TEST(Lrc, SingleGroupDegeneratesGracefully) {
@@ -190,7 +215,7 @@ TEST(Lrc, SingleGroupDegeneratesGracefully) {
   std::fill(working[1].begin(), working[1].end(), std::byte{0});
   std::fill(working[5].begin(), working[5].end(), std::byte{0});
   std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(lrc.reconstruct(spans, present).ok());
+  ASSERT_TRUE(rebuild_absent(lrc, spans, present).ok());
   EXPECT_EQ(working[1], golden.fragments[1]);
 }
 

@@ -50,7 +50,7 @@ TEST(SelectReadSetOrdered, PreservesPreferenceOrder) {
   std::vector<bool> available(5, true);
   const std::vector<std::size_t> preference{4, 2, 1, 0, 3};
   const Result<std::vector<std::size_t>> chosen =
-      codec.select_read_set(available, preference);
+      codec.select_sources(codec.data_slots(), available, preference);
   ASSERT_TRUE(chosen.ok()) << chosen.status();
   // RS-Vandermonde is MDS: the first k of the preference decode, and the
   // result keeps the caller's order (cheapest server first), unsorted.
@@ -58,13 +58,14 @@ TEST(SelectReadSetOrdered, PreservesPreferenceOrder) {
 
   available[4] = false;
   const Result<std::vector<std::size_t>> without4 =
-      codec.select_read_set(available, preference);
+      codec.select_sources(codec.data_slots(), available, preference);
   ASSERT_TRUE(without4.ok());
   EXPECT_EQ(*without4, (std::vector<std::size_t>{2, 1, 0}));
 
   available.assign(5, false);
   available[0] = available[3] = true;  // only 2 of k=3 left
-  EXPECT_FALSE(codec.select_read_set(available, preference).ok());
+  EXPECT_FALSE(
+      codec.select_sources(codec.data_slots(), available, preference).ok());
 }
 
 TEST(SelectReadSetOrdered, PartialPreferenceFallsBackToNaturalOrder) {
@@ -72,7 +73,8 @@ TEST(SelectReadSetOrdered, PartialPreferenceFallsBackToNaturalOrder) {
   const std::vector<bool> available(5, true);
   // A preference mentioning fewer than k slots is topped up in slot order.
   const Result<std::vector<std::size_t>> chosen =
-      codec.select_read_set(available, std::vector<std::size_t>{3});
+      codec.select_sources(codec.data_slots(), available,
+                           std::vector<std::size_t>{3});
   ASSERT_TRUE(chosen.ok());
   EXPECT_EQ(*chosen, (std::vector<std::size_t>{3, 0, 1}));
 }

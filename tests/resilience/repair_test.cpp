@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ec/lrc.h"
 #include "testing/fixtures.h"
 
 namespace hpres::resilience {
@@ -173,6 +174,115 @@ TEST_F(RepairTest, RepairAllCoversEveryAffectedKey) {
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get(), repair.get(), &cluster_);
+}
+
+// --- LRC repair -------------------------------------------------------------
+
+/// LRC(4,2,1) on 7 servers, one fragment per server: local groups
+/// {0, 1 | parity 4} and {2, 3 | parity 5}, global parity 6.
+class LrcRepairTest : public ::testing::Test {
+ protected:
+  LrcRepairTest()
+      : lrc_(4, 2, 1),
+        cost_(ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 4, 3)),
+        cluster_(cluster::ClusterConfig{.num_servers = 7, .num_clients = 1}) {
+    cluster_.enable_server_ec(lrc_, cost_, /*materialize=*/true);
+  }
+
+  [[nodiscard]] EngineContext context(bool materialize) {
+    EngineContext ctx;
+    ctx.sim = &cluster_.sim();
+    ctx.client = &cluster_.client(0);
+    ctx.ring = &cluster_.ring();
+    ctx.membership = &cluster_.membership();
+    ctx.server_nodes = &cluster_.server_nodes();
+    ctx.materialize = materialize;
+    return ctx;
+  }
+
+  ec::LrcCodec lrc_;
+  ec::CostModel cost_;
+  cluster::Cluster cluster_;
+
+ public:
+  /// The store of the server owning `slot` of `key`.
+  kv::StorageEngine& owner_store(const kv::Key& key, std::size_t slot) {
+    return cluster_.server(cluster_.ring().slot_index(key, slot)).store();
+  }
+};
+
+TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
+  // Slots {0, 1} lost: survivors 2, 3, 4 (= 0 ^ 1), 6 span the data even
+  // though the first k present slots (2, 3, 4, 5) do not.
+  ErasureEngine engine(context(true), lrc_, cost_, EraMode::kCeCd);
+  RepairCoordinator repair(context(true), lrc_, cost_);
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(ErasureEngine* e, RepairCoordinator* rc,
+                               LrcRepairTest* t) {
+      const Bytes original = make_pattern(40'000, 12);
+      EXPECT_TRUE((co_await e->set("obj", make_shared_bytes(original))).ok());
+      std::vector<Bytes> lost;
+      for (const std::size_t slot : {0u, 1u}) {
+        const kv::Key ckey = kv::chunk_key("obj", slot);
+        const auto got = t->owner_store("obj", slot).get(ckey);
+        EXPECT_TRUE(got.ok());
+        lost.push_back(got.ok() ? *got->value : Bytes{});
+        t->owner_store("obj", slot).erase(ckey);
+      }
+
+      const Status s = co_await rc->repair_key("obj");
+      EXPECT_TRUE(s.ok()) << s;
+      EXPECT_EQ(rc->stats().keys_repaired, 1u);
+      EXPECT_EQ(rc->stats().fragments_rebuilt, 2u);
+      EXPECT_EQ(rc->stats().unrepairable_keys, 0u);
+      for (const std::size_t slot : {0u, 1u}) {
+        const auto got =
+            t->owner_store("obj", slot).get(kv::chunk_key("obj", slot));
+        EXPECT_TRUE(got.ok()) << slot;
+        if (got.ok()) { EXPECT_EQ(*got->value, lost[slot]) << slot; }
+      }
+      const Result<Bytes> read = co_await e->get("obj");
+      EXPECT_TRUE(read.ok()) << read.status();
+      if (read.ok()) { EXPECT_EQ(*read, original); }
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, &engine, &repair, this);
+}
+
+TEST_F(LrcRepairTest, UndecodablePatternIsUnrepairableInBothModes) {
+  // Slots {0, 1, 4} lost: k = 4 fragments survive (2, 3, 5, 6) but span
+  // rank 3 only. Neither mode may count the key repaired or write bytes.
+  ErasureEngine engine(context(true), lrc_, cost_, EraMode::kCeCd);
+  RepairCoordinator materialized(context(true), lrc_, cost_);
+  RepairCoordinator size_only(context(false), lrc_, cost_);
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(ErasureEngine* e, RepairCoordinator* mat,
+                               RepairCoordinator* sized, LrcRepairTest* t) {
+      EXPECT_TRUE(
+          (co_await e->set("obj", make_shared_bytes(make_pattern(9000, 13))))
+              .ok());
+      for (const std::size_t slot : {0u, 1u, 4u}) {
+        t->owner_store("obj", slot).erase(kv::chunk_key("obj", slot));
+      }
+      for (RepairCoordinator* rc : {mat, sized}) {
+        const Status s = co_await rc->repair_key("obj");
+        EXPECT_EQ(s.code(), StatusCode::kTooManyFailures);
+        EXPECT_EQ(rc->stats().unrepairable_keys, 1u);
+        EXPECT_EQ(rc->stats().keys_repaired, 0u);
+        EXPECT_EQ(rc->stats().fragments_rebuilt, 0u);
+      }
+      for (const std::size_t slot : {0u, 1u, 4u}) {
+        EXPECT_FALSE(t->owner_store("obj", slot)
+                         .get(kv::chunk_key("obj", slot))
+                         .ok())
+            << slot;
+      }
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, &engine, &materialized, &size_only,
+          this);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ class Future {
 namespace detail {
 
 /// Hands the suspending coroutine to a waiter that is already registered.
-/// Trivially destructible for the same reason as TimedParkAwaiter.
+/// Trivially destructible for the same reason as TimedPark.
 struct BindWaiterAwaiter {
   const std::shared_ptr<TimedWaiter>* waiter;
 

@@ -7,13 +7,16 @@
 // scheduled handles), and the primitive must outlive its waiters.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -22,14 +25,72 @@ namespace hpres::sim {
 
 namespace detail {
 
-/// Parks a coroutine on an external waiter list; resumption is triggered by
-/// the owning primitive scheduling the handle through the simulator.
-struct ParkAwaiter {
-  std::deque<std::coroutine_handle<>>* waiters;
+/// One parked coroutine, linked into a WaitList. Nodes are members of the
+/// awaiters below, so they live in the suspended coroutine's frame until it
+/// resumes: parking allocates nothing.
+struct WaitNode {
+  std::coroutine_handle<> handle;
+  WaitNode* next = nullptr;
+};
+
+/// Intrusive FIFO of parked coroutines. Waking unlinks a node and schedules
+/// its handle through the simulator; the coroutine runs later from the
+/// event loop, so the list is never touched from inside a resumption.
+class WaitList {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  void push_back(WaitNode* node) noexcept {
+    node->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = node;
+    } else {
+      tail_->next = node;
+    }
+    tail_ = node;
+    ++size_;
+  }
+
+  /// Schedules the head waiter, if any.
+  void wake_one(Simulator& sim) {
+    WaitNode* node = head_;
+    if (node == nullptr) return;
+    head_ = node->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    sim.schedule(node->handle, 0);
+  }
+
+  /// Schedules every waiter in FIFO order and empties the list.
+  void wake_all(Simulator& sim) {
+    WaitNode* node = std::exchange(head_, nullptr);
+    tail_ = nullptr;
+    size_ = 0;
+    while (node != nullptr) {
+      WaitNode* next = node->next;
+      sim.schedule(node->handle, 0);
+      node = next;
+    }
+  }
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+/// Parks the awaiting coroutine at the tail of `list`; the owning primitive
+/// resumes it by waking the list. Trivially destructible: g++-12 destroys a
+/// non-trivial awaiter temporary twice (once at the end of the co_await
+/// full-expression, once during frame cleanup).
+struct Park {
+  WaitList* list;
+  WaitNode node;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) const {
-    waiters->push_back(h);
+  void await_suspend(std::coroutine_handle<> h) noexcept {
+    node.handle = h;
+    list->push_back(&node);
   }
   void await_resume() const noexcept {}
 };
@@ -44,13 +105,10 @@ struct TimedWaiter {
 };
 
 /// Parks a coroutine as a TimedWaiter on the owning primitive's list.
-/// Must stay trivially destructible (raw pointers only, like ParkAwaiter):
-/// g++-12 destroys a non-trivial awaiter temporary twice (once at the end
-/// of the co_await full-expression, once during frame cleanup), so an
-/// owning shared_ptr member here would be double-released. The deque takes
-/// its own reference inside await_suspend instead.
-struct TimedParkAwaiter {
-  std::deque<std::shared_ptr<TimedWaiter>>* waiters;
+/// Trivially destructible for the same reason as Park, so it holds raw
+/// pointers and the list takes its own reference inside await_suspend.
+struct TimedPark {
+  std::vector<std::shared_ptr<TimedWaiter>>* waiters;
   const std::shared_ptr<TimedWaiter>* waiter;
 
   [[nodiscard]] bool await_ready() const noexcept { return false; }
@@ -87,23 +145,19 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    while (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
+    // Plain waiters first, then timed ones, each in registration order.
+    waiters_.wake_all(*sim_);
+    for (const auto& waiter : timed_waiters_) {
+      if (waiter->fired) continue;  // timed-out waiters were already resumed
+      waiter->fired = true;
+      waiter->signaled = true;
+      sim_->schedule(waiter->handle, 0);
     }
-    while (!timed_waiters_.empty()) {
-      const auto& waiter = timed_waiters_.front();
-      if (!waiter->fired) {  // timed-out waiters were already resumed
-        waiter->fired = true;
-        waiter->signaled = true;
-        sim_->schedule(waiter->handle, 0);
-      }
-      timed_waiters_.pop_front();
-    }
+    timed_waiters_.clear();
   }
 
   Task<void> wait() {
-    while (!set_) co_await detail::ParkAwaiter{&waiters_};
+    while (!set_) co_await detail::Park{&waiters_};
   }
 
   /// Suspends until `set()` or until `timeout` simulated nanoseconds pass,
@@ -116,7 +170,7 @@ class Event {
     if (set_) co_return true;
     auto waiter = std::make_shared<detail::TimedWaiter>();
     sim_->spawn(detail::wake_at_deadline(sim_, waiter, timeout));
-    co_await detail::TimedParkAwaiter{&timed_waiters_, &waiter};
+    co_await detail::TimedPark{&timed_waiters_, &waiter};
     co_return waiter->signaled;
   }
 
@@ -127,9 +181,10 @@ class Event {
     assert(!set_ && "waiter registered on a set event");
     // Fired waiters are inert; dropping them keeps the list of an event
     // that stays pending across many registrations bounded.
-    while (!timed_waiters_.empty() && timed_waiters_.front()->fired) {
-      timed_waiters_.pop_front();
-    }
+    const auto live = std::find_if(
+        timed_waiters_.begin(), timed_waiters_.end(),
+        [](const auto& w) { return !w->fired; });
+    timed_waiters_.erase(timed_waiters_.begin(), live);
     timed_waiters_.push_back(std::move(waiter));
   }
 
@@ -138,8 +193,9 @@ class Event {
  private:
   Simulator* sim_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-  std::deque<std::shared_ptr<detail::TimedWaiter>> timed_waiters_;
+  detail::WaitList waiters_;
+  /// Allocates only once a timed waiter registers.
+  std::vector<std::shared_ptr<detail::TimedWaiter>> timed_waiters_;
 };
 
 /// Unbounded FIFO channel. Multiple producers and consumers are supported;
@@ -156,17 +212,16 @@ class Channel {
   void send(T item) {
     if (closed_) return;
     items_.push_back(std::move(item));
-    wake_one();
+    // The woken receiver re-checks: if another receiver took the item
+    // first, it parks again at the tail.
+    waiters_.wake_one(*sim_);
   }
 
   /// Closes the channel: queued items remain receivable; subsequent recv()
   /// on an empty channel yields nullopt.
   void close() {
     closed_ = true;
-    while (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
+    waiters_.wake_all(*sim_);
   }
 
   [[nodiscard]] bool closed() const noexcept { return closed_; }
@@ -181,7 +236,7 @@ class Channel {
         co_return std::optional<T>{std::move(item)};
       }
       if (closed_) co_return std::nullopt;
-      co_await detail::ParkAwaiter{&waiters_};
+      co_await detail::Park{&waiters_};
     }
   }
 
@@ -194,16 +249,9 @@ class Channel {
   }
 
  private:
-  void wake_one() {
-    if (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
-  }
-
   Simulator* sim_;
   std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
   bool closed_ = false;
 };
 
@@ -221,7 +269,7 @@ class Semaphore {
   [[nodiscard]] std::size_t waiting() const noexcept { return waiters_.size(); }
 
   Task<void> acquire() {
-    while (count_ == 0) co_await detail::ParkAwaiter{&waiters_};
+    while (count_ == 0) co_await detail::Park{&waiters_};
     --count_;
   }
 
@@ -234,16 +282,15 @@ class Semaphore {
 
   void release() {
     ++count_;
-    if (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
+    // The woken waiter re-checks: if a try_acquire() took the permit
+    // first, it parks again at the tail.
+    waiters_.wake_one(*sim_);
   }
 
  private:
   Simulator* sim_;
   std::uint32_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Condition variable: waiters park until notify_all(), then re-check their
@@ -255,18 +302,13 @@ class Condition {
   Condition(const Condition&) = delete;
   Condition& operator=(const Condition&) = delete;
 
-  Task<void> wait() { co_await detail::ParkAwaiter{&waiters_}; }
+  Task<void> wait() { co_await detail::Park{&waiters_}; }
 
-  void notify_all() {
-    while (!waiters_.empty()) {
-      sim_->schedule(waiters_.front(), 0);
-      waiters_.pop_front();
-    }
-  }
+  void notify_all() { waiters_.wake_all(*sim_); }
 
  private:
   Simulator* sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Countdown latch: wait() completes once count_down() has been called

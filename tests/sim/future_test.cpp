@@ -245,6 +245,47 @@ TEST(WaitAny, DeadlineFormTimesOut) {
   EXPECT_EQ(served, (WakeLog{{true, 120}, {true, 170}}));
 }
 
+// --- Wake order on one set() ------------------------------------------------
+
+using LabelLog = std::vector<std::string>;
+
+Task<void> plain_waiter(Simulator* sim, Future<int> future, std::string label,
+                        LabelLog* log) {
+  co_await future.wait();
+  log->push_back(label + "@" + std::to_string(sim->now()));
+}
+
+Task<void> timed_waiter(Simulator* sim, Future<int> future, SimDur timeout,
+                        std::string label, LabelLog* log) {
+  const bool fired = (co_await future.wait_for(timeout)).has_value();
+  log->push_back(label + (fired ? "@" : " expired@") +
+                 std::to_string(sim->now()));
+}
+
+Task<void> any_waiter_labelled(Simulator* sim, Future<int> future,
+                               std::string label, LabelLog* log) {
+  co_await wait_any<int>(std::span<const Future<int>>(&future, 1));
+  log->push_back(label + "@" + std::to_string(sim->now()));
+}
+
+TEST(WaitAny, OneSetWakesPlainWaitersThenTimedOnesInRegistrationOrder) {
+  // Registration order: p1, t1, p2, a1, then a wait_for that expires first.
+  // set() schedules the plain waiters, then the unfired timed waiters (a
+  // wait_any waiter is one), each in FIFO order; the expired one is skipped.
+  Simulator sim;
+  Promise<int> p(sim);
+  LabelLog log;
+  sim.spawn(plain_waiter(&sim, p.get_future(), "p1", &log));
+  sim.spawn(timed_waiter(&sim, p.get_future(), 1'000, "t1", &log));
+  sim.spawn(plain_waiter(&sim, p.get_future(), "p2", &log));
+  sim.spawn(any_waiter_labelled(&sim, p.get_future(), "a1", &log));
+  sim.spawn(timed_waiter(&sim, p.get_future(), 50, "t2", &log));
+  sim.spawn(fulfill_after(&sim, p, 200, 1));
+  sim.run();
+  EXPECT_EQ(log, (LabelLog{"t2 expired@50", "p1@200", "p2@200", "t1@200",
+                           "a1@200"}));
+}
+
 TEST(WaitAny, CancelResolvedFetchWakesTheWaiter) {
   cluster::Cluster c(
       cluster::ClusterConfig{.num_servers = 1, .num_clients = 1});

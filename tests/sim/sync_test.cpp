@@ -1,4 +1,4 @@
-// Channel / Event / Semaphore / Latch / WorkerPool semantics.
+// Channel / Event / Semaphore / Condition / Latch / WorkerPool semantics.
 #include "sim/sync.h"
 
 #include <gtest/gtest.h>
@@ -91,29 +91,29 @@ TEST(Channel, BufferedItemsSurviveUntilReceived) {
   EXPECT_EQ(out, (std::vector<int>{7, 8}));
 }
 
+Task<void> recv_and_log(Simulator* sim, Channel<int>* ch, std::string label,
+                        std::vector<std::string>* log) {
+  const std::optional<int> v = co_await ch->recv();
+  EXPECT_FALSE(v.has_value());
+  log->push_back(label + "@" + std::to_string(sim->now()));
+}
+
+Task<void> close_after(Simulator* sim, Channel<int>* ch, SimDur d) {
+  co_await sim->delay(d);
+  ch->close();
+}
+
 TEST(Channel, CloseReleasesBlockedReceiver) {
+  // Every parked receiver is released, in the order it parked.
   Simulator sim;
   Channel<int> ch(sim);
-  std::vector<int> out;
-  bool finished = false;
-  struct Helper {
-    static Task<void> run(Channel<int>* c, std::vector<int>* o, bool* done) {
-      const auto v = co_await c->recv();
-      EXPECT_FALSE(v.has_value());
-      (void)o;
-      *done = true;
-    }
-  };
-  sim.spawn(Helper::run(&ch, &out, &finished));
-  struct Closer {
-    static Task<void> run(Simulator* s, Channel<int>* c) {
-      co_await s->delay(100);
-      c->close();
-    }
-  };
-  sim.spawn(Closer::run(&sim, &ch));
+  std::vector<std::string> log;
+  sim.spawn(recv_and_log(&sim, &ch, "a", &log));
+  sim.spawn(recv_and_log(&sim, &ch, "b", &log));
+  sim.spawn(recv_and_log(&sim, &ch, "c", &log));
+  sim.spawn(close_after(&sim, &ch, 100));
   sim.run();
-  EXPECT_TRUE(finished);
+  EXPECT_EQ(log, (std::vector<std::string>{"a@100", "b@100", "c@100"}));
 }
 
 TEST(Channel, SendAfterCloseIsDropped) {
@@ -168,6 +168,35 @@ TEST(Semaphore, SerializesBeyondPermits) {
   EXPECT_EQ(acquired, (std::vector<SimTime>{0, 0, 100, 100}));
 }
 
+Task<void> acquire_and_log(Simulator* sim, Semaphore* sem, SimDur start,
+                           std::string label, std::vector<std::string>* log) {
+  co_await sim->delay(start);
+  co_await sem->acquire();
+  log->push_back(label + "@" + std::to_string(sim->now()));
+  co_await sim->delay(5);
+  sem->release();
+}
+
+Task<void> release_then_steal(Simulator* sim, Semaphore* sem) {
+  co_await sim->delay(10);
+  sem->release();  // wakes the parked waiter...
+  EXPECT_TRUE(sem->try_acquire());  // ...but the permit is gone before it runs
+  co_await sim->delay(10);
+  sem->release();
+}
+
+TEST(Semaphore, WokenWaiterBeatenByTryAcquireParksAgainAtTail) {
+  Simulator sim;
+  Semaphore sem(sim, 0);
+  std::vector<std::string> log;
+  sim.spawn(acquire_and_log(&sim, &sem, 0, "first", &log));
+  sim.spawn(release_then_steal(&sim, &sem));
+  // Parks at t=10 after the release, before the woken waiter re-checks.
+  sim.spawn(acquire_and_log(&sim, &sem, 10, "later", &log));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"later@20", "first@25"}));
+}
+
 TEST(Semaphore, TryAcquireNonBlocking) {
   Simulator sim;
   Semaphore sem(sim, 1);
@@ -175,6 +204,31 @@ TEST(Semaphore, TryAcquireNonBlocking) {
   EXPECT_FALSE(sem.try_acquire());
   sem.release();
   EXPECT_TRUE(sem.try_acquire());
+}
+
+// --- Condition ---------------------------------------------------------------
+
+Task<void> cond_wait_and_log(Simulator* sim, Condition* cond,
+                             std::string label, std::vector<std::string>* log) {
+  co_await cond->wait();
+  log->push_back(label + "@" + std::to_string(sim->now()));
+}
+
+Task<void> notify_after(Simulator* sim, Condition* cond, SimDur d) {
+  co_await sim->delay(d);
+  cond->notify_all();
+}
+
+TEST(Condition, NotifyAllWakesParkedInFifoOrder) {
+  Simulator sim;
+  Condition cond(sim);
+  std::vector<std::string> log;
+  sim.spawn(cond_wait_and_log(&sim, &cond, "a", &log));
+  sim.spawn(cond_wait_and_log(&sim, &cond, "b", &log));
+  sim.spawn(cond_wait_and_log(&sim, &cond, "c", &log));
+  sim.spawn(notify_after(&sim, &cond, 100));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a@100", "b@100", "c@100"}));
 }
 
 // --- Latch -------------------------------------------------------------------

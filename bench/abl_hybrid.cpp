@@ -24,8 +24,7 @@ struct Point {
 };
 
 sim::Task<void> mixed_workload(sim::Simulator* sim,
-                               resilience::Engine* engine,
-                               cluster::Cluster* cluster, std::uint64_t ops,
+                               resilience::Engine* engine, std::uint64_t ops,
                                Point* out) {
   Xoshiro256 rng(7);
   const SharedBytes small = zero_bytes(kSmall);
@@ -42,15 +41,17 @@ sim::Task<void> mixed_workload(sim::Simulator* sim,
     (void)co_await engine->get("m" + std::to_string(i));
   }
   out->get_us = units::to_us(sim->now() - t0) / static_cast<double>(ops);
-  out->mem_mib = static_cast<double>(cluster->total_bytes_used()) /
-                 (1024.0 * 1024.0);
 }
 
-Point run_engine(resilience::Engine* engine, cluster::Cluster* cluster,
-                 sim::Simulator* sim, std::uint64_t ops) {
+/// Runs the mix on client 0 to quiescence, then reads the memory total.
+Point run_engine(Testbench& bench, resilience::Engine* engine,
+                 std::uint64_t ops) {
   Point point;
-  sim->spawn(mixed_workload(sim, engine, cluster, ops, &point));
-  sim->run();
+  bench.spawn_client(0, mixed_workload(&bench.cluster().sim_for_client(0),
+                                       engine, ops, &point));
+  bench.run();
+  point.mem_mib = static_cast<double>(bench.cluster().total_bytes_used()) /
+                  (1024.0 * 1024.0);
   return point;
 }
 
@@ -58,7 +59,6 @@ Point run_engine(resilience::Engine* engine, cluster::Cluster* cluster,
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("abl_hybrid", "its sweep drives every client from shard 0's loop");
   const std::uint64_t ops = scaled(300);
   std::printf("ABL4 — hybrid threshold sweep: 50/50 mix of 2 KB and 256 KB"
               " values, %llu ops, RS(3,2) / Rep=3, RI-QDR\n",
@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
   for (const resilience::Design design :
        {resilience::Design::kAsyncRep, resilience::Design::kEraCeCd}) {
     Testbench bench(cluster::ri_qdr(), 5, 1, design);
-    const Point p =
-        run_engine(&bench.engine(), &bench.cluster(), &bench.sim(), ops);
+    const Point p = run_engine(bench, &bench.engine(), ops);
     print_cell(std::string(to_string(design)));
     print_cell(p.set_us);
     print_cell(p.get_us);
@@ -87,19 +86,12 @@ int main(int argc, char** argv) {
         std::size_t{512} * 1024}) {
     Testbench bench(cluster::ri_qdr(), 5, 1,
                     resilience::Design::kAsyncRep);  // context donor only
-    resilience::EngineContext ctx;
-    ctx.sim = &bench.sim();
-    ctx.client = &bench.cluster().client(0);
-    ctx.ring = &bench.cluster().ring();
-    ctx.membership = &bench.cluster().membership();
-    ctx.server_nodes = &bench.cluster().server_nodes();
-    ctx.materialize = false;
     ec::RsVandermondeCodec codec(3, 2);
     resilience::HybridEngine hybrid(
-        ctx, codec, ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2),
-        3, threshold);
-    const Point p =
-        run_engine(&hybrid, &bench.cluster(), &bench.sim(), ops);
+        bench.cluster().engine_context(0, /*materialize=*/false), codec,
+        ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2), 3,
+        threshold);
+    const Point p = run_engine(bench, &hybrid, ops);
     print_cell("hybrid<" + size_label(threshold));
     print_cell(p.set_us);
     print_cell(p.get_us);

@@ -20,7 +20,7 @@ struct Point {
 };
 
 sim::Task<void> writer(resilience::Engine* engine, std::size_t client_id,
-                       std::uint64_t pairs, sim::Latch* done) {
+                       std::uint64_t pairs) {
   const SharedBytes value = zero_bytes(1024 * 1024);
   for (std::uint64_t i = 0; i < pairs; ++i) {
     (void)engine->iset(
@@ -28,13 +28,11 @@ sim::Task<void> writer(resilience::Engine* engine, std::size_t client_id,
     if ((i + 1) % 32 == 0) co_await engine->wait_all();
   }
   co_await engine->wait_all();
-  done->count_down();
 }
 
 sim::Task<void> reader(sim::Simulator* sim, resilience::Engine* engine,
                        std::size_t client_id, std::uint64_t pairs,
-                       sim::Latch* done, RunningStats* latency,
-                       std::uint64_t* failures) {
+                       RunningStats* latency, std::uint64_t* failures) {
   for (std::uint64_t i = 0; i < pairs; ++i) {
     const SimTime t0 = sim->now();
     const Result<Bytes> r = co_await engine->get(
@@ -42,7 +40,6 @@ sim::Task<void> reader(sim::Simulator* sim, resilience::Engine* engine,
     latency->record(static_cast<double>(sim->now() - t0));
     if (!r.ok()) ++*failures;
   }
-  done->count_down();
 }
 
 Point run_point(resilience::Design design, bool with_ssd,
@@ -51,24 +48,21 @@ Point run_point(resilience::Design design, bool with_ssd,
   cluster::Testbed bed = cluster::ri_qdr();
   if (with_ssd) bed.server.ssd_bytes = 300ULL * units::kGiB;
   Testbench bench(bed, 5, kClients, design);
-  {
-    sim::Latch done(bench.sim(), kClients);
-    for (std::size_t c = 0; c < kClients; ++c) {
-      bench.spawn(writer(&bench.engine(c), c, pairs, &done));
-    }
-    bench.run();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    bench.spawn_client(c, writer(&bench.engine(c), c, pairs));
   }
+  bench.run();
   Point point;
   point.lost_gib =
       static_cast<double>(bench.cluster().total_evicted_bytes()) /
       static_cast<double>(units::kGiB);
   {
-    sim::Latch done(bench.sim(), kClients);
     std::vector<RunningStats> lat(kClients);
     std::vector<std::uint64_t> failures(kClients, 0);
     for (std::size_t c = 0; c < kClients; ++c) {
-      bench.spawn(reader(&bench.sim(), &bench.engine(c), c, pairs, &done,
-                         &lat[c], &failures[c]));
+      bench.spawn_client(c, reader(&bench.cluster().sim_for_client(c),
+                                   &bench.engine(c), c, pairs, &lat[c],
+                                   &failures[c]));
     }
     bench.run();
     RunningStats all;
@@ -87,7 +81,6 @@ Point run_point(resilience::Design design, bool with_ssd,
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("abl_ssd", "its sweep drives every client from shard 0's loop");
   const std::uint64_t pairs = scaled(1'000);
   std::printf("ABL5 — SSD-assisted tier at the Fig 10 overload point"
               " (40 clients x %llu x 1 MB, 5 x 20 GB servers)\n",

@@ -67,9 +67,9 @@ inline std::uint64_t scaled(std::uint64_t ops) {
 //                             Testbench teardown writes a "finalize" dump)
 //   --flight-ring=N           flight-recorder ring size per node (default
 //                             256 records = 6 KiB/node)
-//   --shards=N                event-loop shards for harnesses that opt in
-//                             (the YCSB runners, micro_shard_scaling, and
-//                             the ext failure harnesses); overrides the
+//   --shards=N                event-loop shards for every Testbench point
+//                             (fig13_dfsio refuses N > 1; micro_shard_scaling
+//                             sweeps its own counts); overrides the
 //                             HPRES_SHARDS env var. 1 = the deterministic
 //                             oracle mode (the default). The whole
 //                             observability stack works at any shard
@@ -167,15 +167,10 @@ class ObsSession {
     return "pt" + std::to_string(point_seq_++);
   }
 
-  /// Requested shard count for harnesses that opt in (--shards /
-  /// HPRES_SHARDS). Observability no longer forces oracle mode: tracing,
-  /// flight recording and the health monitor all run shard-safe through
-  /// per-shard domains.
+  /// Shard count every Testbench runs at (--shards / HPRES_SHARDS).
+  /// Tracing, flight recording and the health monitor all run shard-safe
+  /// through per-shard domains.
   [[nodiscard]] std::size_t effective_shards() const noexcept {
-    return shards_;
-  }
-  /// Alias kept for harnesses that report the requested count.
-  [[nodiscard]] std::size_t requested_shards() const noexcept {
     return shards_;
   }
 
@@ -357,85 +352,55 @@ inline std::int64_t arg_int(int argc, char** argv, std::string_view prefix,
   return ObsSession::instance().finalize();
 }
 
-/// Guard for harnesses whose drivers have not been audited for shard
-/// safety (they share RNGs or counters across client coroutines, or call
-/// cross-shard APIs mid-run). Fails fast with a clear diagnostic instead
-/// of racing. Call right after obs_init().
-inline void require_oracle_shards(const char* harness, const char* why) {
-  const std::size_t n = ObsSession::instance().effective_shards();
-  if (n <= 1) return;
-  std::fprintf(stderr,
-               "error: %s is oracle-only: %s. Requested --shards=%zu; "
-               "re-run without --shards / HPRES_SHARDS, or use a sharded "
-               "harness (ycsb runners, micro_shard_scaling, "
-               "ext_gray_failure, ext_online_failure).\n",
-               harness, why, n);
-  std::exit(2);
-}
-
 /// A cluster plus one resilience engine per client, all sharing one codec
 /// and cost model. Rebuilt per experiment point for isolation.
 ///
 /// Every Testbench registers itself with the process ObsSession: it becomes
 /// one trace process (pid) named `point_label`, its stats structs bind into
 /// the metrics registry under that op label, and — when sampling is on — a
-/// periodic gauge sampler starts with the first spawn() and takes its
-/// final sample at teardown. The destructor freezes bound metrics
+/// periodic gauge sampler starts with the first spawn_client() and takes
+/// its final sample at teardown. The destructor freezes bound metrics
 /// (registry capture) so snapshots survive per-point teardown.
+///
+/// Harness drivers spawn onto their client's own loop (spawn_client) and
+/// mutate or observe the cluster only between run() calls, so every
+/// harness runs at any shard count. `shards` defaults to the process
+/// --shards / HPRES_SHARDS count.
 class Testbench {
  public:
-  /// `shards` sentinel: take the process-wide --shards / HPRES_SHARDS
-  /// request (harnesses audited for shard safety pass this; everything
-  /// else defaults to the single-loop oracle).
-  static constexpr std::size_t kAutoShards = static_cast<std::size_t>(-1);
-
   Testbench(const cluster::Testbed& bed, std::size_t servers,
             std::size_t clients, resilience::Design design, std::size_t k = 3,
             std::size_t m = 2, std::uint32_t rep_factor = 3,
             resilience::ArpeParams arpe = {},
             resilience::HedgeParams hedge = {}, std::string point_label = {},
-            resilience::PackParams pack = {}, std::size_t shards = 1)
+            resilience::PackParams pack = {},
+            std::size_t shards = ObsSession::instance().effective_shards())
       : codec_(k, m),
         cost_(ec::CostModel::defaults(ec::Scheme::kRsVandermonde, k, m,
                                       bed.cpu_factor)),
-        cluster_(shard_config(bed, servers, clients, shards)) {
+        cluster_([&] {
+          cluster::ClusterConfig cfg =
+              cluster::make_config(bed, servers, clients);
+          cfg.shards = shards;
+          return cfg;
+        }()),
+        recorders_(cluster_.num_shards()) {
     ObsSession& obs = ObsSession::instance();
     label_ = point_label.empty() ? obs.next_point_label()
                                  : std::move(point_label);
     trace_pid_ = obs.tracer().declare_process(label_);
-    recorder_.set_tail(obs.recorder().tail());
     cluster_.set_tracer(&obs.tracer(), trace_pid_);
     if (obs.flight() != nullptr) cluster_.set_flight_recorder(obs.flight());
     cluster_.enable_server_ec(codec_, cost_, /*materialize=*/false);
-    // Sharded runs record latencies into one recorder per engine (merged
-    // on read) so engines on different shard threads never share one;
-    // oracle runs keep the single shared recorder, byte-identical to the
-    // pre-shard harness.
-    if (cluster_.num_shards() > 1) {
-      engine_recorders_.reserve(clients);
-      for (std::size_t i = 0; i < clients; ++i) {
-        engine_recorders_.push_back(
-            std::make_unique<obs::LatencyRecorder>());
-        engine_recorders_.back()->set_tail(obs.recorder().tail());
-      }
-    }
+    // One latency recorder per shard: engines on different shard threads
+    // never share one, and at one shard it is the single shared recorder.
+    for (obs::LatencyRecorder& r : recorders_) r.set_tail(obs.recorder().tail());
     engines_.reserve(clients);
     for (std::size_t i = 0; i < clients; ++i) {
-      resilience::EngineContext ctx;
-      ctx.sim = &cluster_.sim_for_client(i);
-      ctx.client = &cluster_.client(i);
-      ctx.ring = &cluster_.ring();
-      ctx.membership = &cluster_.membership();
-      ctx.server_nodes = &cluster_.server_nodes();
-      ctx.materialize = false;
-      // Each engine records into its own shard's observability domains
-      // (the process-wide instruments themselves in oracle mode).
-      ctx.tracer = cluster_.tracer_for_client(i);
-      ctx.trace_pid = trace_pid_;
-      ctx.recorder = engine_recorders_.empty() ? &recorder_
-                                               : engine_recorders_[i].get();
-      ctx.flight = cluster_.flight_domain_of(
-          static_cast<net::NodeId>(servers + i));
+      resilience::EngineContext ctx =
+          cluster_.engine_context(i, /*materialize=*/false);
+      ctx.recorder = &recorders_[cluster_.fabric().shard_of(
+          static_cast<net::NodeId>(servers + i))];
       engines_.push_back(resilience::make_engine(
           design, ctx, rep_factor, &codec_, cost_, arpe, hedge, pack));
     }
@@ -477,14 +442,12 @@ class Testbench {
     }
     // Fold this point's percentiles (and tail-kept trace ids) into the
     // process-wide recorder that drives tail retention at finalize.
-    obs.recorder().merge(recorder_);
-    for (const auto& r : engine_recorders_) obs.recorder().merge(*r);
+    for (const obs::LatencyRecorder& r : recorders_) obs.recorder().merge(r);
     // Sim-efficiency accounting for the [bench] summary line.
     obs.add_sim_events(cluster_.runtime().events_executed());
   }
 
   [[nodiscard]] cluster::Cluster& cluster() noexcept { return cluster_; }
-  [[nodiscard]] sim::Simulator& sim() noexcept { return cluster_.sim(); }
   [[nodiscard]] resilience::Engine& engine(std::size_t i = 0) {
     return *engines_.at(i);
   }
@@ -493,60 +456,35 @@ class Testbench {
   }
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
   [[nodiscard]] std::uint32_t trace_pid() const noexcept { return trace_pid_; }
-  /// This point's always-on latency percentile recorder (the shared oracle
-  /// recorder; sharded points split per engine — use latency_rows()).
-  [[nodiscard]] obs::LatencyRecorder& recorder() noexcept { return recorder_; }
   [[nodiscard]] const ec::CostModel& cost() const noexcept { return cost_; }
 
-  /// Percentile rows over every recorder this point owns (the shared one
-  /// plus per-engine recorders in sharded mode). Histogram merging
-  /// commutes, so oracle rows are identical to recorder().rows().
+  /// Percentile rows over this point's per-shard recorders. Histogram
+  /// merging commutes, so the rows do not depend on the shard split.
   [[nodiscard]] std::vector<obs::LatencyRow> latency_rows() const {
-    if (engine_recorders_.empty()) return recorder_.rows();
     obs::LatencyRecorder merged;
-    merged.merge(recorder_);
-    for (const auto& r : engine_recorders_) merged.merge(*r);
+    for (const obs::LatencyRecorder& r : recorders_) merged.merge(r);
     return merged.rows();
   }
 
   /// Drops recorded latencies (harnesses reset between preload and the
   /// measured pass).
   void clear_latency() {
-    recorder_.clear();
-    for (const auto& r : engine_recorders_) r->clear();
+    for (obs::LatencyRecorder& r : recorders_) r.clear();
   }
 
   /// Runs the cluster to quiescence (Cluster::run), so the quiesce hooks
   /// — sampling, faults, health ticks — fire at every shard count.
   SimTime run() { return cluster_.run(); }
 
-  /// Spawns a workload task onto shard 0's loop (the only loop in oracle
-  /// mode). Starts the gauge sampler first when sampling is on.
-  void spawn(sim::Task<void> task) {
-    maybe_start_sampler();
-    sim().spawn(std::move(task));
-  }
-
-  /// Spawns a workload task onto client `i`'s own shard loop. Sharded
-  /// harnesses must use this — a task driving engine `i` has to run on the
-  /// engine's shard. In oracle mode this is exactly spawn().
+  /// Spawns a workload task onto client `i`'s own shard loop: a task
+  /// driving engine `i` has to run on the engine's shard. Starts the gauge
+  /// sampler first when sampling is on.
   void spawn_client(std::size_t i, sim::Task<void> task) {
     maybe_start_sampler();
     cluster_.sim_for_client(i).spawn(std::move(task));
   }
 
  private:
-  static cluster::ClusterConfig shard_config(const cluster::Testbed& bed,
-                                             std::size_t servers,
-                                             std::size_t clients,
-                                             std::size_t shards) {
-    cluster::ClusterConfig cfg = cluster::make_config(bed, servers, clients);
-    cfg.shards = shards == kAutoShards
-                     ? ObsSession::instance().effective_shards()
-                     : shards;
-    return cfg;
-  }
-
   /// Only sim-deterministic profile fields become shard.* gauges: the
   /// metrics/prometheus exports are byte-diffed across repeat runs, so the
   /// wall-clock fields (busy/stall) live only in --shard-profile-out and
@@ -641,8 +579,8 @@ class Testbench {
   ec::RsVandermondeCodec codec_;
   ec::CostModel cost_;
   cluster::Cluster cluster_;
-  obs::LatencyRecorder recorder_;  // outlives the engines that record into it
-  std::vector<std::unique_ptr<obs::LatencyRecorder>> engine_recorders_;
+  // One per shard; outlives the engines that record into it.
+  std::vector<obs::LatencyRecorder> recorders_;
   std::vector<std::unique_ptr<resilience::Engine>> engines_;
   std::string label_;
   std::uint32_t trace_pid_ = 0;

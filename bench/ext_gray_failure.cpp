@@ -103,8 +103,7 @@ sim::Task<void> client_proc(sim::Simulator* sim, resilience::Engine* engine,
 RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
   const workload::YcsbConfig cfg = bench_config();
   Testbench bench(cluster::ri_qdr(), kServers, kClients,
-                  resilience::Design::kEraCeCd, 3, 2, 3, {}, {}, {}, {},
-                  Testbench::kAutoShards);
+                  resilience::Design::kEraCeCd);
   bench.cluster().set_rpc_policy(guard_policy());
   cluster::FaultSchedule faults(bench.cluster(), kDetectionLagNs);
   obs::FaultLog fault_log;

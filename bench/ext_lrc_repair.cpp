@@ -32,75 +32,75 @@ struct Point {
   std::uint64_t unrepairable_keys = 0;
 };
 
-sim::Task<void> scenario(sim::Simulator* sim, resilience::Engine* engine,
-                         resilience::RepairCoordinator* repair,
-                         cluster::Cluster* cluster, std::uint64_t keys,
-                         std::size_t value_size, Point* out) {
+sim::Task<void> populate(resilience::Engine* engine, std::uint64_t keys,
+                         std::size_t value_size) {
   const SharedBytes value = zero_bytes(value_size);
   for (std::uint64_t i = 0; i < keys; ++i) {
     (void)engine->iset("obj" + std::to_string(i), value);
     if ((i + 1) % 32 == 0) co_await engine->wait_all();
   }
   co_await engine->wait_all();
+}
 
-  cluster->fail_server(0);
-  out->lost_fragments = cluster->server(0).store().items();
-  while (!cluster->server(0).store().keys().empty()) {
-    cluster->server(0).store().erase(cluster->server(0).store().keys().front());
-  }
-  cluster->recover_server(0);
-
+sim::Task<void> repair_all(sim::Simulator* sim,
+                           resilience::RepairCoordinator* repair,
+                           SimDur* repair_ns) {
   const SimTime t0 = sim->now();
   (void)co_await repair->repair_all();
-  const SimDur repair_ns = sim->now() - t0;
-
-  const auto& stats = repair->stats();
-  out->rebuilt_fragments = stats.fragments_rebuilt;
-  out->unrepairable_keys = stats.unrepairable_keys;
-  out->repair_ms = units::to_ms(repair_ns);
-  out->read_mib = static_cast<double>(stats.bytes_read) / (1024.0 * 1024.0);
-  out->frags_per_key =
-      stats.keys_repaired == 0
-          ? 0.0
-          : static_cast<double>(stats.fragments_read) /
-                static_cast<double>(stats.keys_repaired);
-  out->local_ratio =
-      stats.keys_repaired == 0
-          ? 0.0
-          : static_cast<double>(stats.local_repairs) /
-                static_cast<double>(stats.keys_repaired);
+  *repair_ns = sim->now() - t0;
 }
 
 Point run_code(const ec::Codec& codec, std::uint64_t keys,
                std::size_t value_size) {
+  ObsSession& obs = ObsSession::instance();
   // 12 servers hosts both codes' fragment counts (9 and 10) with room.
-  cluster::Cluster cl(cluster::make_config(cluster::ri_qdr(), 12, 1));
+  cluster::ClusterConfig cfg = cluster::make_config(cluster::ri_qdr(), 12, 1);
+  cfg.shards = obs.effective_shards();
+  cluster::Cluster cl(cfg);
   const auto cost = ec::CostModel::defaults(ec::Scheme::kRsVandermonde,
                                             codec.k(), codec.m());
   cl.enable_server_ec(codec, cost, false);
-  obs::Tracer& tracer = ObsSession::instance().tracer();
-  const std::uint32_t pid = tracer.declare_process(std::string(codec.name()));
-  cl.set_tracer(&tracer, pid);
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
-  ctx.materialize = false;
-  ctx.tracer = &tracer;
-  ctx.trace_pid = pid;
+  cl.set_tracer(&obs.tracer(),
+                obs.tracer().declare_process(std::string(codec.name())));
+  const resilience::EngineContext ctx =
+      cl.engine_context(0, /*materialize=*/false);
   const auto engine = resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost);
   resilience::RepairCoordinator repair(ctx, codec, cost);
   cl.start();
+  sim::Simulator* sim = &cl.sim_for_client(0);
+  sim->spawn(populate(engine.get(), keys, value_size));
+  cl.run();
+
+  // Server 0 rejoins empty: every fragment it held is lost.
   Point point;
   point.overhead = static_cast<double>(codec.n()) /
                    static_cast<double>(codec.k());
-  cl.sim().spawn(scenario(&cl.sim(), engine.get(), &repair, &cl, keys,
-                          value_size, &point));
+  cl.fail_server(0);
+  point.lost_fragments = cl.server(0).store().items();
+  cl.server(0).store().clear();
+  cl.recover_server(0);
+
+  SimDur repair_ns = 0;
+  sim->spawn(repair_all(sim, &repair, &repair_ns));
   cl.run();
-  ObsSession::instance().add_sim_events(cl.runtime().events_executed());
+  obs.add_sim_events(cl.runtime().events_executed());
+
+  const auto& stats = repair.stats();
+  point.rebuilt_fragments = stats.fragments_rebuilt;
+  point.unrepairable_keys = stats.unrepairable_keys;
+  point.repair_ms = units::to_ms(repair_ns);
+  point.read_mib = static_cast<double>(stats.bytes_read) / (1024.0 * 1024.0);
+  point.frags_per_key =
+      stats.keys_repaired == 0
+          ? 0.0
+          : static_cast<double>(stats.fragments_read) /
+                static_cast<double>(stats.keys_repaired);
+  point.local_ratio =
+      stats.keys_repaired == 0
+          ? 0.0
+          : static_cast<double>(stats.local_repairs) /
+                static_cast<double>(stats.keys_repaired);
   return point;
 }
 
@@ -108,7 +108,6 @@ Point run_code(const ec::Codec& codec, std::uint64_t keys,
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("ext_lrc_repair", "its repair coordinator drives cross-node reads from one loop");
   const std::uint64_t keys = scaled(150);
   constexpr std::size_t kValue = 256 * 1024;
   std::printf("EXT2 — repair locality, node rejoin with %llu x 256 KB keys,"

@@ -100,8 +100,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   const bool inject = dry_makespan_ns > 0;
   const workload::YcsbConfig cfg = bench_config();
   Testbench bench(cluster::ri_qdr(), kServers, kClients,
-                  resilience::Design::kEraCeCd, 3, 2, 3, {}, hedge, {}, {},
-                  Testbench::kAutoShards);
+                  resilience::Design::kEraCeCd, 3, 2, 3, {}, hedge);
   if (inject) bench.cluster().set_rpc_policy(guard_policy());
   cluster::FaultSchedule faults(bench.cluster(), kDetectionLagNs);
   obs::FaultLog fault_log;
@@ -177,19 +176,13 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
 
   if (inject) {
     // Post-restart repair restores full redundancy on the wiped node.
-    resilience::EngineContext ctx;
-    ctx.sim = &bench.sim();
-    ctx.client = &bench.cluster().client(0);
-    ctx.ring = &bench.cluster().ring();
-    ctx.membership = &bench.cluster().membership();
-    ctx.server_nodes = &bench.cluster().server_nodes();
-    ctx.materialize = false;
     ec::RsVandermondeCodec codec(3, 2);
     resilience::RepairCoordinator repair(
-        ctx, codec, ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2));
+        bench.cluster().engine_context(0, /*materialize=*/false), codec,
+        ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2));
     repair.set_purge_orphans(true);
     const SimTime t0 = bench.cluster().now_quiesced();
-    bench.spawn(repair_proc(&repair));
+    bench.spawn_client(0, repair_proc(&repair));
     bench.run();
     out.repair_ms = units::to_ms(bench.cluster().now_quiesced() - t0);
     out.fragments_rebuilt = repair.stats().fragments_rebuilt;

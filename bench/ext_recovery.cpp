@@ -21,53 +21,72 @@ struct Point {
   double degraded_get_us = 0.0;
 };
 
-sim::Task<void> scenario(sim::Simulator* sim, resilience::Engine* engine,
-                         resilience::RepairCoordinator* repair,
-                         cluster::Cluster* cluster, std::uint64_t keys,
-                         std::size_t value_size, Point* out) {
+sim::Task<void> populate(resilience::Engine* engine, std::uint64_t keys,
+                         std::size_t value_size) {
   const SharedBytes value = zero_bytes(value_size);
   for (std::uint64_t i = 0; i < keys; ++i) {
     (void)engine->iset("obj" + std::to_string(i), value);
     if ((i + 1) % 32 == 0) co_await engine->wait_all();
   }
   co_await engine->wait_all();
+}
 
-  // Healthy read latency.
-  SimTime t0 = sim->now();
+/// Reads every key back once; average per-Get latency (us) into `*avg_us`.
+sim::Task<void> read_all(sim::Simulator* sim, resilience::Engine* engine,
+                         std::uint64_t keys, double* avg_us) {
+  const SimTime t0 = sim->now();
   for (std::uint64_t i = 0; i < keys; ++i) {
     (void)co_await engine->get("obj" + std::to_string(i));
   }
-  out->healthy_get_us =
-      units::to_us(sim->now() - t0) / static_cast<double>(keys);
+  *avg_us = units::to_us(sim->now() - t0) / static_cast<double>(keys);
+}
 
-  // Server 0 dies with total state loss, rejoins empty.
-  cluster->fail_server(0);
-  while (!cluster->server(0).store().keys().empty()) {
-    cluster->server(0).store().erase(cluster->server(0).store().keys().front());
-  }
-  // Degraded read latency (keys whose fragment lived on server 0 decode).
-  t0 = sim->now();
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    (void)co_await engine->get("obj" + std::to_string(i));
-  }
-  out->degraded_get_us =
-      units::to_us(sim->now() - t0) / static_cast<double>(keys);
-
-  cluster->recover_server(0);
-  t0 = sim->now();
+sim::Task<void> repair_all(sim::Simulator* sim,
+                           resilience::RepairCoordinator* repair,
+                           SimDur* repair_ns) {
+  const SimTime t0 = sim->now();
   (void)co_await repair->repair_all();
-  const SimDur repair_ns = sim->now() - t0;
-  out->repair_ms = units::to_ms(repair_ns);
-  out->repair_mib_s =
-      static_cast<double>(repair->stats().bytes_rebuilt) / (1024.0 * 1024.0) /
+  *repair_ns = sim->now() - t0;
+}
+
+/// Each phase runs to quiescence; the crash, wipe and rejoin happen
+/// between phases.
+Point run_point(std::uint64_t keys, std::size_t value_size) {
+  Testbench bench(cluster::ri_qdr(), 5, 1, resilience::Design::kEraCeCd);
+  cluster::Cluster& cluster = bench.cluster();
+  sim::Simulator* sim = &cluster.sim_for_client(0);
+  resilience::Engine* engine = &bench.engine();
+  ec::RsVandermondeCodec codec(3, 2);
+  resilience::RepairCoordinator repair(
+      cluster.engine_context(0, /*materialize=*/false), codec,
+      ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2));
+  Point out;
+  bench.spawn_client(0, populate(engine, keys, value_size));
+  bench.run();
+  // Healthy read latency.
+  bench.spawn_client(0, read_all(sim, engine, keys, &out.healthy_get_us));
+  bench.run();
+  // Server 0 dies with total state loss, rejoins empty. Degraded read
+  // latency first (keys whose fragment lived on server 0 decode).
+  cluster.fail_server(0);
+  cluster.server(0).store().clear();
+  bench.spawn_client(0, read_all(sim, engine, keys, &out.degraded_get_us));
+  bench.run();
+  cluster.recover_server(0);
+  SimDur repair_ns = 0;
+  bench.spawn_client(0, repair_all(sim, &repair, &repair_ns));
+  bench.run();
+  out.repair_ms = units::to_ms(repair_ns);
+  out.repair_mib_s =
+      static_cast<double>(repair.stats().bytes_rebuilt) / (1024.0 * 1024.0) /
       units::to_s(repair_ns);
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("ext_recovery", "its repair coordinator drives cross-node reads from one loop");
   const std::uint64_t keys = scaled(200);
   std::printf("EXT1 — recovery overhead: node rejoins empty, RS(3,2),"
               " RI-QDR, %llu keys per point\n",
@@ -78,24 +97,7 @@ int main(int argc, char** argv) {
   for (const std::size_t size :
        {std::size_t{16} * 1024, std::size_t{64} * 1024,
         std::size_t{256} * 1024, std::size_t{1024} * 1024}) {
-    Testbench bench(cluster::ri_qdr(), 5, 1, resilience::Design::kEraCeCd);
-    resilience::EngineContext ctx;
-    ctx.sim = &bench.sim();
-    ctx.client = &bench.cluster().client(0);
-    ctx.ring = &bench.cluster().ring();
-    ctx.membership = &bench.cluster().membership();
-    ctx.server_nodes = &bench.cluster().server_nodes();
-    ctx.materialize = false;
-    ctx.tracer = &ObsSession::instance().tracer();
-    ctx.trace_pid = bench.trace_pid();
-    ec::RsVandermondeCodec codec(3, 2);
-    resilience::RepairCoordinator repair(
-        ctx, codec,
-        ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2));
-    Point point;
-    bench.spawn(scenario(&bench.sim(), &bench.engine(), &repair,
-                         &bench.cluster(), keys, size, &point));
-    bench.run();
+    const Point point = run_point(keys, size);
     print_cell(size_label(size));
     print_cell(point.repair_ms);
     print_cell(point.repair_mib_s);

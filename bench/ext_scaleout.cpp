@@ -75,8 +75,7 @@ struct ScaleoutBench {
           return cfg;
         }()) {
     ObsSession& obs = ObsSession::instance();
-    trace_pid = obs.tracer().declare_process(label);
-    cl.set_tracer(&obs.tracer(), trace_pid);
+    cl.set_tracer(&obs.tracer(), obs.tracer().declare_process(label));
     cl.enable_server_ec(codec, cost, /*materialize=*/false);
     // The last client is the placement coordinator's RPC identity.
     manager = std::make_unique<cluster::PlacementManager>(
@@ -105,22 +104,15 @@ struct ScaleoutBench {
 
   resilience::EngineContext context(std::size_t client,
                                     const kv::HashRing* ring) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim_for_client(client);
-    ctx.client = &cl.client(client);
+    resilience::EngineContext ctx =
+        cl.engine_context(client, /*materialize=*/false);
     ctx.ring = ring;
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    ctx.tracer = cl.tracer_for_client(client);
-    ctx.trace_pid = trace_pid;
     return ctx;
   }
 
   ec::RsVandermondeCodec codec;
   ec::CostModel cost;
   cluster::Cluster cl;
-  std::uint32_t trace_pid = 0;
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   std::vector<std::unique_ptr<resilience::Engine>> prev_engines;
   std::unique_ptr<cluster::PlacementManager> manager;

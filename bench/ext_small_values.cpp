@@ -36,7 +36,7 @@ std::string key_of(std::uint64_t i) {
 }
 
 sim::Task<void> loader(resilience::Engine* engine, std::uint64_t keys,
-                       std::size_t value_size, sim::Latch* done) {
+                       std::size_t value_size) {
   const SharedBytes value = zero_bytes(value_size);
   for (std::uint64_t i = 0; i < keys; ++i) {
     (void)engine->iset(key_of(i), value);
@@ -47,7 +47,6 @@ sim::Task<void> loader(resilience::Engine* engine, std::uint64_t keys,
   for (std::uint64_t i = 0; i < keys; i += 97) {
     (void)co_await engine->get(key_of(i));
   }
-  done->count_down();
 }
 
 struct Point {
@@ -67,8 +66,7 @@ Point run_point(std::size_t value_size, std::uint64_t keys,
   Testbench bench(cluster::ri_qdr(), /*servers=*/5, /*clients=*/1,
                   resilience::Design::kEraCeCd, kK, kM, /*rep_factor=*/3,
                   arpe, {}, {}, pack);
-  sim::Latch done(bench.sim(), 1);
-  bench.spawn(loader(&bench.engine(0), keys, value_size, &done));
+  bench.spawn_client(0, loader(&bench.engine(0), keys, value_size));
   bench.run();
   Point p;
   std::uint64_t stored = bench.cluster().total_bytes_used();
@@ -94,7 +92,6 @@ struct Row {
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("ext_small_values", "its loader/client drivers all run on shard 0's loop");
   const std::size_t pack_threshold = static_cast<std::size_t>(
       arg_int(argc, argv, "--pack-threshold=", 4096));
   std::string out_path = "BENCH_small_values.json";

@@ -27,29 +27,36 @@ constexpr resilience::Design kDesigns[] = {
 
 enum class Exp { kSet, kGet, kGetTwoFailures };
 
-sim::Task<void> run_point(sim::Simulator* sim, resilience::Engine* engine,
-                          cluster::Cluster* cluster, workload::OhbConfig cfg,
-                          Exp exp, workload::OhbResult* result) {
+/// One experiment point. The populate pass runs to quiescence first, so
+/// the measured pass starts on an idle cluster and the failures land
+/// between operations.
+double run_point(resilience::Design design, std::size_t size, Exp exp) {
+  Testbench bench(cluster::ri_qdr(), /*servers=*/5, /*clients=*/1, design);
+  sim::Simulator* sim = &bench.cluster().sim_for_client(0);
+  workload::OhbConfig cfg;
+  cfg.operations = scaled(1'000);
+  cfg.value_size = size;
   // Populate (needed for every experiment; Gets read these keys back).
-  workload::OhbResult ignore;
-  co_await workload::ohb_set_workload(sim, engine, cfg, &ignore);
-  switch (exp) {
-    case Exp::kSet: {
-      // Re-run the measured Set pass on fresh keys.
-      workload::OhbConfig cfg2 = cfg;
-      cfg2.seed = cfg.seed + 1;
-      co_await workload::ohb_set_workload(sim, engine, cfg2, result);
-      break;
+  workload::OhbResult populate;
+  bench.spawn_client(
+      0, workload::ohb_set_workload(sim, &bench.engine(), cfg, &populate));
+  bench.run();
+  workload::OhbResult result;
+  if (exp == Exp::kSet) {
+    // Re-run the measured Set pass on fresh keys.
+    cfg.seed += 1;
+    bench.spawn_client(
+        0, workload::ohb_set_workload(sim, &bench.engine(), cfg, &result));
+  } else {
+    if (exp == Exp::kGetTwoFailures) {
+      bench.cluster().fail_server(0);
+      bench.cluster().fail_server(1);
     }
-    case Exp::kGet:
-      co_await workload::ohb_get_workload(sim, engine, cfg, result);
-      break;
-    case Exp::kGetTwoFailures:
-      cluster->fail_server(0);
-      cluster->fail_server(1);
-      co_await workload::ohb_get_workload(sim, engine, cfg, result);
-      break;
+    bench.spawn_client(
+        0, workload::ohb_get_workload(sim, &bench.engine(), cfg, &result));
   }
+  bench.run();
+  return result.avg_latency_us();
 }
 
 void run_table(const char* title, Exp exp) {
@@ -59,16 +66,7 @@ void run_table(const char* title, Exp exp) {
   for (const std::size_t size : kSizes) {
     print_cell(size_label(size));
     for (const auto design : kDesigns) {
-      Testbench bench(cluster::ri_qdr(), /*servers=*/5, /*clients=*/1,
-                      design);
-      workload::OhbConfig cfg;
-      cfg.operations = scaled(1'000);
-      cfg.value_size = size;
-      workload::OhbResult result;
-      bench.spawn(run_point(&bench.sim(), &bench.engine(), &bench.cluster(),
-                            cfg, exp, &result));
-      bench.run();
-      print_cell(result.avg_latency_us());
+      print_cell(run_point(design, size, exp));
     }
     end_row();
   }
@@ -78,7 +76,6 @@ void run_table(const char* title, Exp exp) {
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("fig08_microbench", "its point drivers all run on shard 0's loop");
   std::printf("FIG8 (paper Fig 8) — OHB Set/Get latency, RI-QDR, 5 servers,"
               " RS(3,2) / Rep=3, avg us per op\n");
   run_table("Fig 8(a): Set latency (us)", Exp::kSet);

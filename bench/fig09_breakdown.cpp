@@ -75,33 +75,47 @@ struct TracedPhases {
   }
 };
 
-sim::Task<void> run_point(sim::Simulator* sim, resilience::Engine* engine,
-                          cluster::Cluster* cluster, workload::OhbConfig cfg,
-                          bool get_with_failures, const obs::Tracer* tracer,
-                          std::uint32_t pid, workload::OhbResult* result,
-                          TracedPhases* traced, std::uint64_t* wm_lo,
-                          std::uint64_t* wm_hi) {
+/// Populates, then runs the measured pass. Both passes run to quiescence,
+/// and the span snapshots and trace-id watermarks are taken between them,
+/// after the per-shard tracer domains merge.
+TracedPhases run_point(Testbench& bench, workload::OhbConfig cfg,
+                       bool get_with_failures, workload::OhbResult* result,
+                       std::uint64_t* wm_lo, std::uint64_t* wm_hi) {
+  cluster::Cluster& cluster = bench.cluster();
+  sim::Simulator* sim = &cluster.sim_for_client(0);
+  const obs::Tracer& tracer = ObsSession::instance().tracer();
+  // Op trace ids come from the client's shard domain, so its watermark
+  // brackets the measured pass at any shard count.
+  const obs::Tracer* client_tracer = cluster.tracer_for_client(0);
   workload::OhbResult ignore;
-  co_await workload::ohb_set_workload(sim, engine, cfg, &ignore);
+  bench.spawn_client(
+      0, workload::ohb_set_workload(sim, &bench.engine(), cfg, &ignore));
+  bench.run();
+  cluster.merge_obs_domains();
   const SpanPhaseTotals before =
-      snapshot_spans(*tracer, pid, get_with_failures);
-  *wm_lo = tracer->trace_watermark();  // analyze only the measured pass
+      snapshot_spans(tracer, bench.trace_pid(), get_with_failures);
+  *wm_lo = client_tracer->trace_watermark();  // analyze only the measured pass
   if (!get_with_failures) {
-    workload::OhbConfig cfg2 = cfg;
-    cfg2.seed = cfg.seed + 1;
-    co_await workload::ohb_set_workload(sim, engine, cfg2, result);
+    cfg.seed += 1;
+    bench.spawn_client(
+        0, workload::ohb_set_workload(sim, &bench.engine(), cfg, result));
   } else {
-    cluster->fail_server(0);
-    cluster->fail_server(1);
-    co_await workload::ohb_get_workload(sim, engine, cfg, result);
+    cluster.fail_server(0);
+    cluster.fail_server(1);
+    bench.spawn_client(
+        0, workload::ohb_get_workload(sim, &bench.engine(), cfg, result));
   }
-  *wm_hi = tracer->trace_watermark();
+  bench.run();
+  cluster.merge_obs_domains();
+  *wm_hi = client_tracer->trace_watermark();
   const SpanPhaseTotals after =
-      snapshot_spans(*tracer, pid, get_with_failures);
-  traced->request_ns = after.request_ns - before.request_ns;
-  traced->compute_ns = after.compute_ns - before.compute_ns;
-  traced->wait_ns = (after.total_ns - before.total_ns) - traced->request_ns -
-                    traced->compute_ns;
+      snapshot_spans(tracer, bench.trace_pid(), get_with_failures);
+  TracedPhases traced;
+  traced.request_ns = after.request_ns - before.request_ns;
+  traced.compute_ns = after.compute_ns - before.compute_ns;
+  traced.wait_ns = (after.total_ns - before.total_ns) - traced.request_ns -
+                   traced.compute_ns;
+  return traced;
 }
 
 /// Critical-path aggregates for one experiment point.
@@ -167,15 +181,11 @@ int run_table(const char* title, bool get_with_failures) {
       cfg.operations = scaled(500);
       cfg.value_size = size;
       workload::OhbResult result;
-      TracedPhases traced;
       std::uint64_t wm_lo = 0;
       std::uint64_t wm_hi = 0;
+      const TracedPhases traced = run_point(bench, cfg, get_with_failures,
+                                            &result, &wm_lo, &wm_hi);
       ObsSession& obs = ObsSession::instance();
-      bench.spawn(run_point(&bench.sim(), &bench.engine(), &bench.cluster(),
-                            cfg, get_with_failures, &obs.tracer(),
-                            bench.trace_pid(), &result, &traced, &wm_lo,
-                            &wm_hi));
-      bench.run();
 
       // The span-derived phases must agree with the legacy PhaseBreakdown
       // accumulators (they are computed from the same charged costs).
@@ -294,7 +304,6 @@ int run_table(const char* title, bool get_with_failures) {
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("fig09_breakdown", "its phase-breakdown probes run on shard 0's loop");
   // Phase numbers come from the span tracer, so it is always on here
   // (recording is passive — simulated results are identical either way).
   ObsSession::instance().tracer().set_enabled(true);

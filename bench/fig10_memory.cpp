@@ -18,8 +18,7 @@ using namespace hpres;         // NOLINT(google-build-using-namespace)
 using namespace hpres::bench;  // NOLINT(google-build-using-namespace)
 
 sim::Task<void> writer(resilience::Engine* engine, std::size_t client_id,
-                       std::uint64_t pairs, std::size_t value_size,
-                       sim::Latch* done) {
+                       std::uint64_t pairs, std::size_t value_size) {
   const SharedBytes value = zero_bytes(value_size);
   for (std::uint64_t i = 0; i < pairs; ++i) {
     (void)engine->iset(
@@ -27,7 +26,6 @@ sim::Task<void> writer(resilience::Engine* engine, std::size_t client_id,
     if ((i + 1) % 32 == 0) co_await engine->wait_all();
   }
   co_await engine->wait_all();
-  done->count_down();
 }
 
 struct Point {
@@ -38,10 +36,9 @@ struct Point {
 Point run_point(resilience::Design design, std::size_t clients,
                 std::uint64_t pairs_per_client) {
   Testbench bench(cluster::ri_qdr(), /*servers=*/5, clients, design);
-  sim::Latch done(bench.sim(), static_cast<std::uint32_t>(clients));
   for (std::size_t c = 0; c < clients; ++c) {
-    bench.spawn(writer(&bench.engine(c), c, pairs_per_client,
-                       1024 * 1024, &done));
+    bench.spawn_client(
+        c, writer(&bench.engine(c), c, pairs_per_client, 1024 * 1024));
   }
   bench.run();
   Point p;
@@ -61,8 +58,7 @@ Point run_point(resilience::Design design, std::size_t clients,
 void check_footprint_accounting(std::uint64_t pairs) {
   Testbench bench(cluster::ri_qdr(), /*servers=*/5, /*clients=*/1,
                   resilience::Design::kEraCeCd);
-  sim::Latch done(bench.sim(), 1);
-  bench.spawn(writer(&bench.engine(0), 0, pairs, 1024 * 1024, &done));
+  bench.spawn_client(0, writer(&bench.engine(0), 0, pairs, 1024 * 1024));
   bench.run();
   const double measured =
       static_cast<double>(bench.cluster().total_bytes_used());
@@ -93,7 +89,6 @@ void check_footprint_accounting(std::uint64_t pairs) {
 
 int main(int argc, char** argv) {
   obs_init(argc, argv);
-  require_oracle_shards("fig10_memory", "its loaders all run on shard 0's loop");
   const std::uint64_t pairs = scaled(1'000);
   check_footprint_accounting(pairs);
   std::printf("FIG10 (paper Fig 10) — memory efficiency, 5 servers x 20 GB"

@@ -41,7 +41,7 @@ void run_cluster(const cluster::Testbed& bed,
         cfg.record_count = scaled(4'000);
         cfg.ops_per_client = scaled(60);
         cfg.value_size = size;
-        YcsbRun run = run_ycsb(bed, design, cfg);
+        YcsbRun run = run_ycsb(bed, design, cfg, YcsbRunOpts{});
         print_cell(run.avg_read_us());
         print_cell(run.avg_write_us());
         pct.emplace_back(std::string(to_string(design)) + "/" +

@@ -50,8 +50,9 @@ void run_cluster(const cluster::Testbed& bed,
         cfg.ops_per_client = scaled(60);
         cfg.value_size = size;
         const cluster::Testbed actual = row.ipoib ? with_ipoib(bed) : bed;
-        const YcsbRun run =
-            run_ycsb(actual, row.design, cfg, 5, 150, row.rep_factor);
+        YcsbRunOpts opts;
+        opts.rep_factor = row.rep_factor;
+        const YcsbRun run = run_ycsb(actual, row.design, cfg, opts);
         print_cell(run.throughput_ops_s());
       }
       end_row();

@@ -130,11 +130,11 @@ struct YcsbRunOpts {
   double slow_factor = 1.0;
   std::size_t slow_server = 0;
   std::string point_label = {};
-  /// Shard count for the parallel runtime. Defaults to the harness-wide
-  /// resolution (--shards / HPRES_SHARDS, oracle when unset). Fault
-  /// injection works at any count: FaultSchedule applies events from a
-  /// runtime quiesce hook.
-  std::size_t shards = Testbench::kAutoShards;
+  /// Shard count for the parallel runtime. Defaults to the process
+  /// --shards / HPRES_SHARDS count (oracle when unset). Fault injection
+  /// works at any count: FaultSchedule applies events from a runtime
+  /// quiesce hook.
+  std::size_t shards = ObsSession::instance().effective_shards();
 };
 
 inline YcsbRun run_ycsb(const cluster::Testbed& bed,
@@ -199,19 +199,6 @@ inline YcsbRun run_ycsb(const cluster::Testbed& bed,
     run.degraded_gets += eng.degraded_gets;
   }
   return run;
-}
-
-/// Back-compat shim for the original positional signature.
-inline YcsbRun run_ycsb(const cluster::Testbed& bed,
-                        resilience::Design design,
-                        workload::YcsbConfig cfg, std::size_t servers = 5,
-                        std::size_t clients = 150,
-                        std::uint32_t rep_factor = 3) {
-  YcsbRunOpts opts;
-  opts.servers = servers;
-  opts.clients = clients;
-  opts.rep_factor = rep_factor;
-  return run_ycsb(bed, design, cfg, opts);
 }
 
 /// Testbed variant that swaps the fabric for IPoIB (the Memc-IPoIB

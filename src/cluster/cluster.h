@@ -17,6 +17,7 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "resilience/engine.h"
 #include "sim/shard_runtime.h"
 
 namespace hpres::cluster {
@@ -179,6 +180,27 @@ class Cluster {
     return shard_flights_.empty()
                ? flight_
                : shard_flights_[fabric_.shard_of(node)].get();
+  }
+
+  /// Engine wiring for client `i`: its shard's event loop, its RPC client,
+  /// the cluster ring, membership and server list, and its shard's tracer
+  /// and flight-recorder domains under trace_pid() (null when none is
+  /// attached). Callers override only what they change — another ring, a
+  /// latency recorder. Attach observability before calling.
+  [[nodiscard]] resilience::EngineContext engine_context(
+      std::size_t i, bool materialize = true) {
+    const auto node = static_cast<net::NodeId>(config_.num_servers + i);
+    resilience::EngineContext ctx;
+    ctx.sim = &sim_for_node(node);
+    ctx.client = &client(i);
+    ctx.ring = &ring_;
+    ctx.membership = &membership_;
+    ctx.server_nodes = &server_nodes_;
+    ctx.materialize = materialize;
+    ctx.tracer = tracer_for_node(node);
+    ctx.trace_pid = trace_pid_;
+    ctx.flight = flight_domain_of(node);
+    return ctx;
   }
 
   /// Deterministic merge of the per-shard observability domains into the

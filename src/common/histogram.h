@@ -28,7 +28,7 @@ class LatencyHistogram {
     if (value < 0) value = 0;
     ++counts_[bucket_index(static_cast<std::uint64_t>(value))];
     ++total_;
-    sum_ += value;
+    sum_ = saturating_add(sum_, value);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
@@ -38,7 +38,7 @@ class LatencyHistogram {
       counts_[i] += other.counts_[i];
     }
     total_ += other.total_;
-    sum_ += other.sum_;
+    sum_ = saturating_add(sum_, other.sum_);
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
@@ -131,6 +131,13 @@ class LatencyHistogram {
   }
 
  private:
+  /// Sum of two non-negative values, pinned at INT64_MAX instead of
+  /// overflowing. Monotone, so merging still equals recording the union.
+  static std::int64_t saturating_add(std::int64_t a, std::int64_t b) noexcept {
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    return b > kMax - a ? kMax : a + b;
+  }
+
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::int64_t sum_ = 0;

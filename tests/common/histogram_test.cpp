@@ -191,6 +191,19 @@ TEST(LatencyHistogram, MergeEqualsRecordingTheUnion) {
   }
 }
 
+TEST(LatencyHistogram, SumSaturatesInsteadOfOverflowing) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  LatencyHistogram h;
+  h.record(kMax);
+  h.record(kMax);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.sum(), kMax);
+  LatencyHistogram merged;
+  merged.merge(h);
+  merged.merge(h);
+  EXPECT_EQ(merged.sum(), kMax);
+}
+
 TEST(LatencyHistogram, MergeIntoEmptyPreservesEverything) {
   LatencyHistogram a;
   LatencyHistogram b;

@@ -28,15 +28,9 @@ RunOutcome run_small_ycsb(std::uint64_t seed) {
   cl.enable_server_ec(codec, cost, false);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < 4; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
-                                              ctx, 3, &codec, cost));
+    engines.push_back(resilience::make_engine(
+        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
+        cost));
   }
   cl.start();
 
@@ -112,17 +106,9 @@ ObsOutcome run_instrumented_ycsb(std::uint64_t seed) {
   cl.set_tracer(&tracer, pid);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < 2; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    ctx.tracer = &tracer;
-    ctx.trace_pid = pid;
-    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
-                                              ctx, 3, &codec, cost));
+    engines.push_back(resilience::make_engine(
+        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
+        cost));
   }
   cl.start();
   cl.register_metrics(registry, "ycsb");

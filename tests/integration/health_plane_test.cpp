@@ -72,16 +72,9 @@ PlaneOutcome run_plane_ycsb(std::uint64_t seed, Fault fault,
 
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < kClients; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    if (with_plane) ctx.flight = &flight;
-    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
-                                              ctx, 3, &codec, cost));
+    engines.push_back(resilience::make_engine(
+        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
+        cost));
   }
   cl.start();
   cl.register_metrics(registry, "plane");

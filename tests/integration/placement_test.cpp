@@ -61,13 +61,8 @@ struct Harness {
 
   resilience::EngineContext context(std::size_t client,
                                     const kv::HashRing* ring) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim_for_client(client);
-    ctx.client = &cl.client(client);
+    resilience::EngineContext ctx = cl.engine_context(client);
     ctx.ring = ring;
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = true;
     return ctx;
   }
 

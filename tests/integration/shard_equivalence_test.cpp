@@ -44,15 +44,9 @@ ShardedOutcome run_sharded_ycsb(std::size_t shards, std::uint64_t seed) {
   cl.enable_server_ec(codec, cost, false);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < kClients; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim_for_client(c);
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
-                                              ctx, 3, &codec, cost));
+    engines.push_back(resilience::make_engine(
+        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
+        cost));
   }
   cl.start();
 

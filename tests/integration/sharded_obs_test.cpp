@@ -76,23 +76,11 @@ ObsOutcome run_observed_ycsb(std::size_t shards, std::uint64_t seed,
 
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < kClients; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim_for_client(c);
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    if (knobs.observe) {
-      // Engines write into their own shard's domain — the single-writer
-      // discipline every other instrument follows.
-      ctx.tracer = cl.tracer_for_client(c);
-      ctx.trace_pid = pid;
-      ctx.flight = cl.flight_domain_of(
-          static_cast<net::NodeId>(kServers + c));
-    }
-    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
-                                              ctx, 3, &codec, cost));
+    // Engines write into their own shard's domain — the single-writer
+    // discipline every other instrument follows.
+    engines.push_back(resilience::make_engine(
+        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
+        cost));
   }
   cl.start();
 
@@ -241,6 +229,56 @@ TEST(ShardedObs, HealthWindowSumsMatchOracle) {
   ASSERT_GT(oracle.health_responses, 0u);
   EXPECT_EQ(sharded.health_responses, oracle.health_responses);
   EXPECT_EQ(sharded.health_timeouts, oracle.health_timeouts);
+}
+
+// Cluster::engine_context hands each client its own shard's loop and
+// observability domains (the process instruments at one shard), and null
+// observational fields when nothing is attached.
+TEST(Cluster, EngineContextWiresClientShardDomains) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    cluster::ClusterConfig config{.num_servers = kServers,
+                                  .num_clients = kClients};
+    config.shards = shards;
+    cluster::Cluster bare(config);
+    for (std::size_t i = 0; i < kClients; ++i) {
+      const resilience::EngineContext ctx = bare.engine_context(i, false);
+      EXPECT_EQ(ctx.sim, &bare.sim_for_client(i));
+      EXPECT_EQ(ctx.client, &bare.client(i));
+      EXPECT_EQ(ctx.tracer, nullptr);
+      EXPECT_EQ(ctx.flight, nullptr);
+      EXPECT_EQ(ctx.recorder, nullptr);
+      EXPECT_FALSE(ctx.materialize);
+    }
+
+    cluster::Cluster cl(config);
+    obs::Tracer tracer(true);
+    const std::uint32_t pid = tracer.declare_process("ctx-pt");
+    obs::FlightRecorder flight;
+    cl.set_tracer(&tracer, pid);
+    cl.set_flight_recorder(&flight);
+    for (std::size_t i = 0; i < kClients; ++i) {
+      const resilience::EngineContext ctx = cl.engine_context(i);
+      const auto node = static_cast<net::NodeId>(kServers + i);
+      EXPECT_EQ(ctx.sim, &cl.sim_for_client(i)) << "shards=" << shards;
+      EXPECT_EQ(ctx.client, &cl.client(i));
+      EXPECT_EQ(ctx.ring, &cl.ring());
+      EXPECT_EQ(ctx.membership, &cl.membership());
+      EXPECT_EQ(ctx.server_nodes, &cl.server_nodes());
+      EXPECT_TRUE(ctx.materialize);
+      EXPECT_EQ(ctx.tracer, cl.tracer_for_client(i));
+      EXPECT_NE(ctx.tracer, nullptr);
+      EXPECT_EQ(ctx.trace_pid, pid);
+      EXPECT_EQ(ctx.flight, cl.flight_domain_of(node));
+      EXPECT_NE(ctx.flight, nullptr);
+      if (shards == 1) {
+        EXPECT_EQ(ctx.tracer, &tracer);
+        EXPECT_EQ(ctx.flight, &flight);
+      } else {
+        EXPECT_NE(ctx.tracer, &tracer);
+        EXPECT_NE(ctx.flight, &flight);
+      }
+    }
+  }
 }
 
 }  // namespace

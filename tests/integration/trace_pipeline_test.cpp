@@ -65,15 +65,7 @@ PipelineOutcome run_pipeline(bool traced, bool fail_server,
   cl.set_tracer(&tracer, pid);
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < clients; ++c) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cl.sim();
-    ctx.client = &cl.client(c);
-    ctx.ring = &cl.ring();
-    ctx.membership = &cl.membership();
-    ctx.server_nodes = &cl.server_nodes();
-    ctx.materialize = false;
-    ctx.tracer = &tracer;
-    ctx.trace_pid = pid;
+    resilience::EngineContext ctx = cl.engine_context(c, false);
     ctx.recorder = &recorder;
     engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost));

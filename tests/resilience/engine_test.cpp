@@ -326,8 +326,9 @@ TEST_F(EngineTest, PipeliningBeatsSequentialBlockingOps) {
       co_await pipe_e->wait_all();
       const SimDur pipelined_time = sim->now() - t1;
       // With the SIMD-refit cost model the encode slice is thin, so the
-      // overlap win at 64 KB is network-bound at ~1.8x (abl_window agrees);
-      // require a solid 1.5x, not the 2x the scalar-cost era delivered.
+      // overlap win at 64 KB is network-bound at ~1.8x (abl_protocol's ABL1
+      // agrees); require a solid 1.5x, not the 2x the scalar-cost era
+      // delivered.
       EXPECT_LT(pipelined_time, blocking_time * 2 / 3);
     }
   };

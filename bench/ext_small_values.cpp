@@ -2,7 +2,7 @@
 // bytes/key with and without stripe packing (extension; not a paper
 // figure — the paper's 1 MB workloads never hit the small-value regime).
 //
-// 5 servers, 1 client, RS(4,2). For each value size the harness loads the
+// 6 servers (one per fragment), 1 client, RS(4,2). For each value size the harness loads the
 // same keyset twice — per-key striping (packing off) vs the packed-stripe
 // path (pack-threshold, default 4 KiB) — and reports measured stored
 // bytes/key (store charge + locator directory), the ec::predict_footprint
@@ -27,6 +27,7 @@ using namespace hpres::bench;  // NOLINT(google-build-using-namespace)
 
 constexpr std::size_t kK = 4;
 constexpr std::size_t kM = 2;
+constexpr std::size_t kServers = kK + kM;
 
 std::string key_of(std::uint64_t i) {
   char buf[16];
@@ -63,14 +64,14 @@ Point run_point(std::size_t value_size, std::uint64_t keys,
   const resilience::ArpeParams arpe{.window = 256, .buffers = 512};
   resilience::PackParams pack;
   pack.pack_threshold = pack_threshold;
-  Testbench bench(cluster::ri_qdr(), /*servers=*/5, /*clients=*/1,
+  Testbench bench(cluster::ri_qdr(), kServers, /*clients=*/1,
                   resilience::Design::kEraCeCd, kK, kM, /*rep_factor=*/3,
                   arpe, {}, {}, pack);
   bench.spawn_client(0, loader(&bench.engine(0), keys, value_size));
   bench.run();
   Point p;
   std::uint64_t stored = bench.cluster().total_bytes_used();
-  for (std::size_t s = 0; s < 5; ++s) {
+  for (std::size_t s = 0; s < kServers; ++s) {
     stored += bench.cluster().server(s).stripe_index_bytes();
     p.locator_entries += bench.cluster().server(s).stripe_index_entries();
   }
@@ -100,9 +101,10 @@ int main(int argc, char** argv) {
     if (arg.starts_with("--out=")) out_path = std::string(arg.substr(6));
   }
   const std::uint64_t keys = scaled(2'000);
-  std::printf("EXT — small-object packing, 5 servers, RS(%zu,%zu), %llu keys"
+  std::printf("EXT — small-object packing, %zu servers, RS(%zu,%zu), %llu keys"
               " per point, pack-threshold %zu B\n",
-              kK, kM, static_cast<unsigned long long>(keys), pack_threshold);
+              kServers, kK, kM, static_cast<unsigned long long>(keys),
+              pack_threshold);
   print_header("Stored bytes per key, striped vs packed",
                {"value_B", "striped", "packed", "ratio", "pred_ratio",
                 "stripes", "fill%"});

@@ -124,6 +124,15 @@ Status MatrixCodec::decode(std::span<const ByteSpan> fragments,
   if (sources.empty()) {
     return Status{StatusCode::kTooManyFailures, "no sources to decode from"};
   }
+  // The kernels run every span over one length: a short source (a stale or
+  // truncated fragment) would be read past its end.
+  const auto short_or_long = [&](std::size_t s) {
+    return fragments[s].size() != fragments[outputs[0]].size();
+  };
+  if (std::any_of(sources.begin(), sources.end(), short_or_long) ||
+      std::any_of(outputs.begin(), outputs.end(), short_or_long)) {
+    return Status{StatusCode::kInvalidArgument, "fragment lengths differ"};
+  }
 
   // One coefficient matrix: each wanted row over the source rows.
   GfMatrix coeffs(outputs.size(), sources.size());

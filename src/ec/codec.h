@@ -59,9 +59,9 @@ class Codec {
       std::span<const std::size_t> preference = {}) const = 0;
 
   /// Fills each wanted slot from exactly `sources`, as select_sources
-  /// returned them. `fragments` holds k+m spans of identical size indexed
-  /// by slot: the source spans are read, the wanted spans written (wanted
-  /// slots that are also sources are already in place and left alone).
+  /// returned them. `fragments` holds k+m spans indexed by slot: the source
+  /// spans are read, the wanted spans written (wanted slots that are also
+  /// sources are left alone), all of one length or kInvalidArgument.
   /// kTooManyFailures when the sources do not span a wanted slot.
   [[nodiscard]] virtual Status decode(
       std::span<const ByteSpan> fragments, std::span<const std::size_t> sources,

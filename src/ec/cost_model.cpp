@@ -92,17 +92,11 @@ double time_encode_ns(const Codec& codec, std::size_t value_size,
 
 double time_decode_ns(const Codec& codec, std::size_t value_size,
                       int iterations) {
-  const ChunkLayout layout =
-      make_layout(value_size, codec.k(), codec.alignment());
   const Bytes value = make_pattern(value_size, /*seed=*/43);
-  std::vector<Bytes> frags = split_value(value, layout);
-  std::vector<ConstByteSpan> data(frags.begin(), frags.end());
-  std::vector<Bytes> parity(codec.m(), Bytes(layout.fragment_size));
-  std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-  codec.encode(data, parity_spans);
-
-  std::vector<Bytes> all = frags;
-  for (auto& p : parity) all.push_back(p);
+  std::vector<Bytes> all;
+  for (const SharedBytes& f : encode_value(codec, value, value_size, true)) {
+    all.push_back(*f);
+  }
   std::vector<bool> present(codec.n(), true);
   present[0] = false;  // one lost data fragment
 

@@ -170,6 +170,22 @@ using KvEnvelope = net::Envelope<WireBody>;
   return out;
 }
 
+/// The kSet that stores fragment `slot` of a coded object of
+/// `original_size` bytes under `base`; every fragment write is built here.
+[[nodiscard]] inline Request fragment_put(const Key& base, std::size_t slot,
+                                          SharedBytes fragment,
+                                          std::uint64_t original_size,
+                                          std::size_t k, std::size_t m) {
+  Request req;
+  req.verb = Verb::kSet;
+  req.key = chunk_key(base, slot);
+  req.value = std::move(fragment);
+  req.chunk = ChunkInfo{original_size, static_cast<std::uint32_t>(slot),
+                        static_cast<std::uint16_t>(k),
+                        static_cast<std::uint16_t>(m)};
+  return req;
+}
+
 /// Inverse of chunk_key: base key and fragment slot, or nullopt when the
 /// key is not a fragment key.
 struct ParsedChunkKey {

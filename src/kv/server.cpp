@@ -326,23 +326,9 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   co_await self->workers_.execute(self->slow(ec.cost.encode_ns(value_size)));
   ht.compute_span("server/encode", encode_begin);
 
-  const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, ec.codec->alignment());
-  std::vector<SharedBytes> fragments;
-  fragments.reserve(n);
-  if (ec.materialize && req.value) {
-    std::vector<Bytes> data = ec::split_value(*req.value, layout);
-    std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-    std::vector<Bytes> parity(ec.codec->m(), Bytes(layout.fragment_size));
-    std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-    ec.codec->encode(data_spans, parity_spans);
-    for (auto& f : data) fragments.push_back(make_shared_bytes(std::move(f)));
-    for (auto& p : parity) fragments.push_back(make_shared_bytes(std::move(p)));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fragments.push_back(zero_bytes(layout.fragment_size));
-    }
-  }
+  const std::vector<SharedBytes> fragments = ec::encode_value(
+      *ec.codec, req.value ? ConstByteSpan(*req.value) : ConstByteSpan{},
+      value_size, ec.materialize);
 
   StatusCode worst = StatusCode::kOk;
   std::vector<sim::Future<Response>> pending;
@@ -350,24 +336,17 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (self->crashed_since(life)) co_return;
     const std::size_t owner = ec.ring->slot_index(req.key, slot);
-    ChunkInfo info{value_size, static_cast<std::uint32_t>(slot),
-                   static_cast<std::uint16_t>(k),
-                   static_cast<std::uint16_t>(ec.codec->m())};
-    const Key ckey = chunk_key(req.key, slot);
+    Request put = fragment_put(req.key, slot, fragments[slot], value_size, k,
+                               ec.codec->m());
     if (owner == ec.my_index) {
-      const Status s = self->store_.set(ckey, fragments[slot], info);
+      const Status s = self->store_.set(put.key, put.value, put.chunk);
       if (!s.ok()) worst = s.code();
       continue;
     }
     co_await self->workers_.execute(kPeerIssueNs);
-    Request peer;
-    peer.verb = Verb::kSet;
-    peer.key = ckey;
-    peer.value = fragments[slot];
-    peer.chunk = info;
-    peer.trace = ht.ctx();
+    put.trace = ht.ctx();
     pending.push_back(
-        self->guarded_future((*ec.server_nodes)[owner], std::move(peer)));
+        self->guarded_future((*ec.server_nodes)[owner], std::move(put)));
   }
   for (auto& f : pending) {
     const Response r = co_await f.wait();
@@ -407,11 +386,9 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
 
   // Pick the fragments to aggregate, codec-aware (data slots first; LRC
   // skips linearly dependent survivor rows).
-  std::vector<bool> available(n, false);
+  std::vector<bool> available(n);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (ec.membership->up(ec.ring->slot_index(req.key, slot))) {
-      available[slot] = true;
-    }
+    available[slot] = ec.membership->up(ec.ring->slot_index(req.key, slot));
   }
   Response resp;
   resp.rpc_id = req.rpc_id;
@@ -427,27 +404,19 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
 
   // Fetch the chosen fragments: local slot from the store, remote slots
   // from peers, all in flight concurrently.
-  struct Fetch {
-    std::size_t slot = 0;
-    sim::Future<Response> future;  // invalid for local fetches
-    SharedBytes value;
-    std::optional<ChunkInfo> info;
-    bool ok = false;
-  };
-  std::vector<Fetch> fetches(chosen.size());
-  for (std::size_t i = 0; i < chosen.size(); ++i) {
-    const std::size_t slot = chosen[i];
-    fetches[i].slot = slot;
+  std::vector<Response> fetched(n);
+  std::vector<sim::Future<Response>> remote(n);  // invalid: local slot
+  for (const std::size_t slot : chosen) {
     const std::size_t owner = ec.ring->slot_index(req.key, slot);
     const Key ckey = chunk_key(req.key, slot);
     if (owner == ec.my_index) {
       auto got = self->store_.get(ckey);
+      fetched[slot].code = got.status().code();
       if (got.ok()) {
         co_await self->workers_.execute(
             self->read_cost(got->value ? got->value->size() : 0));
-        fetches[i].value = got->value;
-        fetches[i].info = got->chunk;
-        fetches[i].ok = true;
+        fetched[slot].value = got->value;
+        fetched[slot].chunk = got->chunk;
       }
       continue;
     }
@@ -456,30 +425,22 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
     peer.verb = Verb::kGet;
     peer.key = ckey;
     peer.trace = ht.ctx();
-    fetches[i].future =
+    remote[slot] =
         self->guarded_future((*ec.server_nodes)[owner], std::move(peer));
   }
-  for (auto& f : fetches) {
-    if (!f.future.valid()) continue;
-    Response r = co_await f.future.wait();
-    if (r.code == StatusCode::kOk) {
-      f.value = std::move(r.value);
-      f.info = r.chunk;
-      f.ok = true;
-    }
-  }
-
+  std::vector<SharedBytes> frags(n);  // fetched fragments by slot
   std::optional<ChunkInfo> meta;
+  std::size_t unfetched = chosen.size();
   std::size_t missing_data = k;  // data slots we could not fetch directly
-  for (const auto& f : fetches) {
-    if (!f.ok) continue;
-    if (f.info) meta = f.info;
-    if (f.slot < k) --missing_data;
+  for (const std::size_t slot : chosen) {
+    if (remote[slot].valid()) fetched[slot] = co_await remote[slot].wait();
+    if (fetched[slot].code != StatusCode::kOk) continue;
+    frags[slot] = std::move(fetched[slot].value);
+    if (fetched[slot].chunk) meta = fetched[slot].chunk;
+    --unfetched;
+    if (slot < k) --missing_data;
   }
-  const std::size_t fetched =
-      static_cast<std::size_t>(std::count_if(fetches.begin(), fetches.end(),
-                                             [](const Fetch& f) { return f.ok; }));
-  if (fetched < chosen.size() || !meta) {
+  if (unfetched > 0 || !meta) {
     resp.code = StatusCode::kNotFound;
     self->reply(req.reply_to, std::move(resp));
     co_return;
@@ -493,38 +454,17 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
     ht.compute_span("server/decode", decode_begin);
   }
 
-  const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, ec.codec->alignment());
-  Bytes value(value_size);
-  if (ec.materialize) {
-    // Rebuild missing data fragments with the real codec, then join.
-    std::vector<Bytes> storage(n, Bytes(layout.fragment_size));
-    for (const auto& f : fetches) {
-      if (f.value) storage[f.slot] = *f.value;
-    }
-    std::vector<ByteSpan> spans(storage.begin(), storage.end());
-    if (missing_data > 0) {
-      const Status s =
-          ec.codec->decode(spans, chosen, ec.codec->data_slots());
-      if (!s.ok()) {
-        resp.code = s.code();
-        self->reply(req.reply_to, std::move(resp));
-        co_return;
-      }
-    }
-    std::vector<ConstByteSpan> data(
-        storage.begin(), storage.begin() + static_cast<std::ptrdiff_t>(k));
-    Result<Bytes> joined = ec::join_fragments(data, layout);
-    if (!joined.ok()) {
-      resp.code = joined.status().code();
-      self->reply(req.reply_to, std::move(resp));
-      co_return;
-    }
-    value = std::move(*joined);
+  Result<Bytes> value = ec::assemble(
+      *ec.codec, frags, chosen,
+      ec::make_layout(value_size, k, ec.codec->alignment()), std::nullopt,
+      ec.materialize, self->scratch_);
+  if (!value.ok()) {
+    resp.code = value.status().code();
+    self->reply(req.reply_to, std::move(resp));
+    co_return;
   }
-
   resp.code = StatusCode::kOk;
-  resp.value = make_shared_bytes(std::move(value));
+  resp.value = make_shared_bytes(std::move(*value));
   self->reply(req.reply_to, std::move(resp));
 }
 

@@ -198,6 +198,8 @@ class Server final : public RpcNode {
   std::map<Key, StripeLoc> stripe_dir_;
   std::uint64_t stripe_dir_bytes_ = 0;
   std::optional<ServerEcContext> ec_;
+  /// Rebuild buffers for degraded server-side decodes.
+  ec::FragmentScratch scratch_;
   obs::LanePool handler_lanes_;
   bool failed_ = false;
   std::uint64_t crashes_ = 0;  ///< fail() calls so far

@@ -106,8 +106,6 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
-  const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, codec_->alignment());
 
   // T_encode plus the posting of all n chunk requests occupy the client
   // CPU as one contiguous slice — a single application thread encodes and
@@ -134,23 +132,9 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
                  sim().now() - post_ns, post_ns, phases->trace.trace_id);
   }
 
-  std::vector<SharedBytes> fragments;
-  fragments.reserve(n);
-  if (ctx().materialize && value) {
-    std::vector<Bytes> data = ec::split_value(*value, layout);
-    std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-    std::vector<Bytes> parity(codec_->m(), Bytes(layout.fragment_size));
-    std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-    codec_->encode(data_spans, parity_spans);
-    for (auto& f : data) fragments.push_back(make_shared_bytes(std::move(f)));
-    for (auto& p : parity) {
-      fragments.push_back(make_shared_bytes(std::move(p)));
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fragments.push_back(zero_bytes(layout.fragment_size));
-    }
-  }
+  const std::vector<SharedBytes> fragments = ec::encode_value(
+      *codec_, value ? ConstByteSpan(*value) : ConstByteSpan{}, value_size,
+      ctx().materialize);
 
   // Distribute all K+M fragments with non-blocking requests: the
   // response waits overlap, approaching Equation 7's max over fragments.
@@ -161,13 +145,8 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   for (std::size_t slot = 0; slot < n; ++slot) {
     const std::size_t owner = ring().slot_index(key, slot);
     if (!membership().up(owner)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kSet;
-    req.key = kv::chunk_key(key, slot);
-    req.value = fragments[slot];
-    req.chunk = kv::ChunkInfo{value_size, static_cast<std::uint32_t>(slot),
-                              static_cast<std::uint16_t>(k),
-                              static_cast<std::uint16_t>(codec_->m())};
+    kv::Request req = kv::fragment_put(key, slot, fragments[slot], value_size,
+                                       k, codec_->m());
     req.trace = phases->trace;
     pending.push_back(client().guarded_future(node_of(owner), std::move(req)));
     pending_owners.push_back(owner);
@@ -249,8 +228,8 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
   FragmentFetch f(std::move(key), codec_->n());
   const Status s = co_await fetch_fragments(&f, phases);
   if (s.ok() && f.meta) {
-    co_return co_await decode_fragments(&f, f.meta->original_size, nullptr,
-                                        phases);
+    co_return co_await decode_fragments(&f, f.meta->original_size,
+                                        std::nullopt, phases);
   }
   if (f.posted && !client_encodes(mode_)) {
     // Server-side encode may still be distributing this key's fragments;
@@ -464,7 +443,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       if (f->have[slot] &&
           std::find(f->decode_set.begin(), f->decode_set.end(), slot) ==
               f->decode_set.end()) {
-        const SharedBytes& frag = f->slots[slot].frag;
+        const SharedBytes& frag = f->frags[slot];
         stats().hedge_wasted_bytes += frag ? frag->size() : 0;
       }
     }
@@ -504,7 +483,7 @@ void ErasureEngine::fold_arrivals(FragmentFetch* f) {
       // Passive load learning (observation only: no events, no RNG).
       load_.observe_rtt(ring().slot_index(f->base, slot),
                         sim().now() - s.issued_at, resp->queue_depth);
-      s.frag = resp->value;
+      f->frags[slot] = resp->value;
       f->have[slot] = true;
       ++f->arrived;
       if (resp->chunk) f->meta = resp->chunk;
@@ -520,9 +499,8 @@ void ErasureEngine::fold_arrivals(FragmentFetch* f) {
 
 sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     const FragmentFetch* f, std::size_t coded_bytes,
-    const kv::StripeLoc* slice, OpPhases* phases) {
+    std::optional<ec::ValueSlice> slice, OpPhases* phases) {
   const std::size_t k = codec_->k();
-  const std::size_t n = codec_->n();
   std::size_t missing_data = k;
   for (const std::size_t slot : f->decode_set) {
     if (slot < k) --missing_data;
@@ -539,49 +517,9 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
                    phases->trace.trace_id);
     }
   }
-  if (!ctx().materialize) {
-    co_return Bytes(slice != nullptr ? slice->len : coded_bytes);
-  }
-
-  // Rebuild missing data fragments for real, then reassemble. Runs on the
-  // engine-wide scratch (no co_await from here on): fetched fragments
-  // copy-assign into slots whose capacity persists across ops, and absent
-  // slots are zero-filled in place as the decode outputs.
-  const ec::ChunkLayout layout =
-      ec::make_layout(coded_bytes, k, codec_->alignment());
-  DecodeScratch& sc = scratch_;
-  sc.storage.resize(n);
-  sc.present.assign(n, false);
-  for (const std::size_t slot : f->decode_set) {
-    const SharedBytes& frag = f->slots[slot].frag;
-    if (!frag) continue;
-    sc.storage[slot] = *frag;
-    sc.present[slot] = true;
-  }
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!sc.present[slot]) {
-      sc.storage[slot].assign(layout.fragment_size, std::byte{0});
-    }
-  }
-  sc.spans.assign(sc.storage.begin(), sc.storage.end());
-  if (missing_data > 0) {
-    const Status s =
-        codec_->decode(sc.spans, f->decode_set, codec_->data_slots());
-    if (!s.ok()) co_return s;
-  }
-  if (slice == nullptr) {
-    std::vector<ConstByteSpan> data(
-        sc.storage.begin(),
-        sc.storage.begin() + static_cast<std::ptrdiff_t>(k));
-    co_return ec::join_fragments(data, layout);
-  }
-  const ec::FragmentRange range =
-      ec::owning_fragments(layout, slice->offset, slice->len);
-  std::vector<ConstByteSpan> spans(
-      sc.storage.begin() + static_cast<std::ptrdiff_t>(range.first),
-      sc.storage.begin() + static_cast<std::ptrdiff_t>(range.last + 1));
-  co_return ec::extract_from_fragments(spans, range, layout, slice->offset,
-                                       slice->len);
+  co_return ec::assemble(*codec_, f->frags, f->decode_set,
+                         ec::make_layout(coded_bytes, k, codec_->alignment()),
+                         slice, ctx().materialize, scratch_);
 }
 
 std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
@@ -802,23 +740,8 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
                    cpu_t0 + encode_ns, post_ns);
   }
 
-  std::vector<SharedBytes> fragments;
-  fragments.reserve(n);
-  if (self->ctx().materialize) {
-    std::vector<Bytes> data = ec::split_value(st->buffer, layout);
-    std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-    std::vector<Bytes> parity(m, Bytes(layout.fragment_size));
-    std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-    self->codec_->encode(data_spans, parity_spans);
-    for (auto& f : data) fragments.push_back(make_shared_bytes(std::move(f)));
-    for (auto& p : parity) {
-      fragments.push_back(make_shared_bytes(std::move(p)));
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fragments.push_back(zero_bytes(layout.fragment_size));
-    }
-  }
+  const std::vector<SharedBytes> fragments = ec::encode_value(
+      *self->codec_, st->buffer, stripe_bytes, self->ctx().materialize);
 
   // Fragment fan-out under the stripe's own base key (the repair
   // coordinator discovers and rebuilds stripes through the same
@@ -829,16 +752,10 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   for (std::size_t slot = 0; slot < n; ++slot) {
     const std::size_t owner = self->ring().slot_index(st->skey, slot);
     if (!self->membership().up(owner)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kSet;
-    req.key = kv::chunk_key(st->skey, slot);
-    req.value = fragments[slot];
-    req.chunk = kv::ChunkInfo{stripe_bytes,
-                              static_cast<std::uint32_t>(slot),
-                              static_cast<std::uint16_t>(k),
-                              static_cast<std::uint16_t>(m)};
-    frag_pending.push_back(
-        self->client().guarded_future(self->node_of(owner), std::move(req)));
+    frag_pending.push_back(self->client().guarded_future(
+        self->node_of(owner),
+        kv::fragment_put(st->skey, slot, fragments[slot], stripe_bytes, k,
+                         m)));
     frag_owners.push_back(owner);
   }
 
@@ -1019,24 +936,16 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     co_await client().cpu().execute(post_ns);
     phases->request_ns += post_ns;
     const SimTime fetch_t0 = sim().now();
-    std::vector<sim::Future<kv::Response>> pending;
-    std::vector<std::size_t> pending_slots;
     for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(loc->stripe, slot);
-      req.trace = phases->trace;
-      pending.push_back(client().guarded_future(
-          node_of(ring().slot_index(loc->stripe, slot)), std::move(req)));
-      pending_slots.push_back(slot);
+      issue_fetch(&f, slot, /*hedge=*/false, phases->trace);
     }
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      kv::Response resp = co_await pending[i].wait();
-      const std::size_t slot = pending_slots[i];
+    for (std::size_t slot = range.first; slot <= range.last; ++slot) {
+      kv::Response resp = co_await f.inflight[slot].wait();
+      f.inflight[slot] = {};
       if (resp.code == StatusCode::kOk) {
         load_.observe_rtt(ring().slot_index(loc->stripe, slot),
                           sim().now() - fetch_t0, resp.queue_depth);
-        f.slots[slot].frag = std::move(resp.value);
+        f.frags[slot] = std::move(resp.value);
         f.have[slot] = true;
       } else {
         f.available[slot] = false;
@@ -1047,15 +956,10 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
       tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
                    fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
     }
-    if (healthy) {
-      if (!ctx().materialize) co_return Bytes(loc->len);
-      std::vector<ConstByteSpan> spans;
-      spans.reserve(range.count());
-      for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-        spans.push_back(*f.slots[slot].frag);
-      }
-      co_return ec::extract_from_fragments(spans, range, layout, loc->offset,
-                                           loc->len);
+    if (healthy) {  // the record's data slots arrived: nothing to decode
+      co_return ec::assemble(*codec_, f.frags, codec_->data_slots(), layout,
+                             ec::ValueSlice{loc->offset, loc->len},
+                             ctx().materialize, scratch_);
     }
   }
 
@@ -1067,7 +971,8 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   f.degraded = true;
   const Status s = co_await fetch_fragments(&f, phases);
   if (!s.ok()) co_return s;
-  co_return co_await decode_fragments(&f, loc->stripe_bytes, &*loc, phases);
+  co_return co_await decode_fragments(
+      &f, loc->stripe_bytes, ec::ValueSlice{loc->offset, loc->len}, phases);
 }
 
 }  // namespace hpres::resilience

@@ -99,13 +99,13 @@ class ErasureEngine final : public Engine {
   struct FragmentFetch {
     FragmentFetch(kv::Key base_key, std::size_t n)
         : base(std::move(base_key)), available(n, true), have(n, false),
-          slots(n), inflight(n) {}
+          frags(n), slots(n), inflight(n) {}
     kv::Key base;                     ///< slot i lives at chunk_key(base, i)
     std::vector<bool> available;      ///< slot not (yet) known-failed
-    std::vector<bool> have;           ///< slots[slot].frag is valid
+    std::vector<bool> have;           ///< frags[slot] arrived
+    std::vector<SharedBytes> frags;   ///< arrived fragments by slot
+    /// In-flight bookkeeping per slot, private to fetch_fragments.
     struct Slot {
-      SharedBytes frag;               ///< the arrived fragment
-      // In-flight bookkeeping, private to fetch_fragments.
       SimTime issued_at = 0;
       std::uint64_t rpc_id = 0;       ///< cancellable unguarded call or 0
       bool attempted = false;         ///< fetched, in flight, or pre-loaded
@@ -139,13 +139,12 @@ class ErasureEngine final : public Engine {
   /// Folds every resolved in-flight fetch of `f` into its state.
   void fold_arrivals(FragmentFetch* f);
 
-  /// Charges T_decode when the bound read set misses a data fragment and,
-  /// in materialize mode, rebuilds the data fragments of a `coded_bytes`
-  /// object into the engine scratch. Returns the whole object, or only
-  /// `slice`'s record when reading one value out of a packed stripe.
+  /// Charges T_decode when the bound read set misses a data fragment, then
+  /// assembles the `coded_bytes` object, or only `slice`'s record when
+  /// reading one value out of a packed stripe.
   sim::Task<Result<Bytes>> decode_fragments(const FragmentFetch* f,
                                             std::size_t coded_bytes,
-                                            const kv::StripeLoc* slice,
+                                            std::optional<ec::ValueSlice> slice,
                                             OpPhases* phases);
 
   // ---- Packed-stripe (batched small-object) write path ----------------
@@ -238,17 +237,8 @@ class ErasureEngine final : public Engine {
   /// read path asks for a load preference.
   NodeLoadTracker load_;
 
-  /// Reusable buffers for decode_fragments' materialize step. The region
-  /// that fills and consumes them is synchronous (no co_await between the
-  /// two), so one scratch per engine is race-free even with many in-flight
-  /// ops; reuse makes the fused decode path allocation-free per op once the
-  /// vectors reach steady-state capacity.
-  struct DecodeScratch {
-    std::vector<Bytes> storage;
-    std::vector<ByteSpan> spans;
-    std::vector<bool> present;
-  };
-  DecodeScratch scratch_;
+  /// Rebuild buffers for degraded reads (see ec::FragmentScratch).
+  ec::FragmentScratch scratch_;
 };
 
 }  // namespace hpres::resilience

@@ -144,37 +144,18 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
         static_cast<std::uint64_t>(reconstruct_ns), 0, /*code=*/2);
   }
 
-  std::vector<SharedBytes> rebuilt(n);
-  if (ctx_.materialize) {
-    std::vector<Bytes> storage(n);
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      storage[slot] =
-          fetched[slot] ? *fetched[slot] : Bytes(layout.fragment_size);
-    }
-    std::vector<ByteSpan> spans(storage.begin(), storage.end());
-    const Status s = codec_->decode(spans, fetch, rebuild);
-    if (!s.ok()) co_return s;
-    for (const std::size_t slot : rebuild) {
-      rebuilt[slot] = make_shared_bytes(std::move(storage[slot]));
-    }
-  } else {
-    for (const std::size_t slot : rebuild) {
-      rebuilt[slot] = zero_bytes(layout.fragment_size);
-    }
-  }
+  const Result<std::vector<SharedBytes>> rebuilt =
+      ec::rebuild_fragments(*codec_, fetched, fetch, rebuild,
+                            layout.fragment_size, ctx_.materialize, scratch_);
+  if (!rebuilt.ok()) co_return rebuilt.status();
 
   // Phase 4 — re-place rebuilt fragments on their designated owners.
   const SimTime replace_t0 = ctx_.sim->now();
   std::vector<sim::Future<kv::Response>> writes;
   writes.reserve(rebuild.size());
   for (const std::size_t slot : rebuild) {
-    kv::Request req;
-    req.verb = kv::Verb::kSet;
-    req.key = kv::chunk_key(key, slot);
-    req.value = rebuilt[slot];
-    req.chunk = kv::ChunkInfo{value_size, static_cast<std::uint32_t>(slot),
-                              static_cast<std::uint16_t>(k),
-                              static_cast<std::uint16_t>(codec_->m())};
+    kv::Request req = kv::fragment_put(key, slot, (*rebuilt)[slot],
+                                       value_size, k, codec_->m());
     req.trace = rtrace;
     const std::size_t owner = ctx_.ring->slot_index(key, slot);
     writes.push_back(

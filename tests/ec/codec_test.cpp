@@ -167,6 +167,36 @@ TEST_P(CodecRoundTrip, EncodeIsDeterministic) {
   EXPECT_EQ(a.fragments, b.fragments);
 }
 
+TEST_P(CodecRoundTrip, DecodeRejectsUnequalFragmentLengths) {
+  // The shape's codec, and the LRC of the same width (one local group).
+  const auto mds = codec();
+  const LrcCodec lrc(mds->k(), 1, mds->m() - 1);
+  for (const Codec* c : {static_cast<const Codec*>(mds.get()),
+                         static_cast<const Codec*>(&lrc)}) {
+    const Encoded enc = encode_value(*c, make_pattern(64 * 1024, 12));
+    std::vector<Bytes> working = enc.fragments;
+    std::vector<bool> present(c->n(), true);
+    present[0] = false;
+    const Result<std::vector<std::size_t>> sources =
+        c->select_sources(c->data_slots(), present);
+    ASSERT_TRUE(sources.ok()) << c->name();
+    const std::size_t short_len =
+        enc.layout.fragment_size - c->alignment();
+    // Each short span is a prefix of a full-length buffer, so a decode that
+    // ignored lengths would read valid memory and report success.
+    std::vector<ByteSpan> spans(working.begin(), working.end());
+    spans[sources->back()] = spans[sources->back()].first(short_len);
+    EXPECT_EQ(c->decode(spans, *sources, c->data_slots()).code(),
+              StatusCode::kInvalidArgument)
+        << c->name() << ": short source";
+    spans.assign(working.begin(), working.end());
+    spans[0] = spans[0].first(short_len);
+    EXPECT_EQ(c->decode(spans, *sources, c->data_slots()).code(),
+              StatusCode::kInvalidArgument)
+        << c->name() << ": short output";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CodecRoundTrip,
     ::testing::Values(

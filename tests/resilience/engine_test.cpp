@@ -227,6 +227,37 @@ TEST_F(EngineTest, DegradedEraGetChargesDecodeCompute) {
   run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
 }
 
+TEST_F(EngineTest, DegradedGetRejectsTruncatedParityFragment) {
+  auto engine = make_engine(Design::kEraCeCd);
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(Engine* e, cluster::Cluster* cl) {
+      (void)co_await e->set("obj",
+                            make_shared_bytes(make_pattern(30'000, 11)));
+      // A torn or stale write leaves a short parity fragment behind that
+      // still carries the key's ChunkInfo.
+      const kv::Key ckey = kv::chunk_key("obj", 3);
+      kv::StorageEngine& store =
+          cl->server(cl->ring().slot_index("obj", 3)).store();
+      const auto stored = store.get(ckey);
+      EXPECT_TRUE(stored.ok());
+      if (!stored.ok()) co_return;
+      const Bytes& full = *stored->value;
+      EXPECT_TRUE(store
+                      .set(ckey, make_shared_bytes(Bytes(full.begin(),
+                                                         full.end() - 64)),
+                           stored->chunk)
+                      .ok());
+      // Losing data slot 0 binds the read on {1, 2, 3}: the decode must
+      // refuse the short source instead of reading past its end.
+      cl->fail_server(cl->ring().slot_index("obj", 0));
+      const Result<Bytes> got = co_await e->get("obj");
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
+}
+
 TEST_F(EngineTest, EncodeComputeRecordedOnClientForCeNotSe) {
   auto ce = make_engine(Design::kEraCeCd);
   auto se = make_engine(Design::kEraSeCd);

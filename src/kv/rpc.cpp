@@ -103,8 +103,13 @@ sim::Task<void> RpcNode::guarded_coro(RpcNode* self, NodeId dst, Request req,
 sim::Task<void> RpcNode::dispatch_loop(RpcNode* self) {
   auto& inbox = self->fabric_->inbox(self->id_);
   for (;;) {
-    std::optional<KvEnvelope> env = co_await inbox.recv();
-    if (!env) break;  // inbox closed: node shut down
+    // Channel::recv() inlined: parking here saves a frame per message.
+    std::optional<KvEnvelope> env = inbox.try_recv();
+    if (!env) {
+      if (inbox.closed()) break;  // inbox closed: node shut down
+      co_await inbox.park();
+      continue;
+    }
     if (std::holds_alternative<Request>(env->body)) {
       self->on_request(std::move(*env));
     } else {

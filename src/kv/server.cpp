@@ -147,27 +147,35 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
   ht.queue_span(enqueued, first_cost);
   if (self->crashed_since(life)) co_return;
 
-  Response resp;
+  PlainOutcome out = self->apply_plain(req, ht.ctx());
+  if (out.device_ns) co_await self->workers_.execute(*out.device_ns);
+  if (out.work_ns) co_await self->workers_.execute(*out.work_ns);
+  self->reply(req.reply_to, std::move(out.resp));
+}
+
+Server::PlainOutcome Server::apply_plain(const Request& req,
+                                         const obs::TraceContext& trace) {
+  PlainOutcome out;
+  Response& resp = out.resp;
   resp.rpc_id = req.rpc_id;
-  resp.trace = ht.ctx();
+  resp.trace = trace;
   switch (req.verb) {
     case Verb::kSet: {
-      if (req.if_absent && self->store_.get(req.key).ok()) {
+      if (req.if_absent && store_.get(req.key).ok()) {
         // Migration copy racing a fresher write under the new epoch: the
         // resident value wins, and the copy acks as a no-op.
         resp.code = StatusCode::kOk;
         break;
       }
-      const std::uint64_t demoted_before = self->store_.stats().demoted_bytes;
-      resp.code = self->store_.set(req.key, req.value, req.chunk).code();
+      const std::uint64_t demoted_before = store_.stats().demoted_bytes;
+      resp.code = store_.set(req.key, req.value, req.chunk).code();
       const std::uint64_t demoted =
-          self->store_.stats().demoted_bytes - demoted_before;
+          store_.stats().demoted_bytes - demoted_before;
       if (demoted > 0) {
         // Eviction pressure spilled colder items to the SSD tier.
-        co_await self->workers_.execute(
-            self->params_.ssd_access_ns +
-            static_cast<SimDur>(self->params_.ssd_write_ns_per_byte *
-                                static_cast<double>(demoted)));
+        out.device_ns = params_.ssd_access_ns +
+                        static_cast<SimDur>(params_.ssd_write_ns_per_byte *
+                                            static_cast<double>(demoted));
       }
       break;
     }
@@ -175,39 +183,38 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
       if (req.stripe_lookup) {
         // Locator directory probe: metadata only, never touches the LRU
         // store (locators must survive value-eviction pressure).
-        auto it = self->stripe_dir_.find(req.key);
-        if (it != self->stripe_dir_.end()) {
+        auto it = stripe_dir_.find(req.key);
+        if (it != stripe_dir_.end()) {
           resp.code = StatusCode::kOk;
           resp.stripe = it->second;
         } else {
           resp.code = StatusCode::kNotFound;
         }
-        co_await self->workers_.execute(self->read_cost(0));
+        out.work_ns = read_cost(0);
         break;
       }
-      auto got = self->store_.get(req.key);
-      if (got.ok()) {
-        resp.code = StatusCode::kOk;
-        resp.chunk = got->chunk;
-        if (got->from_ssd) {
-          // Promotion: the value came off the device, not the slab.
-          co_await self->workers_.execute(
-              self->params_.ssd_access_ns +
-              static_cast<SimDur>(
-                  self->params_.ssd_read_ns_per_byte *
-                  static_cast<double>(got->value ? got->value->size() : 0)));
-        }
-        if (req.head_only) {
-          // Presence probe: metadata only, no payload on the wire.
-          co_await self->workers_.execute(self->read_cost(0));
-        } else {
-          resp.value = got->value;
-          // Read path: response DMAs out of the registered slab (cheap).
-          co_await self->workers_.execute(self->read_cost(
-              resp.value ? resp.value->size() : 0));
-        }
-      } else {
+      auto got = store_.get(req.key);
+      if (!got.ok()) {
         resp.code = got.status().code();
+        break;
+      }
+      resp.code = StatusCode::kOk;
+      resp.chunk = got->chunk;
+      const std::size_t size = got->value ? got->value->size() : 0;
+      if (got->from_ssd) {
+        // Promotion: the value came off the device, not the slab.
+        out.device_ns =
+            params_.ssd_access_ns +
+            static_cast<SimDur>(params_.ssd_read_ns_per_byte *
+                                static_cast<double>(size));
+      }
+      if (req.head_only) {
+        // Presence probe: metadata only, no payload on the wire.
+        out.work_ns = read_cost(0);
+      } else {
+        resp.value = std::move(got->value);
+        // Read path: response DMAs out of the registered slab (cheap).
+        out.work_ns = read_cost(size);
       }
       break;
     }
@@ -215,47 +222,40 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
       if (req.stripe_lookup) {
         // Unlink the key's packed-stripe locator (overwrite-by-large-value
         // or delete); the stripe bytes themselves become garbage in place.
-        auto it = self->stripe_dir_.find(req.key);
-        if (it != self->stripe_dir_.end()) {
-          self->stripe_dir_bytes_ -=
-              it->first.size() + it->second.stripe.size() + 12;
-          self->stripe_dir_.erase(it);
+        auto it = stripe_dir_.find(req.key);
+        if (it != stripe_dir_.end()) {
+          stripe_dir_bytes_ -= it->first.size() + it->second.stripe.size() + 12;
+          stripe_dir_.erase(it);
           resp.code = StatusCode::kOk;
         } else {
           resp.code = StatusCode::kNotFound;
         }
         break;
       }
-      resp.code = self->store_.erase(req.key) ? StatusCode::kOk
-                                              : StatusCode::kNotFound;
+      resp.code =
+          store_.erase(req.key) ? StatusCode::kOk : StatusCode::kNotFound;
       break;
     }
     case Verb::kScan: {
       if (req.stripe_lookup) {
         // Locator-directory walk: the keys whose packed-stripe locators
         // this server hosts (migration discovery for the placement plane).
-        std::vector<Key> keys;
-        keys.reserve(self->stripe_dir_.size());
-        for (const auto& [key, loc] : self->stripe_dir_) keys.push_back(key);
-        co_await self->workers_.execute(
-            static_cast<SimDur>(200 * keys.size()));
-        resp.code = StatusCode::kOk;
-        resp.keys = std::move(keys);
-        break;
-      }
-      // Distinct base keys of every fragment held here; repair discovery.
-      std::vector<Key> bases;
-      for (const Key& stored : self->store_.keys()) {
-        if (auto parsed = parse_chunk_key(stored); parsed) {
-          bases.push_back(std::move(parsed->base));
+        resp.keys.reserve(stripe_dir_.size());
+        for (const auto& [key, loc] : stripe_dir_) resp.keys.push_back(key);
+      } else {
+        // Distinct base keys of every fragment held here; repair discovery.
+        for (const Key& stored : store_.keys()) {
+          if (auto parsed = parse_chunk_key(stored); parsed) {
+            resp.keys.push_back(std::move(parsed->base));
+          }
         }
+        std::sort(resp.keys.begin(), resp.keys.end());
+        resp.keys.erase(std::unique(resp.keys.begin(), resp.keys.end()),
+                        resp.keys.end());
       }
-      std::sort(bases.begin(), bases.end());
-      bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
-      co_await self->workers_.execute(static_cast<SimDur>(
-          200 * bases.size()));  // index walk, ~200ns per item
       resp.code = StatusCode::kOk;
-      resp.keys = std::move(bases);
+      out.work_ns = static_cast<SimDur>(
+          200 * resp.keys.size());  // index walk, ~200ns per item
       break;
     }
     case Verb::kSetStripeIndex: {
@@ -265,17 +265,15 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
       const std::uint32_t stripe_bytes = static_cast<std::uint32_t>(
           req.chunk ? req.chunk->original_size : 0);
       for (const auto& e : req.stripe_index) {
-        auto it = self->stripe_dir_.find(e.key);
-        if (it != self->stripe_dir_.end()) {
+        auto it = stripe_dir_.find(e.key);
+        if (it != stripe_dir_.end()) {
           // Migration re-installs must not clobber a locator a concurrent
           // overwrite already refreshed (see Request::if_absent).
           if (req.if_absent) continue;
-          self->stripe_dir_bytes_ -=
-              it->first.size() + it->second.stripe.size() + 12;
+          stripe_dir_bytes_ -= it->first.size() + it->second.stripe.size() + 12;
         }
-        self->stripe_dir_[e.key] =
-            StripeLoc{req.key, e.offset, e.len, stripe_bytes};
-        self->stripe_dir_bytes_ += e.key.size() + req.key.size() + 12;
+        stripe_dir_[e.key] = StripeLoc{req.key, e.offset, e.len, stripe_bytes};
+        stripe_dir_bytes_ += e.key.size() + req.key.size() + 12;
       }
       resp.code = StatusCode::kOk;
       break;
@@ -284,7 +282,7 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
       resp.code = StatusCode::kInvalidArgument;
       break;
   }
-  self->reply(req.reply_to, std::move(resp));
+  return out;
 }
 
 sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {

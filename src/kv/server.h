@@ -150,6 +150,19 @@ class Server final : public RpcNode {
     obs::TraceContext ctx_;
   };
 
+  /// What a plain verb did: the reply, plus the worker time still owed
+  /// before it is sent, charged in this order.
+  struct PlainOutcome {
+    Response resp;
+    std::optional<SimDur> device_ns;  ///< SSD access (promotion/demotion)
+    std::optional<SimDur> work_ns;    ///< the read or scan itself
+  };
+
+  /// The synchronous half of handle_plain (kSet, kGet, kDelete, kScan,
+  /// kSetStripeIndex): applies the verb to the store or the locator
+  /// directory. Kept out of the coroutine so the handler frame stays small.
+  PlainOutcome apply_plain(const Request& req, const obs::TraceContext& trace);
+
   static sim::Task<void> handle_plain(Server* self, KvEnvelope env);
   static sim::Task<void> handle_set_encode(Server* self, KvEnvelope env);
   static sim::Task<void> handle_get_decode(Server* self, KvEnvelope env);

@@ -2,6 +2,10 @@
 // under a byte-capacity cap, with the accounting needed by the paper's
 // memory-efficiency experiment (Figure 10): bytes used, evictions, and the
 // bytes of cached data lost to eviction pressure.
+//
+// Each key is stored once, in its map node; the LRU lists point into the
+// nodes (which never move), and entries move between tiers as whole nodes.
+// Overwriting a resident key updates its entry in place.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +77,7 @@ class StorageEngine {
     return ssd_capacity_ > 0;
   }
   [[nodiscard]] std::uint64_t ssd_bytes_used() const noexcept {
-    return ssd_used_;
+    return ssd_.used;
   }
   [[nodiscard]] std::uint64_t ssd_capacity() const noexcept {
     return ssd_capacity_;
@@ -83,7 +87,9 @@ class StorageEngine {
   StorageEngine& operator=(const StorageEngine&) = delete;
 
   /// Inserts or replaces; evicts LRU items as needed. Fails with
-  /// kOutOfMemory only when the single item exceeds total capacity.
+  /// kOutOfMemory only when the single item exceeds total capacity, and
+  /// then drops any old value of `key` (as memcached unlinks the old item
+  /// when a SET fails), so a later get() never serves the replaced bytes.
   Status set(const Key& key, SharedBytes value,
              std::optional<ChunkInfo> chunk = std::nullopt);
 
@@ -102,31 +108,60 @@ class StorageEngine {
   /// Drops every item from both tiers without touching the op counters —
   /// total state loss of a crashed node (FaultSchedule crash-with-wipe).
   void clear() {
-    map_.clear();
-    lru_.clear();
-    used_ = 0;
-    ssd_map_.clear();
-    ssd_lru_.clear();
-    ssd_used_ = 0;
+    mem_ = Tier{};
+    ssd_ = Tier{};
   }
 
-  /// Snapshot of every stored key, in LRU order (most recent first). Used
-  /// by the scan verb for repair discovery; O(items).
+  /// Snapshot of every in-memory key, in LRU order (most recent first).
+  /// Used by the scan verb for repair discovery; O(items).
   [[nodiscard]] std::vector<Key> keys() const {
-    return {lru_.begin(), lru_.end()};
+    std::vector<Key> out;
+    out.reserve(mem_.lru.size());
+    for (const Key* key : mem_.lru) out.push_back(*key);
+    return out;
   }
 
-  [[nodiscard]] std::uint64_t bytes_used() const noexcept { return used_; }
+  [[nodiscard]] std::uint64_t bytes_used() const noexcept { return mem_.used; }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t items() const noexcept { return map_.size(); }
+  [[nodiscard]] std::size_t items() const noexcept { return mem_.map.size(); }
   [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
 
  private:
+  using Lru = std::list<const Key*>;  // front = most recent
+
   struct Entry {
     SharedBytes value;
     std::optional<ChunkInfo> chunk;
     std::size_t charged_bytes = 0;
-    std::list<Key>::iterator lru_it;
+    Lru::iterator lru_it;
+  };
+  using Map = std::unordered_map<Key, Entry>;
+
+  /// One tier (memory or SSD): the index, its LRU order over the index's
+  /// own keys, and the bytes charged.
+  struct Tier {
+    Map map;
+    Lru lru;
+    std::uint64_t used = 0;
+
+    /// Charges the entry at `pos` and makes it the most recent.
+    void link_front(Map::iterator pos) {
+      used += pos->second.charged_bytes;
+      lru.push_front(&pos->first);
+      pos->second.lru_it = lru.begin();
+    }
+    /// Unlinks and uncharges the entry at `it`, handing back its node.
+    Map::node_type take(Map::iterator it) {
+      used -= it->second.charged_bytes;
+      lru.erase(it->second.lru_it);
+      return map.extract(it);
+    }
+    bool erase(const Key& key) {
+      const auto it = map.find(key);
+      if (it == map.end()) return false;
+      take(it);
+      return true;
+    }
   };
 
   /// Erasure-coded fragments carry a stored ChunkInfo; charge its bytes so
@@ -140,17 +175,13 @@ class StorageEngine {
 
   void evict_one();
   void evict_one_from_ssd();
-  void demote_to_ssd(const Key& key, Entry entry);
+  void demote_to_ssd(Map::node_type node);
 
   std::uint64_t capacity_;
-  std::uint64_t used_ = 0;
-  std::unordered_map<Key, Entry> map_;
-  std::list<Key> lru_;  // front = most recent
+  Tier mem_;
   // SSD tier (enabled when ssd_capacity_ > 0).
   std::uint64_t ssd_capacity_ = 0;
-  std::uint64_t ssd_used_ = 0;
-  std::unordered_map<Key, Entry> ssd_map_;
-  std::list<Key> ssd_lru_;
+  Tier ssd_;
   StoreStats stats_;
 };
 

@@ -214,8 +214,8 @@ class Fabric {
     shard_state_[s]->tracer = tracer;
   }
 
-  /// The receive queue for a node; server/client processes loop on
-  /// `co_await fabric.inbox(id).recv()`. Owned by the node's shard.
+  /// The receive queue for a node; its dispatch loop receives with
+  /// `try_recv()` and parks on it when empty. Owned by the node's shard.
   [[nodiscard]] sim::Channel<Envelope<Body>>& inbox(NodeId id) {
     assert(id < inboxes_.size());
     return *inboxes_[id];

@@ -60,12 +60,24 @@ class Future {
     return state_ && state_->value.has_value();
   }
 
-  /// Suspends until the promise is fulfilled, then returns the value.
-  Task<T> wait() const {
-    auto state = state_;  // keep alive across suspension
-    assert(state && "waiting on an invalid Future");
-    co_await state->event.wait();
-    co_return *state->value;
+  /// `co_await wait()` suspends until the promise is fulfilled, then
+  /// returns a copy of the value. The caller itself parks on the shared
+  /// state (no coroutine frame), so this Future — which keeps the state
+  /// alive — must outlive the co_await.
+  [[nodiscard]] auto wait() const noexcept {
+    assert(state_ && "waiting on an invalid Future");
+    // Trivially destructible, like detail::Park: it holds a raw State*.
+    struct Awaiter {
+      typename Promise<T>::State* state;
+      detail::Park park;
+
+      [[nodiscard]] bool await_ready() const noexcept { return park.ready; }
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        park.await_suspend(h);
+      }
+      T await_resume() const { return *state->value; }
+    };
+    return Awaiter{state_.get(), state_->event.wait()};
   }
 
   /// Suspends until the promise is fulfilled or `timeout` simulated

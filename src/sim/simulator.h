@@ -48,8 +48,9 @@ class Simulator {
 
   /// Starts a detached process. The process begins at the current simulated
   /// time once the event loop runs; its frame is destroyed on completion.
-  /// A process must run to completion before the Simulator is destroyed
-  /// (drain with run()).
+  /// The task's own frame is scheduled (no wrapper coroutine), and an
+  /// exception escaping it calls std::terminate. A process must run to
+  /// completion before the Simulator is destroyed (drain with run()).
   void spawn(Task<void> task);
 
   /// Starts a detached process at absolute simulated time `at` (>= now).

@@ -79,15 +79,18 @@ class WaitList {
   std::size_t size_ = 0;
 };
 
-/// Parks the awaiting coroutine at the tail of `list`; the owning primitive
-/// resumes it by waking the list. Trivially destructible: g++-12 destroys a
-/// non-trivial awaiter temporary twice (once at the end of the co_await
-/// full-expression, once during frame cleanup).
+/// Parks the awaiting coroutine at the tail of `list`, unless `ready`; the
+/// owning primitive resumes it by waking the list. The node lives in the
+/// awaiter, i.e. in the suspended caller's frame, so parking allocates
+/// nothing. Trivially destructible: g++-12 destroys a non-trivial awaiter
+/// temporary twice (once at the end of the co_await full-expression, once
+/// during frame cleanup).
 struct Park {
   WaitList* list;
-  WaitNode node;
+  bool ready = false;  ///< skip parking (an already-set one-shot event)
+  WaitNode node{};
 
-  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  [[nodiscard]] bool await_ready() const noexcept { return ready; }
   void await_suspend(std::coroutine_handle<> h) noexcept {
     node.handle = h;
     list->push_back(&node);
@@ -132,8 +135,9 @@ inline Task<void> wake_at_deadline(Simulator* sim,
 
 }  // namespace detail
 
-/// One-shot broadcast event. `wait()` suspends until `set()`; waiting on an
-/// already-set event completes immediately (same simulated time).
+/// One-shot broadcast event. `co_await wait()` suspends until `set()`;
+/// waiting on an already-set event completes immediately (same simulated
+/// time).
 class Event {
  public:
   explicit Event(Simulator& sim) noexcept : sim_(&sim) {}
@@ -156,8 +160,10 @@ class Event {
     timed_waiters_.clear();
   }
 
-  Task<void> wait() {
-    while (!set_) co_await detail::Park{&waiters_};
+  /// Parks the caller itself on the event (no coroutine frame). The event
+  /// is one-shot, so a woken waiter needs no re-check.
+  [[nodiscard]] detail::Park wait() noexcept {
+    return detail::Park{&waiters_, set_};
   }
 
   /// Suspends until `set()` or until `timeout` simulated nanoseconds pass,
@@ -230,13 +236,9 @@ class Channel {
   /// Receives the next item, suspending while the channel is empty and open.
   Task<std::optional<T>> recv() {
     for (;;) {
-      if (!items_.empty()) {
-        T item = std::move(items_.front());
-        items_.pop_front();
-        co_return std::optional<T>{std::move(item)};
-      }
+      if (std::optional<T> item = try_recv()) co_return item;
       if (closed_) co_return std::nullopt;
-      co_await detail::Park{&waiters_};
+      co_await park();
     }
   }
 
@@ -246,6 +248,12 @@ class Channel {
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
+  }
+
+  /// Parks the caller until the next send() or close(). A hot receiver
+  /// inlines recv() as this loop around try_recv(), saving recv()'s frame.
+  [[nodiscard]] detail::Park park() noexcept {
+    return detail::Park{&waiters_};
   }
 
  private:
@@ -269,8 +277,7 @@ class Semaphore {
   [[nodiscard]] std::size_t waiting() const noexcept { return waiters_.size(); }
 
   Task<void> acquire() {
-    while (count_ == 0) co_await detail::Park{&waiters_};
-    --count_;
+    while (!try_acquire()) co_await park();
   }
 
   /// Acquires without suspending if a permit is free; false otherwise.
@@ -278,6 +285,13 @@ class Semaphore {
     if (count_ == 0) return false;
     --count_;
     return true;
+  }
+
+  /// Parks the caller until the next release(); it then re-checks with
+  /// try_acquire(). A hot acquirer inlines acquire() as that loop, saving
+  /// acquire()'s frame.
+  [[nodiscard]] detail::Park park() noexcept {
+    return detail::Park{&waiters_};
   }
 
   void release() {
@@ -329,7 +343,7 @@ class Latch {
 
   [[nodiscard]] std::uint32_t remaining() const noexcept { return remaining_; }
 
-  Task<void> wait() { return event_.wait(); }
+  [[nodiscard]] detail::Park wait() noexcept { return event_.wait(); }
 
  private:
   std::uint32_t remaining_;
@@ -353,8 +367,9 @@ class WorkerPool {
     return sem_.waiting();
   }
 
+  /// One frame per call: the permit loop is Semaphore::acquire() inlined.
   Task<void> execute(SimDur duration) {
-    co_await sem_.acquire();
+    while (!sem_.try_acquire()) co_await sem_.park();
     co_await sim_->delay(duration);
     busy_ns_ += duration;
     sem_.release();

@@ -26,13 +26,23 @@ namespace detail {
 
 /// Final awaiter: resumes the awaiting ("continuation") coroutine, if any,
 /// via symmetric transfer. Keeps the frame alive so the Task destructor can
-/// retrieve the result and destroy it.
+/// retrieve the result and destroy it — except for a detached process
+/// (Simulator::spawn), which has no owner and frees its own frame here.
 template <typename Promise>
 struct FinalAwaiter {
   [[nodiscard]] bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
-    if (auto cont = h.promise().continuation; cont) return cont;
+    Promise& p = h.promise();
+    if (p.continuation) return p.continuation;
+    if constexpr (requires { p.detached; }) {
+      if (p.detached) {
+        // A detached process has no awaiter to receive the exception;
+        // escaping here is always a bug in the process itself.
+        if (p.exception) std::terminate();
+        h.destroy();
+      }
+    }
     return std::noop_coroutine();
   }
   void await_resume() const noexcept {}
@@ -108,11 +118,6 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
-  /// Internal: release ownership of the frame (used by Simulator::spawn).
-  std::coroutine_handle<promise_type> release() noexcept {
-    return std::exchange(handle_, {});
-  }
-
  private:
   explicit Task(std::coroutine_handle<promise_type> h) noexcept : handle_(h) {}
 
@@ -131,6 +136,8 @@ template <>
 class [[nodiscard]] Task<void> {
  public:
   struct promise_type : detail::PromiseBase {
+    bool detached = false;  ///< owned by no Task: frees itself when done
+
     Task get_return_object() noexcept {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -178,7 +185,10 @@ class [[nodiscard]] Task<void> {
     return Awaiter{handle_};
   }
 
-  std::coroutine_handle<promise_type> release() noexcept {
+  /// Internal (Simulator::spawn): gives up ownership of the unstarted
+  /// frame, which destroys itself when it runs to completion.
+  std::coroutine_handle<> detach() noexcept {
+    handle_.promise().detached = true;
     return std::exchange(handle_, {});
   }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bytes.h"
 
 namespace hpres::kv {
@@ -70,6 +72,64 @@ TEST(Store, RejectsItemLargerThanCapacity) {
   EXPECT_EQ(s.code(), StatusCode::kOutOfMemory);
   EXPECT_EQ(store.stats().rejected_sets, 1u);
   EXPECT_EQ(store.items(), 0u);
+}
+
+TEST(Store, RejectedOverwriteDropsStaleValue) {
+  StorageEngine store(2000);
+  ASSERT_TRUE(store.set("k", value_of(100)).ok());
+  EXPECT_EQ(store.set("k", value_of(5000)).code(), StatusCode::kOutOfMemory);
+  // The writer meant to replace the old bytes: serving them would be stale.
+  EXPECT_EQ(store.get("k").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.items(), 0u);
+  EXPECT_EQ(store.bytes_used(), 0u);
+  EXPECT_EQ(store.stats().rejected_sets, 1u);
+  EXPECT_EQ(store.stats().evictions, 0u);
+}
+
+TEST(Store, OverwriteUnderPressureEvictsOthersInLruOrder) {
+  constexpr std::size_t kItem = 1000 + 1 + StorageEngine::kItemOverhead;
+  StorageEngine store(4 * kItem);
+  // "b" is the least recently used when it is overwritten.
+  for (const char* key : {"b", "a", "c", "d"}) {
+    ASSERT_TRUE(store.set(key, value_of(1000)).ok());
+  }
+  const auto bigger = value_of(2500, 7);
+  ASSERT_TRUE(store.set("b", bigger).ok());
+  // Room came from "a" then "c", never from "b" itself, which is now the
+  // most recent key.
+  EXPECT_EQ(store.keys(), (std::vector<Key>{"b", "d"}));
+  EXPECT_EQ(store.stats().evictions, 2u);
+  EXPECT_EQ(store.stats().evicted_bytes, 2000u);
+  EXPECT_EQ(store.bytes_used(),
+            kItem + 2500 + 1 + StorageEngine::kItemOverhead);
+  const auto got = store.get("b");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got->value, *bigger);
+}
+
+TEST(Store, OverwriteOfDemotedKeyDropsSsdCopy) {
+  constexpr std::size_t kItem = 1000 + 1 + StorageEngine::kItemOverhead;
+  StorageEngine store(2 * kItem);
+  store.enable_ssd(SsdConfig{10 * kItem});
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_TRUE(store.set(key, value_of(1000)).ok());
+  }
+  ASSERT_EQ(store.stats().demotions, 1u);  // "a" lives only on the SSD now
+  const auto fresh = value_of(1000, 9);
+  ASSERT_TRUE(store.set("a", fresh).ok());
+  // The SSD copy of "a" is gone, and making room demoted "b".
+  EXPECT_EQ(store.keys(), (std::vector<Key>{"a", "c"}));
+  EXPECT_EQ(store.stats().demotions, 2u);
+  EXPECT_EQ(store.stats().evictions, 2u);
+  EXPECT_EQ(store.bytes_used(), 2 * kItem);
+  EXPECT_EQ(store.ssd_bytes_used(), kItem);
+  const auto got = store.get("a");
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->from_ssd);
+  EXPECT_EQ(*got->value, *fresh);
+  const auto demoted = store.get("b");
+  ASSERT_TRUE(demoted.ok());
+  EXPECT_TRUE(demoted->from_ssd);
 }
 
 TEST(Store, EvictionCascadeMakesRoomForLargeItem) {

@@ -1,7 +1,10 @@
-// Waiting on a simulator primitive allocates nothing: a parked coroutine's
-// wait-list node lives in its own suspended frame. This file replaces the
-// global operator new with a counting one, so it builds as its own test
-// executable (test_sim_alloc) and the counter reaches no other suite.
+// The allocation budget of one RPC hop. Waiting on a simulator primitive
+// allocates nothing: a parked coroutine's wait-list node lives in its own
+// suspended frame. A spawned process costs only its own frame, a worker
+// charge one frame, and overwriting a resident store key nothing. This file
+// replaces the global operator new with a counting one, so it builds as its
+// own test executable (test_sim_alloc) and the counter reaches no other
+// suite.
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -9,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
+#include "kv/store.h"
 #include "sim/future.h"
 #include "sim/sync.h"
 
@@ -114,6 +119,109 @@ TEST(SimAlloc, SemaphoreHandoffAllocatesNothing) {
     }
     sem.release();
   }
+}
+
+Task<void> finish_at_once() { co_return; }
+
+/// Runs one process so the event queue has grown its capacity.
+void warm_up(Simulator& sim) {
+  sim.spawn(finish_at_once());
+  sim.run();
+}
+
+TEST(SimAlloc, SpawnAllocatesOnlyTheTaskFrame) {
+  Simulator sim;
+  warm_up(sim);
+  const std::size_t before = g_allocations;
+  sim.spawn(finish_at_once());
+  sim.run();
+  EXPECT_EQ(g_allocations - before, 1u);
+}
+
+Task<void> await_future(const Future<int>* future, int* out) {
+  *out = co_await future->wait();
+}
+
+template <typename Waitable>
+Task<void> await_wait(Waitable* waitable, bool* done) {
+  co_await waitable->wait();
+  *done = true;
+}
+
+/// Allocations made while the spawned `process` parks on a pending
+/// primitive and `fire` wakes it. The process frame itself is allocated
+/// before counting starts.
+template <typename Fire>
+std::size_t park_and_wake_allocations(Simulator& sim, Task<void> process,
+                                      Fire fire) {
+  sim.spawn(std::move(process));
+  const std::size_t before = g_allocations;
+  sim.run();  // the process parks
+  fire();
+  sim.run();  // it resumes and finishes
+  return g_allocations - before;
+}
+
+TEST(SimAlloc, AwaitingPendingFutureEventOrLatchAllocatesNothing) {
+  Simulator sim;
+  warm_up(sim);
+
+  Promise<int> promise(sim);
+  const Future<int> future = promise.get_future();
+  int value = 0;
+  EXPECT_EQ(park_and_wake_allocations(sim, await_future(&future, &value),
+                                      [&] { promise.set_value(7); }),
+            0u);
+  EXPECT_EQ(value, 7);
+
+  Event event(sim);
+  bool event_done = false;
+  EXPECT_EQ(park_and_wake_allocations(sim, await_wait(&event, &event_done),
+                                      [&] { event.set(); }),
+            0u);
+  EXPECT_TRUE(event_done);
+
+  Latch latch(sim, 1);
+  bool latch_done = false;
+  EXPECT_EQ(park_and_wake_allocations(sim, await_wait(&latch, &latch_done),
+                                      [&] { latch.count_down(); }),
+            0u);
+  EXPECT_TRUE(latch_done);
+}
+
+Task<void> charge_worker(WorkerPool* pool, SimDur duration) {
+  co_await pool->execute(duration);
+}
+
+TEST(SimAlloc, WorkerPoolExecuteAllocatesOneFrame) {
+  Simulator sim;
+  WorkerPool pool(sim, 1);
+  for (int round = 0; round < 2; ++round) {  // round 0 warms the queue up
+    // The second charge queues behind the first on the single worker.
+    sim.spawn(charge_worker(&pool, 100));
+    sim.spawn(charge_worker(&pool, 100));
+    const std::size_t before = g_allocations;
+    sim.run();
+    if (round == 1) {
+      EXPECT_EQ(g_allocations - before, 2u);
+    }
+  }
+  EXPECT_EQ(pool.busy_time(), 400);
+}
+
+TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
+  kv::StorageEngine store(1 << 20);
+  const kv::Key key = kv::chunk_key("user0000000000042", 3);
+  ASSERT_EQ(key.size(), 19u);  // past the small-string buffer
+  const kv::ChunkInfo chunk{16384, 3, 3, 2};
+  const SharedBytes first = make_shared_bytes(make_pattern(64, 1));
+  const SharedBytes second = make_shared_bytes(make_pattern(64, 2));
+  ASSERT_TRUE(store.set(key, first, chunk).ok());
+  const std::size_t before = g_allocations;
+  const Status status = store.set(key, second, chunk);
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(store.items(), 1u);
 }
 
 }  // namespace

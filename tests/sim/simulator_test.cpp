@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,6 +155,24 @@ TEST(SimulatorDeathTest, NegativeDelayAssertsInDebug) {
       "negative schedule\\(\\) delay");
 }
 #endif
+
+Task<void> throw_after(Simulator* sim, SimDur delay) {
+  co_await sim->delay(delay);
+  throw std::runtime_error("escaped a detached process");
+}
+
+// A spawned process has no awaiter to receive its exception, so one that
+// escapes is a bug in the process: the run stops instead of dropping it.
+TEST(SimulatorDeathTest, DetachedExceptionTerminates) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.spawn(throw_after(&sim, 5));
+        sim.run();
+      },
+      "");
+}
 
 TEST(Simulator, CountsExecutedEvents) {
   Simulator sim;

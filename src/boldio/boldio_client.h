@@ -26,7 +26,7 @@ struct BoldioClientParams {
   double stream_read_ns_per_byte = 2.4;
 };
 
-struct BoldioClientStats {
+struct BoldioStats {
   std::uint64_t files_written = 0;
   std::uint64_t files_read = 0;
   std::uint64_t bytes_written = 0;
@@ -44,7 +44,7 @@ class BoldioClient {
   BoldioClient(const BoldioClient&) = delete;
   BoldioClient& operator=(const BoldioClient&) = delete;
 
-  [[nodiscard]] const BoldioClientStats& stats() const noexcept {
+  [[nodiscard]] const BoldioStats& stats() const noexcept {
     return stats_;
   }
 
@@ -70,7 +70,7 @@ class BoldioClient {
   resilience::Engine* engine_;
   LustreModel* lustre_;
   BoldioClientParams params_;
-  BoldioClientStats stats_;
+  BoldioStats stats_;
 };
 
 }  // namespace hpres::boldio

@@ -153,8 +153,6 @@ void Cluster::register_metrics(obs::MetricsRegistry& reg,
         reg, "server" + std::to_string(i), op_label);
   }
   for (std::size_t i = 0; i < clients_.size(); ++i) {
-    clients_[i]->stats().register_with(reg, "client" + std::to_string(i),
-                                       op_label);
     clients_[i]->rpc_stats().register_with(reg, "client" + std::to_string(i),
                                            op_label);
   }

@@ -3,11 +3,7 @@
 namespace hpres::kv {
 
 sim::Future<Response> Client::call_async(NodeId dst, Request req) {
-  // Stamp the placement epoch at issue time, synchronously with the
-  // caller's owner resolution: {dst, epoch} always describe the same ring.
-  if (placement_ != nullptr && req.epoch == 0) {
-    req.epoch = placement_->epoch;
-  }
+  stamp_epoch(req);
   sim::Promise<Response> promise(sim());
   sim::Future<Response> future = promise.get_future();
   sim().spawn(issue_coro(this, dst, std::move(req), std::move(promise)));
@@ -21,17 +17,12 @@ sim::Task<Response> Client::invoke(NodeId dst, Request req) {
 
 sim::Task<void> Client::issue_coro(Client* self, NodeId dst, Request req,
                                    sim::Promise<Response> out) {
-  ++self->stats_.requests;
   const SimDur issue =
       self->params_.issue_cpu_ns +
       static_cast<SimDur>(self->params_.issue_ns_per_byte *
                           static_cast<double>(payload_bytes(req)));
   co_await self->cpu_.execute(issue);
-  Response resp = co_await self->call_guarded(dst, std::move(req));
-  ++self->stats_.responses;
-  if (resp.code == StatusCode::kUnavailable) ++self->stats_.unavailable;
-  if (resp.code == StatusCode::kTimeout) ++self->stats_.timeouts;
-  out.set_value(std::move(resp));
+  out.set_value(co_await self->call_guarded(dst, std::move(req)));
 }
 
 }  // namespace hpres::kv

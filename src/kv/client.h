@@ -4,9 +4,7 @@
 // borrow for encode/decode work.
 #pragma once
 
-#include "kv/placement.h"
 #include "kv/rpc.h"
-#include "obs/metrics.h"
 #include "sim/sync.h"
 
 namespace hpres::kv {
@@ -16,32 +14,16 @@ struct ClientParams {
   double issue_ns_per_byte = 0.0; ///< extra per-payload-byte issue cost
 };
 
-struct ClientStats {
-  std::uint64_t requests = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t unavailable = 0;
-  std::uint64_t timeouts = 0;  ///< calls resolved kTimeout (retry-exhausted)
-
-  /// Registers every field into `reg` under component "client".
-  void register_with(obs::MetricsRegistry& reg, std::string node,
-                     std::string op = {}) const {
-    const obs::MetricLabels labels{"client", std::move(node), std::move(op)};
-    reg.bind_counter("client.requests", labels, &requests);
-    reg.bind_counter("client.responses", labels, &responses);
-    reg.bind_counter("client.unavailable", labels, &unavailable);
-    reg.bind_counter("client.timeouts", labels, &timeouts);
-  }
-};
-
 class Client final : public RpcNode {
  public:
   Client(sim::Simulator& sim, KvFabric& fabric, NodeId id,
          ClientParams params = {})
       : RpcNode(sim, fabric, id), params_(params), cpu_(sim, 1) {}
 
-  /// Issues a request asynchronously: the issue cost serializes on this
-  /// client's CPU, then the request enters the fabric. The future resolves
-  /// with the server's response (memcached_iset/iget semantics).
+  /// Issues a request asynchronously: the request is stamped at once, its
+  /// issue cost serializes on this client's CPU, then it takes call()'s
+  /// path (deadline, retries) into the fabric. The future resolves with
+  /// the server's response (memcached_iset/iget semantics).
   sim::Future<Response> call_async(NodeId dst, Request req);
 
   /// Blocking convenience: issue and await (memcached_set/get semantics).
@@ -50,14 +32,6 @@ class Client final : public RpcNode {
   /// The client CPU; erasure engines charge encode/decode time here.
   [[nodiscard]] sim::WorkerPool& cpu() noexcept { return cpu_; }
   [[nodiscard]] const ClientParams& params() const noexcept { return params_; }
-  [[nodiscard]] const ClientStats& stats() const noexcept { return stats_; }
-
-  /// Attaches the cluster's placement view: every request issued from now
-  /// on is stamped with the epoch its owners were resolved under (unless
-  /// the caller stamped one itself). Null detaches (legacy behavior).
-  void set_placement_view(const PlacementView* view) noexcept {
-    placement_ = view;
-  }
 
  protected:
   void on_request(KvEnvelope env) override {
@@ -71,8 +45,6 @@ class Client final : public RpcNode {
 
   ClientParams params_;
   sim::WorkerPool cpu_;
-  ClientStats stats_;
-  const PlacementView* placement_ = nullptr;
 };
 
 }  // namespace hpres::kv

@@ -1,11 +1,22 @@
 #include "kv/rpc.h"
 
 #include <optional>
+#include <span>
 #include <utility>
 
 namespace hpres::kv {
 
 sim::Future<Response> RpcNode::call(NodeId dst, Request req) {
+  stamp_epoch(req);
+  if (policy_.timeout_ns <= 0) return send(dst, std::move(req));
+  last_call_id_ = 0;  // each attempt's id stays inside the retry loop
+  sim::Promise<Response> promise(*sim_);
+  sim::Future<Response> future = promise.get_future();
+  sim_->spawn(guarded_coro(this, dst, std::move(req), std::move(promise)));
+  return future;
+}
+
+sim::Future<Response> RpcNode::send(NodeId dst, Request req) {
   sim::Promise<Response> promise(*sim_);
   sim::Future<Response> future = promise.get_future();
   if (!fabric_->node_up(dst)) {
@@ -27,7 +38,7 @@ sim::Future<Response> RpcNode::call(NodeId dst, Request req) {
   return future;
 }
 
-void RpcNode::cancel_resolve(std::uint64_t rpc_id) {
+void RpcNode::cancel(std::uint64_t rpc_id) {
   const auto it = pending_.find(rpc_id);
   if (it == pending_.end()) return;
   sim::Promise<Response> promise = std::move(it->second.promise);
@@ -40,14 +51,16 @@ void RpcNode::cancel_resolve(std::uint64_t rpc_id) {
 
 sim::Task<Response> RpcNode::call_guarded(NodeId dst, Request req) {
   if (policy_.timeout_ns <= 0) {
-    const sim::Future<Response> f = call(dst, std::move(req));
+    const sim::Future<Response> f = send(dst, std::move(req));
     co_return co_await f.wait();
   }
   for (std::uint32_t attempt = 0;; ++attempt) {
-    const sim::Future<Response> f = call(dst, req);  // keep req for retries
+    const sim::Future<Response> f = send(dst, req);  // keep req for retries
     const std::uint64_t rpc_id = last_call_id_;
-    std::optional<Response> resp = co_await f.wait_for(policy_.timeout_ns);
-    if (resp) co_return std::move(*resp);
+    if (co_await sim::wait_any(std::span<const sim::Future<Response>>(&f, 1),
+                               sim_->now() + policy_.timeout_ns)) {
+      co_return *f.try_get();
+    }
 
     ++rpc_stats_.timeouts;
     cancel(rpc_id);  // a late response is dropped as stale by dispatch
@@ -85,14 +98,6 @@ sim::Task<Response> RpcNode::call_guarded(NodeId dst, Request req) {
       co_await sim_->delay(policy_.backoff_ns << attempt);
     }
   }
-}
-
-sim::Future<Response> RpcNode::guarded_future(NodeId dst, Request req) {
-  if (policy_.timeout_ns <= 0) return call(dst, std::move(req));
-  sim::Promise<Response> promise(*sim_);
-  sim::Future<Response> future = promise.get_future();
-  sim_->spawn(guarded_coro(this, dst, std::move(req), std::move(promise)));
-  return future;
 }
 
 sim::Task<void> RpcNode::guarded_coro(RpcNode* self, NodeId dst, Request req,

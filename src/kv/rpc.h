@@ -7,17 +7,21 @@
 // talk to their peers (the paper's server-embedded ARPE with Libmemcached
 // client, Section IV-A).
 //
-// Failure handling: `call()` alone can hang forever if the destination
-// crashes while the request or response is on the wire (the fabric drops
-// silently). `call_guarded()` layers RPC deadlines with bounded retry and
-// exponential backoff on top — the policy every node carries (RpcPolicy).
-// With the default policy (timeout 0) the guarded paths degrade to exactly
-// the unguarded ones: no timers, no extra events, bit-identical schedules.
+// One request path: `call()` is the only uncharged way to issue a request
+// (Client::call_async adds the client's CPU issue slice in front of the
+// same path). It stamps the placement epoch of the node's view, and under
+// a deadline policy (RpcPolicy) races each attempt against its deadline
+// with sim::wait_any, retrying with exponential backoff — a destination
+// that crashes while the request or response is on the wire (the fabric
+// drops silently) never hangs the caller. `cancel()` resolves a pending
+// call with kCancelled. With the default policy (timeout 0) a call is one
+// send: no timers, no extra events, bit-identical schedules.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
+#include "kv/placement.h"
 #include "kv/protocol.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
@@ -97,38 +101,33 @@ class RpcNode {
     flight_ = flight;
   }
 
+  /// Attaches the cluster's placement view: every request issued from now
+  /// on is stamped with the epoch its owners were resolved under (unless
+  /// the caller stamped one itself). Only clients carry a view; null
+  /// detaches (placement-unaware, epoch 0).
+  void set_placement_view(const PlacementView* view) noexcept {
+    placement_ = view;
+  }
+
   /// Sends a request; the future resolves with the peer's response. A
-  /// request to a node known-dead by the fabric resolves immediately with
-  /// kUnavailable (the HCA-level send fails fast); a crash AFTER the send
-  /// leaves the future unresolved forever — use call_guarded when that can
-  /// happen.
+  /// request to a node known-dead by the fabric resolves at once with
+  /// kUnavailable (the HCA-level send fails fast). Under this node's
+  /// RpcPolicy each attempt races the response against the deadline; a
+  /// timed-out attempt is cancelled (a late response is dropped as stale)
+  /// and retried after exponential backoff until max_retries is exhausted,
+  /// then the call resolves kTimeout. With the default policy (no
+  /// deadline) a crash after the send leaves the future unresolved until
+  /// cancel().
   sim::Future<Response> call(NodeId dst, Request req);
 
-  /// `call` under this node's RpcPolicy: each attempt races the response
-  /// against the deadline; a timed-out attempt is cancelled (a late
-  /// response is dropped as stale) and retried after exponential backoff,
-  /// until max_retries is exhausted — then resolves kTimeout. With the
-  /// default policy this is exactly call()+wait(). Retries re-send the same
-  /// request (values are shared buffers, so the copy is cheap).
-  sim::Task<Response> call_guarded(NodeId dst, Request req);
+  /// Abandons a pending call and resolves its future with kCancelled, so a
+  /// coroutine awaiting it unwinds instead of parking forever; a late wire
+  /// response is dropped as stale. No-op for unknown or resolved ids.
+  void cancel(std::uint64_t rpc_id);
 
-  /// call_guarded wrapped into a Future so fan-out paths can overlap many
-  /// guarded calls. With the default policy no coroutine is spawned and
-  /// this is exactly call().
-  sim::Future<Response> guarded_future(NodeId dst, Request req);
-
-  /// Abandons a pending call: its future will never resolve through the
-  /// dispatch loop, and a late response is ignored as stale.
-  void cancel(std::uint64_t rpc_id) { pending_.erase(rpc_id); }
-
-  /// Abandons a pending call AND resolves its future with kCancelled, so a
-  /// coroutine awaiting that future unwinds instead of leaking parked until
-  /// process exit. A late wire response is dropped as stale, exactly as
-  /// with cancel(). No-op for unknown/already-resolved ids.
-  void cancel_resolve(std::uint64_t rpc_id);
-
-  /// Rpc id issued by this node's most recent call() (0 when that call
-  /// failed fast). Lets fan-out issuers remember ids for cancel_resolve.
+  /// Rpc id of this node's most recent call(), for cancel(). 0 when that
+  /// call failed fast or carries a deadline: a guarded call resolves
+  /// through its own deadline.
   [[nodiscard]] std::uint64_t last_call_id() const noexcept {
     return last_call_id_;
   }
@@ -153,7 +152,24 @@ class RpcNode {
   }
   [[nodiscard]] std::uint32_t obs_pid() const noexcept { return trace_pid_; }
 
+  /// Stamps the attached view's epoch onto an unstamped request. Runs at
+  /// issue time, synchronously with the caller's owner resolution, so
+  /// {dst, epoch} always describe the same ring.
+  void stamp_epoch(Request& req) const noexcept {
+    if (placement_ != nullptr && req.epoch == 0) req.epoch = placement_->epoch;
+  }
+
+  /// The retry loop behind call(): sends attempts under this node's
+  /// RpcPolicy and yields the final response (kTimeout once every attempt
+  /// expired). Retries re-send the same request (values are shared
+  /// buffers, so the copy is cheap).
+  sim::Task<Response> call_guarded(NodeId dst, Request req);
+
  private:
+  /// One attempt on the wire: registers the pending call and sends. A
+  /// crash after the send leaves the future unresolved until cancel().
+  sim::Future<Response> send(NodeId dst, Request req);
+
   static sim::Task<void> dispatch_loop(RpcNode* self);
   static sim::Task<void> guarded_coro(RpcNode* self, NodeId dst, Request req,
                                       sim::Promise<Response> out);
@@ -170,7 +186,7 @@ class RpcNode {
   KvFabric* fabric_;
   NodeId id_;
   std::uint64_t next_rpc_ = 1;
-  std::uint64_t last_call_id_ = 0;  ///< rpc id issued by the latest call()
+  std::uint64_t last_call_id_ = 0;  ///< see last_call_id()
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   RpcPolicy policy_;
   RpcStats rpc_stats_;
@@ -178,6 +194,7 @@ class RpcNode {
   std::uint32_t trace_pid_ = 0;
   obs::HealthSignals* health_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
+  const PlacementView* placement_ = nullptr;
 };
 
 }  // namespace hpres::kv

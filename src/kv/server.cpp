@@ -343,8 +343,7 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
     }
     co_await self->workers_.execute(kPeerIssueNs);
     put.trace = ht.ctx();
-    pending.push_back(
-        self->guarded_future((*ec.server_nodes)[owner], std::move(put)));
+    pending.push_back(self->call((*ec.server_nodes)[owner], std::move(put)));
   }
   for (auto& f : pending) {
     const Response r = co_await f.wait();
@@ -423,8 +422,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
     peer.verb = Verb::kGet;
     peer.key = ckey;
     peer.trace = ht.ctx();
-    remote[slot] =
-        self->guarded_future((*ec.server_nodes)[owner], std::move(peer));
+    remote[slot] = self->call((*ec.server_nodes)[owner], std::move(peer));
   }
   std::vector<SharedBytes> frags(n);  // fetched fragments by slot
   std::optional<ChunkInfo> meta;

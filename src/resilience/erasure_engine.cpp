@@ -148,7 +148,7 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
     kv::Request req = kv::fragment_put(key, slot, fragments[slot], value_size,
                                        k, codec_->m());
     req.trace = phases->trace;
-    pending.push_back(client().guarded_future(node_of(owner), std::move(req)));
+    pending.push_back(client().call(node_of(owner), std::move(req)));
     pending_owners.push_back(owner);
   }
 
@@ -407,7 +407,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   }
 
   // Bind the result: everything still in flight is a straggler. Unguarded
-  // calls are cancel-resolved through the stale-response machinery so no
+  // calls are cancelled through the stale-response machinery so no
   // response is left pending; guarded ones expire on their own deadline.
   std::size_t stragglers = 0;
   for (std::size_t slot = 0; slot < n; ++slot) {
@@ -415,7 +415,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
     ++stragglers;
     FragmentFetch::Slot& s = f->slots[slot];
     if (s.hedge) arpe().release_hedge_buffer();
-    if (s.rpc_id != 0) client().cancel_resolve(s.rpc_id);
+    if (s.rpc_id != 0) client().cancel(s.rpc_id);
     f->inflight[slot] = {};
   }
   const bool bound = !f->decode_set.empty();
@@ -461,13 +461,10 @@ void ErasureEngine::issue_fetch(FragmentFetch* f, std::size_t slot,
   req.verb = kv::Verb::kGet;
   req.key = kv::chunk_key(f->base, slot);
   req.trace = trace;
-  f->inflight[slot] = client().guarded_future(
-      node_of(ring().slot_index(f->base, slot)), std::move(req));
+  f->inflight[slot] =
+      client().call(node_of(ring().slot_index(f->base, slot)), std::move(req));
   FragmentFetch::Slot& s = f->slots[slot];
-  // Only plain unguarded calls can be cancel-resolved at bind: guarded
-  // calls resolve through their own deadline, and a failed-fast call has
-  // id 0.
-  s.rpc_id = client().policy().timeout_ns <= 0 ? client().last_call_id() : 0;
+  s.rpc_id = client().last_call_id();  // 0: guarded or failed fast
   s.issued_at = sim().now();
   s.attempted = true;
   s.hedge = hedge;
@@ -752,7 +749,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   for (std::size_t slot = 0; slot < n; ++slot) {
     const std::size_t owner = self->ring().slot_index(st->skey, slot);
     if (!self->membership().up(owner)) continue;
-    frag_pending.push_back(self->client().guarded_future(
+    frag_pending.push_back(self->client().call(
         self->node_of(owner),
         kv::fragment_put(st->skey, slot, fragments[slot], stripe_bytes, k,
                          m)));
@@ -776,8 +773,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
                                 static_cast<std::uint16_t>(m)};
       req.stripe_index = live;
       dir_pending.push_back(
-          self->client().guarded_future(self->node_of(owner),
-                                        std::move(req)));
+          self->client().call(self->node_of(owner), std::move(req)));
     }
   }
 
@@ -864,8 +860,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     req.key = key;
     req.stripe_lookup = true;
     req.trace = phases->trace;
-    lookups.push_back(client().guarded_future(node_of(owner),
-                                              std::move(req)));
+    lookups.push_back(client().call(node_of(owner), std::move(req)));
     lookup_owners.push_back(owner);
   }
   if (degraded) {

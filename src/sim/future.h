@@ -80,18 +80,6 @@ class Future {
     return Awaiter{state_.get(), state_->event.wait()};
   }
 
-  /// Suspends until the promise is fulfilled or `timeout` simulated
-  /// nanoseconds pass; nullopt on timeout (the deadline primitive behind
-  /// RPC timeouts). The shared state stays valid, so a late fulfillment is
-  /// still observable through ready()/try_get().
-  Task<std::optional<T>> wait_for(SimDur timeout) const {
-    auto state = state_;  // keep alive across suspension
-    assert(state && "waiting on an invalid Future");
-    const bool fulfilled = co_await state->event.wait_for(timeout);
-    if (!fulfilled) co_return std::nullopt;
-    co_return *state->value;
-  }
-
   /// Non-suspending poll (memcached_test semantics).
   [[nodiscard]] const T* try_get() const noexcept {
     return ready() ? &*state_->value : nullptr;
@@ -110,7 +98,7 @@ class Future {
 namespace detail {
 
 /// Hands the suspending coroutine to a waiter that is already registered.
-/// Trivially destructible for the same reason as TimedPark.
+/// Trivially destructible for the same reason as Park.
 struct BindWaiterAwaiter {
   const std::shared_ptr<TimedWaiter>* waiter;
 
@@ -130,7 +118,9 @@ struct BindWaiterAwaiter {
 /// first fulfillment wakes the caller, and later ones (or one that never
 /// comes) find it fired, so the caller is never resumed after it has moved
 /// on. Invalid futures are skipped, and at least one must be valid.
-/// `futures` is read only before the first suspension.
+/// `futures` is read only before the first suspension. This is the one
+/// timed wait: a single future with `now + timeout` is an RPC attempt's
+/// deadline race, and a late fulfillment stays visible through try_get().
 template <typename T>
 Task<bool> wait_any(std::span<const Future<T>> futures, SimTime deadline) {
   Simulator* sim = nullptr;

@@ -98,28 +98,13 @@ struct Park {
   void await_resume() const noexcept {}
 };
 
-/// One waiter with a deadline. Both the signalling primitive and a timer
-/// coroutine race to resume the parked handle; `fired` makes the wake-up
-/// one-shot so the loser becomes a no-op (no double resume).
+/// One waiter with a deadline (sim::wait_any). The signalling events and a
+/// timer coroutine race to resume the parked handle; `fired` makes the
+/// wake-up one-shot so the losers become no-ops (no double resume).
 struct TimedWaiter {
   std::coroutine_handle<> handle;
   bool fired = false;     ///< the handle has been (re)scheduled
   bool signaled = false;  ///< woken by the primitive, not the deadline
-};
-
-/// Parks a coroutine as a TimedWaiter on the owning primitive's list.
-/// Trivially destructible for the same reason as Park, so it holds raw
-/// pointers and the list takes its own reference inside await_suspend.
-struct TimedPark {
-  std::vector<std::shared_ptr<TimedWaiter>>* waiters;
-  const std::shared_ptr<TimedWaiter>* waiter;
-
-  [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) const {
-    (*waiter)->handle = h;
-    waiters->push_back(*waiter);
-  }
-  void await_resume() const noexcept {}
 };
 
 /// The deadline side of a TimedWaiter race: resumes the waiter `timeout`
@@ -152,7 +137,7 @@ class Event {
     // Plain waiters first, then timed ones, each in registration order.
     waiters_.wake_all(*sim_);
     for (const auto& waiter : timed_waiters_) {
-      if (waiter->fired) continue;  // timed-out waiters were already resumed
+      if (waiter->fired) continue;  // timed out or woken by another event
       waiter->fired = true;
       waiter->signaled = true;
       sim_->schedule(waiter->handle, 0);
@@ -164,20 +149,6 @@ class Event {
   /// is one-shot, so a woken waiter needs no re-check.
   [[nodiscard]] detail::Park wait() noexcept {
     return detail::Park{&waiters_, set_};
-  }
-
-  /// Suspends until `set()` or until `timeout` simulated nanoseconds pass,
-  /// whichever comes first. Returns true when the event fired, false on
-  /// timeout. An already-set event returns true without suspending. The
-  /// deadline is driven by a spawned timer coroutine, so a wait_for whose
-  /// event fires early still holds one queued timer event until the
-  /// deadline passes (harmless: it wakes nobody).
-  Task<bool> wait_for(SimDur timeout) {
-    if (set_) co_return true;
-    auto waiter = std::make_shared<detail::TimedWaiter>();
-    sim_->spawn(detail::wake_at_deadline(sim_, waiter, timeout));
-    co_await detail::TimedPark{&timed_waiters_, &waiter};
-    co_return waiter->signaled;
   }
 
   /// Registers a one-shot waiter that other events may share (see

@@ -2,7 +2,8 @@
 // versioned placement plane must migrate every fragment and packed-stripe
 // locator to the new owners, keep every preloaded value byte-exact, and
 // absorb writes issued while the migration is in flight. Also covers the
-// sharded runtime (cutover via quiesce hook) and same-seed determinism.
+// sharded runtime (cutover via quiesce hook), same-seed determinism, and
+// the stale-view bounce of every engine's writes.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -230,6 +231,70 @@ TEST(Placement, ShardedRuntimeMigratesThroughQuiesceHook) {
       verify_range(h.engines[0].get(), 0, kKeys, &mismatches));
   h.cl.run();
   EXPECT_EQ(mismatches, 0u);
+}
+
+sim::Task<void> install_epoch(kv::Client* client, kv::NodeId server,
+                              std::uint64_t epoch) {
+  kv::Request req;
+  req.verb = kv::Verb::kPlacementEpoch;
+  req.epoch = epoch;
+  const kv::Response resp = co_await client->invoke(server, std::move(req));
+  EXPECT_EQ(resp.code, StatusCode::kOk);
+}
+
+sim::Task<void> set_once(resilience::Engine* engine, Status* out) {
+  *out = co_await engine->set("user7", make_shared_bytes(value_of(7)));
+}
+
+TEST(PlacementEpoch, StaleViewWritesBounceOnEveryEngine) {
+  // Every server installed epoch 2 while the client and its engine still
+  // see epoch 1: every write the engine issues (replicas, fragments,
+  // packed-stripe fragments and locators, the server-encode request) must
+  // carry the stale stamp and bounce before anything lands.
+  struct Case {
+    const char* name;
+    resilience::Design design;
+    resilience::PackParams pack;
+  };
+  const Case cases[] = {
+      {"replication", resilience::Design::kSyncRep, {}},
+      {"era-ce-cd", resilience::Design::kEraCeCd, {}},
+      {"era-se-sd", resilience::Design::kEraSeSd, {}},
+      {"era-ce-cd-packed", resilience::Design::kEraCeCd,
+       resilience::PackParams{.pack_threshold = 4096}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ec::RsVandermondeCodec codec(3, 2);
+    const ec::CostModel cost =
+        ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+    cluster::Cluster cl(
+        cluster::ClusterConfig{.num_servers = 5, .num_clients = 1});
+    cl.enable_server_ec(codec, cost, /*materialize=*/true);
+    const kv::PlacementView view{.epoch = 1};
+    cl.set_placement_view(&view);
+    auto engine = resilience::make_engine(c.design, cl.engine_context(0), 3,
+                                          &codec, cost, {}, {}, c.pack);
+    engine->attach_placement(&view);
+    cl.start();
+
+    for (const kv::NodeId server : cl.server_nodes()) {
+      cl.sim().spawn(install_epoch(&cl.client(0), server, 2));
+    }
+    cl.run();
+    Status status;
+    cl.sim().spawn(set_once(engine.get(), &status));
+    cl.run();
+
+    EXPECT_EQ(status.code(), StatusCode::kWrongEpoch);
+    std::uint64_t bounces = 0;
+    for (std::size_t s = 0; s < cl.num_servers(); ++s) {
+      EXPECT_EQ(cl.server(s).placement_epoch(), 2u);
+      bounces += cl.server(s).wrong_epoch_bounces();
+      EXPECT_EQ(cl.server(s).store().items(), 0u) << "server " << s;
+    }
+    EXPECT_GT(bounces, 0u);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // The allocation budget of one RPC hop. Waiting on a simulator primitive
 // allocates nothing: a parked coroutine's wait-list node lives in its own
 // suspended frame. A spawned process costs only its own frame, a worker
-// charge one frame, and overwriting a resident store key nothing. This file
+// charge one frame, and overwriting a resident store key nothing; a whole
+// Client->Server Get round trip is pinned with and without a deadline. This
+// file
 // replaces the global operator new with a counting one, so it builds as its
 // own test executable (test_sim_alloc) and the counter reaches no other
 // suite.
@@ -13,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "kv/client.h"
+#include "kv/server.h"
 #include "kv/store.h"
 #include "sim/future.h"
 #include "sim/sync.h"
@@ -25,6 +29,11 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 }  // namespace
+
+// The replacements pair malloc with free by construction. GCC cannot see
+// that once it inlines a delete into a caller that allocated through
+// operator new, and warns.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 void* operator new(std::size_t size) {
   if (void* p = counted_malloc(size)) return p;
@@ -222,6 +231,58 @@ TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
   EXPECT_EQ(g_allocations - before, 0u);
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(store.items(), 1u);
+}
+
+Task<void> get_once(kv::Client* client, kv::NodeId server, kv::Request req,
+                    kv::Response* out) {
+  const Future<kv::Response> f = client->call(server, std::move(req));
+  *out = co_await f.wait();
+}
+
+/// Allocations of one Client->Server kGet round trip under `policy`, from
+/// the issuing call() to the caller's resume with the response. A first
+/// round trip warms up the event queue, the maps and the inbox queues; the
+/// issuing process frame is allocated before counting starts.
+std::size_t get_round_trip_allocations(kv::RpcPolicy policy) {
+  Simulator sim;
+  kv::KvFabric fabric(sim, net::FabricParams{}, 2);
+  kv::Server server(sim, fabric, 0, kv::ServerParams{});
+  kv::Client client(sim, fabric, 1);
+  client.set_policy(policy);
+  server.start();
+  client.start();
+  const kv::Key key = kv::chunk_key("user0000000000042", 3);
+  EXPECT_TRUE(server.store()
+                  .set(key, make_shared_bytes(make_pattern(4096, 1)))
+                  .ok());
+  kv::Request get;
+  get.verb = kv::Verb::kGet;
+  get.key = key;
+  std::size_t allocations = 0;
+  for (int round = 0; round < 2; ++round) {
+    kv::Response resp;
+    sim.spawn(get_once(&client, server.id(), get, &resp));
+    const std::size_t before = g_allocations;
+    sim.run();
+    allocations = g_allocations - before;
+    EXPECT_EQ(resp.code, StatusCode::kOk);
+    EXPECT_EQ(resp.value ? resp.value->size() : 0u, 4096u);
+  }
+  return allocations;
+}
+
+TEST(SimAlloc, RpcGetRoundTripBudget) {
+  // The caller's Promise state and pending-call node, one fabric delivery
+  // frame and one inbox deque chunk per direction, the server's handler
+  // frame and its two worker charges (dispatch, then the read).
+  EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}), 9u);
+  // A deadline adds eight: the retry loop's spawned frame, Promise state
+  // and Task frame, the request copy an attempt sends, the wait_any frame,
+  // its shared TimedWaiter and timer frame, and the event's timed-waiter
+  // vector.
+  EXPECT_EQ(get_round_trip_allocations(
+                kv::RpcPolicy{.timeout_ns = units::kMillisecond}),
+            17u);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Promise/Future completion semantics (the iset/iget handle machinery) and
-// sim::wait_any, the multiplexer behind the erasure Get's fetch machine.
+// sim::wait_any, the multiplexer behind the erasure Get's fetch machine and
+// the one timed wait (an RPC attempt's deadline).
 #include "sim/future.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,18 +91,85 @@ TEST(Future, DefaultConstructedIsInvalid) {
   EXPECT_FALSE(f.ready());
 }
 
-// --- Future::wait_for (RPC deadline primitive) -------------------------------
+// --- Deadline form of wait_any ---------------------------------------------
+// One future and `now + timeout`: the timed wait behind every RPC attempt.
+// EventWaitFor covers the race between the shared state's Event and the
+// deadline timer; FutureWaitFor covers the value side.
 
+using TimedLog = std::vector<std::pair<std::optional<int>, SimTime>>;
+
+/// Waits on `future` for at most `timeout`, then logs the value (nullopt on
+/// timeout) and the wake time.
 Task<void> timed_await(Simulator* sim, Future<int> future, SimDur timeout,
-                       std::vector<std::pair<std::optional<int>, SimTime>>* log) {
-  std::optional<int> v = co_await future.wait_for(timeout);
-  log->push_back({std::move(v), sim->now()});
+                       TimedLog* log) {
+  const bool ready = co_await wait_any<int>(
+      std::span<const Future<int>>(&future, 1), sim->now() + timeout);
+  log->push_back({ready ? std::optional<int>(*future.try_get())
+                        : std::nullopt,
+                  sim->now()});
+}
+
+TEST(EventWaitFor, TimesOutAtExactDeadline) {
+  Simulator sim;
+  Promise<int> p(sim);  // never fulfilled
+  TimedLog log;
+  sim.spawn(timed_await(&sim, p.get_future(), 500, &log));
+  sim.run();
+  EXPECT_EQ(log, (TimedLog{{std::nullopt, 500}}));
+}
+
+TEST(EventWaitFor, SignaledBeforeDeadlineReturnsTrue) {
+  Simulator sim;
+  Promise<int> p(sim);
+  TimedLog log;
+  sim.spawn(timed_await(&sim, p.get_future(), 500, &log));
+  sim.spawn(fulfill_after(&sim, p, 100, 7));
+  sim.run();
+  EXPECT_EQ(log, (TimedLog{{7, 100}}));
+}
+
+TEST(EventWaitFor, AlreadySetCompletesImmediately) {
+  Simulator sim;
+  Promise<int> p(sim);
+  p.set_value(3);
+  TimedLog log;
+  sim.spawn(timed_await(&sim, p.get_future(), 500, &log));
+  sim.run();
+  EXPECT_EQ(log, (TimedLog{{3, 0}}));
+  EXPECT_EQ(sim.events_executed(), 1u);  // the start: no timer is armed
+}
+
+TEST(EventWaitFor, SetAtExactDeadlineInstantWakesOnce) {
+  // The deadline timer and the set() land at the same simulated instant;
+  // whichever runs first must win exactly once (no double resume).
+  Simulator sim;
+  Promise<int> p(sim);
+  TimedLog log;
+  sim.spawn(timed_await(&sim, p.get_future(), 300, &log));
+  sim.spawn(fulfill_after(&sim, p, 300, 1));
+  sim.run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].second, 300);
+}
+
+TEST(EventWaitFor, MixedTimedAndPlainWaiters) {
+  Simulator sim;
+  Promise<int> p(sim);
+  std::vector<std::pair<int, SimTime>> plain_log;
+  TimedLog timed_log;
+  sim.spawn(await_future(&sim, p.get_future(), &plain_log));
+  sim.spawn(timed_await(&sim, p.get_future(), 50, &timed_log));   // expires
+  sim.spawn(timed_await(&sim, p.get_future(), 500, &timed_log));  // fires
+  sim.spawn(fulfill_after(&sim, p, 200, 4));
+  sim.run();
+  EXPECT_EQ(plain_log, (std::vector<std::pair<int, SimTime>>{{4, 200}}));
+  EXPECT_EQ(timed_log, (TimedLog{{std::nullopt, 50}, {4, 200}}));
 }
 
 TEST(FutureWaitFor, DeliversValueBeforeDeadline) {
   Simulator sim;
   Promise<int> p(sim);
-  std::vector<std::pair<std::optional<int>, SimTime>> log;
+  TimedLog log;
   sim.spawn(timed_await(&sim, p.get_future(), 1'000, &log));
   sim.spawn(fulfill_after(&sim, p, 250, 7));
   sim.run();
@@ -112,7 +182,7 @@ TEST(FutureWaitFor, DeliversValueBeforeDeadline) {
 TEST(FutureWaitFor, NulloptAtExactDeadline) {
   Simulator sim;
   Promise<int> p(sim);
-  std::vector<std::pair<std::optional<int>, SimTime>> log;
+  TimedLog log;
   sim.spawn(timed_await(&sim, p.get_future(), 1'000, &log));
   sim.spawn(fulfill_after(&sim, p, 5'000, 7));  // too late
   sim.run();
@@ -125,7 +195,7 @@ TEST(FutureWaitFor, LateFulfillmentStillObservable) {
   Simulator sim;
   Promise<int> p(sim);
   Future<int> f = p.get_future();
-  std::vector<std::pair<std::optional<int>, SimTime>> log;
+  TimedLog log;
   sim.spawn(timed_await(&sim, f, 100, &log));
   sim.spawn(fulfill_after(&sim, p, 700, 42));
   sim.run();
@@ -139,7 +209,7 @@ TEST(FutureWaitFor, ManyRacingWaitersStress) {
   // Dense race coverage around the deadline: fulfillment lands before, at,
   // and after each waiter's deadline, all at close-packed timestamps.
   Simulator sim;
-  std::vector<std::pair<std::optional<int>, SimTime>> log;
+  TimedLog log;
   std::vector<Promise<int>> promises;
   promises.reserve(64);
   for (int i = 0; i < 64; ++i) {
@@ -257,7 +327,8 @@ Task<void> plain_waiter(Simulator* sim, Future<int> future, std::string label,
 
 Task<void> timed_waiter(Simulator* sim, Future<int> future, SimDur timeout,
                         std::string label, LabelLog* log) {
-  const bool fired = (co_await future.wait_for(timeout)).has_value();
+  const bool fired = co_await wait_any<int>(
+      std::span<const Future<int>>(&future, 1), sim->now() + timeout);
   log->push_back(label + (fired ? "@" : " expired@") +
                  std::to_string(sim->now()));
 }
@@ -269,7 +340,8 @@ Task<void> any_waiter_labelled(Simulator* sim, Future<int> future,
 }
 
 TEST(WaitAny, OneSetWakesPlainWaitersThenTimedOnesInRegistrationOrder) {
-  // Registration order: p1, t1, p2, a1, then a wait_for that expires first.
+  // Registration order: p1, t1, p2, a1, then a deadline wait that expires
+  // first.
   // set() schedules the plain waiters, then the unfired timed waiters (a
   // wait_any waiter is one), each in FIFO order; the expired one is skipped.
   Simulator sim;
@@ -293,7 +365,7 @@ TEST(WaitAny, CancelResolvedFetchWakesTheWaiter) {
     static Task<void> cancel_at(Simulator* sim, kv::Client* client,
                                 std::uint64_t rpc_id, SimDur at) {
       co_await sim->delay(at);
-      client->cancel_resolve(rpc_id);
+      client->cancel(rpc_id);
     }
     static Task<void> run(cluster::Cluster* cl, WakeLog* log) {
       kv::Client& client = cl->client(0);

@@ -296,79 +296,5 @@ TEST(WorkerPool, SingleWorkerSerializesFifo) {
   EXPECT_EQ(done, (std::vector<SimTime>{10, 30, 60}));
 }
 
-// --- Event::wait_for (deadline primitive) ------------------------------------
-
-Task<void> timed_wait_and_log(Simulator* sim, Event* ev, SimDur timeout,
-                              std::vector<std::pair<bool, SimTime>>* log) {
-  const bool fired = co_await ev->wait_for(timeout);
-  log->push_back({fired, sim->now()});
-}
-
-TEST(EventWaitFor, TimesOutAtExactDeadline) {
-  Simulator sim;
-  Event ev(sim);
-  std::vector<std::pair<bool, SimTime>> log;
-  sim.spawn(timed_wait_and_log(&sim, &ev, 500, &log));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_FALSE(log[0].first);
-  EXPECT_EQ(log[0].second, 500);
-}
-
-TEST(EventWaitFor, SignaledBeforeDeadlineReturnsTrue) {
-  Simulator sim;
-  Event ev(sim);
-  std::vector<std::pair<bool, SimTime>> log;
-  sim.spawn(timed_wait_and_log(&sim, &ev, 500, &log));
-  sim.spawn(set_after(&sim, &ev, 100));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_TRUE(log[0].first);
-  EXPECT_EQ(log[0].second, 100);
-}
-
-TEST(EventWaitFor, AlreadySetCompletesImmediately) {
-  Simulator sim;
-  Event ev(sim);
-  ev.set();
-  std::vector<std::pair<bool, SimTime>> log;
-  sim.spawn(timed_wait_and_log(&sim, &ev, 500, &log));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_TRUE(log[0].first);
-  EXPECT_EQ(log[0].second, 0);
-}
-
-TEST(EventWaitFor, SetAtExactDeadlineInstantWakesOnce) {
-  // The deadline timer and the set() land at the same simulated instant;
-  // whichever runs first must win exactly once (no double resume).
-  Simulator sim;
-  Event ev(sim);
-  std::vector<std::pair<bool, SimTime>> log;
-  sim.spawn(timed_wait_and_log(&sim, &ev, 300, &log));
-  sim.spawn(set_after(&sim, &ev, 300));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].second, 300);
-}
-
-TEST(EventWaitFor, MixedTimedAndPlainWaiters) {
-  Simulator sim;
-  Event ev(sim);
-  std::vector<std::string> plain_log;
-  std::vector<std::pair<bool, SimTime>> timed_log;
-  sim.spawn(wait_and_log(&sim, &ev, "p", &plain_log));
-  sim.spawn(timed_wait_and_log(&sim, &ev, 50, &timed_log));   // expires
-  sim.spawn(timed_wait_and_log(&sim, &ev, 500, &timed_log));  // fires
-  sim.spawn(set_after(&sim, &ev, 200));
-  sim.run();
-  EXPECT_EQ(plain_log, (std::vector<std::string>{"p@200"}));
-  ASSERT_EQ(timed_log.size(), 2u);
-  EXPECT_FALSE(timed_log[0].first);
-  EXPECT_EQ(timed_log[0].second, 50);
-  EXPECT_TRUE(timed_log[1].first);
-  EXPECT_EQ(timed_log[1].second, 200);
-}
-
 }  // namespace
 }  // namespace hpres::sim

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (stdlib only; CI runs this).
 
-Two checks over the user-facing markdown:
+Four checks over the user-facing markdown:
 
 1. Every relative link target in README.md / DESIGN.md / EXPERIMENTS.md /
    ROADMAP.md / docs/*.md resolves to a file or directory in the repo
@@ -14,6 +14,11 @@ Two checks over the user-facing markdown:
    linked from README.md or DESIGN.md (directly or via another doc
    under docs/) — and listed in DOCS above so its own links are
    checked. A doc nobody links is a doc nobody reads.
+4. Every backticked ``Type::member`` reference in README.md / DESIGN.md /
+   EXPERIMENTS.md / docs/*.md names identifiers that all still occur in
+   src/, bench/, tools/ or benchmark/ — a deleted or renamed API must
+   take its citations with it. ROADMAP.md and CHANGES.md are history and
+   are not held to this.
 
 Exit code 0 = clean; 1 = problems (each printed one per line).
 """
@@ -33,10 +38,16 @@ DOCS = [
     "docs/TUNING.md",
 ]
 SOURCE_DIRS = ["bench", "tools", "src", "tests", "examples"]
+SYMBOL_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+SYMBOL_DIRS = ["src", "bench", "tools", "benchmark"]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]+")
 ENV_RE = re.compile(r"\bHPRES_[A-Z0-9_]+\b")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*(?:::~?[A-Za-z_][A-Za-z0-9_]*)+")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def check_links(errors: list) -> None:
@@ -56,9 +67,9 @@ def check_links(errors: list) -> None:
                     errors.append(f"{doc}:{n}: broken link -> {target}")
 
 
-def source_corpus() -> str:
+def source_corpus(dirs=SOURCE_DIRS) -> str:
     chunks = []
-    for d in SOURCE_DIRS:
+    for d in dirs:
         for p in (REPO / d).rglob("*"):
             if p.suffix in {".cpp", ".h", ".py", ".cmake", ".txt"}:
                 chunks.append(p.read_text(errors="replace"))
@@ -126,11 +137,33 @@ def check_orphans(errors: list) -> None:
                           " its own links go unchecked")
 
 
+def check_symbols(errors: list) -> None:
+    """Every identifier of a backticked `A::b` must occur in the code."""
+    words = set(IDENT_RE.findall(source_corpus(SYMBOL_DIRS)))
+    docs = SYMBOL_DOCS + sorted(
+        p.relative_to(REPO).as_posix() for p in (REPO / "docs").glob("*.md"))
+    for doc in docs:
+        path = REPO / doc
+        if not path.is_file():
+            continue
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            for span in CODE_SPAN_RE.findall(line):
+                for ref in QUALIFIED_RE.findall(span):
+                    gone = [part for part in ref.replace("~", "").split("::")
+                            if part not in words]
+                    if gone:
+                        errors.append(
+                            f"{doc}:{n}: stale reference `{ref}` —"
+                            f" {', '.join(gone)} not found in"
+                            f" {', '.join(SYMBOL_DIRS)}")
+
+
 def main() -> int:
     errors = []
     check_links(errors)
     check_flags(errors)
     check_orphans(errors)
+    check_symbols(errors)
     for e in errors:
         print(e)
     print(f"check_docs: {len(DOCS)} files checked, {len(errors)} problem(s)")

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <span>
@@ -95,51 +96,37 @@ class Future {
   std::shared_ptr<typename Promise<T>::State> state_;
 };
 
-namespace detail {
-
-/// Hands the suspending coroutine to a waiter that is already registered.
-/// Trivially destructible for the same reason as Park.
-struct BindWaiterAwaiter {
-  const std::shared_ptr<TimedWaiter>* waiter;
-
-  [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) const noexcept {
-    (*waiter)->handle = h;
-  }
-  void await_resume() const noexcept {}
-};
-
-}  // namespace detail
-
 /// Suspends until any valid future in `futures` is ready, or until the
 /// absolute simulated time `deadline`. Returns true for a ready future —
 /// at once, without suspending, if one already is — and false at the
-/// deadline. One one-shot waiter is shared by every pending future: the
-/// first fulfillment wakes the caller, and later ones (or one that never
-/// comes) find it fired, so the caller is never resumed after it has moved
-/// on. Invalid futures are skipped, and at least one must be valid.
-/// `futures` is read only before the first suspension. This is the one
-/// timed wait: a single future with `now + timeout` is an RPC attempt's
-/// deadline race, and a late fulfillment stays visible through try_get().
+/// deadline. One one-shot waiter in this frame is registered on every
+/// pending future and races a cancellable timer: the first fulfillment
+/// wakes the caller and disarms the timer, and the waiter unlinks itself
+/// from the other futures before returning, so a later fulfillment (or one
+/// that never comes) never reaches the caller or the dead frame. Invalid
+/// futures are skipped, and at least one must be valid. The futures' shared
+/// states must stay alive until wait_any returns; keeping `futures` alive
+/// across the co_await does that. This is the one timed wait: a single
+/// future with `now + timeout` is an RPC attempt's deadline race, and a
+/// late fulfillment stays visible through try_get().
 template <typename T>
 Task<bool> wait_any(std::span<const Future<T>> futures, SimTime deadline) {
   Simulator* sim = nullptr;
+  std::size_t pending = 0;
   for (const Future<T>& f : futures) {
     if (!f.valid()) continue;
     if (f.ready()) co_return true;
     sim = &f.state_->event.simulator();
+    ++pending;
   }
   assert(sim != nullptr && "wait_any needs a pending future");
   if (deadline <= sim->now()) co_return false;
-  auto waiter = std::make_shared<detail::TimedWaiter>();
+  detail::TimedWaiter waiter(*sim, pending);
   for (const Future<T>& f : futures) {
     if (f.valid()) f.state_->event.add_waiter(waiter);
   }
-  if (deadline != Simulator::kNever) {
-    sim->spawn(detail::wake_at_deadline(sim, waiter, deadline - sim->now()));
-  }
-  co_await detail::BindWaiterAwaiter{&waiter};
-  co_return waiter->signaled;
+  co_await detail::ParkTimed{&waiter, deadline};
+  co_return waiter.signaled();
 }
 
 }  // namespace hpres::sim

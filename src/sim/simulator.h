@@ -5,10 +5,16 @@
 // schedule coroutine resumptions through this queue, so execution order is a
 // pure function of the program and its seeds — every experiment in this
 // repository is reproducible bit-for-bit.
+//
+// Deadlines that are almost always cancelled (an RPC attempt's timeout) are
+// cancellable Timers beside the event queue: an indexed min-heap of the live
+// ones only, so a timer that is disarmed costs O(log live) once and never
+// reaches the event loop.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -18,6 +24,34 @@
 #include "sim/task.h"
 
 namespace hpres::sim {
+
+/// A cancellable one-shot wake-up (Simulator::arm). The node lives in its
+/// owner — for sim::wait_any, the waiting coroutine's frame — and the
+/// simulator holds only a pointer to it while it is armed, so arming
+/// allocates nothing. It must not be destroyed while armed.
+class Timer {
+ public:
+  Timer() = default;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() { assert(!armed() && "armed Timer destroyed"); }
+
+  /// Scheduled (at delay 0) when the timer expires.
+  std::coroutine_handle<> handle;
+
+  [[nodiscard]] bool armed() const noexcept { return slot_ < kExpired; }
+  /// The timer ran out, and has not been re-armed since.
+  [[nodiscard]] bool expired() const noexcept { return slot_ == kExpired; }
+
+ private:
+  friend class Simulator;
+  static constexpr std::size_t kIdle = std::numeric_limits<std::size_t>::max();
+  static constexpr std::size_t kExpired = kIdle - 1;
+
+  SimTime at_ = 0;
+  std::uint64_t seq_ = 0;
+  std::size_t slot_ = kIdle;  ///< index in the timer heap while armed
+};
 
 class Simulator {
  public:
@@ -46,6 +80,22 @@ class Simulator {
     queue_.push(Scheduled{now_ + (delay < 0 ? 0 : delay), next_seq_++, h});
   }
 
+  /// Arms `timer` to expire `delay` (>= 0) simulated nanoseconds from now.
+  /// It takes its place in the event order exactly like schedule() would:
+  /// at (now + delay, next sequence number). Expiry is two steps, as a
+  /// coroutine sleeping on delay() was: the timer leaves the heap at its
+  /// position, then its handle is scheduled at delay 0. The timer must not
+  /// be armed already.
+  void arm(Timer* timer, SimDur delay);
+
+  /// Cancels `timer` if it is armed; a no-op otherwise. O(log armed).
+  void disarm(Timer* timer) noexcept;
+
+  /// Timers armed and not yet expired or disarmed (diagnostic).
+  [[nodiscard]] std::size_t armed_timers() const noexcept {
+    return timers_.size();
+  }
+
   /// Starts a detached process. The process begins at the current simulated
   /// time once the event loop runs; its frame is destroyed on completion.
   /// The task's own frame is scheduled (no wrapper coroutine), and an
@@ -72,13 +122,14 @@ class Simulator {
     return Awaiter{this, d};
   }
 
-  /// Runs every event strictly before `before` — by default until the
-  /// event queue is empty. The clock stays at the last executed event.
-  /// Returns the current simulated time.
+  /// Runs every event and timer expiry strictly before `before` — by
+  /// default until nothing is queued or armed. The clock stays at the last
+  /// executed event. Returns the current simulated time.
   SimTime run(SimTime before = kNever);
 
-  /// Runs until the queue is empty or simulated time would exceed
-  /// `deadline`; events after the deadline stay queued.
+  /// Runs until nothing is queued or armed, or simulated time would exceed
+  /// `deadline`; events and timers after the deadline stay pending, and the
+  /// clock advances to `deadline`.
   SimTime run_until(SimTime deadline);
 
   /// Conservative-window run: executes every event strictly before `end`,
@@ -88,14 +139,20 @@ class Simulator {
   /// >= `end`, so it can still be merged at its exact timestamp afterwards.
   SimTime run_window(SimTime end);
 
-  /// Timestamp of the earliest queued event, or kNever when idle. This is
-  /// the per-shard horizon the conservative scheduler synchronizes on.
+  /// Timestamp of the earliest queued event or armed timer, or kNever when
+  /// idle. This is the per-shard horizon the conservative scheduler
+  /// synchronizes on, so a shard whose only work is a pending deadline
+  /// still bounds the window.
   [[nodiscard]] SimTime next_event_time() const noexcept {
-    return queue_.empty() ? kNever : queue_.top().at;
+    const SimTime event = queue_.empty() ? kNever : queue_.top().at;
+    if (timers_.empty()) return event;
+    return timers_.front()->at_ < event ? timers_.front()->at_ : event;
   }
 
-  /// True if no events remain.
-  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
+  /// True if no events are queued and no timer is armed.
+  [[nodiscard]] bool idle() const noexcept {
+    return queue_.empty() && timers_.empty();
+  }
 
  private:
   struct Scheduled {
@@ -110,7 +167,28 @@ class Simulator {
     }
   };
 
+  /// Runs events and timer expiries in (at, seq) order while at <= `last`.
+  void drain(SimTime last);
+  /// Removes the timer at heap index `slot`, restoring the heap order.
+  void erase_timer(std::size_t slot) noexcept;
+  void sift_up(std::size_t slot) noexcept;
+  void sift_down(std::size_t slot) noexcept;
+  void place(Timer* timer, std::size_t slot) noexcept {
+    timers_[slot] = timer;
+    timer->slot_ = slot;
+  }
+
+  static bool earlier(const Timer& a, const Timer& b) noexcept {
+    return a.at_ != b.at_ ? a.at_ < b.at_ : a.seq_ < b.seq_;
+  }
+  static bool precedes(const Timer& t, const Scheduled& e) noexcept {
+    return t.at_ != e.at ? t.at_ < e.at : t.seq_ < e.seq;
+  }
+
   std::priority_queue<Scheduled> queue_;
+  /// Armed timers: a binary min-heap by (at, seq); each timer stores its
+  /// index, so disarm() erases it in place.
+  std::vector<Timer*> timers_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

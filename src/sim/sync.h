@@ -7,7 +7,7 @@
 // scheduled handles), and the primitive must outlive its waiters.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -98,25 +97,108 @@ struct Park {
   void await_resume() const noexcept {}
 };
 
-/// One waiter with a deadline (sim::wait_any). The signalling events and a
-/// timer coroutine race to resume the parked handle; `fired` makes the
-/// wake-up one-shot so the losers become no-ops (no double resume).
-struct TimedWaiter {
-  std::coroutine_handle<> handle;
-  bool fired = false;     ///< the handle has been (re)scheduled
-  bool signaled = false;  ///< woken by the primitive, not the deadline
+class TimedWaiter;
+
+/// One registration of a TimedWaiter on an Event: a node of the event's
+/// circular, doubly linked list of timed waiters, whose sentinel the event
+/// holds. Either side unlinks it in O(1).
+struct TimedLink {
+  TimedLink* prev = nullptr;  ///< null while unlinked
+  TimedLink* next = nullptr;
+  TimedWaiter* waiter = nullptr;
+
+  [[nodiscard]] bool linked() const noexcept { return prev != nullptr; }
+
+  void link_before(TimedLink* pos) noexcept {
+    prev = pos->prev;
+    next = pos;
+    prev->next = this;
+    pos->prev = this;
+  }
+
+  void unlink() noexcept {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
 };
 
-/// The deadline side of a TimedWaiter race: resumes the waiter `timeout`
-/// from now unless a primitive fired it first.
-inline Task<void> wake_at_deadline(Simulator* sim,
-                                   std::shared_ptr<TimedWaiter> waiter,
-                                   SimDur timeout) {
-  co_await sim->delay(timeout);
-  if (waiter->fired) co_return;  // lost the race: a signal already woke it
-  waiter->fired = true;
-  sim->schedule(waiter->handle, 0);
-}
+/// One waiter with a deadline (sim::wait_any). It lives in the waiting
+/// coroutine's frame: a Timer for the deadline and one TimedLink per event
+/// it waits on. The first to fire schedules the handle once — an event
+/// through wake(), which disarms the timer, or the timer by expiring, which
+/// later wake()s see. The destructor disarms the timer and unlinks every
+/// link still registered, so nothing can reach the frame once it is gone.
+class TimedWaiter {
+ public:
+  /// Links held inline; a waiter on more events allocates its links once.
+  static constexpr std::size_t kInlineLinks = 8;
+
+  TimedWaiter(Simulator& sim, std::size_t events)
+      : sim_(&sim),
+        overflow_(events > kInlineLinks
+                      ? std::make_unique<TimedLink[]>(events)
+                      : nullptr),
+        links_(overflow_ ? overflow_.get() : inline_.data()) {}
+  TimedWaiter(const TimedWaiter&) = delete;
+  TimedWaiter& operator=(const TimedWaiter&) = delete;
+  ~TimedWaiter() {
+    sim_->disarm(&timer_);
+    for (std::size_t i = 0; i < used_; ++i) {
+      if (links_[i].linked()) links_[i].unlink();
+    }
+  }
+
+  /// The next unused link, bound to this waiter (Event::add_waiter).
+  [[nodiscard]] TimedLink* take_link() noexcept {
+    TimedLink* link = &links_[used_++];
+    link->waiter = this;
+    return link;
+  }
+
+  /// Parks `h` until an event wakes it or, unless `deadline` is kNever,
+  /// the timer expires at `deadline` (> now).
+  void suspend(std::coroutine_handle<> h, SimTime deadline) {
+    timer_.handle = h;
+    if (deadline != Simulator::kNever) {
+      sim_->arm(&timer_, deadline - sim_->now());
+    }
+  }
+
+  /// The event side of the race: schedules the handle unless an earlier
+  /// event or the deadline already did.
+  void wake() {
+    if (signaled_ || timer_.expired()) return;
+    signaled_ = true;
+    sim_->disarm(&timer_);
+    sim_->schedule(timer_.handle, 0);
+  }
+
+  /// Woken by an event, not by the deadline.
+  [[nodiscard]] bool signaled() const noexcept { return signaled_; }
+
+ private:
+  Simulator* sim_;
+  Timer timer_;
+  bool signaled_ = false;
+  std::size_t used_ = 0;
+  std::array<TimedLink, kInlineLinks> inline_{};
+  std::unique_ptr<TimedLink[]> overflow_;
+  TimedLink* links_;
+};
+
+/// Suspends the awaiting coroutine on a registered TimedWaiter. Trivially
+/// destructible for the same reason as Park.
+struct ParkTimed {
+  TimedWaiter* waiter;
+  SimTime deadline;
+
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    waiter->suspend(h, deadline);
+  }
+  void await_resume() const noexcept {}
+};
 
 }  // namespace detail
 
@@ -125,9 +207,14 @@ inline Task<void> wake_at_deadline(Simulator* sim,
 /// time).
 class Event {
  public:
-  explicit Event(Simulator& sim) noexcept : sim_(&sim) {}
+  explicit Event(Simulator& sim) noexcept : sim_(&sim) {
+    timed_.prev = timed_.next = &timed_;
+  }
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
+  ~Event() {
+    assert(timed_.next == &timed_ && "Event destroyed under a timed waiter");
+  }
 
   [[nodiscard]] bool is_set() const noexcept { return set_; }
 
@@ -135,14 +222,14 @@ class Event {
     if (set_) return;
     set_ = true;
     // Plain waiters first, then timed ones, each in registration order.
+    // A timed link leaves the list as it is visited, so set() touches no
+    // waiter's frame afterwards.
     waiters_.wake_all(*sim_);
-    for (const auto& waiter : timed_waiters_) {
-      if (waiter->fired) continue;  // timed out or woken by another event
-      waiter->fired = true;
-      waiter->signaled = true;
-      sim_->schedule(waiter->handle, 0);
+    while (timed_.next != &timed_) {
+      detail::TimedLink* link = timed_.next;
+      link->unlink();
+      link->waiter->wake();  // a no-op if timed out or woken elsewhere
     }
-    timed_waiters_.clear();
   }
 
   /// Parks the caller itself on the event (no coroutine frame). The event
@@ -152,17 +239,12 @@ class Event {
   }
 
   /// Registers a one-shot waiter that other events may share (see
-  /// sim::wait_any): the first set() among them schedules its handle, and
-  /// the rest find it fired. The event must not be set yet.
-  void add_waiter(std::shared_ptr<detail::TimedWaiter> waiter) {
+  /// sim::wait_any): the first set() among them wakes it, and the rest find
+  /// it woken. The event must not be set yet, and must outlive the
+  /// registration (the waiter unlinks itself when it is destroyed).
+  void add_waiter(detail::TimedWaiter& waiter) {
     assert(!set_ && "waiter registered on a set event");
-    // Fired waiters are inert; dropping them keeps the list of an event
-    // that stays pending across many registrations bounded.
-    const auto live = std::find_if(
-        timed_waiters_.begin(), timed_waiters_.end(),
-        [](const auto& w) { return !w->fired; });
-    timed_waiters_.erase(timed_waiters_.begin(), live);
-    timed_waiters_.push_back(std::move(waiter));
+    waiter.take_link()->link_before(&timed_);
   }
 
   [[nodiscard]] Simulator& simulator() const noexcept { return *sim_; }
@@ -171,8 +253,7 @@ class Event {
   Simulator* sim_;
   bool set_ = false;
   detail::WaitList waiters_;
-  /// Allocates only once a timed waiter registers.
-  std::vector<std::shared_ptr<detail::TimedWaiter>> timed_waiters_;
+  detail::TimedLink timed_;  ///< sentinel of the timed waiters' list
 };
 
 /// Unbounded FIFO channel. Multiple producers and consumers are supported;

@@ -1,18 +1,23 @@
 // Oracle-vs-parallel equivalence gates for the shard runtime: identical op
 // counts, fabric conservation at quiescence, bit-identical repeats for a
 // fixed shard count, and latency magnitudes within tolerance. These are the
-// statistical-equivalence checks the multi-shard mode ships behind.
+// statistical-equivalence checks the multi-shard mode ships behind. A
+// delayed hedge, whose wake-up is a deadline re-armed on every pass of the
+// fetch loop, must fire at exactly the same instant at every shard count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/testbeds.h"
 #include "ec/cost_model.h"
 #include "ec/rs_vandermonde.h"
+#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "resilience/factory.h"
 #include "workload/ycsb.h"
 
@@ -170,6 +175,119 @@ TEST(ShardEquivalence, OracleMatchesLegacySingleLoop) {
   EXPECT_EQ(zero.makespan, one.makespan);
   EXPECT_EQ(zero.events, one.events);
   EXPECT_EQ(zero.read_latency_sum, one.read_latency_sum);
+}
+
+struct HedgeOutcome {
+  bool ok = false;               ///< the Get returned the written bytes
+  SimTime fetch_t0 = 0;          ///< fragment fetches posted
+  SimDur issue_ns = 0;           ///< client CPU to issue one fetch
+  SimTime get_done = 0;
+  std::size_t armed_at_done = 0;  ///< timers armed on the client's loop
+  std::vector<SimTime> hedge_fired;  ///< kHedgeFired record times
+  std::uint64_t hedges_fired = 0;
+  std::uint64_t hedge_wins = 0;
+  SimTime quiesced = 0;
+};
+
+constexpr SimDur kHedgeDelay = 20 * units::kMicrosecond;
+
+/// One hedged Get (delta = 1, a 20 us hedge delay) of a 4 KiB RS(3,2)
+/// value on 5 servers, written first by an unhedged engine so the hedged
+/// engine's load tracker is cold and it fetches slots 0..2. `slow` makes
+/// the owner of slot 0 gray-slow, so the Get is short of k at the hedge
+/// delay.
+HedgeOutcome run_delayed_hedge(std::size_t shards, bool slow) {
+  ec::RsVandermondeCodec codec(3, 2);
+  const auto cost = ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+  cluster::ClusterConfig config{.num_servers = 5, .num_clients = 1};
+  config.shards = shards;
+  cluster::Cluster cl(config);
+  cl.enable_server_ec(codec, cost, /*materialize=*/true);
+  obs::Tracer tracer(true);
+  const std::uint32_t pid = tracer.declare_process("hedge");
+  cl.set_tracer(&tracer, pid);
+  obs::FlightRecorder flight;
+  cl.set_flight_recorder(&flight);
+  resilience::HedgeParams hedge;
+  hedge.delta = 1;
+  hedge.delay_ns = kHedgeDelay;
+  const auto writer = resilience::make_engine(
+      resilience::Design::kEraCeCd, cl.engine_context(0), 3, &codec, cost);
+  const auto reader = resilience::make_engine(
+      resilience::Design::kEraCeCd, cl.engine_context(0), 3, &codec, cost,
+      resilience::ArpeParams{}, hedge);
+  cl.start();
+
+  const Bytes value = make_pattern(4096, 21);
+  HedgeOutcome out;
+  struct Body {
+    static sim::Task<void> set(resilience::Engine* e, Bytes v) {
+      EXPECT_TRUE((co_await e->set("hedged", make_shared_bytes(v))).ok());
+    }
+    static sim::Task<void> get(sim::Simulator* sim, resilience::Engine* e,
+                               Bytes v, HedgeOutcome* o) {
+      const Result<Bytes> got = co_await e->get("hedged");
+      o->ok = got.ok() && *got == v;
+      o->get_done = sim->now();
+      o->armed_at_done = sim->armed_timers();
+    }
+  };
+  sim::Simulator& csim = cl.sim_for_client(0);
+  csim.spawn(Body::set(writer.get(), value));
+  cl.run();
+  if (slow) cl.server(cl.ring().slot_index("hedged", 0)).set_slowdown(50.0);
+  csim.spawn(Body::get(&csim, reader.get(), value, &out));
+  out.quiesced = cl.run();
+  cl.merge_obs_domains();
+
+  for (const obs::TraceSpan& span : tracer.tagged_spans(pid)) {
+    if (span.name != "get/request") continue;
+    out.fetch_t0 = span.begin_ns + span.dur_ns;
+    out.issue_ns = span.dur_ns / 3;  // k fetches from one CPU slice
+  }
+  for (const net::NodeId node : cl.server_nodes()) {
+    for (const obs::FlightRecord& r : flight.events(node)) {
+      if (r.type == obs::FlightEventType::kHedgeFired) {
+        out.hedge_fired.push_back(r.t_ns);
+      }
+    }
+  }
+  out.hedges_fired = reader->stats().hedges_fired;
+  out.hedge_wins = reader->stats().hedge_wins;
+  return out;
+}
+
+TEST(ShardEquivalence, DelayedHedgeFiresAtItsDueTime) {
+  const HedgeOutcome oracle = run_delayed_hedge(1, /*slow=*/true);
+  const HedgeOutcome sharded = run_delayed_hedge(4, /*slow=*/true);
+  for (const HedgeOutcome* o : {&oracle, &sharded}) {
+    ASSERT_TRUE(o->ok);
+    ASSERT_GT(o->issue_ns, 0);
+    // The hedge wakes at fetch_t0 + delay, then spends its own issue CPU.
+    EXPECT_EQ(o->hedge_fired, (std::vector<SimTime>{
+                                  o->fetch_t0 + kHedgeDelay + o->issue_ns}));
+    EXPECT_EQ(o->hedges_fired, 1u);
+    EXPECT_EQ(o->armed_at_done, 0u);
+  }
+  // The write before the Get contends for NICs across shards, so fetch_t0
+  // itself moves with the shard count; the Get measured from it does not.
+  EXPECT_EQ(sharded.get_done - sharded.fetch_t0,
+            oracle.get_done - oracle.fetch_t0);
+  EXPECT_EQ(sharded.hedge_wins, oracle.hedge_wins);
+}
+
+TEST(ShardEquivalence, DelayedHedgeStaysUnfiredWhenKArriveFirst) {
+  for (const std::size_t shards : {1u, 4u}) {
+    const HedgeOutcome o = run_delayed_hedge(shards, /*slow=*/false);
+    EXPECT_TRUE(o.ok) << "shards=" << shards;
+    EXPECT_EQ(o.hedges_fired, 0u) << "shards=" << shards;
+    EXPECT_TRUE(o.hedge_fired.empty()) << "shards=" << shards;
+    // All k fragments landed before the hedge delay; the deadline was
+    // disarmed with the wait, so the run never reaches it.
+    EXPECT_LT(o.get_done, o.fetch_t0 + kHedgeDelay) << "shards=" << shards;
+    EXPECT_EQ(o.armed_at_done, 0u) << "shards=" << shards;
+    EXPECT_LT(o.quiesced, o.fetch_t0 + kHedgeDelay) << "shards=" << shards;
+  }
 }
 
 }  // namespace

@@ -2,15 +2,16 @@
 // allocates nothing: a parked coroutine's wait-list node lives in its own
 // suspended frame. A spawned process costs only its own frame, a worker
 // charge one frame, and overwriting a resident store key nothing; a whole
-// Client->Server Get round trip is pinned with and without a deadline. This
-// file
-// replaces the global operator new with a counting one, so it builds as its
+// Client->Server Get round trip is pinned with and without a deadline, and
+// an answered deadline wait leaves no timer behind. This file replaces the
+// global operator new with a counting one, so it builds as its
 // own test executable (test_sim_alloc) and the counter reaches no other
 // suite.
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -276,13 +277,45 @@ TEST(SimAlloc, RpcGetRoundTripBudget) {
   // frame and one inbox deque chunk per direction, the server's handler
   // frame and its two worker charges (dispatch, then the read).
   EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}), 9u);
-  // A deadline adds eight: the retry loop's spawned frame, Promise state
-  // and Task frame, the request copy an attempt sends, the wait_any frame,
-  // its shared TimedWaiter and timer frame, and the event's timed-waiter
-  // vector.
+  // A deadline adds five: the retry loop's spawned frame, its Promise
+  // state and Task frame, the request copy an attempt sends, and the
+  // wait_any frame. The waiter, its links and its deadline Timer live in
+  // that frame, and arming reuses the timer heap's capacity.
   EXPECT_EQ(get_round_trip_allocations(
                 kv::RpcPolicy{.timeout_ns = units::kMillisecond}),
-            17u);
+            14u);
+}
+
+Task<void> await_with_deadline(Simulator* sim, const Future<int>* future,
+                               SimDur timeout, bool* ready, bool* idle) {
+  *ready = co_await wait_any<int>(std::span<const Future<int>>(future, 1),
+                                  sim->now() + timeout);
+  *idle = sim->idle();
+}
+
+TEST(SimAlloc, AnsweredDeadlineWaitLeavesNothingArmed) {
+  Simulator sim;
+  for (int round = 0; round < 2; ++round) {  // round 0 warms the heaps up
+    Promise<int> promise(sim);
+    const Future<int> future = promise.get_future();
+    bool ready = false;
+    bool idle = false;
+    sim.spawn(await_with_deadline(&sim, &future, units::kMillisecond, &ready,
+                                  &idle));
+    const std::size_t before = g_allocations;
+    const SimTime signal_at = sim.run_until(sim.now() + 100);  // it parks
+    promise.set_value(1);
+    // The answer disarmed the deadline: the run ends at the signal
+    // instant, where nothing is queued or armed.
+    EXPECT_EQ(sim.run(), signal_at);
+    EXPECT_TRUE(ready);
+    EXPECT_TRUE(idle);
+    EXPECT_EQ(sim.armed_timers(), 0u);
+    if (round == 1) {
+      // Only the wait_any frame: the waiter and its Timer live inside it.
+      EXPECT_EQ(g_allocations - before, 1u);
+    }
+  }
 }
 
 }  // namespace

@@ -307,12 +307,67 @@ TEST(WaitAny, DeadlineFormTimesOut) {
   WakeLog timed_out;
   WakeLog served;
   sim.spawn(any_waiter(&sim, {never.get_future()}, 300, &timed_out));
-  sim.spawn(any_waiter(&sim, {soon.get_future()}, 300, &served));
+  sim.spawn(any_waiter(&sim, {soon.get_future()}, 1'000, &served));
   sim.spawn(fulfill_after(&sim, soon, 120, 9));
-  sim.run();
+  // Fulfilled first, the served waiter's deadline is disarmed: the run
+  // ends at the last real event, not at 1'000.
+  EXPECT_EQ(sim.run(), 350);
   EXPECT_EQ(timed_out, (WakeLog{{false, 300}, {false, 350}}));
-  // Fulfilled first: the deadline timer still runs out, waking nobody.
   EXPECT_EQ(served, (WakeLog{{true, 120}, {true, 170}}));
+  // Three starts; the timed-out waiter's expiry, wake and sleep; the
+  // fulfiller's delay and the served waiter's wake and sleep. No deadline
+  // costs an event of its own unless it expires.
+  EXPECT_EQ(sim.events_executed(), 9u);
+  EXPECT_TRUE(sim.idle());
+}
+
+Task<void> wait_then_exit(Simulator* sim, std::vector<Future<int>> futures,
+                          WakeLog* log) {
+  const bool ready = co_await wait_any<int>(futures, sim->now() + 1'000);
+  log->push_back({ready, sim->now()});
+}  // the frame, with the waiter in it, is freed here
+
+TEST(WaitAny, LaterFulfillmentsNeverTouchTheFreedFrame) {
+  // The waiter returns on the first of three futures and its frame is
+  // destroyed; the other two are set afterwards. The waiter unlinked from
+  // them on return, so their set() finds no link (under ASan, a stale one
+  // would be a use after free).
+  Simulator sim;
+  Promise<int> first(sim);
+  Promise<int> second(sim);
+  Promise<int> third(sim);
+  WakeLog log;
+  sim.spawn(wait_then_exit(
+      &sim, {first.get_future(), second.get_future(), third.get_future()},
+      &log));
+  sim.spawn(fulfill_after(&sim, first, 10, 1));
+  sim.spawn(fulfill_after(&sim, second, 20, 2));
+  sim.spawn(fulfill_after(&sim, third, 20, 3));
+  EXPECT_EQ(sim.run(), 20);
+  EXPECT_EQ(log, (WakeLog{{true, 10}}));
+  EXPECT_TRUE(second.get_future().ready());
+  EXPECT_TRUE(third.get_future().ready());
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(WaitAny, WaitsOnMoreFuturesThanTheInlineLinks) {
+  // Twelve pending futures overflow the eight inline links; the last one
+  // to be registered still wakes the waiter, and the rest stay unlinked.
+  Simulator sim;
+  std::vector<Promise<int>> promises;
+  std::vector<Future<int>> futures;
+  for (int i = 0; i < 12; ++i) {
+    promises.emplace_back(sim);
+    futures.push_back(promises.back().get_future());
+  }
+  WakeLog log;
+  sim.spawn(wait_then_exit(&sim, futures, &log));
+  sim.spawn(fulfill_after(&sim, promises.back(), 30, 11));
+  for (std::size_t i = 0; i + 1 < promises.size(); ++i) {
+    sim.spawn(fulfill_after(&sim, promises[i], 40, static_cast<int>(i)));
+  }
+  sim.run();
+  EXPECT_EQ(log, (WakeLog{{true, 30}}));
 }
 
 // --- Wake order on one set() ------------------------------------------------

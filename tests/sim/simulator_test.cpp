@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -254,6 +255,165 @@ TEST(Simulator, DeterministicAcrossRuns) {
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Cancellable timers ----------------------------------------------------
+
+using Log = std::vector<std::string>;
+
+/// Logs `label@now`, plus " expired" once `timer` has run out.
+Task<void> note(Simulator* sim, std::string label, const Timer* timer,
+                Log* log) {
+  log->push_back(label + "@" + std::to_string(sim->now()) +
+                 (timer->expired() ? " expired" : ""));
+  co_return;
+}
+
+/// Arms `timer` to run note(label) `delay` from now.
+void arm_note(Simulator& sim, Timer& timer, SimDur delay, std::string label,
+              Log* log) {
+  timer.handle = note(&sim, std::move(label), &timer, log).detach();
+  sim.arm(&timer, delay);
+}
+
+TEST(Timer, TiesWithQueuedEventsBySequence) {
+  // The expiry takes the timer's (at, seq) slot between e1 and e2; the
+  // handle it schedules then runs after e2, as a delay() sleeper's would.
+  Simulator sim;
+  Timer timer;
+  Log log;
+  sim.schedule(note(&sim, "e1", &timer, &log).detach(), 100);
+  arm_note(sim, timer, 100, "timer", &log);
+  sim.schedule(note(&sim, "e2", &timer, &log).detach(), 100);
+  sim.run();
+  EXPECT_EQ(log, (Log{"e1@100", "e2@100 expired", "timer@100 expired"}));
+  EXPECT_EQ(sim.events_executed(), 4u);  // e1, the expiry, e2, the handle
+}
+
+TEST(Timer, DisarmHeadMiddleAndTail) {
+  // Armed in deadline order, heap slot i holds timer i: disarming 6, 3
+  // and then 0 erases the last leaf, a middle node and the head.
+  Simulator sim;
+  std::vector<Timer> timers(7);
+  Log log;
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    const bool cancelled = i == 0 || i == 3 || i == 6;
+    if (cancelled) {
+      timers[i].handle = std::noop_coroutine();
+      sim.arm(&timers[i], static_cast<SimDur>(100 * (i + 1)));
+    } else {
+      arm_note(sim, timers[i], static_cast<SimDur>(100 * (i + 1)),
+               "t" + std::to_string(i), &log);
+    }
+  }
+  for (const std::size_t i : {6u, 3u, 0u}) sim.disarm(&timers[i]);
+  sim.disarm(&timers[3]);  // disarming twice is a no-op
+  EXPECT_EQ(sim.armed_timers(), 4u);
+  EXPECT_EQ(sim.next_event_time(), 200);
+  sim.run();
+  EXPECT_EQ(log, (Log{"t1@200 expired", "t2@300 expired", "t4@500 expired",
+                      "t5@600 expired"}));
+  EXPECT_EQ(sim.now(), 600);  // the cancelled tail at 700 left no trace
+  EXPECT_FALSE(timers[6].expired());
+}
+
+TEST(Timer, DisarmKeepsTheHeapOrdered) {
+  // Property: after arbitrary arms and disarms, the survivors expire in
+  // (deadline, arm order), and every cancelled timer stays silent.
+  Simulator sim;
+  constexpr std::size_t kTimers = 200;
+  std::vector<Timer> timers(kTimers);
+  Log log;
+  std::vector<std::pair<SimTime, std::size_t>> survivors;
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<bool> cancel(kTimers);
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    const auto delay = static_cast<SimDur>(next() % 50);  // many ties
+    cancel[i] = next() % 2 == 0;
+    if (cancel[i]) {
+      timers[i].handle = std::noop_coroutine();
+      sim.arm(&timers[i], delay);
+    } else {
+      arm_note(sim, timers[i], delay, std::to_string(i), &log);
+      survivors.emplace_back(delay, i);
+    }
+  }
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    if (cancel[i]) sim.disarm(&timers[i]);
+  }
+  sim.run();
+  std::stable_sort(survivors.begin(), survivors.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  Log expected;
+  for (const auto& [at, i] : survivors) {
+    expected.push_back(std::to_string(i) + "@" + std::to_string(at) +
+                       " expired");
+  }
+  EXPECT_EQ(log, expected);
+}
+
+Task<void> rearm_against_fixed_due(Simulator* sim, std::vector<Timer>* timers,
+                                   Log* log) {
+  // A long deadline first, then re-arms against one absolute due time with
+  // a shrinking duration (the hedged Get loop), then a short one.
+  arm_note(*sim, (*timers)[0], 150, "long", log);
+  co_await sim->delay(10);
+  arm_note(*sim, (*timers)[1], 100 - sim->now(), "due/a", log);
+  co_await sim->delay(10);
+  arm_note(*sim, (*timers)[2], 100 - sim->now(), "due/b", log);
+  co_await sim->delay(10);
+  arm_note(*sim, (*timers)[3], 40, "short", log);
+}
+
+TEST(Timer, OutOfDurationOrderArmsFireInDeadlineOrder) {
+  Simulator sim;
+  std::vector<Timer> timers(4);
+  Log log;
+  sim.spawn(rearm_against_fixed_due(&sim, &timers, &log));
+  sim.run();
+  EXPECT_EQ(log, (Log{"short@70 expired", "due/a@100 expired",
+                      "due/b@100 expired", "long@150 expired"}));
+}
+
+TEST(Timer, NextEventTimeAndIdleSeeAnArmedTimer) {
+  Simulator sim;
+  Timer timer;
+  timer.handle = std::noop_coroutine();
+  sim.arm(&timer, 500);
+  EXPECT_FALSE(sim.idle());  // a deadline alone keeps the loop live
+  EXPECT_EQ(sim.next_event_time(), 500);
+  sim.schedule(std::noop_coroutine(), 800);
+  EXPECT_EQ(sim.next_event_time(), 500);
+  sim.disarm(&timer);
+  EXPECT_EQ(sim.next_event_time(), 800);
+  sim.run();
+  EXPECT_TRUE(sim.idle());
+  sim.arm(&timer, 100);  // a disarmed timer can be armed again
+  EXPECT_EQ(sim.next_event_time(), 900);
+  sim.run();
+  EXPECT_TRUE(timer.expired());
+  EXPECT_EQ(sim.next_event_time(), Simulator::kNever);
+}
+
+TEST(Timer, RunBoundsTreatATimerLikeAnEvent) {
+  Simulator sim;
+  Timer timer;
+  timer.handle = std::noop_coroutine();
+  sim.arm(&timer, 1'000);
+  EXPECT_EQ(sim.run(1'000), 0);  // strict: a timer at the bound stays armed
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(sim.run_window(1'000), 1'000);  // strict, then the clock moves
+  EXPECT_TRUE(timer.armed());
+  EXPECT_EQ(sim.run_until(1'000), 1'000);  // inclusive: the timer expires
+  EXPECT_TRUE(timer.expired());
+  EXPECT_TRUE(sim.idle());  // and the handle it scheduled ran too
+  EXPECT_EQ(sim.events_executed(), 2u);
 }
 
 }  // namespace

@@ -108,10 +108,8 @@ sim::Task<void> RpcNode::guarded_coro(RpcNode* self, NodeId dst, Request req,
 sim::Task<void> RpcNode::dispatch_loop(RpcNode* self) {
   auto& inbox = self->fabric_->inbox(self->id_);
   for (;;) {
-    // Channel::recv() inlined: parking here saves a frame per message.
     std::optional<KvEnvelope> env = inbox.try_recv();
     if (!env) {
-      if (inbox.closed()) break;  // inbox closed: node shut down
       co_await inbox.park();
       continue;
     }

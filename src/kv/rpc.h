@@ -34,7 +34,8 @@ namespace hpres::kv {
 /// Deadline/retry policy for guarded calls. The default (timeout_ns == 0)
 /// means "wait forever" — the controlled-failure model of the paper, and
 /// the only safe default for determinism-sensitive experiments (a nonzero
-/// timeout spawns one timer event per call).
+/// timeout arms one cancellable timer per attempt, which becomes an event
+/// only if it fires).
 struct RpcPolicy {
   SimDur timeout_ns = 0;          ///< per-attempt deadline; 0 = no deadline
   std::uint32_t max_retries = 0;  ///< re-sends after the first attempt

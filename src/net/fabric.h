@@ -21,10 +21,11 @@
 // latency later — the lookahead bound the conservative scheduler runs on.
 // Mutable state is strictly shard-owned during parallel runs: the sender's
 // shard owns tx NIC state and send-side counters, the receiver's shard owns
-// rx NIC state, inboxes, and delivery counters. Topology state (up/loss
-// flags) is read-only while shards run; fault injection mutates it either
-// in oracle mode or from a ShardRuntime quiesce hook (every shard thread
-// parked, the barrier publishes the writes).
+// rx NIC state, inboxes, delivery counters and the pool of delivery
+// records. Topology state (up/loss flags) is read-only while shards run;
+// fault injection mutates it either in oracle mode or from a ShardRuntime
+// quiesce hook (every shard thread parked, the barrier publishes the
+// writes).
 //
 // Observability under sharding follows the same single-writer rule: each
 // shard's state carries its own tracer / health-signals / flight-recorder
@@ -40,6 +41,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -121,7 +123,64 @@ struct FabricStats {
 
 template <typename Body>
 class Fabric {
+  struct ShardState;
+  struct Delivery;
+
  public:
+  /// A node's receive queue: an intrusive FIFO of landed delivery records
+  /// plus the receivers parked on it. Owned by the node's shard; its
+  /// dispatch loop receives with try_recv() and parks when it is empty.
+  class Inbox {
+   public:
+    explicit Inbox(sim::Simulator& sim) noexcept : sim_(&sim) {}
+    Inbox(const Inbox&) = delete;
+    Inbox& operator=(const Inbox&) = delete;
+
+    /// Messages landed and not yet received (queue-depth gauge).
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+    /// Takes the oldest message, or nullopt when empty; never suspends.
+    /// The record goes back to its shard's pool.
+    std::optional<Envelope<Body>> try_recv() {
+      Delivery* d = head_;
+      if (d == nullptr) return std::nullopt;
+      head_ = d->next;
+      if (head_ == nullptr) tail_ = nullptr;
+      --size_;
+      std::optional<Envelope<Body>> env(std::move(d->env));
+      d->shard->release(d);
+      return env;
+    }
+
+    /// Parks the caller until the next message lands; it then re-checks
+    /// with try_recv() (another receiver may have taken the message).
+    [[nodiscard]] sim::detail::Park park() noexcept {
+      return sim::detail::Park{&waiters_};
+    }
+
+   private:
+    friend class Fabric;
+
+    /// Links a landed record at the tail and wakes the head receiver.
+    void land(Delivery* d) {
+      d->next = nullptr;
+      if (tail_ == nullptr) {
+        head_ = d;
+      } else {
+        tail_->next = d;
+      }
+      tail_ = d;
+      ++size_;
+      waiters_.wake_one(*sim_);
+    }
+
+    sim::Simulator* sim_;
+    Delivery* head_ = nullptr;
+    Delivery* tail_ = nullptr;
+    std::size_t size_ = 0;
+    sim::detail::WaitList waiters_;
+  };
+
   /// Single-loop fabric: every node on one simulator (the deterministic
   /// oracle configuration, and the only constructor tests existed with
   /// before sharding).
@@ -216,7 +275,7 @@ class Fabric {
 
   /// The receive queue for a node; its dispatch loop receives with
   /// `try_recv()` and parks on it when empty. Owned by the node's shard.
-  [[nodiscard]] sim::Channel<Envelope<Body>>& inbox(NodeId id) {
+  [[nodiscard]] Inbox& inbox(NodeId id) {
     assert(id < inboxes_.size());
     return *inboxes_[id];
   }
@@ -484,13 +543,46 @@ class Fabric {
     double loss = 0.0;  ///< per-node injected silent-loss probability
   };
 
+  /// One message on its way into an inbox, as a simulator Callback with
+  /// two steps, each one event: `start` (due at once) schedules `land` at
+  /// the wire delay, and `land` settles the counters and links the record
+  /// into the destination inbox. Records come from the receiving shard's
+  /// pool and return to it when the message is received. The fabric owns
+  /// them, so it must outlive every message in flight (it does: the
+  /// cluster drains the simulator before teardown).
+  struct Delivery : sim::Callback {
+    Fabric* fabric = nullptr;
+    ShardState* shard = nullptr;  ///< the receiving shard: pool and counters
+    SimDur wire_delay = 0;
+    Delivery* next = nullptr;     ///< pool or inbox link
+    Envelope<Body> env;
+
+    static void start(sim::Callback* cb) {
+      auto* d = static_cast<Delivery*>(cb);
+      d->run = &land;
+      d->fabric->node_sim_[d->env.dst]->schedule(d, d->wire_delay);
+    }
+
+    static void land(sim::Callback* cb) {
+      auto* d = static_cast<Delivery*>(cb);
+      ShardState& st = *d->shard;
+      st.in_flight_bytes -= d->env.wire_bytes;
+      --st.in_flight_messages;
+      ++st.stats.messages_delivered;
+      st.stats.bytes_delivered +=
+          d->env.wire_bytes - d->fabric->params_.header_bytes;
+      d->fabric->inboxes_[d->env.dst]->land(d);
+    }
+  };
+
   /// Shard-owned mutable fabric state: send-side counters and the loss RNG
-  /// belong to the sending shard; delivery and in-flight counters to the
-  /// receiving one. Every field is single-writer (only its shard's thread
-  /// touches it); a cross-shard message charges in-flight from wire arrival
-  /// to inbox delivery, so the merged gauges read zero at quiescence. The
-  /// observability sinks are the shard's own domains in parallel runs (the
-  /// shared instances in oracle mode), keeping recording single-writer too.
+  /// belong to the sending shard; delivery and in-flight counters, and the
+  /// delivery records, to the receiving one. Every field is single-writer
+  /// (only its shard's thread touches it); a cross-shard message charges
+  /// in-flight from wire arrival to inbox delivery, so the merged gauges
+  /// read zero at quiescence. The observability sinks are the shard's own
+  /// domains in parallel runs (the shared instances in oracle mode),
+  /// keeping recording single-writer too.
   struct ShardState {
     FabricStats stats;
     Xoshiro256 loss_rng;
@@ -499,13 +591,35 @@ class Fabric {
     obs::Tracer* tracer = nullptr;
     obs::HealthSignals* health = nullptr;
     obs::FlightRecorder* flight = nullptr;
+    /// Every record this shard ever made (freed with the fabric), and the
+    /// free list threaded through the idle ones.
+    std::vector<std::unique_ptr<Delivery>> records;
+    Delivery* free = nullptr;
+
+    /// A record from the pool (a new one when it is empty), about to start.
+    Delivery* acquire(Fabric* fabric) {
+      Delivery* d = free;
+      if (d != nullptr) {
+        free = d->next;
+      } else {
+        d = records.emplace_back(std::make_unique<Delivery>()).get();
+        d->fabric = fabric;
+        d->shard = this;
+      }
+      d->run = &Delivery::start;
+      return d;
+    }
+
+    void release(Delivery* d) noexcept {
+      d->next = free;
+      free = d;
+    }
   };
 
   void init_inboxes() {
     inboxes_.reserve(node_sim_.size());
     for (std::size_t i = 0; i < node_sim_.size(); ++i) {
-      inboxes_.push_back(
-          std::make_unique<sim::Channel<Envelope<Body>>>(*node_sim_[i]));
+      inboxes_.push_back(std::make_unique<Inbox>(*node_sim_[i]));
     }
   }
 
@@ -564,14 +678,11 @@ class Fabric {
       }
     }
     // The in-flight charge for a cross-shard message begins here, at wire
-    // arrival, and is settled by deliver_coro — both on this (the
+    // arrival, and is settled when the delivery lands — both on this (the
     // destination) shard's thread. The post->arrival wire leg is therefore
     // uncounted; gauges at quiescence still read zero, and per-shard
     // counters are single-writer by construction.
-    rs.in_flight_bytes += env.wire_bytes;
-    ++rs.in_flight_messages;
-    dsim->spawn(deliver_coro(this, &rs, dsim, rx_end - dsim->now(),
-                             std::move(env)));
+    deliver(rs, dsim, rx_end - arrival, std::move(env));
   }
 
   [[nodiscard]] ShardState& ss_of(NodeId node) {
@@ -580,25 +691,19 @@ class Fabric {
 
   void deliver_at(SimTime when, Envelope<Body> env) {
     sim::Simulator* dsim = node_sim_[env.dst];
-    ShardState& st = ss_of(env.dst);
-    const SimDur delay = when - dsim->now();
-    st.in_flight_bytes += env.wire_bytes;
-    ++st.in_flight_messages;
-    dsim->spawn(deliver_coro(this, &st, dsim, delay, std::move(env)));
+    deliver(ss_of(env.dst), dsim, when - dsim->now(), std::move(env));
   }
 
-  // Free coroutine per CP.51/CP.53: parameters by value / a raw pointer to
-  // the fabric, which owns the inboxes and must outlive every in-flight
-  // message (it does: the cluster drains the simulator before teardown).
-  static sim::Task<void> deliver_coro(Fabric* self, ShardState* st,
-                                      sim::Simulator* dsim, SimDur delay,
-                                      Envelope<Body> env) {
-    co_await dsim->delay(delay);
-    st->in_flight_bytes -= env.wire_bytes;
-    --st->in_flight_messages;
-    ++st->stats.messages_delivered;
-    st->stats.bytes_delivered += env.wire_bytes - self->params_.header_bytes;
-    self->inboxes_[env.dst]->send(std::move(env));
+  /// Charges the message in flight on the receiving shard `st` and starts
+  /// its delivery, which lands `wire_delay` after the start step runs.
+  void deliver(ShardState& st, sim::Simulator* dsim, SimDur wire_delay,
+               Envelope<Body> env) {
+    st.in_flight_bytes += env.wire_bytes;
+    ++st.in_flight_messages;
+    Delivery* d = st.acquire(this);
+    d->wire_delay = wire_delay;
+    d->env = std::move(env);
+    dsim->schedule(d, 0);
   }
 
   FabricParams params_;
@@ -610,7 +715,7 @@ class Fabric {
   FabricStats merged_stats_;
   std::uint64_t merged_in_flight_bytes_ = 0;
   std::uint64_t merged_in_flight_messages_ = 0;
-  std::vector<std::unique_ptr<sim::Channel<Envelope<Body>>>> inboxes_;
+  std::vector<std::unique_ptr<Inbox>> inboxes_;
   double loss_probability_ = 0.0;
   std::size_t lossy_nodes_ = 0;  ///< nodes with a nonzero per-node loss
   std::uint32_t trace_pid_ = 0;

@@ -72,6 +72,25 @@ void Simulator::sift_down(std::size_t slot) noexcept {
 
 void Simulator::drain(SimTime last) {
   for (;;) {
+    if (ready_head_ < ready_.size()) {
+      // Every ready entry is due at now_, so a heap event or a timer runs
+      // first only if it is also due at now_ with an earlier sequence.
+      const Scheduled& head = ready_[ready_head_];
+      if (head.at > last) return;
+      const bool heap_first = !queue_.empty() && precedes(queue_.top(), head);
+      const bool timer_first =
+          !timers_.empty() && precedes(*timers_.front(), head);
+      if (!heap_first && !timer_first) {
+        const std::uintptr_t item = head.item;
+        if (++ready_head_ == ready_.size()) {
+          ready_.clear();
+          ready_head_ = 0;
+        }
+        ++executed_;
+        run_item(item);
+        continue;
+      }
+    }
     if (!timers_.empty() &&
         (queue_.empty() || precedes(*timers_.front(), queue_.top()))) {
       Timer* timer = timers_.front();
@@ -88,7 +107,7 @@ void Simulator::drain(SimTime last) {
     queue_.pop();
     now_ = item.at;
     ++executed_;
-    item.handle.resume();
+    run_item(item.item);
   }
 }
 
@@ -99,12 +118,16 @@ SimTime Simulator::run(SimTime before) {
 
 SimTime Simulator::run_until(SimTime deadline) {
   drain(deadline);
+  assert((now_ >= deadline || ready_head_ == ready_.size()) &&
+         "clock advanced past a ready event");
   if (now_ < deadline) now_ = deadline;
   return now_;
 }
 
 SimTime Simulator::run_window(SimTime end) {
   drain(end - 1);
+  assert((now_ >= end || ready_head_ == ready_.size()) &&
+         "clock advanced past a ready event");
   if (now_ < end) now_ = end;
   return now_;
 }

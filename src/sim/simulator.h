@@ -1,10 +1,17 @@
 // Deterministic discrete-event simulator.
 //
 // A single-threaded event loop over (time, sequence) ordered continuations.
-// All awaitable primitives (delay, Event, Channel, Semaphore, resources)
+// All awaitable primitives (delay, Event, Semaphore, Latch, resources)
 // schedule coroutine resumptions through this queue, so execution order is a
 // pure function of the program and its seeds — every experiment in this
-// repository is reproducible bit-for-bit.
+// repository is reproducible bit-for-bit. An event is a coroutine to resume
+// or a plain Callback record (a fabric delivery).
+//
+// Most events are due at once (spawns, wakes, timer expiries). They go to a
+// FIFO ready queue beside the event heap instead of through it: every entry
+// is pushed at `now` with a fresh sequence number, so the FIFO is sorted and
+// empty whenever the clock advances, and merging its head with the heap top
+// by (at, seq) is exactly the single-heap order (DESIGN.md).
 //
 // Deadlines that are almost always cancelled (an RPC attempt's timeout) are
 // cancellable Timers beside the event queue: an indexed min-heap of the live
@@ -24,6 +31,13 @@
 #include "sim/task.h"
 
 namespace hpres::sim {
+
+/// A plain event: `run(this)` is called when it comes due. The record lives
+/// in its owner (the derived struct carries the state), so scheduling it
+/// allocates nothing; it must stay alive until it has run.
+struct Callback {
+  void (*run)(Callback*);
+};
 
 /// A cancellable one-shot wake-up (Simulator::arm). The node lives in its
 /// owner — for sim::wait_any, the waiting coroutine's frame — and the
@@ -76,8 +90,13 @@ class Simulator {
   /// before the receiver's clock — and asserts in debug builds; release
   /// builds keep the historical clamp-to-now behaviour.
   void schedule(std::coroutine_handle<> h, SimDur delay = 0) {
-    assert(delay >= 0 && "negative schedule() delay (stale timestamp?)");
-    queue_.push(Scheduled{now_ + (delay < 0 ? 0 : delay), next_seq_++, h});
+    push(reinterpret_cast<std::uintptr_t>(h.address()), delay);
+  }
+
+  /// Schedules `cb->run(cb)` after `delay` (>= 0), in the same (at, seq)
+  /// order as a coroutine scheduled at this point would take.
+  void schedule(Callback* cb, SimDur delay) {
+    push(reinterpret_cast<std::uintptr_t>(cb) | kCallbackBit, delay);
   }
 
   /// Arms `timer` to expire `delay` (>= 0) simulated nanoseconds from now.
@@ -144,6 +163,7 @@ class Simulator {
   /// synchronizes on, so a shard whose only work is a pending deadline
   /// still bounds the window.
   [[nodiscard]] SimTime next_event_time() const noexcept {
+    if (ready_head_ < ready_.size()) return now_;
     const SimTime event = queue_.empty() ? kNever : queue_.top().at;
     if (timers_.empty()) return event;
     return timers_.front()->at_ < event ? timers_.front()->at_ : event;
@@ -151,14 +171,19 @@ class Simulator {
 
   /// True if no events are queued and no timer is armed.
   [[nodiscard]] bool idle() const noexcept {
-    return queue_.empty() && timers_.empty();
+    return ready_head_ == ready_.size() && queue_.empty() && timers_.empty();
   }
 
  private:
+  /// Marks a Scheduled::item as a Callback* (coroutine frames and Callback
+  /// records are at least pointer-aligned, so the low bit is free).
+  static constexpr std::uintptr_t kCallbackBit = 1;
+  static_assert(alignof(Callback) > kCallbackBit);
+
   struct Scheduled {
     SimTime at;
     std::uint64_t seq;
-    std::coroutine_handle<> handle;
+    std::uintptr_t item;  ///< a coroutine frame, or a Callback* | kCallbackBit
 
     // std::priority_queue is a max-heap; invert for earliest-first.
     friend bool operator<(const Scheduled& a, const Scheduled& b) noexcept {
@@ -167,6 +192,27 @@ class Simulator {
     }
   };
 
+  /// Queues `item` at (now + delay, next sequence number): on the ready
+  /// FIFO when it is due now (a negative delay clamps to now), on the heap
+  /// otherwise.
+  void push(std::uintptr_t item, SimDur delay) {
+    assert(delay >= 0 && "negative schedule() delay (stale timestamp?)");
+    if (delay <= 0) {
+      ready_.push_back(Scheduled{now_, next_seq_++, item});
+    } else {
+      queue_.push(Scheduled{now_ + delay, next_seq_++, item});
+    }
+  }
+  /// Executes one event.
+  static void run_item(std::uintptr_t item) {
+    if ((item & kCallbackBit) != 0) {
+      auto* cb = reinterpret_cast<Callback*>(item & ~kCallbackBit);
+      cb->run(cb);
+    } else {
+      std::coroutine_handle<>::from_address(reinterpret_cast<void*>(item))
+          .resume();
+    }
+  }
   /// Runs events and timer expiries in (at, seq) order while at <= `last`.
   void drain(SimTime last);
   /// Removes the timer at heap index `slot`, restoring the heap order.
@@ -184,8 +230,17 @@ class Simulator {
   static bool precedes(const Timer& t, const Scheduled& e) noexcept {
     return t.at_ != e.at ? t.at_ < e.at : t.seq_ < e.seq;
   }
+  static bool precedes(const Scheduled& a, const Scheduled& b) noexcept {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
+  /// Events due at a later time.
   std::priority_queue<Scheduled> queue_;
+  /// Events due at `now_`, in sequence order: entries from ready_head_ on
+  /// are pending. Cleared when drained, so it is empty whenever the clock
+  /// advances.
+  std::vector<Scheduled> ready_;
+  std::size_t ready_head_ = 0;
   /// Armed timers: a binary min-heap by (at, seq); each timer stores its
   /// index, so disarm() erases it in place.
   std::vector<Timer*> timers_;

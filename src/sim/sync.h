@@ -1,6 +1,8 @@
 // Synchronization primitives for simulator coroutines: one-shot Event,
-// MPMC Channel, counting Semaphore, countdown Latch, and WorkerPool (a
-// semaphore-guarded compute resource that charges simulated time).
+// counting Semaphore, Condition, countdown Latch, and WorkerPool (a
+// semaphore-guarded compute resource that charges simulated time). The
+// intrusive WaitList below also parks a node's fabric inbox receiver
+// (net::Fabric::Inbox).
 //
 // Lifetime invariant shared by all primitives: a coroutine suspended on a
 // primitive must be kept alive until it resumes (the simulator never drops
@@ -12,9 +14,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -254,65 +254,6 @@ class Event {
   bool set_ = false;
   detail::WaitList waiters_;
   detail::TimedLink timed_;  ///< sentinel of the timed waiters' list
-};
-
-/// Unbounded FIFO channel. Multiple producers and consumers are supported;
-/// `recv()` returns nullopt once the channel is closed and drained.
-template <typename T>
-class Channel {
- public:
-  explicit Channel(Simulator& sim) noexcept : sim_(&sim) {}
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  /// Enqueues an item. Valid until close(); sends after close are dropped
-  /// (the peer has gone away — mirrors writing to a dead connection).
-  void send(T item) {
-    if (closed_) return;
-    items_.push_back(std::move(item));
-    // The woken receiver re-checks: if another receiver took the item
-    // first, it parks again at the tail.
-    waiters_.wake_one(*sim_);
-  }
-
-  /// Closes the channel: queued items remain receivable; subsequent recv()
-  /// on an empty channel yields nullopt.
-  void close() {
-    closed_ = true;
-    waiters_.wake_all(*sim_);
-  }
-
-  [[nodiscard]] bool closed() const noexcept { return closed_; }
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-
-  /// Receives the next item, suspending while the channel is empty and open.
-  Task<std::optional<T>> recv() {
-    for (;;) {
-      if (std::optional<T> item = try_recv()) co_return item;
-      if (closed_) co_return std::nullopt;
-      co_await park();
-    }
-  }
-
-  /// Non-suspending receive; nullopt when empty.
-  std::optional<T> try_recv() {
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Parks the caller until the next send() or close(). A hot receiver
-  /// inlines recv() as this loop around try_recv(), saving recv()'s frame.
-  [[nodiscard]] detail::Park park() noexcept {
-    return detail::Park{&waiters_};
-  }
-
- private:
-  Simulator* sim_;
-  std::deque<T> items_;
-  detail::WaitList waiters_;
-  bool closed_ = false;
 };
 
 /// Counting semaphore.

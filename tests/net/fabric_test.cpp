@@ -1,11 +1,16 @@
 // Fabric timing model: Equation 1 behaviour, NIC serialization, incast
-// queueing, eager/rendezvous switch, failure drops, FIFO per pair.
+// queueing, eager/rendezvous switch, failure drops, FIFO per pair; inbox
+// semantics (FIFO, buffering, non-suspending try_recv, parked receivers)
+// and cross-shard deliveries.
 #include "net/fabric.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "sim/shard_runtime.h"
 
 namespace hpres::net {
 namespace {
@@ -31,10 +36,14 @@ struct Receiver {
                              std::vector<std::pair<int, SimTime>>* log,
                              sim::Simulator* sim, int expected) {
     auto& inbox = fabric->inbox(id);
-    for (int i = 0; i < expected; ++i) {
-      const auto env = co_await inbox.recv();
-      if (!env) break;
+    for (int i = 0; i < expected;) {
+      const std::optional<Envelope<int>> env = inbox.try_recv();
+      if (!env) {
+        co_await inbox.park();
+        continue;
+      }
       log->push_back({env->body, sim->now()});
+      ++i;
     }
   }
 };
@@ -248,6 +257,127 @@ TEST(Fabric, FullLossDropsEverything) {
   sim.run();
   EXPECT_EQ(fabric.stats().drops_injected, 10u);
   EXPECT_EQ(fabric.stats().messages_delivered, 0u);
+  EXPECT_EQ(fabric.inbox(1).size(), 0u);
+}
+
+// --- Inbox -----------------------------------------------------------------
+
+sim::Task<void> send_spaced(sim::Simulator* sim, TestFabric* fabric, int count,
+                            SimDur gap) {
+  for (int i = 0; i < count; ++i) {
+    co_await sim->delay(gap);
+    fabric->send(0, 1, i, 100);
+  }
+}
+
+TEST(Fabric, InboxDeliversInFifoOrder) {
+  sim::Simulator sim;
+  TestFabric fabric(sim, flat_params(), 2);
+  std::vector<std::pair<int, SimTime>> log;
+  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 5));
+  sim.spawn(send_spaced(&sim, &fabric, 5, 10));
+  sim.run();
+  ASSERT_EQ(log.size(), 5u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].first, static_cast<int>(i));
+  }
+  EXPECT_EQ(fabric.inbox(1).size(), 0u);
+}
+
+TEST(Fabric, InboxBuffersUntilReceived) {
+  sim::Simulator sim;
+  TestFabric fabric(sim, flat_params(), 2);
+  fabric.send(0, 1, 7, 100);
+  fabric.send(0, 1, 8, 100);
+  sim.run();  // both land with nobody receiving
+  EXPECT_EQ(fabric.inbox(1).size(), 2u);
+  std::vector<std::pair<int, SimTime>> log;
+  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 2));
+  sim.run();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].first, 7);
+  EXPECT_EQ(log[1].first, 8);
+  EXPECT_EQ(fabric.inbox(1).size(), 0u);
+}
+
+TEST(Fabric, InboxTryRecvDoesNotSuspend) {
+  sim::Simulator sim;
+  TestFabric fabric(sim, flat_params(), 2);
+  EXPECT_FALSE(fabric.inbox(1).try_recv().has_value());
+  fabric.send(0, 1, 3, 100);
+  sim.run();
+  const std::optional<Envelope<int>> env = fabric.inbox(1).try_recv();
+  ASSERT_TRUE(env.has_value());
+  EXPECT_EQ(env->body, 3);
+  EXPECT_EQ(env->src, 0u);
+  EXPECT_EQ(env->delivered_at, 1'000 + 100);
+  EXPECT_FALSE(fabric.inbox(1).try_recv().has_value());
+}
+
+sim::Task<void> send_after(sim::Simulator* sim, TestFabric* fabric, SimDur d,
+                           int body) {
+  co_await sim->delay(d);
+  fabric->send(0, 1, body, 100);
+}
+
+TEST(Fabric, ParkedReceiverWakesOnNextDelivery) {
+  sim::Simulator sim;
+  TestFabric fabric(sim, flat_params(), 2);
+  std::vector<std::pair<int, SimTime>> log;
+  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 1));
+  sim.run();  // the receiver parks on the empty inbox
+  EXPECT_TRUE(log.empty());
+  sim.spawn(send_after(&sim, &fabric, 500, 9));
+  sim.run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].first, 9);
+  EXPECT_EQ(log[0].second, 500 + 1'000 + 100);  // woken as it lands
+}
+
+TEST(Fabric, InboxReceiversShareMessages) {
+  sim::Simulator sim;
+  TestFabric fabric(sim, flat_params(), 2);
+  std::vector<std::pair<int, SimTime>> log_a;
+  std::vector<std::pair<int, SimTime>> log_b;
+  sim.spawn(Receiver::run(&fabric, 1, &log_a, &sim, 5));
+  sim.spawn(Receiver::run(&fabric, 1, &log_b, &sim, 5));
+  sim.spawn(send_spaced(&sim, &fabric, 10, 1));
+  sim.run();
+  EXPECT_EQ(log_a.size() + log_b.size(), 10u);
+  EXPECT_EQ(fabric.inbox(1).size(), 0u);
+}
+
+sim::Task<void> send_burst(TestFabric* fabric) {
+  fabric->send(0, 1, 1, 1'000);
+  fabric->send(0, 1, 2, 10);
+  fabric->send(0, 1, 3, 10);
+  co_return;
+}
+
+TEST(Fabric, CrossShardDeliveriesLandOnTheReceiverShard) {
+  const FabricParams p = flat_params();
+  sim::ShardRuntime runtime(2, p.latency_ns);
+  TestFabric fabric(runtime, p, {0, 1});
+  std::vector<std::pair<int, SimTime>> log;
+  runtime.shard(1).spawn(
+      Receiver::run(&fabric, 1, &log, &runtime.shard(1), 3));
+  runtime.shard(0).spawn(send_burst(&fabric));
+  runtime.run();
+  // Same arithmetic as one loop: tx 0-1000, 1000-1010, 1010-1020; each
+  // arrives one latency after its tx start and queues at the rx NIC.
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0], (std::pair<int, SimTime>{1, 2'000}));
+  EXPECT_EQ(log[1], (std::pair<int, SimTime>{2, 2'010}));
+  EXPECT_EQ(log[2], (std::pair<int, SimTime>{3, 2'020}));
+  fabric.merge_stats();
+  const FabricStats& s = fabric.stats();
+  EXPECT_EQ(s.messages_sent, 3u);
+  EXPECT_EQ(s.messages_delivered, 3u);
+  EXPECT_EQ(s.bytes_delivered, 1'020u);
+  EXPECT_EQ(fabric.in_flight_bytes(), 0u);
+  EXPECT_EQ(fabric.in_flight_messages(), 0u);
+  EXPECT_EQ(fabric.in_flight_bytes_of_shard(0), 0u);
+  EXPECT_EQ(fabric.in_flight_bytes_of_shard(1), 0u);
   EXPECT_EQ(fabric.inbox(1).size(), 0u);
 }
 

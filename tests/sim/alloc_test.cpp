@@ -1,9 +1,10 @@
 // The allocation budget of one RPC hop. Waiting on a simulator primitive
 // allocates nothing: a parked coroutine's wait-list node lives in its own
 // suspended frame. A spawned process costs only its own frame, a worker
-// charge one frame, and overwriting a resident store key nothing; a whole
-// Client->Server Get round trip is pinned with and without a deadline, and
-// an answered deadline wait leaves no timer behind. This file replaces the
+// charge one frame, a fabric delivery and overwriting a resident store key
+// nothing, and a fragment key one string; a whole Client->Server Get round
+// trip is pinned with and without a deadline, and an answered deadline
+// wait leaves no timer behind. This file replaces the
 // global operator new with a counting one, so it builds as its
 // own test executable (test_sim_alloc) and the counter reaches no other
 // suite.
@@ -19,6 +20,7 @@
 #include "kv/client.h"
 #include "kv/server.h"
 #include "kv/store.h"
+#include "net/fabric.h"
 #include "sim/future.h"
 #include "sim/sync.h"
 
@@ -234,6 +236,46 @@ TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
   EXPECT_EQ(store.items(), 1u);
 }
 
+TEST(SimAlloc, ChunkKeyAllocatesOnce) {
+  const kv::Key base = "user000000000042";
+  ASSERT_EQ(base.size(), 16u);
+  const std::size_t before = g_allocations;
+  const kv::Key key = kv::chunk_key(base, 3);
+  EXPECT_EQ(g_allocations - before, 1u);
+  EXPECT_EQ(key, base + "\x01" "3");
+}
+
+Task<void> receive(net::Fabric<int>* fabric, net::NodeId id, int count,
+                   int* sum) {
+  auto& inbox = fabric->inbox(id);
+  for (int i = 0; i < count;) {
+    const std::optional<net::Envelope<int>> env = inbox.try_recv();
+    if (!env) {
+      co_await inbox.park();
+      continue;
+    }
+    *sum += env->body;
+    ++i;
+  }
+}
+
+TEST(SimAlloc, FabricDeliveryAllocatesNothing) {
+  Simulator sim;
+  net::Fabric<int> fabric(sim, net::FabricParams{}, 2);
+  int sum = 0;
+  sim.spawn(receive(&fabric, 1, 2, &sum));
+  // The first delivery warms up the record pool and the event queues.
+  fabric.send(0, 1, 1, 4096);
+  sim.run();
+  ASSERT_EQ(sum, 1);
+  const std::size_t before = g_allocations;
+  fabric.send(0, 1, 2, 4096);
+  sim.run();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(fabric.stats().messages_delivered, 2u);
+}
+
 Task<void> get_once(kv::Client* client, kv::NodeId server, kv::Request req,
                     kv::Response* out) {
   const Future<kv::Response> f = client->call(server, std::move(req));
@@ -242,7 +284,7 @@ Task<void> get_once(kv::Client* client, kv::NodeId server, kv::Request req,
 
 /// Allocations of one Client->Server kGet round trip under `policy`, from
 /// the issuing call() to the caller's resume with the response. A first
-/// round trip warms up the event queue, the maps and the inbox queues; the
+/// round trip warms up the event queues, the maps and the delivery pools; the
 /// issuing process frame is allocated before counting starts.
 std::size_t get_round_trip_allocations(kv::RpcPolicy policy) {
   Simulator sim;
@@ -273,17 +315,17 @@ std::size_t get_round_trip_allocations(kv::RpcPolicy policy) {
 }
 
 TEST(SimAlloc, RpcGetRoundTripBudget) {
-  // The caller's Promise state and pending-call node, one fabric delivery
-  // frame and one inbox deque chunk per direction, the server's handler
-  // frame and its two worker charges (dispatch, then the read).
-  EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}), 9u);
+  // The caller's Promise state and pending-call node, the server's handler
+  // frame and its two worker charges (dispatch, then the read). Both
+  // deliveries reuse pooled records.
+  EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}), 5u);
   // A deadline adds five: the retry loop's spawned frame, its Promise
   // state and Task frame, the request copy an attempt sends, and the
   // wait_any frame. The waiter, its links and its deadline Timer live in
   // that frame, and arming reuses the timer heap's capacity.
   EXPECT_EQ(get_round_trip_allocations(
                 kv::RpcPolicy{.timeout_ns = units::kMillisecond}),
-            14u);
+            10u);
 }
 
 Task<void> await_with_deadline(Simulator* sim, const Future<int>* future,

@@ -416,5 +416,157 @@ TEST(Timer, RunBoundsTreatATimerLikeAnEvent) {
   EXPECT_EQ(sim.events_executed(), 2u);
 }
 
+// --- Ready queue and callbacks --------------------------------------------
+
+Task<void> log_label(Simulator* sim, std::string label, Log* log) {
+  log->push_back(label + "@" + std::to_string(sim->now()));
+  co_return;
+}
+
+/// Queues log_label(label) `delay` from now.
+void queue_label(Simulator& sim, SimDur delay, std::string label, Log* log) {
+  sim.schedule(log_label(&sim, std::move(label), log).detach(), delay);
+}
+
+Task<void> log_then_queue_now(Simulator* sim, Log* log) {
+  log->push_back("first@" + std::to_string(sim->now()));
+  queue_label(*sim, 0, "z1", log);
+  queue_label(*sim, 0, "z2", log);
+  co_return;
+}
+
+TEST(ReadyQueue, HeapEventDueNowRunsBeforeLaterDelayZeroEvents) {
+  // "heap" was queued at 100 before "first" ran and queued z1 and z2 at
+  // delay 0, so its sequence number is lower: it runs first.
+  Simulator sim;
+  Log log;
+  sim.schedule(log_then_queue_now(&sim, &log).detach(), 100);
+  queue_label(sim, 100, "heap", &log);
+  sim.run();
+  EXPECT_EQ(log, (Log{"first@100", "heap@100", "z1@100", "z2@100"}));
+}
+
+TEST(ReadyQueue, ZeroDelayTimerExpiresBetweenZeroDelayEvents) {
+  Simulator sim;
+  Timer timer;
+  Log log;
+  sim.schedule(note(&sim, "a", &timer, &log).detach(), 0);
+  arm_note(sim, timer, 0, "timer", &log);
+  sim.schedule(note(&sim, "b", &timer, &log).detach(), 0);
+  EXPECT_EQ(sim.next_event_time(), 0);
+  sim.run();
+  // The expiry takes its slot between a and b; its handle runs after b.
+  EXPECT_EQ(log, (Log{"a@0", "b@0 expired", "timer@0 expired"}));
+  EXPECT_EQ(sim.events_executed(), 4u);
+}
+
+/// A plain event that logs its label each time it runs.
+struct LabelCallback : Callback {
+  LabelCallback(Simulator* s, std::string l, Log* g)
+      : Callback{&fire}, sim(s), label(std::move(l)), log(g) {}
+
+  static void fire(Callback* cb) {
+    auto* self = static_cast<LabelCallback*>(cb);
+    self->log->push_back(self->label + "@" +
+                         std::to_string(self->sim->now()));
+  }
+
+  Simulator* sim;
+  std::string label;
+  Log* log;
+};
+
+TEST(ReadyQueue, CallbacksAndCoroutinesInterleaveBySequence) {
+  Simulator sim;
+  Log log;
+  LabelCallback k1(&sim, "k1", &log);
+  LabelCallback k2(&sim, "k2", &log);
+  queue_label(sim, 0, "c1", &log);
+  sim.schedule(&k1, 0);
+  queue_label(sim, 100, "c2", &log);
+  sim.schedule(&k2, 100);
+  queue_label(sim, 0, "c3", &log);
+  sim.schedule(&k1, 100);  // a record may run again once it has run
+  sim.run();
+  EXPECT_EQ(log, (Log{"c1@0", "k1@0", "c3@0", "c2@100", "k2@100", "k1@100"}));
+  EXPECT_EQ(sim.events_executed(), 6u);
+}
+
+TEST(ReadyQueue, NextEventTimeAndIdleSeeReadyOnlyWork) {
+  Simulator sim;
+  EXPECT_EQ(sim.run_until(300), 300);
+  sim.schedule(std::noop_coroutine(), 0);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), 300);
+  sim.schedule(std::noop_coroutine(), 200);  // the heap's top is later
+  EXPECT_EQ(sim.next_event_time(), 300);
+  EXPECT_EQ(sim.run(sim.now()), 300);  // strict bound: nothing due runs
+  EXPECT_EQ(sim.next_event_time(), 300);
+  EXPECT_EQ(sim.run(sim.now() + 1), 300);
+  EXPECT_EQ(sim.next_event_time(), 500);
+  sim.run();
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), Simulator::kNever);
+}
+
+Task<void> chain_link(Simulator* sim, int left, Log* log) {
+  log->push_back("link" + std::to_string(left) + "@" +
+                 std::to_string(sim->now()));
+  if (left > 0) sim->spawn(chain_link(sim, left - 1, log));
+  co_return;
+}
+
+/// At 10: a chain of three delay-0 spawns; at 100: one last event.
+Task<void> chain_then_sleep(Simulator* sim, Log* log) {
+  co_await sim->delay(10);
+  sim->spawn(chain_link(sim, 2, log));
+  co_await sim->delay(90);
+  log->push_back("end@" + std::to_string(sim->now()));
+}
+
+TEST(ReadyQueue, RunBoundsLeaveNothingReadyWhenTheClockAdvances) {
+  enum class Mode { kRun, kRunUntil, kRunWindow };
+  for (const Mode mode : {Mode::kRun, Mode::kRunUntil, Mode::kRunWindow}) {
+    Simulator sim;
+    Log log;
+    sim.spawn(chain_then_sleep(&sim, &log));
+    switch (mode) {
+      case Mode::kRun:
+        EXPECT_EQ(sim.run(50), 10);  // the clock stays at the last event
+        break;
+      case Mode::kRunUntil:
+        EXPECT_EQ(sim.run_until(50), 50);
+        break;
+      case Mode::kRunWindow:
+        EXPECT_EQ(sim.run_window(50), 50);
+        break;
+    }
+    // The whole chain ran at 10; only the heap event at 100 is left.
+    EXPECT_EQ(log, (Log{"link2@10", "link1@10", "link0@10"}));
+    EXPECT_EQ(sim.next_event_time(), 100);
+    sim.run();
+    EXPECT_EQ(log.back(), "end@100");
+  }
+}
+
+Task<void> spawn_at_now_then_queue(Simulator* sim, Log* log) {
+  log->push_back("x@" + std::to_string(sim->now()));
+  sim->spawn_at(sim->now(), log_label(sim, "spawned", log));
+  queue_label(*sim, 0, "z", log);
+  co_return;
+}
+
+TEST(ReadyQueue, SpawnAtNowRunsAfterEventsAlreadyQueuedAtNow) {
+  Simulator sim;
+  Log log;
+  queue_label(sim, 0, "ready", &log);
+  sim.schedule(spawn_at_now_then_queue(&sim, &log).detach(), 100);
+  queue_label(sim, 100, "y", &log);
+  sim.spawn_at(0, log_label(&sim, "at0", &log));
+  sim.run();
+  EXPECT_EQ(log, (Log{"ready@0", "at0@0", "x@100", "y@100", "spawned@100",
+                      "z@100"}));
+}
+
 }  // namespace
 }  // namespace hpres::sim

@@ -1,4 +1,4 @@
-// Channel / Event / Semaphore / Condition / Latch / WorkerPool semantics.
+// Event / Semaphore / Condition / Latch / WorkerPool semantics.
 #include "sim/sync.h"
 
 #include <gtest/gtest.h>
@@ -49,101 +49,6 @@ TEST(Event, DoubleSetIsIdempotent) {
   ev.set();
   ev.set();
   EXPECT_TRUE(ev.is_set());
-}
-
-// --- Channel -----------------------------------------------------------------
-
-Task<void> drain(Channel<int>* ch, std::vector<int>* out) {
-  for (;;) {
-    const std::optional<int> v = co_await ch->recv();
-    if (!v) break;
-    out->push_back(*v);
-  }
-}
-
-Task<void> feed(Simulator* sim, Channel<int>* ch, int count, SimDur gap) {
-  for (int i = 0; i < count; ++i) {
-    co_await sim->delay(gap);
-    ch->send(i);
-  }
-  ch->close();
-}
-
-TEST(Channel, FifoDelivery) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> out;
-  sim.spawn(drain(&ch, &out));
-  sim.spawn(feed(&sim, &ch, 5, 10));
-  sim.run();
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, BufferedItemsSurviveUntilReceived) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  ch.send(7);
-  ch.send(8);
-  ch.close();
-  std::vector<int> out;
-  sim.spawn(drain(&ch, &out));
-  sim.run();
-  EXPECT_EQ(out, (std::vector<int>{7, 8}));
-}
-
-Task<void> recv_and_log(Simulator* sim, Channel<int>* ch, std::string label,
-                        std::vector<std::string>* log) {
-  const std::optional<int> v = co_await ch->recv();
-  EXPECT_FALSE(v.has_value());
-  log->push_back(label + "@" + std::to_string(sim->now()));
-}
-
-Task<void> close_after(Simulator* sim, Channel<int>* ch, SimDur d) {
-  co_await sim->delay(d);
-  ch->close();
-}
-
-TEST(Channel, CloseReleasesBlockedReceiver) {
-  // Every parked receiver is released, in the order it parked.
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<std::string> log;
-  sim.spawn(recv_and_log(&sim, &ch, "a", &log));
-  sim.spawn(recv_and_log(&sim, &ch, "b", &log));
-  sim.spawn(recv_and_log(&sim, &ch, "c", &log));
-  sim.spawn(close_after(&sim, &ch, 100));
-  sim.run();
-  EXPECT_EQ(log, (std::vector<std::string>{"a@100", "b@100", "c@100"}));
-}
-
-TEST(Channel, SendAfterCloseIsDropped) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  ch.close();
-  ch.send(1);
-  EXPECT_EQ(ch.size(), 0u);
-}
-
-TEST(Channel, TryRecvDoesNotSuspend) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  EXPECT_FALSE(ch.try_recv().has_value());
-  ch.send(3);
-  const auto v = ch.try_recv();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 3);
-}
-
-TEST(Channel, MultipleConsumersShareItems) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> out_a;
-  std::vector<int> out_b;
-  sim.spawn(drain(&ch, &out_a));
-  sim.spawn(drain(&ch, &out_b));
-  sim.spawn(feed(&sim, &ch, 10, 1));
-  sim.run();
-  EXPECT_EQ(out_a.size() + out_b.size(), 10u);
 }
 
 // --- Semaphore ---------------------------------------------------------------

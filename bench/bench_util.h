@@ -558,7 +558,7 @@ class Testbench {
     cluster::Cluster* cl = &cluster_;
     for (std::size_t s = 0; s < cluster_.num_shards(); ++s) {
       sampler_->add_gauge(
-          cluster_.tracer_domain(s), trace_pid_,
+          cluster_.sinks(s).tracer, trace_pid_,
           "fabric/shard" + std::to_string(s) + "/in_flight_bytes", [cl, s] {
             return static_cast<std::int64_t>(
                 cl->fabric().in_flight_bytes_of_shard(s));
@@ -566,7 +566,7 @@ class Testbench {
     }
     for (std::size_t i = 0; i < cluster_.num_servers(); ++i) {
       const net::NodeId node = cluster_.server_nodes()[i];
-      sampler_->add_gauge(cluster_.tracer_for_node(node), trace_pid_,
+      sampler_->add_gauge(cluster_.sinks_of(node).tracer, trace_pid_,
                           "server" + std::to_string(i) + "/inbox_depth",
                           [cl, node] {
                             return static_cast<std::int64_t>(

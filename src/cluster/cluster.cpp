@@ -30,7 +30,8 @@ Cluster::Cluster(ClusterConfig config)
       // Lookahead = wire latency: a cross-shard message's first bit cannot
       // reach its destination sooner than one latency after the send.
       runtime_(effective_shards(config), config.fabric.latency_ns),
-      fabric_(runtime_, config.fabric, shard_map(config)),
+      sinks_(runtime_.num_shards()),
+      fabric_(runtime_, config.fabric, shard_map(config), sinks_),
       ring_(config.num_servers, config.ring_vnodes, config.ring_seed,
             config.initial_active_servers),
       membership_(config.num_servers, config.membership_check_ns) {
@@ -54,71 +55,32 @@ Cluster::~Cluster() { merge_obs_domains(); }
 
 void Cluster::set_tracer(obs::Tracer* tracer, std::uint32_t pid) {
   tracer_ = tracer;
-  trace_pid_ = pid;
   shard_tracers_.clear();
-  if (tracer != nullptr && tracer->enabled() && runtime_.parallel()) {
-    const std::size_t n = runtime_.num_shards();
-    shard_tracers_.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
+  const bool per_shard =
+      tracer != nullptr && tracer->enabled() && runtime_.parallel();
+  for (std::size_t s = 0; s < sinks_.size(); ++s) {
+    if (per_shard) {
       auto domain = std::make_unique<obs::Tracer>(true);
       // Shard-disjoint id spaces: residue class s mod n, so ids allocated
       // concurrently on different shards can never collide.
-      domain->set_id_space(s, n);
+      domain->set_id_space(s, sinks_.size());
       shard_tracers_.push_back(std::move(domain));
     }
-  }
-  fabric_.set_tracer(tracer, pid);
-  for (std::size_t s = 0; s < shard_tracers_.size(); ++s) {
-    fabric_.set_shard_tracer(s, shard_tracers_[s].get());
-  }
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    servers_[i]->set_rpc_tracer(
-        tracer_for_node(static_cast<net::NodeId>(i)), pid);
-  }
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    clients_[i]->set_rpc_tracer(tracer_for_client(i), pid);
+    sinks_[s].tracer = per_shard ? shard_tracers_[s].get() : tracer;
+    sinks_[s].trace_pid = pid;
   }
 }
 
 void Cluster::set_health_signals(obs::HealthSignals* signals) {
-  health_ = signals;
   shard_signals_.clear();
-  if (signals != nullptr && runtime_.parallel()) {
-    const std::size_t n = runtime_.num_shards();
-    shard_signals_.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
+  const bool per_shard = signals != nullptr && runtime_.parallel();
+  for (std::size_t s = 0; s < sinks_.size(); ++s) {
+    if (per_shard) {
       shard_signals_.push_back(std::make_unique<obs::HealthSignals>(
           signals->num_nodes(), signals->slo_ns()));
     }
+    sinks_[s].health = per_shard ? shard_signals_[s].get() : signals;
   }
-  fabric_.set_health_signals(signals);
-  for (std::size_t s = 0; s < shard_signals_.size(); ++s) {
-    fabric_.set_shard_health_signals(s, shard_signals_[s].get());
-  }
-  const auto domain_of = [this](net::NodeId node) -> obs::HealthSignals* {
-    return shard_signals_.empty()
-               ? health_
-               : shard_signals_[fabric_.shard_of(node)].get();
-  };
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    servers_[i]->set_health_signals(
-        domain_of(static_cast<net::NodeId>(i)));
-  }
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    clients_[i]->set_health_signals(
-        domain_of(static_cast<net::NodeId>(servers_.size() + i)));
-  }
-}
-
-std::vector<obs::HealthSignals*> Cluster::health_domains() {
-  std::vector<obs::HealthSignals*> out;
-  if (!shard_signals_.empty()) {
-    out.reserve(shard_signals_.size());
-    for (const auto& d : shard_signals_) out.push_back(d.get());
-  } else if (health_ != nullptr) {
-    out.push_back(health_);
-  }
-  return out;
 }
 
 void Cluster::merge_obs_domains() {
@@ -175,33 +137,18 @@ void Cluster::set_flight_recorder(obs::FlightRecorder* flight) {
       rec.set_node_label(servers_.size() + i, "client" + std::to_string(i));
     }
   };
-  if (flight != nullptr) {
-    label_nodes(*flight);
-    if (runtime_.parallel()) {
+  if (flight != nullptr) label_nodes(*flight);
+  const bool per_shard = flight != nullptr && runtime_.parallel();
+  for (std::size_t s = 0; s < sinks_.size(); ++s) {
+    if (per_shard) {
       // One single-writer domain per shard, each with rings for every node
       // and the parent's retention budget; merged into `flight` (newest
       // ring_size records win) at quiescence or on a mid-run dump.
-      const std::size_t n = runtime_.num_shards();
-      shard_flights_.reserve(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        auto domain =
-            std::make_unique<obs::FlightRecorder>(flight->ring_size());
-        label_nodes(*domain);
-        shard_flights_.push_back(std::move(domain));
-      }
+      auto domain = std::make_unique<obs::FlightRecorder>(flight->ring_size());
+      label_nodes(*domain);
+      shard_flights_.push_back(std::move(domain));
     }
-  }
-  fabric_.set_flight_recorder(flight);
-  for (std::size_t s = 0; s < shard_flights_.size(); ++s) {
-    fabric_.set_shard_flight_recorder(s, shard_flights_[s].get());
-  }
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    servers_[i]->set_flight_recorder(
-        flight_domain_of(static_cast<net::NodeId>(i)));
-  }
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    clients_[i]->set_flight_recorder(
-        flight_domain_of(static_cast<net::NodeId>(servers_.size() + i)));
+    sinks_[s].flight = per_shard ? shard_flights_[s].get() : flight;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ec/codec.h"
@@ -16,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/sinks.h"
 #include "obs/trace.h"
 #include "resilience/engine.h"
 #include "sim/shard_runtime.h"
@@ -126,44 +128,47 @@ class Cluster {
   /// parking forever — required for mid-workload fault injection.
   void set_rpc_policy(const kv::RpcPolicy& policy);
 
-  /// Attaches a span tracer to the fabric (NIC occupancy spans) and to
-  /// every node's RPC layer (rpc/timeout spans) under process `pid`.
-  /// Engines attach themselves through EngineContext (use tracer_for_client
-  /// so each engine records into its shard's domain). In parallel runs with
-  /// an enabled tracer this builds one single-writer tracer domain per
-  /// shard, with shard-disjoint trace/flow/async id spaces (offset = shard,
-  /// stride = num_shards); merge_obs_domains() folds them back into
-  /// `tracer` in ascending shard order at quiescence.
+  /// The observability records, one per shard, fixed at construction. The
+  /// fabric's shard state and every node on shard `s` record through
+  /// sinks(s); the attach functions below rewrite one field of each record
+  /// and touch nothing else. At one shard a record holds the attached
+  /// instruments themselves; at N shards it holds shard `s`'s single-writer
+  /// domains, which merge_obs_domains() folds back into the attached ones.
+  [[nodiscard]] std::span<const obs::Sinks> sinks() const noexcept {
+    return sinks_;
+  }
+  [[nodiscard]] const obs::Sinks& sinks(std::size_t shard) const noexcept {
+    return sinks_[shard];
+  }
+  /// The record `node`'s shard records into.
+  [[nodiscard]] const obs::Sinks& sinks_of(net::NodeId node) const {
+    return sinks_[fabric_.shard_of(node)];
+  }
+
+  /// Attaches a span tracer: NIC occupancy spans from the fabric,
+  /// rpc/timeout and server handler spans from the nodes, all under
+  /// process `pid`. Engines attach themselves through EngineContext. In
+  /// parallel runs with an enabled tracer this builds one tracer domain
+  /// per shard, with shard-disjoint trace/flow/async id spaces (offset =
+  /// shard, stride = num_shards). Pass nullptr to detach.
   void set_tracer(obs::Tracer* tracer, std::uint32_t pid = 0);
 
-  /// The tracer domain that nodes of shard `s` record into (the attached
-  /// tracer itself in oracle mode; nullptr when tracing is off).
-  [[nodiscard]] obs::Tracer* tracer_domain(std::size_t s) noexcept {
-    return shard_tracers_.empty() ? tracer_ : shard_tracers_[s].get();
+  /// The tracer client `i`'s shard records into (nullptr when none).
+  [[nodiscard]] obs::Tracer* tracer_for_client(std::size_t i) const {
+    return sinks_of(static_cast<net::NodeId>(config_.num_servers + i)).tracer;
   }
-  [[nodiscard]] obs::Tracer* tracer_for_node(net::NodeId node) noexcept {
-    return tracer_domain(fabric_.shard_of(node));
-  }
-  [[nodiscard]] obs::Tracer* tracer_for_client(std::size_t i) noexcept {
-    return tracer_for_node(static_cast<net::NodeId>(config_.num_servers + i));
-  }
-  [[nodiscard]] std::uint32_t trace_pid() const noexcept { return trace_pid_; }
 
-  /// Attaches per-node health signal counters to every node's RPC layer
-  /// (response RTTs, deadline expiries, retries) and to the fabric (drops).
-  /// Observation-only; pass nullptr to detach. Parallel runs record into
-  /// one HealthSignals domain per shard (same node capacity); readers sum
-  /// windows across health_domains().
+  /// Attaches per-node health signal counters: response RTTs, deadline
+  /// expiries and retries from the nodes, drops from the fabric. Parallel
+  /// runs record into one HealthSignals domain per shard (same node
+  /// capacity); readers sum windows across sinks(). Pass nullptr to
+  /// detach.
   void set_health_signals(obs::HealthSignals* signals);
 
-  /// Every live health-signal domain: the per-shard domains in parallel
-  /// runs, the single attached instance in oracle mode, empty when
-  /// detached. Sum take_window() across these for a node's full window.
-  [[nodiscard]] std::vector<obs::HealthSignals*> health_domains();
-
-  /// Attaches the flight recorder to every node and the fabric: sizes its
-  /// rings for all S+C nodes, labels them server0../client0.., and routes
-  /// timeout/retry/drop events into it. Observation-only.
+  /// Attaches the flight recorder: sizes its rings for all S+C nodes,
+  /// labels them server0../client0.., and routes timeout/retry/drop events
+  /// into it. Parallel runs record into one domain per shard, each with
+  /// rings for every node. Pass nullptr to detach.
   void set_flight_recorder(obs::FlightRecorder* flight);
 
   /// The attached flight recorder (nullptr when none) — FaultSchedule uses
@@ -172,24 +177,15 @@ class Cluster {
     return flight_;
   }
 
-  /// The flight-recorder domain that `node`'s shard records into (the
-  /// attached recorder itself in oracle mode; nullptr when none). Each
-  /// domain carries rings for every node — only the writer is per-shard.
-  [[nodiscard]] obs::FlightRecorder* flight_domain_of(
-      net::NodeId node) noexcept {
-    return shard_flights_.empty()
-               ? flight_
-               : shard_flights_[fabric_.shard_of(node)].get();
-  }
-
   /// Engine wiring for client `i`: its shard's event loop, its RPC client,
   /// the cluster ring, membership and server list, and its shard's tracer
-  /// and flight-recorder domains under trace_pid() (null when none is
+  /// (under its trace pid) and flight recorder (null when none is
   /// attached). Callers override only what they change — another ring, a
   /// latency recorder. Attach observability before calling.
   [[nodiscard]] resilience::EngineContext engine_context(
       std::size_t i, bool materialize = true) {
     const auto node = static_cast<net::NodeId>(config_.num_servers + i);
+    const obs::Sinks& sinks = sinks_of(node);
     resilience::EngineContext ctx;
     ctx.sim = &sim_for_node(node);
     ctx.client = &client(i);
@@ -197,9 +193,9 @@ class Cluster {
     ctx.membership = &membership_;
     ctx.server_nodes = &server_nodes_;
     ctx.materialize = materialize;
-    ctx.tracer = tracer_for_node(node);
-    ctx.trace_pid = trace_pid_;
-    ctx.flight = flight_domain_of(node);
+    ctx.tracer = sinks.tracer;
+    ctx.trace_pid = sinks.trace_pid;
+    ctx.flight = sinks.flight;
     return ctx;
   }
 
@@ -261,15 +257,17 @@ class Cluster {
 
   ClusterConfig config_;
   sim::ShardRuntime runtime_;
+  // One per shard, never resized: the fabric and every node hold pointers
+  // into it, so it is declared (and outlives) them.
+  std::vector<obs::Sinks> sinks_;
   kv::KvFabric fabric_;
   kv::HashRing ring_;
   kv::Membership membership_;
   std::vector<net::NodeId> server_nodes_;
   std::vector<std::unique_ptr<kv::Server>> servers_;
   std::vector<std::unique_ptr<kv::Client>> clients_;
+  // The attached parent instruments the per-shard domains merge into.
   obs::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_pid_ = 0;
-  obs::HealthSignals* health_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   // Per-shard single-writer observability domains (parallel runs only;
   // empty in oracle mode). Indexed by shard.

@@ -127,7 +127,7 @@ void FaultSchedule::apply(const FaultEvent& ev, SimTime now) {
     if (obs::FlightRecorder* const flight = cluster_->flight_recorder();
         flight != nullptr) {
       obs::FlightRecorder* const fl =
-          cluster_->flight_domain_of(static_cast<net::NodeId>(ev.server));
+          cluster_->sinks_of(static_cast<net::NodeId>(ev.server)).flight;
       fl->record(now, ev.server, obs::FlightEventType::kDump,
                  flight->dumps_written());
       cluster_->merge_obs_domains();

@@ -46,7 +46,6 @@ void HealthMonitor::register_gauges(obs::MetricsRegistry& reg,
 }
 
 void HealthMonitor::tick_at(SimTime now) {
-  const std::vector<obs::HealthSignals*> domains = cluster_->health_domains();
   std::uint64_t window_timeouts = 0;
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     obs::HealthSample& s = samples_[i];
@@ -55,20 +54,14 @@ void HealthMonitor::tick_at(SimTime now) {
     // shard records its rpc symptoms but any sender's shard may record a
     // fabric drop against it).
     s.window = {};
-    for (obs::HealthSignals* d : domains) {
-      const obs::HealthWindow w = d->take_window(i);
-      s.window.responses += w.responses;
-      s.window.timeouts += w.timeouts;
-      s.window.retries += w.retries;
-      s.window.drops += w.drops;
-      s.window.over_slo += w.over_slo;
-      s.window.rtt_sum_ns += w.rtt_sum_ns;
+    for (const obs::Sinks& sinks : cluster_->sinks()) {
+      if (sinks.health != nullptr) s.window += sinks.health->take_window(i);
     }
     s.queue_depth = cluster_->server(i).queue_depth();
     s.up = cluster_->membership().up(i);
     window_timeouts += s.window.timeouts;
     obs::FlightRecorder* const fl =
-        cluster_->flight_domain_of(static_cast<net::NodeId>(i));
+        cluster_->sinks_of(static_cast<net::NodeId>(i)).flight;
     if (fl != nullptr) {
       fl->record(now, i, obs::FlightEventType::kQueueDepth, s.queue_depth,
                  static_cast<std::uint32_t>(s.window.responses));
@@ -81,7 +74,7 @@ void HealthMonitor::tick_at(SimTime now) {
   for (; seen_transitions_ < transitions.size(); ++seen_transitions_) {
     const obs::HealthTransition& tr = transitions[seen_transitions_];
     obs::FlightRecorder* const fl =
-        cluster_->flight_domain_of(static_cast<net::NodeId>(tr.node));
+        cluster_->sinks_of(static_cast<net::NodeId>(tr.node)).flight;
     if (fl != nullptr) {
       fl->record(tr.t_ns, tr.node, obs::FlightEventType::kHealthState,
                  static_cast<std::uint64_t>(tr.to),

@@ -64,19 +64,20 @@ sim::Task<Response> RpcNode::call_guarded(NodeId dst, Request req) {
 
     ++rpc_stats_.timeouts;
     cancel(rpc_id);  // a late response is dropped as stale by dispatch
-    if (health_ != nullptr) {
-      health_->on_timeout(static_cast<std::size_t>(dst));
+    const obs::Sinks& sinks = *sinks_;
+    if (sinks.health != nullptr) {
+      sinks.health->on_timeout(static_cast<std::size_t>(dst));
     }
-    if (flight_ != nullptr) {
-      flight_->record(sim_->now(), static_cast<std::size_t>(dst),
-                      obs::FlightEventType::kRpcTimeout,
-                      static_cast<std::uint64_t>(policy_.timeout_ns),
-                      static_cast<std::uint32_t>(id_));
+    if (sinks.flight != nullptr) {
+      sinks.flight->record(sim_->now(), static_cast<std::size_t>(dst),
+                           obs::FlightEventType::kRpcTimeout,
+                           static_cast<std::uint64_t>(policy_.timeout_ns),
+                           static_cast<std::uint32_t>(id_));
     }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->complete(trace_pid_, obs::Tracer::kNicTidBase + id_,
-                        "rpc/timeout", "rpc", sim_->now() - policy_.timeout_ns,
-                        policy_.timeout_ns, req.trace.trace_id);
+    if (obs::Tracer* tr = sinks.live_tracer(); tr != nullptr) {
+      tr->complete(sinks.trace_pid, obs::Tracer::kNicTidBase + id_,
+                   "rpc/timeout", "rpc", sim_->now() - policy_.timeout_ns,
+                   policy_.timeout_ns, req.trace.trace_id);
     }
     if (attempt >= policy_.max_retries) {
       ++rpc_stats_.expired_calls;
@@ -86,13 +87,13 @@ sim::Task<Response> RpcNode::call_guarded(NodeId dst, Request req) {
       co_return expired;
     }
     ++rpc_stats_.retries;
-    if (health_ != nullptr) {
-      health_->on_retry(static_cast<std::size_t>(dst));
+    if (sinks.health != nullptr) {
+      sinks.health->on_retry(static_cast<std::size_t>(dst));
     }
-    if (flight_ != nullptr) {
-      flight_->record(sim_->now(), static_cast<std::size_t>(dst),
-                      obs::FlightEventType::kRpcRetry, attempt,
-                      static_cast<std::uint32_t>(id_));
+    if (sinks.flight != nullptr) {
+      sinks.flight->record(sim_->now(), static_cast<std::size_t>(dst),
+                           obs::FlightEventType::kRpcRetry, attempt,
+                           static_cast<std::uint32_t>(id_));
     }
     if (policy_.backoff_ns > 0) {
       co_await sim_->delay(policy_.backoff_ns << attempt);
@@ -120,9 +121,10 @@ sim::Task<void> RpcNode::dispatch_loop(RpcNode* self) {
       const auto it = self->pending_.find(resp.rpc_id);
       if (it == self->pending_.end()) continue;  // stale/duplicate response
       sim::Promise<Response> promise = std::move(it->second.promise);
-      if (self->health_ != nullptr) {
-        self->health_->on_response(static_cast<std::size_t>(it->second.dst),
-                                   self->sim_->now() - it->second.sent_at);
+      if (obs::HealthSignals* health = self->sinks_->health;
+          health != nullptr) {
+        health->on_response(static_cast<std::size_t>(it->second.dst),
+                            self->sim_->now() - it->second.sent_at);
       }
       self->pending_.erase(it);
       promise.set_value(std::move(resp));

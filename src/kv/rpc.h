@@ -23,10 +23,8 @@
 
 #include "kv/placement.h"
 #include "kv/protocol.h"
-#include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/sinks.h"
 #include "sim/future.h"
 
 namespace hpres::kv {
@@ -60,8 +58,10 @@ struct RpcStats {
 
 class RpcNode {
  public:
+  /// The node records into its shard's observability sinks, as bound on
+  /// `fabric` (obs::kNoSinks for a standalone fabric).
   RpcNode(sim::Simulator& sim, KvFabric& fabric, NodeId id)
-      : sim_(&sim), fabric_(&fabric), id_(id) {}
+      : sim_(&sim), fabric_(&fabric), id_(id), sinks_(&fabric.sinks_of(id)) {}
   virtual ~RpcNode() = default;
   RpcNode(const RpcNode&) = delete;
   RpcNode& operator=(const RpcNode&) = delete;
@@ -80,27 +80,14 @@ class RpcNode {
     return rpc_stats_;
   }
 
-  /// Attaches a span tracer for "rpc/timeout" spans (emitted on this
-  /// node's NIC track). Purely observational.
-  void set_rpc_tracer(obs::Tracer* tracer, std::uint32_t pid = 0) noexcept {
-    tracer_ = tracer;
-    trace_pid_ = pid;
-  }
-
-  /// Attaches the cluster health plane: every matched response feeds the
-  /// destination server's RTT estimate, every guarded-call deadline expiry
-  /// feeds its timeout counter. Observation-only — never alters call
-  /// behaviour or timing.
-  void set_health_signals(obs::HealthSignals* signals) noexcept {
-    health_ = signals;
-  }
-
-  /// Attaches the flight recorder; timeout/retry events land in the ring
-  /// of the *destination* node (the node being suspected), with the caller
-  /// in the `b` field.
-  void set_flight_recorder(obs::FlightRecorder* flight) noexcept {
-    flight_ = flight;
-  }
+  /// This node's shard observability record. Its tracer gets "rpc/timeout"
+  /// spans (on this node's NIC track) and server handler spans; its health
+  /// signals get every matched response's RTT and every deadline expiry and
+  /// retry; its flight recorder gets timeout/retry events in the ring of
+  /// the *destination* node (the node being suspected), with the caller in
+  /// the `b` field. Observation-only — never alters call behaviour or
+  /// timing.
+  [[nodiscard]] const obs::Sinks& sinks() const noexcept { return *sinks_; }
 
   /// Attaches the cluster's placement view: every request issued from now
   /// on is stamped with the epoch its owners were resolved under (unless
@@ -146,13 +133,6 @@ class RpcNode {
     fabric_->send(id_, dst, WireBody{std::move(resp)}, bytes, trace);
   }
 
-  /// The attached tracer when live, nullptr otherwise (handlers emit
-  /// server-side spans through this).
-  [[nodiscard]] obs::Tracer* live_tracer() const noexcept {
-    return (tracer_ != nullptr && tracer_->enabled()) ? tracer_ : nullptr;
-  }
-  [[nodiscard]] std::uint32_t obs_pid() const noexcept { return trace_pid_; }
-
   /// Stamps the attached view's epoch onto an unstamped request. Runs at
   /// issue time, synchronously with the caller's owner resolution, so
   /// {dst, epoch} always describe the same ring.
@@ -191,10 +171,7 @@ class RpcNode {
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   RpcPolicy policy_;
   RpcStats rpc_stats_;
-  obs::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_pid_ = 0;
-  obs::HealthSignals* health_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
+  const obs::Sinks* sinks_;
   const PlacementView* placement_ = nullptr;
 };
 

@@ -22,7 +22,7 @@ Server::Server(sim::Simulator& sim, KvFabric& fabric, NodeId id,
 
 Server::HandlerTrace::HandlerTrace(Server& server, const Request& req)
     : server_(&server) {
-  obs::Tracer* tr = server.live_tracer();
+  obs::Tracer* tr = server.sinks().live_tracer();
   if (tr == nullptr || !req.trace.valid()) return;
   tr_ = tr;
   lane_ = server.handler_lanes_.acquire();
@@ -42,7 +42,7 @@ Server::HandlerTrace::~HandlerTrace() {
 void Server::HandlerTrace::mark_done() {
   if (tr_ == nullptr || done_) return;
   done_ = true;
-  tr_->complete(server_->obs_pid(), ctx_.span_id, "server/handle", "server",
+  tr_->complete(server_->sinks().trace_pid, ctx_.span_id, "server/handle", "server",
                 begin_, server_->sim().now() - begin_, ctx_.trace_id);
 }
 
@@ -50,14 +50,14 @@ void Server::HandlerTrace::queue_span(SimTime enqueued_ns, SimDur cost_ns) {
   if (tr_ == nullptr) return;
   const SimDur waited = server_->sim().now() - enqueued_ns - cost_ns;
   if (waited <= 0) return;
-  tr_->async_span(server_->obs_pid(), tr_->new_async_id(), "server/queue",
+  tr_->async_span(server_->sinks().trace_pid, tr_->new_async_id(), "server/queue",
                   "server", enqueued_ns, waited, ctx_.trace_id);
 }
 
 void Server::HandlerTrace::compute_span(std::string_view name,
                                         SimTime begin_ns) {
   if (tr_ == nullptr) return;
-  tr_->complete(server_->obs_pid(), ctx_.span_id, name, "server", begin_ns,
+  tr_->complete(server_->sinks().trace_pid, ctx_.span_id, name, "server", begin_ns,
                 server_->sim().now() - begin_ns, ctx_.trace_id);
 }
 

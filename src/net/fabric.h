@@ -28,13 +28,14 @@
 // writes).
 //
 // Observability under sharding follows the same single-writer rule: each
-// shard's state carries its own tracer / health-signals / flight-recorder
-// domain, and every recording a send or delivery makes goes to the acting
-// shard's domain (the sender's for tx spans and drops, the receiver's for
-// rx spans). Domains are merged deterministically at quiescence
-// (cluster::Cluster::merge_obs_domains); with one shard the "domains" are
-// the classic single instances and the output is byte-identical to the
-// pre-shard fabric.
+// shard's state points at that shard's obs::Sinks record (bound once, by
+// the shard-aware constructor), and every recording a send or delivery
+// makes goes to the acting shard's sinks (the sender's for tx spans and
+// drops, the receiver's for rx spans). Per-shard domains are merged
+// deterministically at quiescence (cluster::Cluster::merge_obs_domains);
+// with one shard the record holds the classic single instances and the
+// output is byte-identical to the pre-shard fabric. Standalone fabrics
+// point every shard at obs::kNoSinks and record nothing.
 #pragma once
 
 #include <algorithm>
@@ -42,15 +43,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/params.h"
-#include "obs/flight_recorder.h"
-#include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/shard_runtime.h"
 #include "sim/simulator.h"
@@ -194,12 +195,17 @@ class Fabric {
 
   /// Shard-aware fabric: node `i` lives on `runtime.shard(node_shard[i])`.
   /// With one shard this is exactly the oracle configuration above.
+  /// `shard_sinks` (one record per shard, or empty for none) are the
+  /// observability records each shard records into; they must outlive the
+  /// fabric.
   Fabric(sim::ShardRuntime& runtime, FabricParams params,
-         std::vector<std::uint32_t> node_shard)
+         std::vector<std::uint32_t> node_shard,
+         std::span<const obs::Sinks> shard_sinks = {})
       : params_(params),
         nics_(node_shard.size()),
         runtime_(&runtime),
         node_shard_(std::move(node_shard)) {
+    assert(shard_sinks.empty() || shard_sinks.size() == runtime.num_shards());
     node_sim_.reserve(node_shard_.size());
     for (const std::uint32_t s : node_shard_) {
       assert(s < runtime.num_shards());
@@ -207,6 +213,7 @@ class Fabric {
     }
     for (std::size_t s = 0; s < runtime.num_shards(); ++s) {
       shard_state_.push_back(std::make_unique<ShardState>());
+      if (!shard_sinks.empty()) shard_state_[s]->sinks = &shard_sinks[s];
     }
     init_inboxes();
   }
@@ -257,20 +264,13 @@ class Fabric {
     return shard_state_[s]->in_flight_bytes;
   }
 
-  /// Attaches a span tracer: NIC occupancy spans ("fabric/send" on the
-  /// sender's NIC track, "fabric/recv" on the receiver's) are emitted under
-  /// process `pid`. Pass nullptr to detach. Purely observational. Attaches
-  /// the same tracer to every shard; parallel runs overwrite the per-shard
-  /// slots with their own domains (set_shard_tracer) so each shard records
-  /// single-writer.
-  void set_tracer(obs::Tracer* tracer, std::uint32_t pid = 0) noexcept {
-    for (auto& st : shard_state_) st->tracer = tracer;
-    trace_pid_ = pid;
-  }
-  /// Points shard `s` at its own tracer domain (parallel runs only).
-  void set_shard_tracer(std::size_t s, obs::Tracer* tracer) noexcept {
-    assert(s < shard_state_.size());
-    shard_state_[s]->tracer = tracer;
+  /// The observability record `id`'s shard records into: its tracer gets
+  /// NIC occupancy spans ("fabric/send" on the sender's NIC track,
+  /// "fabric/recv" on the receiver's), its health signals and flight
+  /// recorder get drops. Nodes read their own sinks from here.
+  [[nodiscard]] const obs::Sinks& sinks_of(NodeId id) const {
+    assert(id < node_shard_.size());
+    return *shard_state_[node_shard_[id]]->sinks;
   }
 
   /// The receive queue for a node; its dispatch loop receives with
@@ -337,29 +337,6 @@ class Fabric {
     return nics_[id].loss;
   }
 
-  /// Attaches the health plane: every drop involving a tracked node feeds
-  /// its drop counter. Purely observational. Attaches to every shard;
-  /// parallel runs overwrite the slots with per-shard domains.
-  void set_health_signals(obs::HealthSignals* signals) noexcept {
-    for (auto& st : shard_state_) st->health = signals;
-  }
-  void set_shard_health_signals(std::size_t s,
-                                obs::HealthSignals* signals) noexcept {
-    assert(s < shard_state_.size());
-    shard_state_[s]->health = signals;
-  }
-  /// Attaches the flight recorder: drops land in the involved server's
-  /// ring as kNetDrop events. Purely observational. Attaches to every
-  /// shard; parallel runs overwrite the slots with per-shard domains.
-  void set_flight_recorder(obs::FlightRecorder* flight) noexcept {
-    for (auto& st : shard_state_) st->flight = flight;
-  }
-  void set_shard_flight_recorder(std::size_t s,
-                                 obs::FlightRecorder* flight) noexcept {
-    assert(s < shard_state_.size());
-    shard_state_[s]->flight = flight;
-  }
-
   /// Asynchronously transfers `body` with `payload_bytes` of payload.
   /// Returns immediately; delivery lands in the destination inbox at the
   /// modeled time. Loopback (src == dst) skips the NIC entirely and
@@ -377,8 +354,8 @@ class Fabric {
     assert(src < nics_.size() && dst < nics_.size());
     ShardState& ss = *shard_state_[node_shard_[src]];
     sim::Simulator* ssim = node_sim_[src];
-    obs::Tracer* tr =
-        (ss.tracer != nullptr && ss.tracer->enabled()) ? ss.tracer : nullptr;
+    obs::Tracer* tr = ss.sinks->live_tracer();
+    const std::uint32_t pid = ss.sinks->trace_pid;
     ++ss.stats.messages_sent;
     ss.stats.bytes_sent += payload_bytes;
     if (!nics_[dst].up || !nics_[src].up) {
@@ -391,7 +368,7 @@ class Fabric {
       }
       record_drop(ss, src, dst, payload_bytes, /*injected=*/false);
       if (tr != nullptr && trace.valid()) {
-        tr->instant(trace_pid_, trace.span_id, "fabric/drop", "fabric",
+        tr->instant(pid, trace.span_id, "fabric/drop", "fabric",
                     ssim->now(), trace.trace_id);
       }
       return;
@@ -408,7 +385,7 @@ class Fabric {
         ss.stats.bytes_dropped += payload_bytes;
         record_drop(ss, src, dst, payload_bytes, /*injected=*/true);
         if (tr != nullptr && trace.valid()) {
-          tr->instant(trace_pid_, trace.span_id, "fabric/drop", "fabric",
+          tr->instant(pid, trace.span_id, "fabric/drop", "fabric",
                       ssim->now(), trace.trace_id);
         }
         return;
@@ -464,16 +441,16 @@ class Fabric {
       // the domains merge.
       std::uint64_t msg = 0;
       if (tr != nullptr) {
-        tr->complete(trace_pid_, obs::Tracer::kNicTidBase + src,
+        tr->complete(pid, obs::Tracer::kNicTidBase + src,
                      "fabric/send", "fabric", tx_start, ser, trace.trace_id);
         if (trace.valid()) {
           msg = tr->new_flow_id();
-          tr->flow('s', trace_pid_, trace.span_id, now, msg, trace.trace_id);
-          tr->flow('t', trace_pid_, obs::Tracer::kNicTidBase + src, tx_start,
+          tr->flow('s', pid, trace.span_id, now, msg, trace.trace_id);
+          tr->flow('t', pid, obs::Tracer::kNicTidBase + src, tx_start,
                    msg, trace.trace_id);
           const SimTime tx_ready = now + pre_tx;
           if (tx_start > tx_ready) {
-            tr->async_span(trace_pid_, msg * 4, "fabric/txq", "fabric",
+            tr->async_span(pid, msg * 4, "fabric/txq", "fabric",
                            tx_ready, tx_start - tx_ready, trace.trace_id);
           }
         }
@@ -498,33 +475,33 @@ class Fabric {
     dst_nic.rx_busy_until = rx_end;
 
     if (tr != nullptr) {
-      tr->complete(trace_pid_, obs::Tracer::kNicTidBase + src, "fabric/send",
+      tr->complete(pid, obs::Tracer::kNicTidBase + src, "fabric/send",
                    "fabric", tx_start, ser, trace.trace_id);
-      tr->complete(trace_pid_, obs::Tracer::kNicTidBase + dst, "fabric/recv",
+      tr->complete(pid, obs::Tracer::kNicTidBase + dst, "fabric/recv",
                    "fabric", rx_start, ser, trace.trace_id);
       if (trace.valid()) {
         // Flow arrows: sender's slice → src NIC tx slice → dst NIC rx slice.
         const std::uint64_t msg = tr->new_flow_id();
-        tr->flow('s', trace_pid_, trace.span_id, now, msg, trace.trace_id);
-        tr->flow('t', trace_pid_, obs::Tracer::kNicTidBase + src, tx_start,
+        tr->flow('s', pid, trace.span_id, now, msg, trace.trace_id);
+        tr->flow('t', pid, obs::Tracer::kNicTidBase + src, tx_start,
                  msg, trace.trace_id);
-        tr->flow('f', trace_pid_, obs::Tracer::kNicTidBase + dst, rx_start,
+        tr->flow('f', pid, obs::Tracer::kNicTidBase + dst, rx_start,
                  msg, trace.trace_id);
         // Queue waits (overlap-safe async spans): tx behind earlier sends,
         // rx behind other arrivals converging on the destination (incast).
         const SimTime tx_ready = now + pre_tx;
         if (tx_start > tx_ready) {
-          tr->async_span(trace_pid_, msg * 4, "fabric/txq", "fabric",
+          tr->async_span(pid, msg * 4, "fabric/txq", "fabric",
                          tx_ready, tx_start - tx_ready, trace.trace_id);
         }
         const SimTime rx_arrival = tx_end + params_.latency_ns - ser;
         if (rx_start > rx_arrival) {
-          tr->async_span(trace_pid_, msg * 4 + 1, "fabric/rxq", "fabric",
+          tr->async_span(pid, msg * 4 + 1, "fabric/rxq", "fabric",
                          rx_arrival, rx_start - rx_arrival, trace.trace_id);
         }
         // Whole in-flight interval (protocol pre-work through last bit
         // received): the analyzer's catch-all "net" coverage.
-        tr->async_span(trace_pid_, msg * 4 + 2, "fabric/wire", "fabric", now,
+        tr->async_span(pid, msg * 4 + 2, "fabric/wire", "fabric", now,
                        rx_end - now, trace.trace_id);
       }
     }
@@ -580,17 +557,16 @@ class Fabric {
   /// delivery records, to the receiving one. Every field is single-writer
   /// (only its shard's thread touches it); a cross-shard message charges
   /// in-flight from wire arrival to inbox delivery, so the merged gauges
-  /// read zero at quiescence. The observability sinks are the shard's own
-  /// domains in parallel runs (the shared instances in oracle mode),
-  /// keeping recording single-writer too.
+  /// read zero at quiescence. `sinks` is the shard's observability record
+  /// (the cluster's, bound at construction): its instruments are the
+  /// shard's own domains in parallel runs and the shared instances in
+  /// oracle mode, keeping recording single-writer too.
   struct ShardState {
     FabricStats stats;
     Xoshiro256 loss_rng;
     std::uint64_t in_flight_bytes = 0;
     std::uint64_t in_flight_messages = 0;
-    obs::Tracer* tracer = nullptr;
-    obs::HealthSignals* health = nullptr;
-    obs::FlightRecorder* flight = nullptr;
+    const obs::Sinks* sinks = &obs::kNoSinks;
     /// Every record this shard ever made (freed with the fabric), and the
     /// free list threaded through the idle ones.
     std::vector<std::unique_ptr<Delivery>> records;
@@ -628,18 +604,18 @@ class Fabric {
   /// when both are; out-of-range ids bounce off the bounds checks). The
   /// flight event lands in the destination's ring with the source in `b`,
   /// so per-ring drop tallies stay attributable either way. Drops resolve
-  /// on the send path, so both records go to the sender's shard domain
+  /// on the send path, so both records go to the sender's shard sinks
   /// (`ss`): a domain holds rings/counters for every node, only its writer
   /// is per-shard.
-  void record_drop(ShardState& ss, NodeId src, NodeId dst,
+  void record_drop(const ShardState& ss, NodeId src, NodeId dst,
                    std::size_t payload_bytes, bool injected) {
-    if (ss.health != nullptr) {
-      ss.health->on_drop(dst < ss.health->num_nodes() ? dst : src);
+    if (obs::HealthSignals* health = ss.sinks->health; health != nullptr) {
+      health->on_drop(dst < health->num_nodes() ? dst : src);
     }
-    if (ss.flight != nullptr) {
-      ss.flight->record(node_sim_[src]->now(), dst,
-                        obs::FlightEventType::kNetDrop, payload_bytes,
-                        static_cast<std::uint32_t>(src), injected ? 1 : 0);
+    if (obs::FlightRecorder* flight = ss.sinks->flight; flight != nullptr) {
+      flight->record(node_sim_[src]->now(), dst,
+                     obs::FlightEventType::kNetDrop, payload_bytes,
+                     static_cast<std::uint32_t>(src), injected ? 1 : 0);
     }
   }
 
@@ -658,22 +634,20 @@ class Fabric {
     dst_nic.rx_busy_until = rx_end;
     env.delivered_at = rx_end;
     ShardState& rs = *shard_state_[node_shard_[env.dst]];
-    if (obs::Tracer* tr =
-            (rs.tracer != nullptr && rs.tracer->enabled()) ? rs.tracer
-                                                           : nullptr;
-        tr != nullptr) {
-      tr->complete(trace_pid_, obs::Tracer::kNicTidBase + env.dst,
+    if (obs::Tracer* tr = rs.sinks->live_tracer(); tr != nullptr) {
+      const std::uint32_t pid = rs.sinks->trace_pid;
+      tr->complete(pid, obs::Tracer::kNicTidBase + env.dst,
                    "fabric/recv", "fabric", rx_start, ser, trace_id);
       if (msg != 0) {
-        tr->flow('f', trace_pid_, obs::Tracer::kNicTidBase + env.dst,
+        tr->flow('f', pid, obs::Tracer::kNicTidBase + env.dst,
                  rx_start, msg, trace_id);
         if (rx_start > arrival) {
-          tr->async_span(trace_pid_, msg * 4 + 1, "fabric/rxq", "fabric",
+          tr->async_span(pid, msg * 4 + 1, "fabric/rxq", "fabric",
                          arrival, rx_start - arrival, trace_id);
         }
         // In-flight interval from original send to last bit received: the
         // sender stamped env.sent_at before protocol pre-work began.
-        tr->async_span(trace_pid_, msg * 4 + 2, "fabric/wire", "fabric",
+        tr->async_span(pid, msg * 4 + 2, "fabric/wire", "fabric",
                        env.sent_at, rx_end - env.sent_at, trace_id);
       }
     }
@@ -718,7 +692,6 @@ class Fabric {
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   double loss_probability_ = 0.0;
   std::size_t lossy_nodes_ = 0;  ///< nodes with a nonzero per-node loss
-  std::uint32_t trace_pid_ = 0;
 };
 
 }  // namespace hpres::net

@@ -45,6 +45,16 @@ struct HealthWindow {
   std::uint64_t drops = 0;       ///< fabric messages lost to/from this node
   std::uint64_t over_slo = 0;    ///< responses slower than the SLO
   SimDur rtt_sum_ns = 0;         ///< sum of observed response RTTs
+
+  HealthWindow& operator+=(const HealthWindow& o) noexcept {
+    responses += o.responses;
+    timeouts += o.timeouts;
+    retries += o.retries;
+    drops += o.drops;
+    over_slo += o.over_slo;
+    rtt_sum_ns += o.rtt_sum_ns;
+    return *this;
+  }
 };
 
 /// Cumulative per-node counters updated from the rpc/net hot paths.

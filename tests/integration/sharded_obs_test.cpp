@@ -13,11 +13,13 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/fault_schedule.h"
 #include "ec/cost_model.h"
 #include "ec/rs_vandermonde.h"
 #include "obs/critical_path.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
+#include "obs/sinks.h"
 #include "obs/trace.h"
 #include "resilience/factory.h"
 #include "workload/ycsb.h"
@@ -42,8 +44,7 @@ struct ObsOutcome {
   std::uint64_t flight_written_total = 0;
   std::uint64_t flight_kept_total = 0;
   bool any_ring_wrapped = false;
-  std::uint64_t health_responses = 0;
-  std::uint64_t health_timeouts = 0;
+  obs::HealthWindow health;  ///< every node's window, summed over domains
 };
 
 struct ObsKnobs {
@@ -127,11 +128,9 @@ ObsOutcome run_observed_ycsb(std::size_t shards, std::uint64_t seed,
   out.fabric = cl.fabric().stats();
 
   if (knobs.observe) {
-    for (obs::HealthSignals* domain : cl.health_domains()) {
-      for (std::size_t n = 0; n < domain->num_nodes(); ++n) {
-        const obs::HealthWindow w = domain->take_window(n);
-        out.health_responses += w.responses;
-        out.health_timeouts += w.timeouts;
+    for (const obs::Sinks& sinks : cl.sinks()) {
+      for (std::size_t n = 0; n < sinks.health->num_nodes(); ++n) {
+        out.health += sinks.health->take_window(n);
       }
     }
     cl.merge_obs_domains();
@@ -226,14 +225,145 @@ TEST(ShardedObs, HealthWindowSumsMatchOracle) {
       run_observed_ycsb(1, 21, ObsKnobs{.observe = true});
   const ObsOutcome sharded =
       run_observed_ycsb(4, 21, ObsKnobs{.observe = true});
-  ASSERT_GT(oracle.health_responses, 0u);
-  EXPECT_EQ(sharded.health_responses, oracle.health_responses);
-  EXPECT_EQ(sharded.health_timeouts, oracle.health_timeouts);
+  ASSERT_GT(oracle.health.responses, 0u);
+  EXPECT_EQ(sharded.health.responses, oracle.health.responses);
+  EXPECT_EQ(sharded.health.timeouts, oracle.health.timeouts);
 }
 
-// Cluster::engine_context hands each client its own shard's loop and
-// observability domains (the process instruments at one shard), and null
-// observational fields when nothing is attached.
+// Detaching an instrument takes it out of every recording path at once:
+// after a tracer, health signals and a flight recorder are attached and
+// then detached with nullptr, a crash workload under a 2 ms deadline (plus
+// a lossy server) — fabric drops, RPC timeouts and retries, traced ops
+// reaching server handlers, a crash with the flight-dump trigger — leaves
+// all three empty.
+TEST(ShardedObs, DetachedInstrumentsRecordNothing) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    ec::RsVandermondeCodec codec(3, 2);
+    const auto cost =
+        ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+    cluster::ClusterConfig config{.num_servers = kServers,
+                                  .num_clients = kClients};
+    config.shards = shards;
+    cluster::Cluster cl(config);
+    cl.enable_server_ec(codec, cost, false);
+    cl.set_rpc_policy(kv::RpcPolicy{.timeout_ns = 2 * units::kMillisecond,
+                                    .max_retries = 2,
+                                    .backoff_ns = 50'000});
+
+    obs::Tracer tracer(true);
+    const std::uint32_t pid = tracer.declare_process("detached-pt");
+    const std::size_t declared_events = tracer.event_count();
+    obs::FlightRecorder flight(64);
+    obs::HealthSignals signals(kServers + kClients, /*slo_ns=*/2'000'000);
+    cl.set_tracer(&tracer, pid);
+    cl.set_health_signals(&signals);
+    cl.set_flight_recorder(&flight);
+    cl.set_tracer(nullptr);
+    cl.set_health_signals(nullptr);
+    cl.set_flight_recorder(nullptr);
+    for (const obs::Sinks& sinks : cl.sinks()) {
+      EXPECT_EQ(sinks.tracer, nullptr) << "shards=" << shards;
+      EXPECT_EQ(sinks.health, nullptr);
+      EXPECT_EQ(sinks.flight, nullptr);
+    }
+
+    // The engines keep tracing into their own per-shard tracers, so ops
+    // carry live trace contexts through the fabric into server handlers.
+    std::vector<std::unique_ptr<obs::Tracer>> op_tracers;
+    for (std::size_t s = 0; s < cl.num_shards(); ++s) {
+      op_tracers.push_back(std::make_unique<obs::Tracer>(true));
+      op_tracers.back()->set_id_space(s, cl.num_shards());
+    }
+    std::vector<std::unique_ptr<resilience::Engine>> engines;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      resilience::EngineContext ctx = cl.engine_context(c, false);
+      ctx.tracer = op_tracers[cl.fabric().shard_of(
+                                  static_cast<net::NodeId>(kServers + c))]
+                       .get();
+      ctx.trace_pid = pid;
+      engines.push_back(resilience::make_engine(
+          resilience::Design::kEraCeCd, ctx, 3, &codec, cost));
+    }
+    cl.start();
+
+    workload::YcsbConfig cfg;
+    cfg.record_count = 200;
+    cfg.ops_per_client = 80;
+    cfg.value_size = 8192;
+    cfg.seed = 5;
+    {
+      sim::Simulator& lsim = cl.sim_for_client(0);
+      struct Loader {
+        static sim::Task<void> run(sim::Simulator* sim, resilience::Engine* e,
+                                   workload::YcsbConfig c) {
+          co_await workload::ycsb_load(sim, e, c, 0, c.record_count);
+        }
+      };
+      lsim.spawn(Loader::run(&lsim, engines[0].get(), cfg));
+      cl.run();
+    }
+
+    const SimTime start = cl.now_quiesced();
+    cluster::FaultSchedule faults(cl, /*detection_lag_ns=*/1'000'000);
+    faults.add_crash(start + 200'000, 1);
+    faults.add_loss(start + 200'000, 2, 0.2);
+    faults.add_restart(start + 8 * units::kMillisecond, 1);
+    faults.arm();
+    std::vector<workload::YcsbResult> results(kClients);
+    struct Proc {
+      static sim::Task<void> run(sim::Simulator* sim, resilience::Engine* e,
+                                 workload::YcsbConfig c, std::uint64_t s,
+                                 workload::YcsbResult* r) {
+        co_await workload::ycsb_client(sim, e, c, s, r);
+      }
+    };
+    for (std::size_t c = 0; c < kClients; ++c) {
+      sim::Simulator& csim = cl.sim_for_client(c);
+      csim.spawn(Proc::run(&csim, engines[c].get(), cfg, 5 + 13 * c,
+                           &results[c]));
+    }
+    cl.run();
+    cl.merge_obs_domains();
+
+    // Every recording path fired...
+    std::uint64_t timeouts = 0;
+    std::uint64_t retries = 0;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      timeouts += cl.client(c).rpc_stats().timeouts;
+      retries += cl.client(c).rpc_stats().retries;
+    }
+    EXPECT_EQ(faults.fired(), 3u) << "shards=" << shards;
+    EXPECT_GT(cl.fabric().stats().messages_dropped, 0u) << "shards=" << shards;
+    EXPECT_GT(timeouts, 0u) << "shards=" << shards;
+    EXPECT_GT(retries, 0u) << "shards=" << shards;
+    std::uint64_t op_spans = 0;
+    for (const auto& t : op_tracers) op_spans += t->event_count();
+    EXPECT_GT(op_spans, 0u) << "shards=" << shards;
+
+    // ...and none of them reached a detached instrument.
+    EXPECT_EQ(tracer.event_count(), declared_events) << "shards=" << shards;
+    obs::HealthWindow health;
+    for (std::size_t n = 0; n < signals.num_nodes(); ++n) {
+      health += signals.cumulative(n);
+    }
+    EXPECT_EQ(health.responses + health.timeouts + health.retries +
+                  health.drops + health.over_slo,
+              0u)
+        << "shards=" << shards;
+    EXPECT_EQ(health.rtt_sum_ns, 0);
+    for (std::size_t n = 0; n < flight.num_nodes(); ++n) {
+      EXPECT_EQ(flight.written(n), 0u) << "shards=" << shards << " node=" << n;
+    }
+    EXPECT_EQ(flight.dumps_written(), 0u);
+  }
+}
+
+// One observability record per shard: every server's and client's RPC
+// layer, the fabric's shard state and engine_context(i) resolve to
+// sinks(shard_of(node)). At one shard the record holds the attached
+// instruments; at three it holds per-shard domains. Null observational
+// fields when nothing is attached; a tracer attached after start() needs
+// no re-wiring.
 TEST(Cluster, EngineContextWiresClientShardDomains) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     cluster::ClusterConfig config{.num_servers = kServers,
@@ -251,33 +381,97 @@ TEST(Cluster, EngineContextWiresClientShardDomains) {
     }
 
     cluster::Cluster cl(config);
+    ASSERT_EQ(cl.sinks().size(), cl.num_shards());
     obs::Tracer tracer(true);
     const std::uint32_t pid = tracer.declare_process("ctx-pt");
     obs::FlightRecorder flight;
+    obs::HealthSignals signals(kServers, /*slo_ns=*/2'000'000);
     cl.set_tracer(&tracer, pid);
     cl.set_flight_recorder(&flight);
+    cl.set_health_signals(&signals);
+    for (std::size_t s = 0; s < cl.num_shards(); ++s) {
+      const obs::Sinks& sinks = cl.sinks(s);
+      EXPECT_EQ(sinks.trace_pid, pid);
+      ASSERT_NE(sinks.tracer, nullptr);
+      ASSERT_NE(sinks.health, nullptr);
+      ASSERT_NE(sinks.flight, nullptr);
+      if (shards == 1) {
+        EXPECT_EQ(sinks.tracer, &tracer);
+        EXPECT_EQ(sinks.health, &signals);
+        EXPECT_EQ(sinks.flight, &flight);
+      } else {
+        EXPECT_NE(sinks.tracer, &tracer) << "shard " << s;
+        EXPECT_NE(sinks.health, &signals) << "shard " << s;
+        EXPECT_NE(sinks.flight, &flight) << "shard " << s;
+        for (std::size_t o = 0; o < s; ++o) {
+          EXPECT_NE(sinks.tracer, cl.sinks(o).tracer);
+          EXPECT_NE(sinks.health, cl.sinks(o).health);
+          EXPECT_NE(sinks.flight, cl.sinks(o).flight);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < kServers; ++i) {
+      const auto node = static_cast<net::NodeId>(i);
+      const obs::Sinks* home = &cl.sinks(cl.fabric().shard_of(node));
+      EXPECT_EQ(&cl.sinks_of(node), home) << "server " << i;
+      EXPECT_EQ(&cl.server(i).sinks(), home) << "server " << i;
+      EXPECT_EQ(&cl.fabric().sinks_of(node), home) << "server " << i;
+    }
     for (std::size_t i = 0; i < kClients; ++i) {
       const resilience::EngineContext ctx = cl.engine_context(i);
       const auto node = static_cast<net::NodeId>(kServers + i);
+      const obs::Sinks* home = &cl.sinks(cl.fabric().shard_of(node));
+      EXPECT_EQ(&cl.sinks_of(node), home) << "client " << i;
+      EXPECT_EQ(&cl.client(i).sinks(), home) << "client " << i;
+      EXPECT_EQ(&cl.fabric().sinks_of(node), home) << "client " << i;
       EXPECT_EQ(ctx.sim, &cl.sim_for_client(i)) << "shards=" << shards;
       EXPECT_EQ(ctx.client, &cl.client(i));
       EXPECT_EQ(ctx.ring, &cl.ring());
       EXPECT_EQ(ctx.membership, &cl.membership());
       EXPECT_EQ(ctx.server_nodes, &cl.server_nodes());
       EXPECT_TRUE(ctx.materialize);
+      EXPECT_EQ(ctx.tracer, home->tracer);
       EXPECT_EQ(ctx.tracer, cl.tracer_for_client(i));
-      EXPECT_NE(ctx.tracer, nullptr);
       EXPECT_EQ(ctx.trace_pid, pid);
-      EXPECT_EQ(ctx.flight, cl.flight_domain_of(node));
-      EXPECT_NE(ctx.flight, nullptr);
-      if (shards == 1) {
-        EXPECT_EQ(ctx.tracer, &tracer);
-        EXPECT_EQ(ctx.flight, &flight);
-      } else {
-        EXPECT_NE(ctx.tracer, &tracer);
-        EXPECT_NE(ctx.flight, &flight);
-      }
+      EXPECT_EQ(ctx.flight, home->flight);
     }
+
+    // The records are bound once, at construction: a tracer attached after
+    // start() reaches client 0's RPC layer and the fabric with no
+    // re-wiring. The client's call to a silently lossy server times out
+    // (rpc/timeout) and its call to a healthy one crosses the NICs.
+    cl.set_rpc_policy(kv::RpcPolicy{.timeout_ns = 2 * units::kMillisecond});
+    cl.start();
+    obs::Tracer late(true);
+    const std::uint32_t late_pid = late.declare_process("late-pt");
+    cl.set_tracer(&late, late_pid);
+    cl.fabric().set_node_loss(1, 1.0);
+    std::vector<StatusCode> codes;
+    struct Calls {
+      static sim::Task<void> run(kv::Client* client,
+                                 std::vector<StatusCode>* codes) {
+        for (const net::NodeId dst : {net::NodeId{0}, net::NodeId{1}}) {
+          kv::Request req;
+          req.key = "late-tracer";
+          codes->push_back((co_await client->invoke(dst, req)).code);
+        }
+      }
+    };
+    cl.sim_for_client(0).spawn(Calls::run(&cl.client(0), &codes));
+    cl.run();
+    cl.merge_obs_domains();
+    ASSERT_EQ(codes.size(), 2u) << "shards=" << shards;
+    EXPECT_NE(codes[0], StatusCode::kTimeout) << "shards=" << shards;
+    EXPECT_EQ(codes[1], StatusCode::kTimeout) << "shards=" << shards;
+    EXPECT_EQ(late.span_count(late_pid, "rpc/timeout"), 1u)
+        << "shards=" << shards;
+    // The request to server 0 and its response cross both NICs; the
+    // request to lossy server 1 is dropped before it reaches a NIC.
+    EXPECT_EQ(late.span_count(late_pid, "fabric/send"), 2u)
+        << "shards=" << shards;
+    EXPECT_EQ(late.span_count(late_pid, "fabric/recv"), 2u)
+        << "shards=" << shards;
+    EXPECT_EQ(tracer.span_count(pid, "rpc/timeout"), 0u);
   }
 }
 

@@ -50,7 +50,7 @@ kv::RpcPolicy guard_policy() {
 
 /// 1 ms detector windows: wide enough that every server clears
 /// min_samples per window at this op rate, so detection lag is dominated
-/// by the flag_after hysteresis (2 ticks), not by sample starvation.
+/// by the kFlagAfter hysteresis (2 ticks), not by sample starvation.
 cluster::HealthMonitorParams monitor_params() {
   cluster::HealthMonitorParams p;
   p.interval_ns = 1 * units::kMillisecond;

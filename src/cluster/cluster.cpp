@@ -32,9 +32,9 @@ Cluster::Cluster(ClusterConfig config)
       runtime_(effective_shards(config), config.fabric.latency_ns),
       sinks_(runtime_.num_shards()),
       fabric_(runtime_, config.fabric, shard_map(config), sinks_),
-      ring_(config.num_servers, config.ring_vnodes, config.ring_seed,
-            config.initial_active_servers),
-      membership_(config.num_servers, config.membership_check_ns) {
+      ring_(config.num_servers, kv::HashRing::kDefaultVnodes,
+            kv::HashRing::kDefaultSeed, config.initial_active_servers),
+      membership_(config.num_servers) {
   servers_.reserve(config.num_servers);
   server_nodes_.reserve(config.num_servers);
   for (std::size_t i = 0; i < config.num_servers; ++i) {
@@ -47,7 +47,7 @@ Cluster::Cluster(ClusterConfig config)
   for (std::size_t i = 0; i < config.num_clients; ++i) {
     const auto node = static_cast<net::NodeId>(config.num_servers + i);
     clients_.push_back(std::make_unique<kv::Client>(
-        fabric_.sim_of(node), fabric_, node, config.client));
+        fabric_.sim_of(node), fabric_, node));
   }
 }
 

@@ -29,10 +29,6 @@ struct ClusterConfig {
   std::size_t num_clients = 1;
   net::FabricParams fabric = net::FabricParams::rdma_qdr();
   kv::ServerParams server;
-  kv::ClientParams client;
-  SimDur membership_check_ns = 1'500;
-  std::size_t ring_vnodes = 128;
-  std::uint64_t ring_seed = 0x5eed;
   /// Servers initially projected onto the hash ring: the active prefix
   /// [0, initial_active_servers). 0 = all provisioned servers (the classic
   /// fixed-membership cluster). Servers outside the prefix still exist and

@@ -185,12 +185,13 @@ sim::Task<void> FaultSchedule::placement_driver(FaultSchedule* self) {
   for (const PlacementEvent& ev : self->placement_events_) {
     const SimTime now = sim.now();
     if (ev.at_ns > now) co_await sim.delay(ev.at_ns - now);
+    Status applied;
     if (ev.join) {
-      co_await self->placement_->join(ev.server);
+      applied = co_await self->placement_->join(ev.server);
     } else {
-      co_await self->placement_->leave(ev.server);
+      applied = co_await self->placement_->leave(ev.server);
     }
-    ++self->fired_;
+    if (applied.ok()) ++self->fired_;
   }
 }
 

@@ -88,7 +88,8 @@ class FaultSchedule {
   /// between runs; the schedule must outlive the simulation.
   void arm();
 
-  /// Number of crash/restart events applied so far.
+  /// Number of events applied so far: crashes, restarts, slowdowns, loss
+  /// changes, and the joins and leaves the placement plane accepted.
   [[nodiscard]] std::size_t fired() const noexcept { return fired_; }
 
  private:

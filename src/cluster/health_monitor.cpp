@@ -94,8 +94,7 @@ void HealthMonitor::tick_at(SimTime now) {
   // ring window while the symptoms are still in it. The dump always comes
   // from the parent recorder, after folding in the per-shard domains.
   obs::FlightRecorder* const flight = cluster_->flight_recorder();
-  if (flight != nullptr && params_.timeout_burst > 0 &&
-      window_timeouts >= params_.timeout_burst) {
+  if (flight != nullptr && window_timeouts >= kTimeoutBurst) {
     cluster_->merge_obs_domains();
     flight->record(now, 0, obs::FlightEventType::kDump,
                    flight->dumps_written());

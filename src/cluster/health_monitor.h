@@ -41,15 +41,16 @@ struct HealthMonitorParams {
   /// Per-response latency SLO classifying over-SLO responses for the
   /// burn-rate rule.
   SimDur slo_ns = 2 * units::kMillisecond;
-  /// Cluster-wide RPC deadline expiries in a single window that trigger an
-  /// automatic flight-recorder dump ("timeout-burst"). 0 disables.
-  std::uint64_t timeout_burst = 8;
-  /// Detector thresholds and hysteresis.
+  /// Detector sample floor (its thresholds and hysteresis are constants).
   obs::HealthParams detector;
 };
 
 class HealthMonitor {
  public:
+  /// Cluster-wide RPC deadline expiries in a single window that trigger an
+  /// automatic flight-recorder dump ("timeout-burst").
+  static constexpr std::uint64_t kTimeoutBurst = 8;
+
   explicit HealthMonitor(Cluster& cluster, HealthMonitorParams params = {});
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;

@@ -9,20 +9,31 @@
 
 namespace hpres::cluster {
 
+namespace {
+
+/// Keys migrated between pacing pauses. Smaller batches spread the
+/// migration traffic thinner under foreground load.
+constexpr std::size_t kMigrateBatch = 8;
+/// Pause inserted after each batch (simulated time).
+constexpr SimDur kBatchPauseNs = 20'000;
+/// Poll interval while waiting for the quiesce hook to apply a pending
+/// cutover/finish. The hook also caps every runtime window at this
+/// length, so a published mutation lands before the next poll.
+constexpr SimDur kPollNs = 2'000;
+
+}  // namespace
+
 PlacementManager::PlacementManager(Cluster& cluster, const ec::Codec& codec,
                                    ec::CostModel cost,
-                                   resilience::EngineContext ctx,
-                                   PlacementParams params)
+                                   resilience::EngineContext ctx)
     : cluster_(&cluster),
       codec_(&codec),
       ctx_(ctx),
-      params_(params),
       repair_(ctx, codec, cost),
       prev_ring_(cluster.ring()) {
   assert(ctx_.sim != nullptr && ctx_.client != nullptr &&
          ctx_.ring == &cluster.ring() &&
          "coordinator context must reference the cluster's live ring");
-  assert(params_.poll_ns > 0 && "the hook caps windows at poll_ns");
   view_.epoch = cluster.ring().epoch();
   // Ring/view mutations are read lock-free by every shard, so they apply
   // from a quiesce hook while all shards are parked.
@@ -42,16 +53,24 @@ void PlacementManager::register_metrics(obs::MetricsRegistry& reg,
   repair_.stats().register_with(reg, "coordinator", op_label);
 }
 
-sim::Task<void> PlacementManager::join(std::size_t server) {
+sim::Task<Status> PlacementManager::join(std::size_t server) {
   return run_change(server, true);
 }
 
-sim::Task<void> PlacementManager::leave(std::size_t server) {
+sim::Task<Status> PlacementManager::leave(std::size_t server) {
   return run_change(server, false);
 }
 
-sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
+sim::Task<Status> PlacementManager::run_change(std::size_t server,
+                                               bool join) {
   assert(!changing_ && "one placement change at a time");
+  // Below n active servers slot_index wraps and one server would hold two
+  // fragments of a key. No mutation is pending between changes, so the
+  // live ring is stable to read here.
+  if (!join && ring().num_active() <= codec_->n()) {
+    co_return Status{StatusCode::kInvalidArgument,
+                     "leave would shrink the ring below the codec width"};
+  }
   changing_ = true;
   obs::Tracer* const tr =
       (ctx_.tracer != nullptr && ctx_.tracer->enabled()) ? ctx_.tracer
@@ -87,7 +106,7 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
   // acked the epoch: until then an old-epoch write could still land at an
   // old position after we deleted it, losing the bounce-and-retry story.
   const SimTime migrate_t0 = ctx_.sim->now();
-  co_await migrate_all(params_.cleanup && acks == live);
+  co_await migrate_all(acks == live);
   if (tr != nullptr) {
     tr->complete(ctx_.trace_pid, tid, "placement/migrate", "placement",
                  migrate_t0, ctx_.sim->now() - migrate_t0, trace_id);
@@ -103,6 +122,7 @@ sim::Task<void> PlacementManager::run_change(std::size_t server, bool join) {
                  "placement", t0, ctx_.sim->now() - t0, trace_id);
   }
   changing_ = false;
+  co_return Status::Ok();
 }
 
 void PlacementManager::apply_cutover(std::size_t server, bool join) {
@@ -126,7 +146,7 @@ void PlacementManager::apply_finish() {
 sim::Task<void> PlacementManager::await_applied(Pending pending) {
   pending_ = pending;
   while (pending_ != Pending::kNone) {
-    co_await ctx_.sim->delay(params_.poll_ns);
+    co_await ctx_.sim->delay(kPollNs);
   }
 }
 
@@ -149,7 +169,7 @@ SimTime PlacementManager::on_quiesce(SimTime min_next) {
   // published mid-window is applied before the coordinator's next poll
   // event runs, at any shard count.
   return min_next == sim::Simulator::kNever ? sim::Simulator::kNever
-                                            : min_next + params_.poll_ns;
+                                            : min_next + kPollNs;
 }
 
 sim::Task<std::size_t> PlacementManager::install_epochs() {
@@ -334,11 +354,9 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
 }
 
 sim::Task<void> PlacementManager::pace() {
-  if (++paced_ < params_.migrate_batch) co_return;
+  if (++paced_ < kMigrateBatch) co_return;
   paced_ = 0;
-  if (params_.batch_pause_ns > 0) {
-    co_await ctx_.sim->delay(params_.batch_pause_ns);
-  }
+  co_await ctx_.sim->delay(kBatchPauseNs);
 }
 
 }  // namespace hpres::cluster

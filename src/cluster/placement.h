@@ -37,22 +37,6 @@
 
 namespace hpres::cluster {
 
-struct PlacementParams {
-  /// Keys migrated between pacing pauses. Smaller batches spread the
-  /// migration traffic thinner under foreground load.
-  std::size_t migrate_batch = 8;
-  /// Pause inserted after each batch (simulated time).
-  SimDur batch_pause_ns = 20'000;
-  /// Delete stale fragments/locators at their old positions once the
-  /// migration pass completes and every live server acked the epoch.
-  /// Off leaves the old copies in place (space cost, zero risk).
-  bool cleanup = true;
-  /// Poll interval while waiting for the quiesce hook to apply a pending
-  /// cutover/finish. The hook also caps every runtime window at this
-  /// length, so a published mutation lands before the next poll.
-  SimDur poll_ns = 2'000;
-};
-
 struct PlacementStats {
   std::uint64_t changes = 0;           ///< completed join/leave transitions
   std::uint64_t epoch_acks = 0;        ///< kPlacementEpoch acks received
@@ -91,8 +75,7 @@ class PlacementManager {
   /// hook, so construct it between run() calls: the hook must bound
   /// windows before any change starts mid-window.
   PlacementManager(Cluster& cluster, const ec::Codec& codec,
-                   ec::CostModel cost, resilience::EngineContext ctx,
-                   PlacementParams params = {});
+                   ec::CostModel cost, resilience::EngineContext ctx);
   PlacementManager(const PlacementManager&) = delete;
   PlacementManager& operator=(const PlacementManager&) = delete;
   ~PlacementManager();
@@ -123,11 +106,14 @@ class PlacementManager {
 
   /// Projects a provisioned-but-inactive server into the ring and runs the
   /// full cutover/install/migrate/finish protocol. One change at a time.
-  sim::Task<void> join(std::size_t server);
+  sim::Task<Status> join(std::size_t server);
 
   /// Withdraws an active server from the ring (graceful scale-in: the
-  /// server keeps serving reads of its stale copies until cleanup).
-  sim::Task<void> leave(std::size_t server);
+  /// server keeps serving reads of its stale copies until cleanup). A
+  /// leave that would leave fewer active servers than the codec's n is
+  /// refused with kInvalidArgument before anything changes: two fragments
+  /// of a key would share a server.
+  sim::Task<Status> leave(std::size_t server);
 
   [[nodiscard]] const PlacementStats& stats() const noexcept {
     return stats_;
@@ -144,7 +130,7 @@ class PlacementManager {
  private:
   enum class Pending : std::uint8_t { kNone, kCutover, kFinish };
 
-  sim::Task<void> run_change(std::size_t server, bool join);
+  sim::Task<Status> run_change(std::size_t server, bool join);
   /// Swaps the live ring to the new active set, snapshots the old ring,
   /// bumps the view's epoch, and raises in_transition. Called from the
   /// quiesce hook.
@@ -175,7 +161,6 @@ class PlacementManager {
   Cluster* cluster_;
   const ec::Codec* codec_;
   resilience::EngineContext ctx_;
-  PlacementParams params_;
   resilience::RepairCoordinator repair_;
   kv::PlacementView view_;
   kv::HashRing prev_ring_;  ///< pre-cutover snapshot (stable address)

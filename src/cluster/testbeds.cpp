@@ -2,24 +2,14 @@
 
 namespace hpres::cluster {
 
-namespace {
-
-kv::ServerParams server_with(std::uint32_t workers, std::uint64_t memory) {
-  kv::ServerParams p;
-  p.workers = workers;
-  p.memory_bytes = memory;
-  return p;
-}
-
-}  // namespace
-
 Testbed ri_qdr() {
   // 2.53 GHz Westmere: the calibration reference (factor 1.0). Storage
   // nodes run with 20 GB Memcached and 8 workers (Section VI-B).
   return Testbed{.name = "RI-QDR",
                  .fabric = net::FabricParams::rdma_qdr(),
                  .cpu_factor = 1.0,
-                 .server = server_with(8, 20ULL * units::kGiB)};
+                 .server = {.workers = 8,
+                            .memory_bytes = 20ULL * units::kGiB}};
 }
 
 Testbed ri_qdr_ipoib() {
@@ -34,7 +24,8 @@ Testbed sdsc_comet() {
   return Testbed{.name = "SDSC-Comet",
                  .fabric = net::FabricParams::rdma_fdr(),
                  .cpu_factor = 1.8,
-                 .server = server_with(12, 64ULL * units::kGiB)};
+                 .server = {.workers = 12,
+                            .memory_bytes = 64ULL * units::kGiB}};
 }
 
 Testbed ri2_edr() {
@@ -42,7 +33,8 @@ Testbed ri2_edr() {
   return Testbed{.name = "RI2-EDR",
                  .fabric = net::FabricParams::rdma_edr(),
                  .cpu_factor = 2.2,
-                 .server = server_with(14, 64ULL * units::kGiB)};
+                 .server = {.workers = 14,
+                            .memory_bytes = 64ULL * units::kGiB}};
 }
 
 ClusterConfig make_config(const Testbed& bed, std::size_t servers,

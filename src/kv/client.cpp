@@ -17,11 +17,7 @@ sim::Task<Response> Client::invoke(NodeId dst, Request req) {
 
 sim::Task<void> Client::issue_coro(Client* self, NodeId dst, Request req,
                                    sim::Promise<Response> out) {
-  const SimDur issue =
-      self->params_.issue_cpu_ns +
-      static_cast<SimDur>(self->params_.issue_ns_per_byte *
-                          static_cast<double>(payload_bytes(req)));
-  co_await self->cpu_.execute(issue);
+  co_await self->cpu_.execute(kIssueNs);
   out.set_value(co_await self->call_guarded(dst, std::move(req)));
 }
 

@@ -9,16 +9,14 @@
 
 namespace hpres::kv {
 
-struct ClientParams {
-  SimDur issue_cpu_ns = 400;      ///< posting one non-blocking request
-  double issue_ns_per_byte = 0.0; ///< extra per-payload-byte issue cost
-};
-
 class Client final : public RpcNode {
  public:
-  Client(sim::Simulator& sim, KvFabric& fabric, NodeId id,
-         ClientParams params = {})
-      : RpcNode(sim, fabric, id), params_(params), cpu_(sim, 1) {}
+  /// CPU time to post one non-blocking request. It does not grow with
+  /// the payload: the fabric already charges the eager per-byte copy.
+  static constexpr SimDur kIssueNs = 400;
+
+  Client(sim::Simulator& sim, KvFabric& fabric, NodeId id)
+      : RpcNode(sim, fabric, id), cpu_(sim, 1) {}
 
   /// Issues a request asynchronously: the request is stamped at once, its
   /// issue cost serializes on this client's CPU, then it takes call()'s
@@ -31,7 +29,6 @@ class Client final : public RpcNode {
 
   /// The client CPU; erasure engines charge encode/decode time here.
   [[nodiscard]] sim::WorkerPool& cpu() noexcept { return cpu_; }
-  [[nodiscard]] const ClientParams& params() const noexcept { return params_; }
 
  protected:
   void on_request(KvEnvelope env) override {
@@ -43,7 +40,6 @@ class Client final : public RpcNode {
   static sim::Task<void> issue_coro(Client* self, NodeId dst, Request req,
                                     sim::Promise<Response> out);
 
-  ClientParams params_;
   sim::WorkerPool cpu_;
 };
 

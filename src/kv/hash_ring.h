@@ -23,12 +23,17 @@ namespace hpres::kv {
 
 class HashRing {
  public:
+  /// The cluster ring's shape: ketama points per server and hash seed.
+  static constexpr std::size_t kDefaultVnodes = 128;
+  static constexpr std::uint64_t kDefaultSeed = 0x5eed;
+
   /// `num_servers` servers indexed 0..num_servers-1, each projected onto
   /// the ring at `vnodes` points. `initial_active` bounds the initially
   /// active prefix [0, initial_active); 0 means every provisioned server
   /// starts active (the classic fixed-membership ring).
-  explicit HashRing(std::size_t num_servers, std::size_t vnodes = 128,
-                    std::uint64_t seed = 0x5eed,
+  explicit HashRing(std::size_t num_servers,
+                    std::size_t vnodes = kDefaultVnodes,
+                    std::uint64_t seed = kDefaultSeed,
                     std::size_t initial_active = 0);
 
   /// Provisioned index space (stable across joins/leaves): fragment slot

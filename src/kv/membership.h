@@ -25,9 +25,11 @@ namespace hpres::kv {
 
 class Membership {
  public:
-  explicit Membership(std::size_t num_servers,
-                      SimDur check_cost_ns = 1'500)
-      : up_(num_servers, true), check_cost_ns_(check_cost_ns) {}
+  /// T_check: time a client spends identifying a live server when its
+  /// first choice is down.
+  static constexpr SimDur kCheckCostNs = 1'500;
+
+  explicit Membership(std::size_t num_servers) : up_(num_servers, true) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return up_.size(); }
 
@@ -52,16 +54,11 @@ class Membership {
 
   [[nodiscard]] bool all_up() const noexcept { return alive() == up_.size(); }
 
-  /// T_check: time a client spends identifying a live server when its
-  /// first choice is down.
-  [[nodiscard]] SimDur check_cost_ns() const noexcept { return check_cost_ns_; }
-
   /// Bumped on every membership change (lets caches invalidate).
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
  private:
   std::vector<bool> up_;
-  SimDur check_cost_ns_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -7,12 +7,15 @@ namespace hpres::kv {
 
 namespace {
 constexpr SimDur kPeerIssueNs = 300;  // posting one chunk request to a peer
+// SSD tier costs, modelling a PCIe SSD.
+constexpr SimDur kSsdAccessNs = 60'000;     // device access latency per op
+constexpr double kSsdReadNsPerByte = 0.7;   // ~1.4 GB/s read
+constexpr double kSsdWriteNsPerByte = 1.1;  // ~0.9 GB/s write (demotion)
 }  // namespace
 
 Server::Server(sim::Simulator& sim, KvFabric& fabric, NodeId id,
                ServerParams params)
     : RpcNode(sim, fabric, id),
-      params_(params),
       store_(params.memory_bytes),
       workers_(sim, params.workers) {
   if (params.ssd_bytes > 0) {
@@ -173,8 +176,8 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
           store_.stats().demoted_bytes - demoted_before;
       if (demoted > 0) {
         // Eviction pressure spilled colder items to the SSD tier.
-        out.device_ns = params_.ssd_access_ns +
-                        static_cast<SimDur>(params_.ssd_write_ns_per_byte *
+        out.device_ns = kSsdAccessNs +
+                        static_cast<SimDur>(kSsdWriteNsPerByte *
                                             static_cast<double>(demoted));
       }
       break;
@@ -204,9 +207,8 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
       if (got->from_ssd) {
         // Promotion: the value came off the device, not the slab.
         out.device_ns =
-            params_.ssd_access_ns +
-            static_cast<SimDur>(params_.ssd_read_ns_per_byte *
-                                static_cast<double>(size));
+            kSsdAccessNs +
+            static_cast<SimDur>(kSsdReadNsPerByte * static_cast<double>(size));
       }
       if (req.head_only) {
         // Presence probe: metadata only, no payload on the wire.

@@ -20,18 +20,10 @@ namespace hpres::kv {
 
 struct ServerParams {
   std::uint32_t workers = 8;            ///< worker threads (paper: 8)
-  SimDur request_cpu_ns = 1'500;        ///< per-request dispatch + hashing
-  double store_ns_per_byte = 0.5;       ///< value copy + slab alloc (~2 GB/s)
-  /// Read path is far cheaper: responses DMA straight out of the
-  /// registered slab (RDMA-Memcached's near-zero-copy get).
-  double read_ns_per_byte = 0.12;
   std::uint64_t memory_bytes = 20ULL * 1024 * 1024 * 1024;  ///< 20 GB default
   /// SSD overflow tier (0 = disabled): the SSD-assisted hybrid design of
-  /// the RDMA-Memcached the paper builds on. Rates model a PCIe SSD.
+  /// the RDMA-Memcached the paper builds on.
   std::uint64_t ssd_bytes = 0;
-  SimDur ssd_access_ns = 60'000;       ///< device access latency per op
-  double ssd_read_ns_per_byte = 0.7;   ///< ~1.4 GB/s read
-  double ssd_write_ns_per_byte = 1.1;  ///< ~0.9 GB/s write (demotion)
 };
 
 /// Erasure-coding context a server needs only when it participates in
@@ -59,7 +51,6 @@ class Server final : public RpcNode {
 
   [[nodiscard]] StorageEngine& store() noexcept { return store_; }
   [[nodiscard]] const StorageEngine& store() const noexcept { return store_; }
-  [[nodiscard]] const ServerParams& params() const noexcept { return params_; }
 
   /// Bytes held by the packed-stripe locator directory (key + stripe key +
   /// offset/len per entry) — counted into the memory-efficiency accounting
@@ -174,14 +165,22 @@ class Server final : public RpcNode {
     if (slowdown_ == 1.0) return cost;
     return static_cast<SimDur>(static_cast<double>(cost) * slowdown_);
   }
+
+  static constexpr SimDur kRequestCpuNs = 1'500;  ///< dispatch + hashing
+  /// Value copy + slab alloc (~2 GB/s).
+  static constexpr double kStoreNsPerByte = 0.5;
+  /// Read path is far cheaper: responses DMA straight out of the
+  /// registered slab (RDMA-Memcached's near-zero-copy get).
+  static constexpr double kReadNsPerByte = 0.12;
+
   [[nodiscard]] SimDur touch_cost(std::size_t bytes) const noexcept {
-    return slow(params_.request_cpu_ns +
-                static_cast<SimDur>(params_.store_ns_per_byte *
+    return slow(kRequestCpuNs +
+                static_cast<SimDur>(kStoreNsPerByte *
                                     static_cast<double>(bytes)));
   }
   [[nodiscard]] SimDur read_cost(std::size_t bytes) const noexcept {
-    return slow(params_.request_cpu_ns +
-                static_cast<SimDur>(params_.read_ns_per_byte *
+    return slow(kRequestCpuNs +
+                static_cast<SimDur>(kReadNsPerByte *
                                     static_cast<double>(bytes)));
   }
 
@@ -202,7 +201,6 @@ class Server final : public RpcNode {
     respond(dst, std::move(resp));
   }
 
-  ServerParams params_;
   StorageEngine store_;
   sim::WorkerPool workers_;
   /// Packed-stripe locator directory: user key -> sub-slot location.

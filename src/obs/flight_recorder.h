@@ -17,6 +17,8 @@
 // triggered three ways: on demand (dump()/dump_to_file()), automatically on
 // crash injection (FaultSchedule), and on RPC-deadline expiry bursts
 // (cluster::HealthMonitor). tools/health_report consumes the dump offline.
+// There is no off switch on the recorder itself: detach it
+// (Cluster::set_flight_recorder(nullptr)) to stop recording.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +91,6 @@ class FlightRecorder {
   void record(SimTime t_ns, std::size_t node, FlightEventType type,
               std::uint64_t a = 0, std::uint32_t b = 0,
               std::uint8_t code = 0) noexcept {
-    if (!enabled_) return;
     if (node >= rings_.size()) {
       ++dropped_records_;
       return;
@@ -99,9 +100,6 @@ class FlightRecorder {
         FlightRecord{t_ns, a, b, type, code, 0};
     ++ring.written;
   }
-
-  void set_enabled(bool e) noexcept { enabled_ = e; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   [[nodiscard]] std::size_t ring_size() const noexcept { return ring_size_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
@@ -172,7 +170,6 @@ class FlightRecorder {
   std::string dump_path_;
   std::uint64_t dropped_records_ = 0;
   std::uint64_t dumps_written_ = 0;
-  bool enabled_ = true;
 };
 
 }  // namespace hpres::obs

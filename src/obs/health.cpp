@@ -5,6 +5,26 @@
 namespace hpres::obs {
 namespace {
 
+// Evidence thresholds. A node is slow when its score exceeds kSlowRatio x
+// the cluster median and also the absolute kSlowFloor, so near-idle jitter
+// never flags. It is lossy when (timeouts+drops)/attempts exceeds
+// kLossyRate.
+constexpr double kSlowRatio = 3.0;
+constexpr double kSlowFloor = 4.0;
+constexpr double kLossyRate = 0.10;
+
+// SLO burn-rate rule (multi-window): the fraction of over-SLO responses is
+// tracked by a fast and a slow EWMA; both must burn the error budget
+// faster than kBurnThreshold x kSloBudget to count as evidence.
+constexpr double kSloBudget = 0.01;      // tolerated over-SLO fraction
+constexpr double kBurnThreshold = 10.0;  // alert at 10x budget burn
+constexpr double kBurnFastAlpha = 0.5;   // fast window EWMA smoothing
+constexpr double kBurnSlowAlpha = 0.1;   // slow window EWMA smoothing
+
+// Hysteresis (in detector ticks).
+constexpr std::uint32_t kFlagAfter = 2;   // consecutive evidence ticks to flag
+constexpr std::uint32_t kClearAfter = 4;  // consecutive clean ticks to unflag
+
 [[nodiscard]] bool is_flagged(NodeHealthState s) noexcept {
   return s == NodeHealthState::kGraySlow || s == NodeHealthState::kGrayLossy ||
          s == NodeHealthState::kDown;
@@ -83,7 +103,7 @@ std::size_t HealthDetector::tick(SimTime now_ns,
   // Pass 1: window scores, then the cluster median over up nodes. The
   // median is the detector's notion of "normal right now": a node is only
   // gray-slow *relative* to it, so a uniformly slow cluster (every score
-  // rises together) keeps every node within slow_ratio of the median and
+  // rises together) keeps every node within kSlowRatio of the median and
   // nobody gets flagged.
   std::vector<double> up_scores;
   up_scores.reserve(n);
@@ -130,32 +150,32 @@ std::size_t HealthDetector::tick(SimTime now_ns,
     // streaks. An empty window is not evidence of health — a badly lossy
     // node parks every closed-loop caller on its RPC deadline, so the
     // windows between drop bursts are silent. Treating silence as "clean"
-    // would reset the evidence streak and the flag_after hysteresis could
+    // would reset the evidence streak and the kFlagAfter hysteresis could
     // never accumulate.
     if (trials == 0 && s.queue_depth == 0) continue;
     const bool lossy =
         trials >= params_.min_samples &&
         static_cast<double>(failures) >
-            params_.lossy_rate * static_cast<double>(trials);
+            kLossyRate * static_cast<double>(trials);
 
     // Slow evidence: relative outlier with an absolute floor.
     const bool enough_rtt = s.window.responses >= params_.min_samples;
     const bool slow = enough_rtt &&
-                      st.score > params_.slow_ratio * median_ &&
-                      st.score > params_.slow_floor;
+                      st.score > kSlowRatio * median_ &&
+                      st.score > kSlowFloor;
 
     // SLO burn-rate: both the fast and slow EWMA of the over-SLO fraction
-    // must burn the budget at burn_threshold x to count (multi-window rule
+    // must burn the budget at kBurnThreshold x to count (multi-window rule
     // — a single hiccup moves the fast EWMA but not the slow one).
     if (s.window.responses > 0) {
       const double ratio = static_cast<double>(s.window.over_slo) /
                            static_cast<double>(s.window.responses);
-      st.burn_fast = (1.0 - params_.burn_fast_alpha) * st.burn_fast +
-                     params_.burn_fast_alpha * ratio;
-      st.burn_slow = (1.0 - params_.burn_slow_alpha) * st.burn_slow +
-                     params_.burn_slow_alpha * ratio;
+      st.burn_fast =
+          (1.0 - kBurnFastAlpha) * st.burn_fast + kBurnFastAlpha * ratio;
+      st.burn_slow =
+          (1.0 - kBurnSlowAlpha) * st.burn_slow + kBurnSlowAlpha * ratio;
     }
-    const double burn_limit = params_.burn_threshold * params_.slo_budget;
+    const double burn_limit = kBurnThreshold * kSloBudget;
     const bool burning = enough_rtt && st.burn_fast > burn_limit &&
                          st.burn_slow > burn_limit;
 
@@ -171,7 +191,7 @@ std::size_t HealthDetector::tick(SimTime now_ns,
         // Already flagged: refresh the kind if the dominant evidence
         // changed (e.g. a lossy node that is now merely slow).
         transition(now_ns, i, flag);
-      } else if (st.evidence_streak >= params_.flag_after) {
+      } else if (st.evidence_streak >= kFlagAfter) {
         transition(now_ns, i, flag);
       } else {
         transition(now_ns, i, NodeHealthState::kSuspect);
@@ -182,7 +202,7 @@ std::size_t HealthDetector::tick(SimTime now_ns,
       if (st.state == NodeHealthState::kSuspect) {
         transition(now_ns, i, NodeHealthState::kHealthy);
       } else if (is_flagged(st.state) &&
-                 st.clean_streak >= params_.clear_after) {
+                 st.clean_streak >= kClearAfter) {
         transition(now_ns, i, NodeHealthState::kHealthy);
       }
     }

@@ -12,7 +12,7 @@
 //                    against the *cluster median* (a node is gray-slow
 //                    only relative to its peers — an all-slow cluster has
 //                    no outlier and raises no flag), applies loss-rate and
-//                    SLO burn-rate rules, and runs flag_after/clear_after
+//                    SLO burn-rate rules, and runs kFlagAfter/kClearAfter
 //                    hysteresis so one bad window can't flap the state.
 //   FaultLog       — ground-truth stamps written by FaultSchedule at
 //                    injection time; analyze_detection() joins it against
@@ -111,25 +111,10 @@ enum class NodeHealthState : std::uint8_t {
 
 [[nodiscard]] const char* node_health_state_name(NodeHealthState s) noexcept;
 
+/// The detector's evidence thresholds, SLO burn-rate rule and hysteresis
+/// are constants (health.cpp); only the sample floor varies per harness.
 struct HealthParams {
-  /// Evidence thresholds.
-  double slow_ratio = 3.0;     ///< score > ratio x cluster median → slow
-  double slow_floor = 4.0;     ///< and score must also clear this absolute
-                               ///< floor, so near-idle jitter never flags
-  double lossy_rate = 0.10;    ///< (timeouts+drops)/attempts above this → lossy
   std::uint64_t min_samples = 8;  ///< windows with fewer attempts abstain
-
-  /// SLO burn-rate rule (multi-window): the fraction of over-SLO responses
-  /// is tracked by a fast and a slow EWMA; both must burn the error budget
-  /// faster than `burn_threshold` x `slo_budget` to count as evidence.
-  double slo_budget = 0.01;      ///< tolerated over-SLO response fraction
-  double burn_threshold = 10.0;  ///< alert at 10x budget burn
-  double burn_fast_alpha = 0.5;  ///< fast window EWMA smoothing
-  double burn_slow_alpha = 0.1;  ///< slow window EWMA smoothing
-
-  /// Hysteresis (in detector ticks).
-  std::uint32_t flag_after = 2;   ///< consecutive evidence ticks to flag
-  std::uint32_t clear_after = 4;  ///< consecutive clean ticks to unflag
 };
 
 /// Per-node per-tick input assembled by the monitor.

@@ -22,6 +22,36 @@
 
 namespace hpres::resilience {
 
+/// The resilience designs of the paper's evaluation: three replication
+/// baselines and the four erasure offload designs (see erasure_engine.h).
+enum class Design : std::uint8_t {
+  kNoRep,     ///< single copy, non-blocking API (Memc-RDMA-NoRep baseline)
+  kSyncRep,   ///< blocking F-way replication (Sync-Rep)
+  kAsyncRep,  ///< non-blocking F-way replication (Async-Rep)
+  kEraCeCd,
+  kEraSeSd,
+  kEraSeCd,
+  kEraCeSd,
+};
+
+[[nodiscard]] constexpr std::string_view to_string(Design d) noexcept {
+  switch (d) {
+    case Design::kNoRep: return "no-rep";
+    case Design::kSyncRep: return "sync-rep";
+    case Design::kAsyncRep: return "async-rep";
+    case Design::kEraCeCd: return "era-ce-cd";
+    case Design::kEraSeSd: return "era-se-sd";
+    case Design::kEraSeCd: return "era-se-cd";
+    case Design::kEraCeSd: return "era-ce-sd";
+  }
+  return "?";
+}
+
+[[nodiscard]] constexpr bool is_erasure(Design d) noexcept {
+  return d == Design::kEraCeCd || d == Design::kEraSeSd ||
+         d == Design::kEraSeCd || d == Design::kEraCeSd;
+}
+
 /// Client-side time decomposition of one operation class, mirroring the
 /// paper's Figure 9: Request (issue), Encode/Decode (compute) and
 /// Wait-Response (everything else in the op's latency).
@@ -71,9 +101,6 @@ struct PackParams {
   /// exceed it. Bigger stripes amortize fragment/key overhead over more
   /// records but raise the group-commit batch latency.
   std::size_t stripe_capacity = 16 * 1024;
-  /// A stripe also seals this long after its first append, so a trickle
-  /// of writes never waits for a full stripe (group commit timer).
-  SimDur group_commit_interval = 50'000;  // 50 us
 
   [[nodiscard]] bool enabled() const noexcept { return pack_threshold > 0; }
 };
@@ -316,10 +343,8 @@ class Engine {
 
   /// Estimated CPU cost of issuing one request (used for the Request phase
   /// of the breakdown; the true serialization happens on the client CPU).
-  [[nodiscard]] SimDur issue_cost(std::size_t payload) const noexcept {
-    return client().params().issue_cpu_ns +
-           static_cast<SimDur>(client().params().issue_ns_per_byte *
-                               static_cast<double>(payload));
+  [[nodiscard]] static constexpr SimDur issue_cost() noexcept {
+    return kv::Client::kIssueNs;
   }
 
   /// The attached flight recorder, nullptr when absent.

@@ -8,19 +8,28 @@
 
 namespace hpres::resilience {
 
+namespace {
+
+/// A stripe also seals this long after its first append, so a trickle of
+/// writes never waits for a full stripe (group commit timer).
+constexpr SimDur kGroupCommitIntervalNs = 50'000;  // 50 us
+
+}  // namespace
+
 ErasureEngine::ErasureEngine(EngineContext ctx, const ec::Codec& codec,
-                             ec::CostModel cost, EraMode mode,
+                             ec::CostModel cost, Design design,
                              ArpeParams arpe, HedgeParams hedge,
                              PackParams pack)
     : Engine(ctx, arpe),
       codec_(&codec),
       cost_(cost),
-      mode_(mode),
+      design_(design),
       hedge_(hedge),
       pack_(pack),
       load_(ctx.ring->num_servers(),
             splitmix64(static_cast<std::uint64_t>(ctx.client->id()))) {
-  assert(codec.n() <= ring().num_servers() &&
+  assert(is_erasure(design) && "ErasureEngine runs an erasure design");
+  assert(codec.n() <= ring().num_active() &&
          "need k+m distinct servers for fragment placement");
 }
 
@@ -29,7 +38,7 @@ sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
   if (packing_active()) {
     return set_routed_packed(std::move(key), std::move(value), phases);
   }
-  if (client_encodes(mode_)) {
+  if (client_encodes(design_)) {
     return set_client_encode(std::move(key), std::move(value), phases);
   }
   return set_server_encode(std::move(key), std::move(value), phases);
@@ -37,7 +46,7 @@ sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
 
 sim::Task<Result<Bytes>> ErasureEngine::do_get(kv::Key key,
                                                OpPhases* phases) {
-  if (client_decodes(mode_)) {
+  if (client_decodes(design_)) {
     // Packed Gets fall back to the per-key path for keys without a locator.
     if (packing_active()) return get_packed(std::move(key), phases);
     return get_client_decode(std::move(key), phases);
@@ -96,7 +105,7 @@ sim::Task<ErasureEngine::LiveSlot> ErasureEngine::pick_live_slot(
     }
     result.degraded = true;
   }
-  if (result.degraded) co_await sim().delay(membership().check_cost_ns());
+  if (result.degraded) co_await sim().delay(kv::Membership::kCheckCostNs);
   co_return result;
 }
 
@@ -114,10 +123,7 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   // op's sends behind the FIFO CPU queue.) Under the ARPE window this
   // slice overlaps the communication phases of neighbouring operations.
   const SimDur encode_ns = cost_.encode_ns(value_size);
-  const SimDur post_ns =
-      static_cast<SimDur>(n) *
-      issue_cost(ec::make_layout(value_size, k, codec_->alignment())
-                     .fragment_size);
+  const SimDur post_ns = static_cast<SimDur>(n) * issue_cost();
   co_await client().cpu().execute(encode_ns + post_ns);
   phases->compute_ns += encode_ns;
   phases->request_ns += post_ns;
@@ -204,7 +210,7 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
   req.key = std::move(key);
   req.value = std::move(value);
   req.trace = phases->trace;
-  const SimDur issue_ns = issue_cost(req.value ? req.value->size() : 0);
+  const SimDur issue_ns = issue_cost();
   phases->request_ns += issue_ns;
   const SimTime t0 = sim().now();
   const kv::Response resp =
@@ -231,7 +237,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
     co_return co_await decode_fragments(&f, f.meta->original_size,
                                         std::nullopt, phases);
   }
-  if (f.posted && !client_encodes(mode_)) {
+  if (f.posted && !client_encodes(design_)) {
     // Server-side encode may still be distributing this key's fragments;
     // the stager holds the full value until every fragment is acked, so
     // one server-side aggregate resolves the race (read-after-write).
@@ -267,7 +273,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       ++stats().degraded_gets;
     }
     phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
+    co_await sim().delay(kv::Membership::kCheckCostNs);
   }
 
   // Codec-aware read set: an MDS code takes the first k live owners, data
@@ -285,8 +291,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   for (const std::size_t slot : *selected) {
     if (!f->have[slot]) ++to_post;
   }
-  const SimDur post_ns =
-      static_cast<SimDur>(to_post) * issue_cost(f->base.size() + 2);
+  const SimDur post_ns = static_cast<SimDur>(to_post) * issue_cost();
   co_await client().cpu().execute(post_ns);
   phases->request_ns += post_ns;
   obs::Tracer* const tr = tracer();
@@ -342,7 +347,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         ++stats().degraded_gets;
       }
       phases->degraded = true;
-      co_await sim().delay(membership().check_cost_ns());
+      co_await sim().delay(kv::Membership::kCheckCostNs);
       fold_arrivals(f);
       preference = load_preference(f->base, /*randomize=*/hedging);
       selected = codec_->select_sources(codec_->data_slots(), f->available,
@@ -374,7 +379,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         }
         // The duplicate request costs real client CPU: that is the p50
         // price of hedging and must show up in the schedule.
-        co_await client().cpu().execute(issue_cost(f->base.size() + 2));
+        co_await client().cpu().execute(issue_cost());
         fold_arrivals(f);
         if (f->arrived >= k) {  // the primaries landed while queued on CPU
           arpe().release_hedge_buffer();
@@ -549,7 +554,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
   req.verb = kv::Verb::kGetDecode;
   req.key = std::move(key);
   req.trace = phases->trace;
-  const SimDur issue_ns = issue_cost(req.key.size());
+  const SimDur issue_ns = issue_cost();
   phases->request_ns += issue_ns;
   const SimTime t0 = sim().now();
   kv::Response resp = co_await client().invoke(target, std::move(req));
@@ -654,7 +659,7 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
   // The append itself (copy into the stripe buffer) is this op's only
   // request-phase CPU; encode and fan-out are paid once per stripe by the
   // commit coroutine.
-  const SimDur append_ns = issue_cost(rec);
+  const SimDur append_ns = issue_cost();
   co_await client().cpu().execute(append_ns);
   phases->request_ns += append_ns;
   if (obs::Tracer* const tr = tracer(); tr != nullptr) {
@@ -683,7 +688,7 @@ void ErasureEngine::seal_stripe(std::size_t primary, bool by_timer) {
 sim::Task<void> ErasureEngine::stripe_timer(ErasureEngine* self,
                                             std::shared_ptr<StripeState> st,
                                             std::size_t primary) {
-  co_await self->sim().delay(self->pack_.group_commit_interval);
+  co_await self->sim().delay(kGroupCommitIntervalNs);
   if (st->sealed) co_return;  // a capacity seal beat the timer
   assert(self->active_.count(primary) != 0 &&
          self->active_[primary] == st && "unsealed stripe must be active");
@@ -702,8 +707,6 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   const std::size_t m = self->codec_->m();
   const std::size_t n = self->codec_->n();
   const std::size_t stripe_bytes = st->used;
-  const ec::ChunkLayout layout =
-      ec::make_layout(stripe_bytes, k, self->codec_->alignment());
 
   // Records overwritten (or deleted) while the stripe was filling have a
   // stale staged pointer; skip their locator installs so the newer value
@@ -720,13 +723,8 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // One contiguous CPU slice: encode the stripe, then post all fragment
   // and locator-install sends back-to-back (same rationale as
   // set_client_encode).
-  std::size_t index_payload = 0;
-  for (const auto& e : live) index_payload += e.key.size() + 12;
   const SimDur encode_ns = self->cost_.encode_ns(stripe_bytes);
-  const SimDur post_ns =
-      static_cast<SimDur>(n) * self->issue_cost(layout.fragment_size) +
-      static_cast<SimDur>(m + 1) *
-          self->issue_cost(st->skey.size() + index_payload);
+  const SimDur post_ns = static_cast<SimDur>(n + m + 1) * issue_cost();
   const SimTime cpu_t0 = self->sim().now();
   co_await self->client().cpu().execute(encode_ns + post_ns);
   if (obs::Tracer* const tr = self->tracer(); tr != nullptr) {
@@ -866,13 +864,13 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   if (degraded) {
     ++stats().degraded_gets;
     phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
+    co_await sim().delay(kv::Membership::kCheckCostNs);
   }
   if (lookups.empty()) {
     co_return Status{StatusCode::kUnavailable, "no live directory owner"};
   }
   const SimDur lookup_post_ns =
-      static_cast<SimDur>(lookups.size()) * issue_cost(key.size());
+      static_cast<SimDur>(lookups.size()) * issue_cost();
   co_await client().cpu().execute(lookup_post_ns);
   phases->request_ns += lookup_post_ns;
   obs::Tracer* const tr = tracer();
@@ -926,8 +924,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     }
   }
   if (healthy) {
-    const SimDur post_ns = static_cast<SimDur>(range.count()) *
-                           issue_cost(loc->stripe.size() + 2);
+    const SimDur post_ns = static_cast<SimDur>(range.count()) * issue_cost();
     co_await client().cpu().execute(post_ns);
     phases->request_ns += post_ns;
     const SimTime fetch_t0 = sim().now();

@@ -20,54 +20,41 @@
 
 namespace hpres::resilience {
 
-enum class EraMode : std::uint8_t { kCeCd, kSeSd, kSeCd, kCeSd };
-
-[[nodiscard]] constexpr std::string_view to_string(EraMode m) noexcept {
-  switch (m) {
-    case EraMode::kCeCd: return "era-ce-cd";
-    case EraMode::kSeSd: return "era-se-sd";
-    case EraMode::kSeCd: return "era-se-cd";
-    case EraMode::kCeSd: return "era-ce-sd";
-  }
-  return "era-?";
+[[nodiscard]] constexpr bool client_encodes(Design d) noexcept {
+  return d == Design::kEraCeCd || d == Design::kEraCeSd;
 }
-
-[[nodiscard]] constexpr bool client_encodes(EraMode m) noexcept {
-  return m == EraMode::kCeCd || m == EraMode::kCeSd;
-}
-[[nodiscard]] constexpr bool client_decodes(EraMode m) noexcept {
-  return m == EraMode::kCeCd || m == EraMode::kSeCd;
+[[nodiscard]] constexpr bool client_decodes(Design d) noexcept {
+  return d == Design::kEraCeCd || d == Design::kEraSeCd;
 }
 
 class ErasureEngine final : public Engine {
  public:
-  /// The codec must outlive the engine. Server-side modes additionally
+  /// The codec must outlive the engine. Server-side designs additionally
   /// require every server to have ServerEcContext enabled (see
   /// Cluster::enable_server_ec). `hedge` arms late-binding hedged,
   /// load-ranked fetches on the client-decode Get; the default (delta 0)
   /// fetches exactly the k-fragment read set. `pack` configures the
   /// batched small-object write path (stripe packing + group commit); the
   /// default (threshold 0) keeps every Set on the legacy per-key path.
-  /// Packing requires client-side encode AND decode (kCeCd) — other modes
-  /// ignore it.
+  /// Packing requires client-side encode AND decode (kEraCeCd) — other
+  /// designs ignore it. `design` must be one of the four erasure designs.
   ErasureEngine(EngineContext ctx, const ec::Codec& codec,
-                ec::CostModel cost, EraMode mode, ArpeParams arpe = {},
+                ec::CostModel cost, Design design, ArpeParams arpe = {},
                 HedgeParams hedge = {}, PackParams pack = {});
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return to_string(mode_);
+    return to_string(design_);
   }
   [[nodiscard]] std::size_t fault_tolerance() const noexcept override {
     return codec_->m();
   }
-  [[nodiscard]] EraMode mode() const noexcept { return mode_; }
   [[nodiscard]] const ec::Codec& codec() const noexcept { return *codec_; }
   [[nodiscard]] const HedgeParams& hedge() const noexcept { return hedge_; }
   [[nodiscard]] const PackParams& pack() const noexcept { return pack_; }
-  /// Packing is live for this engine (configured on, and the mode is
+  /// Packing is live for this engine (configured on, and the design is
   /// client-encode + client-decode).
   [[nodiscard]] bool packing_active() const noexcept {
-    return pack_.enabled() && mode_ == EraMode::kCeCd;
+    return pack_.enabled() && design_ == Design::kEraCeCd;
   }
   [[nodiscard]] const NodeLoadTracker* load_tracker()
       const noexcept override {
@@ -186,8 +173,8 @@ class ErasureEngine final : public Engine {
   /// Detaches the active stripe of `primary` and spawns its group commit.
   void seal_stripe(std::size_t primary, bool by_timer);
 
-  /// Group-commit timer: seals `st` after pack().group_commit_interval if
-  /// a capacity seal has not beaten it to it.
+  /// Group-commit timer: seals `st` after the group-commit interval if a
+  /// capacity seal has not beaten it to it.
   static sim::Task<void> stripe_timer(ErasureEngine* self,
                                       std::shared_ptr<StripeState> st,
                                       std::size_t primary);
@@ -220,7 +207,7 @@ class ErasureEngine final : public Engine {
 
   const ec::Codec* codec_;
   ec::CostModel cost_;
-  EraMode mode_;
+  Design design_;
   HedgeParams hedge_;
   PackParams pack_;
   /// Active (filling) stripe per primary server index. Sealed stripes are

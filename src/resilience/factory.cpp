@@ -21,11 +21,7 @@ std::unique_ptr<Engine> make_engine(Design design, EngineContext ctx,
     case Design::kEraSeCd:
     case Design::kEraCeSd: {
       assert(codec != nullptr && "erasure designs require a codec");
-      const EraMode mode = design == Design::kEraCeCd   ? EraMode::kCeCd
-                           : design == Design::kEraSeSd ? EraMode::kSeSd
-                           : design == Design::kEraSeCd ? EraMode::kSeCd
-                                                        : EraMode::kCeSd;
-      return std::make_unique<ErasureEngine>(ctx, *codec, cost, mode, arpe,
+      return std::make_unique<ErasureEngine>(ctx, *codec, cost, design, arpe,
                                              hedge, pack);
     }
   }

@@ -9,34 +9,6 @@
 
 namespace hpres::resilience {
 
-enum class Design : std::uint8_t {
-  kNoRep,     ///< single copy, non-blocking API (Memc-RDMA-NoRep baseline)
-  kSyncRep,   ///< blocking F-way replication (Sync-Rep)
-  kAsyncRep,  ///< non-blocking F-way replication (Async-Rep)
-  kEraCeCd,
-  kEraSeSd,
-  kEraSeCd,
-  kEraCeSd,
-};
-
-[[nodiscard]] constexpr std::string_view to_string(Design d) noexcept {
-  switch (d) {
-    case Design::kNoRep: return "no-rep";
-    case Design::kSyncRep: return "sync-rep";
-    case Design::kAsyncRep: return "async-rep";
-    case Design::kEraCeCd: return "era-ce-cd";
-    case Design::kEraSeSd: return "era-se-sd";
-    case Design::kEraSeCd: return "era-se-cd";
-    case Design::kEraCeSd: return "era-ce-sd";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr bool is_erasure(Design d) noexcept {
-  return d == Design::kEraCeCd || d == Design::kEraSeSd ||
-         d == Design::kEraSeCd || d == Design::kEraCeSd;
-}
-
 /// Creates an engine. `codec`/`cost` are required for erasure designs (the
 /// codec must outlive the engine); `rep_factor` applies to replication
 /// designs (ignored for kNoRep, which always stores one copy). `hedge`

@@ -4,11 +4,11 @@ namespace hpres::resilience {
 
 HybridEngine::HybridEngine(EngineContext ctx, const ec::Codec& codec,
                            ec::CostModel cost, std::uint32_t rep_factor,
-                           std::size_t threshold_bytes, EraMode mode,
+                           std::size_t threshold_bytes, Design design,
                            ArpeParams arpe)
     : Engine(ctx, arpe),
       replication_(ctx, rep_factor, arpe),
-      erasure_(ctx, codec, cost, mode, arpe),
+      erasure_(ctx, codec, cost, design, arpe),
       threshold_bytes_(threshold_bytes) {
   // Sub-engine ops run nested under this engine's op: they share one lane
   // pool (no Perfetto lane collisions between concurrent parent and child

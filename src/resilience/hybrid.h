@@ -22,7 +22,7 @@ class HybridEngine final : public Engine {
   /// rep_factor = m + 1 for a uniform guarantee.
   HybridEngine(EngineContext ctx, const ec::Codec& codec, ec::CostModel cost,
                std::uint32_t rep_factor, std::size_t threshold_bytes,
-               EraMode mode = EraMode::kCeCd, ArpeParams arpe = {});
+               Design design = Design::kEraCeCd, ArpeParams arpe = {});
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "hybrid";

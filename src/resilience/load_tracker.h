@@ -29,24 +29,14 @@ namespace hpres::resilience {
 
 class NodeLoadTracker {
  public:
-  /// `servers` = cluster server count (indices, not NodeIds). `alpha` is
-  /// the EWMA smoothing factor: higher reacts faster, lower remembers
-  /// longer. 0.25 tracks a queue building over ~10 responses without
-  /// thrashing on one outlier.
-  explicit NodeLoadTracker(std::size_t servers, std::uint64_t seed = 1,
-                           double alpha = 0.25)
-      : nodes_(servers), alpha_(alpha), rng_(splitmix64(seed) ^ 0x10adULL) {}
+  /// EWMA smoothing factor: higher reacts faster, lower remembers longer.
+  /// 0.25 tracks a queue building over ~10 responses without thrashing on
+  /// one outlier.
+  static constexpr double kAlpha = 0.25;
 
-  /// Folds a piggybacked queue depth into `server`'s estimate (response
-  /// observed without an RTT measurement, e.g. a fan-out ack).
-  void observe(std::size_t server, std::uint32_t queue_depth) noexcept {
-    if (server >= nodes_.size()) return;
-    Node& nd = nodes_[server];
-    nd.queue_ewma = mix(nd.queue_ewma, static_cast<double>(queue_depth),
-                        nd.samples == 0);
-    ++nd.samples;
-    ++total_samples_;
-  }
+  /// `servers` = cluster server count (indices, not NodeIds).
+  explicit NodeLoadTracker(std::size_t servers, std::uint64_t seed = 1)
+      : nodes_(servers), rng_(splitmix64(seed) ^ 0x10adULL) {}
 
   /// Folds a full observation: piggybacked queue depth plus the RTT the
   /// caller measured for that response.
@@ -126,13 +116,12 @@ class NodeLoadTracker {
     std::uint64_t samples = 0;
   };
 
-  [[nodiscard]] double mix(double ewma, double sample,
-                           bool first) const noexcept {
-    return first ? sample : (1.0 - alpha_) * ewma + alpha_ * sample;
+  [[nodiscard]] static double mix(double ewma, double sample,
+                                  bool first) noexcept {
+    return first ? sample : (1.0 - kAlpha) * ewma + kAlpha * sample;
   }
 
   std::vector<Node> nodes_;
-  double alpha_;
   std::uint64_t total_samples_ = 0;
   Xoshiro256 rng_;
 };

@@ -51,13 +51,13 @@ sim::Task<Result<Bytes>> ReplicationBase::do_get(kv::Key key,
     // T_check: identify a live replica before reading (Equation 4).
     ++stats().degraded_gets;
     phases->degraded = true;
-    co_await sim().delay(membership().check_cost_ns());
+    co_await sim().delay(kv::Membership::kCheckCostNs);
   }
   if (!slot) {
     co_return Status{StatusCode::kUnavailable, "all replicas down"};
   }
   const net::NodeId server = node_of(ring().slot_index(key, *slot));
-  const SimDur issue_ns = issue_cost(key.size());
+  const SimDur issue_ns = issue_cost();
   phases->request_ns += issue_ns;
   const SimTime t0 = sim().now();
   kv::Request req = get_request(std::move(key));
@@ -106,7 +106,7 @@ sim::Task<Status> SyncReplicationEngine::do_set(kv::Key key,
   for (std::size_t slot = 0; slot < factor_; ++slot) {
     const std::size_t owner = ring().slot_index(key, slot);
     if (!membership().up(owner)) continue;
-    const SimDur issue_ns = issue_cost(value ? value->size() : 0);
+    const SimDur issue_ns = issue_cost();
     phases->request_ns += issue_ns;
     const SimTime t0 = sim().now();
     kv::Request req = set_request(key, value);
@@ -149,7 +149,7 @@ sim::Task<Status> AsyncReplicationEngine::do_set(kv::Key key,
   for (std::size_t slot = 0; slot < factor_; ++slot) {
     const std::size_t owner = ring().slot_index(key, slot);
     if (!membership().up(owner)) continue;
-    request_ns += issue_cost(value ? value->size() : 0);
+    request_ns += issue_cost();
     kv::Request req = set_request(key, value);
     req.trace = phases->trace;
     pending.push_back(client().call_async(node_of(owner), std::move(req)));

@@ -1,11 +1,15 @@
 // Health plane end-to-end: the closed detection loop over a real YCSB run
 // (injected fault -> detector flag -> ground-truth join), zero false
-// positives on a healthy run, and the observation-only invariant — a run
-// with the monitor and flight recorder attached is byte-identical to one
-// without them.
+// positives on a healthy run, the automatic timeout-burst flight dump, and
+// the observation-only invariant — a run with the monitor and flight
+// recorder attached is byte-identical to one without them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "cluster/fault_schedule.h"
 #include "cluster/health_monitor.h"
@@ -147,6 +151,77 @@ TEST(HealthPlane, ClosedLoopDetectsInjectedCrash) {
   EXPECT_LT(out.report.faults[0].latency_ns, 2 * units::kMillisecond);
   EXPECT_EQ(out.report.false_positives, 0u);
   EXPECT_GT(out.detector_ticks, 0u);
+}
+
+sim::Task<void> set_one(resilience::Engine* engine, std::size_t i) {
+  const Status s = co_await engine->set(
+      "burst" + std::to_string(i), make_shared_bytes(make_pattern(1024, i)));
+  (void)s;  // writes stranded on the crashed server may fail
+}
+
+struct BurstOutcome {
+  std::uint64_t rpc_timeouts = 0;
+  std::uint64_t flight_dumps = 0;
+  std::string dump;  ///< contents of the dump file ("" when none)
+};
+
+/// 32 concurrent Sets, each with one fragment on server 1. With `crash`,
+/// server 1 is slowed 1000x from the start, so those fragments queue on
+/// it, and then crashes at 100 us: every one of them is stranded until its
+/// 500 us deadline, and they expire within one detector window.
+BurstOutcome run_burst(bool crash, const std::string& dump_path) {
+  ec::RsVandermondeCodec codec(3, 2);
+  const auto cost = ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+  cluster::Cluster cl(cluster::ClusterConfig{.num_servers = kServers,
+                                             .num_clients = 1});
+  cl.enable_server_ec(codec, cost, true);
+  cl.set_rpc_policy(test_policy());
+  obs::FlightRecorder flight(64);
+  flight.set_dump_path(dump_path);
+  cl.set_flight_recorder(&flight);
+  const auto engine = resilience::make_engine(
+      resilience::Design::kEraCeCd, cl.engine_context(0), 3, &codec, cost);
+  cl.start();
+
+  cluster::FaultSchedule faults(cl, /*detection_lag_ns=*/200'000);
+  if (crash) {
+    faults.add_slowdown(0, 1, 1000.0);
+    faults.add_crash(100 * units::kMicrosecond, 1);
+    faults.arm();
+  }
+  cluster::HealthMonitor monitor(cl, test_monitor_params());
+  monitor.arm();
+  for (std::size_t i = 0; i < 32; ++i) {
+    cl.sim().spawn(set_one(engine.get(), i));
+  }
+  cl.run();
+  monitor.request_stop();
+
+  BurstOutcome out;
+  out.rpc_timeouts = cl.client(0).rpc_stats().timeouts;
+  out.flight_dumps = monitor.flight_dumps_triggered();
+  std::ifstream in(dump_path, std::ios::binary);
+  out.dump.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  std::remove(dump_path.c_str());
+  return out;
+}
+
+TEST(HealthPlane, TimeoutBurstTriggersOneFlightDump) {
+  const std::string path = ::testing::TempDir() + "health_plane_burst.json";
+  std::remove(path.c_str());
+  const BurstOutcome crashed = run_burst(true, path);
+  EXPECT_GE(crashed.rpc_timeouts, cluster::HealthMonitor::kTimeoutBurst);
+  EXPECT_GE(crashed.flight_dumps, 1u);
+  // The crash dump is written first; the burst dump comes after it.
+  EXPECT_NE(crashed.dump.find("\"reason\":\"timeout-burst\""),
+            std::string::npos);
+
+  // Control: a healthy run has no deadline expiries and writes no dump.
+  const BurstOutcome healthy = run_burst(false, path);
+  EXPECT_EQ(healthy.rpc_timeouts, 0u);
+  EXPECT_EQ(healthy.flight_dumps, 0u);
+  EXPECT_TRUE(healthy.dump.empty());
 }
 
 TEST(HealthPlane, HealthyRunRaisesNoFlags) {

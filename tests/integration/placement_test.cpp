@@ -41,9 +41,7 @@ struct Harness {
                                   .shards = shards}) {
     cl.enable_server_ec(codec, cost, /*materialize=*/true);
     manager = std::make_unique<cluster::PlacementManager>(
-        cl, codec, cost, context(kClients - 1, &cl.ring()),
-        cluster::PlacementParams{.migrate_batch = 16,
-                                 .batch_pause_ns = 5'000});
+        cl, codec, cost, context(kClients - 1, &cl.ring()));
     cl.set_placement_view(manager->view());
     for (std::size_t c = 0; c + 1 < kClients; ++c) {
       engines.push_back(resilience::make_engine(
@@ -94,12 +92,13 @@ sim::Task<void> verify_range(resilience::Engine* engine, std::size_t first,
 
 sim::Task<void> run_join(cluster::PlacementManager* manager,
                          std::size_t server) {
-  co_await manager->join(server);
+  const Status joined = co_await manager->join(server);
+  EXPECT_TRUE(joined.ok()) << joined.to_string();
 }
 
 sim::Task<void> run_leave(cluster::PlacementManager* manager,
-                          std::size_t server) {
-  co_await manager->leave(server);
+                          std::size_t server, Status* out) {
+  *out = co_await manager->leave(server);
 }
 
 TEST(Placement, JoinThenLeaveKeepsEveryValueByteExact) {
@@ -134,8 +133,10 @@ TEST(Placement, JoinThenLeaveKeepsEveryValueByteExact) {
   EXPECT_GT(h.cl.server(4).store().keys().size(), 0u);
 
   // Scale in: server 1 gracefully leaves (it stays up through migration).
-  h.manager->coordinator_sim().spawn(run_leave(h.manager.get(), 1));
+  Status left;
+  h.manager->coordinator_sim().spawn(run_leave(h.manager.get(), 1, &left));
   h.cl.run();
+  EXPECT_TRUE(left.ok()) << left.to_string();
   EXPECT_EQ(h.cl.ring().epoch(), 3u);
   EXPECT_EQ(h.cl.ring().num_active(), kInitialActive);
   EXPECT_FALSE(h.cl.ring().is_active(1));
@@ -148,6 +149,46 @@ TEST(Placement, JoinThenLeaveKeepsEveryValueByteExact) {
   // Cleanup drained the leaver: nothing under the final placement maps to
   // it, and its stale copies were deleted after the epoch acks.
   EXPECT_EQ(h.cl.server(1).store().keys().size(), 0u);
+}
+
+TEST(Placement, LeaveBelowCodecWidthIsRefused) {
+  // RS(2,2) places n = 4 fragments on 4 distinct servers, and exactly 4
+  // are active. With 3 left, slot_index would wrap and one server would
+  // hold two fragments of a key, so the leave is refused before the ring,
+  // the epoch or the view change.
+  Harness h;
+  std::size_t load_failures = 0;
+  h.cl.sim().spawn(
+      load_range(h.engines[0].get(), 0, kKeys, &load_failures));
+  h.cl.run();
+  ASSERT_EQ(load_failures, 0u);
+  ASSERT_EQ(h.cl.ring().num_active(), kInitialActive);
+
+  Status left;
+  h.manager->coordinator_sim().spawn(run_leave(h.manager.get(), 1, &left));
+  h.cl.run();
+  EXPECT_EQ(left.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(h.cl.ring().epoch(), 1u);
+  EXPECT_EQ(h.manager->epoch(), 1u);
+  EXPECT_EQ(h.cl.ring().num_active(), kInitialActive);
+  EXPECT_TRUE(h.cl.ring().is_active(1));
+  EXPECT_FALSE(h.manager->in_transition());
+  EXPECT_EQ(h.manager->stats().changes, 0u);
+
+  // A scheduled leave is refused the same way and is not counted as fired.
+  cluster::FaultSchedule schedule(h.cl);
+  schedule.set_placement_manager(h.manager.get());
+  schedule.add_leave(100 * units::kMicrosecond, 2);
+  schedule.arm();
+  h.cl.run();
+  EXPECT_EQ(schedule.fired(), 0u);
+  EXPECT_EQ(h.cl.ring().epoch(), 1u);
+
+  std::size_t mismatches = 0;
+  h.cl.sim().spawn(
+      verify_range(h.engines[0].get(), 0, kKeys, &mismatches));
+  h.cl.run();
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Placement, WritesDuringMigrationAllSurvive) {

@@ -36,12 +36,5 @@ TEST(Membership, EpochBumpsOnChangeOnly) {
   EXPECT_EQ(m.epoch(), e0 + 2);
 }
 
-TEST(Membership, CheckCostIsConfigurable) {
-  const Membership fast(4, 500);
-  const Membership slow(4, 9'000);
-  EXPECT_EQ(fast.check_cost_ns(), 500);
-  EXPECT_EQ(slow.check_cost_ns(), 9'000);
-}
-
 }  // namespace
 }  // namespace hpres::kv

@@ -57,17 +57,6 @@ TEST(FlightRecorder, UnknownNodesCountAsDroppedNeverCrash) {
   EXPECT_EQ(fr.written(1), 1u);
 }
 
-TEST(FlightRecorder, DisabledRecorderWritesNothing) {
-  FlightRecorder fr(8);
-  fr.ensure_nodes(1);
-  fr.set_enabled(false);
-  fr.record(1, 0, FlightEventType::kOpStart);
-  EXPECT_EQ(fr.written(0), 0u);
-  fr.set_enabled(true);
-  fr.record(2, 0, FlightEventType::kOpStart);
-  EXPECT_EQ(fr.written(0), 1u);
-}
-
 TEST(FlightRecorder, EnsureNodesGrowthKeepsContents) {
   FlightRecorder fr(8);
   fr.set_node_label(0, "server0");

@@ -16,8 +16,6 @@ constexpr std::size_t kNodes = 5;
 HealthParams tight_params() {
   HealthParams p;
   p.min_samples = 4;
-  p.flag_after = 2;
-  p.clear_after = 3;
   return p;
 }
 
@@ -72,7 +70,7 @@ TEST(HealthDetector, SingleSlowOutlierIsFlagged) {
       EXPECT_EQ(det.state(i), NodeHealthState::kHealthy);
     }
   }
-  // flag_after=2: suspect on the first evidence tick, flagged on the 2nd.
+  // Flag after 2 evidence ticks: suspect on the first, flagged on the 2nd.
   ASSERT_GE(det.transitions().size(), 2u);
   EXPECT_EQ(det.transitions()[0].to, NodeHealthState::kSuspect);
   EXPECT_EQ(det.transitions()[1].to, NodeHealthState::kGraySlow);
@@ -81,8 +79,8 @@ TEST(HealthDetector, SingleSlowOutlierIsFlagged) {
 
 TEST(HealthDetector, FlappingNodeNeverClearsHysteresis) {
   // One bad window, one clean window, repeated: the evidence streak resets
-  // every other tick, so flag_after=2 is never reached — the node bounces
-  // between suspect and healthy but is never flagged.
+  // every other tick, so the 2-tick flag streak is never reached — the
+  // node bounces between suspect and healthy but is never flagged.
   HealthDetector det(kNodes, tight_params());
   SimTime t = 0;
   for (int tick = 0; tick < 20; ++tick) {
@@ -133,12 +131,12 @@ TEST(HealthDetector, EmptyWindowsHoldStateAndStreaks) {
   EXPECT_EQ(det.state(3), NodeHealthState::kGrayLossy)
       << "empty windows must not clear a flagged node";
 
-  // Real clean windows do clear it — after clear_after of them.
-  for (int tick = 0; tick < 2; ++tick) {
+  // Real clean windows do clear it — after 4 of them.
+  for (int tick = 0; tick < 3; ++tick) {
     det.tick(t += 1000, uniform(10.0));
     EXPECT_EQ(det.state(3), NodeHealthState::kGrayLossy);
   }
-  det.tick(t += 1000, uniform(10.0));  // 3rd clean tick == clear_after
+  det.tick(t += 1000, uniform(10.0));  // 4th clean tick clears
   EXPECT_EQ(det.state(3), NodeHealthState::kHealthy);
 }
 

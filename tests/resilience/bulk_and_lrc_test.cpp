@@ -111,7 +111,7 @@ TEST(LrcEngine, EndToEndOnTenServers) {
   ctx.membership = &cl.membership();
   ctx.server_nodes = &cl.server_nodes();
   ctx.materialize = true;
-  ErasureEngine engine(ctx, lrc, cost, EraMode::kCeCd);
+  ErasureEngine engine(ctx, lrc, cost, Design::kEraCeCd);
   cl.start();
   struct Body {
     static sim::Task<void> run(ErasureEngine* e, cluster::Cluster* cl2) {

@@ -51,15 +51,15 @@ TEST_F(FactoryTest, FaultToleranceByDesign) {
   EXPECT_EQ(make_engine(Design::kEraCeCd)->fault_tolerance(), 2u);  // m = 2
 }
 
-TEST_F(FactoryTest, EraModePredicates) {
-  EXPECT_TRUE(client_encodes(EraMode::kCeCd));
-  EXPECT_TRUE(client_encodes(EraMode::kCeSd));
-  EXPECT_FALSE(client_encodes(EraMode::kSeCd));
-  EXPECT_FALSE(client_encodes(EraMode::kSeSd));
-  EXPECT_TRUE(client_decodes(EraMode::kCeCd));
-  EXPECT_TRUE(client_decodes(EraMode::kSeCd));
-  EXPECT_FALSE(client_decodes(EraMode::kCeSd));
-  EXPECT_FALSE(client_decodes(EraMode::kSeSd));
+TEST_F(FactoryTest, ErasureDesignPredicates) {
+  EXPECT_TRUE(client_encodes(Design::kEraCeCd));
+  EXPECT_TRUE(client_encodes(Design::kEraCeSd));
+  EXPECT_FALSE(client_encodes(Design::kEraSeCd));
+  EXPECT_FALSE(client_encodes(Design::kEraSeSd));
+  EXPECT_TRUE(client_decodes(Design::kEraCeCd));
+  EXPECT_TRUE(client_decodes(Design::kEraSeCd));
+  EXPECT_FALSE(client_decodes(Design::kEraCeSd));
+  EXPECT_FALSE(client_decodes(Design::kEraSeSd));
 }
 
 }  // namespace

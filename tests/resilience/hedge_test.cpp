@@ -37,10 +37,10 @@ TEST(NodeLoadTracker, OrdersSlotsByOwnerScore) {
 
 TEST(NodeLoadTracker, EwmaTracksQueueMovement) {
   NodeLoadTracker tracker(3);
-  tracker.observe(1, 10);
+  tracker.observe_rtt(1, 5'000, 10);
   const double warm = tracker.queue_estimate(1);
   EXPECT_DOUBLE_EQ(warm, 10.0);  // first sample seeds the EWMA directly
-  for (int i = 0; i < 20; ++i) tracker.observe(1, 0);
+  for (int i = 0; i < 20; ++i) tracker.observe_rtt(1, 5'000, 0);
   EXPECT_LT(tracker.queue_estimate(1), 1.0);  // drains toward the new level
   EXPECT_EQ(tracker.total_samples(), 21u);
 }

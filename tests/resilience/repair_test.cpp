@@ -257,7 +257,7 @@ class LrcRepairTest : public ::testing::Test {
 TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
   // Slots {0, 1} lost: survivors 2, 3, 4 (= 0 ^ 1), 6 span the data even
   // though the first k present slots (2, 3, 4, 5) do not.
-  ErasureEngine engine(context(true), lrc_, cost_, EraMode::kCeCd);
+  ErasureEngine engine(context(true), lrc_, cost_, Design::kEraCeCd);
   RepairCoordinator repair(context(true), lrc_, cost_);
   cluster_.start();
   struct Body {
@@ -296,7 +296,7 @@ TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
 TEST_F(LrcRepairTest, UndecodablePatternIsUnrepairableInBothModes) {
   // Slots {0, 1, 4} lost: k = 4 fragments survive (2, 3, 5, 6) but span
   // rank 3 only. Neither mode may count the key repaired or write bytes.
-  ErasureEngine engine(context(true), lrc_, cost_, EraMode::kCeCd);
+  ErasureEngine engine(context(true), lrc_, cost_, Design::kEraCeCd);
   RepairCoordinator materialized(context(true), lrc_, cost_);
   RepairCoordinator size_only(context(false), lrc_, cost_);
   cluster_.start();

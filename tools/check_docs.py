@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (stdlib only; CI runs this).
 
-Four checks over the user-facing markdown:
+Five checks over the user-facing markdown:
 
 1. Every relative link target in README.md / DESIGN.md / EXPERIMENTS.md /
    ROADMAP.md / docs/*.md resolves to a file or directory in the repo
@@ -19,6 +19,9 @@ Four checks over the user-facing markdown:
    src/, bench/, tools/ or benchmark/ — a deleted or renamed API must
    take its citations with it. ROADMAP.md and CHANGES.md are history and
    are not held to this.
+5. Every backticked identifier in the first column of a docs/TUNING.md
+   table still occurs in src/, bench/, tools/ or benchmark/ — a deleted
+   knob takes its row with it. Flags (``--x``) are check 2's job.
 
 Exit code 0 = clean; 1 = problems (each printed one per line).
 """
@@ -158,12 +161,35 @@ def check_symbols(errors: list) -> None:
                             f" {', '.join(SYMBOL_DIRS)}")
 
 
+def check_tuning_rows(errors: list) -> None:
+    """Every identifier backticked in a TUNING.md table's first column must
+    occur in the code."""
+    tuning = REPO / "docs" / "TUNING.md"
+    if not tuning.is_file():
+        return
+    words = set(IDENT_RE.findall(source_corpus(SYMBOL_DIRS)))
+    for n, line in enumerate(tuning.read_text().splitlines(), 1):
+        if not line.startswith("|"):
+            continue
+        first = line.split("|")[1]
+        for span in CODE_SPAN_RE.findall(first):
+            if span.startswith("-"):
+                continue
+            gone = [w for w in IDENT_RE.findall(span) if w not in words]
+            if gone:
+                errors.append(
+                    f"docs/TUNING.md:{n}: table row `{span}` —"
+                    f" {', '.join(gone)} not found in"
+                    f" {', '.join(SYMBOL_DIRS)}")
+
+
 def main() -> int:
     errors = []
     check_links(errors)
     check_flags(errors)
     check_orphans(errors)
     check_symbols(errors)
+    check_tuning_rows(errors)
     for e in errors:
         print(e)
     print(f"check_docs: {len(DOCS)} files checked, {len(errors)} problem(s)")

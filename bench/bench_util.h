@@ -432,7 +432,10 @@ class Testbench {
       register_shard_metrics(obs.registry(), prof);
     }
     obs.add_profile_point(label_, prof);
-    if (obs.metrics_enabled()) obs.registry().capture();
+    if (obs.metrics_enabled()) {
+      register_latency(obs.registry());
+      obs.registry().capture();
+    }
     // On-demand dump at point teardown: the freshest ring window as of the
     // last simulated instant. Later points overwrite, so the file always
     // holds the most recent experiment's window (crash/timeout-burst dumps
@@ -461,9 +464,7 @@ class Testbench {
   /// Percentile rows over this point's per-shard recorders. Histogram
   /// merging commutes, so the rows do not depend on the shard split.
   [[nodiscard]] std::vector<obs::LatencyRow> latency_rows() const {
-    obs::LatencyRecorder merged;
-    for (const obs::LatencyRecorder& r : recorders_) merged.merge(r);
-    return merged.rows();
+    return merged_latency().rows();
   }
 
   /// Drops recorded latencies (harnesses reset between preload and the
@@ -485,6 +486,25 @@ class Testbench {
   }
 
  private:
+  [[nodiscard]] obs::LatencyRecorder merged_latency() const {
+    obs::LatencyRecorder merged;
+    for (const obs::LatencyRecorder& r : recorders_) merged.merge(r);
+    return merged;
+  }
+
+  /// The recorder is the only per-op latency record, so the metrics
+  /// exports carry its series: one owned histogram latency.<op>_ns per
+  /// {op, degraded}, with the point's schemes folded together.
+  void register_latency(obs::MetricsRegistry& reg) const {
+    const obs::LatencyRecorder merged = merged_latency();
+    for (const obs::LatencyRow& row : merged.rows()) {
+      const obs::MetricLabels labels{
+          "latency", row.key.degraded ? "degraded" : "healthy", label_};
+      reg.histogram("latency." + row.key.op + "_ns", labels)
+          .merge(*merged.histogram(row.key));
+    }
+  }
+
   /// Only sim-deterministic profile fields become shard.* gauges: the
   /// metrics/prometheus exports are byte-diffed across repeat runs, so the
   /// wall-clock fields (busy/stall) live only in --shard-profile-out and

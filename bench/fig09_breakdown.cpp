@@ -5,11 +5,10 @@
 // phases. Set on a healthy cluster (Fig 9a); Get under two node failures
 // (Fig 9b), where the wait time dominates due to the skewed survivor load.
 //
-// The printed phases are sourced from the span tracer (per-point deltas of
-// the "set"/"get", "*/request" and "set/encode"/"get/decode" span totals),
-// not from the legacy PhaseBreakdown accumulators; the harness cross-checks
-// the two against each other per point and exits nonzero if they diverge by
-// more than 1%.
+// The printed phases come from the span tracer, the only phase record:
+// per-point deltas of the "set"/"get", "*/request" and
+// "set/encode"/"get/decode" span totals. Each span's duration is exactly
+// the cost the engine charged for that phase.
 //
 // On top of the phase tables, the harness runs the causal critical-path
 // analyzer over the measured ops of every point and prints (a) the mean
@@ -22,7 +21,7 @@
 // total within 1% and the per-op encode mean matches the Eq. 5 cost model
 // (T_encode = cost.encode_ns(size)). SD/SE designs intentionally diverge on
 // compute: the critical path surfaces server-side encode/decode that the
-// client-side legacy breakdown cannot see (EXPERIMENTS.md).
+// client-side spans cannot see (EXPERIMENTS.md).
 //
 // Expected shape (paper): for Sets, the request phase dominates small
 // values and T_encode grows dominant (and overlapped) at large values for
@@ -149,19 +148,18 @@ void print_cp_table(const char* title, const std::vector<CpRow>& rows,
   }
 }
 
-bool within_one_percent(SimDur traced, SimDur legacy) {
-  const SimDur diff = traced > legacy ? traced - legacy : legacy - traced;
-  const SimDur tol = std::max<SimDur>(std::max(traced, legacy) / 100, 1);
+bool within_one_percent(SimDur got, SimDur want) {
+  const SimDur diff = got > want ? got - want : want - got;
+  const SimDur tol = std::max<SimDur>(std::max(got, want) / 100, 1);
   return diff <= tol;
 }
 
-int cross_check(const std::string& label, const char* phase, SimDur traced,
-                SimDur legacy) {
-  if (within_one_percent(traced, legacy)) return 0;
-  std::fprintf(stderr,
-               "fig09: %s %s diverges: tracer %lld ns vs breakdown %lld ns\n",
-               label.c_str(), phase, static_cast<long long>(traced),
-               static_cast<long long>(legacy));
+int cross_check(const std::string& label, const char* phase, SimDur got,
+                SimDur want) {
+  if (within_one_percent(got, want)) return 0;
+  std::fprintf(stderr, "fig09: %s %s diverges: %lld ns vs expected %lld ns\n",
+               label.c_str(), phase, static_cast<long long>(got),
+               static_cast<long long>(want));
   return 1;
 }
 
@@ -186,14 +184,6 @@ int run_table(const char* title, bool get_with_failures) {
       const TracedPhases traced = run_point(bench, cfg, get_with_failures,
                                             &result, &wm_lo, &wm_hi);
       ObsSession& obs = ObsSession::instance();
-
-      // The span-derived phases must agree with the legacy PhaseBreakdown
-      // accumulators (they are computed from the same charged costs).
-      rc |= cross_check(label, "request", traced.request_ns,
-                        result.phases.request_ns);
-      rc |= cross_check(label, "compute", traced.compute_ns,
-                        result.phases.compute_ns);
-      rc |= cross_check(label, "wait", traced.wait_ns, result.phases.wait_ns);
 
       // Causal critical-path attribution over the measured ops.
       const obs::CriticalPathAnalysis cp = obs::analyze_critical_path(
@@ -226,7 +216,7 @@ int run_table(const char* title, bool get_with_failures) {
       // Reconcile against the span-derived breakdown: serialization always;
       // encode+decode only where the compute actually runs on the client
       // (the critical path deliberately includes server-side compute that
-      // the client-side legacy breakdown cannot see).
+      // the client-side spans cannot see).
       using obs::Phase;
       rc |= cross_check(label, "cp-serialize", row.all.phase(Phase::kSerialize),
                         traced.request_ns);
@@ -260,8 +250,7 @@ int run_table(const char* title, bool get_with_failures) {
 
       if (obs.metrics_enabled()) {
         // Full-run span totals (populate + measured pass) land in the
-        // snapshot next to the bound engine.{set,get}_phase.* counters they
-        // must match.
+        // snapshot, so the exported metrics carry the phase split too.
         const SpanPhaseTotals totals =
             snapshot_spans(obs.tracer(), bench.trace_pid(),
                            get_with_failures);

@@ -15,8 +15,14 @@ using namespace hpres;  // NOLINT(google-build-using-namespace)
 
 namespace {
 
-sim::Task<void> walkthrough(cluster::Cluster* cl,
-                            resilience::Engine* engine) {
+/// Client-side decode time so far: the total of the engine's
+/// "get/decode" spans.
+long long decode_ns(const obs::Tracer& tracer, std::uint32_t pid) {
+  return static_cast<long long>(tracer.total_ns(pid, "get/decode"));
+}
+
+sim::Task<void> walkthrough(cluster::Cluster* cl, resilience::Engine* engine,
+                            const obs::Tracer* tracer, std::uint32_t pid) {
   const Bytes original = make_pattern(200'000, /*seed=*/99);
   (void)co_await engine->set("dataset/block-17",
                              make_shared_bytes(Bytes(original)));
@@ -34,8 +40,7 @@ sim::Task<void> walkthrough(cluster::Cluster* cl,
   std::printf("\nhealthy get: %s (decode work: %lld ns)\n",
               healthy.ok() && *healthy == original ? "bytes intact"
                                                    : "MISMATCH",
-              static_cast<long long>(
-                  engine->stats().get_phases.compute_ns));
+              decode_ns(*tracer, pid));
 
   // Kill the owners of data fragments 0 and 1 — the worst tolerable case.
   const std::size_t dead0 = cl->ring().slot_index("dataset/block-17", 0);
@@ -50,8 +55,7 @@ sim::Task<void> walkthrough(cluster::Cluster* cl,
               " fragments (decode work: %lld ns, degraded gets: %llu)\n",
               degraded.ok() && *degraded == original ? "bytes intact"
                                                      : "MISMATCH",
-              static_cast<long long>(
-                  engine->stats().get_phases.compute_ns),
+              decode_ns(*tracer, pid),
               static_cast<unsigned long long>(
                   engine->stats().degraded_gets));
 
@@ -66,25 +70,26 @@ sim::Task<void> walkthrough(cluster::Cluster* cl,
 }  // namespace
 
 int main() {
+  // The span tracer records where each op's time went (decode included);
+  // it must outlive the cluster.
+  obs::Tracer tracer(/*enabled=*/true);
+  const std::uint32_t pid = tracer.declare_process("failure-recovery");
   cluster::Cluster cl(
       cluster::ClusterConfig{.num_servers = 5, .num_clients = 1});
   ec::RsVandermondeCodec codec(3, 2);
   const ec::CostModel cost =
       ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
   cl.enable_server_ec(codec, cost, /*materialize=*/true);
+  cl.set_tracer(&tracer, pid);
 
-  resilience::EngineContext ctx;
-  ctx.sim = &cl.sim();
-  ctx.client = &cl.client(0);
-  ctx.ring = &cl.ring();
-  ctx.membership = &cl.membership();
-  ctx.server_nodes = &cl.server_nodes();
-  ctx.materialize = true;  // real bytes: the reconstruction is genuine
+  // Real bytes: the reconstruction is genuine.
+  const resilience::EngineContext ctx =
+      cl.engine_context(0, /*materialize=*/true);
   const auto engine = resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost);
 
   cl.start();
-  cl.sim().spawn(walkthrough(&cl, engine.get()));
+  cl.sim().spawn(walkthrough(&cl, engine.get(), &tracer, pid));
   cl.run();
   return 0;
 }

@@ -72,9 +72,7 @@ sim::Task<Status> PlacementManager::run_change(std::size_t server,
                      "leave would shrink the ring below the codec width"};
   }
   changing_ = true;
-  obs::Tracer* const tr =
-      (ctx_.tracer != nullptr && ctx_.tracer->enabled()) ? ctx_.tracer
-                                                         : nullptr;
+  obs::Tracer* const tr = ctx_.live_tracer();
   // One reserved lane below the repair coordinator's: placement changes
   // run sequentially, and engine op lanes never reach this high.
   const std::uint64_t tid =
@@ -134,13 +132,11 @@ void PlacementManager::apply_cutover(std::size_t server, bool join) {
     live.remove_server(server);
   }
   view_.epoch = live.epoch();
-  view_.prev = &prev_ring_;
   view_.in_transition = true;
 }
 
 void PlacementManager::apply_finish() {
   view_.in_transition = false;
-  view_.prev = nullptr;
 }
 
 sim::Task<void> PlacementManager::await_applied(Pending pending) {

@@ -135,7 +135,7 @@ class PlacementManager {
   /// bumps the view's epoch, and raises in_transition. Called from the
   /// quiesce hook.
   void apply_cutover(std::size_t server, bool join);
-  /// Drops in_transition / prev — the transition is over.
+  /// Drops in_transition — the transition is over.
   void apply_finish();
   /// Publishes `pending` and waits for the quiesce hook to apply it (the
   /// hook caps windows at one poll interval, so this resolves at the

@@ -11,8 +11,6 @@
 
 namespace hpres::kv {
 
-class HashRing;
-
 struct PlacementView {
   /// Current placement epoch — HashRing::epoch() of the live ring. Clients
   /// stamp it onto outgoing requests; servers bounce writes carrying an
@@ -20,11 +18,9 @@ struct PlacementView {
   std::uint64_t epoch = 0;
   /// A migration pass is in flight: fragments may still sit at their
   /// pre-cutover positions, so reads that miss under the new ring fall
-  /// back to `prev`, and deletes dual-issue under both rings.
+  /// back to the engine's pre-cutover engine (Engine::set_prev_engine),
+  /// and deletes dual-issue under both rings.
   bool in_transition = false;
-  /// The pre-cutover ring while in_transition (stable address owned by
-  /// the placement manager), nullptr otherwise.
-  const HashRing* prev = nullptr;
 };
 
 }  // namespace hpres::kv

@@ -99,12 +99,6 @@ class Server final : public RpcNode {
  protected:
   void on_request(KvEnvelope env) override;
 
-  /// Fragment distributions whose peer acks never arrived (peer failed
-  /// mid-flight); diagnostics for the controlled-failure experiments.
-  [[nodiscard]] std::uint64_t background_set_failures() const noexcept {
-    return background_set_failures_;
-  }
-
  private:
   /// Per-handler trace state. When the request carries a valid TraceContext
   /// and a tracer is live, acquires a handler lane (tid = node *
@@ -215,7 +209,6 @@ class Server final : public RpcNode {
   bool failed_ = false;
   std::uint64_t crashes_ = 0;  ///< fail() calls so far
   double slowdown_ = 1.0;
-  std::uint64_t background_set_failures_ = 0;
   std::uint64_t placement_epoch_ = 0;
   std::uint64_t wrong_epoch_bounces_ = 0;
 };

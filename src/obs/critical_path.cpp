@@ -37,7 +37,12 @@ constexpr std::array<int, kPhaseCount> kPriority = {
   const std::string_view name = s.name;
   if (name == "set/encode" || name == "server/encode") return Phase::kEncode;
   if (name == "get/decode" || name == "server/decode") return Phase::kDecode;
-  if (ends_with(name, "/request")) return Phase::kSerialize;
+  // Issue CPU: request posts, the packed Set's stripe append and the
+  // packed Get's locator posts.
+  if (ends_with(name, "/request") || name == "set/append" ||
+      name == "get/locator") {
+    return Phase::kSerialize;
+  }
   if (name == "fabric/txq" || name == "fabric/rxq" || name == "server/queue") {
     return Phase::kQueue;
   }

@@ -37,7 +37,8 @@ namespace hpres::obs {
 
 /// Latency phases, in table order.
 enum class Phase : std::uint8_t {
-  kSerialize,  ///< request serialization / issue CPU ("*/request")
+  kSerialize,  ///< request serialization / issue CPU ("*/request",
+               ///< packed "set/append" and "get/locator")
   kEncode,     ///< erasure encode compute (client or server side)
   kDecode,     ///< erasure decode compute (client or server side)
   kQueue,      ///< NIC tx/rx queueing, server worker-pool queueing

@@ -55,6 +55,7 @@ std::vector<LatencyRow> LatencyRecorder::rows() const {
     LatencyRow row;
     row.key = key;
     row.count = s.hist.count();
+    row.sum_ns = s.hist.sum();
     row.mean_ns = s.hist.mean();
     row.p50_ns = s.hist.p50();
     row.p95_ns = s.hist.p95();

@@ -46,6 +46,7 @@ struct LatencyKey {
 struct LatencyRow {
   LatencyKey key;
   std::uint64_t count = 0;
+  std::int64_t sum_ns = 0;  ///< exact, so rows pool without rounding
   double mean_ns = 0.0;
   std::int64_t p50_ns = 0;
   std::int64_t p95_ns = 0;

@@ -70,11 +70,6 @@ void MetricsRegistry::bind_gauge(std::string name, MetricLabels labels,
       [src]() { return static_cast<std::int64_t>(*src); };
 }
 
-void MetricsRegistry::bind_histogram(std::string name, MetricLabels labels,
-                                     const LatencyHistogram* src) {
-  upsert(std::move(name), std::move(labels), Kind::kHistogram).hist_src = src;
-}
-
 void MetricsRegistry::capture() {
   for (auto& [key, e] : entries_) {
     if (e.reader) {
@@ -85,10 +80,6 @@ void MetricsRegistry::capture() {
         e.gauge.set(v);
       }
       e.reader = nullptr;
-    }
-    if (e.hist_src != nullptr) {
-      e.hist = *e.hist_src;
-      e.hist_src = nullptr;
     }
   }
 }
@@ -135,8 +126,7 @@ std::string MetricsRegistry::to_json() const {
         json::append_i64(out, scalar_reading(e));
         break;
       case Kind::kHistogram: {
-        const LatencyHistogram& h =
-            e.hist_src != nullptr ? *e.hist_src : e.hist;
+        const LatencyHistogram& h = e.hist;
         out += ",\"type\":\"histogram\",\"count\":";
         json::append_u64(out, h.count());
         out += ",\"sum\":";

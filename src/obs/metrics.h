@@ -5,8 +5,9 @@
 // Two registration styles:
 //   * owned   — registry.counter(...)/gauge(...)/histogram(...) return a
 //               stable reference the caller increments directly;
-//   * bound   — bind_*(...) points the registry at a live source (a field
-//               of an existing stats struct, or a closure). Sources are read
+//   * bound   — bind_counter/bind_gauge(...) point the registry at a live
+//               scalar source (a field of an existing stats struct, or a
+//               closure). Histograms are always owned. Sources are read
 //               lazily at snapshot time; capture() freezes the current
 //               readings into owned values and drops the bindings, so a
 //               source may be destroyed after capture() (benchmarks tear
@@ -89,8 +90,6 @@ class MetricsRegistry {
                   const std::int64_t* src);
   void bind_gauge(std::string name, MetricLabels labels,
                   const std::uint32_t* src);
-  void bind_histogram(std::string name, MetricLabels labels,
-                      const LatencyHistogram* src);
 
   /// Freezes every bound metric at its current reading and drops the
   /// binding (the source may then be destroyed). Owned metrics unaffected.
@@ -130,8 +129,7 @@ class MetricsRegistry {
     Counter counter;
     Gauge gauge;
     LatencyHistogram hist;
-    Reader reader;                              // bound scalar source
-    const LatencyHistogram* hist_src = nullptr; // bound histogram source
+    Reader reader;  // bound scalar source
   };
 
   Entry& upsert(std::string name, MetricLabels labels, Kind kind);

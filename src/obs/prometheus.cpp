@@ -91,8 +91,7 @@ std::string MetricsRegistry::to_prometheus() const {
         append_i64_line(out, name, key.labels, scalar_reading(e));
         break;
       case Kind::kHistogram: {
-        const LatencyHistogram& h =
-            e.hist_src != nullptr ? *e.hist_src : e.hist;
+        const LatencyHistogram& h = e.hist;
         append_i64_line(out, name, key.labels, h.p50(), "quantile", "0.5");
         append_i64_line(out, name, key.labels, h.p95(), "quantile", "0.95");
         append_i64_line(out, name, key.labels, h.p99(), "quantile", "0.99");

@@ -1,31 +1,64 @@
 #include "resilience/engine.h"
 
-#include <algorithm>
-
 namespace hpres::resilience {
+
+Engine::OpFrame Engine::begin_op(OpKind kind, obs::TraceContext parent,
+                                 bool nested) {
+  OpFrame op{.kind = kind,
+             .nested = nested,
+             .t0 = sim().now(),
+             .tracer = ctx_.live_tracer()};
+  if (op.tracer != nullptr) {
+    op.lane = lane_pool_->acquire();
+    op.phases.trace_tid = lane_tid(op.lane);
+    // Nested (composite-engine) ops continue the parent's trace; top-level
+    // ops start a fresh one. trace_id stays 0 when tracing is disabled, so
+    // nothing downstream tags or propagates.
+    op.phases.trace = parent.valid()
+                          ? parent.child(op.phases.trace_tid)
+                          : obs::TraceContext{op.tracer->new_trace_id(),
+                                              op.phases.trace_tid, 0};
+  }
+  if (!nested && ctx_.flight != nullptr) {
+    ctx_.flight->record(op.t0, client().id(), obs::FlightEventType::kOpStart,
+                        0, 0, static_cast<std::uint8_t>(kind));
+  }
+  return op;
+}
+
+void Engine::finish_op(const OpFrame& op, bool ok, bool* degraded_out) {
+  const bool get = op.kind == OpKind::kGet;
+  const SimDur total = sim().now() - op.t0;
+  if (op.tracer != nullptr) {
+    op.tracer->complete(trace_pid(), op.phases.trace_tid, get ? "get" : "set",
+                        "engine", op.t0, total, op.phases.trace.trace_id);
+    lane_pool_->release(op.lane);
+  }
+  ++(get ? stats_.gets : stats_.sets);
+  if (!ok) ++(get ? stats_.get_failures : stats_.set_failures);
+  if (degraded_out != nullptr) *degraded_out = op.phases.degraded;
+  if (op.nested) return;
+  if (ctx_.recorder != nullptr) {
+    ctx_.recorder->record(get ? "get" : "set", name(), op.phases.degraded,
+                          total, op.phases.trace.trace_id);
+  }
+  if (ctx_.flight != nullptr) {
+    const auto code = static_cast<std::uint8_t>(op.kind);
+    if (op.phases.degraded) {
+      ctx_.flight->record(sim().now(), client().id(),
+                          obs::FlightEventType::kDegraded, 0, 0, code);
+    }
+    ctx_.flight->record(sim().now(), client().id(),
+                        obs::FlightEventType::kOpEnd,
+                        static_cast<std::uint64_t>(total),
+                        op.phases.degraded ? 1 : 0, code);
+  }
+}
 
 sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
                                    obs::TraceContext parent, bool nested,
                                    bool* degraded_out) {
-  const SimTime t0 = sim().now();
-  OpPhases phases;
-  obs::Tracer* const tr = tracer();
-  std::uint32_t lane = 0;
-  if (tr != nullptr) {
-    lane = lane_pool_->acquire();
-    phases.trace_tid = lane_tid(lane);
-    // Nested (composite-engine) ops continue the parent's trace; top-level
-    // ops start a fresh one. trace_id stays 0 when tracing is disabled, so
-    // nothing downstream tags or propagates.
-    phases.trace = parent.valid()
-                       ? parent.child(phases.trace_tid)
-                       : obs::TraceContext{tr->new_trace_id(),
-                                           phases.trace_tid, 0};
-  }
-  if (!nested && ctx_.flight != nullptr) {
-    ctx_.flight->record(t0, client().id(), obs::FlightEventType::kOpStart, 0,
-                        0, /*code=*/0);
-  }
+  OpFrame op = begin_op(OpKind::kSet, parent, nested);
   // Under a live placement plane, keep copies for the wrong-epoch retry
   // loop (the copies are host-side only; simulated costs are unchanged).
   kv::Key retry_key;
@@ -35,7 +68,8 @@ sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
     retry_key = key;
     retry_value = value;
   }
-  Status status = co_await do_set(std::move(key), std::move(value), &phases);
+  Status status =
+      co_await do_set(std::move(key), std::move(value), &op.phases);
   if (placement_aware) {
     // A kWrongEpoch bounce means some owner installed a newer epoch than
     // this op was stamped with. The shared ring is already the new one
@@ -45,64 +79,22 @@ sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
     for (int retry = 0;
          status.code() == StatusCode::kWrongEpoch && retry < 3; ++retry) {
       ++stats_.wrong_epoch_retries;
-      phases.degraded = true;
-      status = co_await do_set(retry_key, retry_value, &phases);
+      op.phases.degraded = true;
+      status = co_await do_set(retry_key, retry_value, &op.phases);
     }
   }
-  const SimDur total = sim().now() - t0;
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases.trace_tid, "set", "engine", t0, total,
-                 phases.trace.trace_id);
-    lane_pool_->release(lane);
-  }
-  ++stats_.sets;
-  if (!status.ok()) ++stats_.set_failures;
-  stats_.set_latency.record(total);
-  stats_.set_phases.request_ns += phases.request_ns;
-  stats_.set_phases.compute_ns += phases.compute_ns;
-  stats_.set_phases.wait_ns +=
-      std::max<SimDur>(0, total - phases.request_ns - phases.compute_ns);
-  if (degraded_out != nullptr) *degraded_out = phases.degraded;
-  if (!nested && ctx_.recorder != nullptr) {
-    ctx_.recorder->record("set", name(), phases.degraded, total,
-                          phases.trace.trace_id);
-  }
-  if (!nested && ctx_.flight != nullptr) {
-    if (phases.degraded) {
-      ctx_.flight->record(sim().now(), client().id(),
-                          obs::FlightEventType::kDegraded, 0, 0, /*code=*/0);
-    }
-    ctx_.flight->record(sim().now(), client().id(),
-                        obs::FlightEventType::kOpEnd,
-                        static_cast<std::uint64_t>(total),
-                        phases.degraded ? 1 : 0, /*code=*/0);
-  }
+  finish_op(op, status.ok(), degraded_out);
   co_return status;
 }
 
 sim::Task<Result<Bytes>> Engine::get_impl(kv::Key key,
                                           obs::TraceContext parent,
                                           bool nested, bool* degraded_out) {
-  const SimTime t0 = sim().now();
-  OpPhases phases;
-  obs::Tracer* const tr = tracer();
-  std::uint32_t lane = 0;
-  if (tr != nullptr) {
-    lane = lane_pool_->acquire();
-    phases.trace_tid = lane_tid(lane);
-    phases.trace = parent.valid()
-                       ? parent.child(phases.trace_tid)
-                       : obs::TraceContext{tr->new_trace_id(),
-                                           phases.trace_tid, 0};
-  }
-  if (!nested && ctx_.flight != nullptr) {
-    ctx_.flight->record(t0, client().id(), obs::FlightEventType::kOpStart, 0,
-                        0, /*code=*/1);
-  }
+  OpFrame op = begin_op(OpKind::kGet, parent, nested);
   kv::Key fallback_key;
   const bool placement_aware = ctx_.placement != nullptr;
   if (placement_aware) fallback_key = key;
-  Result<Bytes> result = co_await do_get(std::move(key), &phases);
+  Result<Bytes> result = co_await do_get(std::move(key), &op.phases);
   if (placement_aware && !result.ok() && ctx_.placement->in_transition &&
       prev_engine_ != nullptr) {
     // Mid-migration miss: the fragments may not have reached their new
@@ -111,41 +103,14 @@ sim::Task<Result<Bytes>> Engine::get_impl(kv::Key key,
     // every durably written value stays readable.
     bool prev_degraded = false;
     Result<Bytes> prev = co_await prev_engine_->get_nested(
-        fallback_key, phases.trace, &prev_degraded);
+        fallback_key, op.phases.trace, &prev_degraded);
     if (prev.ok()) {
       ++stats_.placement_fallback_gets;
-      phases.degraded = true;
+      op.phases.degraded = true;
       result = std::move(prev);
     }
   }
-  const SimDur total = sim().now() - t0;
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases.trace_tid, "get", "engine", t0, total,
-                 phases.trace.trace_id);
-    lane_pool_->release(lane);
-  }
-  ++stats_.gets;
-  if (!result.ok()) ++stats_.get_failures;
-  stats_.get_latency.record(total);
-  stats_.get_phases.request_ns += phases.request_ns;
-  stats_.get_phases.compute_ns += phases.compute_ns;
-  stats_.get_phases.wait_ns +=
-      std::max<SimDur>(0, total - phases.request_ns - phases.compute_ns);
-  if (degraded_out != nullptr) *degraded_out = phases.degraded;
-  if (!nested && ctx_.recorder != nullptr) {
-    ctx_.recorder->record("get", name(), phases.degraded, total,
-                          phases.trace.trace_id);
-  }
-  if (!nested && ctx_.flight != nullptr) {
-    if (phases.degraded) {
-      ctx_.flight->record(sim().now(), client().id(),
-                          obs::FlightEventType::kDegraded, 0, 0, /*code=*/1);
-    }
-    ctx_.flight->record(sim().now(), client().id(),
-                        obs::FlightEventType::kOpEnd,
-                        static_cast<std::uint64_t>(total),
-                        phases.degraded ? 1 : 0, /*code=*/1);
-  }
+  finish_op(op, result.ok(), degraded_out);
   co_return result;
 }
 

@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/histogram.h"
 #include "kv/client.h"
 #include "obs/flight_recorder.h"
 #include "kv/hash_ring.h"
@@ -52,19 +51,6 @@ enum class Design : std::uint8_t {
          d == Design::kEraSeCd || d == Design::kEraCeSd;
 }
 
-/// Client-side time decomposition of one operation class, mirroring the
-/// paper's Figure 9: Request (issue), Encode/Decode (compute) and
-/// Wait-Response (everything else in the op's latency).
-struct PhaseBreakdown {
-  SimDur request_ns = 0;
-  SimDur compute_ns = 0;
-  SimDur wait_ns = 0;
-
-  [[nodiscard]] SimDur total() const noexcept {
-    return request_ns + compute_ns + wait_ns;
-  }
-};
-
 /// Hedged-read configuration for the client-decode erasure Get. The
 /// default (delta 0) fetches exactly the k-fragment read set in slot order
 /// and arms no hedge — benchmarks and determinism tests compare against it.
@@ -105,11 +91,9 @@ struct PackParams {
   [[nodiscard]] bool enabled() const noexcept { return pack_threshold > 0; }
 };
 
+/// Per-engine event counters. Op latency lives in the LatencyRecorder and
+/// the phase split in the span tracer; neither is repeated here.
 struct EngineStats {
-  LatencyHistogram set_latency;
-  LatencyHistogram get_latency;
-  PhaseBreakdown set_phases;
-  PhaseBreakdown get_phases;
   std::uint64_t sets = 0;
   std::uint64_t gets = 0;
   std::uint64_t dels = 0;
@@ -175,18 +159,6 @@ struct EngineStats {
                      &wrong_epoch_retries);
     reg.bind_counter("engine.placement_fallback_gets", labels,
                      &placement_fallback_gets);
-    reg.bind_counter("engine.set_phase.request_ns", labels,
-                     &set_phases.request_ns);
-    reg.bind_counter("engine.set_phase.compute_ns", labels,
-                     &set_phases.compute_ns);
-    reg.bind_counter("engine.set_phase.wait_ns", labels, &set_phases.wait_ns);
-    reg.bind_counter("engine.get_phase.request_ns", labels,
-                     &get_phases.request_ns);
-    reg.bind_counter("engine.get_phase.compute_ns", labels,
-                     &get_phases.compute_ns);
-    reg.bind_counter("engine.get_phase.wait_ns", labels, &get_phases.wait_ns);
-    reg.bind_histogram("engine.set_latency_ns", labels, &set_latency);
-    reg.bind_histogram("engine.get_latency_ns", labels, &get_latency);
   }
 };
 
@@ -217,6 +189,12 @@ struct EngineContext {
   /// mid-migration Get misses fall back to the pre-cutover placement.
   /// Null = classic fixed-membership behavior, byte-identical.
   const kv::PlacementView* placement = nullptr;
+
+  /// The tracer when attached and enabled, nullptr otherwise — one branch
+  /// on the hot path when observability is off.
+  [[nodiscard]] obs::Tracer* live_tracer() const noexcept {
+    return (tracer != nullptr && tracer->enabled()) ? tracer : nullptr;
+  }
 };
 
 class Engine {
@@ -235,7 +213,6 @@ class Engine {
   [[nodiscard]] virtual std::size_t fault_tolerance() const noexcept = 0;
 
   /// Blocking Set: resolves when the value is durable per the scheme.
-  /// Records latency and phase stats.
   sim::Task<Status> set(kv::Key key, SharedBytes value) {
     return set_impl(std::move(key), std::move(value), {}, false, nullptr);
   }
@@ -308,7 +285,7 @@ class Engine {
   void set_prev_engine(Engine* prev) noexcept { prev_engine_ = prev; }
 
  protected:
-  /// Phase accounting filled by implementations during one operation.
+  /// Per-op state that implementations fill during one operation.
   /// `trace_tid` is the Perfetto lane this op's spans go on (0 when tracing
   /// is off); concurrent ops get distinct lanes so complete events nest.
   /// `trace` is the op's causal identity: implementations stamp it onto
@@ -316,8 +293,6 @@ class Engine {
   /// is set by implementations whenever the op needed failure handling
   /// (dead owner worked around, failover fetch, fallback path).
   struct OpPhases {
-    SimDur request_ns = 0;
-    SimDur compute_ns = 0;
     std::uint64_t trace_tid = 0;
     obs::TraceContext trace;
     bool degraded = false;
@@ -341,8 +316,7 @@ class Engine {
     return (*ctx_.server_nodes)[server_index];
   }
 
-  /// Estimated CPU cost of issuing one request (used for the Request phase
-  /// of the breakdown; the true serialization happens on the client CPU).
+  /// CPU cost of issuing one request (the Request phase of Figure 9).
   [[nodiscard]] static constexpr SimDur issue_cost() noexcept {
     return kv::Client::kIssueNs;
   }
@@ -350,13 +324,6 @@ class Engine {
   /// The attached flight recorder, nullptr when absent.
   [[nodiscard]] obs::FlightRecorder* flight() const noexcept {
     return ctx_.flight;
-  }
-
-  /// The attached tracer when it is live, nullptr otherwise — one branch on
-  /// the hot path when observability is off.
-  [[nodiscard]] obs::Tracer* tracer() const noexcept {
-    return (ctx_.tracer != nullptr && ctx_.tracer->enabled()) ? ctx_.tracer
-                                                              : nullptr;
   }
   [[nodiscard]] std::uint32_t trace_pid() const noexcept {
     return ctx_.trace_pid;
@@ -381,6 +348,29 @@ class Engine {
                              bool* degraded_out);
   sim::Task<Result<Bytes>> get_impl(kv::Key key, obs::TraceContext parent,
                                     bool nested, bool* degraded_out);
+
+  /// The op kind; its value is the flight-record `code`.
+  enum class OpKind : std::uint8_t { kSet = 0, kGet = 1 };
+
+  /// One Set/Get in flight: what begin_op opened and finish_op closes.
+  struct OpFrame {
+    OpKind kind = OpKind::kSet;
+    bool nested = false;
+    SimTime t0 = 0;
+    obs::Tracer* tracer = nullptr;  ///< live at begin; then `lane` is held
+    std::uint32_t lane = 0;
+    OpPhases phases;
+  };
+
+  /// Opens an op: a lane and trace context when tracing is live (nested
+  /// ops continue `parent`'s trace), then kOpStart for a top-level op.
+  [[nodiscard]] OpFrame begin_op(OpKind kind, obs::TraceContext parent,
+                                 bool nested);
+  /// Closes it, in this order: root span and lane release, counters,
+  /// `degraded_out`, then for a top-level op the LatencyRecorder row and
+  /// kDegraded/kOpEnd. So a top-level op leaves one root span, one
+  /// recorder row and one kOpStart/kOpEnd pair.
+  void finish_op(const OpFrame& op, bool ok, bool* degraded_out);
 
   /// Lane pool for per-op trace tids (tid = node * kLanesPerNode + lane).
   /// Free lanes are reused lowest-first so same-seed runs allocate

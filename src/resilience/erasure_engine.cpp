@@ -125,12 +125,10 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   const SimDur encode_ns = cost_.encode_ns(value_size);
   const SimDur post_ns = static_cast<SimDur>(n) * issue_cost();
   co_await client().cpu().execute(encode_ns + post_ns);
-  phases->compute_ns += encode_ns;
-  phases->request_ns += post_ns;
-  obs::Tracer* const tr = tracer();
+  obs::Tracer* const tr = ctx().live_tracer();
   if (tr != nullptr) {
-    // Span durations equal the charged phase costs exactly, so the
-    // tracer-derived breakdown matches the PhaseBreakdown accumulators.
+    // Span durations equal the charged phase costs exactly: these spans
+    // are the op's Encode and Request phases (Figure 9).
     tr->complete(trace_pid(), phases->trace_tid, "set/encode", "engine",
                  sim().now() - encode_ns - post_ns, encode_ns,
                  phases->trace.trace_id);
@@ -211,14 +209,13 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
   req.value = std::move(value);
   req.trace = phases->trace;
   const SimDur issue_ns = issue_cost();
-  phases->request_ns += issue_ns;
   const SimTime t0 = sim().now();
   const kv::Response resp =
       co_await client().invoke(target, std::move(req));
   if (resp.code == StatusCode::kOk) {
     load_.observe_rtt(target_index, sim().now() - t0, resp.queue_depth);
   }
-  if (obs::Tracer* const tr = tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "set/request", "engine", t0,
                  issue_ns, phases->trace.trace_id);
     tr->complete(trace_pid(), phases->trace_tid, "set/fanout", "engine",
@@ -293,8 +290,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   }
   const SimDur post_ns = static_cast<SimDur>(to_post) * issue_cost();
   co_await client().cpu().execute(post_ns);
-  phases->request_ns += post_ns;
-  obs::Tracer* const tr = tracer();
+  obs::Tracer* const tr = ctx().live_tracer();
   if (tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
                  sim().now() - post_ns, post_ns, phases->trace.trace_id);
@@ -512,8 +508,7 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     const SimDur decode_ns =
         cost_.decode_ns(coded_bytes, static_cast<unsigned>(missing_data));
     co_await client().cpu().execute(decode_ns);
-    phases->compute_ns += decode_ns;
-    if (obs::Tracer* const tr = tracer(); tr != nullptr) {
+    if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
       tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
                    sim().now() - decode_ns, decode_ns,
                    phases->trace.trace_id);
@@ -555,13 +550,12 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
   req.key = std::move(key);
   req.trace = phases->trace;
   const SimDur issue_ns = issue_cost();
-  phases->request_ns += issue_ns;
   const SimTime t0 = sim().now();
   kv::Response resp = co_await client().invoke(target, std::move(req));
   if (resp.code == StatusCode::kOk) {
     load_.observe_rtt(target_index, sim().now() - t0, resp.queue_depth);
   }
-  if (obs::Tracer* const tr = tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine", t0,
                  issue_ns, phases->trace.trace_id);
     tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
@@ -661,8 +655,7 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
   // commit coroutine.
   const SimDur append_ns = issue_cost();
   co_await client().cpu().execute(append_ns);
-  phases->request_ns += append_ns;
-  if (obs::Tracer* const tr = tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "set/append", "engine",
                  sim().now() - append_ns, append_ns, phases->trace.trace_id);
   }
@@ -727,7 +720,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   const SimDur post_ns = static_cast<SimDur>(n + m + 1) * issue_cost();
   const SimTime cpu_t0 = self->sim().now();
   co_await self->client().cpu().execute(encode_ns + post_ns);
-  if (obs::Tracer* const tr = self->tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = self->ctx().live_tracer(); tr != nullptr) {
     const std::uint64_t aid = std::hash<std::string>{}(st->skey);
     tr->async_span(self->trace_pid(), aid, "stripe/encode", "engine", cpu_t0,
                    encode_ns);
@@ -794,7 +787,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
     if (resp.code == StatusCode::kOk) ++dir_ok;
     if (resp.code == StatusCode::kWrongEpoch) bounced = true;
   }
-  if (obs::Tracer* const tr = self->tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = self->ctx().live_tracer(); tr != nullptr) {
     tr->async_span(self->trace_pid(),
                    std::hash<std::string>{}(st->skey) + 2, "stripe/fanout",
                    "engine", fanout_t0, self->sim().now() - fanout_t0);
@@ -872,8 +865,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   const SimDur lookup_post_ns =
       static_cast<SimDur>(lookups.size()) * issue_cost();
   co_await client().cpu().execute(lookup_post_ns);
-  phases->request_ns += lookup_post_ns;
-  obs::Tracer* const tr = tracer();
+  obs::Tracer* const tr = ctx().live_tracer();
   if (tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "get/locator", "engine",
                  sim().now() - lookup_post_ns, lookup_post_ns,
@@ -926,7 +918,10 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   if (healthy) {
     const SimDur post_ns = static_cast<SimDur>(range.count()) * issue_cost();
     co_await client().cpu().execute(post_ns);
-    phases->request_ns += post_ns;
+    if (tr != nullptr) {
+      tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
+                   sim().now() - post_ns, post_ns, phases->trace.trace_id);
+    }
     const SimTime fetch_t0 = sim().now();
     for (std::size_t slot = range.first; slot <= range.last; ++slot) {
       issue_fetch(&f, slot, /*hedge=*/false, phases->trace);

@@ -14,7 +14,10 @@ sim::Task<Result<std::vector<kv::Key>>> RepairCoordinator::discover(
   req.verb = kv::Verb::kScan;
   const kv::Response resp = co_await ctx_.client->invoke(
       (*ctx_.server_nodes)[via_server_index], std::move(req));
-  if (resp.code != StatusCode::kOk) co_return Status{resp.code};
+  if (resp.code != StatusCode::kOk) {
+    ++stats_.scan_failures;
+    co_return Status{resp.code};
+  }
   co_return resp.keys;
 }
 
@@ -22,7 +25,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   ++stats_.keys_scanned;
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
-  obs::Tracer* const tr = tracer();
+  obs::Tracer* const tr = ctx_.live_tracer();
   // Each key's repair is one causal trace: the probe/fetch/replace RPCs and
   // their server handling carry it, so a repair storm is attributable in
   // the trace viewer just like a client op.
@@ -222,13 +225,16 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
 
 sim::Task<Status> RepairCoordinator::repair_all() {
   std::set<kv::Key> keys;
+  StatusCode worst = StatusCode::kOk;
   for (std::size_t s = 0; s < ctx_.membership->size(); ++s) {
     if (!ctx_.membership->up(s)) continue;
     Result<std::vector<kv::Key>> found = co_await discover(s);
-    if (!found.ok()) continue;
+    if (!found.ok()) {
+      worst = found.status().code();
+      continue;
+    }
     keys.insert(found->begin(), found->end());
   }
-  StatusCode worst = StatusCode::kOk;
   for (const kv::Key& key : keys) {
     const Status s = co_await repair_key(key);
     if (!s.ok()) worst = s.code();

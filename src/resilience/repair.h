@@ -28,6 +28,7 @@ struct RepairStats {
   std::uint64_t unrepairable_keys = 0;  ///< survivors cannot rebuild the key
   std::uint64_t orphaned_keys = 0;      ///< unreconstructable leftovers found
   std::uint64_t orphan_fragments_purged = 0;  ///< stray fragments deleted
+  std::uint64_t scan_failures = 0;  ///< kScan RPCs that did not answer OK
 
   /// Registers every field into `reg` under component "repair".
   void register_with(obs::MetricsRegistry& reg, std::string node,
@@ -44,6 +45,7 @@ struct RepairStats {
     reg.bind_counter("repair.orphaned_keys", labels, &orphaned_keys);
     reg.bind_counter("repair.orphan_fragments_purged", labels,
                      &orphan_fragments_purged);
+    reg.bind_counter("repair.scan_failures", labels, &scan_failures);
   }
 };
 
@@ -70,7 +72,8 @@ class RepairCoordinator {
 
   /// Enumerates the base keys whose fragments a live server holds
   /// (kScan). Repairing every key discovered through any single live
-  /// server covers all keys that server shares a fragment with.
+  /// server covers all keys that server shares a fragment with. A scan
+  /// that fails counts in RepairStats::scan_failures.
   sim::Task<Result<std::vector<kv::Key>>> discover(
       std::size_t via_server_index);
 
@@ -80,15 +83,11 @@ class RepairCoordinator {
   sim::Task<Status> repair_key(kv::Key key);
 
   /// Discovers via every live server and repairs every affected key.
+  /// Returns the last failure among the scans and the key repairs, so a
+  /// server that never answered its scan does not pass as repaired.
   sim::Task<Status> repair_all();
 
  private:
-  /// The attached tracer when live (repair spans: probe, fetch,
-  /// reconstruct, replace), nullptr otherwise.
-  [[nodiscard]] obs::Tracer* tracer() const noexcept {
-    return (ctx_.tracer != nullptr && ctx_.tracer->enabled()) ? ctx_.tracer
-                                                              : nullptr;
-  }
   /// Repairs run sequentially, so one reserved lane per coordinator node
   /// suffices (the top lane, unreachable by engine op allocation under any
   /// realistic ARPE window).

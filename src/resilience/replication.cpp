@@ -58,12 +58,11 @@ sim::Task<Result<Bytes>> ReplicationBase::do_get(kv::Key key,
   }
   const net::NodeId server = node_of(ring().slot_index(key, *slot));
   const SimDur issue_ns = issue_cost();
-  phases->request_ns += issue_ns;
   const SimTime t0 = sim().now();
   kv::Request req = get_request(std::move(key));
   req.trace = phases->trace;
   const kv::Response resp = co_await client().invoke(server, std::move(req));
-  if (obs::Tracer* const tr = tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
     tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine", t0,
                  issue_ns, phases->trace.trace_id);
     tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
@@ -102,12 +101,11 @@ sim::Task<Status> SyncReplicationEngine::do_set(kv::Key key,
   StatusCode worst = StatusCode::kOk;
   std::size_t stored = 0;
   bool bounced = false;
-  obs::Tracer* const tr = tracer();
+  obs::Tracer* const tr = ctx().live_tracer();
   for (std::size_t slot = 0; slot < factor_; ++slot) {
     const std::size_t owner = ring().slot_index(key, slot);
     if (!membership().up(owner)) continue;
     const SimDur issue_ns = issue_cost();
-    phases->request_ns += issue_ns;
     const SimTime t0 = sim().now();
     kv::Request req = set_request(key, value);
     req.trace = phases->trace;
@@ -154,7 +152,6 @@ sim::Task<Status> AsyncReplicationEngine::do_set(kv::Key key,
     req.trace = phases->trace;
     pending.push_back(client().call_async(node_of(owner), std::move(req)));
   }
-  phases->request_ns += request_ns;
   if (pending.empty()) {
     co_return Status{StatusCode::kUnavailable, "no replica stored"};
   }
@@ -170,7 +167,7 @@ sim::Task<Status> AsyncReplicationEngine::do_set(kv::Key key,
       if (resp.code == StatusCode::kWrongEpoch) bounced = true;
     }
   }
-  if (obs::Tracer* const tr = tracer(); tr != nullptr) {
+  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
     // The issue slices serialize on the client CPU inside call_async; one
     // combined request span keeps the tracer totals equal to the phase sum.
     tr->complete(trace_pid(), phases->trace_tid, "set/request", "engine", t0,

@@ -17,7 +17,6 @@ sim::Task<void> ohb_set_workload(sim::Simulator* sim,
                                  OhbResult* result) {
   const SharedBytes value =
       make_shared_bytes(make_pattern(config.value_size, config.seed));
-  const resilience::PhaseBreakdown before = engine->stats().set_phases;
   const SimTime t0 = sim->now();
   for (std::uint64_t i = 0; i < config.operations; ++i) {
     const Status s = co_await engine->set(ohb_key(i, config.key_size), value);
@@ -25,16 +24,11 @@ sim::Task<void> ohb_set_workload(sim::Simulator* sim,
   }
   result->total_ns = sim->now() - t0;
   result->operations = config.operations;
-  const resilience::PhaseBreakdown after = engine->stats().set_phases;
-  result->phases.request_ns = after.request_ns - before.request_ns;
-  result->phases.compute_ns = after.compute_ns - before.compute_ns;
-  result->phases.wait_ns = after.wait_ns - before.wait_ns;
 }
 
 sim::Task<void> ohb_get_workload(sim::Simulator* sim,
                                  resilience::Engine* engine, OhbConfig config,
                                  OhbResult* result) {
-  const resilience::PhaseBreakdown before = engine->stats().get_phases;
   const SimTime t0 = sim->now();
   for (std::uint64_t i = 0; i < config.operations; ++i) {
     const Result<Bytes> r =
@@ -43,10 +37,6 @@ sim::Task<void> ohb_get_workload(sim::Simulator* sim,
   }
   result->total_ns = sim->now() - t0;
   result->operations = config.operations;
-  const resilience::PhaseBreakdown after = engine->stats().get_phases;
-  result->phases.request_ns = after.request_ns - before.request_ns;
-  result->phases.compute_ns = after.compute_ns - before.compute_ns;
-  result->phases.wait_ns = after.wait_ns - before.wait_ns;
 }
 
 }  // namespace hpres::workload

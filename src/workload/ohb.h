@@ -1,7 +1,8 @@
 // OHB-style Memcached micro-benchmark driver (Section VI-B): one client
 // issues a fixed count of Set or Get operations of one value size against
-// the cluster, measuring total time, per-op latency and the client-side
-// phase breakdown. Mirrors the OSU HiBD OHB benchmark used by the paper.
+// the cluster, measuring total time and mean per-op latency (the phase
+// breakdown comes from the engine's span tracer). Mirrors the OSU HiBD OHB
+// benchmark used by the paper.
 #pragma once
 
 #include "resilience/engine.h"
@@ -19,7 +20,6 @@ struct OhbResult {
   SimDur total_ns = 0;
   std::uint64_t operations = 0;
   std::uint64_t failures = 0;
-  resilience::PhaseBreakdown phases;  ///< summed over ops
 
   [[nodiscard]] double avg_latency_us() const {
     return operations == 0 ? 0.0

@@ -83,7 +83,7 @@ TEST(MetricsRegistry, CaptureFreezesBoundSourcesSoTheyMayDie) {
   hist->record(1000);
   hist->record(3000);
   reg.bind_counter("frozen", labels("c"), src.get());
-  reg.bind_histogram("lat", labels("c"), hist.get());
+  reg.histogram("lat", labels("c")).merge(*hist);  // histograms are owned
   reg.capture();
   src.reset();
   hist.reset();

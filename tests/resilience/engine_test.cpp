@@ -208,23 +208,26 @@ TEST_F(EngineTest, EraGetBeyondToleranceFails) {
 }
 
 TEST_F(EngineTest, DegradedEraGetChargesDecodeCompute) {
+  constexpr std::size_t kSize = 64'000;
+  attach_tracer();
   auto engine = make_engine(Design::kEraCeCd);
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(Engine* e, cluster::Cluster* cl) {
+    static sim::Task<void> set_then_get(Engine* e) {
       (void)co_await e->set("obj",
-                            make_shared_bytes(make_pattern(64'000, 9)));
-      // Healthy get: no decode compute recorded.
+                            make_shared_bytes(make_pattern(kSize, 9)));
       (void)co_await e->get("obj");
-      EXPECT_EQ(e->stats().get_phases.compute_ns, 0);
-      // Degraded get: decode compute shows up.
-      cl->fail_server(cl->ring().slot_index("obj", 0));
-      (void)co_await e->get("obj");
-      EXPECT_GT(e->stats().get_phases.compute_ns, 0);
-      EXPECT_EQ(e->stats().degraded_gets, 1u);
     }
+    static sim::Task<void> get(Engine* e) { (void)co_await e->get("obj"); }
   };
-  run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
+  run_sim(cluster_.sim(), Body::set_then_get, engine.get());
+  // Healthy get: the data fragments arrive, nothing is decoded.
+  EXPECT_EQ(span_count("get/decode"), 0u);
+  // One data fragment lost: the client pays T_decode for one erasure.
+  cluster_.fail_server(cluster_.ring().slot_index("obj", 0));
+  run_sim(cluster_.sim(), Body::get, engine.get());
+  EXPECT_EQ(span_ns("get/decode"), cost_.decode_ns(kSize, 1));
+  EXPECT_EQ(engine->stats().degraded_gets, 1u);
 }
 
 TEST_F(EngineTest, DegradedGetRejectsTruncatedParityFragment) {
@@ -259,19 +262,27 @@ TEST_F(EngineTest, DegradedGetRejectsTruncatedParityFragment) {
 }
 
 TEST_F(EngineTest, EncodeComputeRecordedOnClientForCeNotSe) {
+  constexpr std::size_t kSize = 128 * 1024;
+  attach_tracer();
   auto ce = make_engine(Design::kEraCeCd);
   auto se = make_engine(Design::kEraSeCd);
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(Engine* ce_e, Engine* se_e) {
-      const auto v = make_shared_bytes(make_pattern(128 * 1024, 10));
-      (void)co_await ce_e->set("a", v);
-      (void)co_await se_e->set("b", v);
-      EXPECT_GT(ce_e->stats().set_phases.compute_ns, 0);
-      EXPECT_EQ(se_e->stats().set_phases.compute_ns, 0);
+    static sim::Task<void> set(Engine* e, const kv::Key* key) {
+      (void)co_await e->set(*key,
+                            make_shared_bytes(make_pattern(kSize, 10)));
     }
   };
-  run_sim(cluster_.sim(), Body::run, ce.get(), se.get());
+  const kv::Key a = "a";
+  const kv::Key b = "b";
+  run_sim(cluster_.sim(), Body::set, ce.get(), &a);
+  // Client encode: T_encode (Eq. 5), then one post per fragment.
+  EXPECT_EQ(span_ns("set/encode"), cost_.encode_ns(kSize));
+  EXPECT_EQ(span_ns("set/request"),
+            static_cast<SimDur>(codec_.n()) * kv::Client::kIssueNs);
+  run_sim(cluster_.sim(), Body::set, se.get(), &b);
+  // Server encode: the client emits no encode span of its own.
+  EXPECT_EQ(span_count("set/encode"), 1u);
 }
 
 TEST_F(EngineTest, EraCeCdSetFasterThanSyncRepForLargeValues) {
@@ -368,6 +379,7 @@ TEST_F(EngineTest, PipeliningBeatsSequentialBlockingOps) {
 }
 
 TEST_F(EngineTest, StatsCountOperationsAndLatencies) {
+  attach_tracer();
   auto engine = make_engine(Design::kAsyncRep, 3);
   cluster_.start();
   struct Body {
@@ -381,12 +393,23 @@ TEST_F(EngineTest, StatsCountOperationsAndLatencies) {
       EXPECT_EQ(e->stats().sets, 5u);
       EXPECT_EQ(e->stats().gets, 2u);
       EXPECT_EQ(e->stats().get_failures, 1u);
-      EXPECT_EQ(e->stats().set_latency.count(), 5u);
-      EXPECT_GT(e->stats().set_latency.mean(), 0.0);
-      EXPECT_GT(e->stats().set_phases.wait_ns, 0);
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get());
+  // One recorder row per op, failed ones included.
+  const std::string scheme(engine->name());
+  const LatencyHistogram* sets = recorder_.histogram({"set", scheme, false});
+  const LatencyHistogram* gets = recorder_.histogram({"get", scheme, false});
+  ASSERT_NE(sets, nullptr);
+  ASSERT_NE(gets, nullptr);
+  EXPECT_EQ(sets->count(), 5u);
+  EXPECT_EQ(gets->count(), 2u);
+  EXPECT_GT(sets->mean(), 0.0);
+  // The root spans cover the same latencies; 3 replica posts per Set, and
+  // the rest of each Set is waiting on the replicas.
+  EXPECT_EQ(span_ns("set"), sets->sum());
+  EXPECT_EQ(span_ns("set/request"), 5 * 3 * kv::Client::kIssueNs);
+  EXPECT_GT(span_ns("set"), span_ns("set/request"));
 }
 
 }  // namespace

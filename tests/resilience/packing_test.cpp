@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/critical_path.h"
 #include "testing/fixtures.h"
 
 namespace hpres::resilience {
@@ -161,6 +162,56 @@ TEST_F(PackingTest, ImmediateReadAfterPackedWriteHitsStaging) {
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
+}
+
+TEST_F(PackingTest, PackedIssueCpuIsSerializeOnTheCriticalPath) {
+  attach_tracer();
+  auto engine = make_engine(Design::kEraCeCd, 3, {}, {},
+                            PackParams{.pack_threshold = 512});
+  // Three 100-byte records (6 header + 5 key + 89 value) that share a
+  // primary server, so they share one stripe: 300 bytes over k = 3 data
+  // fragments of 100 bytes, each value inside one fragment.
+  std::vector<kv::Key> keys;
+  for (std::size_t i = 100; keys.size() < 3; ++i) {
+    kv::Key key = "pk" + std::to_string(i);
+    if (keys.empty() || cluster_.ring().slot_index(key, 0) ==
+                            cluster_.ring().slot_index(keys[0], 0)) {
+      keys.push_back(std::move(key));
+    }
+  }
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(Engine* e, const std::vector<kv::Key>* keys) {
+      for (const kv::Key& key : *keys) {
+        (void)e->iset(key, make_shared_bytes(value_for(0, 89)));
+      }
+      co_await e->wait_all();
+      const Result<Bytes> got = co_await e->get(keys->front());
+      EXPECT_TRUE(got.ok()) << got.status();
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, engine.get(), &keys);
+  EXPECT_EQ(engine->stats().stripes_sealed, 1u);
+  EXPECT_EQ(engine->stats().packed_get_hits, 1u);
+
+  const obs::CriticalPathAnalysis cp =
+      obs::analyze_critical_path(tracer_.tagged_spans(trace_pid_));
+  std::size_t sets = 0;
+  std::size_t gets = 0;
+  for (const obs::OpAttribution& op : cp.ops) {
+    EXPECT_EQ(op.phase_sum(), op.total_ns);
+    if (op.op == "set") {
+      ++sets;
+      // The record append is a packed Set's only issue CPU.
+      EXPECT_EQ(op.phase(obs::Phase::kSerialize), kv::Client::kIssueNs);
+    } else {
+      ++gets;
+      // m + 1 = 3 locator posts, then one fragment fetch post.
+      EXPECT_EQ(op.phase(obs::Phase::kSerialize), 4 * kv::Client::kIssueNs);
+    }
+  }
+  EXPECT_EQ(sets, 3u);
+  EXPECT_EQ(gets, 1u);
 }
 
 TEST_F(PackingTest, CapacitySealRollsOverToFreshStripe) {

@@ -219,6 +219,25 @@ TEST_F(RepairTest, RepairAllCoversEveryAffectedKey) {
   run_sim(cluster_.sim(), Body::run, engine.get(), repair.get(), &cluster_);
 }
 
+TEST_F(RepairTest, RepairAllReportsAServerWhoseScanFails) {
+  auto repair = make_coordinator();
+  // Server 2's NIC is gone but membership has not noticed yet: it still
+  // reads as up, so repair_all scans it and the scan fails. Nothing else
+  // needs repair, so only the scan can make the pass fail.
+  cluster_.fabric().set_node_up(cluster_.server_nodes()[2], false);
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(RepairCoordinator* rc, Status* out) {
+      *out = co_await rc->repair_all();
+    }
+  };
+  Status status;
+  run_sim(cluster_.sim(), Body::run, repair.get(), &status);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
+  EXPECT_EQ(repair->stats().scan_failures, 1u);
+  EXPECT_EQ(repair->stats().keys_scanned, 0u);
+}
+
 // --- LRC repair -------------------------------------------------------------
 
 /// LRC(4,2,1) on 7 servers, one fragment per server: local groups

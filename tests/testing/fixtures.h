@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 
 #include "cluster/cluster.h"
 #include "ec/rs_vandermonde.h"
+#include "obs/latency.h"
+#include "obs/trace.h"
 #include "resilience/factory.h"
 
 namespace hpres::testing {
@@ -42,22 +45,35 @@ class FiveNodeClusterTest : public ::testing::Test {
     cluster_.enable_server_ec(codec_, cost_, /*materialize=*/true);
   }
 
-  /// Builds an engine for client 0. Call before cluster_.start().
+  /// Builds an engine for client 0, recording op latencies into
+  /// recorder_. Call before cluster_.start().
   std::unique_ptr<resilience::Engine> make_engine(
       resilience::Design design, std::uint32_t rep_factor = 3,
       resilience::ArpeParams arpe = {}, resilience::HedgeParams hedge = {},
       resilience::PackParams pack = {}) {
-    resilience::EngineContext ctx;
-    ctx.sim = &cluster_.sim();
-    ctx.client = &cluster_.client(0);
-    ctx.ring = &cluster_.ring();
-    ctx.membership = &cluster_.membership();
-    ctx.server_nodes = &cluster_.server_nodes();
-    ctx.materialize = true;
+    resilience::EngineContext ctx =
+        cluster_.engine_context(0, /*materialize=*/true);
+    ctx.recorder = &recorder_;
     return resilience::make_engine(design, ctx, rep_factor, &codec_, cost_,
                                    arpe, hedge, pack);
   }
 
+  /// Attaches tracer_ to the cluster: engines made afterwards emit spans
+  /// under trace_pid_, and tests read phase totals from it.
+  void attach_tracer() { cluster_.set_tracer(&tracer_, trace_pid_); }
+
+  /// Total duration / count of the spans named `name` so far.
+  [[nodiscard]] SimDur span_ns(std::string_view name) const {
+    return tracer_.total_ns(trace_pid_, name);
+  }
+  [[nodiscard]] std::uint64_t span_count(std::string_view name) const {
+    return tracer_.span_count(trace_pid_, name);
+  }
+
+  // Declared before cluster_: the cluster points into them.
+  obs::Tracer tracer_{/*enabled=*/true};
+  std::uint32_t trace_pid_ = tracer_.declare_process("test");
+  obs::LatencyRecorder recorder_;
   ec::RsVandermondeCodec codec_;
   ec::CostModel cost_;
   cluster::Cluster cluster_;

@@ -115,6 +115,7 @@ TEST_F(YcsbDriverTest, ReadHeavyMixSkewsToReads) {
 class OhbDriverTest : public FiveNodeClusterTest {};
 
 TEST_F(OhbDriverTest, SetThenGetWorkloadsComplete) {
+  attach_tracer();
   auto engine = make_engine(resilience::Design::kEraCeCd);
   cluster_.start();
   OhbConfig cfg;
@@ -136,12 +137,21 @@ TEST_F(OhbDriverTest, SetThenGetWorkloadsComplete) {
   EXPECT_EQ(set_result.operations, 100u);
   EXPECT_EQ(set_result.failures, 0u);
   EXPECT_GT(set_result.avg_latency_us(), 0.0);
-  // Client-side encode shows up as compute in the Set breakdown...
-  EXPECT_GT(set_result.phases.compute_ns, 0);
-  // ...but healthy Gets never decode.
   EXPECT_EQ(get_result.failures, 0u);
-  EXPECT_EQ(get_result.phases.compute_ns, 0);
-  EXPECT_GT(get_result.phases.wait_ns, 0);
+  // Ops run back to back, so the recorder's latencies add up to the pass.
+  const std::string scheme(engine->name());
+  const LatencyHistogram* sets = recorder_.histogram({"set", scheme, false});
+  const LatencyHistogram* gets = recorder_.histogram({"get", scheme, false});
+  ASSERT_NE(sets, nullptr);
+  ASSERT_NE(gets, nullptr);
+  EXPECT_EQ(sets->count(), 100u);
+  EXPECT_EQ(sets->sum(), set_result.total_ns);
+  EXPECT_EQ(gets->sum(), get_result.total_ns);
+  // Client-side encode shows up as compute in the Set breakdown...
+  EXPECT_EQ(span_ns("set/encode"), 100 * cost_.encode_ns(cfg.value_size));
+  // ...but healthy Gets never decode, and mostly wait on fragments.
+  EXPECT_EQ(span_count("get/decode"), 0u);
+  EXPECT_GT(span_ns("get"), span_ns("get/request"));
 }
 
 }  // namespace

@@ -14,7 +14,8 @@ Five checks over the user-facing markdown:
    linked from README.md or DESIGN.md (directly or via another doc
    under docs/) — and listed in DOCS above so its own links are
    checked. A doc nobody links is a doc nobody reads.
-4. Every backticked ``Type::member`` reference in README.md / DESIGN.md /
+4. Every backticked ``Type::member`` reference, and every backticked bare
+   CamelCase identifier (``LatencyRecorder``), in README.md / DESIGN.md /
    EXPERIMENTS.md / docs/*.md names identifiers that all still occur in
    src/, bench/, tools/ or benchmark/ — a deleted or renamed API must
    take its citations with it. ROADMAP.md and CHANGES.md are history and
@@ -51,6 +52,8 @@ CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 QUALIFIED_RE = re.compile(
     r"[A-Za-z_][A-Za-z0-9_]*(?:::~?[A-Za-z_][A-Za-z0-9_]*)+")
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Two or more capitalized humps: type names, not words or acronyms.
+CAMEL_RE = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
 
 
 def check_links(errors: list) -> None:
@@ -141,7 +144,8 @@ def check_orphans(errors: list) -> None:
 
 
 def check_symbols(errors: list) -> None:
-    """Every identifier of a backticked `A::b` must occur in the code."""
+    """Every identifier of a backticked `A::b`, and every backticked bare
+    CamelCase identifier, must occur in the code."""
     words = set(IDENT_RE.findall(source_corpus(SYMBOL_DIRS)))
     docs = SYMBOL_DOCS + sorted(
         p.relative_to(REPO).as_posix() for p in (REPO / "docs").glob("*.md"))
@@ -151,6 +155,10 @@ def check_symbols(errors: list) -> None:
             continue
         for n, line in enumerate(path.read_text().splitlines(), 1):
             for span in CODE_SPAN_RE.findall(line):
+                if CAMEL_RE.fullmatch(span) and span not in words:
+                    errors.append(
+                        f"{doc}:{n}: stale identifier `{span}` — not found"
+                        f" in {', '.join(SYMBOL_DIRS)}")
                 for ref in QUALIFIED_RE.findall(span):
                     gone = [part for part in ref.replace("~", "").split("::")
                             if part not in words]

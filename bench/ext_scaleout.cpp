@@ -143,7 +143,7 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
       const std::uint64_t last =
           std::min<std::uint64_t>(first + stride, cfg.record_count);
       if (first >= last) continue;
-      b.cl.sim_for_client(l).spawn(detail::loader_proc(
+      b.cl.sim_for_client(l).spawn(workload::ycsb_load(
           &b.cl.sim_for_client(l), b.engines[l].get(), cfg, first, last));
     }
     b.cl.run();
@@ -163,7 +163,7 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
   RunOut out;
   std::vector<workload::YcsbResult> results(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
-    b.cl.sim_for_client(c).spawn(detail::client_proc(
+    b.cl.sim_for_client(c).spawn(workload::ycsb_client(
         &b.cl.sim_for_client(c), b.engines[c].get(), cfg,
         cfg.seed + 1000 + c, &results[c]));
   }

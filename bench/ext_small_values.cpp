@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     p.k = kK;
     p.m = kM;
     p.alignment = 1;
-    p.stripe_capacity = resilience::PackParams{}.stripe_capacity;
+    p.stripe_capacity = resilience::ErasureEngine::kStripeCapacity;
     p.stripe_key_size = kv::stripe_key(0, 0).size();
     p.item_overhead = kv::StorageEngine::kItemOverhead;
     p.chunk_info_bytes = sizeof(kv::ChunkInfo);

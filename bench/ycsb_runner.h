@@ -92,29 +92,6 @@ class PrimaryCache {
   std::uint64_t lookups_ = 0;
 };
 
-namespace detail {
-
-// Completion is tracked by the harness running every shard loop to
-// quiescence (Testbench::run); the per-proc latch the runner once counted
-// down was never awaited, and a shared latch would not be shard-safe.
-
-inline sim::Task<void> client_proc(sim::Simulator* sim,
-                                   resilience::Engine* engine,
-                                   workload::YcsbConfig cfg,
-                                   std::uint64_t seed,
-                                   workload::YcsbResult* result) {
-  co_await workload::ycsb_client(sim, engine, cfg, seed, result);
-}
-
-inline sim::Task<void> loader_proc(sim::Simulator* sim,
-                                   resilience::Engine* engine,
-                                   workload::YcsbConfig cfg,
-                                   std::uint64_t first, std::uint64_t last) {
-  co_await workload::ycsb_load(sim, engine, cfg, first, last);
-}
-
-}  // namespace detail
-
 /// Knobs for run_ycsb beyond the testbed/design/workload triple.
 struct YcsbRunOpts {
   std::size_t servers = 5;
@@ -158,7 +135,7 @@ inline YcsbRun run_ycsb(const cluster::Testbed& bed,
           first + stride, cfg.record_count);
       if (first >= last) continue;
       bench.spawn_client(
-          l, detail::loader_proc(&bench.cluster().sim_for_client(l),
+          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
                                  &bench.engine(l), cfg, first, last));
     }
     bench.run();
@@ -177,9 +154,9 @@ inline YcsbRun run_ycsb(const cluster::Testbed& bed,
   }
   for (std::size_t c = 0; c < clients; ++c) {
     bench.spawn_client(
-        c, detail::client_proc(&bench.cluster().sim_for_client(c),
-                               &bench.engine(c), cfg, cfg.seed + 1000 + c,
-                               &results[c]));
+        c, workload::ycsb_client(&bench.cluster().sim_for_client(c),
+                                 &bench.engine(c), cfg, cfg.seed + 1000 + c,
+                                 &results[c]));
   }
   bench.run();
   run.makespan_ns = bench.cluster().now_quiesced() - start;

@@ -2,7 +2,8 @@
 // burst buffer in front of Lustre. Map tasks write job output into the
 // resilient KV cache at fabric speed; the data drains to the parallel
 // filesystem in the background; a later job reads it back from the cache —
-// even after two storage servers die.
+// even after two storage servers die. Exits 1 if a write fails or fewer
+// than all files read back intact.
 //
 //   $ ./examples/burst_buffer
 #include <cstdio>
@@ -20,12 +21,14 @@ constexpr std::uint64_t kFileBytes = 64ULL * 1024 * 1024;
 constexpr std::size_t kFiles = 4;
 
 sim::Task<void> job(cluster::Cluster* cl, boldio::BoldioClient* client,
-                    boldio::LustreModel* lustre) {
+                    boldio::LustreModel* lustre, bool* all_ok) {
   // Phase 1: the "map" job writes its output through the burst buffer.
   SimTime t0 = cl->sim().now();
+  std::size_t written = 0;
   for (std::size_t f = 0; f < kFiles; ++f) {
     const Status s = co_await client->write_file(
         "job-7/part-" + std::to_string(f), kFileBytes);
+    if (s.ok()) ++written;
     std::printf("  wrote job-7/part-%zu (%llu MiB): %s\n", f,
                 static_cast<unsigned long long>(kFileBytes >> 20),
                 s.to_string().c_str());
@@ -59,6 +62,7 @@ sim::Task<void> job(cluster::Cluster* cl, boldio::BoldioClient* client,
   std::printf("background Lustre persistence: %llu MiB drained\n",
               static_cast<unsigned long long>(
                   lustre->stats().bytes_written >> 20));
+  *all_ok = written == kFiles && ok == kFiles;
 }
 
 }  // namespace
@@ -87,7 +91,13 @@ int main() {
   boldio::BoldioClient client(cl.sim(), *engine, &lustre);
 
   cl.start();
-  cl.sim().spawn(job(&cl, &client, &lustre));
+  bool ok = false;
+  cl.sim().spawn(job(&cl, &client, &lustre, &ok));
   cl.run();
+  if (!ok) {
+    std::fprintf(stderr, "burst_buffer: a file was not written or read"
+                 " back intact\n");
+    return 1;
+  }
   return 0;
 }

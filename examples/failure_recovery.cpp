@@ -2,6 +2,8 @@
 // kills the two servers holding its first data fragments, and shows the
 // degraded Get reconstructing the exact original bytes from the surviving
 // data + parity fragments — the paper's Figure 3(b) path, end to end.
+// Exits 1 if the Set fails, either Get misses the original bytes, or a
+// Get beyond M=2 failures succeeds.
 //
 //   $ ./examples/failure_recovery
 #include <cstdio>
@@ -22,10 +24,11 @@ long long decode_ns(const obs::Tracer& tracer, std::uint32_t pid) {
 }
 
 sim::Task<void> walkthrough(cluster::Cluster* cl, resilience::Engine* engine,
-                            const obs::Tracer* tracer, std::uint32_t pid) {
+                            const obs::Tracer* tracer, std::uint32_t pid,
+                            bool* ok) {
   const Bytes original = make_pattern(200'000, /*seed=*/99);
-  (void)co_await engine->set("dataset/block-17",
-                             make_shared_bytes(Bytes(original)));
+  const Status stored = co_await engine->set(
+      "dataset/block-17", make_shared_bytes(Bytes(original)));
   std::printf("stored 200000 B as 3 data + 2 parity fragments\n");
 
   // Which server holds which fragment?
@@ -65,6 +68,8 @@ sim::Task<void> walkthrough(cluster::Cluster* cl, resilience::Engine* engine,
   std::printf("\nthird failure: get -> %s (only 2 of 3 required fragments"
               " survive)\n",
               beyond.status().to_string().c_str());
+  *ok = stored.ok() && healthy.ok() && *healthy == original &&
+        degraded.ok() && *degraded == original && !beyond.ok();
 }
 
 }  // namespace
@@ -89,7 +94,12 @@ int main() {
                                               ctx, 3, &codec, cost);
 
   cl.start();
-  cl.sim().spawn(walkthrough(&cl, engine.get(), &tracer, pid));
+  bool ok = false;
+  cl.sim().spawn(walkthrough(&cl, engine.get(), &tracer, pid, &ok));
   cl.run();
+  if (!ok) {
+    std::fprintf(stderr, "failure_recovery: recovery check failed\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 // Quickstart: stand up a simulated 5-node RDMA cluster, store a value with
 // online erasure coding (RS(3,2), the paper's headline configuration), read
-// it back, and inspect what landed on each server.
+// it back, and inspect what landed on each server. Exits 1 if the Set or
+// Get fails or the bytes read back differ.
 //
 //   $ ./examples/quickstart
 #include <cstdio>
@@ -15,7 +16,8 @@ using namespace hpres;  // NOLINT(google-build-using-namespace)
 
 namespace {
 
-sim::Task<void> demo(cluster::Cluster* cl, resilience::Engine* engine) {
+sim::Task<void> demo(cluster::Cluster* cl, resilience::Engine* engine,
+                     bool* ok) {
   // A 100 KB "database page" cached under one key.
   const Bytes page = make_pattern(100'000, /*seed=*/2017);
 
@@ -30,6 +32,7 @@ sim::Task<void> demo(cluster::Cluster* cl, resilience::Engine* engine) {
               loaded.ok() ? loaded->size() : 0,
               loaded.ok() && *loaded == page ? "bytes intact" : "MISMATCH",
               units::to_us(cl->sim().now()));
+  *ok = stored.ok() && loaded.ok() && *loaded == page;
 
   std::printf("\nFragment placement (K=3 data + M=2 parity, one per"
               " server):\n");
@@ -67,7 +70,12 @@ int main() {
       resilience::Design::kEraCeCd, ctx, 3, &codec, cost);
 
   cl.start();
-  cl.sim().spawn(demo(&cl, engine.get()));
+  bool ok = false;
+  cl.sim().spawn(demo(&cl, engine.get(), &ok));
   cl.run();
+  if (!ok) {
+    std::fprintf(stderr, "quickstart: round trip failed\n");
+    return 1;
+  }
   return 0;
 }

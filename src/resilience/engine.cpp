@@ -1,5 +1,7 @@
 #include "resilience/engine.h"
 
+#include <algorithm>
+
 namespace hpres::resilience {
 
 Engine::OpFrame Engine::begin_op(OpKind kind, obs::TraceContext parent,
@@ -111,6 +113,34 @@ sim::Task<Result<Bytes>> Engine::get_impl(kv::Key key,
     }
   }
   finish_op(op, result.ok(), degraded_out);
+  co_return result;
+}
+
+sim::Task<kv::Response> Engine::call_one(std::size_t server, kv::Request req,
+                                         OpPhases* phases,
+                                         std::string_view request_span,
+                                         std::string_view wait_span) {
+  const SimDur issue_ns = issue_cost();
+  const SimTime t0 = sim().now();
+  req.trace = phases->trace;
+  kv::Response resp = co_await client().invoke(node_of(server), std::move(req));
+  span(*phases, request_span, t0, issue_ns);
+  span(*phases, wait_span, t0 + issue_ns,
+       std::max<SimDur>(0, sim().now() - t0 - issue_ns));
+  co_return resp;
+}
+
+sim::Task<Engine::LiveSlot> Engine::first_live_slot(const kv::Key& key,
+                                                    std::size_t slots) {
+  LiveSlot result;
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if (membership().up(ring().slot_index(key, slot))) {
+      result.slot = slot;
+      break;
+    }
+    result.degraded = true;  // the designated owner (or an earlier one) is down
+  }
+  if (result.degraded) co_await sim().delay(kv::Membership::kCheckCostNs);
   co_return result;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -76,17 +77,14 @@ struct HedgeParams {
 
 /// Packed-stripe (batched small-object) write-path configuration. The
 /// default (pack_threshold 0) disables packing entirely and keeps the
-/// byte-exact legacy path — the determinism suite gates on it.
+/// byte-exact legacy path — the determinism suite gates on it. The stripe
+/// payload budget is ErasureEngine::kStripeCapacity.
 struct PackParams {
   /// Values strictly smaller than this are appended into shared stripes
   /// instead of being striped per key. 0 = packing off. The value-size
   /// sweep uses ~4 KiB, where per-key striping is dominated by padding
   /// and per-fragment metadata.
   std::size_t pack_threshold = 0;
-  /// Stripe payload budget: a stripe seals when the next record would
-  /// exceed it. Bigger stripes amortize fragment/key overhead over more
-  /// records but raise the group-commit batch latency.
-  std::size_t stripe_capacity = 16 * 1024;
 
   [[nodiscard]] bool enabled() const noexcept { return pack_threshold > 0; }
 };
@@ -332,6 +330,65 @@ class Engine {
   /// The lane pool this engine allocates op lanes from (its own, unless
   /// use_lane_pool() pointed it elsewhere).
   [[nodiscard]] obs::LanePool& lane_pool() noexcept { return *lane_pool_; }
+
+  /// Stamps an engine span on `op`'s lane when tracing is live.
+  void span(const OpPhases& op, std::string_view name, SimTime start,
+            SimDur dur) const {
+    if (obs::Tracer* const tr = ctx_.live_tracer(); tr != nullptr) {
+      tr->complete(trace_pid(), op.trace_tid, name, "engine", start, dur,
+                   op.trace.trace_id);
+    }
+  }
+
+  /// One traced blocking round trip to server index `server`: stamps the
+  /// op's trace context onto `req`, invokes it (issue CPU, then the
+  /// response wait) and spans the issue slice as `request_span` and the
+  /// rest as `wait_span`.
+  sim::Task<kv::Response> call_one(std::size_t server, kv::Request req,
+                                   OpPhases* phases,
+                                   std::string_view request_span,
+                                   std::string_view wait_span);
+
+  /// The first live owner among `key`'s first `slots` ring slots (nullopt
+  /// when all are down). `degraded` reports that a dead owner was skipped;
+  /// T_check (Equation 4) has then been paid, and the caller bumps its
+  /// per-verb counter. Await it at once: it reads `key` by reference.
+  struct LiveSlot {
+    std::optional<std::size_t> slot;
+    bool degraded = false;
+  };
+  sim::Task<LiveSlot> first_live_slot(const kv::Key& key, std::size_t slots);
+
+  /// The acks of one write fan-out (replicas, fragments or deletes).
+  struct WriteTally {
+    std::size_t acked = 0;
+    StatusCode last_failure = StatusCode::kOk;
+    bool bounced = false;  ///< an owner answered kWrongEpoch
+
+    void add(StatusCode code) noexcept {
+      if (code == StatusCode::kOk) {
+        ++acked;
+        return;
+      }
+      last_failure = code;
+      if (code == StatusCode::kWrongEpoch) bounced = true;
+    }
+    /// A stale-epoch bounce outranks the durability verdict: the whole op
+    /// re-runs under the refreshed ring (set_impl), so partial old-ring
+    /// placements never count as stored. Otherwise fewer than `needed`
+    /// acks is kUnavailable(`shortfall`), and enough acks report the last
+    /// failure seen (kOk when every owner acked).
+    [[nodiscard]] Status verdict(std::size_t needed,
+                                 std::string_view shortfall) const {
+      if (bounced) {
+        return Status{StatusCode::kWrongEpoch, "stale placement epoch"};
+      }
+      if (acked < needed) {
+        return Status{StatusCode::kUnavailable, std::string(shortfall)};
+      }
+      return Status{last_failure};
+    }
+  };
 
  private:
   static sim::Task<void> iset_coro(Engine* self, kv::Key key,

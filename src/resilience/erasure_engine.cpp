@@ -85,28 +85,11 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
           client().call_async(node_of(owner), std::move(staged)));
     }
   }
-  std::size_t deleted = 0;
-  for (const auto& f : pending) {
-    const kv::Response resp = co_await f.wait();
-    if (resp.code == StatusCode::kOk) ++deleted;
-  }
+  WriteTally tally;
+  for (const auto& f : pending) tally.add((co_await f.wait()).code);
   // Fragments on currently-down owners are out of reach; they become
   // orphans that the RepairCoordinator counts and purges.
-  co_return deleted > 0 ? Status::Ok() : Status{StatusCode::kNotFound};
-}
-
-sim::Task<ErasureEngine::LiveSlot> ErasureEngine::pick_live_slot(
-    kv::Key key) {
-  LiveSlot result;
-  for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
-    if (membership().up(ring().slot_index(key, slot))) {
-      result.slot = slot;
-      break;
-    }
-    result.degraded = true;
-  }
-  if (result.degraded) co_await sim().delay(kv::Membership::kCheckCostNs);
-  co_return result;
+  co_return tally.acked > 0 ? Status::Ok() : Status{StatusCode::kNotFound};
 }
 
 sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
@@ -125,16 +108,10 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   const SimDur encode_ns = cost_.encode_ns(value_size);
   const SimDur post_ns = static_cast<SimDur>(n) * issue_cost();
   co_await client().cpu().execute(encode_ns + post_ns);
-  obs::Tracer* const tr = ctx().live_tracer();
-  if (tr != nullptr) {
-    // Span durations equal the charged phase costs exactly: these spans
-    // are the op's Encode and Request phases (Figure 9).
-    tr->complete(trace_pid(), phases->trace_tid, "set/encode", "engine",
-                 sim().now() - encode_ns - post_ns, encode_ns,
-                 phases->trace.trace_id);
-    tr->complete(trace_pid(), phases->trace_tid, "set/request", "engine",
-                 sim().now() - post_ns, post_ns, phases->trace.trace_id);
-  }
+  // Span durations equal the charged phase costs exactly: these spans are
+  // the op's Encode and Request phases (Figure 9).
+  span(*phases, "set/encode", sim().now() - encode_ns - post_ns, encode_ns);
+  span(*phases, "set/request", sim().now() - post_ns, post_ns);
 
   const std::vector<SharedBytes> fragments = ec::encode_value(
       *codec_, value ? ConstByteSpan(*value) : ConstByteSpan{}, value_size,
@@ -156,72 +133,45 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
     pending_owners.push_back(owner);
   }
 
-  StatusCode worst = StatusCode::kOk;
-  std::size_t stored = 0;
-  bool bounced = false;
+  WriteTally tally;
   const SimTime fanout_t0 = sim().now();
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const kv::Response resp = co_await pending[i].wait();
+    tally.add(resp.code);
     if (resp.code == StatusCode::kOk) {
-      ++stored;
       // Passive load learning from the piggybacked queue depth; purely
       // observational (no events, no RNG), so timing is unchanged.
       load_.observe_rtt(pending_owners[i], sim().now() - fanout_t0,
                         resp.queue_depth);
-    } else {
-      worst = resp.code;
-      if (resp.code == StatusCode::kWrongEpoch) bounced = true;
     }
   }
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "set/fanout", "engine",
-                 fanout_t0, sim().now() - fanout_t0, phases->trace.trace_id);
-  }
-  // A stale-epoch bounce outranks the durability verdict: the whole op
-  // re-runs under the refreshed ring (Engine::set_impl), re-placing every
-  // fragment, so partial old-ring placements never count as stored.
-  if (bounced) {
-    co_return Status{StatusCode::kWrongEpoch, "stale placement epoch"};
-  }
+  span(*phases, "set/fanout", fanout_t0, sim().now() - fanout_t0);
   // Durability requires at least k fragments (any k reconstruct the value).
-  if (stored < k) {
-    co_return Status{StatusCode::kUnavailable,
-                     "fewer than k fragments stored"};
-  }
-  co_return Status{worst};
+  co_return tally.verdict(k, "fewer than k fragments stored");
 }
 
 sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
                                                    SharedBytes value,
                                                    OpPhases* phases) {
-  const LiveSlot ls = co_await pick_live_slot(key);
-  if (ls.degraded) {
+  const LiveSlot live = co_await first_live_slot(key, codec_->n());
+  if (live.degraded) {
     ++stats().degraded_sets;
     phases->degraded = true;
   }
-  if (!ls.slot) co_return Status{StatusCode::kUnavailable, "no live server"};
-  const std::size_t target_index = ring().slot_index(key, *ls.slot);
-  const net::NodeId target = node_of(target_index);
+  if (!live.slot) {
+    co_return Status{StatusCode::kUnavailable, "no live server"};
+  }
+  const std::size_t target = ring().slot_index(key, *live.slot);
 
   kv::Request req;
   req.verb = kv::Verb::kSetEncode;
   req.key = std::move(key);
   req.value = std::move(value);
-  req.trace = phases->trace;
-  const SimDur issue_ns = issue_cost();
   const SimTime t0 = sim().now();
-  const kv::Response resp =
-      co_await client().invoke(target, std::move(req));
+  const kv::Response resp = co_await call_one(
+      target, std::move(req), phases, "set/request", "set/fanout");
   if (resp.code == StatusCode::kOk) {
-    load_.observe_rtt(target_index, sim().now() - t0, resp.queue_depth);
-  }
-  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "set/request", "engine", t0,
-                 issue_ns, phases->trace.trace_id);
-    tr->complete(trace_pid(), phases->trace_tid, "set/fanout", "engine",
-                 t0 + issue_ns,
-                 std::max<SimDur>(0, sim().now() - t0 - issue_ns),
-                 phases->trace.trace_id);
+    load_.observe_rtt(target, sim().now() - t0, resp.queue_depth);
   }
   co_return Status{resp.code};
 }
@@ -290,11 +240,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   }
   const SimDur post_ns = static_cast<SimDur>(to_post) * issue_cost();
   co_await client().cpu().execute(post_ns);
-  obs::Tracer* const tr = ctx().live_tracer();
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
-                 sim().now() - post_ns, post_ns, phases->trace.trace_id);
-  }
+  span(*phases, "get/request", sim().now() - post_ns, post_ns);
   f->posted = true;
   const SimTime fetch_t0 = sim().now();
   for (const std::size_t slot : *selected) {
@@ -383,7 +329,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         }
         ++stats().hedges_fired;
         fired = true;
-        if (tr != nullptr) {
+        if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
           tr->instant(trace_pid(), phases->trace_tid, "hedge/fire", "engine",
                       sim().now(), phases->trace.trace_id);
         }
@@ -449,10 +395,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       }
     }
   }
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                 fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
-  }
+  span(*phases, "get/fetch", fetch_t0, sim().now() - fetch_t0);
   co_return bound ? Status::Ok() : Status{f->worst, "missing fragments"};
 }
 
@@ -508,11 +451,7 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     const SimDur decode_ns =
         cost_.decode_ns(coded_bytes, static_cast<unsigned>(missing_data));
     co_await client().cpu().execute(decode_ns);
-    if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/decode", "engine",
-                   sim().now() - decode_ns, decode_ns,
-                   phases->trace.trace_id);
-    }
+    span(*phases, "get/decode", sim().now() - decode_ns, decode_ns);
   }
   co_return ec::assemble(*codec_, f->frags, f->decode_set,
                          ec::make_layout(coded_bytes, k, codec_->alignment()),
@@ -534,36 +473,24 @@ std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
 
 sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
                                                           OpPhases* phases) {
-  const LiveSlot ls = co_await pick_live_slot(key);
-  if (ls.degraded) {
+  const LiveSlot live = co_await first_live_slot(key, codec_->n());
+  if (live.degraded) {
     ++stats().degraded_gets;
     phases->degraded = true;
   }
-  if (!ls.slot) {
+  if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "no live server"};
   }
-  const std::size_t target_index = ring().slot_index(key, *ls.slot);
-  const net::NodeId target = node_of(target_index);
+  const std::size_t target = ring().slot_index(key, *live.slot);
 
   kv::Request req;
   req.verb = kv::Verb::kGetDecode;
   req.key = std::move(key);
-  req.trace = phases->trace;
-  const SimDur issue_ns = issue_cost();
   const SimTime t0 = sim().now();
-  kv::Response resp = co_await client().invoke(target, std::move(req));
-  if (resp.code == StatusCode::kOk) {
-    load_.observe_rtt(target_index, sim().now() - t0, resp.queue_depth);
-  }
-  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine", t0,
-                 issue_ns, phases->trace.trace_id);
-    tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                 t0 + issue_ns,
-                 std::max<SimDur>(0, sim().now() - t0 - issue_ns),
-                 phases->trace.trace_id);
-  }
+  const kv::Response resp = co_await call_one(
+      target, std::move(req), phases, "get/request", "get/fetch");
   if (resp.code != StatusCode::kOk) co_return Status{resp.code};
+  load_.observe_rtt(target, sim().now() - t0, resp.queue_depth);
   co_return resp.value ? Bytes(*resp.value) : Bytes{};
 }
 
@@ -597,7 +524,7 @@ sim::Task<Status> ErasureEngine::set_routed_packed(kv::Key key,
                                                    OpPhases* phases) {
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t rec = ec::stripe_record_bytes(key.size(), value_size);
-  if (value_size < pack_.pack_threshold && rec <= pack_.stripe_capacity) {
+  if (value_size < pack_.pack_threshold && rec <= kStripeCapacity) {
     co_return co_await set_packed(std::move(key), std::move(value), phases);
   }
   // Large value while packing is on: the per-key path stores it. Any
@@ -619,7 +546,7 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
   const std::size_t primary = ring().slot_index(key, 0);
 
   if (const auto it = active_.find(primary);
-      it != active_.end() && it->second->used + rec > pack_.stripe_capacity) {
+      it != active_.end() && it->second->used + rec > kStripeCapacity) {
     seal_stripe(primary, /*by_timer=*/false);
   }
   std::shared_ptr<StripeState>& slot = active_[primary];
@@ -655,10 +582,7 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
   // commit coroutine.
   const SimDur append_ns = issue_cost();
   co_await client().cpu().execute(append_ns);
-  if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "set/append", "engine",
-                 sim().now() - append_ns, append_ns, phases->trace.trace_id);
-  }
+  span(*phases, "set/append", sim().now() - append_ns, append_ns);
 
   // The Set future resolves at stripe durability (group commit).
   co_await st->done.wait();
@@ -673,7 +597,7 @@ void ErasureEngine::seal_stripe(std::size_t primary, bool by_timer) {
   st->sealed = true;
   ++stats().stripes_sealed;
   if (by_timer) ++stats().stripes_timer_sealed;
-  fill_permille_sum_ += st->used * 1000 / pack_.stripe_capacity;
+  fill_permille_sum_ += st->used * 1000 / kStripeCapacity;
   stats().stripe_fill_x1000 = fill_permille_sum_ / stats().stripes_sealed;
   sim().spawn(commit_stripe(this, std::move(st)));
 }
@@ -768,25 +692,18 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
     }
   }
 
-  std::size_t frag_ok = 0;
-  bool bounced = false;
+  WriteTally frags;
   const SimTime fanout_t0 = self->sim().now();
   for (std::size_t i = 0; i < frag_pending.size(); ++i) {
     const kv::Response resp = co_await frag_pending[i].wait();
+    frags.add(resp.code);
     if (resp.code == StatusCode::kOk) {
-      ++frag_ok;
       self->load_.observe_rtt(frag_owners[i], self->sim().now() - fanout_t0,
                               resp.queue_depth);
-    } else if (resp.code == StatusCode::kWrongEpoch) {
-      bounced = true;
     }
   }
-  std::size_t dir_ok = 0;
-  for (auto& f : dir_pending) {
-    const kv::Response resp = co_await f.wait();
-    if (resp.code == StatusCode::kOk) ++dir_ok;
-    if (resp.code == StatusCode::kWrongEpoch) bounced = true;
-  }
+  WriteTally dirs;
+  for (auto& f : dir_pending) dirs.add((co_await f.wait()).code);
   if (obs::Tracer* const tr = self->ctx().live_tracer(); tr != nullptr) {
     tr->async_span(self->trace_pid(),
                    std::hash<std::string>{}(st->skey) + 2, "stripe/fanout",
@@ -797,11 +714,11 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // directory owner can name it (the directory itself is recoverable from
   // stripe contents — records embed their keys). A stale-epoch bounce
   // outranks both: every waiter's set retries whole (Engine::set_impl),
-  // re-staging its record under the refreshed ring.
-  const bool durable =
-      frag_ok >= k && (live.empty() || dir_ok >= 1);
-  st->result = bounced ? Status{StatusCode::kWrongEpoch,
-                                "stale placement epoch"}
+  // re-staging its record under the refreshed ring. Unlike a per-key Set,
+  // a durable stripe is kOk even when some owner failed.
+  const bool durable = frags.acked >= k && (live.empty() || dirs.acked >= 1);
+  st->result = frags.bounced || dirs.bounced
+                   ? Status{StatusCode::kWrongEpoch, "stale placement epoch"}
                : durable ? Status::Ok()
                          : Status{StatusCode::kUnavailable,
                                   "stripe commit not durable"};
@@ -865,12 +782,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   const SimDur lookup_post_ns =
       static_cast<SimDur>(lookups.size()) * issue_cost();
   co_await client().cpu().execute(lookup_post_ns);
-  obs::Tracer* const tr = ctx().live_tracer();
-  if (tr != nullptr) {
-    tr->complete(trace_pid(), phases->trace_tid, "get/locator", "engine",
-                 sim().now() - lookup_post_ns, lookup_post_ns,
-                 phases->trace.trace_id);
-  }
+  span(*phases, "get/locator", sim().now() - lookup_post_ns, lookup_post_ns);
 
   std::optional<kv::StripeLoc> loc;
   std::size_t notfound = 0;
@@ -918,10 +830,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   if (healthy) {
     const SimDur post_ns = static_cast<SimDur>(range.count()) * issue_cost();
     co_await client().cpu().execute(post_ns);
-    if (tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/request", "engine",
-                   sim().now() - post_ns, post_ns, phases->trace.trace_id);
-    }
+    span(*phases, "get/request", sim().now() - post_ns, post_ns);
     const SimTime fetch_t0 = sim().now();
     for (std::size_t slot = range.first; slot <= range.last; ++slot) {
       issue_fetch(&f, slot, /*hedge=*/false, phases->trace);
@@ -939,10 +848,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
         healthy = false;
       }
     }
-    if (tr != nullptr) {
-      tr->complete(trace_pid(), phases->trace_tid, "get/fetch", "engine",
-                   fetch_t0, sim().now() - fetch_t0, phases->trace.trace_id);
-    }
+    span(*phases, "get/fetch", fetch_t0, sim().now() - fetch_t0);
     if (healthy) {  // the record's data slots arrived: nothing to decode
       co_return ec::assemble(*codec_, f.frags, codec_->data_slots(), layout,
                              ec::ValueSlice{loc->offset, loc->len},

@@ -29,6 +29,11 @@ namespace hpres::resilience {
 
 class ErasureEngine final : public Engine {
  public:
+  /// Packed-stripe payload budget: a stripe seals when the next record
+  /// would exceed it. Bigger stripes amortize fragment/key overhead over
+  /// more records but raise the group-commit batch latency.
+  static constexpr std::size_t kStripeCapacity = 16 * 1024;
+
   /// The codec must outlive the engine. Server-side designs additionally
   /// require every server to have ServerEcContext enabled (see
   /// Cluster::enable_server_ec). `hedge` arms late-binding hedged,
@@ -194,16 +199,6 @@ class ErasureEngine final : public Engine {
   /// tracker is cold (natural order).
   [[nodiscard]] std::vector<std::size_t> load_preference(const kv::Key& key,
                                                          bool randomize);
-
-  /// First live owner among the key's n slots (for SE/SD targets), paying
-  /// T_check when the designated one is down. `degraded` reports whether a
-  /// dead owner had to be skipped so the caller can bump the right
-  /// per-verb counter; nullopt slot if all n are dead.
-  struct LiveSlot {
-    std::optional<std::size_t> slot;
-    bool degraded = false;
-  };
-  sim::Task<LiveSlot> pick_live_slot(kv::Key key);
 
   const ec::Codec* codec_;
   ec::CostModel cost_;

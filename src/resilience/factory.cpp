@@ -11,11 +11,12 @@ std::unique_ptr<Engine> make_engine(Design design, EngineContext ctx,
                                     HedgeParams hedge, PackParams pack) {
   switch (design) {
     case Design::kNoRep:
-      return std::make_unique<AsyncReplicationEngine>(ctx, 1, arpe);
+      return std::make_unique<ReplicationEngine>(ctx, Design::kAsyncRep, 1,
+                                                 arpe);
     case Design::kSyncRep:
-      return std::make_unique<SyncReplicationEngine>(ctx, rep_factor, arpe);
     case Design::kAsyncRep:
-      return std::make_unique<AsyncReplicationEngine>(ctx, rep_factor, arpe);
+      return std::make_unique<ReplicationEngine>(ctx, design, rep_factor,
+                                                 arpe);
     case Design::kEraCeCd:
     case Design::kEraSeSd:
     case Design::kEraSeCd:

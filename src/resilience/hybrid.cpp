@@ -7,7 +7,7 @@ HybridEngine::HybridEngine(EngineContext ctx, const ec::Codec& codec,
                            std::size_t threshold_bytes, Design design,
                            ArpeParams arpe)
     : Engine(ctx, arpe),
-      replication_(ctx, rep_factor, arpe),
+      replication_(ctx, Design::kAsyncRep, rep_factor, arpe),
       erasure_(ctx, codec, cost, design, arpe),
       threshold_bytes_(threshold_bytes) {
   // Sub-engine ops run nested under this engine's op: they share one lane

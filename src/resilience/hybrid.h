@@ -50,7 +50,7 @@ class HybridEngine final : public Engine {
   sim::Task<Status> do_del(kv::Key key) override;
 
  private:
-  AsyncReplicationEngine replication_;
+  ReplicationEngine replication_;
   ErasureEngine erasure_;
   std::size_t threshold_bytes_;
 };

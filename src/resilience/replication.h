@@ -1,28 +1,36 @@
-// In-memory replication engines: the paper's baselines.
+// In-memory replication: the paper's baselines, one engine keyed by Design
+// (as ErasureEngine is for the four erasure designs).
 //
-// Sync-Rep accesses each replica with blocking semantics, so its Set cost
-// is F * (L + D/B) (Equation 2). Async-Rep overlaps the request/response
-// phases of all F replica writes via non-blocking calls, approaching
-// max_i(L + D/B) (Equation 6). Both read the whole value from the
-// designated primary, falling back to a live replica (plus T_check) after
-// failures (Equation 4).
+// Replica i of a key lives at ring.slot_index(key, i), the full value
+// stored under the key itself. Sync-Rep accesses each replica with blocking
+// semantics, so its Set cost is F * (L + D/B) (Equation 2). Async-Rep
+// overlaps the request/response phases of all F replica writes via
+// non-blocking calls, approaching max_i(L + D/B) (Equation 6); NoRep is
+// Async-Rep with one copy. Both read the whole value from the designated
+// primary, falling back to a live replica (plus T_check) after failures
+// (Equation 4).
 #pragma once
 
 #include "resilience/engine.h"
 
 namespace hpres::resilience {
 
-/// Common replica placement and read path: replica i of a key lives at
-/// ring.slot_index(key, i), the full value stored under the key itself.
-class ReplicationBase : public Engine {
+class ReplicationEngine final : public Engine {
  public:
+  /// `design` is kSyncRep or kAsyncRep; `factor` copies of every value.
+  ReplicationEngine(EngineContext ctx, Design design, std::uint32_t factor,
+                    ArpeParams arpe = {});
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return to_string(design_);
+  }
   [[nodiscard]] std::size_t fault_tolerance() const noexcept override {
     return factor_ - 1;
   }
-  [[nodiscard]] std::uint32_t factor() const noexcept { return factor_; }
 
  protected:
-  ReplicationBase(EngineContext ctx, std::uint32_t factor, ArpeParams arpe);
+  sim::Task<Status> do_set(kv::Key key, SharedBytes value,
+                           OpPhases* phases) override;
 
   /// Primary read with live-replica fallback (Equation 4).
   sim::Task<Result<Bytes>> do_get(kv::Key key, OpPhases* phases) override;
@@ -30,42 +38,9 @@ class ReplicationBase : public Engine {
   /// Deletes the key on every live replica.
   sim::Task<Status> do_del(kv::Key key) override;
 
-  /// First live replica slot for a key, or nullopt when all are down.
-  /// Sets *checked when the primary was dead (T_check owed).
-  [[nodiscard]] std::optional<std::size_t> first_live_slot(
-      const kv::Key& key, bool* checked) const;
-
+ private:
+  Design design_;
   std::uint32_t factor_;
-};
-
-class SyncReplicationEngine final : public ReplicationBase {
- public:
-  SyncReplicationEngine(EngineContext ctx, std::uint32_t factor,
-                        ArpeParams arpe = {})
-      : ReplicationBase(ctx, factor, arpe) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sync-rep";
-  }
-
- protected:
-  sim::Task<Status> do_set(kv::Key key, SharedBytes value,
-                           OpPhases* phases) override;
-};
-
-class AsyncReplicationEngine final : public ReplicationBase {
- public:
-  AsyncReplicationEngine(EngineContext ctx, std::uint32_t factor,
-                         ArpeParams arpe = {})
-      : ReplicationBase(ctx, factor, arpe) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "async-rep";
-  }
-
- protected:
-  sim::Task<Status> do_set(kv::Key key, SharedBytes value,
-                           OpPhases* phases) override;
 };
 
 }  // namespace hpres::resilience

@@ -1,7 +1,12 @@
 // Resilience engines end-to-end: data integrity under every design, failure
-// tolerance, latency orderings predicted by the paper's model, and the
-// non-blocking API path.
+// tolerance, latency orderings predicted by the paper's model, the
+// non-blocking API path, and the exact unloaded timing of every design.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <ostream>
+
+#include "cluster/testbeds.h"
 
 #include "testing/fixtures.h"
 
@@ -410,6 +415,131 @@ TEST_F(EngineTest, StatsCountOperationsAndLatencies) {
   EXPECT_EQ(span_ns("set"), sets->sum());
   EXPECT_EQ(span_ns("set/request"), 5 * 3 * kv::Client::kIssueNs);
   EXPECT_GT(span_ns("set"), span_ns("set/request"));
+}
+
+// --- Pinned unloaded timing ------------------------------------------------
+
+// Exact simulated time of an unloaded op sequence under every design. Each
+// run builds a fresh RI-QDR cluster (5 servers, 1 client, RS(3,2), Rep 3),
+// then: 8 blocking Sets, 8 Gets, fail servers 0 and 1, 8 more Gets, 8 more
+// Sets and 1 Delete. Every stage's summed op time is pinned to the
+// nanosecond, so any change to a cost constant, an event's position or the
+// failure-handling path of any design shows up here. A deliberate timing
+// change regenerates the table from the "actual" rows this test prints.
+struct GoldenRow {
+  Design design;
+  std::size_t size;
+  SimDur set_ns;
+  SimDur get_ns;
+  SimDur degraded_get_ns;
+  SimDur degraded_set_ns;
+  SimDur del_ns;
+  std::uint64_t degraded_gets;
+  std::uint64_t degraded_sets;
+  std::uint64_t fallback_gets;
+
+  bool operator==(const GoldenRow&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenRow& r) {
+  static constexpr const char* kNames[] = {"kNoRep",   "kSyncRep", "kAsyncRep",
+                                           "kEraCeCd", "kEraSeSd", "kEraSeCd",
+                                           "kEraCeSd"};
+  return os << "{Design::" << kNames[static_cast<std::size_t>(r.design)]
+            << ", " << r.size << ", " << r.set_ns << ", " << r.get_ns << ", "
+            << r.degraded_get_ns << ", " << r.degraded_set_ns << ", "
+            << r.del_ns << ", " << r.degraded_gets << ", " << r.degraded_sets
+            << ", " << r.fallback_gets << "}";
+}
+
+GoldenRow run_golden(Design design, std::size_t size) {
+  const cluster::Testbed bed = cluster::ri_qdr();
+  const ec::RsVandermondeCodec codec(3, 2);
+  const ec::CostModel cost = ec::CostModel::defaults(
+      ec::Scheme::kRsVandermonde, 3, 2, bed.cpu_factor);
+  cluster::Cluster cl(cluster::make_config(bed, 5, 1));
+  cl.enable_server_ec(codec, cost, /*materialize=*/true);
+  const std::unique_ptr<Engine> engine = make_engine(
+      design, cl.engine_context(0, /*materialize=*/true), 3, &codec, cost);
+  cl.start();
+
+  GoldenRow row{.design = design, .size = size};
+  struct Body {
+    static sim::Task<void> run(Engine* e, cluster::Cluster* c,
+                               GoldenRow* out) {
+      sim::Simulator& sim = c->sim();
+      const auto key = [](std::size_t i) {
+        return "golden" + std::to_string(i);
+      };
+      const auto sets = [&](std::uint64_t seed,
+                            SimDur* total) -> sim::Task<void> {
+        for (std::size_t i = 0; i < 8; ++i) {
+          const SimTime t0 = sim.now();
+          (void)co_await e->set(
+              key(i), make_shared_bytes(make_pattern(out->size, seed + i)));
+          *total += sim.now() - t0;
+        }
+      };
+      const auto gets = [&](SimDur* total) -> sim::Task<void> {
+        for (std::size_t i = 0; i < 8; ++i) {
+          const SimTime t0 = sim.now();
+          (void)co_await e->get(key(i));
+          *total += sim.now() - t0;
+        }
+      };
+      co_await sets(1, &out->set_ns);
+      co_await gets(&out->get_ns);
+      c->fail_server(0);
+      c->fail_server(1);
+      co_await gets(&out->degraded_get_ns);
+      co_await sets(9, &out->degraded_set_ns);
+      const SimTime t0 = sim.now();
+      (void)co_await e->del(key(0));
+      out->del_ns = sim.now() - t0;
+    }
+  };
+  run_sim(cl.sim(), Body::run, engine.get(), &cl, &row);
+  row.degraded_gets = engine->stats().degraded_gets;
+  row.degraded_sets = engine->stats().degraded_sets;
+  row.fallback_gets = engine->stats().fallback_gets;
+  return row;
+}
+
+TEST(EngineGolden, UnloadedOpsPerDesign) {
+  static const GoldenRow kTable[] = {
+      {Design::kNoRep, 512, 51272, 61712, 43070, 32045, 5957, 3, 0, 0},
+      {Design::kNoRep, 65536, 498288, 311056, 198910, 311430, 5957, 3, 0, 0},
+      {Design::kSyncRep, 512, 153816, 61712, 66212, 96135, 6757, 3, 0, 0},
+      {Design::kSyncRep, 65536, 1494864, 311056, 315556, 934290, 6757, 3, 0,
+       0},
+      {Design::kAsyncRep, 512, 59032, 61712, 66212, 54667, 6757, 3, 0, 0},
+      {Design::kAsyncRep, 65536, 826160, 311056, 315556, 641732, 6757, 3, 0,
+       0},
+      {Design::kEraCeCd, 512, 86168, 72784, 107410, 80088, 7160, 8, 0, 0},
+      {Design::kEraCeCd, 65536, 512528, 280736, 331751, 399728, 7160, 8, 0, 0},
+      {Design::kEraSeSd, 512, 51424, 123944, 151070, 55772, 7160, 3, 3, 0},
+      {Design::kEraSeSd, 65536, 498288, 515062, 529787, 502788, 7160, 3, 3, 0},
+      {Design::kEraSeCd, 512, 51424, 72784, 107410, 55772, 7160, 8, 3, 0},
+      {Design::kEraSeCd, 65536, 498288, 305626, 331751, 502788, 7160, 8, 3, 0},
+      {Design::kEraCeSd, 512, 86168, 123944, 151070, 80088, 7160, 3, 0, 0},
+      {Design::kEraCeSd, 65536, 512528, 486272, 529787, 399728, 7160, 3, 0, 0},
+  };
+  for (const Design design :
+       {Design::kNoRep, Design::kSyncRep, Design::kAsyncRep, Design::kEraCeCd,
+        Design::kEraSeSd, Design::kEraSeCd, Design::kEraCeSd}) {
+    for (const std::size_t size : {std::size_t{512}, std::size_t{64 * 1024}}) {
+      const GoldenRow actual = run_golden(design, size);
+      const auto it = std::find_if(
+          std::begin(kTable), std::end(kTable), [&](const GoldenRow& r) {
+            return r.design == design && r.size == size;
+          });
+      if (it == std::end(kTable)) {
+        ADD_FAILURE() << "no row; actual: " << actual;
+      } else {
+        EXPECT_EQ(actual, *it) << "actual: " << actual;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -215,16 +215,16 @@ TEST_F(PackingTest, PackedIssueCpuIsSerializeOnTheCriticalPath) {
 }
 
 TEST_F(PackingTest, CapacitySealRollsOverToFreshStripe) {
-  // Tiny stripes force capacity seals well before the 50 us timer.
-  auto engine = make_engine(
-      Design::kEraCeCd, 3, {}, {},
-      PackParams{.pack_threshold = 512, .stripe_capacity = 256});
+  // Records of ~7 KB fit two to a 16 KiB stripe, so a primary's third
+  // record forces a capacity seal well before the 50 us timer.
+  auto engine = make_engine(Design::kEraCeCd, 3, {}, {},
+                            PackParams{.pack_threshold = 8 * 1024});
   cluster_.start();
   struct Body {
     static sim::Task<void> run(Engine* e) {
       std::vector<Bytes> originals;
       for (std::size_t i = 0; i < 10; ++i) {
-        originals.push_back(value_for(i, 100));
+        originals.push_back(value_for(i, 7000));
         (void)e->iset("roll" + std::to_string(i),
                       make_shared_bytes(Bytes(originals[i])));
       }

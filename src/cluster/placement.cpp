@@ -196,7 +196,11 @@ sim::Task<void> PlacementManager::migrate_all(bool cleanup_ok) {
   for (std::size_t s = 0; s < ctx_.membership->size(); ++s) {
     if (!ctx_.membership->up(s)) continue;
     Result<std::vector<kv::Key>> found = co_await repair_.discover(s);
-    if (found.ok()) bases.insert(found->begin(), found->end());
+    if (found.ok()) {
+      bases.insert(found->begin(), found->end());
+    } else {
+      ++stats_.scan_failures;
+    }
     kv::Request req;
     req.verb = kv::Verb::kScan;
     req.stripe_lookup = true;
@@ -204,6 +208,8 @@ sim::Task<void> PlacementManager::migrate_all(bool cleanup_ok) {
         co_await ctx_.client->invoke(node_of(s), std::move(req));
     if (resp.code == StatusCode::kOk) {
       locators.insert(resp.keys.begin(), resp.keys.end());
+    } else {
+      ++stats_.scan_failures;
     }
   }
   paced_ = 0;

@@ -47,6 +47,9 @@ struct PlacementStats {
   std::uint64_t moved_bytes = 0;       ///< fragment payload bytes copied
   std::uint64_t locators_moved = 0;    ///< stripe locator entries re-homed
   std::uint64_t cleanup_deletes = 0;   ///< stale copies removed at finish
+  /// Migration discovery scans (fragment or locator) that failed; keys
+  /// held only behind a failed scan are not migrated by that pass.
+  std::uint64_t scan_failures = 0;
 
   /// Registers every field into `reg` under component "placement".
   void register_with(obs::MetricsRegistry& reg, std::string node,
@@ -63,6 +66,7 @@ struct PlacementStats {
     reg.bind_counter("placement.moved_bytes", labels, &moved_bytes);
     reg.bind_counter("placement.locators_moved", labels, &locators_moved);
     reg.bind_counter("placement.cleanup_deletes", labels, &cleanup_deletes);
+    reg.bind_counter("placement.scan_failures", labels, &scan_failures);
   }
 };
 

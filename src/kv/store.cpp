@@ -1,108 +1,274 @@
 #include "kv/store.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <functional>
+#include <utility>
 
 namespace hpres::kv {
+
+namespace {
+
+std::uint32_t hash_of(std::string_view key) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
+}
+
+std::size_t size_of(const SharedBytes& value) {
+  return value ? value->size() : 0;
+}
+
+}  // namespace
+
+// --- StoredKey --------------------------------------------------------------
+
+StorageEngine::StoredKey::StoredKey(std::string_view key) {
+  if (key.size() <= kInline) {
+    std::memcpy(bytes_, key.data(), key.size());
+    tag_ = static_cast<std::uint8_t>(key.size());
+    return;
+  }
+  char* const heap = new char[key.size()];
+  std::memcpy(heap, key.data(), key.size());
+  const auto size = static_cast<std::uint32_t>(key.size());
+  std::memcpy(bytes_, &heap, sizeof heap);
+  std::memcpy(bytes_ + sizeof heap, &size, sizeof size);
+  tag_ = kHeap;
+}
+
+StorageEngine::StoredKey::StoredKey(StoredKey&& other) noexcept
+    : tag_(other.tag_) {
+  std::memcpy(bytes_, other.bytes_, kInline);
+  other.tag_ = 0;
+}
+
+StorageEngine::StoredKey& StorageEngine::StoredKey::operator=(
+    StoredKey&& other) noexcept {
+  if (this != &other) {
+    release();
+    std::memcpy(bytes_, other.bytes_, kInline);
+    tag_ = other.tag_;
+    other.tag_ = 0;
+  }
+  return *this;
+}
+
+std::string_view StorageEngine::StoredKey::view() const noexcept {
+  if (tag_ != kHeap) return {bytes_, tag_};
+  const char* heap = nullptr;
+  std::uint32_t size = 0;
+  std::memcpy(&heap, bytes_, sizeof heap);
+  std::memcpy(&size, bytes_ + sizeof heap, sizeof size);
+  return {heap, size};
+}
+
+void StorageEngine::StoredKey::release() noexcept {
+  if (tag_ != kHeap) return;
+  char* heap = nullptr;
+  std::memcpy(&heap, bytes_, sizeof heap);
+  delete[] heap;
+  tag_ = 0;
+}
+
+// --- Tier -------------------------------------------------------------------
+
+std::uint32_t StorageEngine::Tier::find(std::string_view key,
+                                        std::uint32_t hash) const {
+  if (slots_.empty()) return kNil;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t p = hash & mask;; p = (p + 1) & mask) {
+    const std::uint32_t id = slots_[p];
+    if (id == kNil) return kNil;
+    const Entry& entry = at(id);
+    if (entry.hash == hash && entry.key.view() == key) return id;
+  }
+}
+
+std::uint32_t StorageEngine::Tier::push_front(Entry entry) {
+  std::uint32_t id = free_;
+  if (id != kNil) {
+    free_ = at(id).next;
+  } else {
+    if (end_ == pages_.size() * kPageEntries) {
+      pages_.push_back(std::make_unique<Page>());
+    }
+    id = end_++;
+  }
+  at(id) = std::move(entry);
+  // Load stays at most 3/4, so every probe sequence ends at an empty slot.
+  if (4 * (size_ + 1) > 3 * slots_.size()) {
+    const std::vector<std::uint32_t> old = std::exchange(
+        slots_, std::vector<std::uint32_t>(
+                    std::max<std::size_t>(16, 2 * slots_.size()), kNil));
+    for (const std::uint32_t moved : old) {
+      if (moved != kNil) place(moved);
+    }
+  }
+  place(id);
+  ++size_;
+  attach_front(id);
+  return id;
+}
+
+void StorageEngine::Tier::place(std::uint32_t id) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t p = at(id).hash & mask;
+  while (slots_[p] != kNil) p = (p + 1) & mask;
+  slots_[p] = id;
+}
+
+StorageEngine::Entry StorageEngine::Tier::take(std::uint32_t id) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = at(id).hash & mask;
+  while (slots_[hole] != id) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later member of the cluster into
+  // the hole unless its home lies cyclically in (hole, q].
+  for (std::size_t q = (hole + 1) & mask; slots_[q] != kNil;
+       q = (q + 1) & mask) {
+    const std::size_t home = at(slots_[q]).hash & mask;
+    if (((q - home) & mask) >= ((q - hole) & mask)) {
+      slots_[hole] = slots_[q];
+      hole = q;
+    }
+  }
+  slots_[hole] = kNil;
+  --size_;
+  detach(id);
+  Entry out = std::move(at(id));
+  at(id).next = free_;
+  free_ = id;
+  return out;
+}
+
+void StorageEngine::Tier::detach(std::uint32_t id) noexcept {
+  const Entry& entry = at(id);
+  (entry.prev != kNil ? at(entry.prev).next : head_) = entry.next;
+  (entry.next != kNil ? at(entry.next).prev : tail_) = entry.prev;
+  used_ -= entry.charged_bytes;
+}
+
+void StorageEngine::Tier::attach_front(std::uint32_t id) noexcept {
+  Entry& entry = at(id);
+  entry.prev = kNil;
+  entry.next = head_;
+  (head_ != kNil ? at(head_).prev : tail_) = id;
+  head_ = id;
+  used_ += entry.charged_bytes;
+}
+
+// --- StorageEngine ----------------------------------------------------------
 
 Status StorageEngine::set(const Key& key, SharedBytes value,
                           std::optional<ChunkInfo> chunk) {
   ++stats_.set_ops;
+  const std::uint32_t hash = hash_of(key);
   const std::size_t charge = charge_for(key, value, chunk);
-  if (charge > capacity_) {
+  if (charge > capacity_ || charge > UINT32_MAX) {
     ++stats_.rejected_sets;
-    erase(key);
+    erase_hashed(key, hash);
     return Status{StatusCode::kOutOfMemory, "item exceeds server capacity"};
   }
 
   // Drop any stale SSD copy so a later promotion cannot resurrect it.
-  ssd_.erase(key);
-  if (const auto it = mem_.map.find(key); it != mem_.map.end()) {
+  ssd_.erase(key, hash);
+  if (const std::uint32_t id = mem_.find(key, hash); id != kNil) {
     // Overwrite in place. The entry sits outside the LRU while room is
     // made, so it is never its own victim, then returns at the front.
-    Entry& entry = it->second;
-    mem_.used -= entry.charged_bytes;
-    Lru held;
-    held.splice(held.begin(), mem_.lru, entry.lru_it);
-    while (mem_.used + charge > capacity_) evict_one();
-    mem_.lru.splice(mem_.lru.begin(), held, entry.lru_it);
+    mem_.detach(id);
+    while (mem_.used() + charge > capacity_) evict_one();
+    Entry& entry = mem_.at(id);
     entry.value = std::move(value);
-    entry.chunk = chunk;
-    entry.charged_bytes = charge;
-    mem_.used += charge;
+    entry.chunk = chunk.value_or(ChunkInfo{});
+    entry.has_chunk = chunk.has_value();
+    entry.charged_bytes = static_cast<std::uint32_t>(charge);
+    mem_.attach_front(id);
     return Status::Ok();
   }
-  while (mem_.used + charge > capacity_) evict_one();
-  mem_.link_front(
-      mem_.map.emplace(key, Entry{std::move(value), chunk, charge, {}}).first);
+  while (mem_.used() + charge > capacity_) evict_one();
+  mem_.push_front(Entry{.value = std::move(value),
+                        .chunk = chunk.value_or(ChunkInfo{}),
+                        .hash = hash,
+                        .charged_bytes = static_cast<std::uint32_t>(charge),
+                        .key = StoredKey(key),
+                        .has_chunk = chunk.has_value()});
   return Status::Ok();
 }
 
 Result<StorageEngine::GetResult> StorageEngine::get(const Key& key) {
   ++stats_.get_ops;
-  const auto it = mem_.map.find(key);
-  if (it == mem_.map.end()) {
-    // Memory miss: consult the SSD tier, promoting on a hit.
-    const auto sit = ssd_.map.find(key);
-    if (sit == ssd_.map.end()) {
-      ++stats_.misses;
-      return Status{StatusCode::kNotFound};
-    }
+  const std::uint32_t hash = hash_of(key);
+  const auto chunk_of = [](const Entry& entry) {
+    return entry.has_chunk ? std::optional<ChunkInfo>(entry.chunk)
+                           : std::nullopt;
+  };
+  if (const std::uint32_t id = mem_.find(key, hash); id != kNil) {
     ++stats_.hits;
-    ++stats_.ssd_hits;
-    ++stats_.promotions;
-    Map::node_type node = ssd_.take(sit);
-    const Entry& entry = node.mapped();
-    GetResult out{entry.value, entry.chunk, /*from_ssd=*/true};
-    // Re-admit to memory (may demote colder items in turn).
-    while (mem_.used + entry.charged_bytes > capacity_ && !mem_.lru.empty()) {
-      evict_one();
-    }
-    mem_.link_front(mem_.map.insert(std::move(node)).position);
-    return out;
+    // Refresh LRU position.
+    mem_.detach(id);
+    mem_.attach_front(id);
+    const Entry& entry = mem_.at(id);
+    return GetResult{entry.value, chunk_of(entry), false};
+  }
+  // Memory miss: consult the SSD tier, promoting on a hit.
+  const std::uint32_t sid = ssd_.find(key, hash);
+  if (sid == kNil) {
+    ++stats_.misses;
+    return Status{StatusCode::kNotFound};
   }
   ++stats_.hits;
-  // Refresh LRU position.
-  mem_.lru.splice(mem_.lru.begin(), mem_.lru, it->second.lru_it);
-  return GetResult{it->second.value, it->second.chunk, false};
+  ++stats_.ssd_hits;
+  ++stats_.promotions;
+  Entry entry = ssd_.take(sid);
+  GetResult out{entry.value, chunk_of(entry), /*from_ssd=*/true};
+  // Re-admit to memory (may demote colder items in turn).
+  while (mem_.used() + entry.charged_bytes > capacity_ && mem_.size() > 0) {
+    evict_one();
+  }
+  mem_.push_front(std::move(entry));
+  return out;
 }
 
 bool StorageEngine::erase(const Key& key) {
-  return mem_.erase(key) || ssd_.erase(key);
+  return erase_hashed(key, hash_of(key));
+}
+
+std::vector<Key> StorageEngine::keys() const {
+  std::vector<Key> out;
+  out.reserve(mem_.size());
+  for (std::uint32_t id = mem_.most_recent(); id != kNil;
+       id = mem_.at(id).next) {
+    out.emplace_back(mem_.at(id).key.view());
+  }
+  return out;
 }
 
 void StorageEngine::evict_one() {
-  assert(!mem_.lru.empty() && "capacity accounting underflow");
-  const auto it = mem_.map.find(*mem_.lru.back());
-  assert(it != mem_.map.end());
+  assert(mem_.size() > 0 && "capacity accounting underflow");
   ++stats_.evictions;
-  Map::node_type node = mem_.take(it);
-  if (ssd_enabled() && node.mapped().charged_bytes <= ssd_capacity_) {
-    demote_to_ssd(std::move(node));
+  Entry entry = mem_.take(mem_.least_recent());
+  if (ssd_enabled() && entry.charged_bytes <= ssd_capacity_) {
+    demote_to_ssd(std::move(entry));
   } else {
-    const SharedBytes& value = node.mapped().value;
-    stats_.evicted_bytes += value ? value->size() : 0;
+    stats_.evicted_bytes += size_of(entry.value);
   }
 }
 
-void StorageEngine::demote_to_ssd(Map::node_type node) {
-  const Entry& entry = node.mapped();
-  while (ssd_.used + entry.charged_bytes > ssd_capacity_) {
+void StorageEngine::demote_to_ssd(Entry entry) {
+  while (ssd_.used() + entry.charged_bytes > ssd_capacity_) {
     evict_one_from_ssd();
   }
-  // Replace any stale SSD copy of the same key.
-  ssd_.erase(node.key());
+  // set() drops the SSD copy before writing memory and promotion takes it
+  // out, so a key is never in both tiers.
+  assert(ssd_.find(entry.key.view(), entry.hash) == kNil);
   ++stats_.demotions;
-  stats_.demoted_bytes += entry.value ? entry.value->size() : 0;
-  ssd_.link_front(ssd_.map.insert(std::move(node)).position);
+  stats_.demoted_bytes += size_of(entry.value);
+  ssd_.push_front(std::move(entry));
 }
 
 void StorageEngine::evict_one_from_ssd() {
-  assert(!ssd_.lru.empty() && "SSD accounting underflow");
-  const auto it = ssd_.map.find(*ssd_.lru.back());
-  assert(it != ssd_.map.end());
+  assert(ssd_.size() > 0 && "SSD accounting underflow");
   ++stats_.evictions;
-  stats_.evicted_bytes += it->second.value ? it->second.value->size() : 0;
-  ssd_.take(it);
+  stats_.evicted_bytes += size_of(ssd_.take(ssd_.least_recent()).value);
 }
 
 }  // namespace hpres::kv

@@ -3,15 +3,26 @@
 // memory-efficiency experiment (Figure 10): bytes used, evictions, and the
 // bytes of cached data lost to eviction pressure.
 //
-// Each key is stored once, in its map node; the LRU lists point into the
-// nodes (which never move), and entries move between tiers as whole nodes.
-// Overwriting a resident key updates its entry in place.
+// Each tier (memory, and the optional SSD tier) is one compact index:
+// entries live in fixed 32-entry pages and are named by a 32-bit id; the
+// key sits inline in its entry up to 22 bytes (a YCSB fragment key is 18),
+// with a heap buffer only for longer keys; the LRU order is a doubly linked
+// list of ids threaded through the entries; and lookup is one power-of-two,
+// linear-probing table of ids with backward-shift deletion (no tombstones).
+// Every public call hashes its key once. Overwriting a resident key
+// updates its entry in place; demotion and promotion move an entry by
+// value between the tiers.
+//
+// The capacity charge (charge_for) models a Memcached item and is
+// independent of this host layout: changing the layout moves no simulated
+// value.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -77,7 +88,7 @@ class StorageEngine {
     return ssd_capacity_ > 0;
   }
   [[nodiscard]] std::uint64_t ssd_bytes_used() const noexcept {
-    return ssd_.used;
+    return ssd_.used();
   }
   [[nodiscard]] std::uint64_t ssd_capacity() const noexcept {
     return ssd_capacity_;
@@ -87,9 +98,11 @@ class StorageEngine {
   StorageEngine& operator=(const StorageEngine&) = delete;
 
   /// Inserts or replaces; evicts LRU items as needed. Fails with
-  /// kOutOfMemory only when the single item exceeds total capacity, and
-  /// then drops any old value of `key` (as memcached unlinks the old item
-  /// when a SET fails), so a later get() never serves the replaced bytes.
+  /// kOutOfMemory only when the single item exceeds total capacity (or
+  /// 4 GiB, the largest charge an entry records; Memcached caps items far
+  /// lower), and then drops any old value of `key` (as memcached unlinks
+  /// the old item when a SET fails), so a later get() never serves the
+  /// replaced bytes.
   Status set(const Key& key, SharedBytes value,
              std::optional<ChunkInfo> chunk = std::nullopt);
 
@@ -114,54 +127,115 @@ class StorageEngine {
 
   /// Snapshot of every in-memory key, in LRU order (most recent first).
   /// Used by the scan verb for repair discovery; O(items).
-  [[nodiscard]] std::vector<Key> keys() const {
-    std::vector<Key> out;
-    out.reserve(mem_.lru.size());
-    for (const Key* key : mem_.lru) out.push_back(*key);
-    return out;
-  }
+  [[nodiscard]] std::vector<Key> keys() const;
 
-  [[nodiscard]] std::uint64_t bytes_used() const noexcept { return mem_.used; }
+  [[nodiscard]] std::uint64_t bytes_used() const noexcept {
+    return mem_.used();
+  }
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t items() const noexcept { return mem_.map.size(); }
+  [[nodiscard]] std::size_t items() const noexcept { return mem_.size(); }
   [[nodiscard]] const StoreStats& stats() const noexcept { return stats_; }
 
  private:
-  using Lru = std::list<const Key*>;  // front = most recent
+  static constexpr std::uint32_t kNil = UINT32_MAX;
 
+  /// A key held inline when it fits in kInline bytes, else in one heap
+  /// buffer of exactly its length. 23 bytes, byte-aligned.
+  class StoredKey {
+   public:
+    StoredKey() noexcept = default;
+    explicit StoredKey(std::string_view key);
+    StoredKey(StoredKey&& other) noexcept;
+    StoredKey& operator=(StoredKey&& other) noexcept;
+    ~StoredKey() { release(); }
+
+    [[nodiscard]] std::string_view view() const noexcept;
+
+   private:
+    static constexpr std::size_t kInline = 22;
+    static constexpr std::uint8_t kHeap = 0xFF;
+
+    void release() noexcept;
+
+    /// The inline key, or (when tag_ == kHeap) the heap buffer's pointer
+    /// then its 32-bit length.
+    char bytes_[kInline] = {};
+    std::uint8_t tag_ = 0;  ///< inline length, or kHeap
+  };
+
+  /// One stored item. A free entry has a null value and an empty key, and
+  /// `next` links it into its tier's free list.
   struct Entry {
     SharedBytes value;
-    std::optional<ChunkInfo> chunk;
-    std::size_t charged_bytes = 0;
-    Lru::iterator lru_it;
+    ChunkInfo chunk;  ///< meaningful only when has_chunk
+    std::uint32_t hash = 0;
+    std::uint32_t charged_bytes = 0;
+    std::uint32_t prev = kNil;  ///< LRU neighbour towards the most recent
+    std::uint32_t next = kNil;  ///< LRU neighbour towards the least recent
+    StoredKey key;
+    bool has_chunk = false;
   };
-  using Map = std::unordered_map<Key, Entry>;
+  static_assert(sizeof(Entry) <= 72, "an entry stays within 72 bytes");
 
-  /// One tier (memory or SSD): the index, its LRU order over the index's
-  /// own keys, and the bytes charged.
-  struct Tier {
-    Map map;
-    Lru lru;
-    std::uint64_t used = 0;
+  /// One tier (memory or SSD): paged entries, the probe table over their
+  /// ids, the LRU list through them, and the bytes charged.
+  class Tier {
+   public:
+    /// Id of the entry holding `key` (whose hash is `hash`), or kNil.
+    [[nodiscard]] std::uint32_t find(std::string_view key,
+                                     std::uint32_t hash) const;
+    [[nodiscard]] Entry& at(std::uint32_t id) noexcept {
+      return (*pages_[id >> kPageShift])[id & (kPageEntries - 1)];
+    }
+    [[nodiscard]] const Entry& at(std::uint32_t id) const noexcept {
+      return (*pages_[id >> kPageShift])[id & (kPageEntries - 1)];
+    }
 
-    /// Charges the entry at `pos` and makes it the most recent.
-    void link_front(Map::iterator pos) {
-      used += pos->second.charged_bytes;
-      lru.push_front(&pos->first);
-      pos->second.lru_it = lru.begin();
-    }
-    /// Unlinks and uncharges the entry at `it`, handing back its node.
-    Map::node_type take(Map::iterator it) {
-      used -= it->second.charged_bytes;
-      lru.erase(it->second.lru_it);
-      return map.extract(it);
-    }
-    bool erase(const Key& key) {
-      const auto it = map.find(key);
-      if (it == map.end()) return false;
-      take(it);
+    /// Stores `entry` (whose key is absent) as the most recent, charging
+    /// its bytes; returns its id.
+    std::uint32_t push_front(Entry entry);
+    /// Unindexes, unlinks and uncharges entry `id`, handing it back.
+    Entry take(std::uint32_t id);
+    bool erase(std::string_view key, std::uint32_t hash) {
+      const std::uint32_t id = find(key, hash);
+      if (id == kNil) return false;
+      take(id);
       return true;
     }
+
+    /// Unlinks entry `id` from the LRU and uncharges it; it stays indexed.
+    void detach(std::uint32_t id) noexcept;
+    /// Links entry `id` as the most recent and charges its bytes.
+    void attach_front(std::uint32_t id) noexcept;
+
+    [[nodiscard]] std::uint32_t most_recent() const noexcept { return head_; }
+    [[nodiscard]] std::uint32_t least_recent() const noexcept {
+      return tail_;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
+
+   private:
+    // Small fixed pages: entries never move, and growth never copies a
+    // large block. The size is measured: with one doubling vector, or
+    // 1024- or 64-entry pages, glibc returned more freed heap to the OS
+    // between hpres_bench rounds and ycsb-a-64k-bytes paid to re-fault
+    // it at setup; 32-entry (2.3 KB) pages did not.
+    static constexpr std::uint32_t kPageShift = 5;
+    static constexpr std::uint32_t kPageEntries = 1u << kPageShift;
+    using Page = std::array<Entry, kPageEntries>;
+
+    /// Puts `id` in the first empty slot of its probe sequence.
+    void place(std::uint32_t id) noexcept;
+
+    std::vector<std::unique_ptr<Page>> pages_;
+    std::uint32_t end_ = 0;      ///< ids below this have been handed out
+    std::uint32_t free_ = kNil;  ///< head of the freed-id list
+    std::vector<std::uint32_t> slots_;  ///< power of two, kNil = empty
+    std::size_t size_ = 0;
+    std::uint32_t head_ = kNil;  ///< most recent
+    std::uint32_t tail_ = kNil;  ///< least recent
+    std::uint64_t used_ = 0;
   };
 
   /// Erasure-coded fragments carry a stored ChunkInfo; charge its bytes so
@@ -173,9 +247,12 @@ class StorageEngine {
            (chunk ? sizeof(ChunkInfo) : 0);
   }
 
+  bool erase_hashed(const Key& key, std::uint32_t hash) {
+    return mem_.erase(key, hash) || ssd_.erase(key, hash);
+  }
   void evict_one();
   void evict_one_from_ssd();
-  void demote_to_ssd(Map::node_type node);
+  void demote_to_ssd(Entry entry);
 
   std::uint64_t capacity_;
   Tier mem_;

@@ -122,6 +122,7 @@ TEST(Placement, JoinThenLeaveKeepsEveryValueByteExact) {
   EXPECT_GT(after_join.fragments_moved, 0u);
   EXPECT_GT(after_join.moved_bytes, 0u);
   EXPECT_GT(after_join.cleanup_deletes, 0u);
+  EXPECT_EQ(after_join.scan_failures, 0u);
 
   std::size_t mismatches = 0;
   h.cl.sim().spawn(
@@ -272,6 +273,25 @@ TEST(Placement, ShardedRuntimeMigratesThroughQuiesceHook) {
       verify_range(h.engines[0].get(), 0, kKeys, &mismatches));
   h.cl.run();
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Placement, FailedDiscoveryScansAreCounted) {
+  Harness h;
+  std::size_t load_failures = 0;
+  h.cl.sim().spawn(
+      load_range(h.engines[0].get(), 0, kKeys, &load_failures));
+  h.cl.run();
+  ASSERT_EQ(load_failures, 0u);
+
+  // Server 2 answers every request only after ~1.5 ms, past a 200 us
+  // deadline, so both of its migration discovery scans (fragment bases and
+  // packed-stripe locators) time out.
+  h.cl.set_rpc_policy(kv::RpcPolicy{.timeout_ns = 200 * units::kMicrosecond});
+  h.cl.server(2).set_slowdown(1000.0);
+  h.manager->coordinator_sim().spawn(run_join(h.manager.get(), 4));
+  h.cl.run();
+  EXPECT_EQ(h.manager->stats().changes, 1u);
+  EXPECT_EQ(h.manager->stats().scan_failures, 2u);
 }
 
 sim::Task<void> install_epoch(kv::Client* client, kv::NodeId server,

@@ -1,11 +1,19 @@
-// Storage engine: LRU eviction, capacity accounting, chunk metadata.
+// Storage engine: LRU eviction, capacity accounting, chunk metadata, and a
+// differential check of the compact index against a std::map + std::list
+// reference model.
 #include "kv/store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <list>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 
 namespace hpres::kv {
 namespace {
@@ -172,6 +180,238 @@ TEST(Store, ValueSharingAvoidsCopies) {
   ASSERT_TRUE(store.set("k", v).ok());
   const auto got = store.get("k");
   EXPECT_EQ(got->value.get(), v.get());  // same buffer, not a copy
+}
+
+// --- Differential check against a reference model --------------------------
+
+std::size_t size_of(const SharedBytes& value) {
+  return value ? value->size() : 0;
+}
+
+/// The store's contract in its plainest form: per tier, a std::map of items
+/// and a std::list of keys in LRU order (front = most recent).
+struct ModelStore {
+  struct Item {
+    SharedBytes value;
+    std::optional<ChunkInfo> chunk;
+    std::size_t charge = 0;
+  };
+  struct Tier {
+    std::map<Key, Item> items;
+    std::list<Key> lru;
+    std::uint64_t used = 0;
+
+    void push_front(const Key& key, Item item) {
+      used += item.charge;
+      lru.push_front(key);
+      items.emplace(key, std::move(item));
+    }
+    Item take(const Key& key) {
+      const auto it = items.find(key);
+      Item item = std::move(it->second);
+      items.erase(it);
+      lru.remove(key);
+      used -= item.charge;
+      return item;
+    }
+    bool erase(const Key& key) {
+      if (!items.contains(key)) return false;
+      take(key);
+      return true;
+    }
+  };
+
+  std::uint64_t capacity = 0;
+  std::uint64_t ssd_capacity = 0;
+  Tier mem;
+  Tier ssd;
+  StoreStats stats;
+
+  void evict_one() {
+    ++stats.evictions;
+    const Key key = mem.lru.back();
+    Item item = mem.take(key);
+    if (ssd_capacity == 0 || item.charge > ssd_capacity) {
+      stats.evicted_bytes += size_of(item.value);
+      return;
+    }
+    while (ssd.used + item.charge > ssd_capacity) {
+      ++stats.evictions;
+      const Key victim = ssd.lru.back();
+      stats.evicted_bytes += size_of(ssd.take(victim).value);
+    }
+    ++stats.demotions;
+    stats.demoted_bytes += size_of(item.value);
+    ssd.push_front(key, std::move(item));
+  }
+
+  StatusCode set(const Key& key, SharedBytes value,
+                 std::optional<ChunkInfo> chunk) {
+    ++stats.set_ops;
+    const std::size_t charge = key.size() + size_of(value) +
+                               StorageEngine::kItemOverhead +
+                               (chunk ? sizeof(ChunkInfo) : 0);
+    if (charge > capacity) {
+      ++stats.rejected_sets;
+      erase(key);
+      return StatusCode::kOutOfMemory;
+    }
+    // An overwritten item leaves the LRU before room is made, so it is
+    // never its own victim.
+    erase(key);
+    while (mem.used + charge > capacity) evict_one();
+    mem.push_front(key, Item{std::move(value), chunk, charge});
+    return StatusCode::kOk;
+  }
+
+  Result<StorageEngine::GetResult> get(const Key& key) {
+    ++stats.get_ops;
+    if (const auto it = mem.items.find(key); it != mem.items.end()) {
+      ++stats.hits;
+      mem.lru.remove(key);
+      mem.lru.push_front(key);
+      return StorageEngine::GetResult{it->second.value, it->second.chunk,
+                                      false};
+    }
+    if (!ssd.items.contains(key)) {
+      ++stats.misses;
+      return Status{StatusCode::kNotFound};
+    }
+    ++stats.hits;
+    ++stats.ssd_hits;
+    ++stats.promotions;
+    Item item = ssd.take(key);
+    StorageEngine::GetResult out{item.value, item.chunk, true};
+    while (mem.used + item.charge > capacity && !mem.lru.empty()) {
+      evict_one();
+    }
+    mem.push_front(key, std::move(item));
+    return out;
+  }
+
+  bool erase(const Key& key) { return mem.erase(key) || ssd.erase(key); }
+
+  void clear() {
+    mem = Tier{};
+    ssd = Tier{};
+  }
+};
+
+std::array<std::uint64_t, 11> fields(const StoreStats& s) {
+  return {s.set_ops,   s.get_ops,       s.hits,          s.misses,
+          s.evictions, s.evicted_bytes, s.rejected_sets, s.demotions,
+          s.demoted_bytes, s.promotions, s.ssd_hits};
+}
+
+/// Keys of every stored shape: 1 byte, exactly the 22 inline bytes, one
+/// past them, 200 bytes, and fragment keys.
+std::vector<Key> differential_keys() {
+  std::vector<Key> keys;
+  for (char c = 'a'; c <= 'z'; ++c) keys.emplace_back(1, c);
+  for (const std::size_t len : {22u, 23u, 200u}) {
+    for (int i = 0; i < 40; ++i) {
+      Key key = std::to_string(len) + "/" + std::to_string(i) + "/";
+      key.resize(len, 'x');
+      keys.push_back(key);
+    }
+  }
+  for (int i = 0; i < 30; ++i) {
+    for (std::size_t slot = 0; slot < 5; ++slot) {
+      keys.push_back(chunk_key("user" + std::to_string(1000 + i), slot));
+    }
+  }
+  return keys;
+}
+
+void run_differential(std::uint64_t seed, std::uint64_t ssd_capacity) {
+  constexpr std::uint64_t kCapacity = 16 * 1024;
+  const std::vector<Key> keys = differential_keys();
+  StorageEngine store(kCapacity);
+  ModelStore model;
+  model.capacity = kCapacity;
+  if (ssd_capacity > 0) {
+    store.enable_ssd(SsdConfig{ssd_capacity});
+    model.ssd_capacity = ssd_capacity;
+  }
+  Xoshiro256 rng(seed);
+  std::size_t peak_items = 0;
+  const auto random_value = [&](std::size_t max_size) -> SharedBytes {
+    if (rng.next_below(50) == 0) return nullptr;
+    return make_shared_bytes(make_pattern(rng.next_below(max_size + 1),
+                                          rng()));
+  };
+  const auto random_chunk = [&]() -> std::optional<ChunkInfo> {
+    if (rng.next_below(2) == 0) return std::nullopt;
+    return ChunkInfo{rng.next_below(1 << 20),
+                     static_cast<std::uint32_t>(rng.next_below(6)), 4, 2};
+  };
+
+  for (int step = 0; step < 20'000; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                 std::to_string(step));
+    const Key& key = keys[rng.next_below(keys.size())];
+    const std::uint64_t dice = rng.next_below(1000);
+    if (dice < 380) {  // set, mostly small so the tiers hold many entries
+      const SharedBytes value =
+          random_value(rng.next_below(10) == 0 ? 2000 : 80);
+      const auto chunk = random_chunk();
+      ASSERT_EQ(store.set(key, value, chunk).code(),
+                model.set(key, value, chunk));
+    } else if (dice < 480) {  // overwrite of a resident key
+      if (model.mem.lru.empty()) continue;
+      auto it = model.mem.lru.begin();
+      std::advance(it, rng.next_below(model.mem.lru.size()));
+      const Key resident = *it;
+      const SharedBytes value = random_value(120);
+      const auto chunk = random_chunk();
+      ASSERT_EQ(store.set(resident, value, chunk).code(),
+                model.set(resident, value, chunk));
+    } else if (dice < 860) {
+      const auto got = store.get(key);
+      const auto want = model.get(key);
+      ASSERT_EQ(got.status().code(), want.status().code());
+      if (want.ok()) {
+        EXPECT_EQ(got->value.get(), want->value.get());
+        EXPECT_EQ(got->chunk, want->chunk);
+        EXPECT_EQ(got->from_ssd, want->from_ssd);
+      }
+    } else if (dice < 970) {
+      ASSERT_EQ(store.erase(key), model.erase(key));
+    } else if (dice < 998) {  // oversize: rejected, drops any old value
+      const SharedBytes value = make_shared_bytes(
+          make_pattern(kCapacity + rng.next_below(500), rng()));
+      ASSERT_EQ(store.set(key, value, std::nullopt).code(),
+                model.set(key, value, std::nullopt));
+    } else {
+      store.clear();
+      model.clear();
+    }
+    ASSERT_EQ(fields(store.stats()), fields(model.stats));
+    ASSERT_EQ(store.bytes_used(), model.mem.used);
+    ASSERT_EQ(store.ssd_bytes_used(), model.ssd.used);
+    ASSERT_EQ(store.items(), model.mem.items.size());
+    peak_items = std::max(peak_items, store.items());
+    ASSERT_EQ(store.keys(),
+              std::vector<Key>(model.mem.lru.begin(), model.mem.lru.end()));
+  }
+  const StoreStats& stats = store.stats();
+  EXPECT_GT(peak_items, 64u);  // entries spanned several pages
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.rejected_sets, 0u);
+  if (ssd_capacity > 0) {
+    EXPECT_GT(stats.demotions, 0u);
+    EXPECT_GT(stats.promotions, 0u);
+  }
+}
+
+TEST(StoreDifferential, MatchesReferenceModelWithoutSsd) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) run_differential(seed, 0);
+}
+
+TEST(StoreDifferential, MatchesReferenceModelWithSsd) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    run_differential(seed, 8 * 1024);
+  }
 }
 
 }  // namespace

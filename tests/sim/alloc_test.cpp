@@ -236,6 +236,28 @@ TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
   EXPECT_EQ(store.items(), 1u);
 }
 
+TEST(SimAlloc, StoreInsertOfNewFragmentKeyAllocatesNothing) {
+  kv::StorageEngine store(1 << 20);
+  const kv::ChunkInfo chunk{16384, 3, 3, 2};
+  const SharedBytes value = make_shared_bytes(make_pattern(64, 1));
+  // The first insert allocates the entry page and the probe table; both
+  // then have room for the next one.
+  ASSERT_TRUE(store.set(kv::chunk_key("user0000000000041", 3), value, chunk)
+                  .ok());
+  const kv::Key key = kv::chunk_key("user0000000000042", 3);
+  ASSERT_EQ(key.size(), 19u);  // past the small-string buffer
+  std::size_t before = g_allocations;
+  ASSERT_TRUE(store.set(key, value, chunk).ok());
+  EXPECT_EQ(g_allocations - before, 0u);
+
+  // A key past the 22 inline bytes takes exactly its own heap buffer.
+  const kv::Key long_key(23, 'k');
+  before = g_allocations;
+  ASSERT_TRUE(store.set(long_key, value, chunk).ok());
+  EXPECT_EQ(g_allocations - before, 1u);
+  EXPECT_EQ(store.items(), 3u);
+}
+
 TEST(SimAlloc, ChunkKeyAllocatesOnce) {
   const kv::Key base = "user000000000042";
   ASSERT_EQ(base.size(), 16u);

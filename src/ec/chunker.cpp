@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "ec/codec.h"
 #include "ec/stripe.h"
@@ -25,14 +24,16 @@ std::vector<Bytes> split_value(ConstByteSpan value,
   out.reserve(layout.k);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < layout.k; ++i) {
-    Bytes frag(layout.fragment_size);  // zero-initialized => tail padding
     const std::size_t take =
         offset < value.size()
             ? std::min(layout.fragment_size, value.size() - offset)
             : 0;
-    if (take > 0) {
-      std::memcpy(frag.data(), value.data() + offset, take);
-    }
+    // Each payload byte is written once; only the tail pad is zeroed.
+    Bytes frag;
+    frag.reserve(layout.fragment_size);
+    frag.insert(frag.end(), value.data() + offset,
+                value.data() + offset + take);
+    frag.resize(layout.fragment_size);
     offset += take;
     out.push_back(std::move(frag));
   }
@@ -52,13 +53,14 @@ Result<Bytes> join_fragments(std::span<const ConstByteSpan> data_fragments,
   if (layout.original_size > layout.k * layout.fragment_size) {
     return Status{StatusCode::kInvalidArgument, "layout overflows fragments"};
   }
-  Bytes out(layout.original_size);
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < layout.k && offset < out.size(); ++i) {
+  Bytes out;
+  out.reserve(layout.original_size);
+  for (std::size_t i = 0; i < layout.k && out.size() < layout.original_size;
+       ++i) {
     const std::size_t take =
-        std::min(layout.fragment_size, out.size() - offset);
-    std::memcpy(out.data() + offset, data_fragments[i].data(), take);
-    offset += take;
+        std::min(layout.fragment_size, layout.original_size - out.size());
+    out.insert(out.end(), data_fragments[i].data(),
+               data_fragments[i].data() + take);
   }
   return out;
 }
@@ -73,7 +75,13 @@ std::vector<SharedBytes> encode_value(const Codec& codec, ConstByteSpan value,
   assert(value.size() == size);
   std::vector<Bytes> data = split_value(value, layout);
   std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-  std::vector<Bytes> parity(codec.m(), Bytes(layout.fragment_size));
+  // The encode overwrites every parity byte; each buffer is built in place
+  // rather than copied from a zeroed prototype.
+  std::vector<Bytes> parity;
+  parity.reserve(codec.m());
+  for (std::size_t i = 0; i < codec.m(); ++i) {
+    parity.emplace_back(layout.fragment_size);
+  }
   std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
   codec.encode(data_spans, parity_spans);
   std::vector<SharedBytes> out;

@@ -18,7 +18,7 @@ sim::Task<Response> Client::invoke(NodeId dst, Request req) {
 sim::Task<void> Client::issue_coro(Client* self, NodeId dst, Request req,
                                    sim::Promise<Response> out) {
   co_await self->cpu_.execute(kIssueNs);
-  out.set_value(co_await self->call_guarded(dst, std::move(req)));
+  self->attempt(new RelayedCall(self, dst, std::move(req), std::move(out)));
 }
 
 }  // namespace hpres::kv

@@ -37,6 +37,8 @@ class Client final : public RpcNode {
   }
 
  private:
+  /// Charges the issue slice, then opens the call's record and sends its
+  /// first attempt (the record exists only once the request leaves).
   static sim::Task<void> issue_coro(Client* self, NodeId dst, Request req,
                                     sim::Promise<Response> out);
 

@@ -10,21 +10,30 @@
 // One request path: `call()` is the only uncharged way to issue a request
 // (Client::call_async adds the client's CPU issue slice in front of the
 // same path). It stamps the placement epoch of the node's view, and under
-// a deadline policy (RpcPolicy) races each attempt against its deadline
-// with sim::wait_any, retrying with exponential backoff — a destination
-// that crashes while the request or response is on the wire (the fabric
-// drops silently) never hangs the caller. `cancel()` resolves a pending
-// call with kCancelled. With the default policy (timeout 0) a call is one
-// send: no timers, no extra events, bit-identical schedules.
+// a deadline policy (RpcPolicy) races each attempt against a cancellable
+// sim::Timer, retrying with exponential backoff — a destination that
+// crashes while the request or response is on the wire (the fabric drops
+// silently) never hangs the caller. `cancel()` resolves a pending call
+// with kCancelled. With the default policy (timeout 0) a call is one send:
+// no timers, no extra events, bit-identical schedules.
+//
+// Every pending call is one pooled record (a FramePool block), found by
+// rpc id in a slot table. A plain call's record holds only the caller's
+// promise, its destination and send time. A guarded or issued call's
+// record also holds the attempt's deadline Timer, the attempt count and
+// the request kept for re-sends, and is itself the sim::Callback that runs
+// the call's steps: no coroutine frame and no per-attempt promise.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "kv/placement.h"
 #include "kv/protocol.h"
 #include "obs/metrics.h"
 #include "obs/sinks.h"
+#include "sim/frame_pool.h"
 #include "sim/future.h"
 
 namespace hpres::kv {
@@ -62,7 +71,9 @@ class RpcNode {
   /// `fabric` (obs::kNoSinks for a standalone fabric).
   RpcNode(sim::Simulator& sim, KvFabric& fabric, NodeId id)
       : sim_(&sim), fabric_(&fabric), id_(id), sinks_(&fabric.sinks_of(id)) {}
-  virtual ~RpcNode() = default;
+  /// Drops the calls still pending and disarms their deadlines; the
+  /// simulator must still exist.
+  virtual ~RpcNode();
   RpcNode(const RpcNode&) = delete;
   RpcNode& operator=(const RpcNode&) = delete;
 
@@ -121,6 +132,54 @@ class RpcNode {
   }
 
  protected:
+  /// One pending call: what the dispatch loop needs to match and attribute
+  /// its response. A plain call() is only this. Records come from the
+  /// thread's FramePool.
+  struct Call {
+    Call(sim::Promise<Response> caller, NodeId to, bool relay)
+        : promise(std::move(caller)), dst(to), relayed(relay) {}
+    Call(const Call&) = delete;  // the slot table holds its address
+    Call& operator=(const Call&) = delete;
+
+    static void* operator new(std::size_t bytes) {
+      return sim::detail::FramePool::allocate(bytes);
+    }
+    static void operator delete(void* p, std::size_t bytes) noexcept {
+      sim::detail::FramePool::deallocate(p, bytes);
+    }
+
+    sim::Promise<Response> promise;  ///< the caller's
+    SimTime sent_at = 0;             ///< of the current attempt (RTT)
+    std::uint64_t rpc_id = 0;        ///< of the current attempt
+    NodeId dst;
+    /// A RelayedCall: its caller resumes through a delay-0 relay step
+    /// rather than from the response's own event.
+    bool relayed;
+  };
+
+  /// A guarded or issued call. Its steps (start, deadline expiry, backoff
+  /// retry, reply relay) run as this Callback, which the attempt's
+  /// deadline Timer wakes too. The relay step resumes the caller one event
+  /// after the response, where a coroutine waiting on the attempt would
+  /// have woken.
+  struct RelayedCall : Call, sim::Callback {
+    /// What run_step does next: send an attempt (the start, a retry after
+    /// backoff), handle the deadline's expiry, or resume the caller.
+    enum class Step : std::uint8_t { kSend, kExpire, kRelay };
+
+    RelayedCall(RpcNode* owner, NodeId to, Request request,
+                sim::Promise<Response> caller);
+    ~RelayedCall() { node->sim_->disarm(&timer); }
+
+    RpcNode* node;
+    Request req;       ///< until sent; kept for re-sends under a deadline
+    Response reply;    ///< held for the relay step
+    sim::Timer timer;  ///< the current attempt's deadline
+    std::uint64_t trace_id;  ///< the request's, for the timeout span
+    std::uint32_t attempt = 0;
+    Step step = Step::kSend;
+  };
+
   /// Handles one incoming request envelope. Implementations should spawn a
   /// coroutine for any work that suspends.
   virtual void on_request(KvEnvelope env) = 0;
@@ -140,35 +199,44 @@ class RpcNode {
     if (placement_ != nullptr && req.epoch == 0) req.epoch = placement_->epoch;
   }
 
-  /// The retry loop behind call(): sends attempts under this node's
-  /// RpcPolicy and yields the final response (kTimeout once every attempt
-  /// expired). Retries re-send the same request (values are shared
-  /// buffers, so the copy is cheap).
-  sim::Task<Response> call_guarded(NodeId dst, Request req);
+  /// Sends the call's next attempt under this node's RpcPolicy: fails
+  /// fast to a known-dead destination, else sends it and, under a
+  /// deadline, arms the attempt's timer right after the send.
+  void attempt(RelayedCall* c);
 
  private:
-  /// One attempt on the wire: registers the pending call and sends. A
-  /// crash after the send leaves the future unresolved until cancel().
-  sim::Future<Response> send(NodeId dst, Request req);
-
   static sim::Task<void> dispatch_loop(RpcNode* self);
-  static sim::Task<void> guarded_coro(RpcNode* self, NodeId dst, Request req,
-                                      sim::Promise<Response> out);
+  static void run_step(sim::Callback* cb);
 
-  /// One in-flight call: the promise to resolve plus where/when it went,
-  /// so the dispatch loop can attribute the RTT to the destination.
-  struct PendingCall {
-    sim::Promise<Response> promise;
-    NodeId dst = 0;
-    SimTime sent_at = 0;
-  };
+  /// Registers `c` under a fresh rpc id and puts `req` on the wire.
+  void send(Call* c, Request req);
+  /// The deadline of `c`'s attempt expired: the attempt is cancelled (a
+  /// late response is dropped as stale) and retried after backoff, or the
+  /// call resolves kTimeout once every retry is spent.
+  void expire(RelayedCall* c);
+  /// An attempt of `c` was answered or cancelled (its slot is gone). A
+  /// plain call resolves at once. A relayed call disarms its deadline and
+  /// resumes its caller from a delay-0 relay step, or drops `resp` if its
+  /// deadline already expired (the expiry step owns the record).
+  void settle(Call* c, Response resp);
+  /// Resolves the caller at once and frees the record.
+  void finish(RelayedCall* c, Response resp);
+
+  /// Pending-call slot table: open addressing on `rpc_id & mask`, linear
+  /// probing, kept at most half full, backward-shift deletion. Ids are
+  /// sequential, so a slot's home is almost always free; the table grows
+  /// with the number of calls in flight, never with the ids issued.
+  void insert_slot(Call* c);
+  /// Removes and returns the pending call with `rpc_id`, or null.
+  Call* take_slot(std::uint64_t rpc_id) noexcept;
 
   sim::Simulator* sim_;
   KvFabric* fabric_;
   NodeId id_;
   std::uint64_t next_rpc_ = 1;
   std::uint64_t last_call_id_ = 0;  ///< see last_call_id()
-  std::unordered_map<std::uint64_t, PendingCall> pending_;
+  std::vector<Call*> slots_;        ///< see insert_slot()
+  std::size_t pending_ = 0;         ///< calls in slots_
   RpcPolicy policy_;
   RpcStats rpc_stats_;
   const obs::Sinks* sinks_;

@@ -3,7 +3,8 @@
 // return a Future the caller later waits on (memcached_wait semantics).
 //
 // State is shared_ptr-owned, so a Future outliving its Promise (or vice
-// versa) is safe; both ends are single-threaded simulator objects.
+// versa) is safe; both ends are single-threaded simulator objects. The
+// state (with its control block) comes from the thread's FramePool.
 #pragma once
 
 #include <cassert>
@@ -13,6 +14,7 @@
 #include <span>
 #include <utility>
 
+#include "sim/frame_pool.h"
 #include "sim/sync.h"
 
 namespace hpres::sim {
@@ -27,7 +29,9 @@ Task<bool> wait_any(std::span<const Future<T>> futures,
 template <typename T>
 class Promise {
  public:
-  explicit Promise(Simulator& sim) : state_(std::make_shared<State>(sim)) {}
+  explicit Promise(Simulator& sim)
+      : state_(std::allocate_shared<State>(detail::PoolAllocator<State>{},
+                                           sim)) {}
 
   /// Fulfills the promise; at most once.
   void set_value(T value) {
@@ -106,8 +110,8 @@ class Future {
 /// that never comes) never reaches the caller or the dead frame. Invalid
 /// futures are skipped, and at least one must be valid. The futures' shared
 /// states must stay alive until wait_any returns; keeping `futures` alive
-/// across the co_await does that. This is the one timed wait: a single
-/// future with `now + timeout` is an RPC attempt's deadline race, and a
+/// across the co_await does that. This is the one timed wait a coroutine
+/// makes (an RPC attempt's deadline is a Timer in its call record), and a
 /// late fulfillment stays visible through try_get().
 template <typename T>
 Task<bool> wait_any(std::span<const Future<T>> futures, SimTime deadline) {

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "sim/frame_pool.h"
 #include "sim/task.h"
 
 namespace hpres::sim {
@@ -243,6 +244,9 @@ SimTime ShardRuntime::run() {
   for (std::size_t s = 1; s < n; ++s) threads.emplace_back(worker, s);
   worker(0);  // the calling thread drives shard 0
   for (std::thread& t : threads) t.join();
+  // As Simulator::run does when idle: the worker threads' cached frames
+  // went back to the heap as they exited, the calling thread's go now.
+  detail::FramePool::trim();
 
   SimTime end = 0;
   for (const auto& s : shards_) end = std::max(end, s->now());

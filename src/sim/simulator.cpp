@@ -1,5 +1,7 @@
 #include "sim/simulator.h"
 
+#include "sim/frame_pool.h"
+
 namespace hpres::sim {
 
 void Simulator::spawn(Task<void> task) {
@@ -99,7 +101,7 @@ void Simulator::drain(SimTime last) {
       timer->slot_ = Timer::kExpired;
       now_ = timer->at_;
       ++executed_;
-      schedule(timer->handle, 0);
+      push(timer->item_, 0);
       continue;
     }
     if (queue_.empty() || queue_.top().at > last) return;
@@ -113,6 +115,9 @@ void Simulator::drain(SimTime last) {
 
 SimTime Simulator::run(SimTime before) {
   drain(before - 1);
+  // Nothing is left in flight: the cached frames go back to the heap, so
+  // the pool retains no more than one run's peak.
+  if (idle()) detail::FramePool::trim();
   return now_;
 }
 

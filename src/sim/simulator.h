@@ -39,10 +39,28 @@ struct Callback {
   void (*run)(Callback*);
 };
 
+namespace detail {
+
+/// An event-queue item: a coroutine frame, or a Callback* with the low bit
+/// set (frames and Callback records are at least pointer-aligned, so the
+/// bit is free).
+constexpr std::uintptr_t kCallbackBit = 1;
+static_assert(alignof(Callback) > kCallbackBit);
+
+inline std::uintptr_t event_item(std::coroutine_handle<> h) noexcept {
+  return reinterpret_cast<std::uintptr_t>(h.address());
+}
+inline std::uintptr_t event_item(Callback* cb) noexcept {
+  return reinterpret_cast<std::uintptr_t>(cb) | kCallbackBit;
+}
+
+}  // namespace detail
+
 /// A cancellable one-shot wake-up (Simulator::arm). The node lives in its
-/// owner — for sim::wait_any, the waiting coroutine's frame — and the
-/// simulator holds only a pointer to it while it is armed, so arming
-/// allocates nothing. It must not be destroyed while armed.
+/// owner — the waiting coroutine's frame for sim::wait_any, an RPC call
+/// record for a guarded call — and the simulator holds only a pointer to
+/// it while it is armed, so arming allocates nothing. It must not be
+/// destroyed while armed.
 class Timer {
  public:
   Timer() = default;
@@ -50,8 +68,11 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
   ~Timer() { assert(!armed() && "armed Timer destroyed"); }
 
-  /// Scheduled (at delay 0) when the timer expires.
-  std::coroutine_handle<> handle;
+  /// What expiry wakes (scheduled at delay 0): a coroutine or a Callback.
+  void wake(std::coroutine_handle<> h) noexcept {
+    item_ = detail::event_item(h);
+  }
+  void wake(Callback* cb) noexcept { item_ = detail::event_item(cb); }
 
   [[nodiscard]] bool armed() const noexcept { return slot_ < kExpired; }
   /// The timer ran out, and has not been re-armed since.
@@ -62,6 +83,7 @@ class Timer {
   static constexpr std::size_t kIdle = std::numeric_limits<std::size_t>::max();
   static constexpr std::size_t kExpired = kIdle - 1;
 
+  std::uintptr_t item_ = 0;  ///< what expiry schedules (detail::event_item)
   SimTime at_ = 0;
   std::uint64_t seq_ = 0;
   std::size_t slot_ = kIdle;  ///< index in the timer heap while armed
@@ -90,21 +112,21 @@ class Simulator {
   /// before the receiver's clock — and asserts in debug builds; release
   /// builds keep the historical clamp-to-now behaviour.
   void schedule(std::coroutine_handle<> h, SimDur delay = 0) {
-    push(reinterpret_cast<std::uintptr_t>(h.address()), delay);
+    push(detail::event_item(h), delay);
   }
 
   /// Schedules `cb->run(cb)` after `delay` (>= 0), in the same (at, seq)
   /// order as a coroutine scheduled at this point would take.
   void schedule(Callback* cb, SimDur delay) {
-    push(reinterpret_cast<std::uintptr_t>(cb) | kCallbackBit, delay);
+    push(detail::event_item(cb), delay);
   }
 
   /// Arms `timer` to expire `delay` (>= 0) simulated nanoseconds from now.
   /// It takes its place in the event order exactly like schedule() would:
   /// at (now + delay, next sequence number). Expiry is two steps, as a
   /// coroutine sleeping on delay() was: the timer leaves the heap at its
-  /// position, then its handle is scheduled at delay 0. The timer must not
-  /// be armed already.
+  /// position, then what it wakes is scheduled at delay 0. The timer must
+  /// not be armed already.
   void arm(Timer* timer, SimDur delay);
 
   /// Cancels `timer` if it is armed; a no-op otherwise. O(log armed).
@@ -175,15 +197,10 @@ class Simulator {
   }
 
  private:
-  /// Marks a Scheduled::item as a Callback* (coroutine frames and Callback
-  /// records are at least pointer-aligned, so the low bit is free).
-  static constexpr std::uintptr_t kCallbackBit = 1;
-  static_assert(alignof(Callback) > kCallbackBit);
-
   struct Scheduled {
     SimTime at;
     std::uint64_t seq;
-    std::uintptr_t item;  ///< a coroutine frame, or a Callback* | kCallbackBit
+    std::uintptr_t item;  ///< detail::event_item
 
     // std::priority_queue is a max-heap; invert for earliest-first.
     friend bool operator<(const Scheduled& a, const Scheduled& b) noexcept {
@@ -205,8 +222,8 @@ class Simulator {
   }
   /// Executes one event.
   static void run_item(std::uintptr_t item) {
-    if ((item & kCallbackBit) != 0) {
-      auto* cb = reinterpret_cast<Callback*>(item & ~kCallbackBit);
+    if ((item & detail::kCallbackBit) != 0) {
+      auto* cb = reinterpret_cast<Callback*>(item & ~detail::kCallbackBit);
       cb->run(cb);
     } else {
       std::coroutine_handle<>::from_address(reinterpret_cast<void*>(item))

@@ -159,7 +159,8 @@ class TimedWaiter {
   /// Parks `h` until an event wakes it or, unless `deadline` is kNever,
   /// the timer expires at `deadline` (> now).
   void suspend(std::coroutine_handle<> h, SimTime deadline) {
-    timer_.handle = h;
+    handle_ = h;
+    timer_.wake(h);
     if (deadline != Simulator::kNever) {
       sim_->arm(&timer_, deadline - sim_->now());
     }
@@ -171,7 +172,7 @@ class TimedWaiter {
     if (signaled_ || timer_.expired()) return;
     signaled_ = true;
     sim_->disarm(&timer_);
-    sim_->schedule(timer_.handle, 0);
+    sim_->schedule(handle_, 0);
   }
 
   /// Woken by an event, not by the deadline.
@@ -179,6 +180,7 @@ class TimedWaiter {
 
  private:
   Simulator* sim_;
+  std::coroutine_handle<> handle_;
   Timer timer_;
   bool signaled_ = false;
   std::size_t used_ = 0;

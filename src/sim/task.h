@@ -13,9 +13,12 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
+
+#include "sim/frame_pool.h"
 
 namespace hpres::sim {
 
@@ -54,6 +57,14 @@ struct PromiseBase {
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }
+
+  /// Every Task frame comes from the calling thread's FramePool.
+  static void* operator new(std::size_t bytes) {
+    return FramePool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    FramePool::deallocate(frame, bytes);
+  }
 };
 
 }  // namespace detail

@@ -1,13 +1,16 @@
 // The allocation budget of one RPC hop. Waiting on a simulator primitive
 // allocates nothing: a parked coroutine's wait-list node lives in its own
-// suspended frame. A spawned process costs only its own frame, a worker
-// charge one frame, a fabric delivery and overwriting a resident store key
-// nothing, and a fragment key one string; a whole Client->Server Get round
-// trip is pinned with and without a deadline, and an answered deadline
-// wait leaves no timer behind. This file replaces the
-// global operator new with a counting one, so it builds as its
-// own test executable (test_sim_alloc) and the counter reaches no other
-// suite.
+// suspended frame. Coroutine frames and Promise states come from the
+// thread's FramePool, which Simulator::run empties whenever it returns
+// idle, so each budget is pinned twice: from a cold pool (the first use
+// after an idle run) and from a warm one (while the simulator is kept
+// awake). A spawned process costs only its own frame, a worker charge one
+// frame, a fabric delivery and overwriting a resident store key nothing,
+// and a fragment key one string; a whole Client->Server Get round trip is
+// pinned with and without a deadline, and an answered deadline wait
+// leaves no timer behind. This file replaces the global operator new with
+// a counting one, so it builds as its own test executable (test_sim_alloc)
+// and the counter reaches no other suite.
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -21,6 +24,7 @@
 #include "kv/server.h"
 #include "kv/store.h"
 #include "net/fabric.h"
+#include "sim/frame_pool.h"
 #include "sim/future.h"
 #include "sim/sync.h"
 
@@ -79,6 +83,28 @@ std::size_t construct_allocations(Args&... args) {
   return g_allocations - before;
 }
 
+/// Keeps `sim` from going idle while it lives: a far-off armed timer, so
+/// a run bounded before it (run_awake) never empties the frame pool.
+class KeepAwake {
+ public:
+  static constexpr SimDur kFar = units::kSecond;
+
+  explicit KeepAwake(Simulator& sim) : sim_(&sim) {
+    timer_.wake(std::noop_coroutine());
+    sim.arm(&timer_, kFar);
+  }
+  KeepAwake(const KeepAwake&) = delete;
+  KeepAwake& operator=(const KeepAwake&) = delete;
+  ~KeepAwake() { sim_->disarm(&timer_); }
+
+ private:
+  Simulator* sim_;
+  Timer timer_;
+};
+
+/// Runs every event before the KeepAwake timer; the pool stays warm.
+void run_awake(Simulator& sim) { sim.run(sim.now() + KeepAwake::kFar / 2); }
+
 TEST(SimAlloc, ConstructingPrimitivesAllocatesNothing) {
   Simulator sim;
   std::uint32_t count = 3;
@@ -86,8 +112,12 @@ TEST(SimAlloc, ConstructingPrimitivesAllocatesNothing) {
   EXPECT_EQ(construct_allocations<Latch>(sim, count), 0u);
   EXPECT_EQ(construct_allocations<Semaphore>(sim, count), 0u);
   EXPECT_EQ(construct_allocations<Condition>(sim), 0u);
-  // A Promise owns one shared state; its Event adds nothing.
+  // A Promise owns one pooled shared state; its Event adds nothing. The
+  // first takes a block from the heap, the next reuses it.
+  detail::FramePool::trim();
   EXPECT_EQ(construct_allocations<Promise<int>>(sim), 1u);
+  EXPECT_EQ(construct_allocations<Promise<int>>(sim), 0u);
+  detail::FramePool::trim();
 }
 
 Task<void> wait_on(Event* ev) { co_await ev->wait(); }
@@ -143,11 +173,21 @@ void warm_up(Simulator& sim) {
 
 TEST(SimAlloc, SpawnAllocatesOnlyTheTaskFrame) {
   Simulator sim;
-  warm_up(sim);
-  const std::size_t before = g_allocations;
+  warm_up(sim);  // its idle run() empties the pool
+  std::size_t before = g_allocations;
   sim.spawn(finish_at_once());
   sim.run();
   EXPECT_EQ(g_allocations - before, 1u);
+
+  // Kept awake, the finished frame stays pooled and the next spawn
+  // reuses it.
+  const KeepAwake awake(sim);
+  sim.spawn(finish_at_once());
+  run_awake(sim);
+  before = g_allocations;
+  sim.spawn(finish_at_once());
+  run_awake(sim);
+  EXPECT_EQ(g_allocations - before, 0u);
 }
 
 Task<void> await_future(const Future<int>* future, int* out) {
@@ -208,17 +248,25 @@ Task<void> charge_worker(WorkerPool* pool, SimDur duration) {
 TEST(SimAlloc, WorkerPoolExecuteAllocatesOneFrame) {
   Simulator sim;
   WorkerPool pool(sim, 1);
-  for (int round = 0; round < 2; ++round) {  // round 0 warms the queue up
+  const auto charge_twice = [&](bool awake) {
     // The second charge queues behind the first on the single worker.
     sim.spawn(charge_worker(&pool, 100));
     sim.spawn(charge_worker(&pool, 100));
     const std::size_t before = g_allocations;
-    sim.run();
-    if (round == 1) {
-      EXPECT_EQ(g_allocations - before, 2u);
+    if (awake) {
+      run_awake(sim);
+    } else {
+      sim.run();
     }
-  }
-  EXPECT_EQ(pool.busy_time(), 400);
+    return g_allocations - before;
+  };
+  charge_twice(false);  // warms the event queue up
+  // From the pool the idle run() emptied: one frame per charge.
+  EXPECT_EQ(charge_twice(false), 2u);
+  const KeepAwake awake(sim);
+  charge_twice(true);  // leaves its frames pooled
+  EXPECT_EQ(charge_twice(true), 0u);
+  EXPECT_EQ(pool.busy_time(), 800);
 }
 
 TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
@@ -306,9 +354,11 @@ Task<void> get_once(kv::Client* client, kv::NodeId server, kv::Request req,
 
 /// Allocations of one Client->Server kGet round trip under `policy`, from
 /// the issuing call() to the caller's resume with the response. A first
-/// round trip warms up the event queues, the maps and the delivery pools; the
-/// issuing process frame is allocated before counting starts.
-std::size_t get_round_trip_allocations(kv::RpcPolicy policy) {
+/// round trip warms up the event queues, the slot table and the delivery
+/// pools; the issuing process frame is allocated before counting starts.
+/// `warm`: the simulator is kept awake, so the first round trip's frames,
+/// call record and Promise state stay pooled for the second.
+std::size_t get_round_trip_allocations(kv::RpcPolicy policy, bool warm) {
   Simulator sim;
   kv::KvFabric fabric(sim, net::FabricParams{}, 2);
   kv::Server server(sim, fabric, 0, kv::ServerParams{});
@@ -323,12 +373,18 @@ std::size_t get_round_trip_allocations(kv::RpcPolicy policy) {
   kv::Request get;
   get.verb = kv::Verb::kGet;
   get.key = key;
+  std::optional<KeepAwake> awake;
+  if (warm) awake.emplace(sim);
   std::size_t allocations = 0;
   for (int round = 0; round < 2; ++round) {
     kv::Response resp;
     sim.spawn(get_once(&client, server.id(), get, &resp));
     const std::size_t before = g_allocations;
-    sim.run();
+    if (warm) {
+      run_awake(sim);
+    } else {
+      sim.run();
+    }
     allocations = g_allocations - before;
     EXPECT_EQ(resp.code, StatusCode::kOk);
     EXPECT_EQ(resp.value ? resp.value->size() : 0u, 4096u);
@@ -337,17 +393,29 @@ std::size_t get_round_trip_allocations(kv::RpcPolicy policy) {
 }
 
 TEST(SimAlloc, RpcGetRoundTripBudget) {
-  // The caller's Promise state and pending-call node, the server's handler
-  // frame and its two worker charges (dispatch, then the read). Both
-  // deliveries reuse pooled records.
-  EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}), 5u);
-  // A deadline adds five: the retry loop's spawned frame, its Promise
-  // state and Task frame, the request copy an attempt sends, and the
-  // wait_any frame. The waiter, its links and its deadline Timer live in
-  // that frame, and arming reuses the timer heap's capacity.
+  // From a cold pool: the caller's Promise state, its call record, the
+  // server's handler frame and one worker frame, which its two charges
+  // (dispatch, then the read) take in turn. The slot table and both
+  // deliveries are recycled by their owners.
+  EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}, false), 4u);
+  // A deadline adds nothing: the call record runs the guarded call's steps
+  // and holds its deadline Timer, arming reuses the timer heap's capacity,
+  // and a single attempt sends the request itself, not a copy.
   EXPECT_EQ(get_round_trip_allocations(
-                kv::RpcPolicy{.timeout_ns = units::kMillisecond}),
-            10u);
+                kv::RpcPolicy{.timeout_ns = units::kMillisecond}, false),
+            4u);
+  // From a warm pool the whole round trip allocates nothing.
+  EXPECT_EQ(get_round_trip_allocations(kv::RpcPolicy{}, true), 0u);
+  EXPECT_EQ(get_round_trip_allocations(
+                kv::RpcPolicy{.timeout_ns = units::kMillisecond}, true),
+            0u);
+  // An attempt that may be retried sends a copy and keeps the request:
+  // the copy's key (past the small-string buffer) is the one allocation.
+  EXPECT_EQ(get_round_trip_allocations(
+                kv::RpcPolicy{.timeout_ns = units::kMillisecond,
+                              .max_retries = 1},
+                true),
+            1u);
 }
 
 Task<void> await_with_deadline(Simulator* sim, const Future<int>* future,

@@ -272,7 +272,7 @@ Task<void> note(Simulator* sim, std::string label, const Timer* timer,
 /// Arms `timer` to run note(label) `delay` from now.
 void arm_note(Simulator& sim, Timer& timer, SimDur delay, std::string label,
               Log* log) {
-  timer.handle = note(&sim, std::move(label), &timer, log).detach();
+  timer.wake(note(&sim, std::move(label), &timer, log).detach());
   sim.arm(&timer, delay);
 }
 
@@ -299,7 +299,7 @@ TEST(Timer, DisarmHeadMiddleAndTail) {
   for (std::size_t i = 0; i < timers.size(); ++i) {
     const bool cancelled = i == 0 || i == 3 || i == 6;
     if (cancelled) {
-      timers[i].handle = std::noop_coroutine();
+      timers[i].wake(std::noop_coroutine());
       sim.arm(&timers[i], static_cast<SimDur>(100 * (i + 1)));
     } else {
       arm_note(sim, timers[i], static_cast<SimDur>(100 * (i + 1)),
@@ -335,7 +335,7 @@ TEST(Timer, DisarmKeepsTheHeapOrdered) {
     const auto delay = static_cast<SimDur>(next() % 50);  // many ties
     cancel[i] = next() % 2 == 0;
     if (cancel[i]) {
-      timers[i].handle = std::noop_coroutine();
+      timers[i].wake(std::noop_coroutine());
       sim.arm(&timers[i], delay);
     } else {
       arm_note(sim, timers[i], delay, std::to_string(i), &log);
@@ -384,7 +384,7 @@ TEST(Timer, OutOfDurationOrderArmsFireInDeadlineOrder) {
 TEST(Timer, NextEventTimeAndIdleSeeAnArmedTimer) {
   Simulator sim;
   Timer timer;
-  timer.handle = std::noop_coroutine();
+  timer.wake(std::noop_coroutine());
   sim.arm(&timer, 500);
   EXPECT_FALSE(sim.idle());  // a deadline alone keeps the loop live
   EXPECT_EQ(sim.next_event_time(), 500);
@@ -404,7 +404,7 @@ TEST(Timer, NextEventTimeAndIdleSeeAnArmedTimer) {
 TEST(Timer, RunBoundsTreatATimerLikeAnEvent) {
   Simulator sim;
   Timer timer;
-  timer.handle = std::noop_coroutine();
+  timer.wake(std::noop_coroutine());
   sim.arm(&timer, 1'000);
   EXPECT_EQ(sim.run(1'000), 0);  // strict: a timer at the bound stays armed
   EXPECT_TRUE(timer.armed());

@@ -1,6 +1,11 @@
 // Cluster harness: assembles the simulator, fabric, servers, clients, hash
 // ring and membership into one object, with controlled failure injection.
 // Node ids: servers occupy 0..S-1, clients S..S+C-1.
+//
+// Nodes are event-driven: start() binds each node's dispatch callback to
+// its fabric inbox, and a landing message schedules it. Once run() has
+// drained, no coroutine is left parked, so destroying the cluster (nodes
+// before the fabric they unbind from) frees every frame the run made.
 #pragma once
 
 #include <algorithm>
@@ -220,7 +225,8 @@ class Cluster {
   void register_metrics(obs::MetricsRegistry& reg,
                         const std::string& op_label) const;
 
-  /// Starts every node's dispatch loop. Call once, before running.
+  /// Binds every node's dispatch callback to its inbox (RpcNode::start).
+  /// Call once, before running.
   void start();
 
   /// Runs the simulation to quiescence; returns final simulated time. With

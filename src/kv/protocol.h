@@ -110,7 +110,6 @@ struct Request {
   /// simulated wire bytes.
   std::uint64_t epoch = 0;
   std::uint64_t rpc_id = 0;
-  NodeId reply_to = 0;
   /// Causal trace header: tags the fabric transfer and the server handler
   /// with the originating op's trace id. All-zero (invalid) when tracing is
   /// off; carries no simulated bytes (tracing never changes wire timing).

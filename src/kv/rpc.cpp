@@ -30,6 +30,7 @@ RpcNode::RelayedCall::RelayedCall(RpcNode* owner, NodeId to,
 }
 
 RpcNode::~RpcNode() {
+  fabric_->inbox(id_).bind(nullptr);
   for (Call* c : slots_) {
     if (c != nullptr && c->relayed) {
       delete static_cast<RelayedCall*>(c);
@@ -38,6 +39,7 @@ RpcNode::~RpcNode() {
     }
   }
 }
+
 
 sim::Future<Response> RpcNode::call(NodeId dst, Request req) {
   stamp_epoch(req);
@@ -61,7 +63,6 @@ sim::Future<Response> RpcNode::call(NodeId dst, Request req) {
 
 void RpcNode::send(Call* c, Request req) {
   req.rpc_id = next_rpc_++;
-  req.reply_to = id_;
   last_call_id_ = req.rpc_id;
   c->rpc_id = req.rpc_id;
   c->sent_at = sim_->now();
@@ -131,7 +132,7 @@ void RpcNode::finish(RelayedCall* c, Response resp) {
 void RpcNode::expire(RelayedCall* c) {
   const NodeId dst = c->dst;
   ++rpc_stats_.timeouts;
-  take_slot(c->rpc_id);  // a late response is dropped as stale by dispatch
+  take_slot(c->rpc_id);  // dispatch drops a late response as stale
   const obs::Sinks& sinks = *sinks_;
   if (sinks.health != nullptr) {
     sinks.health->on_timeout(static_cast<std::size_t>(dst));
@@ -211,28 +212,24 @@ RpcNode::Call* RpcNode::take_slot(std::uint64_t rpc_id) noexcept {
   return found;
 }
 
-sim::Task<void> RpcNode::dispatch_loop(RpcNode* self) {
-  auto& inbox = self->fabric_->inbox(self->id_);
-  for (;;) {
-    std::optional<KvEnvelope> env = inbox.try_recv();
-    if (!env) {
-      co_await inbox.park();
+void RpcNode::dispatch(sim::Callback* cb) {
+  RpcNode& self = *static_cast<Dispatch*>(cb)->node;
+  KvFabric::Inbox& inbox = self.fabric_->inbox(self.id_);
+  while (std::optional<KvEnvelope> env = inbox.try_recv()) {
+    if (std::holds_alternative<Request>(env->body)) {
+      self.on_request(std::move(*env));
       continue;
     }
-    if (std::holds_alternative<Request>(env->body)) {
-      self->on_request(std::move(*env));
-    } else {
-      auto& resp = std::get<Response>(env->body);
-      Call* c = self->take_slot(resp.rpc_id);
-      if (c == nullptr) continue;  // stale/duplicate response
-      if (obs::HealthSignals* health = self->sinks_->health;
-          health != nullptr) {
-        health->on_response(static_cast<std::size_t>(c->dst),
-                            self->sim_->now() - c->sent_at);
-      }
-      self->settle(c, std::move(resp));
+    auto& resp = std::get<Response>(env->body);
+    Call* c = self.take_slot(resp.rpc_id);
+    if (c == nullptr) continue;  // stale/duplicate response
+    if (obs::HealthSignals* health = self.sinks_->health; health != nullptr) {
+      health->on_response(static_cast<std::size_t>(c->dst),
+                          self.sim_->now() - c->sent_at);
     }
+    self.settle(c, std::move(resp));
   }
+  inbox.drained();
 }
 
 }  // namespace hpres::kv

@@ -1,11 +1,13 @@
 // Request/response plumbing shared by clients and servers.
 //
-// Every node owns one fabric inbox. A dispatch loop routes incoming
-// Requests to the subclass handler (spawned, so slow handlers never block
-// the queue — the multi-threaded Memcached model) and matches incoming
-// Responses to pending calls by rpc id. Servers use the same machinery to
-// talk to their peers (the paper's server-embedded ARPE with Libmemcached
-// client, Section IV-A).
+// Every node owns one fabric inbox, and binds its dispatch callback to it:
+// a message landing on the idle inbox schedules one dispatch pass, which
+// drains the inbox, routes incoming Requests to the subclass handler (which
+// spawns its work, so slow handlers never block the queue — the
+// multi-threaded Memcached model) and matches incoming Responses to pending
+// calls by rpc id. Servers use the same machinery to talk to their peers
+// (the paper's server-embedded ARPE with Libmemcached client, Section
+// IV-A).
 //
 // One request path: `call()` is the only uncharged way to issue a request
 // (Client::call_async adds the client's CPU issue slice in front of the
@@ -70,16 +72,21 @@ class RpcNode {
   /// The node records into its shard's observability sinks, as bound on
   /// `fabric` (obs::kNoSinks for a standalone fabric).
   RpcNode(sim::Simulator& sim, KvFabric& fabric, NodeId id)
-      : sim_(&sim), fabric_(&fabric), id_(id), sinks_(&fabric.sinks_of(id)) {}
-  /// Drops the calls still pending and disarms their deadlines; the
-  /// simulator must still exist.
+      : sim_(&sim),
+        fabric_(&fabric),
+        id_(id),
+        sinks_(&fabric.sinks_of(id)),
+        dispatch_{{&RpcNode::dispatch}, this} {}
+  /// Unbinds the inbox, drops the calls still pending and disarms their
+  /// deadlines; the simulator and the fabric must still exist, and no
+  /// dispatch pass may be due (drain the simulator first).
   virtual ~RpcNode();
   RpcNode(const RpcNode&) = delete;
   RpcNode& operator=(const RpcNode&) = delete;
 
-  /// Begins dispatching this node's inbox. Must be called exactly once,
-  /// before the simulation runs; the RpcNode must outlive the simulation.
-  void start() { sim_->spawn(dispatch_loop(this)); }
+  /// Binds this node's dispatch callback to its inbox, which schedules a
+  /// first pass. Must be called exactly once, before the simulation runs.
+  void start() { fabric_->inbox(id_).bind(&dispatch_); }
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] sim::Simulator& sim() const noexcept { return *sim_; }
@@ -132,7 +139,7 @@ class RpcNode {
   }
 
  protected:
-  /// One pending call: what the dispatch loop needs to match and attribute
+  /// One pending call: what dispatch needs to match and attribute
   /// its response. A plain call() is only this. Records come from the
   /// thread's FramePool.
   struct Call {
@@ -205,7 +212,14 @@ class RpcNode {
   void attempt(RelayedCall* c);
 
  private:
-  static sim::Task<void> dispatch_loop(RpcNode* self);
+  /// The node's dispatch callback, bound to its inbox.
+  struct Dispatch : sim::Callback {
+    RpcNode* node;
+  };
+
+  /// One dispatch pass: drains the inbox, handing requests to on_request()
+  /// and settling the pending call each response answers.
+  static void dispatch(sim::Callback* cb);
   static void run_step(sim::Callback* cb);
 
   /// Registers `c` under a fresh rpc id and puts `req` on the wire.
@@ -241,6 +255,7 @@ class RpcNode {
   RpcStats rpc_stats_;
   const obs::Sinks* sinks_;
   const PlacementView* placement_ = nullptr;
+  Dispatch dispatch_;
 };
 
 }  // namespace hpres::kv

@@ -94,7 +94,7 @@ void Server::on_request(KvEnvelope env) {
     resp.rpc_id = req.rpc_id;
     resp.code = StatusCode::kOk;
     resp.epoch = placement_epoch_;
-    reply(req.reply_to, std::move(resp));
+    reply(env.src, std::move(resp));
     return;
   }
   if (req.epoch != 0 && req.epoch < placement_epoch_ &&
@@ -109,7 +109,7 @@ void Server::on_request(KvEnvelope env) {
     resp.rpc_id = req.rpc_id;
     resp.code = StatusCode::kWrongEpoch;
     resp.epoch = placement_epoch_;
-    reply(req.reply_to, std::move(resp));
+    reply(env.src, std::move(resp));
     return;
   }
   switch (req.verb) {
@@ -153,7 +153,7 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
   PlainOutcome out = self->apply_plain(req, ht.ctx());
   if (out.device_ns) co_await self->workers_.execute(*out.device_ns);
   if (out.work_ns) co_await self->workers_.execute(*out.work_ns);
-  self->reply(req.reply_to, std::move(out.resp));
+  self->reply(env.src, std::move(out.resp));
 }
 
 Server::PlainOutcome Server::apply_plain(const Request& req,
@@ -314,7 +314,7 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
     resp.rpc_id = req.rpc_id;
     resp.code = staged.code();
     resp.trace = ht.ctx();
-    self->reply(req.reply_to, std::move(resp));
+    self->reply(env.src, std::move(resp));
   }
   // The client's op completes at the ack above; the encode + distribution
   // below continue in the background (off the op's critical path, which is
@@ -374,7 +374,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
     resp.code = StatusCode::kOk;
     resp.value = staged->value;
     resp.trace = ht.ctx();
-    self->reply(req.reply_to, std::move(resp));
+    self->reply(env.src, std::move(resp));
     co_return;
   }
 
@@ -391,7 +391,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
       ec.codec->select_sources(ec.codec->data_slots(), available);
   if (!selected.ok()) {
     resp.code = selected.status().code();
-    self->reply(req.reply_to, std::move(resp));
+    self->reply(env.src, std::move(resp));
     co_return;
   }
   const std::vector<std::size_t>& chosen = *selected;
@@ -435,7 +435,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   }
   if (unfetched > 0 || !meta) {
     resp.code = StatusCode::kNotFound;
-    self->reply(req.reply_to, std::move(resp));
+    self->reply(env.src, std::move(resp));
     co_return;
   }
 
@@ -453,12 +453,12 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
       ec.materialize, self->scratch_);
   if (!value.ok()) {
     resp.code = value.status().code();
-    self->reply(req.reply_to, std::move(resp));
+    self->reply(env.src, std::move(resp));
     co_return;
   }
   resp.code = StatusCode::kOk;
   resp.value = make_shared_bytes(std::move(*value));
-  self->reply(req.reply_to, std::move(resp));
+  self->reply(env.src, std::move(resp));
 }
 
 }  // namespace hpres::kv

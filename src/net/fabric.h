@@ -13,12 +13,12 @@
 // in per_message + L + s/B — the paper's Equation 1.
 //
 // Sharding: the fabric is also the shard boundary of the parallel runtime
-// (DESIGN.md "Shard runtime"). Every node lives on exactly one shard; a
-// send between nodes on the same shard takes the classic inline path
-// (byte-identical to the single-threaded fabric), while a cross-shard send
-// resolves the sender's NIC locally and posts the arrival to the receiving
-// shard, which claims the receive NIC in arrival order at least one wire
-// latency later — the lookahead bound the conservative scheduler runs on.
+// (DESIGN.md "Shard runtime"). Every node lives on exactly one shard. A
+// send resolves the sender's NIC on the sender's shard; the receive step
+// (receive NIC claim, rx trace, delivery) runs inline when both nodes share
+// a shard (byte-identical to the single-threaded fabric), and is posted to
+// the receiving shard at wire arrival otherwise, at least one wire latency
+// later — the lookahead bound the conservative scheduler runs on.
 // Mutable state is strictly shard-owned during parallel runs: the sender's
 // shard owns tx NIC state and send-side counters, the receiver's shard owns
 // rx NIC state, inboxes, delivery counters and the pool of delivery
@@ -26,6 +26,10 @@
 // fault injection mutates it either in oracle mode or from a ShardRuntime
 // quiesce hook (every shard thread parked, the barrier publishes the
 // writes).
+//
+// Delivery is event-driven: a node binds its dispatch callback to its
+// inbox, and a message landing on an idle inbox schedules that callback;
+// nothing waits on an inbox.
 //
 // Observability under sharding follows the same single-writer rule: each
 // shard's state points at that shard's obs::Sinks record (bound once, by
@@ -55,7 +59,6 @@
 #include "obs/trace.h"
 #include "sim/shard_runtime.h"
 #include "sim/simulator.h"
-#include "sim/sync.h"
 
 namespace hpres::net {
 
@@ -129,8 +132,10 @@ class Fabric {
 
  public:
   /// A node's receive queue: an intrusive FIFO of landed delivery records
-  /// plus the receivers parked on it. Owned by the node's shard; its
-  /// dispatch loop receives with try_recv() and parks when it is empty.
+  /// and the node's dispatch callback. Owned by the node's shard. A message
+  /// landing on an idle inbox schedules the bound callback at delay 0;
+  /// messages landing before it runs only join the queue, and its pass
+  /// drains them all with try_recv() and ends with drained().
   class Inbox {
    public:
     explicit Inbox(sim::Simulator& sim) noexcept : sim_(&sim) {}
@@ -140,8 +145,8 @@ class Fabric {
     /// Messages landed and not yet received (queue-depth gauge).
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-    /// Takes the oldest message, or nullopt when empty; never suspends.
-    /// The record goes back to its shard's pool.
+    /// Takes the oldest message, or nullopt when empty. The record goes
+    /// back to its shard's pool.
     std::optional<Envelope<Body>> try_recv() {
       Delivery* d = head_;
       if (d == nullptr) return std::nullopt;
@@ -153,16 +158,31 @@ class Fabric {
       return env;
     }
 
-    /// Parks the caller until the next message lands; it then re-checks
-    /// with try_recv() (another receiver may have taken the message).
-    [[nodiscard]] sim::detail::Park park() noexcept {
-      return sim::detail::Park{&waiters_};
+    /// Binds the callback that receives this inbox's messages and
+    /// schedules its first pass, for messages that landed before; null
+    /// unbinds, and later messages only queue. A bound callback must
+    /// outlive every pass it has scheduled.
+    void bind(sim::Callback* dispatch) {
+      dispatch_ = dispatch;
+      schedule_dispatch();
     }
+
+    /// Ends a dispatch pass: called once try_recv() came back empty, so
+    /// the next landing schedules the callback again.
+    void drained() noexcept { scheduled_ = false; }
 
    private:
     friend class Fabric;
 
-    /// Links a landed record at the tail and wakes the head receiver.
+    /// Schedules the bound callback at delay 0, unless it is already
+    /// scheduled or none is bound.
+    void schedule_dispatch() {
+      if (dispatch_ == nullptr || scheduled_) return;
+      scheduled_ = true;
+      sim_->schedule(dispatch_, 0);
+    }
+
+    /// Links a landed record at the tail and schedules the dispatch pass.
     void land(Delivery* d) {
       d->next = nullptr;
       if (tail_ == nullptr) {
@@ -172,14 +192,15 @@ class Fabric {
       }
       tail_ = d;
       ++size_;
-      waiters_.wake_one(*sim_);
+      schedule_dispatch();
     }
 
     sim::Simulator* sim_;
     Delivery* head_ = nullptr;
     Delivery* tail_ = nullptr;
     std::size_t size_ = 0;
-    sim::detail::WaitList waiters_;
+    sim::Callback* dispatch_ = nullptr;
+    bool scheduled_ = false;  ///< a pass of dispatch_ is due
   };
 
   /// Single-loop fabric: every node on one simulator (the deterministic
@@ -273,8 +294,8 @@ class Fabric {
     return *shard_state_[node_shard_[id]]->sinks;
   }
 
-  /// The receive queue for a node; its dispatch loop receives with
-  /// `try_recv()` and parks on it when empty. Owned by the node's shard.
+  /// The receive queue for a node, which schedules the node's bound
+  /// dispatch callback as messages land. Owned by the node's shard.
   [[nodiscard]] Inbox& inbox(NodeId id) {
     assert(id < inboxes_.size());
     return *inboxes_[id];
@@ -397,7 +418,7 @@ class Fabric {
 
     if (src == dst) {
       env.delivered_at = now + kLoopbackNs;
-      deliver_at(env.delivered_at, std::move(env));
+      deliver(ss, ssim, kLoopbackNs, std::move(env));
       return;
     }
 
@@ -418,96 +439,53 @@ class Fabric {
                                                params_.bandwidth_gbps);
     // Sender NIC: queue behind earlier transmissions, then serialize.
     NicState& src_nic = nics_[src];
-    const SimTime tx_start = std::max(now + pre_tx, src_nic.tx_busy_until);
+    const SimTime tx_ready = now + pre_tx;
+    const SimTime tx_start = std::max(tx_ready, src_nic.tx_busy_until);
     const SimTime tx_end = tx_start + ser;
     src_nic.tx_busy_until = tx_end;
 
-    if (node_shard_[dst] != node_shard_[src]) {
-      // Cross-shard: the first bit reaches the receiver at tx_start +
-      // latency >= now + latency — at least one lookahead in the future,
-      // which is exactly the window bound the runtime synchronizes on. The
-      // receive NIC is claimed on its own shard at arrival time (arrival
-      // order, where the oracle claims in send order — statistically
-      // equivalent contention, not bit-identical across shard counts).
-      // In-flight accounting for the wire leg starts at arrival on the
-      // destination shard (receive_cross_shard): each shard's counters are
-      // touched only by its own thread, which is what keeps this path free
-      // of atomics and data races.
-      //
-      // Tracing splits at the same boundary: the sender's domain records
-      // the tx-side spans and the 's'/'t' flow legs here; the receiver's
-      // domain records the rx-side spans and the 'f' leg at arrival. The
-      // flow/async ids ride the posted message, so the arrows join up after
-      // the domains merge.
-      std::uint64_t msg = 0;
-      if (tr != nullptr) {
-        tr->complete(pid, obs::Tracer::kNicTidBase + src,
-                     "fabric/send", "fabric", tx_start, ser, trace.trace_id);
-        if (trace.valid()) {
-          msg = tr->new_flow_id();
-          tr->flow('s', pid, trace.span_id, now, msg, trace.trace_id);
-          tr->flow('t', pid, obs::Tracer::kNicTidBase + src, tx_start,
-                   msg, trace.trace_id);
-          const SimTime tx_ready = now + pre_tx;
-          if (tx_start > tx_ready) {
-            tr->async_span(pid, msg * 4, "fabric/txq", "fabric",
-                           tx_ready, tx_start - tx_ready, trace.trace_id);
-          }
-        }
-      }
-      const SimTime arrival = tx_end + params_.latency_ns - ser;
-      assert(runtime_ != nullptr);
-      runtime_->post(
-          node_shard_[src], node_shard_[dst], arrival,
-          [this, ser, msg, tid = trace.trace_id,
-           e = std::move(env)]() mutable {
-            receive_cross_shard(std::move(e), ser, msg, tid);
-          });
-      return;
-    }
-
-    // Receiver NIC: the stream could start landing `ser` before its last
-    // bit (cut-through); queue behind other arrivals.
-    NicState& dst_nic = nics_[dst];
-    const SimTime rx_start =
-        std::max(tx_end + params_.latency_ns - ser, dst_nic.rx_busy_until);
-    const SimTime rx_end = rx_start + ser;
-    dst_nic.rx_busy_until = rx_end;
-
+    // The sender's tracer records the tx side: the NIC span, the 's'/'t'
+    // flow legs and the queue wait behind earlier sends. The flow id rides
+    // to the receive step, which records the rx side under it.
+    std::uint64_t msg = 0;
     if (tr != nullptr) {
       tr->complete(pid, obs::Tracer::kNicTidBase + src, "fabric/send",
                    "fabric", tx_start, ser, trace.trace_id);
-      tr->complete(pid, obs::Tracer::kNicTidBase + dst, "fabric/recv",
-                   "fabric", rx_start, ser, trace.trace_id);
       if (trace.valid()) {
         // Flow arrows: sender's slice → src NIC tx slice → dst NIC rx slice.
-        const std::uint64_t msg = tr->new_flow_id();
+        msg = tr->new_flow_id();
         tr->flow('s', pid, trace.span_id, now, msg, trace.trace_id);
         tr->flow('t', pid, obs::Tracer::kNicTidBase + src, tx_start,
                  msg, trace.trace_id);
-        tr->flow('f', pid, obs::Tracer::kNicTidBase + dst, rx_start,
-                 msg, trace.trace_id);
-        // Queue waits (overlap-safe async spans): tx behind earlier sends,
-        // rx behind other arrivals converging on the destination (incast).
-        const SimTime tx_ready = now + pre_tx;
         if (tx_start > tx_ready) {
           tr->async_span(pid, msg * 4, "fabric/txq", "fabric",
                          tx_ready, tx_start - tx_ready, trace.trace_id);
         }
-        const SimTime rx_arrival = tx_end + params_.latency_ns - ser;
-        if (rx_start > rx_arrival) {
-          tr->async_span(pid, msg * 4 + 1, "fabric/rxq", "fabric",
-                         rx_arrival, rx_start - rx_arrival, trace.trace_id);
-        }
-        // Whole in-flight interval (protocol pre-work through last bit
-        // received): the analyzer's catch-all "net" coverage.
-        tr->async_span(pid, msg * 4 + 2, "fabric/wire", "fabric", now,
-                       rx_end - now, trace.trace_id);
       }
     }
 
-    env.delivered_at = rx_end;
-    deliver_at(rx_end, std::move(env));
+    // The stream could start landing `ser` before its last bit
+    // (cut-through): its first bit reaches the receiver one wire latency
+    // after tx start.
+    const SimTime arrival = tx_end + params_.latency_ns - ser;
+    if (node_shard_[dst] == node_shard_[src]) {
+      receive(std::move(env), arrival, ser, msg, trace.trace_id);
+      return;
+    }
+    // Cross-shard: arrival >= now + latency, at least one lookahead in the
+    // future, which is exactly the window bound the runtime synchronizes
+    // on. The receive NIC is claimed on its own shard at arrival time
+    // (arrival order, where one shard claims in send order — statistically
+    // equivalent contention, not bit-identical across shard counts), and
+    // the in-flight charge starts there too: each shard's counters are
+    // touched only by its own thread, which is what keeps this path free
+    // of atomics and data races.
+    assert(runtime_ != nullptr);
+    runtime_->post(node_shard_[src], node_shard_[dst], arrival,
+                   [this, arrival, ser, msg, tid = trace.trace_id,
+                    e = std::move(env)]() mutable {
+                     receive(std::move(e), arrival, ser, msg, tid);
+                   });
   }
 
  private:
@@ -619,16 +597,16 @@ class Fabric {
     }
   }
 
-  /// Runs on the destination shard at wire-arrival time: claims the
-  /// receive NIC in arrival order, then delivers at serialization end.
-  /// `msg` / `trace_id` carry the sender's flow identity (0 = untraced) so
-  /// the rx-side spans land in this shard's tracer domain with matching
-  /// ids.
-  void receive_cross_shard(Envelope<Body> env, SimDur ser, std::uint64_t msg,
-                           std::uint64_t trace_id) {
+  /// The receive step of a message whose first bit reaches `env.dst` at
+  /// `arrival`, on the receiver's shard: inline from send() when both
+  /// nodes share a shard, posted for `arrival` otherwise. Claims the
+  /// receive NIC behind earlier arrivals (incast queueing), records the rx
+  /// side in the receiving shard's tracer under the sender's flow id `msg`
+  /// (0 = untraced) and delivers at serialization end.
+  void receive(Envelope<Body> env, SimTime arrival, SimDur ser,
+               std::uint64_t msg, std::uint64_t trace_id) {
     sim::Simulator* dsim = node_sim_[env.dst];
     NicState& dst_nic = nics_[env.dst];
-    const SimTime arrival = dsim->now();
     const SimTime rx_start = std::max(arrival, dst_nic.rx_busy_until);
     const SimTime rx_end = rx_start + ser;
     dst_nic.rx_busy_until = rx_end;
@@ -645,27 +623,14 @@ class Fabric {
           tr->async_span(pid, msg * 4 + 1, "fabric/rxq", "fabric",
                          arrival, rx_start - arrival, trace_id);
         }
-        // In-flight interval from original send to last bit received: the
-        // sender stamped env.sent_at before protocol pre-work began.
+        // The whole in-flight interval, from the send (before protocol
+        // pre-work) to the last bit received: the analyzer's catch-all
+        // "net" coverage.
         tr->async_span(pid, msg * 4 + 2, "fabric/wire", "fabric",
                        env.sent_at, rx_end - env.sent_at, trace_id);
       }
     }
-    // The in-flight charge for a cross-shard message begins here, at wire
-    // arrival, and is settled when the delivery lands — both on this (the
-    // destination) shard's thread. The post->arrival wire leg is therefore
-    // uncounted; gauges at quiescence still read zero, and per-shard
-    // counters are single-writer by construction.
-    deliver(rs, dsim, rx_end - arrival, std::move(env));
-  }
-
-  [[nodiscard]] ShardState& ss_of(NodeId node) {
-    return *shard_state_[node_shard_[node]];
-  }
-
-  void deliver_at(SimTime when, Envelope<Body> env) {
-    sim::Simulator* dsim = node_sim_[env.dst];
-    deliver(ss_of(env.dst), dsim, when - dsim->now(), std::move(env));
+    deliver(rs, dsim, rx_end - dsim->now(), std::move(env));
   }
 
   /// Charges the message in flight on the receiving shard `st` and starts

@@ -1,7 +1,8 @@
 // Synchronization primitives for simulator coroutines: one-shot Event,
 // counting Semaphore, Condition, countdown Latch, and WorkerPool (a
-// semaphore-guarded compute resource that charges simulated time). The
-// intrusive WaitList below also parks a node's fabric inbox receiver
+// semaphore-guarded compute resource that charges simulated time), all
+// parking their waiters on the intrusive WaitList below. Nothing waits on a
+// fabric inbox: a landing schedules its node's dispatch callback
 // (net::Fabric::Inbox).
 //
 // Lifetime invariant shared by all primitives: a coroutine suspended on a

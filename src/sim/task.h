@@ -4,7 +4,7 @@
 // `Simulator::spawn`). Awaiting a Task transfers control symmetrically into
 // the child and resumes the parent when the child finishes — no simulated
 // time passes across a plain Task boundary; time only advances through the
-// Simulator's awaitables (delay, channels, resources).
+// Simulator's awaitables (delay, events, timers).
 //
 // Lifetime rules (C++ Core Guidelines CP.51/CP.53 apply throughout this
 // project): coroutines are functions or member functions, never capturing
@@ -16,14 +16,12 @@
 #include <cstddef>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "sim/frame_pool.h"
 
 namespace hpres::sim {
-
-template <typename T>
-class Task;
 
 namespace detail {
 
@@ -67,23 +65,36 @@ struct PromiseBase {
   }
 };
 
+/// What a Task<T>'s promise adds to PromiseBase: the result slot.
+template <typename T>
+struct ResultSlot : PromiseBase {
+  std::optional<T> value;
+
+  template <typename U>
+  void return_value(U&& v) {
+    value.emplace(std::forward<U>(v));
+  }
+};
+
+/// A Task<void> has no result, and may be detached (Simulator::spawn).
+template <>
+struct ResultSlot<void> : PromiseBase {
+  bool detached = false;  ///< owned by no Task: frees itself when done
+
+  void return_void() noexcept {}
+};
+
 }  // namespace detail
 
 /// Lazy awaitable coroutine returning T (or void).
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::ResultSlot<T> {
     Task get_return_object() noexcept {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     detail::FinalAwaiter<promise_type> final_suspend() noexcept { return {}; }
-    template <typename U>
-    void return_value(U&& v) {
-      value.emplace(std::forward<U>(v));
-    }
   };
 
   Task() noexcept = default;
@@ -122,75 +133,10 @@ class [[nodiscard]] Task {
       T await_resume() {
         auto& p = handle.promise();
         if (p.exception) std::rethrow_exception(p.exception);
-        assert(p.value.has_value() && "Task finished without a value");
-        return std::move(*p.value);
-      }
-    };
-    return Awaiter{handle_};
-  }
-
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) noexcept : handle_(h) {}
-
-  void destroy() noexcept {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-
-  std::coroutine_handle<promise_type> handle_;
-};
-
-/// void specialization.
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    bool detached = false;  ///< owned by no Task: frees itself when done
-
-    Task get_return_object() noexcept {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    detail::FinalAwaiter<promise_type> final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-  };
-
-  Task() noexcept = default;
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  [[nodiscard]] bool valid() const noexcept {
-    return static_cast<bool>(handle_);
-  }
-  [[nodiscard]] bool done() const noexcept {
-    return handle_ && handle_.done();
-  }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> handle;
-
-      [[nodiscard]] bool await_ready() const noexcept {
-        return !handle || handle.done();
-      }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> awaiting) noexcept {
-        handle.promise().continuation = awaiting;
-        return handle;
-      }
-      void await_resume() {
-        auto& p = handle.promise();
-        if (p.exception) std::rethrow_exception(p.exception);
+        if constexpr (!std::is_void_v<T>) {
+          assert(p.value.has_value() && "Task finished without a value");
+          return std::move(*p.value);
+        }
       }
     };
     return Awaiter{handle_};
@@ -198,7 +144,9 @@ class [[nodiscard]] Task<void> {
 
   /// Internal (Simulator::spawn): gives up ownership of the unstarted
   /// frame, which destroys itself when it runs to completion.
-  std::coroutine_handle<> detach() noexcept {
+  std::coroutine_handle<> detach() noexcept
+    requires std::is_void_v<T>
+  {
     handle_.promise().detached = true;
     return std::exchange(handle_, {});
   }

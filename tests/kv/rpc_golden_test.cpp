@@ -39,7 +39,7 @@ class Responder final : public RpcNode {
     const SimDur delay = seen_ < replies_.size() ? replies_[seen_] : 0;
     ++seen_;
     if (delay == kSilent) return;
-    sim().spawn(reply(this, req.reply_to, req.rpc_id, delay));
+    sim().spawn(reply(this, env.src, req.rpc_id, delay));
   }
 
  private:

@@ -1,7 +1,7 @@
 // Fabric timing model: Equation 1 behaviour, NIC serialization, incast
 // queueing, eager/rendezvous switch, failure drops, FIFO per pair; inbox
-// semantics (FIFO, buffering, non-suspending try_recv, parked receivers)
-// and cross-shard deliveries.
+// semantics (FIFO, buffering, try_recv, the bound dispatch callback: one
+// pass per landing on an idle inbox) and cross-shard deliveries.
 #include "net/fabric.h"
 
 #include <gtest/gtest.h>
@@ -31,88 +31,96 @@ FabricParams flat_params() {
   return p;
 }
 
-struct Receiver {
-  static sim::Task<void> run(TestFabric* fabric, NodeId id,
-                             std::vector<std::pair<int, SimTime>>* log,
-                             sim::Simulator* sim, int expected) {
-    auto& inbox = fabric->inbox(id);
-    for (int i = 0; i < expected;) {
-      const std::optional<Envelope<int>> env = inbox.try_recv();
-      if (!env) {
-        co_await inbox.park();
-        continue;
-      }
-      log->push_back({env->body, sim->now()});
-      ++i;
-    }
+/// Logs each message node `id` receives as (body, receive time), from a
+/// dispatch callback bound to the node's inbox the way RpcNode::start()
+/// binds one: binding schedules a first pass, landings the later ones.
+class Receiver : public sim::Callback {
+ public:
+  Receiver(TestFabric& fabric, NodeId id)
+      : sim::Callback{&Receiver::dispatch},
+        inbox_(&fabric.inbox(id)),
+        sim_(&fabric.sim_of(id)) {
+    inbox_->bind(this);
   }
+  Receiver(const Receiver&) = delete;
+  Receiver& operator=(const Receiver&) = delete;
+  ~Receiver() { inbox_->bind(nullptr); }
+
+  std::vector<std::pair<int, SimTime>> log;
+  int passes = 0;  ///< dispatch passes run
+
+ private:
+  static void dispatch(sim::Callback* cb) {
+    auto* self = static_cast<Receiver*>(cb);
+    ++self->passes;
+    while (std::optional<Envelope<int>> env = self->inbox_->try_recv()) {
+      self->log.emplace_back(env->body, self->sim_->now());
+    }
+    self->inbox_->drained();
+  }
+
+  TestFabric::Inbox* inbox_;
+  sim::Simulator* sim_;
 };
 
 TEST(Fabric, UnloadedTransferMatchesEquationOne) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 1));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 7, 4096);
   sim.run();
-  ASSERT_EQ(log.size(), 1u);
+  ASSERT_EQ(rx.log.size(), 1u);
   // T = L + D/B = 1000 + 4096 ns.
-  EXPECT_EQ(log[0].second, 1'000 + 4'096);
+  EXPECT_EQ(rx.log[0].second, 1'000 + 4'096);
 }
 
 TEST(Fabric, ZeroByteMessageTakesLatencyOnly) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 1));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 0);
   sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].second, 1'000);
+  ASSERT_EQ(rx.log.size(), 1u);
+  EXPECT_EQ(rx.log[0].second, 1'000);
 }
 
 TEST(Fabric, SenderNicSerializesConcurrentSends) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 3);
-  std::vector<std::pair<int, SimTime>> log1;
-  std::vector<std::pair<int, SimTime>> log2;
-  sim.spawn(Receiver::run(&fabric, 1, &log1, &sim, 1));
-  sim.spawn(Receiver::run(&fabric, 2, &log2, &sim, 1));
+  Receiver rx1(fabric, 1);
+  Receiver rx2(fabric, 2);
   fabric.send(0, 1, 1, 10'000);
   fabric.send(0, 2, 2, 10'000);  // queued behind the first at node 0's NIC
   sim.run();
-  ASSERT_EQ(log1.size(), 1u);
-  ASSERT_EQ(log2.size(), 1u);
-  EXPECT_EQ(log1[0].second, 1'000 + 10'000);
-  EXPECT_EQ(log2[0].second, 1'000 + 20'000);  // waited for tx slot
+  ASSERT_EQ(rx1.log.size(), 1u);
+  ASSERT_EQ(rx2.log.size(), 1u);
+  EXPECT_EQ(rx1.log[0].second, 1'000 + 10'000);
+  EXPECT_EQ(rx2.log[0].second, 1'000 + 20'000);  // waited for tx slot
 }
 
 TEST(Fabric, ReceiverNicQueuesIncast) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 3);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 2, &log, &sim, 2));
+  Receiver rx(fabric, 2);
   // Two different senders target node 2 simultaneously.
   fabric.send(0, 2, 1, 10'000);
   fabric.send(1, 2, 2, 10'000);
   sim.run();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].second, 11'000);  // first stream lands at L + D/B
-  EXPECT_EQ(log[1].second, 21'000);  // second queues at the receiver NIC
+  ASSERT_EQ(rx.log.size(), 2u);
+  EXPECT_EQ(rx.log[0].second, 11'000);  // first stream lands at L + D/B
+  EXPECT_EQ(rx.log[1].second, 21'000);  // second queues at the receiver NIC
 }
 
 TEST(Fabric, ParallelDisjointPairsDoNotInterfere) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 4);
-  std::vector<std::pair<int, SimTime>> log2;
-  std::vector<std::pair<int, SimTime>> log3;
-  sim.spawn(Receiver::run(&fabric, 2, &log2, &sim, 1));
-  sim.spawn(Receiver::run(&fabric, 3, &log3, &sim, 1));
+  Receiver rx2(fabric, 2);
+  Receiver rx3(fabric, 3);
   fabric.send(0, 2, 1, 10'000);
   fabric.send(1, 3, 2, 10'000);
   sim.run();
-  EXPECT_EQ(log2[0].second, 11'000);
-  EXPECT_EQ(log3[0].second, 11'000);  // full parallelism
+  EXPECT_EQ(rx2.log[0].second, 11'000);
+  EXPECT_EQ(rx3.log[0].second, 11'000);  // full parallelism
 }
 
 TEST(Fabric, RendezvousAddsHandshakeRoundTrip) {
@@ -120,12 +128,11 @@ TEST(Fabric, RendezvousAddsHandshakeRoundTrip) {
   p.rendezvous_threshold = 16 * 1024;
   sim::Simulator sim;
   TestFabric fabric(sim, p, 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 2));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 16 * 1024);      // rendezvous: 2L handshake first
   sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].second, 2'000 + 1'000 + 16 * 1024);
+  ASSERT_EQ(rx.log.size(), 1u);
+  EXPECT_EQ(rx.log[0].second, 2'000 + 1'000 + 16 * 1024);
   EXPECT_EQ(fabric.stats().rendezvous_handshakes, 1u);
 }
 
@@ -134,13 +141,12 @@ TEST(Fabric, EagerCopyCostDelaysSmallMessages) {
   p.eager_copy_ns_per_byte = 1.0;
   sim::Simulator sim;
   TestFabric fabric(sim, p, 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 1));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 1'000);
   sim.run();
-  ASSERT_EQ(log.size(), 1u);
+  ASSERT_EQ(rx.log.size(), 1u);
   // copy (1000) + L (1000) + D/B (1000)
-  EXPECT_EQ(log[0].second, 3'000);
+  EXPECT_EQ(rx.log[0].second, 3'000);
 }
 
 TEST(Fabric, HeaderBytesRideTheWire) {
@@ -148,11 +154,10 @@ TEST(Fabric, HeaderBytesRideTheWire) {
   p.header_bytes = 64;
   sim::Simulator sim;
   TestFabric fabric(sim, p, 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 1));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 1'000);
   sim.run();
-  EXPECT_EQ(log[0].second, 1'000 + 1'064);
+  EXPECT_EQ(rx.log[0].second, 1'000 + 1'064);
 }
 
 TEST(Fabric, SendToFailedNodeIsDropped) {
@@ -170,36 +175,33 @@ TEST(Fabric, SendToFailedNodeIsDropped) {
 TEST(Fabric, FifoPerPairEvenWithMixedSizes) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 3));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 50'000);  // big first
   fabric.send(0, 1, 2, 10);      // small cannot overtake on an RC QP
   fabric.send(0, 1, 3, 10);
   sim.run();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].first, 1);
-  EXPECT_EQ(log[1].first, 2);
-  EXPECT_EQ(log[2].first, 3);
-  EXPECT_LT(log[0].second, log[1].second);
-  EXPECT_LE(log[1].second, log[2].second);
+  ASSERT_EQ(rx.log.size(), 3u);
+  EXPECT_EQ(rx.log[0].first, 1);
+  EXPECT_EQ(rx.log[1].first, 2);
+  EXPECT_EQ(rx.log[2].first, 3);
+  EXPECT_LT(rx.log[0].second, rx.log[1].second);
+  EXPECT_LE(rx.log[1].second, rx.log[2].second);
 }
 
 TEST(Fabric, LoopbackSkipsNic) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 0, &log, &sim, 1));
+  Receiver rx(fabric, 0);
   fabric.send(0, 0, 1, 1'000'000);
   sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_LT(log[0].second, 1'000);  // far below any wire transfer
+  ASSERT_EQ(rx.log.size(), 1u);
+  EXPECT_LT(rx.log[0].second, 1'000);  // far below any wire transfer
 }
 
 TEST(Fabric, StatsCountTraffic) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 2));
+  Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 100);
   fabric.send(0, 1, 2, 200);
   sim.run();
@@ -273,13 +275,12 @@ sim::Task<void> send_spaced(sim::Simulator* sim, TestFabric* fabric, int count,
 TEST(Fabric, InboxDeliversInFifoOrder) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 5));
+  Receiver rx(fabric, 1);
   sim.spawn(send_spaced(&sim, &fabric, 5, 10));
   sim.run();
-  ASSERT_EQ(log.size(), 5u);
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    EXPECT_EQ(log[i].first, static_cast<int>(i));
+  ASSERT_EQ(rx.log.size(), 5u);
+  for (std::size_t i = 0; i < rx.log.size(); ++i) {
+    EXPECT_EQ(rx.log[i].first, static_cast<int>(i));
   }
   EXPECT_EQ(fabric.inbox(1).size(), 0u);
 }
@@ -291,12 +292,14 @@ TEST(Fabric, InboxBuffersUntilReceived) {
   fabric.send(0, 1, 8, 100);
   sim.run();  // both land with nobody receiving
   EXPECT_EQ(fabric.inbox(1).size(), 2u);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 2));
+  // Each delivery's start and land steps, and no dispatch pass.
+  EXPECT_EQ(sim.events_executed(), 4u);
+  Receiver rx(fabric, 1);
   sim.run();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0].first, 7);
-  EXPECT_EQ(log[1].first, 8);
+  EXPECT_EQ(rx.passes, 1);  // binding schedules the pass that takes both
+  ASSERT_EQ(rx.log.size(), 2u);
+  EXPECT_EQ(rx.log[0].first, 7);
+  EXPECT_EQ(rx.log[1].first, 8);
   EXPECT_EQ(fabric.inbox(1).size(), 0u);
 }
 
@@ -320,31 +323,46 @@ sim::Task<void> send_after(sim::Simulator* sim, TestFabric* fabric, SimDur d,
   fabric->send(0, 1, body, 100);
 }
 
-TEST(Fabric, ParkedReceiverWakesOnNextDelivery) {
+TEST(Fabric, LandingOnIdleInboxSchedulesDispatchOnce) {
   sim::Simulator sim;
   TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log;
-  sim.spawn(Receiver::run(&fabric, 1, &log, &sim, 1));
-  sim.run();  // the receiver parks on the empty inbox
-  EXPECT_TRUE(log.empty());
+  Receiver rx(fabric, 1);
+  sim.run();  // the first pass finds the inbox empty
+  EXPECT_EQ(rx.passes, 1);
+  EXPECT_TRUE(rx.log.empty());
+  const std::uint64_t events = sim.events_executed();
   sim.spawn(send_after(&sim, &fabric, 500, 9));
   sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].first, 9);
-  EXPECT_EQ(log[0].second, 500 + 1'000 + 100);  // woken as it lands
+  ASSERT_EQ(rx.log.size(), 1u);
+  EXPECT_EQ(rx.log[0].first, 9);
+  EXPECT_EQ(rx.log[0].second, 500 + 1'000 + 100);  // dispatched as it lands
+  EXPECT_EQ(rx.passes, 2);
+  // The sender, its delay, the delivery's start and land steps, and one
+  // dispatch pass.
+  EXPECT_EQ(sim.events_executed() - events, 5u);
 }
 
-TEST(Fabric, InboxReceiversShareMessages) {
+TEST(Fabric, LandingsBeforeDispatchRunsShareOnePass) {
   sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
-  std::vector<std::pair<int, SimTime>> log_a;
-  std::vector<std::pair<int, SimTime>> log_b;
-  sim.spawn(Receiver::run(&fabric, 1, &log_a, &sim, 5));
-  sim.spawn(Receiver::run(&fabric, 1, &log_b, &sim, 5));
-  sim.spawn(send_spaced(&sim, &fabric, 10, 1));
+  TestFabric fabric(sim, flat_params(), 4);
+  Receiver rx(fabric, 1);
   sim.run();
-  EXPECT_EQ(log_a.size() + log_b.size(), 10u);
-  EXPECT_EQ(fabric.inbox(1).size(), 0u);
+  // Zero-byte messages from three senders all land at t = L, one after
+  // another; only the first finds the inbox idle.
+  fabric.send(2, 1, 20, 0);
+  fabric.send(0, 1, 0, 0);
+  fabric.send(3, 1, 30, 0);
+  sim.run();
+  EXPECT_EQ(rx.passes, 2);
+  ASSERT_EQ(rx.log.size(), 3u);
+  EXPECT_EQ(rx.log[0], (std::pair<int, SimTime>{20, 1'000}));
+  EXPECT_EQ(rx.log[1], (std::pair<int, SimTime>{0, 1'000}));
+  EXPECT_EQ(rx.log[2], (std::pair<int, SimTime>{30, 1'000}));
+  // Drained: the next landing schedules a pass again.
+  fabric.send(0, 1, 1, 0);
+  sim.run();
+  EXPECT_EQ(rx.passes, 3);
+  EXPECT_EQ(rx.log.size(), 4u);
 }
 
 sim::Task<void> send_burst(TestFabric* fabric) {
@@ -358,17 +376,15 @@ TEST(Fabric, CrossShardDeliveriesLandOnTheReceiverShard) {
   const FabricParams p = flat_params();
   sim::ShardRuntime runtime(2, p.latency_ns);
   TestFabric fabric(runtime, p, {0, 1});
-  std::vector<std::pair<int, SimTime>> log;
-  runtime.shard(1).spawn(
-      Receiver::run(&fabric, 1, &log, &runtime.shard(1), 3));
+  Receiver rx(fabric, 1);
   runtime.shard(0).spawn(send_burst(&fabric));
   runtime.run();
   // Same arithmetic as one loop: tx 0-1000, 1000-1010, 1010-1020; each
   // arrives one latency after its tx start and queues at the rx NIC.
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], (std::pair<int, SimTime>{1, 2'000}));
-  EXPECT_EQ(log[1], (std::pair<int, SimTime>{2, 2'010}));
-  EXPECT_EQ(log[2], (std::pair<int, SimTime>{3, 2'020}));
+  ASSERT_EQ(rx.log.size(), 3u);
+  EXPECT_EQ(rx.log[0], (std::pair<int, SimTime>{1, 2'000}));
+  EXPECT_EQ(rx.log[1], (std::pair<int, SimTime>{2, 2'010}));
+  EXPECT_EQ(rx.log[2], (std::pair<int, SimTime>{3, 2'020}));
   fabric.merge_stats();
   const FabricStats& s = fabric.stats();
   EXPECT_EQ(s.messages_sent, 3u);

@@ -8,9 +8,11 @@
 // frame, a fabric delivery and overwriting a resident store key nothing,
 // and a fragment key one string; a whole Client->Server Get round trip is
 // pinned with and without a deadline, and an answered deadline wait
-// leaves no timer behind. This file replaces the global operator new with
-// a counting one, so it builds as its own test executable (test_sim_alloc)
-// and the counter reaches no other suite.
+// leaves no timer behind. Nothing outlives a drained run: once a cluster
+// has run dry and is destroyed, every block it allocated is freed. This
+// file replaces the global operator new and delete with counting ones, so
+// it builds as its own test executable (test_sim_alloc) and the counters
+// reach no other suite.
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
 #include "common/bytes.h"
 #include "kv/client.h"
 #include "kv/server.h"
@@ -30,10 +33,16 @@
 
 namespace {
 std::size_t g_allocations = 0;
+std::size_t g_frees = 0;
 
 void* counted_malloc(std::size_t size) noexcept {
   ++g_allocations;
   return std::malloc(size == 0 ? 1 : size);
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) ++g_frees;
+  std::free(p);
 }
 }  // namespace
 
@@ -53,13 +62,15 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return counted_malloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace hpres::sim {
@@ -315,34 +326,45 @@ TEST(SimAlloc, ChunkKeyAllocatesOnce) {
   EXPECT_EQ(key, base + "\x01" "3");
 }
 
-Task<void> receive(net::Fabric<int>* fabric, net::NodeId id, int count,
-                   int* sum) {
-  auto& inbox = fabric->inbox(id);
-  for (int i = 0; i < count;) {
-    const std::optional<net::Envelope<int>> env = inbox.try_recv();
-    if (!env) {
-      co_await inbox.park();
-      continue;
-    }
-    *sum += env->body;
-    ++i;
+/// Sums the bodies node `id` receives, from a dispatch callback bound to
+/// its inbox.
+class SumReceiver : public Callback {
+ public:
+  SumReceiver(net::Fabric<int>& fabric, net::NodeId id)
+      : Callback{&SumReceiver::dispatch}, inbox_(&fabric.inbox(id)) {
+    inbox_->bind(this);
   }
-}
+  SumReceiver(const SumReceiver&) = delete;
+  SumReceiver& operator=(const SumReceiver&) = delete;
+  ~SumReceiver() { inbox_->bind(nullptr); }
+
+  int sum = 0;
+
+ private:
+  static void dispatch(Callback* cb) {
+    auto* self = static_cast<SumReceiver*>(cb);
+    while (std::optional<net::Envelope<int>> env = self->inbox_->try_recv()) {
+      self->sum += env->body;
+    }
+    self->inbox_->drained();
+  }
+
+  net::Fabric<int>::Inbox* inbox_;
+};
 
 TEST(SimAlloc, FabricDeliveryAllocatesNothing) {
   Simulator sim;
   net::Fabric<int> fabric(sim, net::FabricParams{}, 2);
-  int sum = 0;
-  sim.spawn(receive(&fabric, 1, 2, &sum));
+  SumReceiver receiver(fabric, 1);
   // The first delivery warms up the record pool and the event queues.
   fabric.send(0, 1, 1, 4096);
   sim.run();
-  ASSERT_EQ(sum, 1);
+  ASSERT_EQ(receiver.sum, 1);
   const std::size_t before = g_allocations;
   fabric.send(0, 1, 2, 4096);
   sim.run();
   EXPECT_EQ(g_allocations - before, 0u);
-  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(receiver.sum, 3);
   EXPECT_EQ(fabric.stats().messages_delivered, 2u);
 }
 
@@ -448,6 +470,52 @@ TEST(SimAlloc, AnsweredDeadlineWaitLeavesNothingArmed) {
       EXPECT_EQ(g_allocations - before, 1u);
     }
   }
+}
+
+Task<void> set_then_get(kv::Client* client, kv::NodeId server, int keys,
+                        int* ok) {
+  for (int i = 0; i < keys; ++i) {
+    kv::Request set;
+    set.verb = kv::Verb::kSet;
+    set.key = kv::chunk_key("user0000000000042", static_cast<std::size_t>(i));
+    set.value = make_shared_bytes(make_pattern(1024, static_cast<std::uint64_t>(i)));
+    kv::Request get;
+    get.verb = kv::Verb::kGet;
+    get.key = set.key;
+    const Future<kv::Response> set_done = client->call(server, std::move(set));
+    if ((co_await set_done.wait()).code == StatusCode::kOk) ++*ok;
+    const Future<kv::Response> get_done = client->call(server, std::move(get));
+    if ((co_await get_done.wait()).code == StatusCode::kOk) ++*ok;
+  }
+}
+
+/// Live heap blocks left behind by building a three-server cluster,
+/// running Set/Get round trips from its client until it drains, destroying
+/// it and trimming the frame pool.
+std::size_t blocks_left_by_cluster_run() {
+  const std::size_t live = g_allocations - g_frees;
+  int ok = 0;
+  {
+    cluster::ClusterConfig config;
+    config.num_servers = 3;
+    cluster::Cluster cl(config);
+    cl.start();
+    for (std::size_t s = 0; s < cl.num_servers(); ++s) {
+      cl.sim().spawn(set_then_get(&cl.client(0), cl.server_nodes()[s], 4,
+                                  &ok));
+    }
+    cl.run();
+  }
+  detail::FramePool::trim();
+  const std::size_t left = g_allocations - g_frees - live;
+  EXPECT_EQ(ok, 24);
+  return left;
+}
+
+TEST(SimAlloc, DrainedClusterLeavesNoFrameBehind) {
+  blocks_left_by_cluster_run();  // builds what the process keeps for good
+  // No node's dispatch, handler or worker frame is still parked.
+  EXPECT_EQ(blocks_left_by_cluster_run(), 0u);
 }
 
 }  // namespace

@@ -201,21 +201,17 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
 
   // Host-side audit (elastic pass): the set of records whose primary
   // changed must agree with the HashRing::moved_ranges diff of the
-  // before/after rings. PrimaryCache memoizes the final-ring owners.
+  // before/after rings.
   if (elastic) {
     const kv::HashRing before(kProvisioned, 128, 0x5eed, kInitialActive);
-    const auto ranges =
-        kv::HashRing::moved_ranges(before, b.cl.ring());
-    PrimaryCache cache(&b.cl.ring());
+    const kv::HashRing& after = b.cl.ring();
+    const auto ranges = kv::HashRing::moved_ranges(before, after);
     std::uint64_t moved = 0;
     std::uint64_t disagree = 0;
     for (std::uint64_t i = 0; i < cfg.record_count; ++i) {
       const std::string key = workload::ycsb_key(i, cfg.key_size);
       const bool primary_moved =
-          before.primary_index(key) != cache.primary_index(key);
-      // Re-resolve through the cache so the hit counter shows the memo
-      // actually engaging on the second pass over the same keys.
-      (void)cache.primary_index(key);
+          before.primary_index(key) != after.primary_index(key);
       if (primary_moved) ++moved;
       if (primary_moved !=
           kv::HashRing::any_covers(ranges, kv::HashRing::hash_key(key))) {
@@ -224,14 +220,11 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
     }
     std::printf(
         "audit: %llu/%llu primaries moved, %llu moved_ranges disagreements"
-        " (want 0), ring diff covers %.1f%% of hash space, "
-        "primary-cache hits %llu/%llu\n",
+        " (want 0), ring diff covers %.1f%% of hash space\n",
         static_cast<unsigned long long>(moved),
         static_cast<unsigned long long>(cfg.record_count),
         static_cast<unsigned long long>(disagree),
-        100.0 * kv::HashRing::moved_fraction(ranges),
-        static_cast<unsigned long long>(cache.hits()),
-        static_cast<unsigned long long>(cache.lookups()));
+        100.0 * kv::HashRing::moved_fraction(ranges));
     if (disagree != 0) out.readback_failures += disagree;
   }
   // Teardown contract (mirrors Testbench's destructor): fold per-shard

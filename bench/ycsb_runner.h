@@ -10,7 +10,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "bench_util.h"
 #include "cluster/fault_schedule.h"
@@ -53,43 +52,6 @@ struct YcsbRun {
     return units::to_us(
         static_cast<SimDur>(merged.write_latency.mean()));
   }
-};
-
-/// Epoch-invalidated memo of HashRing::primary_index. Primary resolution
-/// walks the ring's point map (log |ring| per lookup); workload tooling
-/// that classifies many keys against the same ring — e.g. the scale-out
-/// bench's moved-key audit — hits the same keys repeatedly. The cache
-/// keys validity on the ring's placement epoch, so a join/leave cutover
-/// invalidates every memoized owner at once. Host-side only: simulated
-/// costs never route through it.
-class PrimaryCache {
- public:
-  explicit PrimaryCache(const kv::HashRing* ring) : ring_(ring) {}
-
-  [[nodiscard]] std::size_t primary_index(const std::string& key) {
-    ++lookups_;
-    if (epoch_ != ring_->epoch()) {
-      cache_.clear();
-      epoch_ = ring_->epoch();
-    }
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    const std::size_t owner = ring_->primary_index(key);
-    cache_.emplace(key, owner);
-    return owner;
-  }
-
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
-
- private:
-  const kv::HashRing* ring_;
-  std::uint64_t epoch_ = 0;  ///< epoch the cache entries resolved under
-  std::unordered_map<std::string, std::size_t> cache_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t lookups_ = 0;
 };
 
 /// Knobs for run_ycsb beyond the testbed/design/workload triple.

@@ -64,7 +64,7 @@ sim::Task<Status> PlacementManager::leave(std::size_t server) {
 sim::Task<Status> PlacementManager::run_change(std::size_t server,
                                                bool join) {
   assert(!changing_ && "one placement change at a time");
-  // Below n active servers slot_index wraps and one server would hold two
+  // Below n active servers placements wrap and one server would hold two
   // fragments of a key. No mutation is pending between changes, so the
   // live ring is stable to read here.
   if (!join && ring().num_active() <= codec_->n()) {
@@ -228,9 +228,11 @@ sim::Task<void> PlacementManager::migrate_key(kv::Key key, bool cleanup_ok) {
   bool need_repair = false;
   // (slot, old owner) pairs whose copy landed — cleanup targets.
   std::vector<std::pair<std::size_t, std::size_t>> copied;
+  kv::Placement old_place = prev_ring_.place(key);
+  kv::Placement new_place = ring().place(key);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t old_owner = prev_ring_.slot_index(key, slot);
-    const std::size_t new_owner = ring().slot_index(key, slot);
+    const std::size_t old_owner = old_place.owner(slot);
+    const std::size_t new_owner = new_place.owner(slot);
     if (old_owner == new_owner) continue;
     if (!ctx_.membership->up(old_owner)) {
       need_repair = true;  // old copy unreachable: rebuild below
@@ -296,9 +298,11 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
   std::vector<std::size_t> new_owners;
   old_owners.reserve(copies);
   new_owners.reserve(copies);
+  kv::Placement old_place = prev_ring_.place(key);
+  kv::Placement new_place = ring().place(key);
   for (std::size_t j = 0; j < copies; ++j) {
-    old_owners.push_back(prev_ring_.slot_index(key, j));
-    new_owners.push_back(ring().slot_index(key, j));
+    old_owners.push_back(old_place.owner(j));
+    new_owners.push_back(new_place.owner(j));
   }
   const auto contains = [](const std::vector<std::size_t>& v, std::size_t s) {
     return std::find(v.begin(), v.end(), s) != v.end();

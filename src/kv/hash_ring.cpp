@@ -73,6 +73,22 @@ std::size_t HashRing::primary_index(std::string_view key) const {
   return owner_of(hash_key(key));
 }
 
+Placement HashRing::place(std::string_view key) const {
+  Placement p;
+  p.ring_ = this;
+  p.hash_ = hash_key(key);
+  resolve(p);
+  return p;
+}
+
+void HashRing::resolve(Placement& p) const {
+  const std::size_t primary = owner_of(p.hash_);
+  p.pos_ = static_cast<std::size_t>(
+      std::lower_bound(active_.begin(), active_.end(), primary) -
+      active_.begin());
+  p.epoch_ = epoch_;
+}
+
 std::vector<HashRing::MovedRange> HashRing::moved_ranges(
     const HashRing& before, const HashRing& after) {
   // Ownership is piecewise constant between consecutive points of the

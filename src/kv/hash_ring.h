@@ -3,6 +3,14 @@
 // server, then the N-1 *following servers in the server list* hold the
 // remaining fragments (Section IV-A).
 //
+// One lookup per op: place(key) hashes the key once, walks the ring once
+// and returns a Placement that names every slot's owner from the primary's
+// position in the active list. An op resolves its key's Placement once and
+// asks it for owners at every use; a Placement remembers the epoch it was
+// resolved under and re-resolves (from the kept hash, without hashing the
+// key again) only when the ring's epoch has moved, so an op whose wait
+// crosses a join or leave still addresses the new owners.
+//
 // Elastic placement: the ring distinguishes *provisioned* servers (the
 // fixed index space 0..num_servers-1, sized at construction) from the
 // *active* set actually projected onto the ring. add_server / remove_server
@@ -11,8 +19,9 @@
 // whose owner changed, which is what the migration pass walks.
 #pragma once
 
-#include <cstdint>
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string_view>
 #include <vector>
@@ -20,6 +29,36 @@
 #include "kv/protocol.h"
 
 namespace hpres::kv {
+
+class HashRing;
+
+/// One key's owners under a ring: what HashRing::place returns. owner(slot)
+/// is the server-list index holding slot `slot` of the key under the ring's
+/// *current* epoch; when the ring has moved since the placement was
+/// resolved, the call re-resolves it first. A Placement refers to its ring,
+/// which must outlive it.
+class Placement {
+ public:
+  Placement() = default;
+
+  /// The primary for slot 0, then the following active servers in list
+  /// order, wrapping (below n active servers a server holds two slots).
+  [[nodiscard]] std::size_t owner(std::size_t slot);
+
+  /// The ring epoch this placement was last resolved under.
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+
+  /// The ring's epoch has moved since: the next owner() re-resolves.
+  [[nodiscard]] bool stale() const noexcept;
+
+ private:
+  friend class HashRing;
+
+  const HashRing* ring_ = nullptr;
+  std::uint64_t hash_ = 0;   ///< HashRing::hash_key of the key
+  std::uint64_t epoch_ = 0;  ///< ring epoch pos_ was resolved under
+  std::size_t pos_ = 0;      ///< the primary's position in active()
+};
 
 class HashRing {
  public:
@@ -73,17 +112,16 @@ class HashRing {
   /// Index (into the server list) of the key's designated primary server.
   [[nodiscard]] std::size_t primary_index(std::string_view key) const;
 
-  /// Server-list index holding slot `slot` of this key: the primary for
-  /// slot 0, then following *active* servers in list order, wrapping.
-  /// With every provisioned server active this is the classic
-  /// (primary + slot) % num_servers rule.
+  /// The key's owners: one hash and one ring walk. With every provisioned
+  /// server active, owner(slot) is the classic (primary + slot) %
+  /// num_servers rule.
+  [[nodiscard]] Placement place(std::string_view key) const;
+
+  /// place(key).owner(slot), for tests and tools. An op resolves one
+  /// Placement and asks it instead of calling this per slot.
   [[nodiscard]] std::size_t slot_index(std::string_view key,
                                        std::size_t slot) const {
-    const std::size_t primary = primary_index(key);
-    const auto it =
-        std::lower_bound(active_.begin(), active_.end(), primary);
-    const auto pos = static_cast<std::size_t>(it - active_.begin());
-    return active_[(pos + slot) % active_.size()];
+    return place(key).owner(slot);
   }
 
   /// 64-bit key hash (exposed for tests and workload tooling).
@@ -126,8 +164,12 @@ class HashRing {
       const std::vector<MovedRange>& ranges) noexcept;
 
  private:
+  friend class Placement;
+
   void rebuild();
   [[nodiscard]] std::size_t owner_of(std::uint64_t h) const;
+  /// Resolves `p` from its kept hash under the current epoch.
+  void resolve(Placement& p) const;
 
   std::size_t num_servers_;
   std::size_t vnodes_;
@@ -136,5 +178,15 @@ class HashRing {
   std::vector<std::size_t> active_;            // ascending server indices
   std::map<std::uint64_t, std::size_t> ring_;  // point -> server index
 };
+
+inline bool Placement::stale() const noexcept {
+  return epoch_ != ring_->epoch_;
+}
+
+inline std::size_t Placement::owner(std::size_t slot) {
+  if (stale()) [[unlikely]] ring_->resolve(*this);
+  const std::vector<std::size_t>& active = ring_->active_;
+  return active[(pos_ + slot) % active.size()];
+}
 
 }  // namespace hpres::kv

@@ -332,9 +332,10 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
 
   std::vector<sim::Future<Response>> pending;
   pending.reserve(n);
+  Placement place = ec.ring->place(req.key);
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (self->crashed_since(life)) co_return;
-    const std::size_t owner = ec.ring->slot_index(req.key, slot);
+    const std::size_t owner = place.owner(slot);
     Request put = fragment_put(req.key, slot, fragments[slot], value_size, k,
                                ec.codec->m());
     if (owner == ec.my_index) {
@@ -380,9 +381,10 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
 
   // Pick the fragments to aggregate, codec-aware (data slots first; LRC
   // skips linearly dependent survivor rows).
+  Placement place = ec.ring->place(req.key);
   std::vector<bool> available(n);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    available[slot] = ec.membership->up(ec.ring->slot_index(req.key, slot));
+    available[slot] = ec.membership->up(place.owner(slot));
   }
   Response resp;
   resp.rpc_id = req.rpc_id;
@@ -401,7 +403,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   std::vector<Response> fetched(n);
   std::vector<sim::Future<Response>> remote(n);  // invalid: local slot
   for (const std::size_t slot : chosen) {
-    const std::size_t owner = ec.ring->slot_index(req.key, slot);
+    const std::size_t owner = place.owner(slot);
     const Key ckey = chunk_key(req.key, slot);
     if (owner == ec.my_index) {
       auto got = self->store_.get(ckey);

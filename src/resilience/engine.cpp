@@ -130,11 +130,11 @@ sim::Task<kv::Response> Engine::call_one(std::size_t server, kv::Request req,
   co_return resp;
 }
 
-sim::Task<Engine::LiveSlot> Engine::first_live_slot(const kv::Key& key,
+sim::Task<Engine::LiveSlot> Engine::first_live_slot(kv::Placement& place,
                                                     std::size_t slots) {
   LiveSlot result;
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    if (membership().up(ring().slot_index(key, slot))) {
+    if (membership().up(place.owner(slot))) {
       result.slot = slot;
       break;
     }

@@ -349,15 +349,16 @@ class Engine {
                                    std::string_view request_span,
                                    std::string_view wait_span);
 
-  /// The first live owner among `key`'s first `slots` ring slots (nullopt
+  /// The first live owner among the first `slots` slots of `place` (nullopt
   /// when all are down). `degraded` reports that a dead owner was skipped;
   /// T_check (Equation 4) has then been paid, and the caller bumps its
-  /// per-verb counter. Await it at once: it reads `key` by reference.
+  /// per-verb counter. Await it at once: it reads `place` by reference.
   struct LiveSlot {
     std::optional<std::size_t> slot;
     bool degraded = false;
   };
-  sim::Task<LiveSlot> first_live_slot(const kv::Key& key, std::size_t slots);
+  sim::Task<LiveSlot> first_live_slot(kv::Placement& place,
+                                      std::size_t slots);
 
   /// The acks of one write fan-out (replicas, fragments or deletes).
   struct WriteTally {

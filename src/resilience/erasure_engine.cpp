@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "common/rng.h"
 
@@ -31,6 +30,7 @@ ErasureEngine::ErasureEngine(EngineContext ctx, const ec::Codec& codec,
   assert(is_erasure(design) && "ErasureEngine runs an erasure design");
   assert(codec.n() <= ring().num_active() &&
          "need k+m distinct servers for fragment placement");
+  assert(codec.n() <= kMaxSlots && "codec wider than the per-op slot arrays");
 }
 
 sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
@@ -51,7 +51,8 @@ sim::Task<Result<Bytes>> ErasureEngine::do_get(kv::Key key,
     if (packing_active()) return get_packed(std::move(key), phases);
     return get_client_decode(std::move(key), phases);
   }
-  return get_server_decode(std::move(key), phases);
+  const kv::Placement place = ring().place(key);
+  return get_server_decode(std::move(key), place, phases);
 }
 
 sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
@@ -65,8 +66,9 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
     co_await unlink_locator(key, &pending);
   }
   bool staged_sent = false;
+  kv::Placement place = ring().place(key);
   for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
-    const std::size_t owner = ring().slot_index(key, slot);
+    const std::size_t owner = place.owner(slot);
     if (!membership().up(owner)) continue;
     kv::Request frag;
     frag.verb = kv::Verb::kDelete;
@@ -98,6 +100,7 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
+  kv::Placement place = ring().place(key);
 
   // T_encode plus the posting of all n chunk requests occupy the client
   // CPU as one contiguous slice — a single application thread encodes and
@@ -119,29 +122,28 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
 
   // Distribute all K+M fragments with non-blocking requests: the
   // response waits overlap, approaching Equation 7's max over fragments.
-  std::vector<sim::Future<kv::Response>> pending;
-  std::vector<std::size_t> pending_owners;
-  pending.reserve(n);
-  pending_owners.reserve(n);
+  // A down owner's slot stays an invalid future.
+  std::array<sim::Future<kv::Response>, kMaxSlots> pending;
+  std::array<std::size_t, kMaxSlots> owners{};
   for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = ring().slot_index(key, slot);
-    if (!membership().up(owner)) continue;
+    owners[slot] = place.owner(slot);
+    if (!membership().up(owners[slot])) continue;
     kv::Request req = kv::fragment_put(key, slot, fragments[slot], value_size,
                                        k, codec_->m());
     req.trace = phases->trace;
-    pending.push_back(client().call(node_of(owner), std::move(req)));
-    pending_owners.push_back(owner);
+    pending[slot] = client().call(node_of(owners[slot]), std::move(req));
   }
 
   WriteTally tally;
   const SimTime fanout_t0 = sim().now();
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const kv::Response resp = co_await pending[i].wait();
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (!pending[slot].valid()) continue;
+    const kv::Response resp = co_await pending[slot].wait();
     tally.add(resp.code);
     if (resp.code == StatusCode::kOk) {
       // Passive load learning from the piggybacked queue depth; purely
       // observational (no events, no RNG), so timing is unchanged.
-      load_.observe_rtt(pending_owners[i], sim().now() - fanout_t0,
+      load_.observe_rtt(owners[slot], sim().now() - fanout_t0,
                         resp.queue_depth);
     }
   }
@@ -153,7 +155,8 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
 sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
                                                    SharedBytes value,
                                                    OpPhases* phases) {
-  const LiveSlot live = co_await first_live_slot(key, codec_->n());
+  kv::Placement place = ring().place(key);
+  const LiveSlot live = co_await first_live_slot(place, codec_->n());
   if (live.degraded) {
     ++stats().degraded_sets;
     phases->degraded = true;
@@ -161,7 +164,7 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
   if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "no live server"};
   }
-  const std::size_t target = ring().slot_index(key, *live.slot);
+  const std::size_t target = place.owner(*live.slot);
 
   kv::Request req;
   req.verb = kv::Verb::kSetEncode;
@@ -178,7 +181,8 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
 
 sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
                                                           OpPhases* phases) {
-  FragmentFetch f(std::move(key), codec_->n());
+  const kv::Placement place = ring().place(key);
+  FragmentFetch f(std::move(key), place, codec_->n());
   const Status s = co_await fetch_fragments(&f, phases);
   if (s.ok() && f.meta) {
     co_return co_await decode_fragments(&f, f.meta->original_size,
@@ -193,7 +197,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
       flight()->record(sim().now(), client().id(),
                        obs::FlightEventType::kFallback);
     }
-    co_return co_await get_server_decode(std::move(f.base), phases);
+    co_return co_await get_server_decode(std::move(f.base), f.place, phases);
   }
   co_return s.ok() ? Status{f.worst, "missing fragments"} : s;
 }
@@ -207,7 +211,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   // Needing to work around a dead owner costs one T_check (Equation 4).
   bool down = false;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!membership().up(ring().slot_index(f->base, slot))) {
+    if (!membership().up(f->place.owner(slot))) {
       f->available[slot] = false;
       down = true;
     }
@@ -226,8 +230,11 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   // Codec-aware read set: an MDS code takes the first k live owners, data
   // slots first; LRC skips dependent rows. Hedging ranks owners by load
   // (power-of-two-choices among near-equal scores).
-  std::vector<std::size_t> preference;
-  if (hedging) preference = load_preference(f->base, /*randomize=*/true);
+  std::array<std::size_t, kMaxSlots> ranked;
+  std::span<const std::size_t> preference;
+  if (hedging) {
+    preference = load_preference(f->place, /*randomize=*/true, ranked);
+  }
   Result<std::vector<std::size_t>> selected =
       codec_->select_sources(codec_->data_slots(), f->available, preference);
   if (!selected.ok()) co_return selected.status();
@@ -249,13 +256,15 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
 
   // Arm up to Δ hedges over the next-best candidates. They fire once the
   // hedge delay has passed, and only while the op is short of k arrivals.
-  std::vector<std::size_t> hedges;
-  for (std::size_t i = 0; i < n && hedges.size() < hedge_.delta; ++i) {
+  std::array<std::size_t, kMaxSlots> hedge_slots;
+  std::size_t hedge_count = 0;
+  for (std::size_t i = 0; i < n && hedge_count < hedge_.delta; ++i) {
     const std::size_t slot = preference.empty() ? i : preference[i];
     if (!f->slots[slot].attempted && f->available[slot]) {
-      hedges.push_back(slot);
+      hedge_slots[hedge_count++] = slot;
     }
   }
+  std::span<const std::size_t> hedges(hedge_slots.data(), hedge_count);
   const SimTime hedge_due = fetch_t0 + hedge_.delay_ns;
 
   for (;;) {
@@ -291,7 +300,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       phases->degraded = true;
       co_await sim().delay(kv::Membership::kCheckCostNs);
       fold_arrivals(f);
-      preference = load_preference(f->base, /*randomize=*/hedging);
+      preference = load_preference(f->place, /*randomize=*/hedging, ranked);
       selected = codec_->select_sources(codec_->data_slots(), f->available,
                                         preference);
       if (!selected.ok()) break;  // fewer than k survivors
@@ -299,8 +308,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         if (f->slots[slot].attempted) continue;
         ++stats().failover_fetches;
         if (flight() != nullptr) {
-          flight()->record(sim().now(),
-                           node_of(ring().slot_index(f->base, slot)),
+          flight()->record(sim().now(), node_of(f->place.owner(slot)),
                            obs::FlightEventType::kFailover, 0,
                            static_cast<std::uint32_t>(client().id()));
         }
@@ -334,23 +342,24 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
                       sim().now(), phases->trace.trace_id);
         }
         if (flight() != nullptr) {
-          flight()->record(sim().now(),
-                           node_of(ring().slot_index(f->base, slot)),
+          flight()->record(sim().now(), node_of(f->place.owner(slot)),
                            obs::FlightEventType::kHedgeFired, 0,
                            static_cast<std::uint32_t>(client().id()));
         }
         issue_fetch(f, slot, /*hedge=*/true, phases->trace);
       }
       if (fired) ++stats().hedged_gets;
-      hedges.clear();
+      hedges = {};
       continue;
     }
-    if (std::none_of(f->inflight.begin(), f->inflight.end(),
+    const std::span<const sim::Future<kv::Response>> inflight(
+        f->inflight.data(), n);
+    if (std::none_of(inflight.begin(), inflight.end(),
                      [](const auto& fut) { return fut.valid(); })) {
       break;
     }
     co_await sim::wait_any<kv::Response>(
-        f->inflight, hedges.empty() ? sim::Simulator::kNever : hedge_due);
+        inflight, hedges.empty() ? sim::Simulator::kNever : hedge_due);
   }
 
   // Bind the result: everything still in flight is a straggler. Unguarded
@@ -370,7 +379,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
     if (!f->slots[slot].hedge) continue;
     ++stats().hedge_wins;
     if (flight() != nullptr) {
-      flight()->record(sim().now(), node_of(ring().slot_index(f->base, slot)),
+      flight()->record(sim().now(), node_of(f->place.owner(slot)),
                        obs::FlightEventType::kHedgeWon, 0,
                        static_cast<std::uint32_t>(client().id()));
     }
@@ -406,7 +415,7 @@ void ErasureEngine::issue_fetch(FragmentFetch* f, std::size_t slot,
   req.key = kv::chunk_key(f->base, slot);
   req.trace = trace;
   f->inflight[slot] =
-      client().call(node_of(ring().slot_index(f->base, slot)), std::move(req));
+      client().call(node_of(f->place.owner(slot)), std::move(req));
   FragmentFetch::Slot& s = f->slots[slot];
   s.rpc_id = client().last_call_id();  // 0: guarded or failed fast
   s.issued_at = sim().now();
@@ -415,15 +424,15 @@ void ErasureEngine::issue_fetch(FragmentFetch* f, std::size_t slot,
 }
 
 void ErasureEngine::fold_arrivals(FragmentFetch* f) {
-  for (std::size_t slot = 0; slot < f->inflight.size(); ++slot) {
+  for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
     const kv::Response* resp = f->inflight[slot].try_get();
     if (resp == nullptr) continue;
     FragmentFetch::Slot& s = f->slots[slot];
     if (s.hedge) arpe().release_hedge_buffer();
     if (resp->code == StatusCode::kOk) {
       // Passive load learning (observation only: no events, no RNG).
-      load_.observe_rtt(ring().slot_index(f->base, slot),
-                        sim().now() - s.issued_at, resp->queue_depth);
+      load_.observe_rtt(f->place.owner(slot), sim().now() - s.issued_at,
+                        resp->queue_depth);
       f->frags[slot] = resp->value;
       f->have[slot] = true;
       ++f->arrived;
@@ -453,27 +462,31 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     co_await client().cpu().execute(decode_ns);
     span(*phases, "get/decode", sim().now() - decode_ns, decode_ns);
   }
-  co_return ec::assemble(*codec_, f->frags, f->decode_set,
+  co_return ec::assemble(*codec_,
+                         std::span(f->frags.data(), codec_->n()),
+                         f->decode_set,
                          ec::make_layout(coded_bytes, k, codec_->alignment()),
                          slice, ctx().materialize, scratch_);
 }
 
-std::vector<std::size_t> ErasureEngine::load_preference(const kv::Key& key,
-                                                        bool randomize) {
+std::span<const std::size_t> ErasureEngine::load_preference(
+    kv::Placement& place, bool randomize,
+    std::array<std::size_t, kMaxSlots>& storage) {
   if (load_.total_samples() == 0) return {};
   const std::size_t n = codec_->n();
-  std::vector<std::size_t> slots(n);
-  std::iota(slots.begin(), slots.end(), std::size_t{0});
-  std::vector<std::size_t> owners(n);
+  std::array<std::size_t, kMaxSlots> owners;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    owners[slot] = ring().slot_index(key, slot);
+    storage[slot] = slot;
+    owners[slot] = place.owner(slot);
   }
-  return load_.order_slots(slots, owners, randomize);
+  const std::span<std::size_t> ranked(storage.data(), n);
+  load_.order_slots(ranked, std::span(owners.data(), n), randomize);
+  return ranked;
 }
 
-sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
-                                                          OpPhases* phases) {
-  const LiveSlot live = co_await first_live_slot(key, codec_->n());
+sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(
+    kv::Key key, kv::Placement place, OpPhases* phases) {
+  const LiveSlot live = co_await first_live_slot(place, codec_->n());
   if (live.degraded) {
     ++stats().degraded_gets;
     phases->degraded = true;
@@ -481,7 +494,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
   if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "no live server"};
   }
-  const std::size_t target = ring().slot_index(key, *live.slot);
+  const std::size_t target = place.owner(*live.slot);
 
   kv::Request req;
   req.verb = kv::Verb::kGetDecode;
@@ -507,8 +520,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(kv::Key key,
 sim::Task<void> ErasureEngine::unlink_locator(
     kv::Key key, std::vector<sim::Future<kv::Response>>* out) {
   const std::size_t m = codec_->m();
+  kv::Placement place = ring().place(key);
   for (std::size_t j = 0; j <= m; ++j) {
-    const std::size_t owner = ring().slot_index(key, j);
+    const std::size_t owner = place.owner(j);
     if (!membership().up(owner)) continue;
     kv::Request req;
     req.verb = kv::Verb::kDelete;
@@ -543,7 +557,7 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
                                             OpPhases* phases) {
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t rec = ec::stripe_record_bytes(key.size(), value_size);
-  const std::size_t primary = ring().slot_index(key, 0);
+  const std::size_t primary = ring().place(key).owner(0);
 
   if (const auto it = active_.find(primary);
       it != active_.end() && it->second->used + rec > kStripeCapacity) {
@@ -661,8 +675,9 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   std::vector<sim::Future<kv::Response>> frag_pending;
   std::vector<std::size_t> frag_owners;
   frag_pending.reserve(n);
+  kv::Placement stripe_place = self->ring().place(st->skey);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = self->ring().slot_index(st->skey, slot);
+    const std::size_t owner = stripe_place.owner(slot);
     if (!self->membership().up(owner)) continue;
     frag_pending.push_back(self->client().call(
         self->node_of(owner),
@@ -676,9 +691,9 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // set — one RPC per owner for the whole stripe.
   std::vector<sim::Future<kv::Response>> dir_pending;
   if (!live.empty()) {
-    const kv::Key& anchor = st->records.front().key;
+    kv::Placement dir_place = self->ring().place(st->records.front().key);
     for (std::size_t j = 0; j <= m; ++j) {
-      const std::size_t owner = self->ring().slot_index(anchor, j);
+      const std::size_t owner = dir_place.owner(j);
       if (!self->membership().up(owner)) continue;
       kv::Request req;
       req.verb = kv::Verb::kSetStripeIndex;
@@ -745,9 +760,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     co_return it->second ? Bytes(*it->second) : Bytes{};
   }
 
-  const std::size_t k = codec_->k();
   const std::size_t m = codec_->m();
-  const std::size_t n = codec_->n();
   bool degraded = false;
 
   // Locator query at every live directory owner in parallel: any kOk with
@@ -757,8 +770,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   // install while it was down.
   std::vector<sim::Future<kv::Response>> lookups;
   std::vector<std::size_t> lookup_owners;
+  kv::Placement dir_place = ring().place(key);
   for (std::size_t j = 0; j <= m; ++j) {
-    const std::size_t owner = ring().slot_index(key, j);
+    const std::size_t owner = dir_place.owner(j);
     if (!membership().up(owner)) {
       degraded = true;
       continue;
@@ -811,18 +825,25 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   }
   ++stats().packed_get_hits;
   if (loc->len == 0) co_return Bytes{};
+  co_return co_await read_packed(std::move(*loc), degraded, phases);
+}
 
+sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
+                                                    bool degraded,
+                                                    OpPhases* phases) {
+  const std::size_t k = codec_->k();
+  const std::size_t n = codec_->n();
   const ec::ChunkLayout layout =
-      ec::make_layout(loc->stripe_bytes, k, codec_->alignment());
+      ec::make_layout(loc.stripe_bytes, k, codec_->alignment());
   const ec::FragmentRange range =
-      ec::owning_fragments(layout, loc->offset, loc->len);
+      ec::owning_fragments(layout, loc.offset, loc.len);
 
   // Healthy path: fetch only the whole data fragments covering the
   // sub-slot range (usually one, at most two for threshold-sized values).
-  FragmentFetch f(loc->stripe, n);
+  FragmentFetch f(loc.stripe, ring().place(loc.stripe), n);
   bool healthy = true;
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    if (!membership().up(ring().slot_index(loc->stripe, slot))) {
+    if (!membership().up(f.place.owner(slot))) {
       healthy = false;
       break;
     }
@@ -839,8 +860,8 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
       kv::Response resp = co_await f.inflight[slot].wait();
       f.inflight[slot] = {};
       if (resp.code == StatusCode::kOk) {
-        load_.observe_rtt(ring().slot_index(loc->stripe, slot),
-                          sim().now() - fetch_t0, resp.queue_depth);
+        load_.observe_rtt(f.place.owner(slot), sim().now() - fetch_t0,
+                          resp.queue_depth);
         f.frags[slot] = std::move(resp.value);
         f.have[slot] = true;
       } else {
@@ -850,8 +871,9 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     }
     span(*phases, "get/fetch", fetch_t0, sim().now() - fetch_t0);
     if (healthy) {  // the record's data slots arrived: nothing to decode
-      co_return ec::assemble(*codec_, f.frags, codec_->data_slots(), layout,
-                             ec::ValueSlice{loc->offset, loc->len},
+      co_return ec::assemble(*codec_, std::span(f.frags.data(), n),
+                             codec_->data_slots(), layout,
+                             ec::ValueSlice{loc.offset, loc.len},
                              ctx().materialize, scratch_);
     }
   }
@@ -865,7 +887,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   const Status s = co_await fetch_fragments(&f, phases);
   if (!s.ok()) co_return s;
   co_return co_await decode_fragments(
-      &f, loc->stripe_bytes, ec::ValueSlice{loc->offset, loc->len}, phases);
+      &f, loc.stripe_bytes, ec::ValueSlice{loc.offset, loc.len}, phases);
 }
 
 }  // namespace hpres::resilience

@@ -10,6 +10,8 @@
 //              included for completeness; the paper sets it aside)
 #pragma once
 
+#include <array>
+#include <span>
 #include <unordered_map>
 
 #include "ec/chunker.h"
@@ -33,6 +35,10 @@ class ErasureEngine final : public Engine {
   /// would exceed it. Bigger stripes amortize fragment/key overhead over
   /// more records but raise the group-commit batch latency.
   static constexpr std::size_t kStripeCapacity = 16 * 1024;
+
+  /// Widest codec (k+m) an engine runs: an op keeps its per-slot fetch and
+  /// fan-out state in arrays of this size inside its coroutine frame.
+  static constexpr std::size_t kMaxSlots = 16;
 
   /// The codec must outlive the engine. Server-side designs additionally
   /// require every server to have ServerEcContext enabled (see
@@ -82,20 +88,24 @@ class ErasureEngine final : public Engine {
                                       OpPhases* phases);
   // Get paths.
   sim::Task<Result<Bytes>> get_client_decode(kv::Key key, OpPhases* phases);
-  sim::Task<Result<Bytes>> get_server_decode(kv::Key key, OpPhases* phases);
+  /// `place` is `key`'s placement (the caller may already hold it).
+  sim::Task<Result<Bytes>> get_server_decode(kv::Key key, kv::Placement place,
+                                             OpPhases* phases);
 
   /// One erasure read's fetch state, owned by the Get's frame and driven by
   /// fetch_fragments. A caller may mark slots unavailable and pre-load
   /// fragments it already holds; the machine leaves the k slots it bound
-  /// in `decode_set` (empty when the read failed).
+  /// in `decode_set` (empty when the read failed). Per-slot arrays hold
+  /// kMaxSlots entries, of which the codec's n are used.
   struct FragmentFetch {
-    FragmentFetch(kv::Key base_key, std::size_t n)
-        : base(std::move(base_key)), available(n, true), have(n, false),
-          frags(n), slots(n), inflight(n) {}
+    FragmentFetch(kv::Key base_key, kv::Placement owners, std::size_t n)
+        : base(std::move(base_key)), place(owners), available(n, true),
+          have(n, false) {}
     kv::Key base;                     ///< slot i lives at chunk_key(base, i)
+    kv::Placement place;              ///< base's owners
     std::vector<bool> available;      ///< slot not (yet) known-failed
     std::vector<bool> have;           ///< frags[slot] arrived
-    std::vector<SharedBytes> frags;   ///< arrived fragments by slot
+    std::array<SharedBytes, kMaxSlots> frags;  ///< arrived fragments by slot
     /// In-flight bookkeeping per slot, private to fetch_fragments.
     struct Slot {
       SimTime issued_at = 0;
@@ -103,8 +113,9 @@ class ErasureEngine final : public Engine {
       bool attempted = false;         ///< fetched, in flight, or pre-loaded
       bool hedge = false;             ///< that fetch was a hedge
     };
-    std::vector<Slot> slots;
-    std::vector<sim::Future<kv::Response>> inflight;  ///< invalid = idle
+    std::array<Slot, kMaxSlots> slots;
+    /// Invalid = idle.
+    std::array<sim::Future<kv::Response>, kMaxSlots> inflight;
     std::vector<std::size_t> decode_set;
     std::optional<kv::ChunkInfo> meta;  ///< chunk header of any arrival
     StatusCode worst = StatusCode::kNotFound;
@@ -175,6 +186,13 @@ class ErasureEngine final : public Engine {
   /// when no locator exists.
   sim::Task<Result<Bytes>> get_packed(kv::Key key, OpPhases* phases);
 
+  /// get_packed's read once the locator is known: the sub-slot range fetch,
+  /// else the whole-stripe decode. `degraded`: the op already counted
+  /// itself degraded. A frame of its own keeps both coroutine frames
+  /// within the frame pool's 2 KiB size classes.
+  sim::Task<Result<Bytes>> read_packed(kv::StripeLoc loc, bool degraded,
+                                       OpPhases* phases);
+
   /// Detaches the active stripe of `primary` and spawns its group commit.
   void seal_stripe(std::size_t primary, bool by_timer);
 
@@ -194,11 +212,13 @@ class ErasureEngine final : public Engine {
   sim::Task<void> unlink_locator(kv::Key key,
                                  std::vector<sim::Future<kv::Response>>* out);
 
-  /// Slots of `key` ordered by their owners' load scores, near-equal
-  /// neighbours swapped by a seeded coin when `randomize`; empty while the
-  /// tracker is cold (natural order).
-  [[nodiscard]] std::vector<std::size_t> load_preference(const kv::Key& key,
-                                                         bool randomize);
+  /// Ranks the codec's n slots by their owners' load scores into
+  /// `storage`, near-equal neighbours swapped by a seeded coin when
+  /// `randomize`, and returns the ranked prefix; empty while the tracker is
+  /// cold (natural order).
+  [[nodiscard]] std::span<const std::size_t> load_preference(
+      kv::Placement& place, bool randomize,
+      std::array<std::size_t, kMaxSlots>& storage);
 
   const ec::Codec* codec_;
   ec::CostModel cost_;

@@ -16,16 +16,41 @@
 // depths.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 
 namespace hpres::resilience {
+
+/// Ranks `slots` by `score(slot)`, lowest first, in place: a stable
+/// insertion sort (the same order as std::stable_sort, without its buffer;
+/// callers rank at most a codec's k+m slots). Then, when `tie_rng` is
+/// given, one pass swaps each adjacent pair whose later score is within 5%
+/// of the earlier one on a coin flip, drawing once per such pair.
+template <typename Score>
+void rank_slots(std::span<std::size_t> slots, Score score,
+                Xoshiro256* tie_rng) {
+  for (std::size_t i = 1; i < slots.size(); ++i) {
+    const std::size_t slot = slots[i];
+    const double s = score(slot);
+    std::size_t j = i;
+    for (; j > 0 && s < score(slots[j - 1]); --j) slots[j] = slots[j - 1];
+    slots[j] = slot;
+  }
+  if (tie_rng == nullptr) return;
+  for (std::size_t i = 0; i + 1 < slots.size(); ++i) {
+    const double a = score(slots[i]);
+    const double b = score(slots[i + 1]);
+    if (b <= a * 1.05 && tie_rng->next_double() < 0.5) {
+      std::swap(slots[i], slots[i + 1]);
+    }
+  }
+}
 
 class NodeLoadTracker {
  public:
@@ -79,34 +104,23 @@ class NodeLoadTracker {
     return total_samples_;
   }
 
-  /// Orders fragment slots cheapest-owner-first. `owner_of_slot[i]` maps
-  /// slot i to its server index. The sort is stable (equal scores keep
-  /// slot order); with `randomize_ties`, adjacent slots whose owner scores
-  /// are within 5% are swapped by a seeded coin flip — power-of-two-choices
-  /// among near-equals, so repeated selections spread over peers instead
-  /// of always hitting the same "marginally best" server. Only the
-  /// randomized path draws RNG.
-  [[nodiscard]] std::vector<std::size_t> order_slots(
-      std::span<const std::size_t> slots,
-      std::span<const std::size_t> owner_of_slot, bool randomize_ties) {
-    std::vector<std::size_t> out(slots.begin(), slots.end());
-    auto slot_score = [&](std::size_t slot) {
-      return slot < owner_of_slot.size() ? score(owner_of_slot[slot]) : 1.0;
-    };
-    std::stable_sort(out.begin(), out.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return slot_score(a) < slot_score(b);
-                     });
-    if (randomize_ties) {
-      for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-        const double a = slot_score(out[i]);
-        const double b = slot_score(out[i + 1]);
-        if (b <= a * 1.05 && rng_.next_double() < 0.5) {
-          std::swap(out[i], out[i + 1]);
-        }
-      }
-    }
-    return out;
+  /// Orders fragment slots cheapest-owner-first, in place. `owner_of_slot`
+  /// maps slot i to its server index. The ranking is stable (equal scores
+  /// keep slot order); with `randomize_ties`, adjacent slots whose owner
+  /// scores are within 5% are swapped by a seeded coin flip —
+  /// power-of-two-choices among near-equals, so repeated selections spread
+  /// over peers instead of always hitting the same "marginally best"
+  /// server. Only the randomized path draws RNG (see rank_slots).
+  void order_slots(std::span<std::size_t> slots,
+                   std::span<const std::size_t> owner_of_slot,
+                   bool randomize_ties) {
+    rank_slots(
+        slots,
+        [&](std::size_t slot) {
+          return slot < owner_of_slot.size() ? score(owner_of_slot[slot])
+                                             : 1.0;
+        },
+        randomize_ties ? &rng_ : nullptr);
   }
 
  private:

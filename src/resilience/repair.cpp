@@ -33,6 +33,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
                                  trace_tid(), 0};
 
   // Phase 1 — presence probe: head-only Gets, no fragment payloads move.
+  kv::Placement place = ctx_.ring->place(key);
   std::vector<bool> owner_alive(n, false);
   std::vector<bool> present(n, false);
   std::optional<kv::ChunkInfo> meta;
@@ -40,7 +41,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   {
     std::vector<sim::Future<kv::Response>> pending(n);
     for (std::size_t slot = 0; slot < n; ++slot) {
-      const std::size_t owner = ctx_.ring->slot_index(key, slot);
+      const std::size_t owner = place.owner(slot);
       if (!ctx_.membership->up(owner)) continue;
       owner_alive[slot] = true;
       kv::Request req;
@@ -82,7 +83,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     ++stats_.unrepairable_keys;
     if (purge_orphans_ &&
         std::find(present.begin(), present.end(), true) != present.end()) {
-      co_await purge_orphan(std::move(key), std::move(present));
+      co_await purge_orphan(std::move(key), place, std::move(present));
     }
     co_return Status{StatusCode::kTooManyFailures,
                      "surviving fragments cannot rebuild the key"};
@@ -104,7 +105,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
       req.verb = kv::Verb::kGet;
       req.key = kv::chunk_key(key, slot);
       req.trace = rtrace;
-      const std::size_t owner = ctx_.ring->slot_index(key, slot);
+      const std::size_t owner = place.owner(slot);
       pending.push_back(ctx_.client->call_async((*ctx_.server_nodes)[owner],
                                                 std::move(req)));
     }
@@ -160,7 +161,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     kv::Request req = kv::fragment_put(key, slot, (*rebuilt)[slot],
                                        value_size, k, codec_->m());
     req.trace = rtrace;
-    const std::size_t owner = ctx_.ring->slot_index(key, slot);
+    const std::size_t owner = place.owner(slot);
     writes.push_back(
         ctx_.client->call_async((*ctx_.server_nodes)[owner], std::move(req)));
   }
@@ -189,12 +190,13 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
 }
 
 sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
+                                                kv::Placement place,
                                                 std::vector<bool> present) {
   const std::size_t n = codec_->n();
   // A staged full copy on any live owner means the key can still be
   // re-distributed (server-side encode mid-flight): leave it alone.
   for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = ctx_.ring->slot_index(key, slot);
+    const std::size_t owner = place.owner(slot);
     if (!ctx_.membership->up(owner)) continue;
     kv::Request probe;
     probe.verb = kv::Verb::kGet;
@@ -213,7 +215,7 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
     kv::Request req;
     req.verb = kv::Verb::kDelete;
     req.key = kv::chunk_key(key, slot);
-    const std::size_t owner = ctx_.ring->slot_index(key, slot);
+    const std::size_t owner = place.owner(slot);
     deletes.push_back(
         ctx_.client->call_async((*ctx_.server_nodes)[owner], std::move(req)));
   }

@@ -100,7 +100,9 @@ class RepairCoordinator {
   /// Deletes the surviving fragments of an unreconstructable key (see
   /// set_purge_orphans). Skips the purge when the stager still holds a
   /// staged full copy of the key — that copy can re-create the fragments.
-  sim::Task<void> purge_orphan(kv::Key key, std::vector<bool> present);
+  /// `place` is the key's placement.
+  sim::Task<void> purge_orphan(kv::Key key, kv::Placement place,
+                               std::vector<bool> present);
 
   EngineContext ctx_;
   const ec::Codec* codec_;

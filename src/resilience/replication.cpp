@@ -36,7 +36,8 @@ ReplicationEngine::ReplicationEngine(EngineContext ctx, Design design,
 
 sim::Task<Result<Bytes>> ReplicationEngine::do_get(kv::Key key,
                                                    OpPhases* phases) {
-  const LiveSlot live = co_await first_live_slot(key, factor_);
+  kv::Placement place = ring().place(key);
+  const LiveSlot live = co_await first_live_slot(place, factor_);
   if (live.degraded) {
     ++stats().degraded_gets;
     phases->degraded = true;
@@ -44,7 +45,7 @@ sim::Task<Result<Bytes>> ReplicationEngine::do_get(kv::Key key,
   if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "all replicas down"};
   }
-  const std::size_t owner = ring().slot_index(key, *live.slot);
+  const std::size_t owner = place.owner(*live.slot);
   const kv::Response resp =
       co_await call_one(owner, get_request(std::move(key)), phases,
                         "get/request", "get/fetch");
@@ -55,8 +56,9 @@ sim::Task<Result<Bytes>> ReplicationEngine::do_get(kv::Key key,
 sim::Task<Status> ReplicationEngine::do_del(kv::Key key) {
   std::vector<sim::Future<kv::Response>> pending;
   pending.reserve(factor_);
+  kv::Placement place = ring().place(key);
   for (std::size_t slot = 0; slot < factor_; ++slot) {
-    const std::size_t owner = ring().slot_index(key, slot);
+    const std::size_t owner = place.owner(slot);
     if (!membership().up(owner)) continue;
     kv::Request req;
     req.verb = kv::Verb::kDelete;
@@ -71,11 +73,12 @@ sim::Task<Status> ReplicationEngine::do_del(kv::Key key) {
 sim::Task<Status> ReplicationEngine::do_set(kv::Key key, SharedBytes value,
                                             OpPhases* phases) {
   WriteTally tally;
+  kv::Placement place = ring().place(key);
   if (design_ == Design::kSyncRep) {
     // Blocking APIs: each replica write completes before the next is
     // issued, the F * (L + D/B) cost of Equation 2.
     for (std::size_t slot = 0; slot < factor_; ++slot) {
-      const std::size_t owner = ring().slot_index(key, slot);
+      const std::size_t owner = place.owner(slot);
       if (!membership().up(owner)) continue;
       const kv::Response resp =
           co_await call_one(owner, set_request(key, value), phases,
@@ -92,7 +95,7 @@ sim::Task<Status> ReplicationEngine::do_set(kv::Key key, SharedBytes value,
   const SimTime t0 = sim().now();
   SimDur request_ns = 0;
   for (std::size_t slot = 0; slot < factor_; ++slot) {
-    const std::size_t owner = ring().slot_index(key, slot);
+    const std::size_t owner = place.owner(slot);
     if (!membership().up(owner)) continue;
     request_ns += issue_cost();
     kv::Request req = set_request(key, value);

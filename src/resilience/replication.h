@@ -1,7 +1,7 @@
 // In-memory replication: the paper's baselines, one engine keyed by Design
 // (as ErasureEngine is for the four erasure designs).
 //
-// Replica i of a key lives at ring.slot_index(key, i), the full value
+// Replica i of a key lives at ring.place(key).owner(i), the full value
 // stored under the key itself. Sync-Rep accesses each replica with blocking
 // semantics, so its Set cost is F * (L + D/B) (Equation 2). Async-Rep
 // overlaps the request/response phases of all F replica writes via

@@ -358,5 +358,85 @@ TEST(PlacementEpoch, StaleViewWritesBounceOnEveryEngine) {
   }
 }
 
+sim::Task<void> get_into(resilience::Engine* engine, std::string key,
+                         Result<Bytes>* out) {
+  *out = co_await engine->get(std::move(key));
+}
+
+sim::Task<void> join_at(sim::Simulator* sim, SimDur after, kv::HashRing* ring,
+                        std::size_t server) {
+  co_await sim->delay(after);
+  ring->add_server(server);
+}
+
+TEST(PlacementEpoch, FailoverAfterJoinFetchesFromTheNewOwner) {
+  // A Get resolves its key's placement once. When its failover fetch goes
+  // out after a join moved the ring, the placement re-resolves, so the
+  // fetch reaches the slot's new owner rather than the one the Get began
+  // with.
+  ec::RsVandermondeCodec codec(2, 2);
+  const ec::CostModel cost =
+      ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 2, 2);
+  cluster::Cluster cl(cluster::ClusterConfig{
+      .num_servers = kProvisioned,
+      .num_clients = 1,
+      .initial_active_servers = 5});
+  const auto engine = resilience::make_engine(
+      resilience::Design::kEraCeCd, cl.engine_context(0), 3, &codec, cost);
+  cl.start();
+  // Server 0 leaves and later rejoins at the head of the active list, so
+  // the join shifts every active server's position.
+  cl.mutable_ring().remove_server(0);
+
+  // A key whose slots 0 and 1 stay put when server 0 rejoins, and whose
+  // slot 2 moves.
+  kv::HashRing grown = cl.ring();
+  grown.add_server(0);
+  std::size_t index = 0;
+  for (;; ++index) {
+    const std::string k = key_of(index);
+    if (cl.ring().slot_index(k, 0) == grown.slot_index(k, 0) &&
+        cl.ring().slot_index(k, 1) == grown.slot_index(k, 1) &&
+        cl.ring().slot_index(k, 2) != grown.slot_index(k, 2)) {
+      break;
+    }
+  }
+  const std::string key = key_of(index);
+  std::size_t failures = 0;
+  cl.sim().spawn(load_range(engine.get(), index, index + 1, &failures));
+  cl.run();
+  ASSERT_EQ(failures, 0u);
+
+  // Slot 0 answers kNotFound, so the Get fails over to slot 2. Its new
+  // owner gets a copy of that fragment, which no migration would place.
+  const std::size_t old_owner = cl.ring().slot_index(key, 2);
+  const std::size_t new_owner = grown.slot_index(key, 2);
+  ASSERT_TRUE(cl.server(cl.ring().slot_index(key, 0))
+                  .store()
+                  .erase(kv::chunk_key(key, 0)));
+  const auto fragment =
+      cl.server(old_owner).store().get(kv::chunk_key(key, 2));
+  ASSERT_TRUE(fragment.ok());
+  ASSERT_TRUE(cl.server(new_owner)
+                  .store()
+                  .set(kv::chunk_key(key, 2), fragment->value, fragment->chunk)
+                  .ok());
+  const std::uint64_t old_gets = cl.server(old_owner).store().stats().get_ops;
+  const std::uint64_t new_gets = cl.server(new_owner).store().stats().get_ops;
+
+  // The join lands after the Get posted its first fetches (800 ns of issue
+  // CPU) and before the kNotFound and T_check let the failover go out.
+  Result<Bytes> got = Status{StatusCode::kInternal};
+  cl.sim().spawn(get_into(engine.get(), key, &got));
+  cl.sim().spawn(join_at(&cl.sim(), 1'000, &cl.mutable_ring(), 0));
+  cl.run();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, value_of(index));
+  EXPECT_EQ(cl.ring().epoch(), 3u);
+  EXPECT_EQ(engine->stats().failover_fetches, 1u);
+  EXPECT_EQ(cl.server(new_owner).store().stats().get_ops, new_gets + 1);
+  EXPECT_EQ(cl.server(old_owner).store().stats().get_ops, old_gets);
+}
+
 }  // namespace
 }  // namespace hpres

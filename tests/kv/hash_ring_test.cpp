@@ -5,7 +5,10 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace hpres::kv {
 namespace {
@@ -224,6 +227,77 @@ TEST(HashRingEpoch, MovedRangesCoverMutuallyExclusiveArcs) {
   }
   EXPECT_GT(HashRing::moved_fraction(ranges), 0.0);
   EXPECT_LT(HashRing::moved_fraction(ranges), 0.5);
+}
+
+// --- One placement per op ------------------------------------------------
+
+/// The paper's placement rule, spelled out: the primary, then the following
+/// active servers in list order, wrapping.
+std::size_t reference_owner(const HashRing& ring, std::string_view key,
+                            std::size_t slot) {
+  const std::vector<std::size_t>& active = ring.active();
+  const std::size_t primary = ring.primary_index(key);
+  std::size_t pos = 0;
+  while (active[pos] != primary) ++pos;
+  return active[(pos + slot) % active.size()];
+}
+
+TEST(HashRingPlacement, PlaceMatchesReferenceRuleThroughMembershipChanges) {
+  // Random joins and leaves over 8 provisioned servers, from 3 active up:
+  // below a 5-wide codec the slots wrap, and slots past num_active() wrap
+  // more than once.
+  HashRing ring(8, 32, 0x5eed, /*initial_active=*/3);
+  Xoshiro256 rng(31);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back("k" + std::to_string(rng()));
+  }
+  for (int step = 0; step < 30; ++step) {
+    const std::size_t server = rng.next_below(8);
+    if (!ring.is_active(server)) {
+      ring.add_server(server);
+    } else if (ring.num_active() > 1) {
+      ring.remove_server(server);
+    }
+    for (const std::string& key : keys) {
+      Placement place = ring.place(key);
+      EXPECT_EQ(place.epoch(), ring.epoch());
+      EXPECT_FALSE(place.stale());
+      for (std::size_t slot = 0; slot < 2 * ring.num_servers(); ++slot) {
+        ASSERT_EQ(place.owner(slot), reference_owner(ring, key, slot))
+            << key << " slot " << slot << " active " << ring.num_active();
+      }
+    }
+  }
+}
+
+TEST(HashRingPlacement, StalePlacementReResolvesUnderTheNewEpoch) {
+  HashRing ring(6, 128, 0x5eed, /*initial_active=*/4);
+  // A key whose slot-2 owner changes when server 4 joins.
+  HashRing grown = ring;
+  grown.add_server(4);
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string candidate = "k" + std::to_string(i);
+    if (ring.slot_index(candidate, 2) != grown.slot_index(candidate, 2)) {
+      key = candidate;
+    }
+  }
+  Placement place = ring.place(key);
+  const std::size_t before = place.owner(2);
+  EXPECT_EQ(place.epoch(), 1u);
+
+  ring.add_server(4);
+  EXPECT_TRUE(place.stale());
+  EXPECT_EQ(place.epoch(), 1u);  // nothing re-resolves until it is asked
+  // The next lookup answers for the new ring, then the placement is current.
+  EXPECT_NE(place.owner(2), before);
+  EXPECT_EQ(place.owner(2), grown.slot_index(key, 2));
+  EXPECT_FALSE(place.stale());
+  EXPECT_EQ(place.epoch(), ring.epoch());
+  for (std::size_t slot = 0; slot < 6; ++slot) {
+    EXPECT_EQ(place.owner(slot), reference_owner(ring, key, slot));
+  }
 }
 
 }  // namespace

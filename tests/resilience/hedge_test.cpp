@@ -5,6 +5,8 @@
 // bytes a Get returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "resilience/load_tracker.h"
 #include "testing/fixtures.h"
@@ -23,16 +25,80 @@ TEST(NodeLoadTracker, OrdersSlotsByOwnerScore) {
   EXPECT_GT(tracker.score(2), tracker.score(4));
   EXPECT_DOUBLE_EQ(tracker.score(0), 1.0);  // unknown servers are neutral
 
-  const std::vector<std::size_t> slots{0, 1, 2, 3, 4};
   const std::vector<std::size_t> owners{0, 1, 2, 3, 4};  // slot i on server i
-  const std::vector<std::size_t> order =
-      tracker.order_slots(slots, owners, /*randomize_ties=*/false);
+  std::vector<std::size_t> order{0, 1, 2, 3, 4};
+  tracker.order_slots(order, owners, /*randomize_ties=*/false);
   // Unknown servers (neutral 1.0) rank ahead of anything with an observed
   // RTT; the loaded server sorts dead last; equal scores keep slot order
   // (stable sort).
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 3, 4, 2}));
   // The unrandomized ordering is a pure function of the observations.
-  EXPECT_EQ(order, tracker.order_slots(slots, owners, false));
+  std::vector<std::size_t> again{0, 1, 2, 3, 4};
+  tracker.order_slots(again, owners, false);
+  EXPECT_EQ(order, again);
+}
+
+/// The ranking order_slots replaced: std::stable_sort by owner score, then
+/// one pass of adjacent near-tie coin flips drawn from `rng`.
+std::vector<std::size_t> reference_order(const NodeLoadTracker& tracker,
+                                         std::vector<std::size_t> slots,
+                                         const std::vector<std::size_t>& owners,
+                                         Xoshiro256* rng) {
+  const auto score = [&](std::size_t slot) {
+    return tracker.score(owners[slot]);
+  };
+  std::stable_sort(slots.begin(), slots.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return score(a) < score(b);
+                   });
+  if (rng != nullptr) {
+    for (std::size_t i = 0; i + 1 < slots.size(); ++i) {
+      if (score(slots[i + 1]) <= score(slots[i]) * 1.05 &&
+          rng->next_double() < 0.5) {
+        std::swap(slots[i], slots[i + 1]);
+      }
+    }
+  }
+  return slots;
+}
+
+TEST(NodeLoadTracker, OrderSlotsMatchesStableSortReference) {
+  Xoshiro256 gen(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Up to 12 slots over 8 servers; observations drawn from few levels so
+    // exact ties (shared owners, equal samples, unknown servers) and near
+    // ties (RTTs 2% apart) are common.
+    const std::size_t n = 1 + gen.next_below(12);
+    NodeLoadTracker tracker(8, /*seed=*/static_cast<std::uint64_t>(trial));
+    for (std::size_t server = 0; server < 8; ++server) {
+      if (gen.next_below(4) == 0) continue;  // stays unknown (score 1.0)
+      const SimDur rtt = 10'000 + static_cast<SimDur>(gen.next_below(3)) * 200;
+      tracker.observe_rtt(server, rtt,
+                          static_cast<std::uint32_t>(gen.next_below(2)));
+    }
+    std::vector<std::size_t> owners(n);
+    std::vector<std::size_t> slots(n);
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      owners[slot] = gen.next_below(8);
+      slots[slot] = (slot + static_cast<std::size_t>(trial)) % n;
+    }
+    // The unrandomized ranking draws nothing.
+    std::vector<std::size_t> ranked = slots;
+    tracker.order_slots(ranked, owners, /*randomize_ties=*/false);
+    EXPECT_EQ(ranked, reference_order(tracker, slots, owners, nullptr));
+
+    // The randomized one flips the same coins: rank_slots is what
+    // order_slots runs on the tracker's tie RNG, and both generators end
+    // in the same state, so the draws matched one for one.
+    Xoshiro256 mine(static_cast<std::uint64_t>(trial));
+    Xoshiro256 theirs = mine;
+    ranked = slots;
+    rank_slots(
+        ranked, [&](std::size_t slot) { return tracker.score(owners[slot]); },
+        &mine);
+    EXPECT_EQ(ranked, reference_order(tracker, slots, owners, &theirs));
+    EXPECT_EQ(mine(), theirs());
+  }
 }
 
 TEST(NodeLoadTracker, EwmaTracksQueueMovement) {
@@ -95,7 +161,8 @@ std::size_t first_selected_slot(const Engine& e, const kv::HashRing& ring,
     slots[slot] = slot;
     owners[slot] = ring.slot_index(key, slot);
   }
-  return probe.order_slots(slots, owners, /*randomize_ties=*/true).front();
+  probe.order_slots(slots, owners, /*randomize_ties=*/true);
+  return slots.front();
 }
 
 // The flagship scenario: a primary fragment owner crashes after the Get's

@@ -8,7 +8,8 @@
 // frame, a fabric delivery and overwriting a resident store key nothing,
 // and a fragment key one string; a whole Client->Server Get round trip is
 // pinned with and without a deadline, and an answered deadline wait
-// leaves no timer behind. Nothing outlives a drained run: once a cluster
+// leaves no timer behind. A whole erasure Get and Set through the engine
+// are pinned too. Nothing outlives a drained run: once a cluster
 // has run dry and is destroyed, every block it allocated is freed. This
 // file replaces the global operator new and delete with counting ones, so
 // it builds as its own test executable (test_sim_alloc) and the counters
@@ -23,10 +24,13 @@
 
 #include "cluster/cluster.h"
 #include "common/bytes.h"
+#include "ec/cost_model.h"
+#include "ec/rs_vandermonde.h"
 #include "kv/client.h"
 #include "kv/server.h"
 #include "kv/store.h"
 #include "net/fabric.h"
+#include "resilience/factory.h"
 #include "sim/frame_pool.h"
 #include "sim/future.h"
 #include "sim/sync.h"
@@ -516,6 +520,64 @@ TEST(SimAlloc, DrainedClusterLeavesNoFrameBehind) {
   blocks_left_by_cluster_run();  // builds what the process keeps for good
   // No node's dispatch, handler or worker frame is still parked.
   EXPECT_EQ(blocks_left_by_cluster_run(), 0u);
+}
+
+Task<void> engine_op(resilience::Engine* engine, kv::Key key,
+                     SharedBytes value, bool* ok) {
+  if (value) {
+    *ok = (co_await engine->set(std::move(key), std::move(value))).ok();
+  } else {
+    *ok = (co_await engine->get(std::move(key))).ok();
+  }
+}
+
+/// Allocations of one healthy Era-CE-CD op over RS(3,2) on 5 servers, size
+/// only, with the frame pool warm: the op runs once to warm it up and is
+/// counted the second time. A null `value` counts a Get of the key a Set
+/// stored first. The issuing process frame, with the key moved into it, is
+/// allocated before counting.
+std::size_t erasure_op_allocations(bool get) {
+  const ec::RsVandermondeCodec codec(3, 2);
+  const ec::CostModel cost =
+      ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+  cluster::ClusterConfig config;
+  config.num_servers = 5;
+  cluster::Cluster cl(config);
+  const std::unique_ptr<resilience::Engine> engine = resilience::make_engine(
+      resilience::Design::kEraCeCd, cl.engine_context(0, /*materialize=*/false),
+      3, &codec, cost);
+  cl.start();
+  const kv::Key key = "user0000000000042";
+  const SharedBytes value = make_shared_bytes(Bytes(1024));
+  const KeepAwake awake(cl.sim());
+  bool ok = false;
+  cl.sim().spawn(engine_op(engine.get(), key, value, &ok));
+  run_awake(cl.sim());
+  EXPECT_TRUE(ok);
+  std::size_t allocations = 0;
+  for (int round = 0; round < 2; ++round) {
+    ok = false;
+    cl.sim().spawn(engine_op(engine.get(), key, get ? nullptr : value, &ok));
+    const std::size_t before = g_allocations;
+    run_awake(cl.sim());
+    allocations = g_allocations - before;
+    EXPECT_TRUE(ok);
+  }
+  return allocations;
+}
+
+TEST(SimAlloc, ErasureGetAllocationBudget) {
+  // The fetch's available/have masks, the codec's read set and its work
+  // list, the k = 3 fragment keys and the assembled value. Owners, fetch
+  // futures and fragments live in the op's frame.
+  EXPECT_EQ(erasure_op_allocations(/*get=*/true), 8u);
+}
+
+TEST(SimAlloc, ErasureSetAllocationBudget) {
+  // The encoded fragment list (its slots share one cached zero buffer) and
+  // the n = 5 fragment keys. The fan-out's futures and owners live in the
+  // op's frame.
+  EXPECT_EQ(erasure_op_allocations(/*get=*/false), 6u);
 }
 
 }  // namespace

@@ -82,16 +82,19 @@ void BM_Decode(benchmark::State& state) {
   const Workbench wb(scheme_of(state.range(0)),
                      static_cast<std::size_t>(state.range(1)));
   const auto failures = static_cast<std::size_t>(state.range(2));
-  std::vector<Bytes> working = wb.fragments;
-  std::vector<bool> present(kK + kM, true);
-  for (std::size_t i = 0; i < failures; ++i) present[i] = false;
-  std::vector<ByteSpan> spans(working.begin(), working.end());
+  // The first `failures` data slots are lost: they are the outputs.
+  const SlotMask lost = first_slots(failures);
+  std::vector<ConstByteSpan> in(wb.fragments.begin(), wb.fragments.end());
+  std::vector<Bytes> rebuilt(kK + kM, Bytes(wb.layout.fragment_size));
+  std::vector<ByteSpan> out(kK + kM);
+  for (std::size_t i = 0; i < failures; ++i) out[i] = rebuilt[i];
   // A Get picks its read set before it fetches; the loop times the decode.
-  const std::vector<std::size_t> sources =
-      wb.codec->select_sources(wb.codec->data_slots(), present).value();
+  const ReadSet sources =
+      wb.codec->select(wb.codec->data_mask(), wb.codec->all_slots() & ~lost)
+          .value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        wb.codec->decode(spans, sources, wb.codec->data_slots()).ok());
+        wb.codec->decode(sources, in, wb.codec->data_mask(), out).ok());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(1));

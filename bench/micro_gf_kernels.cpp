@@ -4,8 +4,13 @@
 // row-by-row sweep it replaced. Prints a MB/s table with speedups vs the
 // scalar reference and writes BENCH_gf_kernels.json (override the path with
 // --out=FILE). HPRES_BENCH_SCALE scales the per-measurement minimum time
-// (default 1.0); HPRES_FORCE_SCALAR_GF affects only the "active" dispatch
-// report, since every variant here is pinned explicitly.
+// (default 1.0); HPRES_FORCE_SCALAR_GF affects the "active" dispatch report
+// and the read path, since every other variant here is pinned explicitly.
+//
+// The read_path block times one layer up, on the active kernels: one Get's
+// read-set selection plus ec::assemble over already-fetched RS(3,2)
+// fragments, in ns per Get, for a healthy read, a read that lost data
+// slot 0 (it decodes) and a read whose preference puts parity first.
 //
 // Standalone on purpose: links hpres_ec only, no cluster/simulator deps.
 #include <chrono>
@@ -17,7 +22,9 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "ec/chunker.h"
 #include "ec/gf_kernels.h"
+#include "ec/rs_vandermonde.h"
 #include "obs/json.h"
 
 namespace {
@@ -26,6 +33,7 @@ using hpres::Bytes;
 using hpres::ByteSpan;
 using hpres::ConstByteSpan;
 using hpres::make_pattern;
+using hpres::SharedBytes;
 using namespace hpres::ec;
 
 // Fold observable output bytes into a volatile sink after every timed loop
@@ -68,6 +76,65 @@ double measure_mb_s(Fn&& fn, std::size_t bytes_per_iter, double min_seconds) {
       iters = iters * 2 + 1;
     }
   }
+}
+
+/// Runs `fn` until the timed region spans at least `min_seconds`, then
+/// returns the mean ns per call.
+template <typename Fn>
+double measure_ns(Fn&& fn, double min_seconds) {
+  using Clock = std::chrono::steady_clock;
+  fn();
+  std::uint64_t iters = 1;
+  for (;;) {
+    const auto t0 = Clock::now();
+    for (std::uint64_t i = 0; i < iters; ++i) fn();
+    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (secs >= min_seconds) return secs * 1e9 / static_cast<double>(iters);
+    iters = secs <= min_seconds / 16.0 ? iters * 16 : iters * 2 + 1;
+  }
+}
+
+struct ReadRow {
+  std::string pattern;
+  std::size_t size = 0;
+  double ns_per_get = 0.0;
+};
+
+/// One Get's read step over fetched RS(3,2) fragments, per pattern and
+/// value size: select the read set, then assemble the value.
+std::vector<ReadRow> bench_read_path(double min_secs) {
+  const RsVandermondeCodec codec(3, 2);
+  struct Pattern {
+    const char* name;
+    SlotMask available;
+    std::vector<std::size_t> preference;
+  };
+  const std::vector<Pattern> patterns{
+      {"healthy", codec.all_slots(), {}},
+      {"data_slot_lost", codec.all_slots() & ~slot_bit(0), {}},
+      {"parity_preferred", codec.all_slots(), {3, 0, 4, 1, 2}}};
+  std::vector<ReadRow> rows;
+  for (const std::size_t size : {std::size_t{1024}, std::size_t{16384}}) {
+    const Bytes value = make_pattern(size, 60);
+    const std::vector<SharedBytes> fragments =
+        encode_value(codec, value, size, /*materialize=*/true);
+    const ChunkLayout layout = make_layout(size, codec.k(), codec.alignment());
+    FragmentScratch scratch;
+    for (const Pattern& p : patterns) {
+      const double ns = measure_ns(
+          [&] {
+            const hpres::Result<ReadSet> sources =
+                codec.select(codec.data_mask(), p.available, p.preference);
+            const hpres::Result<Bytes> got =
+                assemble(codec, fragments, *sources, layout, std::nullopt,
+                         /*materialize=*/true, scratch);
+            sink_bytes(*got);
+          },
+          min_secs);
+      rows.push_back(ReadRow{p.name, size, ns});
+    }
+  }
+  return rows;
 }
 
 struct Row {
@@ -197,6 +264,13 @@ int main(int argc, char** argv) {
   }
 
   for (const Row& r : rows) print_row(r);
+
+  const std::vector<ReadRow> read_rows = bench_read_path(min_secs);
+  std::printf("%-18s %10s %12s\n", "read_path", "size", "ns/Get");
+  for (const ReadRow& r : read_rows) {
+    std::printf("%-18s %10zu %12.0f\n", r.pattern.c_str(), r.size,
+                r.ns_per_get);
+  }
   std::printf("(checksum sink: %u)\n", static_cast<unsigned>(g_sink));
 
   // JSON report. The acceptance block restates the ISSUE's target numbers:
@@ -241,7 +315,19 @@ int main(int argc, char** argv) {
       }
     }
   }
-  json += "}\n}\n";
+  json += "},\n  \"read_path\": {\"codec\": \"rs_van\", \"k\": 3, \"m\": 2, ";
+  json += "\"op\": \"select+assemble\", \"rows\": [\n";
+  for (std::size_t i = 0; i < read_rows.size(); ++i) {
+    const ReadRow& r = read_rows[i];
+    json += "    {\"pattern\": ";
+    hpres::obs::json::append_string(json, r.pattern);
+    json += ", \"size\": ";
+    hpres::obs::json::append_u64(json, r.size);
+    json += ", \"ns_per_get\": ";
+    hpres::obs::json::append_fixed(json, r.ns_per_get, 1);
+    json += i + 1 < read_rows.size() ? "},\n" : "}\n";
+  }
+  json += "  ]}\n}\n";
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

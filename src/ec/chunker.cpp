@@ -93,43 +93,33 @@ std::vector<SharedBytes> encode_value(const Codec& codec, ConstByteSpan value,
 
 namespace {
 
-bool contains(std::span<const std::size_t> slots, std::size_t slot) {
-  return std::find(slots.begin(), slots.end(), slot) != slots.end();
-}
-
 ConstByteSpan span_of(const SharedBytes& frag) {
   return frag ? ConstByteSpan(*frag) : ConstByteSpan{};
 }
 
-/// Copies the source fragments into `sc` and rebuilds every wanted slot
-/// there, at `fragment_size` bytes.
+/// Rebuilds every wanted slot that is not a source into `sc`, at
+/// `fragment_size` bytes, reading the sources where they were fetched.
 Status rebuild_into(const Codec& codec, std::span<const SharedBytes> fragments,
-                    std::span<const std::size_t> sources,
-                    std::span<const std::size_t> want,
+                    const ReadSet& sources, SlotMask want,
                     std::size_t fragment_size, FragmentScratch& sc) {
   const std::size_t n = codec.n();
-  sc.storage.resize(n);
-  sc.spans.assign(n, ByteSpan{});
-  for (const std::size_t s : sources) {
-    if (s >= n) continue;  // decode rejects it
-    const ConstByteSpan frag = span_of(fragments[s]);
-    sc.storage[s].assign(frag.begin(), frag.end());
-    sc.spans[s] = sc.storage[s];
-  }
-  for (const std::size_t w : want) {
-    if (w >= n || contains(sources, w)) continue;
+  std::array<ConstByteSpan, kMaxSlots> in{};
+  for (const std::size_t s : sources) in[s] = span_of(fragments[s]);
+  std::array<ByteSpan, kMaxSlots> out{};
+  for (std::size_t w = 0; w < n; ++w) {
+    if (!has_slot(want, w) || sources.contains(w)) continue;
     sc.storage[w].resize(fragment_size);
-    sc.spans[w] = sc.storage[w];
+    out[w] = sc.storage[w];
   }
-  return codec.decode(sc.spans, sources, want);
+  return codec.decode(sources, std::span(in.data(), n), want,
+                      std::span(out.data(), n));
 }
 
 }  // namespace
 
 Result<Bytes> assemble(const Codec& codec,
                        std::span<const SharedBytes> fragments,
-                       std::span<const std::size_t> sources,
-                       const ChunkLayout& layout,
+                       const ReadSet& sources, const ChunkLayout& layout,
                        std::optional<ValueSlice> slice, bool materialize,
                        FragmentScratch& scratch) {
   if (!materialize) return Bytes(slice ? slice->len : layout.original_size);
@@ -137,41 +127,47 @@ Result<Bytes> assemble(const Codec& codec,
   const FragmentRange range =
       slice ? owning_fragments(layout, slice->offset, slice->len)
             : FragmentRange{0, layout.k - 1};
-  std::vector<std::size_t> missing;
+  SlotMask missing = 0;
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    if (!contains(sources, slot)) missing.push_back(slot);
+    if (!sources.contains(slot)) missing |= slot_bit(slot);
   }
-  if (!missing.empty()) {
+  if (missing != 0) {
     const Status s = rebuild_into(codec, fragments, sources, missing,
                                   layout.fragment_size, scratch);
     if (!s.ok()) return s;
   }
-  std::vector<ConstByteSpan> spans;
+  std::array<ConstByteSpan, kMaxSlots> spans{};
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    spans.push_back(missing.empty() || contains(sources, slot)
-                        ? span_of(fragments[slot])
-                        : ConstByteSpan(scratch.storage[slot]));
+    spans[slot - range.first] = has_slot(missing, slot)
+                                    ? ConstByteSpan(scratch.storage[slot])
+                                    : span_of(fragments[slot]);
   }
-  if (!slice) return join_fragments(spans, layout);
-  return extract_from_fragments(spans, range, layout, slice->offset,
+  const std::span<const ConstByteSpan> data(spans.data(), range.count());
+  if (!slice) return join_fragments(data, layout);
+  return extract_from_fragments(data, range, layout, slice->offset,
                                 slice->len);
 }
 
 Result<std::vector<SharedBytes>> rebuild_fragments(
     const Codec& codec, std::span<const SharedBytes> fragments,
-    std::span<const std::size_t> sources, std::span<const std::size_t> want,
-    std::size_t fragment_size, bool materialize, FragmentScratch& scratch) {
+    const ReadSet& sources, SlotMask want, std::size_t fragment_size,
+    bool materialize, FragmentScratch& scratch) {
   std::vector<SharedBytes> out(codec.n());
   if (!materialize) {
-    for (const std::size_t w : want) out[w] = zero_bytes(fragment_size);
+    for (std::size_t w = 0; w < codec.n(); ++w) {
+      if (has_slot(want, w)) out[w] = zero_bytes(fragment_size);
+    }
     return out;
   }
   assert(fragments.size() == codec.n());
   const Status s =
       rebuild_into(codec, fragments, sources, want, fragment_size, scratch);
   if (!s.ok()) return s;
-  for (const std::size_t w : want) {
-    out[w] = make_shared_bytes(std::move(scratch.storage[w]));
+  for (std::size_t w = 0; w < codec.n(); ++w) {
+    if (!has_slot(want, w)) continue;
+    out[w] = sources.contains(w)
+                 ? fragments[w]
+                 : make_shared_bytes(std::move(scratch.storage[w]));
   }
   return out;
 }

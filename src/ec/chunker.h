@@ -2,21 +2,25 @@
 // splits a key-value pair's value of size D into K equal fragments of size
 // ceil(D/K) (zero-padded, aligned for the codec), encodes them (or stands
 // in shared zero placeholders in size-only mode), and reassembles values
-// from fetched fragments, decoding only when a needed data fragment is
-// missing. Fragment size and original size travel with every fragment so a
-// Get can size its reassembly buffers from any single chunk's metadata.
+// from fetched fragments. Reassembly reads the fetched buffers in place:
+// a healthy read joins them directly, and a read that misses a data
+// fragment it needs decodes just that fragment into a scratch buffer by
+// applying the read set's precomputed plan over the sources, which are
+// never copied or written. Fragment size and original size travel with
+// every fragment so a Get can size its reassembly buffers from any single
+// chunk's metadata.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "ec/codec.h"
 
 namespace hpres::ec {
-
-class Codec;
 
 struct ChunkLayout {
   std::size_t original_size = 0;  ///< bytes in the value before padding
@@ -59,20 +63,20 @@ struct ValueSlice {
 
 /// Reusable rebuild buffers, one per engine, server or repair coordinator:
 /// filling and consuming them never suspends, so all of an owner's ops
-/// share them, and degraded reads stop allocating at steady state.
+/// share them, and degraded reads stop allocating at steady state. Only
+/// wanted slots get a buffer; sources are read where they were fetched.
 struct FragmentScratch {
-  std::vector<Bytes> storage;  ///< by slot: sources copied in, wants rebuilt
-  std::vector<ByteSpan> spans;
+  std::array<Bytes, kMaxSlots> storage;  ///< by slot: rebuilt wanted slots
 };
 
 /// The whole object, or `slice` of it, from `fragments` (by slot, null
-/// where not fetched) bound on `sources`, the read set select_sources
-/// chose. Reads straight from the fetched buffers and runs Codec::decode
-/// only when a data slot the result needs is not a source. In size-only
-/// mode returns a zero buffer of the result size.
+/// where not fetched) bound on `sources`, the read set the codec selected.
+/// Reads straight from the fetched buffers and runs Codec::decode only
+/// when a data slot the result needs is not a source. In size-only mode
+/// returns a zero buffer of the result size.
 [[nodiscard]] Result<Bytes> assemble(const Codec& codec,
                                      std::span<const SharedBytes> fragments,
-                                     std::span<const std::size_t> sources,
+                                     const ReadSet& sources,
                                      const ChunkLayout& layout,
                                      std::optional<ValueSlice> slice,
                                      bool materialize,
@@ -83,7 +87,7 @@ struct FragmentScratch {
 /// size-only mode they are shared zero placeholders of `fragment_size`.
 [[nodiscard]] Result<std::vector<SharedBytes>> rebuild_fragments(
     const Codec& codec, std::span<const SharedBytes> fragments,
-    std::span<const std::size_t> sources, std::span<const std::size_t> want,
-    std::size_t fragment_size, bool materialize, FragmentScratch& scratch);
+    const ReadSet& sources, SlotMask want, std::size_t fragment_size,
+    bool materialize, FragmentScratch& scratch);
 
 }  // namespace hpres::ec

@@ -5,8 +5,17 @@
 // k+m fragments (maximum distance separable property). Fragment indices
 // 0..k-1 are data, k..k+m-1 are parity, matching the paper's RS(K,M)
 // terminology where N = K + M fragments are spread over N servers.
+//
+// Reads are planned, not solved: a codec builds one DecodePlan per source
+// set it can decode from when it is constructed (every k-subset whose
+// generator rows are independent, plus LRC's local repair groups), and the
+// table is immutable afterwards, so every shard shares it. A read names its
+// slots with SlotMasks, selects a ReadSet (the slots to fetch, in issue
+// order, bound to their plan) and decodes by applying the plan's ready-made
+// coefficients over the fetched fragments, which it only reads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -15,16 +24,109 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "ec/bitmatrix.h"
 #include "ec/gf_kernels.h"
 #include "ec/gf_matrix.h"
 
 namespace hpres::ec {
 
+/// Widest codec (k+m) in the system: slot sets are 16-bit masks, and a
+/// read's per-slot state lives in arrays of this size.
+inline constexpr std::size_t kMaxSlots = 16;
+
+/// A set of slots: bit s is slot s.
+using SlotMask = std::uint32_t;
+
+[[nodiscard]] constexpr SlotMask slot_bit(std::size_t slot) noexcept {
+  return SlotMask{1} << slot;
+}
+/// Slots 0..count-1.
+[[nodiscard]] constexpr SlotMask first_slots(std::size_t count) noexcept {
+  return (SlotMask{1} << count) - 1;
+}
+[[nodiscard]] constexpr bool has_slot(SlotMask mask,
+                                      std::size_t slot) noexcept {
+  return slot < kMaxSlots && ((mask >> slot) & 1u) != 0;
+}
+/// The next larger mask with as many slots (Gosper's hack): stepping from
+/// first_slots(c) visits every c-slot set in increasing order. `mask` must
+/// be non-empty.
+[[nodiscard]] constexpr SlotMask next_combination(SlotMask mask) noexcept {
+  const SlotMask low = mask & (~mask + 1);
+  const SlotMask ripple = mask + low;
+  return (((ripple ^ mask) >> 2) / low) | ripple;
+}
+
+/// A coefficient matrix ready to run over fragments:
+/// outputs[r] = sum_c coeff(r, c) * sources[c], with the fused GF(2^8)
+/// stripe kernel or, for a bit-sliced codec, the coefficients' XOR bit
+/// expansion (the same linear map on bit-sliced data).
+class CodingMatrix {
+ public:
+  CodingMatrix() = default;
+  CodingMatrix(const GfMatrix& coeffs, bool bit_sliced);
+
+  /// sources.size() == cols, outputs.size() == rows, all of one length.
+  void apply(std::span<const ConstByteSpan> sources,
+             std::span<ByteSpan> outputs) const;
+
+ private:
+  StripeCoder gf_;  // GF(2^8) codecs
+  BitMatrix bits_;  // bit-sliced codecs
+  bool bit_sliced_ = false;
+};
+
+/// How one source set decodes, built when the codec is constructed.
+struct DecodePlan {
+  SlotMask sources = 0;   ///< the slots read
+  SlotMask rebuilds = 0;  ///< every other slot the sources produce
+  /// One row per `rebuilds` slot, ascending, over the sources, ascending.
+  GfMatrix coeffs;
+  /// The rows of the data slots among `rebuilds`: a Get's decode.
+  CodingMatrix missing_data;
+};
+
+/// The slots one read fetches, in the order it issues them, bound to the
+/// plan that decodes from them. Inline: selecting one allocates nothing.
+class ReadSet {
+ public:
+  ReadSet() = default;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] SlotMask mask() const noexcept { return mask_; }
+  [[nodiscard]] bool contains(std::size_t slot) const noexcept {
+    return has_slot(mask_, slot);
+  }
+  [[nodiscard]] std::size_t operator[](std::size_t i) const noexcept {
+    return slots_[i];
+  }
+  [[nodiscard]] const std::uint8_t* begin() const noexcept {
+    return slots_.data();
+  }
+  [[nodiscard]] const std::uint8_t* end() const noexcept {
+    return slots_.data() + size_;
+  }
+  /// Non-null once a codec selected or bound the set.
+  [[nodiscard]] const DecodePlan* plan() const noexcept { return plan_; }
+
+ private:
+  friend class MatrixCodec;
+  void push(std::size_t slot) noexcept {
+    slots_[size_++] = static_cast<std::uint8_t>(slot);
+    mask_ |= slot_bit(slot);
+  }
+
+  std::array<std::uint8_t, kMaxSlots> slots_{};
+  std::uint8_t size_ = 0;
+  SlotMask mask_ = 0;
+  const DecodePlan* plan_ = nullptr;
+};
+
 class Codec {
  public:
-  Codec(std::size_t k, std::size_t m) : k_(k), m_(m), data_slots_(k) {
-    for (std::size_t i = 0; i < k; ++i) data_slots_[i] = i;
-  }
+  /// Requires 1 <= k and k + m <= kMaxSlots.
+  Codec(std::size_t k, std::size_t m);
   virtual ~Codec() = default;
   Codec(const Codec&) = delete;
   Codec& operator=(const Codec&) = delete;
@@ -53,72 +155,109 @@ class Codec {
   /// skipped), then the remaining available slots in slot order, and the
   /// result keeps that order. An empty preference therefore yields the
   /// first decodable slots in slot order: data slots first.
+  /// kInvalidArgument when `want` names a slot past n;
   /// kTooManyFailures when the available slots cannot produce `want`.
-  [[nodiscard]] virtual Result<std::vector<std::size_t>> select_sources(
-      std::span<const std::size_t> want, const std::vector<bool>& available,
+  [[nodiscard]] virtual Result<ReadSet> select(
+      SlotMask want, SlotMask available,
       std::span<const std::size_t> preference = {}) const = 0;
 
-  /// Fills each wanted slot from exactly `sources`, as select_sources
-  /// returned them. `fragments` holds k+m spans indexed by slot: the source
-  /// spans are read, the wanted spans written (wanted slots that are also
-  /// sources are left alone), all of one length or kInvalidArgument.
-  /// kTooManyFailures when the sources do not span a wanted slot.
-  [[nodiscard]] virtual Status decode(
-      std::span<const ByteSpan> fragments, std::span<const std::size_t> sources,
-      std::span<const std::size_t> want) const = 0;
+  /// The read set of exactly `sources`, in that order. kInvalidArgument
+  /// for a slot past n, a repeated slot or dependent rows; kTooManyFailures
+  /// for independent slots this codec plans no decode from (too few to
+  /// produce anything beyond themselves).
+  [[nodiscard]] virtual Result<ReadSet> bind(
+      std::span<const std::size_t> sources) const = 0;
 
-  /// Slots 0..k-1: the `want` of a Get.
-  [[nodiscard]] std::span<const std::size_t> data_slots() const noexcept {
-    return data_slots_;
+  /// Fills each slot in `want` that is not a source, by applying the read
+  /// set's plan. `fragments` holds n spans by slot, of which the sources
+  /// are read (and never written); `outputs` holds n spans by slot, of
+  /// which the wanted non-source ones are written. All of one length or
+  /// kInvalidArgument; kTooManyFailures when the sources do not produce a
+  /// wanted slot.
+  [[nodiscard]] virtual Status decode(const ReadSet& sources,
+                                      std::span<const ConstByteSpan> fragments,
+                                      SlotMask want,
+                                      std::span<const ByteSpan> outputs) const = 0;
+
+  /// Slots 0..k-1: the `want` of a Get, and a healthy Get's read set.
+  [[nodiscard]] SlotMask data_mask() const noexcept {
+    return first_slots(k_);
+  }
+  /// Every slot, 0..n-1.
+  [[nodiscard]] SlotMask all_slots() const noexcept {
+    return first_slots(n());
   }
 
  private:
   std::size_t k_;
   std::size_t m_;
-  std::vector<std::size_t> data_slots_;
 };
 
 /// Codec driven by a systematic (k+m) x k generator matrix over GF(2^8).
-/// Encoding applies the parity block with the fused single-pass stripe
-/// kernel (ec/gf_kernels.h) cached at construction. Decoding expresses each
-/// wanted generator row over the source rows (one row reduction, RowBasis)
-/// and runs the resulting coefficient matrix through the same fused kernel.
-/// Concrete codecs differ only in generator construction and, optionally,
-/// the kernels that apply a coefficient matrix.
+/// Encoding applies the parity block as one CodingMatrix. The constructor
+/// builds the decode plan table: one row reduction (RowBasis) per
+/// independent k-subset yields each other slot's coefficient row over the
+/// subset; reads afterwards only look plans up. Concrete codecs differ in
+/// generator construction and in whether coefficients run bit-sliced.
 class MatrixCodec : public Codec {
  public:
-  MatrixCodec(std::size_t k, std::size_t m, GfMatrix generator);
+  MatrixCodec(std::size_t k, std::size_t m, GfMatrix generator,
+              bool bit_sliced = false);
 
   void encode(std::span<const ConstByteSpan> data,
               std::span<ByteSpan> parity) const override;
 
-  /// Reads k slots whose generator rows are independent, which produce any
-  /// slot, so `want` does not narrow the choice: the first k candidates
-  /// when their rows are independent (always, for MDS generators), else a
-  /// greedy spanning pass that still walks candidates in order, skipping
-  /// linearly dependent rows such as a redundant local parity.
-  [[nodiscard]] Result<std::vector<std::size_t>> select_sources(
-      std::span<const std::size_t> want, const std::vector<bool>& available,
+  /// A single wanted slot with a local repair set (LRC) whose slots are
+  /// all available reads that set, in slot order, whatever the
+  /// preference. Otherwise the read is k slots with independent rows,
+  /// which produce any slot, so `want` does not narrow the choice: a
+  /// greedy pass over the candidates in order that skips rows dependent
+  /// on those already taken, such as a redundant local parity (an MDS
+  /// code never skips one, so it takes the first k candidates).
+  [[nodiscard]] Result<ReadSet> select(
+      SlotMask want, SlotMask available,
       std::span<const std::size_t> preference = {}) const override;
 
-  [[nodiscard]] Status decode(
-      std::span<const ByteSpan> fragments, std::span<const std::size_t> sources,
-      std::span<const std::size_t> want) const override;
+  [[nodiscard]] Result<ReadSet> bind(
+      std::span<const std::size_t> sources) const override;
+
+  [[nodiscard]] Status decode(const ReadSet& sources,
+                              std::span<const ConstByteSpan> fragments,
+                              SlotMask want,
+                              std::span<const ByteSpan> outputs) const override;
 
   [[nodiscard]] const GfMatrix& generator() const noexcept {
     return generator_;
   }
+  /// Decode plans built at construction.
+  [[nodiscard]] std::size_t plan_count() const noexcept {
+    return plans_.size();
+  }
 
  protected:
-  /// outputs[r] = sum_c coeffs(r, c) * sources[c]: the fused GF(2^8) stripe
-  /// kernel. Bit-sliced codecs override it with their XOR kernel.
-  virtual void apply(const GfMatrix& coeffs,
-                     std::span<const ConstByteSpan> sources,
-                     std::span<ByteSpan> outputs) const;
+  /// Makes `sources` (independent rows) the read set that select returns
+  /// for a lone wanted `slot` while all of them are available. Called only
+  /// from a derived constructor, so the table is fixed once it returns.
+  void add_local_repair(std::size_t slot, SlotMask sources);
 
  private:
+  /// by_mask_ entries: dependent rows, independent rows without a plan,
+  /// else kFirstPlan + the plan's index.
+  static constexpr std::uint16_t kDependent = 0;
+  static constexpr std::uint16_t kIndependent = 1;
+  static constexpr std::uint16_t kFirstPlan = 2;
+
+  /// Builds and records the plan of `sources`; false when their rows are
+  /// dependent.
+  bool add_plan(SlotMask sources);
+  [[nodiscard]] const DecodePlan* plan_of(SlotMask sources) const noexcept;
+
   GfMatrix generator_;  // (k+m) x k, top block identity
-  StripeCoder parity_coder_;  // m x k parity block, cached for fused encode
+  bool bit_sliced_;
+  CodingMatrix parity_;  // the m x k parity block, for encode
+  std::vector<DecodePlan> plans_;
+  std::vector<std::uint16_t> by_mask_;  // 2^n entries, indexed by SlotMask
+  std::array<SlotMask, kMaxSlots> local_{};  // per wanted slot; 0 = none
 };
 
 /// Factory for the three schemes studied in the paper's Figure 4.

@@ -93,19 +93,20 @@ double time_encode_ns(const Codec& codec, std::size_t value_size,
 double time_decode_ns(const Codec& codec, std::size_t value_size,
                       int iterations) {
   const Bytes value = make_pattern(value_size, /*seed=*/43);
-  std::vector<Bytes> all;
-  for (const SharedBytes& f : encode_value(codec, value, value_size, true)) {
-    all.push_back(*f);
-  }
-  std::vector<bool> present(codec.n(), true);
-  present[0] = false;  // one lost data fragment
-
-  std::vector<ByteSpan> spans(all.begin(), all.end());
-  const std::vector<std::size_t> sources =
-      codec.select_sources(codec.data_slots(), present).value();
+  const std::vector<SharedBytes> fragments =
+      encode_value(codec, value, value_size, true);
+  // One lost data fragment: its slot is the decode's only output.
+  const ReadSet sources =
+      codec.select(codec.data_mask(), codec.all_slots() & ~slot_bit(0))
+          .value();
+  std::vector<ConstByteSpan> in(fragments.size());
+  for (const std::size_t s : sources) in[s] = *fragments[s];
+  Bytes rebuilt(fragments[0]->size());
+  std::vector<ByteSpan> out(fragments.size());
+  out[0] = rebuilt;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {
-    (void)codec.decode(spans, sources, codec.data_slots());
+    (void)codec.decode(sources, in, codec.data_mask(), out);
   }
   const auto stop = std::chrono::steady_clock::now();
   return static_cast<double>(

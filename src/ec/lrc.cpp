@@ -1,6 +1,5 @@
 #include "ec/lrc.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace hpres::ec {
@@ -14,18 +13,14 @@ const GF256& gf() { return GF256::instance(); }
 bool all_patterns_decodable(const GfMatrix& gen, std::size_t k,
                             std::size_t failures) {
   const std::size_t n = gen.rows();
-  std::vector<bool> failed(n, false);
-  std::fill(failed.begin(), failed.begin() + static_cast<std::ptrdiff_t>(failures),
-            true);
-  // Enumerate combinations via prev_permutation over the failure mask.
-  std::sort(failed.begin(), failed.end(), std::greater<>());
-  do {
+  for (SlotMask failed = first_slots(failures); failed < slot_bit(n);
+       failed = next_combination(failed)) {
     RowBasis survivors(gen);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!failed[i]) survivors.add(i);
+      if (!has_slot(failed, i)) survivors.add(i);
     }
     if (survivors.rank() < k) return false;
-  } while (std::prev_permutation(failed.begin(), failed.end()));
+  }
   return true;
 }
 
@@ -33,7 +28,7 @@ bool all_patterns_decodable(const GfMatrix& gen, std::size_t k,
 
 GfMatrix LrcCodec::build_generator(std::size_t k, std::size_t l,
                                    std::size_t g) {
-  assert(l >= 1 && k % l == 0 && k + l + g <= GF256::kFieldSize);
+  assert(l >= 1 && k % l == 0 && k + l + g <= kMaxSlots);
   const std::size_t gs = k / l;
   const std::size_t n = k + l + g;
 
@@ -67,37 +62,24 @@ GfMatrix LrcCodec::build_generator(std::size_t k, std::size_t l,
 }
 
 LrcCodec::LrcCodec(std::size_t k, std::size_t l, std::size_t g)
-    : MatrixCodec(k, l + g, build_generator(k, l, g)), l_(l), g_(g) {}
+    : MatrixCodec(k, l + g, build_generator(k, l, g)), l_(l), g_(g) {
+  // A slot's group: the group's data plus its local parity, minus the slot.
+  for (std::size_t group = 0; group < l; ++group) {
+    const SlotMask members =
+        (first_slots(group_size()) << (group * group_size())) |
+        slot_bit(k + group);
+    for (std::size_t slot = 0; slot < k + l; ++slot) {
+      if (has_slot(members, slot)) {
+        add_local_repair(slot, members & ~slot_bit(slot));
+      }
+    }
+  }
+}
 
 std::optional<std::size_t> LrcCodec::group_of(std::size_t slot) const {
   if (slot < k()) return slot / group_size();
   if (slot < k() + l_) return slot - k();
   return std::nullopt;  // global parity
-}
-
-Result<std::vector<std::size_t>> LrcCodec::select_sources(
-    std::span<const std::size_t> want, const std::vector<bool>& available,
-    std::span<const std::size_t> preference) const {
-  const std::optional<std::size_t> group =
-      want.size() == 1 ? group_of(want[0]) : std::nullopt;
-  if (!group) return MatrixCodec::select_sources(want, available, preference);
-  const std::size_t slot = want[0];
-  std::vector<std::size_t> sources;
-  sources.reserve(group_size());
-  // Group members (data) plus the local parity, minus the slot itself.
-  for (std::size_t c = *group * group_size(); c < (*group + 1) * group_size();
-       ++c) {
-    if (c != slot) sources.push_back(c);
-  }
-  const std::size_t local_parity = k() + *group;
-  if (slot != local_parity) sources.push_back(local_parity);
-  for (const std::size_t s : sources) {
-    if (s >= available.size() || !available[s]) {
-      // A second loss in the group: no shortcut.
-      return MatrixCodec::select_sources(want, available, preference);
-    }
-  }
-  return sources;
 }
 
 }  // namespace hpres::ec

@@ -20,10 +20,17 @@ namespace hpres::ec {
 
 class LrcCodec final : public MatrixCodec {
  public:
-  /// Requires k % l == 0, l >= 1, g >= 0, k + l + g <= 256.
+  /// Requires k % l == 0, l >= 1, g >= 0, k + l + g <= kMaxSlots.
   /// Construction searches deterministically for global-parity
   /// coefficients satisfying the (g+1)-failure decodability guarantee and
-  /// asserts success (small codes only need the first candidate).
+  /// asserts success (small codes only need the first candidate), then
+  /// registers each data and local-parity slot's local repair set.
+  ///
+  /// Repair locality: a single wanted slot whose local group is intact
+  /// reads only the group — a data slot its group peers plus the local
+  /// parity (group_size reads), a local parity its group's data. Global
+  /// parities, several wanted slots and broken groups take the any-k
+  /// selection of MatrixCodec.
   LrcCodec(std::size_t k, std::size_t l, std::size_t g);
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -37,15 +44,6 @@ class LrcCodec final : public MatrixCodec {
   /// Local group (0..l-1) of a data or local-parity slot; nullopt for
   /// global parities.
   [[nodiscard]] std::optional<std::size_t> group_of(std::size_t slot) const;
-
-  /// Repair locality: a single wanted slot whose local group is intact
-  /// reads only the group — a data slot its group peers plus the local
-  /// parity (group_size reads), a local parity its group's data. Global
-  /// parities, several wanted slots and broken groups take the any-k
-  /// selection of MatrixCodec.
-  [[nodiscard]] Result<std::vector<std::size_t>> select_sources(
-      std::span<const std::size_t> want, const std::vector<bool>& available,
-      std::span<const std::size_t> preference = {}) const override;
 
  private:
   static GfMatrix build_generator(std::size_t k, std::size_t l,

@@ -8,8 +8,8 @@ namespace hpres::ec {
 
 class RsVandermondeCodec final : public MatrixCodec {
  public:
-  /// Requires k >= 1, m >= 0, k + m <= 256 (distinct GF(256) evaluation
-  /// points per fragment).
+  /// Requires k >= 1, m >= 0, k + m <= kMaxSlots (distinct GF(256)
+  /// evaluation points per fragment).
   RsVandermondeCodec(std::size_t k, std::size_t m);
 
   [[nodiscard]] std::string_view name() const noexcept override {

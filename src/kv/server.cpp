@@ -382,21 +382,21 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   // Pick the fragments to aggregate, codec-aware (data slots first; LRC
   // skips linearly dependent survivor rows).
   Placement place = ec.ring->place(req.key);
-  std::vector<bool> available(n);
+  ec::SlotMask available = 0;
   for (std::size_t slot = 0; slot < n; ++slot) {
-    available[slot] = ec.membership->up(place.owner(slot));
+    if (ec.membership->up(place.owner(slot))) available |= ec::slot_bit(slot);
   }
   Response resp;
   resp.rpc_id = req.rpc_id;
   resp.trace = ht.ctx();
-  const Result<std::vector<std::size_t>> selected =
-      ec.codec->select_sources(ec.codec->data_slots(), available);
+  const Result<ec::ReadSet> selected =
+      ec.codec->select(ec.codec->data_mask(), available);
   if (!selected.ok()) {
     resp.code = selected.status().code();
     self->reply(env.src, std::move(resp));
     co_return;
   }
-  const std::vector<std::size_t>& chosen = *selected;
+  const ec::ReadSet& chosen = *selected;
 
   // Fetch the chosen fragments: local slot from the store, remote slots
   // from peers, all in flight concurrently.

@@ -1,6 +1,7 @@
 #include "resilience/erasure_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/rng.h"
@@ -30,7 +31,6 @@ ErasureEngine::ErasureEngine(EngineContext ctx, const ec::Codec& codec,
   assert(is_erasure(design) && "ErasureEngine runs an erasure design");
   assert(codec.n() <= ring().num_active() &&
          "need k+m distinct servers for fragment placement");
-  assert(codec.n() <= kMaxSlots && "codec wider than the per-op slot arrays");
 }
 
 sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
@@ -212,12 +212,14 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   bool down = false;
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (!membership().up(f->place.owner(slot))) {
-      f->available[slot] = false;
+      f->available &= ~ec::slot_bit(slot);
       down = true;
     }
-    f->slots[slot].attempted = f->have[slot];
-    if (f->have[slot]) ++f->arrived;
+    f->slots[slot].attempted = ec::has_slot(f->have, slot);
   }
+  const auto arrived = [f] {
+    return static_cast<std::size_t>(std::popcount(f->have));
+  };
   if (down || f->degraded) {
     if (!f->degraded) {
       f->degraded = true;
@@ -235,23 +237,23 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   if (hedging) {
     preference = load_preference(f->place, /*randomize=*/true, ranked);
   }
-  Result<std::vector<std::size_t>> selected =
-      codec_->select_sources(codec_->data_slots(), f->available, preference);
+  Result<ec::ReadSet> selected =
+      codec_->select(codec_->data_mask(), f->available, preference);
   if (!selected.ok()) co_return selected.status();
 
   // The non-blocking fetches are posted back-to-back from one CPU slice;
   // the responses overlap (Equation 8).
-  std::size_t to_post = 0;
-  for (const std::size_t slot : *selected) {
-    if (!f->have[slot]) ++to_post;
-  }
+  const auto to_post =
+      static_cast<std::size_t>(std::popcount(selected->mask() & ~f->have));
   const SimDur post_ns = static_cast<SimDur>(to_post) * issue_cost();
   co_await client().cpu().execute(post_ns);
   span(*phases, "get/request", sim().now() - post_ns, post_ns);
   f->posted = true;
   const SimTime fetch_t0 = sim().now();
   for (const std::size_t slot : *selected) {
-    if (!f->have[slot]) issue_fetch(f, slot, /*hedge=*/false, phases->trace);
+    if (!ec::has_slot(f->have, slot)) {
+      issue_fetch(f, slot, /*hedge=*/false, phases->trace);
+    }
   }
 
   // Arm up to Δ hedges over the next-best candidates. They fire once the
@@ -260,7 +262,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   std::size_t hedge_count = 0;
   for (std::size_t i = 0; i < n && hedge_count < hedge_.delta; ++i) {
     const std::size_t slot = preference.empty() ? i : preference[i];
-    if (!f->slots[slot].attempted && f->available[slot]) {
+    if (!f->slots[slot].attempted && ec::has_slot(f->available, slot)) {
       hedge_slots[hedge_count++] = slot;
     }
   }
@@ -269,19 +271,17 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
 
   for (;;) {
     fold_arrivals(f);
-    if (f->arrived == k &&
-        std::all_of(selected->begin(), selected->end(),
-                    [f](std::size_t slot) { return f->have[slot]; })) {
+    if (f->have == selected->mask()) {
       // Exactly the selection arrived: it is the decode set (the codec's
-      // answer over these k arrivals, without asking it again).
-      f->decode_set = std::move(*selected);
+      // answer over these arrivals, without asking it again).
+      f->decode_set = *selected;
       break;
     }
-    if (f->arrived >= k) {
-      Result<std::vector<std::size_t>> fin =
-          codec_->select_sources(codec_->data_slots(), f->have);
+    if (arrived() >= k) {
+      const Result<ec::ReadSet> fin =
+          codec_->select(codec_->data_mask(), f->have);
       if (fin.ok()) {
-        f->decode_set = std::move(*fin);
+        f->decode_set = *fin;
         break;
       }
     }
@@ -301,8 +301,8 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       co_await sim().delay(kv::Membership::kCheckCostNs);
       fold_arrivals(f);
       preference = load_preference(f->place, /*randomize=*/hedging, ranked);
-      selected = codec_->select_sources(codec_->data_slots(), f->available,
-                                        preference);
+      selected = codec_->select(codec_->data_mask(), f->available,
+                                preference);
       if (!selected.ok()) break;  // fewer than k survivors
       for (const std::size_t slot : *selected) {
         if (f->slots[slot].attempted) continue;
@@ -319,8 +319,10 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
     if (!hedges.empty() && sim().now() >= hedge_due) {
       bool fired = false;
       for (const std::size_t slot : hedges) {
-        if (f->arrived >= k) break;
-        if (f->slots[slot].attempted || !f->available[slot]) continue;
+        if (arrived() >= k) break;
+        if (f->slots[slot].attempted || !ec::has_slot(f->available, slot)) {
+          continue;
+        }
         if (!arpe().try_acquire_hedge_buffer()) {
           // Pool tight: hedging is best-effort and must never add
           // backpressure to admitted work.
@@ -331,7 +333,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         // price of hedging and must show up in the schedule.
         co_await client().cpu().execute(issue_cost());
         fold_arrivals(f);
-        if (f->arrived >= k) {  // the primaries landed while queued on CPU
+        if (arrived() >= k) {  // the primaries landed while queued on CPU
           arpe().release_hedge_buffer();
           break;
         }
@@ -396,9 +398,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   }
   if (hedging && bound) {
     for (std::size_t slot = 0; slot < n; ++slot) {
-      if (f->have[slot] &&
-          std::find(f->decode_set.begin(), f->decode_set.end(), slot) ==
-              f->decode_set.end()) {
+      if (ec::has_slot(f->have & ~f->decode_set.mask(), slot)) {
         const SharedBytes& frag = f->frags[slot];
         stats().hedge_wasted_bytes += frag ? frag->size() : 0;
       }
@@ -434,12 +434,11 @@ void ErasureEngine::fold_arrivals(FragmentFetch* f) {
       load_.observe_rtt(f->place.owner(slot), sim().now() - s.issued_at,
                         resp->queue_depth);
       f->frags[slot] = resp->value;
-      f->have[slot] = true;
-      ++f->arrived;
+      f->have |= ec::slot_bit(slot);
       if (resp->chunk) f->meta = resp->chunk;
     } else {
       f->worst = resp->code;
-      f->available[slot] = false;
+      f->available &= ~ec::slot_bit(slot);
       f->failed = true;
     }
     f->inflight[slot] = {};
@@ -451,10 +450,8 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     const FragmentFetch* f, std::size_t coded_bytes,
     std::optional<ec::ValueSlice> slice, OpPhases* phases) {
   const std::size_t k = codec_->k();
-  std::size_t missing_data = k;
-  for (const std::size_t slot : f->decode_set) {
-    if (slot < k) --missing_data;
-  }
+  const auto missing_data = static_cast<std::size_t>(
+      std::popcount(codec_->data_mask() & ~f->decode_set.mask()));
   if (missing_data > 0) {
     // T_decode on the client CPU, only on the degraded path.
     const SimDur decode_ns =
@@ -863,17 +860,19 @@ sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
         load_.observe_rtt(f.place.owner(slot), sim().now() - fetch_t0,
                           resp.queue_depth);
         f.frags[slot] = std::move(resp.value);
-        f.have[slot] = true;
+        f.have |= ec::slot_bit(slot);
       } else {
-        f.available[slot] = false;
+        f.available &= ~ec::slot_bit(slot);
         healthy = false;
       }
     }
     span(*phases, "get/fetch", fetch_t0, sim().now() - fetch_t0);
     if (healthy) {  // the record's data slots arrived: nothing to decode
       co_return ec::assemble(*codec_, std::span(f.frags.data(), n),
-                             codec_->data_slots(), layout,
-                             ec::ValueSlice{loc.offset, loc.len},
+                             codec_->select(codec_->data_mask(),
+                                            codec_->data_mask())
+                                 .value(),
+                             layout, ec::ValueSlice{loc.offset, loc.len},
                              ctx().materialize, scratch_);
     }
   }

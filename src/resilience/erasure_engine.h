@@ -38,7 +38,7 @@ class ErasureEngine final : public Engine {
 
   /// Widest codec (k+m) an engine runs: an op keeps its per-slot fetch and
   /// fan-out state in arrays of this size inside its coroutine frame.
-  static constexpr std::size_t kMaxSlots = 16;
+  static constexpr std::size_t kMaxSlots = ec::kMaxSlots;
 
   /// The codec must outlive the engine. Server-side designs additionally
   /// require every server to have ServerEcContext enabled (see
@@ -94,17 +94,17 @@ class ErasureEngine final : public Engine {
 
   /// One erasure read's fetch state, owned by the Get's frame and driven by
   /// fetch_fragments. A caller may mark slots unavailable and pre-load
-  /// fragments it already holds; the machine leaves the k slots it bound
-  /// in `decode_set` (empty when the read failed). Per-slot arrays hold
+  /// fragments it already holds; the machine leaves the slots it bound in
+  /// `decode_set` (empty when the read failed). Per-slot arrays hold
   /// kMaxSlots entries, of which the codec's n are used.
   struct FragmentFetch {
     FragmentFetch(kv::Key base_key, kv::Placement owners, std::size_t n)
-        : base(std::move(base_key)), place(owners), available(n, true),
-          have(n, false) {}
+        : base(std::move(base_key)), place(owners),
+          available(ec::first_slots(n)) {}
     kv::Key base;                     ///< slot i lives at chunk_key(base, i)
     kv::Placement place;              ///< base's owners
-    std::vector<bool> available;      ///< slot not (yet) known-failed
-    std::vector<bool> have;           ///< frags[slot] arrived
+    ec::SlotMask available;           ///< slots not (yet) known-failed
+    ec::SlotMask have = 0;            ///< slots whose frags[slot] arrived
     std::array<SharedBytes, kMaxSlots> frags;  ///< arrived fragments by slot
     /// In-flight bookkeeping per slot, private to fetch_fragments.
     struct Slot {
@@ -116,12 +116,11 @@ class ErasureEngine final : public Engine {
     std::array<Slot, kMaxSlots> slots;
     /// Invalid = idle.
     std::array<sim::Future<kv::Response>, kMaxSlots> inflight;
-    std::vector<std::size_t> decode_set;
+    ec::ReadSet decode_set;
     std::optional<kv::ChunkInfo> meta;  ///< chunk header of any arrival
     StatusCode worst = StatusCode::kNotFound;
     bool degraded = false;  ///< degraded_gets counted; T_check due upfront
     bool posted = false;    ///< the fan-out went out
-    std::size_t arrived = 0;          ///< slots in `have`
     bool failed = false;              ///< a fetch failed since re-selection
   };
 

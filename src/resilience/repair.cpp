@@ -1,6 +1,6 @@
 #include "resilience/repair.h"
 
-#include <algorithm>
+#include <bit>
 #include <set>
 
 namespace hpres::resilience {
@@ -34,8 +34,8 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
 
   // Phase 1 — presence probe: head-only Gets, no fragment payloads move.
   kv::Placement place = ctx_.ring->place(key);
-  std::vector<bool> owner_alive(n, false);
-  std::vector<bool> present(n, false);
+  ec::SlotMask owner_alive = 0;
+  ec::SlotMask present = 0;
   std::optional<kv::ChunkInfo> meta;
   const SimTime probe_t0 = ctx_.sim->now();
   {
@@ -43,7 +43,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     for (std::size_t slot = 0; slot < n; ++slot) {
       const std::size_t owner = place.owner(slot);
       if (!ctx_.membership->up(owner)) continue;
-      owner_alive[slot] = true;
+      owner_alive |= ec::slot_bit(slot);
       kv::Request req;
       req.verb = kv::Verb::kGet;
       req.key = kv::chunk_key(key, slot);
@@ -56,7 +56,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
       if (!pending[slot].valid()) continue;
       const kv::Response resp = co_await pending[slot].wait();
       if (resp.code != StatusCode::kOk) continue;
-      present[slot] = true;
+      present |= ec::slot_bit(slot);
       if (resp.chunk) meta = resp.chunk;
     }
   }
@@ -70,26 +70,22 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
         static_cast<std::uint64_t>(ctx_.sim->now() - probe_t0), 0,
         /*code=*/0);
   }
-  std::vector<std::size_t> rebuild;
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (owner_alive[slot] && !present[slot]) rebuild.push_back(slot);
-  }
+  const ec::SlotMask rebuild = owner_alive & ~present;
+  const auto rebuilt_count = static_cast<std::size_t>(std::popcount(rebuild));
   // Phase 2 — choose the fetch set: the codec names the survivors that
   // produce every lost slot (a local group under repair locality, else k).
   // An undecodable pattern is unrepairable even with rebuild empty.
-  const Result<std::vector<std::size_t>> selected =
-      codec_->select_sources(rebuild, present);
+  const Result<ec::ReadSet> selected = codec_->select(rebuild, present);
   if (!selected.ok() || !meta) {
     ++stats_.unrepairable_keys;
-    if (purge_orphans_ &&
-        std::find(present.begin(), present.end(), true) != present.end()) {
-      co_await purge_orphan(std::move(key), place, std::move(present));
+    if (purge_orphans_ && present != 0) {
+      co_await purge_orphan(std::move(key), place, present);
     }
     co_return Status{StatusCode::kTooManyFailures,
                      "surviving fragments cannot rebuild the key"};
   }
-  if (rebuild.empty()) co_return Status::Ok();
-  const std::vector<std::size_t>& fetch = *selected;
+  if (rebuild == 0) co_return Status::Ok();
+  const ec::ReadSet& fetch = *selected;
 
   const std::size_t value_size = meta->original_size;
   const ec::ChunkLayout layout =
@@ -135,7 +131,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   // (the locality saving the paper's future work is after).
   const SimDur reconstruct_ns = cost_.decode_ns(
       fetch.size() * layout.fragment_size,
-      static_cast<unsigned>(rebuild.size()));
+      static_cast<unsigned>(rebuilt_count));
   co_await ctx_.client->cpu().execute(reconstruct_ns);
   if (tr != nullptr) {
     tr->complete(ctx_.trace_pid, trace_tid(), "repair/reconstruct", "repair",
@@ -156,8 +152,9 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   // Phase 4 — re-place rebuilt fragments on their designated owners.
   const SimTime replace_t0 = ctx_.sim->now();
   std::vector<sim::Future<kv::Response>> writes;
-  writes.reserve(rebuild.size());
-  for (const std::size_t slot : rebuild) {
+  writes.reserve(rebuilt_count);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (!ec::has_slot(rebuild, slot)) continue;
     kv::Request req = kv::fragment_put(key, slot, (*rebuilt)[slot],
                                        value_size, k, codec_->m());
     req.trace = rtrace;
@@ -183,15 +180,15 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   if (worst == StatusCode::kOk) {
     ++stats_.keys_repaired;
     if (fetch.size() < k) ++stats_.local_repairs;
-    stats_.fragments_rebuilt += rebuild.size();
-    stats_.bytes_rebuilt += rebuild.size() * layout.fragment_size;
+    stats_.fragments_rebuilt += rebuilt_count;
+    stats_.bytes_rebuilt += rebuilt_count * layout.fragment_size;
   }
   co_return Status{worst};
 }
 
 sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
                                                 kv::Placement place,
-                                                std::vector<bool> present) {
+                                                ec::SlotMask present) {
   const std::size_t n = codec_->n();
   // A staged full copy on any live owner means the key can still be
   // re-distributed (server-side encode mid-flight): leave it alone.
@@ -211,7 +208,7 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
   std::vector<sim::Future<kv::Response>> deletes;
   deletes.reserve(n);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!present[slot]) continue;
+    if (!ec::has_slot(present, slot)) continue;
     kv::Request req;
     req.verb = kv::Verb::kDelete;
     req.key = kv::chunk_key(key, slot);

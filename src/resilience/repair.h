@@ -102,7 +102,7 @@ class RepairCoordinator {
   /// staged full copy of the key — that copy can re-create the fragments.
   /// `place` is the key's placement.
   sim::Task<void> purge_orphan(kv::Key key, kv::Placement place,
-                               std::vector<bool> present);
+                               ec::SlotMask present);
 
   EngineContext ctx_;
   const ec::Codec* codec_;

@@ -168,12 +168,8 @@ TEST(FragmentStep, EncodeAssembleRoundTripsEveryErasurePattern) {
     const ValueSlice slice{layout.fragment_size - 5, 40};
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
       if (static_cast<std::size_t>(std::popcount(mask)) > codec->m()) continue;
-      std::vector<bool> present(n, true);
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((mask & (1u << i)) != 0) present[i] = false;
-      }
-      const Result<std::vector<std::size_t>> sources =
-          codec->select_sources(codec->data_slots(), present);
+      const Result<ReadSet> sources =
+          codec->select(codec->data_mask(), codec->all_slots() & ~mask);
       if (!sources.ok()) {
         // Only LRC has undecodable patterns of at most m erasures.
         EXPECT_EQ(codec->name(), "lrc") << "mask " << mask;
@@ -207,9 +203,11 @@ TEST(FragmentStep, SizeOnlyEncodeReturnsSharedPlaceholders) {
       EXPECT_EQ(f, frags[0]);  // one shared buffer, no per-slot allocation
     }
     FragmentScratch scratch;
-    const Result<Bytes> value =
-        assemble(*codec, frags, codec->data_slots(), layout, std::nullopt,
-                 /*materialize=*/false, scratch);
+    const ReadSet healthy =
+        codec->select(codec->data_mask(), codec->data_mask()).value();
+    const Result<Bytes> value = assemble(*codec, frags, healthy, layout,
+                                         std::nullopt, /*materialize=*/false,
+                                         scratch);
     ASSERT_TRUE(value.ok());
     EXPECT_EQ(value->size(), 1000u);
   }
@@ -230,16 +228,21 @@ class CountingCodec final : public Codec {
   [[nodiscard]] std::size_t alignment() const noexcept override {
     return inner_->alignment();
   }
-  [[nodiscard]] Result<std::vector<std::size_t>> select_sources(
-      std::span<const std::size_t> want, const std::vector<bool>& available,
-      std::span<const std::size_t> preference) const override {
-    return inner_->select_sources(want, available, preference);
+  [[nodiscard]] Result<ReadSet> select(
+      SlotMask want, SlotMask available,
+      std::span<const std::size_t> preference = {}) const override {
+    return inner_->select(want, available, preference);
   }
-  [[nodiscard]] Status decode(std::span<const ByteSpan> fragments,
-                              std::span<const std::size_t> sources,
-                              std::span<const std::size_t> want) const override {
+  [[nodiscard]] Result<ReadSet> bind(
+      std::span<const std::size_t> sources) const override {
+    return inner_->bind(sources);
+  }
+  [[nodiscard]] Status decode(const ReadSet& sources,
+                              std::span<const ConstByteSpan> fragments,
+                              SlotMask want,
+                              std::span<const ByteSpan> outputs) const override {
     ++decodes;
-    return inner_->decode(fragments, sources, want);
+    return inner_->decode(sources, fragments, want, outputs);
   }
   mutable int decodes = 0;
 
@@ -256,16 +259,21 @@ TEST(FragmentStep, HealthyAssembleWithNullParityNeverDecodes) {
   frags[3] = nullptr;  // parity never fetched
   frags[4] = nullptr;
   FragmentScratch scratch;
-  const Result<Bytes> got = assemble(codec, frags, codec.data_slots(), layout,
-                                     std::nullopt, true, scratch);
+  const ReadSet healthy =
+      codec.select(codec.data_mask(), codec.data_mask()).value();
+  const Result<Bytes> got =
+      assemble(codec, frags, healthy, layout, std::nullopt, true, scratch);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, value);
   EXPECT_EQ(codec.decodes, 0);
-  EXPECT_TRUE(scratch.storage.empty());  // nothing copied either
+  for (const Bytes& b : scratch.storage) {
+    EXPECT_TRUE(b.empty());  // nothing copied either
+  }
 
   // A slice whose fragment is a source needs no decode even when another
   // data slot is missing from the read set.
-  const std::vector<std::size_t> degraded{1, 2, 3};
+  const std::vector<std::size_t> degraded_slots{1, 2, 3};
+  const ReadSet degraded = codec.bind(degraded_slots).value();
   frags[3] = encode_value(codec, value, value.size(), true)[3];
   const Result<Bytes> part = assemble(codec, frags, degraded, layout,
                                       ValueSlice{1500, 200}, true, scratch);
@@ -288,11 +296,10 @@ TEST(FragmentStep, RebuildFragmentsRestoresDataAndParity) {
     const std::vector<SharedBytes> encoded =
         encode_value(*codec, value, value.size(), true);
     // Lose the first data slot and the last parity slot.
-    const std::vector<std::size_t> lost{0, codec->n() - 1};
-    std::vector<bool> present(codec->n(), true);
-    for (const std::size_t s : lost) present[s] = false;
-    const Result<std::vector<std::size_t>> sources =
-        codec->select_sources(lost, present);
+    const std::vector<std::size_t> lost_slots{0, codec->n() - 1};
+    const SlotMask lost = slot_bit(0) | slot_bit(codec->n() - 1);
+    const Result<ReadSet> sources =
+        codec->select(lost, codec->all_slots() & ~lost);
     ASSERT_TRUE(sources.ok()) << codec->name();
     std::vector<SharedBytes> fetched(codec->n());
     for (const std::size_t s : *sources) fetched[s] = encoded[s];
@@ -300,15 +307,83 @@ TEST(FragmentStep, RebuildFragmentsRestoresDataAndParity) {
     const Result<std::vector<SharedBytes>> rebuilt = rebuild_fragments(
         *codec, fetched, *sources, lost, layout.fragment_size, true, scratch);
     ASSERT_TRUE(rebuilt.ok()) << codec->name();
-    for (const std::size_t s : lost) {
+    for (const std::size_t s : lost_slots) {
       ASSERT_NE((*rebuilt)[s], nullptr);
       EXPECT_EQ(*(*rebuilt)[s], *encoded[s]) << codec->name() << " slot " << s;
     }
     const Result<std::vector<SharedBytes>> sized = rebuild_fragments(
         *codec, fetched, *sources, lost, layout.fragment_size, false, scratch);
     ASSERT_TRUE(sized.ok());
-    for (const std::size_t s : lost) {
+    for (const std::size_t s : lost_slots) {
       EXPECT_EQ((*sized)[s]->size(), layout.fragment_size);
+    }
+  }
+}
+
+TEST(Chunker, DegradedReadsSourcesInPlace) {
+  for (const auto& codec : all_codecs()) {
+    const std::size_t n = codec->n();
+    const Bytes value = make_pattern(2000 + 3, 11);
+    const ChunkLayout layout =
+        make_layout(value.size(), codec->k(), codec->alignment());
+    const std::vector<SharedBytes> encoded =
+        encode_value(*codec, value, value.size(), /*materialize=*/true);
+    std::vector<Bytes> before(n);
+    for (std::size_t s = 0; s < n; ++s) before[s] = *encoded[s];
+    // Each read hands over only its read set; the buffers stay shared with
+    // `encoded`, so a write or a reallocation would show there.
+    const auto fetch = [&](const ReadSet& sources) {
+      std::vector<SharedBytes> fetched(n);
+      for (const std::size_t s : sources) fetched[s] = encoded[s];
+      return fetched;
+    };
+    const auto expect_sources_untouched = [&](const ReadSet& sources,
+                                              const char* step) {
+      for (const std::size_t s : sources) {
+        EXPECT_EQ(*encoded[s], before[s])
+            << codec->name() << " " << step << " slot " << s;
+      }
+    };
+
+    // A Get that lost data slot 0 binds a parity slot in its place.
+    const Result<ReadSet> get =
+        codec->select(codec->data_mask(), codec->all_slots() & ~slot_bit(0));
+    ASSERT_TRUE(get.ok()) << codec->name();
+    ASSERT_FALSE(get->contains(0));
+    FragmentScratch scratch;
+    const Result<Bytes> whole = assemble(*codec, fetch(*get), *get, layout,
+                                         std::nullopt, true, scratch);
+    ASSERT_TRUE(whole.ok()) << codec->name();
+    EXPECT_EQ(*whole, value) << codec->name();
+    expect_sources_untouched(*get, "assemble");
+    // Only the wanted slot got a buffer: no source was copied in.
+    for (std::size_t s = 0; s < kMaxSlots; ++s) {
+      EXPECT_EQ(scratch.storage[s].capacity() > 0, s == 0)
+          << codec->name() << " assemble slot " << s;
+    }
+
+    // A repair of data slot 0 and the last parity.
+    const SlotMask lost = slot_bit(0) | slot_bit(n - 1);
+    const Result<ReadSet> repair =
+        codec->select(lost, codec->all_slots() & ~lost);
+    ASSERT_TRUE(repair.ok()) << codec->name();
+    FragmentScratch repair_scratch;
+    const Result<std::vector<SharedBytes>> rebuilt =
+        rebuild_fragments(*codec, fetch(*repair), *repair, lost,
+                          layout.fragment_size, true, repair_scratch);
+    ASSERT_TRUE(rebuilt.ok()) << codec->name();
+    for (std::size_t s = 0; s < n; ++s) {
+      ASSERT_EQ((*rebuilt)[s] != nullptr, has_slot(lost, s)) << s;
+      if (has_slot(lost, s)) {
+        EXPECT_EQ(*(*rebuilt)[s], before[s]) << s;
+      }
+    }
+    expect_sources_untouched(*repair, "rebuild");
+    // The rebuilt buffers moved out to the caller, and nothing else was
+    // ever sized.
+    for (std::size_t s = 0; s < kMaxSlots; ++s) {
+      EXPECT_EQ(repair_scratch.storage[s].capacity(), 0u)
+          << codec->name() << " rebuild slot " << s;
     }
   }
 }

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "common/bytes.h"
@@ -39,18 +42,37 @@ Encoded encode_value(const Codec& codec, ConstByteSpan value) {
   return out;
 }
 
+/// The slots set in `present`.
+SlotMask mask_of(const std::vector<bool>& present) {
+  SlotMask mask = 0;
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (present[i]) mask |= slot_bit(i);
+  }
+  return mask;
+}
+
+std::vector<std::size_t> slots_of(const ReadSet& set) {
+  return {set.begin(), set.end()};
+}
+
+/// Decodes `want` into `working` from `sources`, which are read from
+/// `working` too.
+Status decode_into(const Codec& codec, const ReadSet& sources, SlotMask want,
+                   std::vector<Bytes>& working) {
+  const std::vector<ConstByteSpan> in(working.begin(), working.end());
+  const std::vector<ByteSpan> out(working.begin(), working.end());
+  return codec.decode(sources, in, want, out);
+}
+
 /// Rebuilds every absent slot as a repair does: the codec selects the
 /// sources for the lost slots, then decodes from exactly those.
-Status rebuild_absent(const Codec& codec, std::span<const ByteSpan> spans,
+Status rebuild_absent(const Codec& codec, std::vector<Bytes>& working,
                       const std::vector<bool>& present) {
-  std::vector<std::size_t> lost;
-  for (std::size_t i = 0; i < present.size(); ++i) {
-    if (!present[i]) lost.push_back(i);
-  }
-  const Result<std::vector<std::size_t>> sources =
-      codec.select_sources(lost, present);
+  const SlotMask available = mask_of(present);
+  const SlotMask lost = codec.all_slots() & ~available;
+  const Result<ReadSet> sources = codec.select(lost, available);
   if (!sources.ok()) return sources.status();
-  return codec.decode(spans, *sources, lost);
+  return decode_into(codec, *sources, lost, working);
 }
 
 /// Zeroes the erased fragments, rebuilds them, and checks byte-exactness of
@@ -62,8 +84,7 @@ void expect_full_recovery(const Codec& codec, ConstByteSpan value,
   for (std::size_t i = 0; i < present.size(); ++i) {
     if (!present[i]) std::fill(working[i].begin(), working[i].end(), std::byte{0});
   }
-  std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(rebuild_absent(codec, spans, present).ok());
+  ASSERT_TRUE(rebuild_absent(codec, working, present).ok());
   for (std::size_t i = 0; i < working.size(); ++i) {
     EXPECT_EQ(working[i], golden.fragments[i]) << "fragment " << i;
   }
@@ -112,10 +133,9 @@ TEST_P(CodecRoundTrip, TooManyErasuresRejected) {
   if (c->m() == c->n()) GTEST_SKIP();
   const Encoded enc = encode_value(*c, make_pattern(1024, 7));
   std::vector<Bytes> working = enc.fragments;
-  std::vector<ByteSpan> spans(working.begin(), working.end());
   std::vector<bool> present(c->n(), true);
   for (std::size_t i = 0; i <= c->m(); ++i) present[i % c->n()] = false;
-  const Status s = rebuild_absent(*c, spans, present);
+  const Status s = rebuild_absent(*c, working, present);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kTooManyFailures);
 }
@@ -147,11 +167,9 @@ TEST_P(CodecRoundTrip, ReconstructDataSkipsParityRepair) {
       std::fill(working[i].begin(), working[i].end(), std::byte{0});
     }
   }
-  std::vector<ByteSpan> spans(working.begin(), working.end());
-  const Result<std::vector<std::size_t>> sources =
-      c->select_sources(c->data_slots(), present);
+  const Result<ReadSet> sources = c->select(c->data_mask(), mask_of(present));
   ASSERT_TRUE(sources.ok());
-  ASSERT_TRUE(c->decode(spans, *sources, c->data_slots()).ok());
+  ASSERT_TRUE(decode_into(*c, *sources, c->data_mask(), working).ok());
   EXPECT_EQ(working[0], golden.fragments[0]);  // data repaired
   if (!present[c->k()]) {
     // The erased parity was not wanted, so decode left it alone.
@@ -175,23 +193,23 @@ TEST_P(CodecRoundTrip, DecodeRejectsUnequalFragmentLengths) {
                          static_cast<const Codec*>(&lrc)}) {
     const Encoded enc = encode_value(*c, make_pattern(64 * 1024, 12));
     std::vector<Bytes> working = enc.fragments;
-    std::vector<bool> present(c->n(), true);
-    present[0] = false;
-    const Result<std::vector<std::size_t>> sources =
-        c->select_sources(c->data_slots(), present);
+    const Result<ReadSet> sources =
+        c->select(c->data_mask(), c->all_slots() & ~slot_bit(0));
     ASSERT_TRUE(sources.ok()) << c->name();
     const std::size_t short_len =
         enc.layout.fragment_size - c->alignment();
     // Each short span is a prefix of a full-length buffer, so a decode that
     // ignored lengths would read valid memory and report success.
-    std::vector<ByteSpan> spans(working.begin(), working.end());
-    spans[sources->back()] = spans[sources->back()].first(short_len);
-    EXPECT_EQ(c->decode(spans, *sources, c->data_slots()).code(),
+    std::vector<ConstByteSpan> in(working.begin(), working.end());
+    std::vector<ByteSpan> out(working.begin(), working.end());
+    const std::size_t last = (*sources)[sources->size() - 1];
+    in[last] = in[last].first(short_len);
+    EXPECT_EQ(c->decode(*sources, in, c->data_mask(), out).code(),
               StatusCode::kInvalidArgument)
         << c->name() << ": short source";
-    spans.assign(working.begin(), working.end());
-    spans[0] = spans[0].first(short_len);
-    EXPECT_EQ(c->decode(spans, *sources, c->data_slots()).code(),
+    in.assign(working.begin(), working.end());
+    out[0] = out[0].first(short_len);
+    EXPECT_EQ(c->decode(*sources, in, c->data_mask(), out).code(),
               StatusCode::kInvalidArgument)
         << c->name() << ": short output";
   }
@@ -337,9 +355,10 @@ TEST(SelectReadSet, EmptyPreferenceMatchesFirstDecodableSubset) {
     const auto* lrc = dynamic_cast<const LrcCodec*>(c);
     const std::size_t n = c->n();
     const Encoded golden = encode_value(*c, make_pattern(c->k() * 64, n));
-    std::vector<std::vector<std::size_t>> wants{
-        std::vector<std::size_t>(c->data_slots().begin(),
-                                 c->data_slots().end())};
+    std::vector<std::vector<std::size_t>> wants(1);
+    for (std::size_t slot = 0; slot < c->k(); ++slot) {
+      wants[0].push_back(slot);
+    }
     for (std::size_t slot = 0; slot < n; ++slot) wants.push_back({slot});
 
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
@@ -355,8 +374,14 @@ TEST(SelectReadSet, EmptyPreferenceMatchesFirstDecodableSubset) {
                                   std::to_string(mask) + " want " +
                                   std::to_string(want[0]) + "/" +
                                   std::to_string(want.size());
+        SlotMask want_mask = 0;
+        for (const std::size_t w : want) want_mask |= slot_bit(w);
+        const Result<ReadSet> selected = c->select(want_mask, mask);
         const Result<std::vector<std::size_t>> got =
-            c->select_sources(want, available);
+            selected.ok() ? Result<std::vector<std::size_t>>(
+                                slots_of(*selected))
+                          : Result<std::vector<std::size_t>>(
+                                selected.status());
         const auto group = (lrc != nullptr && want.size() == 1)
                                ? lrc_group_sources(*lrc, want[0])
                                : std::nullopt;
@@ -388,8 +413,8 @@ TEST(SelectReadSet, EmptyPreferenceMatchesFirstDecodableSubset) {
         EXPECT_EQ(rank_of(*c, with_want), got->size()) << where;
         std::vector<Bytes> working(n, Bytes(golden.layout.fragment_size));
         for (const std::size_t s : *got) working[s] = golden.fragments[s];
-        std::vector<ByteSpan> spans(working.begin(), working.end());
-        ASSERT_TRUE(c->decode(spans, *got, want).ok()) << where;
+        ASSERT_TRUE(decode_into(*c, *selected, want_mask, working).ok())
+            << where;
         for (const std::size_t w : want) {
           EXPECT_EQ(working[w], golden.fragments[w]) << where;
         }
@@ -402,16 +427,276 @@ TEST(Decode, RejectsSourcesThatDoNotSpanWant) {
   const LrcCodec lrc(4, 2, 1);
   const Encoded golden = encode_value(lrc, make_pattern(4 * 64, 8));
   std::vector<Bytes> working = golden.fragments;
-  std::vector<ByteSpan> spans(working.begin(), working.end());
   // Group 0 (slots 0, 1, local parity 4) cannot produce data slot 2.
   const std::vector<std::size_t> group0{0, 4};
-  const std::vector<std::size_t> want{2};
-  EXPECT_EQ(lrc.decode(spans, group0, want).code(),
+  const Result<ReadSet> local = lrc.bind(group0);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(decode_into(lrc, *local, slot_bit(2), working).code(),
             StatusCode::kTooManyFailures);
+  // ...but it does produce slot 1.
+  EXPECT_TRUE(decode_into(lrc, *local, slot_bit(1), working).ok());
   // Dependent sources are a caller error, not a decodability verdict.
   const std::vector<std::size_t> dependent{0, 1, 4};
-  EXPECT_EQ(lrc.decode(spans, dependent, want).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(lrc.bind(dependent).status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- Decode plans ----------------------------------------------------------
+//
+// The reference below is the per-call read-set selection the plan table
+// replaced, kept verbatim (a greedy RowBasis pass over ordered candidates,
+// LRC's local-group shortcut in front) so the table is checked against it
+// pattern by pattern.
+
+namespace reference {
+
+std::vector<std::size_t> ordered_candidates(
+    std::size_t n, const std::vector<bool>& available,
+    std::span<const std::size_t> preference) {
+  std::vector<std::size_t> out;
+  out.reserve(n);
+  const auto taken = [&out](std::size_t s) {
+    return std::find(out.begin(), out.end(), s) != out.end();
+  };
+  for (const std::size_t s : preference) {
+    if (s < available.size() && s < n && available[s] && !taken(s)) {
+      out.push_back(s);
+    }
+  }
+  for (std::size_t i = 0; i < n && i < available.size(); ++i) {
+    if (available[i] && !taken(i)) out.push_back(i);
+  }
+  return out;
+}
+
+Result<std::vector<std::size_t>> matrix_select_sources(
+    const MatrixCodec& c, std::span<const std::size_t> want,
+    const std::vector<bool>& available,
+    std::span<const std::size_t> preference) {
+  if (std::any_of(want.begin(), want.end(),
+                  [&c](std::size_t s) { return s >= c.n(); })) {
+    return Status{StatusCode::kInvalidArgument, "wanted slot out of range"};
+  }
+  const std::vector<std::size_t> candidates =
+      ordered_candidates(c.n(), available, preference);
+  if (candidates.size() < c.k()) {
+    return Status{StatusCode::kTooManyFailures,
+                  "fewer than k fragments available"};
+  }
+  const auto top_k = candidates.begin() + static_cast<std::ptrdiff_t>(c.k());
+  if (std::all_of(candidates.begin(), top_k,
+                  [&c](std::size_t s) { return s < c.k(); })) {
+    return std::vector<std::size_t>(candidates.begin(), top_k);
+  }
+  RowBasis basis(c.generator());
+  for (const std::size_t slot : candidates) {
+    if (basis.rank() == c.k()) break;
+    basis.add(slot);
+  }
+  if (basis.rank() < c.k()) {
+    return Status{StatusCode::kTooManyFailures,
+                  "erasure pattern not decodable by this code"};
+  }
+  return basis.rows();
+}
+
+Result<std::vector<std::size_t>> lrc_select_sources(
+    const LrcCodec& c, std::span<const std::size_t> want,
+    const std::vector<bool>& available,
+    std::span<const std::size_t> preference) {
+  const std::optional<std::size_t> group =
+      want.size() == 1 ? c.group_of(want[0]) : std::nullopt;
+  if (!group) return matrix_select_sources(c, want, available, preference);
+  const std::size_t slot = want[0];
+  std::vector<std::size_t> sources;
+  sources.reserve(c.group_size());
+  for (std::size_t g = *group * c.group_size();
+       g < (*group + 1) * c.group_size(); ++g) {
+    if (g != slot) sources.push_back(g);
+  }
+  const std::size_t local_parity = c.k() + *group;
+  if (slot != local_parity) sources.push_back(local_parity);
+  for (const std::size_t s : sources) {
+    if (s >= available.size() || !available[s]) {
+      return matrix_select_sources(c, want, available, preference);
+    }
+  }
+  return sources;
+}
+
+Result<std::vector<std::size_t>> select_sources(
+    const MatrixCodec& c, std::span<const std::size_t> want,
+    const std::vector<bool>& available,
+    std::span<const std::size_t> preference) {
+  if (const auto* lrc = dynamic_cast<const LrcCodec*>(&c)) {
+    return lrc_select_sources(*lrc, want, available, preference);
+  }
+  return matrix_select_sources(c, want, available, preference);
+}
+
+/// The code the per-call decode gave a source list before it looked at
+/// the wanted slots: kInvalidArgument for a slot past n, a repeat or a
+/// dependent row.
+StatusCode source_check(const MatrixCodec& c,
+                        std::span<const std::size_t> sources) {
+  RowBasis basis(c.generator());
+  for (const std::size_t s : sources) {
+    if (s >= c.n() || !basis.add(s)) return StatusCode::kInvalidArgument;
+  }
+  return StatusCode::kOk;
+}
+
+}  // namespace reference
+
+/// Every CodecRoundTrip shape plus two LRCs.
+std::vector<std::unique_ptr<MatrixCodec>> plan_codecs() {
+  std::vector<std::unique_ptr<MatrixCodec>> out;
+  const std::vector<Shape> shapes{
+      {Scheme::kRsVandermonde, 3, 2}, {Scheme::kCauchyRs, 3, 2},
+      {Scheme::kRaid6, 3, 2},         {Scheme::kRsVandermonde, 1, 1},
+      {Scheme::kRsVandermonde, 2, 1}, {Scheme::kRsVandermonde, 4, 2},
+      {Scheme::kRsVandermonde, 6, 3}, {Scheme::kRsVandermonde, 10, 4},
+      {Scheme::kCauchyRs, 2, 2},      {Scheme::kCauchyRs, 6, 3},
+      {Scheme::kRaid6, 8, 2},         {Scheme::kRaid6, 4, 1}};
+  for (const auto& [scheme, k, m] : shapes) {
+    std::unique_ptr<Codec> c = make_codec(scheme, k, m);
+    out.emplace_back(static_cast<MatrixCodec*>(c.release()));
+  }
+  out.push_back(std::make_unique<LrcCodec>(4, 2, 1));
+  out.push_back(std::make_unique<LrcCodec>(6, 2, 2));
+  return out;
+}
+
+/// A seeded preference: a shuffled prefix of the slots, with a repeat and
+/// a slot past n mixed in now and then (both are skipped).
+std::vector<std::size_t> random_preference(std::size_t n, Xoshiro256& rng) {
+  std::vector<std::size_t> slots(n);
+  for (std::size_t i = 0; i < n; ++i) slots[i] = i;
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(slots[i - 1], slots[rng.next_below(i)]);
+  }
+  slots.resize(1 + rng.next_below(n));
+  if (rng.next_below(4) == 0) slots.push_back(slots.front());
+  if (rng.next_below(4) == 0) slots.insert(slots.begin(), n + 1);
+  return slots;
+}
+
+TEST(CodecPlan, TableCoversEveryIndependentKSubset) {
+  EXPECT_EQ(RsVandermondeCodec(3, 2).plan_count(), 10u);
+  EXPECT_EQ(RsVandermondeCodec(10, 4).plan_count(), 1001u);
+  EXPECT_EQ(CauchyRsCodec(6, 3).plan_count(), 84u);
+  // LRC(4,2,1): every independent 4-subset of 7 slots plus the six local
+  // repair sets (two data peers or a local parity per data slot, a group's
+  // data per local parity).
+  const LrcCodec lrc(4, 2, 1);
+  std::size_t independent = 0;
+  for (SlotMask set = 0; set < slot_bit(lrc.n()); ++set) {
+    if (std::popcount(set) != 4) continue;
+    std::vector<std::size_t> rows;
+    for (std::size_t s = 0; s < lrc.n(); ++s) {
+      if (has_slot(set, s)) rows.push_back(s);
+    }
+    if (reference::source_check(lrc, rows) == StatusCode::kOk) ++independent;
+  }
+  EXPECT_EQ(lrc.plan_count(), independent + 6);
+}
+
+TEST(CodecPlan, SelectionAndDecodeMatchTheReference) {
+  Xoshiro256 rng(20260);
+  for (const auto& c : plan_codecs()) {
+    const std::size_t n = c->n();
+    const Encoded golden = encode_value(*c, make_pattern(c->k() * 64, n));
+    // Wide codes get fewer random preferences per mask.
+    const std::size_t random_prefs = n <= 10 ? 3 : 1;
+    for (SlotMask mask = 0; mask < slot_bit(n); ++mask) {
+      std::vector<bool> available(n);
+      for (std::size_t i = 0; i < n; ++i) available[i] = has_slot(mask, i);
+      const SlotMask lost = c->all_slots() & ~mask;
+      std::vector<SlotMask> wants{c->data_mask()};
+      for (std::size_t s = 0; s < n; ++s) wants.push_back(slot_bit(s));
+      if (std::popcount(lost) >= 2) wants.push_back(lost);
+      std::vector<std::vector<std::size_t>> prefs{{}};
+      for (std::size_t i = 0; i < random_prefs; ++i) {
+        prefs.push_back(random_preference(n, rng));
+      }
+      for (const SlotMask want : wants) {
+        std::vector<std::size_t> want_list;
+        for (std::size_t s = 0; s < n; ++s) {
+          if (has_slot(want, s)) want_list.push_back(s);
+        }
+        for (const std::vector<std::size_t>& pref : prefs) {
+          const std::string where = std::string(c->name()) + " k" +
+                                    std::to_string(c->k()) + " mask " +
+                                    std::to_string(mask) + " want " +
+                                    std::to_string(want) + " pref " +
+                                    std::to_string(pref.size());
+          const Result<std::vector<std::size_t>> expected =
+              reference::select_sources(*c, want_list, available, pref);
+          const Result<ReadSet> got = c->select(want, mask, pref);
+          ASSERT_EQ(got.ok(), expected.ok()) << where;
+          if (!got.ok()) {
+            EXPECT_EQ(got.status().code(), expected.status().code()) << where;
+            continue;
+          }
+          ASSERT_EQ(slots_of(*got), *expected) << where;
+          SlotMask expected_mask = 0;
+          for (const std::size_t s : *expected) expected_mask |= slot_bit(s);
+          EXPECT_EQ(got->mask(), expected_mask) << where;
+          ASSERT_NE(got->plan(), nullptr) << where;
+          EXPECT_EQ(got->plan()->sources, got->mask()) << where;
+          // Only the sources hold bytes; every wanted slot is rebuilt.
+          std::vector<Bytes> working(n, Bytes(golden.layout.fragment_size));
+          for (const std::size_t s : *got) working[s] = golden.fragments[s];
+          const std::vector<Bytes> sources_before = working;
+          ASSERT_TRUE(decode_into(*c, *got, want, working).ok()) << where;
+          for (std::size_t s = 0; s < n; ++s) {
+            if (has_slot(want, s) || got->contains(s)) {
+              EXPECT_EQ(working[s], golden.fragments[s]) << where << " slot "
+                                                         << s;
+            } else {
+              EXPECT_EQ(working[s], sources_before[s]) << where << " slot "
+                                                       << s;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CodecPlan, BindRejectsWhatThePerCallDecodeRejected) {
+  Xoshiro256 rng(7);
+  for (const auto& c : plan_codecs()) {
+    const std::size_t n = c->n();
+    for (int trial = 0; trial < 400; ++trial) {
+      // Random lists: any length up to n + 1, slots up to n + 1, repeats.
+      std::vector<std::size_t> sources(rng.next_below(n + 2));
+      for (std::size_t& s : sources) s = rng.next_below(n + 2);
+      const std::string where = std::string(c->name()) + " k" +
+                                std::to_string(c->k()) + " trial " +
+                                std::to_string(trial);
+      const Result<ReadSet> bound = c->bind(sources);
+      if (reference::source_check(*c, sources) ==
+          StatusCode::kInvalidArgument) {
+        ASSERT_FALSE(bound.ok()) << where;
+        EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument)
+            << where;
+        continue;
+      }
+      if (sources.size() == c->k()) {
+        // k independent rows produce every slot, in the caller's order.
+        ASSERT_TRUE(bound.ok()) << where;
+        EXPECT_EQ(slots_of(*bound), sources) << where;
+        EXPECT_EQ(bound->plan()->rebuilds, c->all_slots() & ~bound->mask())
+            << where;
+      } else if (!bound.ok()) {
+        // Fewer independent rows than k and no local repair set: the
+        // per-call decode could produce nothing beyond them either (for an
+        // MDS code), which it reported as kTooManyFailures.
+        EXPECT_EQ(bound.status().code(), StatusCode::kTooManyFailures)
+            << where;
+      }
+    }
+  }
 }
 
 TEST(CodecFactory, NamesAreStable) {

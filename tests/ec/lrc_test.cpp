@@ -33,35 +33,43 @@ Encoded encode_value(const Codec& codec, ConstByteSpan value) {
   return out;
 }
 
-/// Rebuilds every absent slot as a repair does: select_sources for the
+/// Decodes `want` into `working` from `sources`, which are read from
+/// `working` too.
+Status decode_into(const Codec& codec, const ReadSet& sources, SlotMask want,
+                   std::vector<Bytes>& working) {
+  const std::vector<ConstByteSpan> in(working.begin(), working.end());
+  const std::vector<ByteSpan> out(working.begin(), working.end());
+  return codec.decode(sources, in, want, out);
+}
+
+/// Rebuilds every absent slot as a repair does: select the sources for the
 /// lost slots, then decode from exactly those sources.
-Status rebuild_absent(const Codec& codec, std::span<const ByteSpan> spans,
-                      const std::vector<bool>& present) {
-  std::vector<std::size_t> lost;
-  for (std::size_t i = 0; i < present.size(); ++i) {
-    if (!present[i]) lost.push_back(i);
-  }
-  const Result<std::vector<std::size_t>> sources =
-      codec.select_sources(lost, present);
+Status rebuild_absent(const Codec& codec, std::vector<Bytes>& working,
+                      SlotMask present) {
+  const SlotMask lost = codec.all_slots() & ~present;
+  const Result<ReadSet> sources = codec.select(lost, present);
   if (!sources.ok()) return sources.status();
-  return codec.decode(spans, *sources, lost);
+  return decode_into(codec, *sources, lost, working);
 }
 
-/// Every slot present except `lost`.
-std::vector<bool> all_but(std::size_t n, std::size_t lost) {
-  std::vector<bool> present(n, true);
-  present[lost] = false;
-  return present;
+/// Every slot of an n-slot codec present except `lost`.
+SlotMask all_but(std::size_t n, std::size_t lost) {
+  return first_slots(n) & ~slot_bit(lost);
 }
 
-/// select_sources for the single lost slot `slot`.
-std::vector<std::size_t> sources_for(const Codec& codec, std::size_t slot,
-                                     const std::vector<bool>& present) {
-  const std::vector<std::size_t> want{slot};
-  const Result<std::vector<std::size_t>> got =
-      codec.select_sources(want, present);
+/// The read set for the single lost slot `slot`.
+ReadSet read_set_for(const Codec& codec, std::size_t slot,
+                     SlotMask present) {
+  const Result<ReadSet> got = codec.select(slot_bit(slot), present);
   EXPECT_TRUE(got.ok()) << got.status();
-  return got.ok() ? *got : std::vector<std::size_t>{};
+  return got.ok() ? *got : ReadSet{};
+}
+
+/// Its slots, in read order.
+std::vector<std::size_t> sources_for(const Codec& codec, std::size_t slot,
+                                     SlotMask present) {
+  const ReadSet set = read_set_for(codec, slot, present);
+  return {set.begin(), set.end()};
 }
 
 TEST(Lrc, ShapeAndGroups) {
@@ -103,15 +111,13 @@ TEST(Lrc, EveryPatternUpToGPlusOneRecovers) {
   for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
     if (std::popcount(mask) > 3) continue;
     std::vector<Bytes> working = golden.fragments;
-    std::vector<bool> present(n, true);
     for (std::size_t i = 0; i < n; ++i) {
       if (mask & (1u << i)) {
-        present[i] = false;
         std::fill(working[i].begin(), working[i].end(), std::byte{0});
       }
     }
-    std::vector<ByteSpan> spans(working.begin(), working.end());
-    ASSERT_TRUE(rebuild_absent(lrc, spans, present).ok()) << "mask " << mask;
+    ASSERT_TRUE(rebuild_absent(lrc, working, lrc.all_slots() & ~mask).ok())
+        << "mask " << mask;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(working[i], golden.fragments[i]) << "mask " << mask;
     }
@@ -124,10 +130,9 @@ TEST(Lrc, SomePatternsBeyondGuaranteeAreUndecodable) {
   const LrcCodec lrc(4, 2, 2);
   const Encoded enc = encode_value(lrc, make_pattern(400, 3));
   std::vector<Bytes> working = enc.fragments;
-  std::vector<bool> present(8, true);
-  for (const std::size_t slot : {0u, 1u, 4u, 6u}) present[slot] = false;
-  std::vector<ByteSpan> spans(working.begin(), working.end());
-  EXPECT_EQ(rebuild_absent(lrc, spans, present).code(),
+  SlotMask present = lrc.all_slots();
+  for (const std::size_t slot : {0u, 1u, 4u, 6u}) present &= ~slot_bit(slot);
+  EXPECT_EQ(rebuild_absent(lrc, working, present).code(),
             StatusCode::kTooManyFailures);
 }
 
@@ -138,15 +143,14 @@ TEST(Lrc, SomeFourFailurePatternsStillDecode) {
   const Bytes value = make_pattern(444, 4);
   const Encoded golden = encode_value(lrc, value);
   std::vector<Bytes> working = golden.fragments;
-  std::vector<bool> present(8, true);
+  SlotMask present = lrc.all_slots();
   // One data loss per group + both local parities: globals + survivors
   // still span full rank.
   for (const std::size_t slot : {0u, 2u, 4u, 5u}) {
-    present[slot] = false;
+    present &= ~slot_bit(slot);
     std::fill(working[slot].begin(), working[slot].end(), std::byte{0});
   }
-  std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(rebuild_absent(lrc, spans, present).ok());
+  ASSERT_TRUE(rebuild_absent(lrc, working, present).ok());
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(working[i], golden.fragments[i]);
   }
@@ -164,8 +168,7 @@ TEST(Lrc, MinimalRepairSourcesAreTheGroup) {
   EXPECT_EQ(sources_for(lrc, 8, all_but(10, 8)),
             (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
   // Second loss in the group: no locality, k independent survivors.
-  std::vector<bool> degraded = all_but(10, 1);
-  degraded[2] = false;
+  const SlotMask degraded = all_but(10, 1) & ~slot_bit(2);
   EXPECT_EQ(sources_for(lrc, 1, degraded),
             (std::vector<std::size_t>{0, 3, 4, 5, 6, 8}));
 }
@@ -175,14 +178,11 @@ TEST(Lrc, RebuildFromSourcesMatchesOriginal) {
   const Bytes value = make_pattern(6 * 128, 5);
   const Encoded enc = encode_value(lrc, value);
   for (std::size_t slot = 0; slot < 8; ++slot) {  // data + local parities
-    const std::vector<std::size_t> src =
-        sources_for(lrc, slot, all_but(10, slot));
+    const ReadSet src = read_set_for(lrc, slot, all_but(10, slot));
     ASSERT_EQ(src.size(), lrc.group_size()) << slot;
     std::vector<Bytes> working(10, Bytes(enc.layout.fragment_size));
     for (const std::size_t s : src) working[s] = enc.fragments[s];
-    std::vector<ByteSpan> spans(working.begin(), working.end());
-    const std::vector<std::size_t> want{slot};
-    ASSERT_TRUE(lrc.decode(spans, src, want).ok()) << slot;
+    ASSERT_TRUE(decode_into(lrc, src, slot_bit(slot), working).ok()) << slot;
     EXPECT_EQ(working[slot], enc.fragments[slot]) << slot;
   }
 }
@@ -209,13 +209,11 @@ TEST(Lrc, SingleGroupDegeneratesGracefully) {
   const Bytes value = make_pattern(777, 6);
   const Encoded golden = encode_value(lrc, value);
   std::vector<Bytes> working = golden.fragments;
-  std::vector<bool> present(6, true);
-  present[1] = false;
-  present[5] = false;  // data + global: within g+1 = 2
+  // Data + global: within g+1 = 2.
+  const SlotMask present = lrc.all_slots() & ~slot_bit(1) & ~slot_bit(5);
   std::fill(working[1].begin(), working[1].end(), std::byte{0});
   std::fill(working[5].begin(), working[5].end(), std::byte{0});
-  std::vector<ByteSpan> spans(working.begin(), working.end());
-  ASSERT_TRUE(rebuild_absent(lrc, spans, present).ok());
+  ASSERT_TRUE(rebuild_absent(lrc, working, present).ok());
   EXPECT_EQ(working[1], golden.fragments[1]);
 }
 

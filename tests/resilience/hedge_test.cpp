@@ -111,38 +111,39 @@ TEST(NodeLoadTracker, EwmaTracksQueueMovement) {
   EXPECT_EQ(tracker.total_samples(), 21u);
 }
 
+/// The slots of a selected read set, in read order.
+std::vector<std::size_t> slots_of(const Result<ec::ReadSet>& set) {
+  return {set->begin(), set->end()};
+}
+
 TEST(SelectReadSetOrdered, PreservesPreferenceOrder) {
   ec::RsVandermondeCodec codec(3, 2);
-  std::vector<bool> available(5, true);
+  ec::SlotMask available = codec.all_slots();
   const std::vector<std::size_t> preference{4, 2, 1, 0, 3};
-  const Result<std::vector<std::size_t>> chosen =
-      codec.select_sources(codec.data_slots(), available, preference);
+  const Result<ec::ReadSet> chosen =
+      codec.select(codec.data_mask(), available, preference);
   ASSERT_TRUE(chosen.ok()) << chosen.status();
   // RS-Vandermonde is MDS: the first k of the preference decode, and the
   // result keeps the caller's order (cheapest server first), unsorted.
-  EXPECT_EQ(*chosen, (std::vector<std::size_t>{4, 2, 1}));
+  EXPECT_EQ(slots_of(chosen), (std::vector<std::size_t>{4, 2, 1}));
 
-  available[4] = false;
-  const Result<std::vector<std::size_t>> without4 =
-      codec.select_sources(codec.data_slots(), available, preference);
+  available &= ~ec::slot_bit(4);
+  const Result<ec::ReadSet> without4 =
+      codec.select(codec.data_mask(), available, preference);
   ASSERT_TRUE(without4.ok());
-  EXPECT_EQ(*without4, (std::vector<std::size_t>{2, 1, 0}));
+  EXPECT_EQ(slots_of(without4), (std::vector<std::size_t>{2, 1, 0}));
 
-  available.assign(5, false);
-  available[0] = available[3] = true;  // only 2 of k=3 left
-  EXPECT_FALSE(
-      codec.select_sources(codec.data_slots(), available, preference).ok());
+  available = ec::slot_bit(0) | ec::slot_bit(3);  // only 2 of k=3 left
+  EXPECT_FALSE(codec.select(codec.data_mask(), available, preference).ok());
 }
 
 TEST(SelectReadSetOrdered, PartialPreferenceFallsBackToNaturalOrder) {
   ec::RsVandermondeCodec codec(3, 2);
-  const std::vector<bool> available(5, true);
   // A preference mentioning fewer than k slots is topped up in slot order.
-  const Result<std::vector<std::size_t>> chosen =
-      codec.select_sources(codec.data_slots(), available,
-                           std::vector<std::size_t>{3});
+  const Result<ec::ReadSet> chosen = codec.select(
+      codec.data_mask(), codec.all_slots(), std::vector<std::size_t>{3});
   ASSERT_TRUE(chosen.ok());
-  EXPECT_EQ(*chosen, (std::vector<std::size_t>{3, 0, 1}));
+  EXPECT_EQ(slots_of(chosen), (std::vector<std::size_t>{3, 0, 1}));
 }
 
 class HedgeTest : public FiveNodeClusterTest {};

@@ -9,11 +9,11 @@
 // and a fragment key one string; a whole Client->Server Get round trip is
 // pinned with and without a deadline, and an answered deadline wait
 // leaves no timer behind. A whole erasure Get and Set through the engine
-// are pinned too. Nothing outlives a drained run: once a cluster
-// has run dry and is destroyed, every block it allocated is freed. This
-// file replaces the global operator new and delete with counting ones, so
-// it builds as its own test executable (test_sim_alloc) and the counters
-// reach no other suite.
+// are pinned too, and a degraded materialized Get that decodes. Nothing
+// outlives a drained run: once a cluster has run dry and is destroyed,
+// every block it allocated is freed. This file replaces the global
+// operator new and delete with counting ones, so it builds as its own test
+// executable (test_sim_alloc) and the counters reach no other suite.
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -531,12 +531,19 @@ Task<void> engine_op(resilience::Engine* engine, kv::Key key,
   }
 }
 
-/// Allocations of one healthy Era-CE-CD op over RS(3,2) on 5 servers, size
-/// only, with the frame pool warm: the op runs once to warm it up and is
-/// counted the second time. A null `value` counts a Get of the key a Set
-/// stored first. The issuing process frame, with the key moved into it, is
-/// allocated before counting.
-std::size_t erasure_op_allocations(bool get) {
+/// How erasure_op_allocations drives its op.
+struct ErasureOp {
+  bool get = true;           ///< a Get of the key a Set stored first
+  bool materialize = false;  ///< real payloads, encoded and decoded
+  bool fail_slot0 = false;   ///< the owner of slot 0 fails after the Set
+};
+
+/// Allocations of one Era-CE-CD op over RS(3,2) on 5 servers, with the
+/// frame pool warm: the op runs once to warm it up and is counted the
+/// second time. A Get reads the key a Set stored first. The issuing
+/// process frame, with the key moved into it, is allocated before
+/// counting.
+std::size_t erasure_op_allocations(ErasureOp op) {
   const ec::RsVandermondeCodec codec(3, 2);
   const ec::CostModel cost =
       ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
@@ -544,20 +551,21 @@ std::size_t erasure_op_allocations(bool get) {
   config.num_servers = 5;
   cluster::Cluster cl(config);
   const std::unique_ptr<resilience::Engine> engine = resilience::make_engine(
-      resilience::Design::kEraCeCd, cl.engine_context(0, /*materialize=*/false),
-      3, &codec, cost);
+      resilience::Design::kEraCeCd,
+      cl.engine_context(0, op.materialize), 3, &codec, cost);
   cl.start();
   const kv::Key key = "user0000000000042";
-  const SharedBytes value = make_shared_bytes(Bytes(1024));
+  const SharedBytes value = make_shared_bytes(make_pattern(1024, 42));
   const KeepAwake awake(cl.sim());
   bool ok = false;
   cl.sim().spawn(engine_op(engine.get(), key, value, &ok));
   run_awake(cl.sim());
   EXPECT_TRUE(ok);
+  if (op.fail_slot0) cl.fail_server(cl.ring().place(key).owner(0));
   std::size_t allocations = 0;
   for (int round = 0; round < 2; ++round) {
     ok = false;
-    cl.sim().spawn(engine_op(engine.get(), key, get ? nullptr : value, &ok));
+    cl.sim().spawn(engine_op(engine.get(), key, op.get ? nullptr : value, &ok));
     const std::size_t before = g_allocations;
     run_awake(cl.sim());
     allocations = g_allocations - before;
@@ -567,17 +575,25 @@ std::size_t erasure_op_allocations(bool get) {
 }
 
 TEST(SimAlloc, ErasureGetAllocationBudget) {
-  // The fetch's available/have masks, the codec's read set and its work
-  // list, the k = 3 fragment keys and the assembled value. Owners, fetch
-  // futures and fragments live in the op's frame.
-  EXPECT_EQ(erasure_op_allocations(/*get=*/true), 8u);
+  // The k = 3 fragment keys and the assembled value. Masks, the read set,
+  // owners, fetch futures and fragments live in the op's frame.
+  EXPECT_EQ(erasure_op_allocations({.get = true}), 4u);
+}
+
+TEST(SimAlloc, ErasureDegradedGetAllocationBudget) {
+  // Slot 0's owner is down, so the Get binds a parity fragment and decodes
+  // data slot 0 into the engine's warm scratch buffer, reading the fetched
+  // fragments in place: as healthy, the 3 fragment keys and the value.
+  EXPECT_EQ(erasure_op_allocations(
+                {.get = true, .materialize = true, .fail_slot0 = true}),
+            4u);
 }
 
 TEST(SimAlloc, ErasureSetAllocationBudget) {
   // The encoded fragment list (its slots share one cached zero buffer) and
   // the n = 5 fragment keys. The fan-out's futures and owners live in the
   // op's frame.
-  EXPECT_EQ(erasure_op_allocations(/*get=*/false), 6u);
+  EXPECT_EQ(erasure_op_allocations({.get = false}), 6u);
 }
 
 }  // namespace

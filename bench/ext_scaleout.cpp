@@ -59,8 +59,10 @@ struct RunOut {
 };
 
 // Self-assembled harness (not Testbench): elastic runs need a partially
-// active ring and a second, previous-epoch engine per client for the
-// transition read fallback, which the shared bench ctor does not wire.
+// active ring and the placement manager's view on every client, which the
+// shared bench ctor does not wire. The view is each engine's only
+// placement attachment: mid-transition Get misses re-run in the same
+// engine under the view's previous ring.
 struct ScaleoutBench {
   ScaleoutBench(const cluster::Testbed& bed, std::size_t shards,
                 const char* label)
@@ -79,17 +81,12 @@ struct ScaleoutBench {
     cl.enable_server_ec(codec, cost, /*materialize=*/false);
     // The last client is the placement coordinator's RPC identity.
     manager = std::make_unique<cluster::PlacementManager>(
-        cl, codec, cost, context(kClients, &cl.ring()));
+        cl, codec, cost, cl.engine_context(kClients, /*materialize=*/false));
     cl.set_placement_view(manager->view());
     for (std::size_t c = 0; c < kClients; ++c) {
       engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd, context(c, &cl.ring()), 3, &codec,
-          cost));
-      prev_engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd, context(c, &manager->prev_ring()),
-          3, &codec, cost));
-      engines[c]->attach_placement(manager->view());
-      engines[c]->set_prev_engine(prev_engines[c].get());
+          resilience::Design::kEraCeCd,
+          cl.engine_context(c, /*materialize=*/false), 3, &codec, cost));
     }
     cl.start();
     if (obs.metrics_enabled()) {
@@ -102,19 +99,10 @@ struct ScaleoutBench {
     }
   }
 
-  resilience::EngineContext context(std::size_t client,
-                                    const kv::HashRing* ring) {
-    resilience::EngineContext ctx =
-        cl.engine_context(client, /*materialize=*/false);
-    ctx.ring = ring;
-    return ctx;
-  }
-
   ec::RsVandermondeCodec codec;
   ec::CostModel cost;
   cluster::Cluster cl;
   std::vector<std::unique_ptr<resilience::Engine>> engines;
-  std::vector<std::unique_ptr<resilience::Engine>> prev_engines;
   std::unique_ptr<cluster::PlacementManager> manager;
 };
 
@@ -338,6 +326,13 @@ int main_impl(int argc, char** argv) {
   }
   if (baseline.merged.failures != 0 || baseline.readback_failures != 0) {
     std::fprintf(stderr, "FAIL: static baseline saw failures\n");
+    ok = false;
+  }
+  // The drill must keep exercising the previous-ring read path: with no
+  // mid-transition Get re-run under the old ring it no longer tests it.
+  if (elastic.fallback_gets == 0) {
+    std::fprintf(stderr, "FAIL: no Get re-ran under the previous ring "
+                         "(fallback_gets = 0)\n");
     ok = false;
   }
   const int obs_rc = obs_finalize();

@@ -119,9 +119,10 @@ class Cluster {
 
   /// Attaches a versioned placement view to every client: requests are
   /// stamped with the view's epoch at issue, which is what lets servers
-  /// bounce writes that resolved owners under a stale ring. Engines attach
-  /// the same view through Engine::attach_placement. Pass nullptr to
-  /// detach (legacy placement-unaware behavior, byte-identical).
+  /// bounce writes that resolved owners under a stale ring. Engines read
+  /// the same view through their client, so this is the whole placement
+  /// wiring. Pass nullptr to detach (legacy placement-unaware behavior,
+  /// byte-identical).
   void set_placement_view(const kv::PlacementView* view);
 
   /// Arms RPC deadlines/retries on every client and server. With a policy
@@ -181,8 +182,8 @@ class Cluster {
   /// Engine wiring for client `i`: its shard's event loop, its RPC client,
   /// the cluster ring, membership and server list, and its shard's tracer
   /// (under its trace pid) and flight recorder (null when none is
-  /// attached). Callers override only what they change — another ring, a
-  /// latency recorder. Attach observability before calling.
+  /// attached). Callers override only what they change, such as a latency
+  /// recorder. Attach observability before calling.
   [[nodiscard]] resilience::EngineContext engine_context(
       std::size_t i, bool materialize = true) {
     const auto node = static_cast<net::NodeId>(config_.num_servers + i);

@@ -110,8 +110,8 @@ sim::Task<Status> PlacementManager::run_change(std::size_t server,
                  migrate_t0, ctx_.sim->now() - migrate_t0, trace_id);
   }
 
-  // Phase 4 — finish: drop the transition flag (and with it the engines'
-  // prev-ring fallback path).
+  // Phase 4 — finish: clear the view's previous ring (and with it the
+  // engines' previous-ring re-runs).
   co_await await_applied(Pending::kFinish);
   ++stats_.changes;
   if (tr != nullptr) {
@@ -132,11 +132,11 @@ void PlacementManager::apply_cutover(std::size_t server, bool join) {
     live.remove_server(server);
   }
   view_.epoch = live.epoch();
-  view_.in_transition = true;
+  view_.prev = &prev_ring_;
 }
 
 void PlacementManager::apply_finish() {
-  view_.in_transition = false;
+  view_.prev = nullptr;
 }
 
 sim::Task<void> PlacementManager::await_applied(Pending pending) {

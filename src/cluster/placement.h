@@ -18,13 +18,15 @@
 //      when an old owner is gone, and re-homes packed-stripe locator
 //      directory entries. Copies are paced so foreground traffic keeps
 //      its latency envelope.
-//   4. Finish — the transition flag drops and (epoch acks permitting) the
-//      stale copies at old positions are deleted.
+//   4. Finish — the view's previous ring is cleared and (epoch acks
+//      permitting) the stale copies at old positions are deleted.
 //
-// Between cutover and finish the engines' placement hooks keep every
-// acked value readable: Get misses retry under the pre-cutover ring
-// (old positions are not cleaned until finish), Deletes dual-issue, and
-// bounced Sets retry under the new ring. See DESIGN.md for the invariant
+// Clients attach the manager's view (Cluster::set_placement_view) and
+// their engines read it through the client. Between cutover and finish
+// the view carries the pre-cutover ring, which keeps every acked value
+// readable: a Get that misses re-runs under it (old positions are not
+// cleaned until finish), Deletes unlink under both rings, and bounced
+// Sets retry under the new ring. See DESIGN.md for the invariant
 // argument.
 #pragma once
 
@@ -84,22 +86,17 @@ class PlacementManager {
   PlacementManager& operator=(const PlacementManager&) = delete;
   ~PlacementManager();
 
-  /// The versioned view engines and clients attach to
-  /// (Cluster::set_placement_view / Engine::attach_placement). Stable
-  /// address for the manager's lifetime.
+  /// The versioned view clients attach to (Cluster::set_placement_view);
+  /// their engines read it through the client. Stable address for the
+  /// manager's lifetime. While a change is in flight its `prev` points at
+  /// the manager's pre-cutover ring snapshot.
   [[nodiscard]] const kv::PlacementView* view() const noexcept {
     return &view_;
   }
 
-  /// The pre-cutover ring, valid while a transition is in flight (engines
-  /// resolve read fallbacks against it). Stable address.
-  [[nodiscard]] const kv::HashRing& prev_ring() const noexcept {
-    return prev_ring_;
-  }
-
   [[nodiscard]] std::uint64_t epoch() const noexcept { return view_.epoch; }
   [[nodiscard]] bool in_transition() const noexcept {
-    return view_.in_transition;
+    return view_.prev != nullptr;
   }
 
   /// The event loop the coordinator's coroutines must run on (its client's
@@ -136,10 +133,10 @@ class PlacementManager {
 
   sim::Task<Status> run_change(std::size_t server, bool join);
   /// Swaps the live ring to the new active set, snapshots the old ring,
-  /// bumps the view's epoch, and raises in_transition. Called from the
-  /// quiesce hook.
+  /// bumps the view's epoch, and points the view's `prev` at the snapshot.
+  /// Called from the quiesce hook.
   void apply_cutover(std::size_t server, bool join);
-  /// Drops in_transition — the transition is over.
+  /// Clears the view's `prev` — the transition is over.
   void apply_finish();
   /// Publishes `pending` and waits for the quiesce hook to apply it (the
   /// hook caps windows at one poll interval, so this resolves at the

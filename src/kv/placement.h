@@ -4,23 +4,27 @@
 // cluster and hands out const pointers; it mutates the view only at
 // quiesce-safe points (inline in oracle mode, from a runtime quiesce hook
 // when sharded), so readers on any shard always observe a consistent
-// {epoch, ring} pair without locks.
+// {epoch, prev} pair without locks. A client holds the view
+// (RpcNode::set_placement_view) and its engines read it through the client
+// — it is the only placement attachment.
 #pragma once
 
 #include <cstdint>
 
 namespace hpres::kv {
 
+class HashRing;
+
 struct PlacementView {
   /// Current placement epoch — HashRing::epoch() of the live ring. Clients
   /// stamp it onto outgoing requests; servers bounce writes carrying an
   /// older (non-zero) one with kWrongEpoch.
   std::uint64_t epoch = 0;
-  /// A migration pass is in flight: fragments may still sit at their
-  /// pre-cutover positions, so reads that miss under the new ring fall
-  /// back to the engine's pre-cutover engine (Engine::set_prev_engine),
-  /// and deletes dual-issue under both rings.
-  bool in_transition = false;
+  /// The pre-cutover ring while a migration pass is in flight, null
+  /// otherwise. Fragments may still sit at their old positions, so a Get
+  /// that misses under the live ring re-runs under this one, and deletes
+  /// unlink under both. The authority owns the snapshot.
+  const HashRing* prev = nullptr;
 };
 
 }  // namespace hpres::kv

@@ -114,6 +114,12 @@ class RpcNode {
   void set_placement_view(const PlacementView* view) noexcept {
     placement_ = view;
   }
+  /// The attached placement view, or null. Engines read it through their
+  /// client: stale-epoch Set bounces retry under the refreshed ring and
+  /// mid-migration Get misses re-run under the view's previous ring.
+  [[nodiscard]] const PlacementView* placement_view() const noexcept {
+    return placement_;
+  }
 
   /// Sends a request; the future resolves with the peer's response. A
   /// request to a node known-dead by the fabric resolves at once with

@@ -4,74 +4,80 @@
 
 namespace hpres::resilience {
 
-Engine::OpFrame Engine::begin_op(OpKind kind, obs::TraceContext parent,
-                                 bool nested) {
-  OpFrame op{.kind = kind,
-             .nested = nested,
-             .t0 = sim().now(),
-             .tracer = ctx_.live_tracer()};
-  if (op.tracer != nullptr) {
-    op.lane = lane_pool_->acquire();
-    op.phases.trace_tid = lane_tid(op.lane);
+Engine::OpFrame Engine::begin_op(OpKind kind, OpContext* parent) {
+  OpFrame frame{.kind = kind,
+                .parent = parent,
+                .t0 = sim().now(),
+                .tracer = ctx_.live_tracer()};
+  frame.op.ring = parent != nullptr ? parent->ring : ctx_.ring;
+  if (frame.tracer != nullptr) {
+    frame.lane = lane_pool_->acquire();
+    frame.op.trace_tid = lane_tid(frame.lane);
     // Nested (composite-engine) ops continue the parent's trace; top-level
     // ops start a fresh one. trace_id stays 0 when tracing is disabled, so
     // nothing downstream tags or propagates.
-    op.phases.trace = parent.valid()
-                          ? parent.child(op.phases.trace_tid)
-                          : obs::TraceContext{op.tracer->new_trace_id(),
-                                              op.phases.trace_tid, 0};
+    frame.op.trace =
+        parent != nullptr && parent->trace.valid()
+            ? parent->trace.child(frame.op.trace_tid)
+            : obs::TraceContext{frame.tracer->new_trace_id(),
+                                frame.op.trace_tid, 0};
   }
-  if (!nested && ctx_.flight != nullptr) {
-    ctx_.flight->record(op.t0, client().id(), obs::FlightEventType::kOpStart,
-                        0, 0, static_cast<std::uint8_t>(kind));
+  if (parent == nullptr && ctx_.flight != nullptr) {
+    ctx_.flight->record(frame.t0, client().id(),
+                        obs::FlightEventType::kOpStart, 0, 0,
+                        static_cast<std::uint8_t>(kind));
   }
-  return op;
+  return frame;
 }
 
-void Engine::finish_op(const OpFrame& op, bool ok, bool* degraded_out) {
-  const bool get = op.kind == OpKind::kGet;
-  const SimDur total = sim().now() - op.t0;
-  if (op.tracer != nullptr) {
-    op.tracer->complete(trace_pid(), op.phases.trace_tid, get ? "get" : "set",
-                        "engine", op.t0, total, op.phases.trace.trace_id);
-    lane_pool_->release(op.lane);
+void Engine::finish_op(const OpFrame& frame, bool ok) {
+  const bool get = frame.kind == OpKind::kGet;
+  const OpContext& op = frame.op;
+  const SimDur total = sim().now() - frame.t0;
+  if (frame.tracer != nullptr) {
+    frame.tracer->complete(trace_pid(), op.trace_tid, get ? "get" : "set",
+                           "engine", frame.t0, total, op.trace.trace_id);
+    lane_pool_->release(frame.lane);
   }
   ++(get ? stats_.gets : stats_.sets);
   if (!ok) ++(get ? stats_.get_failures : stats_.set_failures);
-  if (degraded_out != nullptr) *degraded_out = op.phases.degraded;
-  if (op.nested) return;
+  if (frame.parent != nullptr) {
+    frame.parent->degraded |= op.degraded;
+    return;
+  }
   if (ctx_.recorder != nullptr) {
-    ctx_.recorder->record(get ? "get" : "set", name(), op.phases.degraded,
-                          total, op.phases.trace.trace_id);
+    ctx_.recorder->record(get ? "get" : "set", name(), op.degraded, total,
+                          op.trace.trace_id);
   }
   if (ctx_.flight != nullptr) {
-    const auto code = static_cast<std::uint8_t>(op.kind);
-    if (op.phases.degraded) {
+    const auto code = static_cast<std::uint8_t>(frame.kind);
+    if (op.degraded) {
       ctx_.flight->record(sim().now(), client().id(),
                           obs::FlightEventType::kDegraded, 0, 0, code);
     }
     ctx_.flight->record(sim().now(), client().id(),
                         obs::FlightEventType::kOpEnd,
                         static_cast<std::uint64_t>(total),
-                        op.phases.degraded ? 1 : 0, code);
+                        op.degraded ? 1 : 0, code);
   }
 }
 
 sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
-                                   obs::TraceContext parent, bool nested,
-                                   bool* degraded_out) {
-  OpFrame op = begin_op(OpKind::kSet, parent, nested);
-  // Under a live placement plane, keep copies for the wrong-epoch retry
-  // loop (the copies are host-side only; simulated costs are unchanged).
+                                   OpContext* parent) {
+  OpFrame frame = begin_op(OpKind::kSet, parent);
+  // Under a placement view, a top-level op keeps copies for the
+  // wrong-epoch retry loop (the copies are host-side only; simulated costs
+  // are unchanged). A nested op's bounce returns to its enclosing op.
   kv::Key retry_key;
   SharedBytes retry_value;
-  const bool placement_aware = ctx_.placement != nullptr;
+  const bool placement_aware =
+      parent == nullptr && client().placement_view() != nullptr;
   if (placement_aware) {
     retry_key = key;
     retry_value = value;
   }
   Status status =
-      co_await do_set(std::move(key), std::move(value), &op.phases);
+      co_await do_set(std::move(key), std::move(value), &frame.op);
   if (placement_aware) {
     // A kWrongEpoch bounce means some owner installed a newer epoch than
     // this op was stamped with. The shared ring is already the new one
@@ -81,51 +87,48 @@ sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
     for (int retry = 0;
          status.code() == StatusCode::kWrongEpoch && retry < 3; ++retry) {
       ++stats_.wrong_epoch_retries;
-      op.phases.degraded = true;
-      status = co_await do_set(retry_key, retry_value, &op.phases);
+      frame.op.degraded = true;
+      status = co_await do_set(retry_key, retry_value, &frame.op);
     }
   }
-  finish_op(op, status.ok(), degraded_out);
+  finish_op(frame, status.ok());
   co_return status;
 }
 
-sim::Task<Result<Bytes>> Engine::get_impl(kv::Key key,
-                                          obs::TraceContext parent,
-                                          bool nested, bool* degraded_out) {
-  OpFrame op = begin_op(OpKind::kGet, parent, nested);
+sim::Task<Result<Bytes>> Engine::get_impl(kv::Key key, OpContext* parent) {
+  OpFrame frame = begin_op(OpKind::kGet, parent);
+  const kv::PlacementView* const view =
+      parent == nullptr ? client().placement_view() : nullptr;
   kv::Key fallback_key;
-  const bool placement_aware = ctx_.placement != nullptr;
-  if (placement_aware) fallback_key = key;
-  Result<Bytes> result = co_await do_get(std::move(key), &op.phases);
-  if (placement_aware && !result.ok() && ctx_.placement->in_transition &&
-      prev_engine_ != nullptr) {
+  if (view != nullptr) fallback_key = key;
+  Result<Bytes> result = co_await do_get(std::move(key), &frame.op);
+  if (view != nullptr && !result.ok() && view->prev != nullptr) {
     // Mid-migration miss: the fragments may not have reached their new
-    // owners yet. Retry under the pre-cutover ring — data at old positions
-    // survives until the post-ack cleanup, so between the two placements
-    // every durably written value stays readable.
-    bool prev_degraded = false;
-    Result<Bytes> prev = co_await prev_engine_->get_nested(
-        fallback_key, op.phases.trace, &prev_degraded);
+    // owners yet. Re-run the same op under the pre-cutover ring — data at
+    // old positions survives until the post-ack cleanup, so between the
+    // two placements every durably written value stays readable.
+    frame.op.ring = view->prev;
+    Result<Bytes> prev = co_await do_get(std::move(fallback_key), &frame.op);
     if (prev.ok()) {
       ++stats_.placement_fallback_gets;
-      op.phases.degraded = true;
+      frame.op.degraded = true;
       result = std::move(prev);
     }
   }
-  finish_op(op, result.ok(), degraded_out);
+  finish_op(frame, result.ok());
   co_return result;
 }
 
 sim::Task<kv::Response> Engine::call_one(std::size_t server, kv::Request req,
-                                         OpPhases* phases,
+                                         OpContext* op,
                                          std::string_view request_span,
                                          std::string_view wait_span) {
   const SimDur issue_ns = issue_cost();
   const SimTime t0 = sim().now();
-  req.trace = phases->trace;
+  req.trace = op->trace;
   kv::Response resp = co_await client().invoke(node_of(server), std::move(req));
-  span(*phases, request_span, t0, issue_ns);
-  span(*phases, wait_span, t0 + issue_ns,
+  span(*op, request_span, t0, issue_ns);
+  span(*op, wait_span, t0 + issue_ns,
        std::max<SimDur>(0, sim().now() - t0 - issue_ns));
   co_return resp;
 }
@@ -172,17 +175,17 @@ sim::Task<std::vector<Result<Bytes>>> Engine::mget(
 
 sim::Task<Status> Engine::del(kv::Key key) {
   ++stats_.dels;
-  if (ctx_.placement != nullptr && ctx_.placement->in_transition &&
-      prev_engine_ != nullptr) {
-    // Mid-migration delete: fragments may sit at old positions, new ones,
-    // or both, so unlink under both rings. OK if either placement held it.
-    kv::Key prev_key = key;
-    const Status cur = co_await do_del(std::move(key));
-    const Status prev = co_await prev_engine_->do_del(std::move(prev_key));
-    if (cur.ok() || prev.ok()) co_return Status::Ok();
-    co_return cur;
+  const kv::PlacementView* const view = client().placement_view();
+  if (view == nullptr || view->prev == nullptr) {
+    co_return co_await do_del(std::move(key), ring());
   }
-  co_return co_await do_del(std::move(key));
+  // Mid-migration delete: fragments may sit at old positions, new ones,
+  // or both, so unlink under both rings. OK if either placement held it.
+  const kv::HashRing& prev = *view->prev;
+  kv::Key prev_key = key;
+  const Status cur = co_await do_del(std::move(key), ring());
+  const Status old = co_await do_del(std::move(prev_key), prev);
+  co_return cur.ok() || old.ok() ? Status::Ok() : cur;
 }
 
 sim::Future<Status> Engine::iset(kv::Key key, SharedBytes value) {

@@ -13,7 +13,6 @@
 #include "obs/flight_recorder.h"
 #include "kv/hash_ring.h"
 #include "kv/membership.h"
-#include "kv/placement.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -182,11 +181,6 @@ struct EngineContext {
   /// ring; failure-handling events (failover, fallback, hedge) land in the
   /// ring of the server they implicate. Purely observational.
   obs::FlightRecorder* flight = nullptr;
-  /// Optional versioned placement view (cluster::PlacementManager). When
-  /// set, stale-epoch Set bounces retry under the refreshed ring and
-  /// mid-migration Get misses fall back to the pre-cutover placement.
-  /// Null = classic fixed-membership behavior, byte-identical.
-  const kv::PlacementView* placement = nullptr;
 
   /// The tracer when attached and enabled, nullptr otherwise — one branch
   /// on the hot path when observability is off.
@@ -196,6 +190,23 @@ struct EngineContext {
 };
 
 class Engine {
+ protected:
+  /// One operation's context, which implementations read and fill.
+  /// `trace_tid` is the Perfetto lane this op's spans go on (0 when tracing
+  /// is off); concurrent ops get distinct lanes so complete events nest.
+  /// `trace` is the op's causal identity: implementations stamp it onto
+  /// outgoing requests and tag child spans with its trace id. `degraded`
+  /// is set by implementations whenever the op needed failure handling
+  /// (dead owner worked around, failover fetch, fallback path). `ring` is
+  /// the ring the op resolves owners under: the engine's ring, or the
+  /// placement view's previous ring while a mid-migration Get re-runs.
+  struct OpContext {
+    std::uint64_t trace_tid = 0;
+    obs::TraceContext trace;
+    bool degraded = false;
+    const kv::HashRing* ring = nullptr;
+  };
+
  public:
   Engine(EngineContext ctx, ArpeParams arpe_params)
       : ctx_(ctx), arpe_(*ctx.sim, arpe_params) {
@@ -212,26 +223,30 @@ class Engine {
 
   /// Blocking Set: resolves when the value is durable per the scheme.
   sim::Task<Status> set(kv::Key key, SharedBytes value) {
-    return set_impl(std::move(key), std::move(value), {}, false, nullptr);
+    return set_impl(std::move(key), std::move(value), nullptr);
   }
 
   /// Blocking Get: resolves with the reassembled value.
   sim::Task<Result<Bytes>> get(kv::Key key) {
-    return get_impl(std::move(key), {}, false, nullptr);
+    return get_impl(std::move(key), nullptr);
   }
 
-  /// Composite-engine entry points: run the op as a causal child of
-  /// `parent` (same trace id, its own lane) without a LatencyRecorder row
-  /// — the enclosing op records once at the top level. `degraded`, when
-  /// non-null, receives whether this op needed failure handling.
+  /// Composite-engine entry points: run the op inside `parent` — under its
+  /// ring, as a causal child of its trace (its own lane) and without a
+  /// LatencyRecorder row, since the enclosing op records once at the top
+  /// level. The child ORs its degraded flag into `parent`, and leaves
+  /// wrong-epoch retries and previous-ring re-runs to the enclosing op.
   sim::Task<Status> set_nested(kv::Key key, SharedBytes value,
-                               obs::TraceContext parent,
-                               bool* degraded = nullptr) {
-    return set_impl(std::move(key), std::move(value), parent, true, degraded);
+                               OpContext& parent) {
+    return set_impl(std::move(key), std::move(value), &parent);
   }
-  sim::Task<Result<Bytes>> get_nested(kv::Key key, obs::TraceContext parent,
-                                      bool* degraded = nullptr) {
-    return get_impl(std::move(key), parent, true, degraded);
+  sim::Task<Result<Bytes>> get_nested(kv::Key key, OpContext& parent) {
+    return get_impl(std::move(key), &parent);
+  }
+  /// Deletes under `ring` only (the enclosing delete chose the rings).
+  sim::Task<Status> del_nested(kv::Key key, const kv::HashRing& ring) {
+    ++stats_.dels;
+    return do_del(std::move(key), ring);
   }
 
   /// Points this engine at an external lane pool (composite engines share
@@ -269,41 +284,19 @@ class Engine {
     return nullptr;
   }
 
-  /// Attaches the cluster's versioned placement view (see
-  /// EngineContext::placement). The view must outlive the engine.
-  void attach_placement(const kv::PlacementView* view) noexcept {
-    ctx_.placement = view;
-  }
-
-  /// Attaches a second engine of the same scheme resolved against the
-  /// *pre-cutover* ring. While the placement view reports a transition in
-  /// flight, Get misses retry through it and Deletes dual-issue — the data
-  /// at old positions stays readable until the post-ack cleanup removes
-  /// it. The prev engine must outlive this one.
-  void set_prev_engine(Engine* prev) noexcept { prev_engine_ = prev; }
-
  protected:
-  /// Per-op state that implementations fill during one operation.
-  /// `trace_tid` is the Perfetto lane this op's spans go on (0 when tracing
-  /// is off); concurrent ops get distinct lanes so complete events nest.
-  /// `trace` is the op's causal identity: implementations stamp it onto
-  /// outgoing requests and tag child spans with its trace id. `degraded`
-  /// is set by implementations whenever the op needed failure handling
-  /// (dead owner worked around, failover fetch, fallback path).
-  struct OpPhases {
-    std::uint64_t trace_tid = 0;
-    obs::TraceContext trace;
-    bool degraded = false;
-  };
-
   virtual sim::Task<Status> do_set(kv::Key key, SharedBytes value,
-                                   OpPhases* phases) = 0;
-  virtual sim::Task<Result<Bytes>> do_get(kv::Key key, OpPhases* phases) = 0;
-  virtual sim::Task<Status> do_del(kv::Key key) = 0;
+                                   OpContext* op) = 0;
+  virtual sim::Task<Result<Bytes>> do_get(kv::Key key, OpContext* op) = 0;
+  /// Removes the key's copies placed under `ring`.
+  virtual sim::Task<Status> do_del(kv::Key key, const kv::HashRing& ring) = 0;
 
   [[nodiscard]] const EngineContext& ctx() const noexcept { return ctx_; }
   [[nodiscard]] sim::Simulator& sim() const noexcept { return *ctx_.sim; }
   [[nodiscard]] kv::Client& client() const noexcept { return *ctx_.client; }
+  /// The live ring, for owner lookups not tied to a Set/Get (stripe
+  /// commits, deletes, constructor checks). A Set/Get resolves through its
+  /// OpContext::ring.
   [[nodiscard]] const kv::HashRing& ring() const noexcept {
     return *ctx_.ring;
   }
@@ -332,7 +325,7 @@ class Engine {
   [[nodiscard]] obs::LanePool& lane_pool() noexcept { return *lane_pool_; }
 
   /// Stamps an engine span on `op`'s lane when tracing is live.
-  void span(const OpPhases& op, std::string_view name, SimTime start,
+  void span(const OpContext& op, std::string_view name, SimTime start,
             SimDur dur) const {
     if (obs::Tracer* const tr = ctx_.live_tracer(); tr != nullptr) {
       tr->complete(trace_pid(), op.trace_tid, name, "engine", start, dur,
@@ -345,7 +338,7 @@ class Engine {
   /// response wait) and spans the issue slice as `request_span` and the
   /// rest as `wait_span`.
   sim::Task<kv::Response> call_one(std::size_t server, kv::Request req,
-                                   OpPhases* phases,
+                                   OpContext* op,
                                    std::string_view request_span,
                                    std::string_view wait_span);
 
@@ -399,13 +392,12 @@ class Engine {
                                    sim::Promise<Result<Bytes>> out);
 
   /// Common implementation behind set()/set_nested() and get()/
-  /// get_nested(). Nested ops inherit the parent's trace id and skip the
-  /// LatencyRecorder (the top-level op records once).
+  /// get_nested(). `parent` is null for a top-level op; a nested op runs
+  /// under its parent's ring and trace and skips the LatencyRecorder (the
+  /// top-level op records once).
   sim::Task<Status> set_impl(kv::Key key, SharedBytes value,
-                             obs::TraceContext parent, bool nested,
-                             bool* degraded_out);
-  sim::Task<Result<Bytes>> get_impl(kv::Key key, obs::TraceContext parent,
-                                    bool nested, bool* degraded_out);
+                             OpContext* parent);
+  sim::Task<Result<Bytes>> get_impl(kv::Key key, OpContext* parent);
 
   /// The op kind; its value is the flight-record `code`.
   enum class OpKind : std::uint8_t { kSet = 0, kGet = 1 };
@@ -413,22 +405,23 @@ class Engine {
   /// One Set/Get in flight: what begin_op opened and finish_op closes.
   struct OpFrame {
     OpKind kind = OpKind::kSet;
-    bool nested = false;
+    OpContext* parent = nullptr;    ///< the enclosing op; null = top level
     SimTime t0 = 0;
     obs::Tracer* tracer = nullptr;  ///< live at begin; then `lane` is held
     std::uint32_t lane = 0;
-    OpPhases phases;
+    OpContext op;
   };
 
-  /// Opens an op: a lane and trace context when tracing is live (nested
-  /// ops continue `parent`'s trace), then kOpStart for a top-level op.
-  [[nodiscard]] OpFrame begin_op(OpKind kind, obs::TraceContext parent,
-                                 bool nested);
-  /// Closes it, in this order: root span and lane release, counters,
-  /// `degraded_out`, then for a top-level op the LatencyRecorder row and
-  /// kDegraded/kOpEnd. So a top-level op leaves one root span, one
-  /// recorder row and one kOpStart/kOpEnd pair.
-  void finish_op(const OpFrame& op, bool ok, bool* degraded_out);
+  /// Opens an op under its parent's ring (the engine's for a top-level
+  /// op): a lane and trace context when tracing is live (nested ops
+  /// continue the parent's trace), then kOpStart for a top-level op.
+  [[nodiscard]] OpFrame begin_op(OpKind kind, OpContext* parent);
+  /// Closes it, in this order: root span and lane release, counters, then
+  /// for a nested op the degraded flag ORed into the parent, and for a
+  /// top-level op the LatencyRecorder row and kDegraded/kOpEnd. So a
+  /// top-level op leaves one root span, one recorder row and one
+  /// kOpStart/kOpEnd pair.
+  void finish_op(const OpFrame& frame, bool ok);
 
   /// Lane pool for per-op trace tids (tid = node * kLanesPerNode + lane).
   /// Free lanes are reused lowest-first so same-seed runs allocate
@@ -444,7 +437,6 @@ class Engine {
   EngineStats stats_;
   obs::LanePool lanes_;
   obs::LanePool* lane_pool_ = &lanes_;
-  Engine* prev_engine_ = nullptr;  ///< pre-cutover fallback (see above)
 };
 
 }  // namespace hpres::resilience

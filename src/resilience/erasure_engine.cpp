@@ -34,28 +34,29 @@ ErasureEngine::ErasureEngine(EngineContext ctx, const ec::Codec& codec,
 }
 
 sim::Task<Status> ErasureEngine::do_set(kv::Key key, SharedBytes value,
-                                        OpPhases* phases) {
+                                        OpContext* op) {
   if (packing_active()) {
-    return set_routed_packed(std::move(key), std::move(value), phases);
+    return set_routed_packed(std::move(key), std::move(value), op);
   }
   if (client_encodes(design_)) {
-    return set_client_encode(std::move(key), std::move(value), phases);
+    return set_client_encode(std::move(key), std::move(value), op);
   }
-  return set_server_encode(std::move(key), std::move(value), phases);
+  return set_server_encode(std::move(key), std::move(value), op);
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::do_get(kv::Key key,
-                                               OpPhases* phases) {
+                                               OpContext* op) {
   if (client_decodes(design_)) {
     // Packed Gets fall back to the per-key path for keys without a locator.
-    if (packing_active()) return get_packed(std::move(key), phases);
-    return get_client_decode(std::move(key), phases);
+    if (packing_active()) return get_packed(std::move(key), op);
+    return get_client_decode(std::move(key), op);
   }
-  const kv::Placement place = ring().place(key);
-  return get_server_decode(std::move(key), place, phases);
+  const kv::Placement place = op->ring->place(key);
+  return get_server_decode(std::move(key), place, op);
 }
 
-sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
+sim::Task<Status> ErasureEngine::do_del(kv::Key key,
+                                        const kv::HashRing& ring) {
   std::vector<sim::Future<kv::Response>> pending;
   pending.reserve(codec_->n() + 1);
   if (packing_active()) {
@@ -63,10 +64,10 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
     // then drops the record's locator install — and unlink committed
     // locator entries at the directory owners.
     staging_.erase(key);
-    co_await unlink_locator(key, &pending);
+    co_await unlink_locator(key, ring, &pending);
   }
   bool staged_sent = false;
-  kv::Placement place = ring().place(key);
+  kv::Placement place = ring.place(key);
   for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
     const std::size_t owner = place.owner(slot);
     if (!membership().up(owner)) continue;
@@ -96,11 +97,11 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key) {
 
 sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
                                                    SharedBytes value,
-                                                   OpPhases* phases) {
+                                                   OpContext* op) {
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
-  kv::Placement place = ring().place(key);
+  kv::Placement place = op->ring->place(key);
 
   // T_encode plus the posting of all n chunk requests occupy the client
   // CPU as one contiguous slice — a single application thread encodes and
@@ -113,8 +114,8 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   co_await client().cpu().execute(encode_ns + post_ns);
   // Span durations equal the charged phase costs exactly: these spans are
   // the op's Encode and Request phases (Figure 9).
-  span(*phases, "set/encode", sim().now() - encode_ns - post_ns, encode_ns);
-  span(*phases, "set/request", sim().now() - post_ns, post_ns);
+  span(*op, "set/encode", sim().now() - encode_ns - post_ns, encode_ns);
+  span(*op, "set/request", sim().now() - post_ns, post_ns);
 
   const std::vector<SharedBytes> fragments = ec::encode_value(
       *codec_, value ? ConstByteSpan(*value) : ConstByteSpan{}, value_size,
@@ -130,7 +131,7 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
     if (!membership().up(owners[slot])) continue;
     kv::Request req = kv::fragment_put(key, slot, fragments[slot], value_size,
                                        k, codec_->m());
-    req.trace = phases->trace;
+    req.trace = op->trace;
     pending[slot] = client().call(node_of(owners[slot]), std::move(req));
   }
 
@@ -147,19 +148,19 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
                         resp.queue_depth);
     }
   }
-  span(*phases, "set/fanout", fanout_t0, sim().now() - fanout_t0);
+  span(*op, "set/fanout", fanout_t0, sim().now() - fanout_t0);
   // Durability requires at least k fragments (any k reconstruct the value).
   co_return tally.verdict(k, "fewer than k fragments stored");
 }
 
 sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
                                                    SharedBytes value,
-                                                   OpPhases* phases) {
-  kv::Placement place = ring().place(key);
+                                                   OpContext* op) {
+  kv::Placement place = op->ring->place(key);
   const LiveSlot live = co_await first_live_slot(place, codec_->n());
   if (live.degraded) {
     ++stats().degraded_sets;
-    phases->degraded = true;
+    op->degraded = true;
   }
   if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "no live server"};
@@ -172,7 +173,7 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
   req.value = std::move(value);
   const SimTime t0 = sim().now();
   const kv::Response resp = co_await call_one(
-      target, std::move(req), phases, "set/request", "set/fanout");
+      target, std::move(req), op, "set/request", "set/fanout");
   if (resp.code == StatusCode::kOk) {
     load_.observe_rtt(target, sim().now() - t0, resp.queue_depth);
   }
@@ -180,13 +181,13 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
-                                                          OpPhases* phases) {
-  const kv::Placement place = ring().place(key);
+                                                          OpContext* op) {
+  const kv::Placement place = op->ring->place(key);
   FragmentFetch f(std::move(key), place, codec_->n());
-  const Status s = co_await fetch_fragments(&f, phases);
+  const Status s = co_await fetch_fragments(&f, op);
   if (s.ok() && f.meta) {
     co_return co_await decode_fragments(&f, f.meta->original_size,
-                                        std::nullopt, phases);
+                                        std::nullopt, op);
   }
   if (f.posted && !client_encodes(design_)) {
     // Server-side encode may still be distributing this key's fragments;
@@ -197,13 +198,13 @@ sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
       flight()->record(sim().now(), client().id(),
                        obs::FlightEventType::kFallback);
     }
-    co_return co_await get_server_decode(std::move(f.base), f.place, phases);
+    co_return co_await get_server_decode(std::move(f.base), f.place, op);
   }
   co_return s.ok() ? Status{f.worst, "missing fragments"} : s;
 }
 
 sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
-                                                 OpPhases* phases) {
+                                                 OpContext* op) {
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
   const bool hedging = hedge_.delta > 0;
@@ -225,7 +226,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       f->degraded = true;
       ++stats().degraded_gets;
     }
-    phases->degraded = true;
+    op->degraded = true;
     co_await sim().delay(kv::Membership::kCheckCostNs);
   }
 
@@ -247,12 +248,12 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       static_cast<std::size_t>(std::popcount(selected->mask() & ~f->have));
   const SimDur post_ns = static_cast<SimDur>(to_post) * issue_cost();
   co_await client().cpu().execute(post_ns);
-  span(*phases, "get/request", sim().now() - post_ns, post_ns);
+  span(*op, "get/request", sim().now() - post_ns, post_ns);
   f->posted = true;
   const SimTime fetch_t0 = sim().now();
   for (const std::size_t slot : *selected) {
     if (!ec::has_slot(f->have, slot)) {
-      issue_fetch(f, slot, /*hedge=*/false, phases->trace);
+      issue_fetch(f, slot, /*hedge=*/false, op->trace);
     }
   }
 
@@ -297,7 +298,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         f->degraded = true;
         ++stats().degraded_gets;
       }
-      phases->degraded = true;
+      op->degraded = true;
       co_await sim().delay(kv::Membership::kCheckCostNs);
       fold_arrivals(f);
       preference = load_preference(f->place, /*randomize=*/hedging, ranked);
@@ -312,7 +313,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
                            obs::FlightEventType::kFailover, 0,
                            static_cast<std::uint32_t>(client().id()));
         }
-        issue_fetch(f, slot, /*hedge=*/false, phases->trace);
+        issue_fetch(f, slot, /*hedge=*/false, op->trace);
       }
       continue;
     }
@@ -340,15 +341,15 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
         ++stats().hedges_fired;
         fired = true;
         if (obs::Tracer* const tr = ctx().live_tracer(); tr != nullptr) {
-          tr->instant(trace_pid(), phases->trace_tid, "hedge/fire", "engine",
-                      sim().now(), phases->trace.trace_id);
+          tr->instant(trace_pid(), op->trace_tid, "hedge/fire", "engine",
+                      sim().now(), op->trace.trace_id);
         }
         if (flight() != nullptr) {
           flight()->record(sim().now(), node_of(f->place.owner(slot)),
                            obs::FlightEventType::kHedgeFired, 0,
                            static_cast<std::uint32_t>(client().id()));
         }
-        issue_fetch(f, slot, /*hedge=*/true, phases->trace);
+        issue_fetch(f, slot, /*hedge=*/true, op->trace);
       }
       if (fired) ++stats().hedged_gets;
       hedges = {};
@@ -404,7 +405,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       }
     }
   }
-  span(*phases, "get/fetch", fetch_t0, sim().now() - fetch_t0);
+  span(*op, "get/fetch", fetch_t0, sim().now() - fetch_t0);
   co_return bound ? Status::Ok() : Status{f->worst, "missing fragments"};
 }
 
@@ -448,7 +449,7 @@ void ErasureEngine::fold_arrivals(FragmentFetch* f) {
 
 sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     const FragmentFetch* f, std::size_t coded_bytes,
-    std::optional<ec::ValueSlice> slice, OpPhases* phases) {
+    std::optional<ec::ValueSlice> slice, OpContext* op) {
   const std::size_t k = codec_->k();
   const auto missing_data = static_cast<std::size_t>(
       std::popcount(codec_->data_mask() & ~f->decode_set.mask()));
@@ -457,7 +458,7 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
     const SimDur decode_ns =
         cost_.decode_ns(coded_bytes, static_cast<unsigned>(missing_data));
     co_await client().cpu().execute(decode_ns);
-    span(*phases, "get/decode", sim().now() - decode_ns, decode_ns);
+    span(*op, "get/decode", sim().now() - decode_ns, decode_ns);
   }
   co_return ec::assemble(*codec_,
                          std::span(f->frags.data(), codec_->n()),
@@ -482,11 +483,11 @@ std::span<const std::size_t> ErasureEngine::load_preference(
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(
-    kv::Key key, kv::Placement place, OpPhases* phases) {
+    kv::Key key, kv::Placement place, OpContext* op) {
   const LiveSlot live = co_await first_live_slot(place, codec_->n());
   if (live.degraded) {
     ++stats().degraded_gets;
-    phases->degraded = true;
+    op->degraded = true;
   }
   if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "no live server"};
@@ -498,7 +499,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(
   req.key = std::move(key);
   const SimTime t0 = sim().now();
   const kv::Response resp = co_await call_one(
-      target, std::move(req), phases, "get/request", "get/fetch");
+      target, std::move(req), op, "get/request", "get/fetch");
   if (resp.code != StatusCode::kOk) co_return Status{resp.code};
   load_.observe_rtt(target, sim().now() - t0, resp.queue_depth);
   co_return resp.value ? Bytes(*resp.value) : Bytes{};
@@ -515,9 +516,10 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(
 // install RPC per directory owner.
 
 sim::Task<void> ErasureEngine::unlink_locator(
-    kv::Key key, std::vector<sim::Future<kv::Response>>* out) {
+    kv::Key key, const kv::HashRing& ring,
+    std::vector<sim::Future<kv::Response>>* out) {
   const std::size_t m = codec_->m();
-  kv::Placement place = ring().place(key);
+  kv::Placement place = ring.place(key);
   for (std::size_t j = 0; j <= m; ++j) {
     const std::size_t owner = place.owner(j);
     if (!membership().up(owner)) continue;
@@ -532,11 +534,11 @@ sim::Task<void> ErasureEngine::unlink_locator(
 
 sim::Task<Status> ErasureEngine::set_routed_packed(kv::Key key,
                                                    SharedBytes value,
-                                                   OpPhases* phases) {
+                                                   OpContext* op) {
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t rec = ec::stripe_record_bytes(key.size(), value_size);
   if (value_size < pack_.pack_threshold && rec <= kStripeCapacity) {
-    co_return co_await set_packed(std::move(key), std::move(value), phases);
+    co_return co_await set_packed(std::move(key), std::move(value), op);
   }
   // Large value while packing is on: the per-key path stores it. Any
   // earlier packed life of this key must not resurrect — drop its staged
@@ -544,17 +546,17 @@ sim::Task<Status> ErasureEngine::set_routed_packed(kv::Key key,
   // unlink committed locator entries.
   staging_.erase(key);
   std::vector<sim::Future<kv::Response>> unlink;
-  co_await unlink_locator(key, &unlink);
-  const Status s = co_await set_client_encode(key, std::move(value), phases);
+  co_await unlink_locator(key, *op->ring, &unlink);
+  const Status s = co_await set_client_encode(key, std::move(value), op);
   for (auto& f : unlink) co_await f.wait();
   co_return s;
 }
 
 sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
-                                            OpPhases* phases) {
+                                            OpContext* op) {
   const std::size_t value_size = value ? value->size() : 0;
   const std::size_t rec = ec::stripe_record_bytes(key.size(), value_size);
-  const std::size_t primary = ring().place(key).owner(0);
+  const std::size_t primary = op->ring->place(key).owner(0);
 
   if (const auto it = active_.find(primary);
       it != active_.end() && it->second->used + rec > kStripeCapacity) {
@@ -593,7 +595,7 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
   // commit coroutine.
   const SimDur append_ns = issue_cost();
   co_await client().cpu().execute(append_ns);
-  span(*phases, "set/append", sim().now() - append_ns, append_ns);
+  span(*op, "set/append", sim().now() - append_ns, append_ns);
 
   // The Set future resolves at stripe durability (group commit).
   co_await st->done.wait();
@@ -749,7 +751,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
-                                                   OpPhases* phases) {
+                                                   OpContext* op) {
   // Read-your-writes: a value whose stripe has not committed yet is served
   // from the staged copy, exactly like the server-encode stager.
   if (const auto it = staging_.find(key); it != staging_.end()) {
@@ -767,7 +769,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   // install while it was down.
   std::vector<sim::Future<kv::Response>> lookups;
   std::vector<std::size_t> lookup_owners;
-  kv::Placement dir_place = ring().place(key);
+  kv::Placement dir_place = op->ring->place(key);
   for (std::size_t j = 0; j <= m; ++j) {
     const std::size_t owner = dir_place.owner(j);
     if (!membership().up(owner)) {
@@ -778,13 +780,13 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     req.verb = kv::Verb::kGet;
     req.key = key;
     req.stripe_lookup = true;
-    req.trace = phases->trace;
+    req.trace = op->trace;
     lookups.push_back(client().call(node_of(owner), std::move(req)));
     lookup_owners.push_back(owner);
   }
   if (degraded) {
     ++stats().degraded_gets;
-    phases->degraded = true;
+    op->degraded = true;
     co_await sim().delay(kv::Membership::kCheckCostNs);
   }
   if (lookups.empty()) {
@@ -793,7 +795,7 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   const SimDur lookup_post_ns =
       static_cast<SimDur>(lookups.size()) * issue_cost();
   co_await client().cpu().execute(lookup_post_ns);
-  span(*phases, "get/locator", sim().now() - lookup_post_ns, lookup_post_ns);
+  span(*op, "get/locator", sim().now() - lookup_post_ns, lookup_post_ns);
 
   std::optional<kv::StripeLoc> loc;
   std::size_t notfound = 0;
@@ -811,23 +813,23 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   if (!loc) {
     if (notfound == lookups.size()) {
       // Definitively unpacked: the per-key path.
-      co_return co_await get_client_decode(std::move(key), phases);
+      co_return co_await get_client_decode(std::move(key), op);
     }
     if (!degraded) {
       ++stats().degraded_gets;
       degraded = true;
     }
-    phases->degraded = true;
+    op->degraded = true;
     co_return Status{StatusCode::kUnavailable, "locator unreachable"};
   }
   ++stats().packed_get_hits;
   if (loc->len == 0) co_return Bytes{};
-  co_return co_await read_packed(std::move(*loc), degraded, phases);
+  co_return co_await read_packed(std::move(*loc), degraded, op);
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
                                                     bool degraded,
-                                                    OpPhases* phases) {
+                                                    OpContext* op) {
   const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
   const ec::ChunkLayout layout =
@@ -837,7 +839,7 @@ sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
 
   // Healthy path: fetch only the whole data fragments covering the
   // sub-slot range (usually one, at most two for threshold-sized values).
-  FragmentFetch f(loc.stripe, ring().place(loc.stripe), n);
+  FragmentFetch f(loc.stripe, op->ring->place(loc.stripe), n);
   bool healthy = true;
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
     if (!membership().up(f.place.owner(slot))) {
@@ -848,10 +850,10 @@ sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
   if (healthy) {
     const SimDur post_ns = static_cast<SimDur>(range.count()) * issue_cost();
     co_await client().cpu().execute(post_ns);
-    span(*phases, "get/request", sim().now() - post_ns, post_ns);
+    span(*op, "get/request", sim().now() - post_ns, post_ns);
     const SimTime fetch_t0 = sim().now();
     for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-      issue_fetch(&f, slot, /*hedge=*/false, phases->trace);
+      issue_fetch(&f, slot, /*hedge=*/false, op->trace);
     }
     for (std::size_t slot = range.first; slot <= range.last; ++slot) {
       kv::Response resp = co_await f.inflight[slot].wait();
@@ -866,7 +868,7 @@ sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
         healthy = false;
       }
     }
-    span(*phases, "get/fetch", fetch_t0, sim().now() - fetch_t0);
+    span(*op, "get/fetch", fetch_t0, sim().now() - fetch_t0);
     if (healthy) {  // the record's data slots arrived: nothing to decode
       co_return ec::assemble(*codec_, std::span(f.frags.data(), n),
                              codec_->select(codec_->data_mask(),
@@ -883,10 +885,10 @@ sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
   ++stats().packed_degraded_gets;
   if (!degraded) ++stats().degraded_gets;
   f.degraded = true;
-  const Status s = co_await fetch_fragments(&f, phases);
+  const Status s = co_await fetch_fragments(&f, op);
   if (!s.ok()) co_return s;
   co_return co_await decode_fragments(
-      &f, loc.stripe_bytes, ec::ValueSlice{loc.offset, loc.len}, phases);
+      &f, loc.stripe_bytes, ec::ValueSlice{loc.offset, loc.len}, op);
 }
 
 }  // namespace hpres::resilience

@@ -74,23 +74,23 @@ class ErasureEngine final : public Engine {
 
  protected:
   sim::Task<Status> do_set(kv::Key key, SharedBytes value,
-                           OpPhases* phases) override;
-  sim::Task<Result<Bytes>> do_get(kv::Key key, OpPhases* phases) override;
+                           OpContext* op) override;
+  sim::Task<Result<Bytes>> do_get(kv::Key key, OpContext* op) override;
 
   /// Deletes every fragment (and any staged full copy) of the key.
-  sim::Task<Status> do_del(kv::Key key) override;
+  sim::Task<Status> do_del(kv::Key key, const kv::HashRing& ring) override;
 
  private:
   // Set paths.
   sim::Task<Status> set_client_encode(kv::Key key, SharedBytes value,
-                                      OpPhases* phases);
+                                      OpContext* op);
   sim::Task<Status> set_server_encode(kv::Key key, SharedBytes value,
-                                      OpPhases* phases);
+                                      OpContext* op);
   // Get paths.
-  sim::Task<Result<Bytes>> get_client_decode(kv::Key key, OpPhases* phases);
+  sim::Task<Result<Bytes>> get_client_decode(kv::Key key, OpContext* op);
   /// `place` is `key`'s placement (the caller may already hold it).
   sim::Task<Result<Bytes>> get_server_decode(kv::Key key, kv::Placement place,
-                                             OpPhases* phases);
+                                             OpContext* op);
 
   /// One erasure read's fetch state, owned by the Get's frame and driven by
   /// fetch_fragments. A caller may mark slots unavailable and pre-load
@@ -132,7 +132,7 @@ class ErasureEngine final : public Engine {
   /// fetch in slot order, re-selects (load-ranked) over the survivors as
   /// soon as one fails, fires hedges once due, and binds on the first k
   /// decodable arrivals, cancelling the stragglers.
-  sim::Task<Status> fetch_fragments(FragmentFetch* f, OpPhases* phases);
+  sim::Task<Status> fetch_fragments(FragmentFetch* f, OpContext* op);
 
   /// Issues one fragment fetch for `slot` of `f`.
   void issue_fetch(FragmentFetch* f, std::size_t slot, bool hedge,
@@ -147,7 +147,7 @@ class ErasureEngine final : public Engine {
   sim::Task<Result<Bytes>> decode_fragments(const FragmentFetch* f,
                                             std::size_t coded_bytes,
                                             std::optional<ec::ValueSlice> slice,
-                                            OpPhases* phases);
+                                            OpContext* op);
 
   // ---- Packed-stripe (batched small-object) write path ----------------
 
@@ -170,27 +170,27 @@ class ErasureEngine final : public Engine {
   /// large values take the per-key path and unlink any stale locator left
   /// by an earlier packed life of the key.
   sim::Task<Status> set_routed_packed(kv::Key key, SharedBytes value,
-                                      OpPhases* phases);
+                                      OpContext* op);
 
   /// Appends the record into the primary's active stripe (sealing and
   /// rolling over when it would not fit) and waits for that stripe's group
   /// commit to reach durability.
   sim::Task<Status> set_packed(kv::Key key, SharedBytes value,
-                               OpPhases* phases);
+                               OpContext* op);
 
   /// Resolves a Get through the stripe locator directory: staging-map hit,
   /// else locator query at the key's directory owners, then a sub-slot
   /// fragment-range fetch (a whole-stripe decode through fetch_fragments
   /// when the needed range is unreachable). Falls back to the per-key path
   /// when no locator exists.
-  sim::Task<Result<Bytes>> get_packed(kv::Key key, OpPhases* phases);
+  sim::Task<Result<Bytes>> get_packed(kv::Key key, OpContext* op);
 
   /// get_packed's read once the locator is known: the sub-slot range fetch,
   /// else the whole-stripe decode. `degraded`: the op already counted
   /// itself degraded. A frame of its own keeps both coroutine frames
   /// within the frame pool's 2 KiB size classes.
   sim::Task<Result<Bytes>> read_packed(kv::StripeLoc loc, bool degraded,
-                                       OpPhases* phases);
+                                       OpContext* op);
 
   /// Detaches the active stripe of `primary` and spawns its group commit.
   void seal_stripe(std::size_t primary, bool by_timer);
@@ -206,9 +206,9 @@ class ErasureEngine final : public Engine {
   static sim::Task<void> commit_stripe(ErasureEngine* self,
                                        std::shared_ptr<StripeState> st);
 
-  /// Removes the key's locator entry from its live directory owners
-  /// (overwrite-by-large-value and deletes).
-  sim::Task<void> unlink_locator(kv::Key key,
+  /// Removes the key's locator entry from its live directory owners under
+  /// `ring` (overwrite-by-large-value and deletes).
+  sim::Task<void> unlink_locator(kv::Key key, const kv::HashRing& ring,
                                  std::vector<sim::Future<kv::Response>>* out);
 
   /// Ranks the codec's n slots by their owners' load scores into

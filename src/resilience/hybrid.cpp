@@ -18,41 +18,33 @@ HybridEngine::HybridEngine(EngineContext ctx, const ec::Codec& codec,
 }
 
 sim::Task<Status> HybridEngine::do_set(kv::Key key, SharedBytes value,
-                                       OpPhases* phases) {
-  // Sub-engines keep their own phase accounting; the nested call continues
-  // this op's trace and reports back the degraded flag.
+                                       OpContext* op) {
+  // Sub-engines keep their own phase accounting; the nested call runs
+  // inside this op and ORs its degraded flag back into it.
   const std::size_t size = value ? value->size() : 0;
   if (size < threshold_bytes_) {
-    co_return co_await replication_.set_nested(
-        std::move(key), std::move(value), phases->trace, &phases->degraded);
+    co_return co_await replication_.set_nested(std::move(key),
+                                               std::move(value), *op);
   }
   co_return co_await erasure_.set_nested(std::move(key), std::move(value),
-                                         phases->trace, &phases->degraded);
+                                         *op);
 }
 
-sim::Task<Result<Bytes>> HybridEngine::do_get(kv::Key key,
-                                              OpPhases* phases) {
+sim::Task<Result<Bytes>> HybridEngine::do_get(kv::Key key, OpContext* op) {
   // Probe the replication path first: for below-threshold values this is
   // the single-round-trip hit; for large values it is a cheap miss.
-  bool probe_degraded = false;
-  Result<Bytes> replicated =
-      co_await replication_.get_nested(key, phases->trace, &probe_degraded);
-  phases->degraded |= probe_degraded;
+  Result<Bytes> replicated = co_await replication_.get_nested(key, *op);
   if (replicated.ok() ||
       replicated.status().code() != StatusCode::kNotFound) {
     co_return replicated;
   }
-  bool era_degraded = false;
-  Result<Bytes> coded =
-      co_await erasure_.get_nested(std::move(key), phases->trace,
-                                   &era_degraded);
-  phases->degraded |= era_degraded;
-  co_return coded;
+  co_return co_await erasure_.get_nested(std::move(key), *op);
 }
 
-sim::Task<Status> HybridEngine::do_del(kv::Key key) {
-  const Status rep = co_await replication_.del(key);
-  const Status era = co_await erasure_.del(std::move(key));
+sim::Task<Status> HybridEngine::do_del(kv::Key key,
+                                       const kv::HashRing& ring) {
+  const Status rep = co_await replication_.del_nested(key, ring);
+  const Status era = co_await erasure_.del_nested(std::move(key), ring);
   co_return rep.ok() || era.ok() ? Status::Ok()
                                  : Status{StatusCode::kNotFound};
 }

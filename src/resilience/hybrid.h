@@ -45,9 +45,9 @@ class HybridEngine final : public Engine {
 
  protected:
   sim::Task<Status> do_set(kv::Key key, SharedBytes value,
-                           OpPhases* phases) override;
-  sim::Task<Result<Bytes>> do_get(kv::Key key, OpPhases* phases) override;
-  sim::Task<Status> do_del(kv::Key key) override;
+                           OpContext* op) override;
+  sim::Task<Result<Bytes>> do_get(kv::Key key, OpContext* op) override;
+  sim::Task<Status> do_del(kv::Key key, const kv::HashRing& ring) override;
 
  private:
   ReplicationEngine replication_;

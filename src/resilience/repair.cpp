@@ -21,6 +21,22 @@ sim::Task<Result<std::vector<kv::Key>>> RepairCoordinator::discover(
   co_return resp.keys;
 }
 
+void RepairCoordinator::record_phase(obs::Tracer* tr,
+                                     const obs::TraceContext& trace,
+                                     std::string_view name,
+                                     std::uint8_t code, SimTime t0) {
+  const SimTime now = ctx_.sim->now();
+  if (tr != nullptr) {
+    tr->complete(ctx_.trace_pid, trace_tid(), name, "repair", t0, now - t0,
+                 trace.trace_id);
+  }
+  if (ctx_.flight != nullptr) {
+    ctx_.flight->record(now, ctx_.client->id(),
+                        obs::FlightEventType::kRepairPhase,
+                        static_cast<std::uint64_t>(now - t0), 0, code);
+  }
+}
+
 sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   ++stats_.keys_scanned;
   const std::size_t k = codec_->k();
@@ -60,16 +76,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
       if (resp.chunk) meta = resp.chunk;
     }
   }
-  if (tr != nullptr) {
-    tr->complete(ctx_.trace_pid, trace_tid(), "repair/probe", "repair",
-                 probe_t0, ctx_.sim->now() - probe_t0, rtrace.trace_id);
-  }
-  if (ctx_.flight != nullptr) {
-    ctx_.flight->record(
-        ctx_.sim->now(), ctx_.client->id(), obs::FlightEventType::kRepairPhase,
-        static_cast<std::uint64_t>(ctx_.sim->now() - probe_t0), 0,
-        /*code=*/0);
-  }
+  record_phase(tr, rtrace, "repair/probe", 0, probe_t0);
   const ec::SlotMask rebuild = owner_alive & ~present;
   const auto rebuilt_count = static_cast<std::size_t>(std::popcount(rebuild));
   // Phase 2 — choose the fetch set: the codec names the survivors that
@@ -116,16 +123,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     stats_.fragments_read += fetch.size();
     stats_.bytes_read += fetch.size() * layout.fragment_size;
   }
-  if (tr != nullptr) {
-    tr->complete(ctx_.trace_pid, trace_tid(), "repair/fetch", "repair",
-                 fetch_t0, ctx_.sim->now() - fetch_t0, rtrace.trace_id);
-  }
-  if (ctx_.flight != nullptr) {
-    ctx_.flight->record(
-        ctx_.sim->now(), ctx_.client->id(), obs::FlightEventType::kRepairPhase,
-        static_cast<std::uint64_t>(ctx_.sim->now() - fetch_t0), 0,
-        /*code=*/1);
-  }
+  record_phase(tr, rtrace, "repair/fetch", 1, fetch_t0);
 
   // Phase 3 — rebuild. Compute cost scales with the bytes actually read
   // (the locality saving the paper's future work is after).
@@ -133,16 +131,8 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
       fetch.size() * layout.fragment_size,
       static_cast<unsigned>(rebuilt_count));
   co_await ctx_.client->cpu().execute(reconstruct_ns);
-  if (tr != nullptr) {
-    tr->complete(ctx_.trace_pid, trace_tid(), "repair/reconstruct", "repair",
-                 ctx_.sim->now() - reconstruct_ns, reconstruct_ns,
-                 rtrace.trace_id);
-  }
-  if (ctx_.flight != nullptr) {
-    ctx_.flight->record(
-        ctx_.sim->now(), ctx_.client->id(), obs::FlightEventType::kRepairPhase,
-        static_cast<std::uint64_t>(reconstruct_ns), 0, /*code=*/2);
-  }
+  record_phase(tr, rtrace, "repair/reconstruct", 2,
+               ctx_.sim->now() - reconstruct_ns);
 
   const Result<std::vector<SharedBytes>> rebuilt =
       ec::rebuild_fragments(*codec_, fetched, fetch, rebuild,
@@ -167,16 +157,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     const kv::Response resp = co_await f.wait();
     if (resp.code != StatusCode::kOk) worst = resp.code;
   }
-  if (tr != nullptr) {
-    tr->complete(ctx_.trace_pid, trace_tid(), "repair/replace", "repair",
-                 replace_t0, ctx_.sim->now() - replace_t0, rtrace.trace_id);
-  }
-  if (ctx_.flight != nullptr) {
-    ctx_.flight->record(
-        ctx_.sim->now(), ctx_.client->id(), obs::FlightEventType::kRepairPhase,
-        static_cast<std::uint64_t>(ctx_.sim->now() - replace_t0), 0,
-        /*code=*/3);
-  }
+  record_phase(tr, rtrace, "repair/replace", 3, replace_t0);
   if (worst == StatusCode::kOk) {
     ++stats_.keys_repaired;
     if (fetch.size() < k) ++stats_.local_repairs;

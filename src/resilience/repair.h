@@ -97,6 +97,13 @@ class RepairCoordinator {
            (obs::Tracer::kLanesPerNode - 1);
   }
 
+  /// Closes one repair_key phase that began at `t0`: a `name` span on the
+  /// coordinator's lane under `trace` (when `tr` is live) and a
+  /// kRepairPhase flight record carrying the phase's duration and `code`
+  /// (0 probe, 1 fetch, 2 reconstruct, 3 replace).
+  void record_phase(obs::Tracer* tr, const obs::TraceContext& trace,
+                    std::string_view name, std::uint8_t code, SimTime t0);
+
   /// Deletes the surviving fragments of an unreconstructable key (see
   /// set_purge_orphans). Skips the purge when the stager still holds a
   /// staged full copy of the key — that copy can re-create the fragments.

@@ -35,28 +35,29 @@ ReplicationEngine::ReplicationEngine(EngineContext ctx, Design design,
 }
 
 sim::Task<Result<Bytes>> ReplicationEngine::do_get(kv::Key key,
-                                                   OpPhases* phases) {
-  kv::Placement place = ring().place(key);
+                                                   OpContext* op) {
+  kv::Placement place = op->ring->place(key);
   const LiveSlot live = co_await first_live_slot(place, factor_);
   if (live.degraded) {
     ++stats().degraded_gets;
-    phases->degraded = true;
+    op->degraded = true;
   }
   if (!live.slot) {
     co_return Status{StatusCode::kUnavailable, "all replicas down"};
   }
   const std::size_t owner = place.owner(*live.slot);
   const kv::Response resp =
-      co_await call_one(owner, get_request(std::move(key)), phases,
+      co_await call_one(owner, get_request(std::move(key)), op,
                         "get/request", "get/fetch");
   if (resp.code != StatusCode::kOk) co_return Status{resp.code};
   co_return resp.value ? Bytes(*resp.value) : Bytes{};
 }
 
-sim::Task<Status> ReplicationEngine::do_del(kv::Key key) {
+sim::Task<Status> ReplicationEngine::do_del(kv::Key key,
+                                            const kv::HashRing& ring) {
   std::vector<sim::Future<kv::Response>> pending;
   pending.reserve(factor_);
-  kv::Placement place = ring().place(key);
+  kv::Placement place = ring.place(key);
   for (std::size_t slot = 0; slot < factor_; ++slot) {
     const std::size_t owner = place.owner(slot);
     if (!membership().up(owner)) continue;
@@ -71,9 +72,9 @@ sim::Task<Status> ReplicationEngine::do_del(kv::Key key) {
 }
 
 sim::Task<Status> ReplicationEngine::do_set(kv::Key key, SharedBytes value,
-                                            OpPhases* phases) {
+                                            OpContext* op) {
   WriteTally tally;
-  kv::Placement place = ring().place(key);
+  kv::Placement place = op->ring->place(key);
   if (design_ == Design::kSyncRep) {
     // Blocking APIs: each replica write completes before the next is
     // issued, the F * (L + D/B) cost of Equation 2.
@@ -81,7 +82,7 @@ sim::Task<Status> ReplicationEngine::do_set(kv::Key key, SharedBytes value,
       const std::size_t owner = place.owner(slot);
       if (!membership().up(owner)) continue;
       const kv::Response resp =
-          co_await call_one(owner, set_request(key, value), phases,
+          co_await call_one(owner, set_request(key, value), op,
                             "set/request", "set/fanout");
       tally.add(resp.code);
     }
@@ -99,7 +100,7 @@ sim::Task<Status> ReplicationEngine::do_set(kv::Key key, SharedBytes value,
     if (!membership().up(owner)) continue;
     request_ns += issue_cost();
     kv::Request req = set_request(key, value);
-    req.trace = phases->trace;
+    req.trace = op->trace;
     pending.push_back(client().call_async(node_of(owner), std::move(req)));
   }
   if (pending.empty()) {
@@ -108,8 +109,8 @@ sim::Task<Status> ReplicationEngine::do_set(kv::Key key, SharedBytes value,
   for (const auto& f : pending) tally.add((co_await f.wait()).code);
   // The issue slices serialize on the client CPU inside call_async; one
   // combined request span keeps the tracer totals equal to the phase sum.
-  span(*phases, "set/request", t0, request_ns);
-  span(*phases, "set/fanout", t0 + request_ns,
+  span(*op, "set/request", t0, request_ns);
+  span(*op, "set/fanout", t0 + request_ns,
        std::max<SimDur>(0, sim().now() - t0 - request_ns));
   co_return tally.verdict(1, "no replica stored");
 }

@@ -30,13 +30,13 @@ class ReplicationEngine final : public Engine {
 
  protected:
   sim::Task<Status> do_set(kv::Key key, SharedBytes value,
-                           OpPhases* phases) override;
+                           OpContext* op) override;
 
   /// Primary read with live-replica fallback (Equation 4).
-  sim::Task<Result<Bytes>> do_get(kv::Key key, OpPhases* phases) override;
+  sim::Task<Result<Bytes>> do_get(kv::Key key, OpContext* op) override;
 
-  /// Deletes the key on every live replica.
-  sim::Task<Status> do_del(kv::Key key) override;
+  /// Deletes the key on every live replica under `ring`.
+  sim::Task<Status> do_del(kv::Key key, const kv::HashRing& ring) override;
 
  private:
   Design design_;

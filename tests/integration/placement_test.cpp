@@ -41,35 +41,23 @@ struct Harness {
                                   .shards = shards}) {
     cl.enable_server_ec(codec, cost, /*materialize=*/true);
     manager = std::make_unique<cluster::PlacementManager>(
-        cl, codec, cost, context(kClients - 1, &cl.ring()));
+        cl, codec, cost, cl.engine_context(kClients - 1));
+    // The view is the engines' only placement attachment: while a
+    // transition is in flight, a Get that misses re-runs under its
+    // previous ring.
     cl.set_placement_view(manager->view());
     for (std::size_t c = 0; c + 1 < kClients; ++c) {
       engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd, context(c, &cl.ring()), 3, &codec,
+          resilience::Design::kEraCeCd, cl.engine_context(c), 3, &codec,
           cost));
-      // prev engines resolve against the pre-cutover snapshot: while a
-      // transition is in flight, Get misses retry through them.
-      prev_engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd, context(c, &manager->prev_ring()),
-          3, &codec, cost));
-      engines[c]->attach_placement(manager->view());
-      engines[c]->set_prev_engine(prev_engines[c].get());
     }
     cl.start();
-  }
-
-  resilience::EngineContext context(std::size_t client,
-                                    const kv::HashRing* ring) {
-    resilience::EngineContext ctx = cl.engine_context(client);
-    ctx.ring = ring;
-    return ctx;
   }
 
   ec::RsVandermondeCodec codec;
   ec::CostModel cost;
   cluster::Cluster cl;
   std::vector<std::unique_ptr<resilience::Engine>> engines;
-  std::vector<std::unique_ptr<resilience::Engine>> prev_engines;
   std::unique_ptr<cluster::PlacementManager> manager;
 };
 
@@ -150,6 +138,36 @@ TEST(Placement, JoinThenLeaveKeepsEveryValueByteExact) {
   // Cleanup drained the leaver: nothing under the final placement maps to
   // it, and its stale copies were deleted after the epoch acks.
   EXPECT_EQ(h.cl.server(1).store().keys().size(), 0u);
+}
+
+TEST(Placement, TransitionGetMissReadsPreviousRing) {
+  // Gets race a join's migration. A Get whose key has not reached its new
+  // owners yet misses under the live ring and re-runs, inside the same op,
+  // under the view's previous ring: every value reads back byte-exact, at
+  // least one Get needs the previous ring, and the engine counts each Get
+  // once.
+  Harness h;
+  std::size_t load_failures = 0;
+  h.cl.sim().spawn(
+      load_range(h.engines[0].get(), 0, kKeys, &load_failures));
+  h.cl.run();
+  ASSERT_EQ(load_failures, 0u);
+
+  constexpr std::size_t kReaders = 4;
+  std::size_t mismatches = 0;
+  h.manager->coordinator_sim().spawn(run_join(h.manager.get(), 4));
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    h.cl.sim().spawn(
+        verify_range(h.engines[1].get(), 0, kKeys, &mismatches));
+  }
+  h.cl.run();
+  EXPECT_EQ(h.cl.ring().epoch(), 2u);
+  EXPECT_FALSE(h.manager->in_transition());
+  EXPECT_EQ(mismatches, 0u);
+  const resilience::EngineStats& stats = h.engines[1]->stats();
+  EXPECT_GE(stats.placement_fallback_gets, 1u);
+  EXPECT_EQ(stats.gets, kReaders * kKeys);
+  EXPECT_EQ(stats.get_failures, 0u);
 }
 
 TEST(Placement, LeaveBelowCodecWidthIsRefused) {
@@ -336,7 +354,6 @@ TEST(PlacementEpoch, StaleViewWritesBounceOnEveryEngine) {
     cl.set_placement_view(&view);
     auto engine = resilience::make_engine(c.design, cl.engine_context(0), 3,
                                           &codec, cost, {}, {}, c.pack);
-    engine->attach_placement(&view);
     cl.start();
 
     for (const kv::NodeId server : cl.server_nodes()) {

@@ -5,6 +5,11 @@
 // online query results + large offline I/O chunks) runs against pure
 // replication, pure erasure coding, and the hybrid engine at several
 // size thresholds. Reports average Set/Get latency and aggregate memory.
+//
+// Exits 1 (stderr) when an extreme threshold does not route like the pure
+// scheme it selects: hybrid<512K replicates every value, so its row must
+// equal async-rep's; hybrid<1K erasure codes every value, so its set_us and
+// mem_MiB must equal era-ce-cd's (its Gets also probe a replica first).
 #include "bench_util.h"
 #include "common/rng.h"
 #include "resilience/hybrid.h"
@@ -55,6 +60,23 @@ Point run_engine(Testbench& bench, resilience::Engine* engine,
   return point;
 }
 
+void print_row(const std::string& label, const Point& p) {
+  print_cell(label);
+  print_cell(p.set_us);
+  print_cell(p.get_us);
+  print_cell(p.mem_mib);
+  end_row();
+}
+
+/// Compares one column of a hybrid row against its pure scheme's, exactly.
+bool same(const char* hybrid, const char* scheme, const char* column,
+          double got, double want) {
+  if (got == want) return true;
+  std::fprintf(stderr, "error: %s %s %.6f != %s %.6f\n", hybrid, column, got,
+               scheme, want);
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,20 +89,21 @@ int main(int argc, char** argv) {
                {"scheme", "set_us", "get_us", "mem_MiB"});
 
   // Pure baselines.
+  Point rep;
+  Point era;
   for (const resilience::Design design :
        {resilience::Design::kAsyncRep, resilience::Design::kEraCeCd}) {
     Testbench bench(cluster::ri_qdr(), 5, 1, design);
     const Point p = run_engine(bench, &bench.engine(), ops);
-    print_cell(std::string(to_string(design)));
-    print_cell(p.set_us);
-    print_cell(p.get_us);
-    print_cell(p.mem_mib);
-    end_row();
+    (design == resilience::Design::kAsyncRep ? rep : era) = p;
+    print_row(std::string(to_string(design)), p);
   }
 
   // Hybrid thresholds covering the extremes (1 KB routes everything to
   // erasure coding, 512 KB routes everything to replication) plus the
   // between-the-modes setting that splits the population.
+  Point all_era;
+  Point all_rep;
   for (const std::size_t threshold :
        {std::size_t{1} * 1024, std::size_t{16} * 1024,
         std::size_t{512} * 1024}) {
@@ -92,11 +115,20 @@ int main(int argc, char** argv) {
         ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2), 3,
         threshold);
     const Point p = run_engine(bench, &hybrid, ops);
-    print_cell("hybrid<" + size_label(threshold));
-    print_cell(p.set_us);
-    print_cell(p.get_us);
-    print_cell(p.mem_mib);
-    end_row();
+    if (threshold <= kSmall) all_era = p;
+    if (threshold > kLarge) all_rep = p;
+    print_row("hybrid<" + size_label(threshold), p);
   }
-  return obs_finalize();
+
+  bool ok = same("hybrid<512K", "async-rep", "set_us", all_rep.set_us,
+                 rep.set_us);
+  ok &= same("hybrid<512K", "async-rep", "get_us", all_rep.get_us,
+             rep.get_us);
+  ok &= same("hybrid<512K", "async-rep", "mem_MiB", all_rep.mem_mib,
+             rep.mem_mib);
+  ok &= same("hybrid<1K", "era-ce-cd", "set_us", all_era.set_us, era.set_us);
+  ok &= same("hybrid<1K", "era-ce-cd", "mem_MiB", all_era.mem_mib,
+             era.mem_mib);
+  const int rc = obs_finalize();
+  return ok ? rc : 1;
 }

@@ -119,9 +119,6 @@ class PlacementManager {
   [[nodiscard]] const PlacementStats& stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] const resilience::RepairStats& repair_stats() const noexcept {
-    return repair_.stats();
-  }
 
   /// Registers the placement counters, the current epoch gauge, and the
   /// embedded repair coordinator's counters into `reg`.

@@ -62,7 +62,7 @@ GfMatrix LrcCodec::build_generator(std::size_t k, std::size_t l,
 }
 
 LrcCodec::LrcCodec(std::size_t k, std::size_t l, std::size_t g)
-    : MatrixCodec(k, l + g, build_generator(k, l, g)), l_(l), g_(g) {
+    : MatrixCodec(k, l + g, build_generator(k, l, g)), l_(l) {
   // A slot's group: the group's data plus its local parity, minus the slot.
   for (std::size_t group = 0; group < l; ++group) {
     const SlotMask members =

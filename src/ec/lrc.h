@@ -37,8 +37,6 @@ class LrcCodec final : public MatrixCodec {
     return "lrc";
   }
 
-  [[nodiscard]] std::size_t local_groups() const noexcept { return l_; }
-  [[nodiscard]] std::size_t global_parities() const noexcept { return g_; }
   [[nodiscard]] std::size_t group_size() const noexcept { return k() / l_; }
 
   /// Local group (0..l-1) of a data or local-parity slot; nullopt for
@@ -50,7 +48,6 @@ class LrcCodec final : public MatrixCodec {
                                   std::size_t g);
 
   std::size_t l_;
-  std::size_t g_;
 };
 
 }  // namespace hpres::ec

@@ -353,10 +353,6 @@ class Fabric {
     if (nics_[id].loss <= 0.0 && probability > 0.0) ++lossy_nodes_;
     nics_[id].loss = probability;
   }
-  [[nodiscard]] double node_loss(NodeId id) const {
-    assert(id < nics_.size());
-    return nics_[id].loss;
-  }
 
   /// Asynchronously transfers `body` with `payload_bytes` of payload.
   /// Returns immediately; delivery lands in the destination inbox at the

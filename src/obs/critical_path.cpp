@@ -145,17 +145,12 @@ CriticalPathAnalysis analyze_critical_path(
   }
 
   for (const auto& [trace_id, trace_spans] : by_trace) {
-    // Outermost engine root: earliest begin, longest on ties. Hybrid ops
-    // nest a second engine-root slice inside the outer one; inner roots are
-    // transparent to the sweep.
-    const TraceSpan* root = nullptr;
-    for (const TraceSpan* s : trace_spans) {
-      if (!is_engine_root(*s)) continue;
-      if (root == nullptr || s->begin_ns < root->begin_ns ||
-          (s->begin_ns == root->begin_ns && s->dur_ns > root->dur_ns)) {
-        root = s;
-      }
-    }
+    // Every engine op opens its own trace with one root span.
+    const auto root_it =
+        std::find_if(trace_spans.begin(), trace_spans.end(),
+                     [](const TraceSpan* s) { return is_engine_root(*s); });
+    const TraceSpan* const root =
+        root_it == trace_spans.end() ? nullptr : *root_it;
     if (root == nullptr) {
       ++out.traces_without_root;
       continue;
@@ -175,7 +170,6 @@ CriticalPathAnalysis analyze_critical_path(
     std::vector<SimTime> bounds{t0, t1};
     for (const TraceSpan* s : trace_spans) {
       if (s == root) continue;
-      if (is_engine_root(*s)) continue;  // transparent inner root
       const SimTime b = std::max(s->begin_ns, t0);
       const SimTime e = std::min(s->begin_ns + s->dur_ns, t1);
       if (b >= e) continue;

@@ -149,7 +149,6 @@ class HealthDetector {
   [[nodiscard]] double score(std::size_t node) const {
     return nodes_.at(node).score;
   }
-  [[nodiscard]] double cluster_median() const noexcept { return median_; }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return nodes_.size();
   }

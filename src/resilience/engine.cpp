@@ -4,25 +4,18 @@
 
 namespace hpres::resilience {
 
-Engine::OpFrame Engine::begin_op(OpKind kind, OpContext* parent) {
-  OpFrame frame{.kind = kind,
-                .parent = parent,
-                .t0 = sim().now(),
-                .tracer = ctx_.live_tracer()};
-  frame.op.ring = parent != nullptr ? parent->ring : ctx_.ring;
+Engine::OpFrame Engine::begin_op(OpKind kind) {
+  OpFrame frame{.kind = kind, .t0 = sim().now(), .tracer = ctx_.live_tracer()};
+  frame.op.ring = ctx_.ring;
   if (frame.tracer != nullptr) {
-    frame.lane = lane_pool_->acquire();
+    frame.lane = lanes_.acquire();
     frame.op.trace_tid = lane_tid(frame.lane);
-    // Nested (composite-engine) ops continue the parent's trace; top-level
-    // ops start a fresh one. trace_id stays 0 when tracing is disabled, so
-    // nothing downstream tags or propagates.
-    frame.op.trace =
-        parent != nullptr && parent->trace.valid()
-            ? parent->trace.child(frame.op.trace_tid)
-            : obs::TraceContext{frame.tracer->new_trace_id(),
-                                frame.op.trace_tid, 0};
+    // trace_id stays 0 when tracing is disabled, so nothing downstream tags
+    // or propagates.
+    frame.op.trace = obs::TraceContext{frame.tracer->new_trace_id(),
+                                       frame.op.trace_tid, 0};
   }
-  if (parent == nullptr && ctx_.flight != nullptr) {
+  if (ctx_.flight != nullptr) {
     ctx_.flight->record(frame.t0, client().id(),
                         obs::FlightEventType::kOpStart, 0, 0,
                         static_cast<std::uint8_t>(kind));
@@ -37,14 +30,10 @@ void Engine::finish_op(const OpFrame& frame, bool ok) {
   if (frame.tracer != nullptr) {
     frame.tracer->complete(trace_pid(), op.trace_tid, get ? "get" : "set",
                            "engine", frame.t0, total, op.trace.trace_id);
-    lane_pool_->release(frame.lane);
+    lanes_.release(frame.lane);
   }
   ++(get ? stats_.gets : stats_.sets);
   if (!ok) ++(get ? stats_.get_failures : stats_.set_failures);
-  if (frame.parent != nullptr) {
-    frame.parent->degraded |= op.degraded;
-    return;
-  }
   if (ctx_.recorder != nullptr) {
     ctx_.recorder->record(get ? "get" : "set", name(), op.degraded, total,
                           op.trace.trace_id);
@@ -62,16 +51,13 @@ void Engine::finish_op(const OpFrame& frame, bool ok) {
   }
 }
 
-sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
-                                   OpContext* parent) {
-  OpFrame frame = begin_op(OpKind::kSet, parent);
-  // Under a placement view, a top-level op keeps copies for the
-  // wrong-epoch retry loop (the copies are host-side only; simulated costs
-  // are unchanged). A nested op's bounce returns to its enclosing op.
+sim::Task<Status> Engine::set(kv::Key key, SharedBytes value) {
+  OpFrame frame = begin_op(OpKind::kSet);
+  // Under a placement view, the op keeps copies for the wrong-epoch retry
+  // loop (the copies are host-side only; simulated costs are unchanged).
   kv::Key retry_key;
   SharedBytes retry_value;
-  const bool placement_aware =
-      parent == nullptr && client().placement_view() != nullptr;
+  const bool placement_aware = client().placement_view() != nullptr;
   if (placement_aware) {
     retry_key = key;
     retry_value = value;
@@ -95,10 +81,9 @@ sim::Task<Status> Engine::set_impl(kv::Key key, SharedBytes value,
   co_return status;
 }
 
-sim::Task<Result<Bytes>> Engine::get_impl(kv::Key key, OpContext* parent) {
-  OpFrame frame = begin_op(OpKind::kGet, parent);
-  const kv::PlacementView* const view =
-      parent == nullptr ? client().placement_view() : nullptr;
+sim::Task<Result<Bytes>> Engine::get(kv::Key key) {
+  OpFrame frame = begin_op(OpKind::kGet);
+  const kv::PlacementView* const view = client().placement_view();
   kv::Key fallback_key;
   if (view != nullptr) fallback_key = key;
   Result<Bytes> result = co_await do_get(std::move(key), &frame.op);

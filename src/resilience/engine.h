@@ -173,9 +173,8 @@ struct EngineContext {
   /// never consulted for timing decisions.
   obs::Tracer* tracer = nullptr;
   std::uint32_t trace_pid = 0;
-  /// Optional always-on latency percentile recorder. Top-level set/get
-  /// latencies land here keyed by {op, scheme, degraded}; nested
-  /// (composite-engine) calls do not record, so every op counts once.
+  /// Optional always-on latency percentile recorder. Every set/get lands
+  /// here once, keyed by {op, scheme, degraded}.
   obs::LatencyRecorder* recorder = nullptr;
   /// Optional flight recorder. Op start/end events land in this client's
   /// ring; failure-handling events (failover, fallback, hedge) land in the
@@ -222,37 +221,10 @@ class Engine {
   [[nodiscard]] virtual std::size_t fault_tolerance() const noexcept = 0;
 
   /// Blocking Set: resolves when the value is durable per the scheme.
-  sim::Task<Status> set(kv::Key key, SharedBytes value) {
-    return set_impl(std::move(key), std::move(value), nullptr);
-  }
+  sim::Task<Status> set(kv::Key key, SharedBytes value);
 
   /// Blocking Get: resolves with the reassembled value.
-  sim::Task<Result<Bytes>> get(kv::Key key) {
-    return get_impl(std::move(key), nullptr);
-  }
-
-  /// Composite-engine entry points: run the op inside `parent` — under its
-  /// ring, as a causal child of its trace (its own lane) and without a
-  /// LatencyRecorder row, since the enclosing op records once at the top
-  /// level. The child ORs its degraded flag into `parent`, and leaves
-  /// wrong-epoch retries and previous-ring re-runs to the enclosing op.
-  sim::Task<Status> set_nested(kv::Key key, SharedBytes value,
-                               OpContext& parent) {
-    return set_impl(std::move(key), std::move(value), &parent);
-  }
-  sim::Task<Result<Bytes>> get_nested(kv::Key key, OpContext& parent) {
-    return get_impl(std::move(key), &parent);
-  }
-  /// Deletes under `ring` only (the enclosing delete chose the rings).
-  sim::Task<Status> del_nested(kv::Key key, const kv::HashRing& ring) {
-    ++stats_.dels;
-    return do_del(std::move(key), ring);
-  }
-
-  /// Points this engine at an external lane pool (composite engines share
-  /// the parent's pool so concurrent parent/child ops never collide on a
-  /// Perfetto lane). The pool must outlive the engine.
-  void use_lane_pool(obs::LanePool* pool) noexcept { lane_pool_ = pool; }
+  sim::Task<Result<Bytes>> get(kv::Key key);
 
   /// Blocking Delete: removes the value from every replica / every
   /// fragment owner. OK if any copy existed; kNotFound if none did.
@@ -320,10 +292,6 @@ class Engine {
     return ctx_.trace_pid;
   }
 
-  /// The lane pool this engine allocates op lanes from (its own, unless
-  /// use_lane_pool() pointed it elsewhere).
-  [[nodiscard]] obs::LanePool& lane_pool() noexcept { return *lane_pool_; }
-
   /// Stamps an engine span on `op`'s lane when tracing is live.
   void span(const OpContext& op, std::string_view name, SimTime start,
             SimDur dur) const {
@@ -368,7 +336,7 @@ class Engine {
       if (code == StatusCode::kWrongEpoch) bounced = true;
     }
     /// A stale-epoch bounce outranks the durability verdict: the whole op
-    /// re-runs under the refreshed ring (set_impl), so partial old-ring
+    /// re-runs under the refreshed ring (Engine::set), so partial old-ring
     /// placements never count as stored. Otherwise fewer than `needed`
     /// acks is kUnavailable(`shortfall`), and enough acks report the last
     /// failure seen (kOk when every owner acked).
@@ -385,19 +353,15 @@ class Engine {
   };
 
  private:
+  /// The hybrid engine runs its sub-engines' do_set/do_get/do_del inside
+  /// its own op, so their spans, ring and degraded flag are that op's.
+  friend class HybridEngine;
+
   static sim::Task<void> iset_coro(Engine* self, kv::Key key,
                                    SharedBytes value,
                                    sim::Promise<Status> out);
   static sim::Task<void> iget_coro(Engine* self, kv::Key key,
                                    sim::Promise<Result<Bytes>> out);
-
-  /// Common implementation behind set()/set_nested() and get()/
-  /// get_nested(). `parent` is null for a top-level op; a nested op runs
-  /// under its parent's ring and trace and skips the LatencyRecorder (the
-  /// top-level op records once).
-  sim::Task<Status> set_impl(kv::Key key, SharedBytes value,
-                             OpContext* parent);
-  sim::Task<Result<Bytes>> get_impl(kv::Key key, OpContext* parent);
 
   /// The op kind; its value is the flight-record `code`.
   enum class OpKind : std::uint8_t { kSet = 0, kGet = 1 };
@@ -405,22 +369,18 @@ class Engine {
   /// One Set/Get in flight: what begin_op opened and finish_op closes.
   struct OpFrame {
     OpKind kind = OpKind::kSet;
-    OpContext* parent = nullptr;    ///< the enclosing op; null = top level
     SimTime t0 = 0;
     obs::Tracer* tracer = nullptr;  ///< live at begin; then `lane` is held
     std::uint32_t lane = 0;
     OpContext op;
   };
 
-  /// Opens an op under its parent's ring (the engine's for a top-level
-  /// op): a lane and trace context when tracing is live (nested ops
-  /// continue the parent's trace), then kOpStart for a top-level op.
-  [[nodiscard]] OpFrame begin_op(OpKind kind, OpContext* parent);
-  /// Closes it, in this order: root span and lane release, counters, then
-  /// for a nested op the degraded flag ORed into the parent, and for a
-  /// top-level op the LatencyRecorder row and kDegraded/kOpEnd. So a
-  /// top-level op leaves one root span, one recorder row and one
-  /// kOpStart/kOpEnd pair.
+  /// Opens an op under the engine's ring: a lane and a fresh trace context
+  /// when tracing is live, then kOpStart.
+  [[nodiscard]] OpFrame begin_op(OpKind kind);
+  /// Closes it, in this order: root span and lane release, counters, the
+  /// LatencyRecorder row, then kDegraded/kOpEnd. So every op leaves one
+  /// root span, one recorder row and one kOpStart/kOpEnd pair.
   void finish_op(const OpFrame& frame, bool ok);
 
   /// Lane pool for per-op trace tids (tid = node * kLanesPerNode + lane).
@@ -436,7 +396,6 @@ class Engine {
   Arpe arpe_;
   EngineStats stats_;
   obs::LanePool lanes_;
-  obs::LanePool* lane_pool_ = &lanes_;
 };
 
 }  // namespace hpres::resilience

@@ -727,7 +727,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // Durability: any k fragments reconstruct the stripe, and at least one
   // directory owner can name it (the directory itself is recoverable from
   // stripe contents — records embed their keys). A stale-epoch bounce
-  // outranks both: every waiter's set retries whole (Engine::set_impl),
+  // outranks both: every waiter's set retries whole (Engine::set),
   // re-staging its record under the refreshed ring. Unlike a per-key Set,
   // a durable stripe is kOk even when some owner failed.
   const bool durable = frags.acked >= k && (live.empty() || dirs.acked >= 1);

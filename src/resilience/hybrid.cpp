@@ -9,42 +9,30 @@ HybridEngine::HybridEngine(EngineContext ctx, const ec::Codec& codec,
     : Engine(ctx, arpe),
       replication_(ctx, Design::kAsyncRep, rep_factor, arpe),
       erasure_(ctx, codec, cost, design, arpe),
-      threshold_bytes_(threshold_bytes) {
-  // Sub-engine ops run nested under this engine's op: they share one lane
-  // pool (no Perfetto lane collisions between concurrent parent and child
-  // spans) and skip the LatencyRecorder — the hybrid op records once.
-  replication_.use_lane_pool(&lane_pool());
-  erasure_.use_lane_pool(&lane_pool());
-}
+      threshold_bytes_(threshold_bytes) {}
 
 sim::Task<Status> HybridEngine::do_set(kv::Key key, SharedBytes value,
                                        OpContext* op) {
-  // Sub-engines keep their own phase accounting; the nested call runs
-  // inside this op and ORs its degraded flag back into it.
   const std::size_t size = value ? value->size() : 0;
-  if (size < threshold_bytes_) {
-    co_return co_await replication_.set_nested(std::move(key),
-                                               std::move(value), *op);
-  }
-  co_return co_await erasure_.set_nested(std::move(key), std::move(value),
-                                         *op);
+  Engine& scheme = size < threshold_bytes_ ? replication() : erasure();
+  co_return co_await scheme.do_set(std::move(key), std::move(value), op);
 }
 
 sim::Task<Result<Bytes>> HybridEngine::do_get(kv::Key key, OpContext* op) {
   // Probe the replication path first: for below-threshold values this is
   // the single-round-trip hit; for large values it is a cheap miss.
-  Result<Bytes> replicated = co_await replication_.get_nested(key, *op);
+  Result<Bytes> replicated = co_await replication().do_get(key, op);
   if (replicated.ok() ||
       replicated.status().code() != StatusCode::kNotFound) {
     co_return replicated;
   }
-  co_return co_await erasure_.get_nested(std::move(key), *op);
+  co_return co_await erasure().do_get(std::move(key), op);
 }
 
 sim::Task<Status> HybridEngine::do_del(kv::Key key,
                                        const kv::HashRing& ring) {
-  const Status rep = co_await replication_.del_nested(key, ring);
-  const Status era = co_await erasure_.del_nested(std::move(key), ring);
+  const Status rep = co_await replication().do_del(key, ring);
+  const Status era = co_await erasure().do_del(std::move(key), ring);
   co_return rep.ok() || era.ok() ? Status::Ok()
                                  : Status{StatusCode::kNotFound};
 }

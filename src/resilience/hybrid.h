@@ -7,7 +7,9 @@
 // sub-fragment crumbs buys nothing and multiplies per-message overheads);
 // values at or above it are erasure coded (where the bandwidth and memory
 // savings dominate). Reads probe the replication path first — one cheap
-// round trip — and fall back to fragment aggregation.
+// round trip — and fall back to fragment aggregation. The chosen scheme
+// runs inside the hybrid op: one lane, one trace, one root span and one
+// recorder row per op, whichever scheme serves it.
 #pragma once
 
 #include "resilience/erasure_engine.h"
@@ -35,14 +37,6 @@ class HybridEngine final : public Engine {
     return threshold_bytes_;
   }
 
-  /// Sub-engine stats (ops routed to each scheme).
-  [[nodiscard]] const EngineStats& replication_stats() const noexcept {
-    return replication_.stats();
-  }
-  [[nodiscard]] const EngineStats& erasure_stats() const noexcept {
-    return erasure_.stats();
-  }
-
  protected:
   sim::Task<Status> do_set(kv::Key key, SharedBytes value,
                            OpContext* op) override;
@@ -50,6 +44,12 @@ class HybridEngine final : public Engine {
   sim::Task<Status> do_del(kv::Key key, const kv::HashRing& ring) override;
 
  private:
+  // The sub-engines' do_* run inside this engine's op, on its lane, ring
+  // and degraded flag; they are reached through Engine, which befriends
+  // HybridEngine (the overriders themselves are protected).
+  [[nodiscard]] Engine& replication() noexcept { return replication_; }
+  [[nodiscard]] Engine& erasure() noexcept { return erasure_; }
+
   ReplicationEngine replication_;
   ErasureEngine erasure_;
   std::size_t threshold_bytes_;

@@ -90,9 +90,6 @@ class NodeLoadTracker {
   [[nodiscard]] double queue_estimate(std::size_t server) const noexcept {
     return server < nodes_.size() ? nodes_[server].queue_ewma : 0.0;
   }
-  [[nodiscard]] double rtt_estimate_us(std::size_t server) const noexcept {
-    return server < nodes_.size() ? nodes_[server].rtt_ewma_us : 0.0;
-  }
   [[nodiscard]] std::uint64_t samples(std::size_t server) const noexcept {
     return server < nodes_.size() ? nodes_[server].samples : 0;
   }

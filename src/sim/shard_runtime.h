@@ -67,11 +67,6 @@ struct RuntimeProfile {
   double mean_advance_ns = 0.0;
   std::vector<ShardProfile> per_shard;
 
-  [[nodiscard]] std::uint64_t total_events() const noexcept {
-    std::uint64_t total = 0;
-    for (const ShardProfile& p : per_shard) total += p.events;
-    return total;
-  }
   /// Fraction of a shard's measured wall time spent blocked on barriers.
   [[nodiscard]] static double stall_fraction(const ShardProfile& p) noexcept {
     const double total =

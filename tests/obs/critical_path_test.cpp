@@ -1,7 +1,7 @@
 // Critical-path coverage sweep: exact partition of the root interval,
 // priority resolution between overlapping spans, fan-out vs net NIC
-// distinction, hybrid root nesting, decode exposure vs ARPE-style overlap,
-// and the tail selector.
+// distinction, decode exposure vs ARPE-style overlap, and the tail
+// selector.
 #include "obs/critical_path.h"
 
 #include <gtest/gtest.h>
@@ -78,21 +78,6 @@ TEST(CriticalPath, ServerSideComputeClassifies) {
   EXPECT_EQ(cp.ops[0].phase(Phase::kDecode), 100);
   EXPECT_EQ(cp.ops[0].phase(Phase::kServer), 100);
   EXPECT_EQ(cp.ops[0].phase(Phase::kOther), 100);
-}
-
-TEST(CriticalPath, InnerEngineRootIsTransparent) {
-  // Hybrid ops nest the sub-engine's own root span inside the outer one;
-  // the sweep must use the outermost root and ignore the inner.
-  std::vector<TraceSpan> spans{
-      span(1, kRootTid, 0, 1000, "set", "engine"),
-      span(1, kRootTid + 1, 100, 800, "set", "engine"),  // inner root
-      span(1, kRootTid + 1, 100, 300, "set/encode", "engine"),
-  };
-  const CriticalPathAnalysis cp = analyze_critical_path(spans);
-  ASSERT_EQ(cp.ops.size(), 1u);
-  EXPECT_EQ(cp.ops[0].total_ns, 1000);
-  EXPECT_EQ(cp.ops[0].phase(Phase::kEncode), 300);
-  EXPECT_EQ(cp.ops[0].phase(Phase::kOther), 700);
 }
 
 TEST(CriticalPath, RootlessTracesAreCountedNotAttributed) {

@@ -1,8 +1,11 @@
 // Hybrid replication/erasure engine: routing by size, read fallback,
-// deletes across both schemes, failure tolerance.
+// deletes across both schemes, failure tolerance, one traced op per call.
 #include "resilience/hybrid.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <vector>
 
 #include "testing/fixtures.h"
 
@@ -17,17 +20,23 @@ class HybridTest : public FiveNodeClusterTest {
   static constexpr std::size_t kThreshold = 16 * 1024;
 
   std::unique_ptr<HybridEngine> make_hybrid() {
-    EngineContext ctx;
-    ctx.sim = &cluster_.sim();
-    ctx.client = &cluster_.client(0);
-    ctx.ring = &cluster_.ring();
-    ctx.membership = &cluster_.membership();
-    ctx.server_nodes = &cluster_.server_nodes();
-    ctx.materialize = true;
+    const EngineContext ctx =
+        cluster_.engine_context(0, /*materialize=*/true);
     // rep_factor m+1 = 3 keeps tolerance uniform at 2 across schemes.
     return std::make_unique<HybridEngine>(ctx, codec_, cost_, 3, kThreshold);
   }
 };
+
+/// Store Get hits and misses summed over every server.
+kv::StoreStats store_totals(cluster::Cluster& cl) {
+  kv::StoreStats total;
+  for (std::size_t s = 0; s < cl.num_servers(); ++s) {
+    const kv::StoreStats& st = cl.server(s).store().stats();
+    total.hits += st.hits;
+    total.misses += st.misses;
+  }
+  return total;
+}
 
 TEST_F(HybridTest, SmallValuesAreReplicated) {
   auto engine = make_hybrid();
@@ -35,8 +44,6 @@ TEST_F(HybridTest, SmallValuesAreReplicated) {
   struct Body {
     static sim::Task<void> run(HybridEngine* e, cluster::Cluster* cl) {
       (void)co_await e->set("small", make_shared_bytes(make_pattern(512, 1)));
-      EXPECT_EQ(e->replication_stats().sets, 1u);
-      EXPECT_EQ(e->erasure_stats().sets, 0u);
       // 3 full copies under the plain key, no fragments.
       std::size_t items = 0;
       for (std::size_t s = 0; s < 5; ++s) {
@@ -55,8 +62,6 @@ TEST_F(HybridTest, LargeValuesAreErasureCoded) {
     static sim::Task<void> run(HybridEngine* e, cluster::Cluster* cl) {
       (void)co_await e->set("large",
                             make_shared_bytes(make_pattern(64 * 1024, 2)));
-      EXPECT_EQ(e->replication_stats().sets, 0u);
-      EXPECT_EQ(e->erasure_stats().sets, 1u);
       std::size_t items = 0;
       for (std::size_t s = 0; s < 5; ++s) {
         items += cl->server(s).store().items();
@@ -71,22 +76,72 @@ TEST_F(HybridTest, GetsRouteTransparently) {
   auto engine = make_hybrid();
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(HybridEngine* e) {
+    static sim::Task<void> run(HybridEngine* e, cluster::Cluster* cl) {
       const Bytes small = make_pattern(1000, 3);
       const Bytes large = make_pattern(100'000, 4);
       (void)co_await e->set("s", make_shared_bytes(Bytes(small)));
       (void)co_await e->set("l", make_shared_bytes(Bytes(large)));
+      // The small read is one replica hit and nothing else.
+      const kv::StoreStats before_s = store_totals(*cl);
       const Result<Bytes> got_s = co_await e->get("s");
+      const kv::StoreStats after_s = store_totals(*cl);
+      EXPECT_EQ(after_s.hits - before_s.hits, 1u);
+      EXPECT_EQ(after_s.misses - before_s.misses, 0u);
+      // The large read probed the replica owner (one miss on it), then
+      // fetched the k = 3 data fragments (three hits).
+      const std::size_t owner = cl->ring().slot_index("l", 0);
+      const std::uint64_t owner_misses =
+          cl->server(owner).store().stats().misses;
+      const kv::StoreStats before_l = store_totals(*cl);
       const Result<Bytes> got_l = co_await e->get("l");
+      const kv::StoreStats after_l = store_totals(*cl);
+      EXPECT_EQ(after_l.misses - before_l.misses, 1u);
+      EXPECT_EQ(cl->server(owner).store().stats().misses,
+                owner_misses + 1);
+      EXPECT_EQ(after_l.hits - before_l.hits, 3u);
       EXPECT_TRUE(got_s.ok());
       EXPECT_TRUE(got_l.ok());
       if (got_s.ok()) { EXPECT_EQ(*got_s, small); }
       if (got_l.ok()) { EXPECT_EQ(*got_l, large); }
-      // The large read probed replication (miss), then hit erasure.
-      EXPECT_EQ(e->erasure_stats().gets, 1u);
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
+}
+
+TEST_F(HybridTest, OneRootSpanPerOp) {
+  // Whichever scheme serves it, a hybrid op is one engine op: one root
+  // span per trace, and the scheme's spans on that op's lane.
+  attach_tracer();
+  auto engine = make_hybrid();
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> run(HybridEngine* e) {
+      (void)co_await e->set("s", make_shared_bytes(make_pattern(1000, 9)));
+      (void)co_await e->set("l",
+                            make_shared_bytes(make_pattern(100'000, 10)));
+      (void)co_await e->get("s");
+      (void)co_await e->get("l");
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get());
+
+  std::map<std::uint64_t, std::vector<obs::TraceSpan>> engine_spans;
+  for (obs::TraceSpan& s : tracer_.tagged_spans(trace_pid_)) {
+    if (s.cat == "engine") engine_spans[s.trace_id].push_back(std::move(s));
+  }
+  ASSERT_EQ(engine_spans.size(), 4u);  // two Sets, two Gets
+  for (const auto& [trace_id, spans] : engine_spans) {
+    std::vector<const obs::TraceSpan*> roots;
+    for (const obs::TraceSpan& s : spans) {
+      if (s.name == "set" || s.name == "get") roots.push_back(&s);
+    }
+    ASSERT_EQ(roots.size(), 1u) << "trace " << trace_id;
+    EXPECT_GT(spans.size(), 1u) << "trace " << trace_id;
+    for (const obs::TraceSpan& s : spans) {
+      EXPECT_EQ(s.tid, roots[0]->tid)
+          << "trace " << trace_id << " span " << s.name;
+    }
+  }
 }
 
 TEST_F(HybridTest, MissingKeyIsNotFoundAfterBothProbes) {

@@ -6,6 +6,8 @@
 #include <functional>
 #include <utility>
 
+#include "ec/codec.h"
+
 namespace hpres::kv {
 
 namespace {
@@ -70,6 +72,23 @@ void StorageEngine::StoredKey::release() noexcept {
   tag_ = 0;
 }
 
+// --- Entry ------------------------------------------------------------------
+
+void StorageEngine::Entry::set_chunk(
+    const std::optional<ChunkInfo>& chunk) noexcept {
+  const ChunkInfo info = chunk.value_or(ChunkInfo{});
+  original_size = info.original_size;
+  chunk_index = static_cast<std::uint8_t>(info.chunk_index);
+  k = static_cast<std::uint8_t>(info.k);
+  m = static_cast<std::uint8_t>(info.m);
+  has_chunk = chunk.has_value();
+}
+
+std::optional<ChunkInfo> StorageEngine::Entry::chunk() const noexcept {
+  if (!has_chunk) return std::nullopt;
+  return ChunkInfo{original_size, chunk_index, k, m};
+}
+
 // --- Tier -------------------------------------------------------------------
 
 std::uint32_t StorageEngine::Tier::find(std::string_view key,
@@ -77,14 +96,15 @@ std::uint32_t StorageEngine::Tier::find(std::string_view key,
   if (slots_.empty()) return kNil;
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t p = hash & mask;; p = (p + 1) & mask) {
-    const std::uint32_t id = slots_[p];
-    if (id == kNil) return kNil;
-    const Entry& entry = at(id);
-    if (entry.hash == hash && entry.key.view() == key) return id;
+    const Slot slot = slots_[p];
+    if (slot.id == kNil) return kNil;
+    if (slot.hash == hash && at(slot.id).key.view() == key) return slot.id;
   }
 }
 
-std::uint32_t StorageEngine::Tier::push_front(Entry entry) {
+std::uint32_t StorageEngine::Tier::push_front(Entry entry,
+                                              std::uint32_t hash,
+                                              std::size_t charge) {
   std::uint32_t id = free_;
   if (id != kNil) {
     free_ = at(id).next;
@@ -95,43 +115,44 @@ std::uint32_t StorageEngine::Tier::push_front(Entry entry) {
     id = end_++;
   }
   at(id) = std::move(entry);
-  // Load stays at most 3/4, so every probe sequence ends at an empty slot.
-  if (4 * (size_ + 1) > 3 * slots_.size()) {
-    const std::vector<std::uint32_t> old = std::exchange(
-        slots_, std::vector<std::uint32_t>(
-                    std::max<std::size_t>(16, 2 * slots_.size()), kNil));
-    for (const std::uint32_t moved : old) {
-      if (moved != kNil) place(moved);
+  // Load stays at most 7/8, so every probe sequence ends at an empty slot.
+  if (8 * (size_ + 1) > 7 * slots_.size()) {
+    const std::vector<Slot> old = std::exchange(
+        slots_,
+        std::vector<Slot>(std::max<std::size_t>(16, 2 * slots_.size())));
+    for (const Slot moved : old) {
+      if (moved.id != kNil) place(moved);
     }
   }
-  place(id);
+  place(Slot{hash, id});
   ++size_;
-  attach_front(id);
+  attach_front(id, charge);
   return id;
 }
 
-void StorageEngine::Tier::place(std::uint32_t id) noexcept {
+void StorageEngine::Tier::place(Slot slot) noexcept {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t p = at(id).hash & mask;
-  while (slots_[p] != kNil) p = (p + 1) & mask;
-  slots_[p] = id;
+  std::size_t p = slot.hash & mask;
+  while (slots_[p].id != kNil) p = (p + 1) & mask;
+  slots_[p] = slot;
 }
 
-StorageEngine::Entry StorageEngine::Tier::take(std::uint32_t id) {
+StorageEngine::Entry StorageEngine::Tier::take(std::uint32_t id,
+                                               std::uint32_t hash) {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t hole = at(id).hash & mask;
-  while (slots_[hole] != id) hole = (hole + 1) & mask;
+  std::size_t hole = hash & mask;
+  while (slots_[hole].id != id) hole = (hole + 1) & mask;
   // Backward-shift deletion: pull each later member of the cluster into
   // the hole unless its home lies cyclically in (hole, q].
-  for (std::size_t q = (hole + 1) & mask; slots_[q] != kNil;
+  for (std::size_t q = (hole + 1) & mask; slots_[q].id != kNil;
        q = (q + 1) & mask) {
-    const std::size_t home = at(slots_[q]).hash & mask;
+    const std::size_t home = slots_[q].hash & mask;
     if (((q - home) & mask) >= ((q - hole) & mask)) {
       slots_[hole] = slots_[q];
       hole = q;
     }
   }
-  slots_[hole] = kNil;
+  slots_[hole] = Slot{};
   --size_;
   detach(id);
   Entry out = std::move(at(id));
@@ -140,30 +161,49 @@ StorageEngine::Entry StorageEngine::Tier::take(std::uint32_t id) {
   return out;
 }
 
+// detach reads the charge before relinking: after a store to a neighbour
+// entry the compiler must reload the entry's fields, which measurably
+// slowed the overwrite Set; so did recomputing the charge in attach_front.
 void StorageEngine::Tier::detach(std::uint32_t id) noexcept {
   const Entry& entry = at(id);
+  used_ -= charge_of(entry);
   (entry.prev != kNil ? at(entry.prev).next : head_) = entry.next;
   (entry.next != kNil ? at(entry.next).prev : tail_) = entry.prev;
-  used_ -= entry.charged_bytes;
 }
 
-void StorageEngine::Tier::attach_front(std::uint32_t id) noexcept {
+void StorageEngine::Tier::attach_front(std::uint32_t id,
+                                       std::size_t charge) noexcept {
   Entry& entry = at(id);
+  assert(charge == charge_of(entry));
+  used_ += charge;
   entry.prev = kNil;
   entry.next = head_;
   (head_ != kNil ? at(head_).prev : tail_) = id;
   head_ = id;
-  used_ += entry.charged_bytes;
+}
+
+void StorageEngine::Tier::touch(std::uint32_t id) noexcept {
+  if (id == head_) return;
+  Entry& entry = at(id);
+  // Not the head, so it has a more recent neighbour.
+  at(entry.prev).next = entry.next;
+  (entry.next != kNil ? at(entry.next).prev : tail_) = entry.prev;
+  entry.prev = kNil;
+  entry.next = head_;
+  at(head_).prev = id;
+  head_ = id;
 }
 
 // --- StorageEngine ----------------------------------------------------------
 
 Status StorageEngine::set(const Key& key, SharedBytes value,
                           std::optional<ChunkInfo> chunk) {
+  assert(!chunk || (chunk->k + chunk->m <= ec::kMaxSlots &&
+                    chunk->chunk_index < ec::kMaxSlots));
   ++stats_.set_ops;
   const std::uint32_t hash = hash_of(key);
-  const std::size_t charge = charge_for(key, value, chunk);
-  if (charge > capacity_ || charge > UINT32_MAX) {
+  const std::size_t charge = charge_for(key.size(), value, chunk.has_value());
+  if (charge > capacity_) {
     ++stats_.rejected_sets;
     erase_hashed(key, hash);
     return Status{StatusCode::kOutOfMemory, "item exceeds server capacity"};
@@ -178,36 +218,25 @@ Status StorageEngine::set(const Key& key, SharedBytes value,
     while (mem_.used() + charge > capacity_) evict_one();
     Entry& entry = mem_.at(id);
     entry.value = std::move(value);
-    entry.chunk = chunk.value_or(ChunkInfo{});
-    entry.has_chunk = chunk.has_value();
-    entry.charged_bytes = static_cast<std::uint32_t>(charge);
-    mem_.attach_front(id);
+    entry.set_chunk(chunk);
+    mem_.attach_front(id, charge);
     return Status::Ok();
   }
   while (mem_.used() + charge > capacity_) evict_one();
-  mem_.push_front(Entry{.value = std::move(value),
-                        .chunk = chunk.value_or(ChunkInfo{}),
-                        .hash = hash,
-                        .charged_bytes = static_cast<std::uint32_t>(charge),
-                        .key = StoredKey(key),
-                        .has_chunk = chunk.has_value()});
+  Entry entry{.value = std::move(value), .key = StoredKey(key)};
+  entry.set_chunk(chunk);
+  mem_.push_front(std::move(entry), hash, charge);
   return Status::Ok();
 }
 
 Result<StorageEngine::GetResult> StorageEngine::get(const Key& key) {
   ++stats_.get_ops;
   const std::uint32_t hash = hash_of(key);
-  const auto chunk_of = [](const Entry& entry) {
-    return entry.has_chunk ? std::optional<ChunkInfo>(entry.chunk)
-                           : std::nullopt;
-  };
   if (const std::uint32_t id = mem_.find(key, hash); id != kNil) {
     ++stats_.hits;
-    // Refresh LRU position.
-    mem_.detach(id);
-    mem_.attach_front(id);
+    mem_.touch(id);  // refresh LRU position
     const Entry& entry = mem_.at(id);
-    return GetResult{entry.value, chunk_of(entry), false};
+    return GetResult{entry.value, entry.chunk(), false};
   }
   // Memory miss: consult the SSD tier, promoting on a hit.
   const std::uint32_t sid = ssd_.find(key, hash);
@@ -218,13 +247,14 @@ Result<StorageEngine::GetResult> StorageEngine::get(const Key& key) {
   ++stats_.hits;
   ++stats_.ssd_hits;
   ++stats_.promotions;
-  Entry entry = ssd_.take(sid);
-  GetResult out{entry.value, chunk_of(entry), /*from_ssd=*/true};
+  Entry entry = ssd_.take(sid, hash);
+  GetResult out{entry.value, entry.chunk(), /*from_ssd=*/true};
   // Re-admit to memory (may demote colder items in turn).
-  while (mem_.used() + entry.charged_bytes > capacity_ && mem_.size() > 0) {
+  const std::size_t charge = charge_of(entry);
+  while (mem_.used() + charge > capacity_ && mem_.size() > 0) {
     evict_one();
   }
-  mem_.push_front(std::move(entry));
+  mem_.push_front(std::move(entry), hash, charge);
   return out;
 }
 
@@ -245,30 +275,33 @@ std::vector<Key> StorageEngine::keys() const {
 void StorageEngine::evict_one() {
   assert(mem_.size() > 0 && "capacity accounting underflow");
   ++stats_.evictions;
-  Entry entry = mem_.take(mem_.least_recent());
-  if (ssd_enabled() && entry.charged_bytes <= ssd_capacity_) {
-    demote_to_ssd(std::move(entry));
+  const std::uint32_t id = mem_.least_recent();
+  const std::uint32_t hash = hash_of(mem_.at(id).key.view());
+  Entry entry = mem_.take(id, hash);
+  if (ssd_enabled() && charge_of(entry) <= ssd_capacity_) {
+    demote_to_ssd(std::move(entry), hash);
   } else {
     stats_.evicted_bytes += size_of(entry.value);
   }
 }
 
-void StorageEngine::demote_to_ssd(Entry entry) {
-  while (ssd_.used() + entry.charged_bytes > ssd_capacity_) {
-    evict_one_from_ssd();
-  }
+void StorageEngine::demote_to_ssd(Entry entry, std::uint32_t hash) {
+  const std::size_t charge = charge_of(entry);
+  while (ssd_.used() + charge > ssd_capacity_) evict_one_from_ssd();
   // set() drops the SSD copy before writing memory and promotion takes it
   // out, so a key is never in both tiers.
-  assert(ssd_.find(entry.key.view(), entry.hash) == kNil);
+  assert(ssd_.find(entry.key.view(), hash) == kNil);
   ++stats_.demotions;
   stats_.demoted_bytes += size_of(entry.value);
-  ssd_.push_front(std::move(entry));
+  ssd_.push_front(std::move(entry), hash, charge);
 }
 
 void StorageEngine::evict_one_from_ssd() {
   assert(ssd_.size() > 0 && "SSD accounting underflow");
   ++stats_.evictions;
-  stats_.evicted_bytes += size_of(ssd_.take(ssd_.least_recent()).value);
+  const std::uint32_t id = ssd_.least_recent();
+  stats_.evicted_bytes +=
+      size_of(ssd_.take(id, hash_of(ssd_.at(id).key.view())).value);
 }
 
 }  // namespace hpres::kv

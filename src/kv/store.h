@@ -4,18 +4,22 @@
 // bytes of cached data lost to eviction pressure.
 //
 // Each tier (memory, and the optional SSD tier) is one compact index:
-// entries live in fixed 32-entry pages and are named by a 32-bit id; the
-// key sits inline in its entry up to 22 bytes (a YCSB fragment key is 18),
-// with a heap buffer only for longer keys; the LRU order is a doubly linked
-// list of ids threaded through the entries; and lookup is one power-of-two,
-// linear-probing table of ids with backward-shift deletion (no tombstones).
-// Every public call hashes its key once. Overwriting a resident key
-// updates its entry in place; demotion and promotion move an entry by
-// value between the tiers.
+// 56-byte entries live in fixed 32-entry pages and are named by a 32-bit
+// id; the key sits inline in its entry up to 19 bytes (a YCSB fragment key
+// is 18), with a heap buffer only for longer keys; the LRU order is a
+// doubly linked list of ids threaded through the entries; and lookup is
+// one power-of-two, linear-probing table of 8-byte {hash, id} slots at
+// load <= 7/8, with backward-shift deletion (no tombstones). A probe reads
+// an entry only when its slot's 32-bit hash matches, and table growth and
+// deletion never read one. Every public call hashes its key once;
+// eviction rehashes its victim's key. Overwriting a resident key updates
+// its entry in place; demotion and promotion move an entry by value
+// between the tiers.
 //
 // The capacity charge (charge_for) models a Memcached item and is
 // independent of this host layout: changing the layout moves no simulated
-// value.
+// value. An entry does not store its charge; it is recomputed from the
+// entry's key, value and chunk flag.
 #pragma once
 
 #include <array>
@@ -98,11 +102,10 @@ class StorageEngine {
   StorageEngine& operator=(const StorageEngine&) = delete;
 
   /// Inserts or replaces; evicts LRU items as needed. Fails with
-  /// kOutOfMemory only when the single item exceeds total capacity (or
-  /// 4 GiB, the largest charge an entry records; Memcached caps items far
-  /// lower), and then drops any old value of `key` (as memcached unlinks
-  /// the old item when a SET fails), so a later get() never serves the
-  /// replaced bytes.
+  /// kOutOfMemory only when the single item exceeds total capacity, and
+  /// then drops any old value of `key` (as memcached unlinks the old item
+  /// when a SET fails), so a later get() never serves the replaced bytes.
+  /// A chunk's k + m is at most ec::kMaxSlots.
   Status set(const Key& key, SharedBytes value,
              std::optional<ChunkInfo> chunk = std::nullopt);
 
@@ -140,7 +143,7 @@ class StorageEngine {
   static constexpr std::uint32_t kNil = UINT32_MAX;
 
   /// A key held inline when it fits in kInline bytes, else in one heap
-  /// buffer of exactly its length. 23 bytes, byte-aligned.
+  /// buffer of exactly its length. 20 bytes, byte-aligned.
   class StoredKey {
    public:
     StoredKey() noexcept = default;
@@ -152,7 +155,7 @@ class StorageEngine {
     [[nodiscard]] std::string_view view() const noexcept;
 
    private:
-    static constexpr std::size_t kInline = 22;
+    static constexpr std::size_t kInline = 19;
     static constexpr std::uint8_t kHeap = 0xFF;
 
     void release() noexcept;
@@ -164,21 +167,29 @@ class StorageEngine {
   };
 
   /// One stored item. A free entry has a null value and an empty key, and
-  /// `next` links it into its tier's free list.
+  /// `next` links it into its tier's free list. Its key's hash lives in the
+  /// tier's probe table and its charge is recomputed (charge_of), so the
+  /// entry stores neither; the ChunkInfo fields narrow to 8 bits, since a
+  /// fragment's slot and k + m are below ec::kMaxSlots.
   struct Entry {
     SharedBytes value;
-    ChunkInfo chunk;  ///< meaningful only when has_chunk
-    std::uint32_t hash = 0;
-    std::uint32_t charged_bytes = 0;
     std::uint32_t prev = kNil;  ///< LRU neighbour towards the most recent
     std::uint32_t next = kNil;  ///< LRU neighbour towards the least recent
-    StoredKey key;
+    // ChunkInfo, meaningful only when has_chunk.
+    std::uint64_t original_size = 0;
+    std::uint8_t chunk_index = 0;
+    std::uint8_t k = 0;
+    std::uint8_t m = 0;
     bool has_chunk = false;
+    StoredKey key;
+
+    void set_chunk(const std::optional<ChunkInfo>& chunk) noexcept;
+    [[nodiscard]] std::optional<ChunkInfo> chunk() const noexcept;
   };
-  static_assert(sizeof(Entry) <= 72, "an entry stays within 72 bytes");
+  static_assert(sizeof(Entry) == 56, "an entry is 56 bytes");
 
   /// One tier (memory or SSD): paged entries, the probe table over their
-  /// ids, the LRU list through them, and the bytes charged.
+  /// hashes and ids, the LRU list through them, and the bytes charged.
   class Tier {
    public:
     /// Id of the entry holding `key` (whose hash is `hash`), or kNil.
@@ -191,22 +202,28 @@ class StorageEngine {
       return (*pages_[id >> kPageShift])[id & (kPageEntries - 1)];
     }
 
-    /// Stores `entry` (whose key is absent) as the most recent, charging
-    /// its bytes; returns its id.
-    std::uint32_t push_front(Entry entry);
-    /// Unindexes, unlinks and uncharges entry `id`, handing it back.
-    Entry take(std::uint32_t id);
+    /// Stores `entry` (whose key, hashing to `hash`, is absent) as the most
+    /// recent, charging its `charge` bytes; returns its id.
+    std::uint32_t push_front(Entry entry, std::uint32_t hash,
+                             std::size_t charge);
+    /// Unindexes, unlinks and uncharges entry `id`, whose key hashes to
+    /// `hash`, handing it back.
+    Entry take(std::uint32_t id, std::uint32_t hash);
     bool erase(std::string_view key, std::uint32_t hash) {
       const std::uint32_t id = find(key, hash);
       if (id == kNil) return false;
-      take(id);
+      take(id, hash);
       return true;
     }
 
     /// Unlinks entry `id` from the LRU and uncharges it; it stays indexed.
     void detach(std::uint32_t id) noexcept;
-    /// Links entry `id` as the most recent and charges its bytes.
-    void attach_front(std::uint32_t id) noexcept;
+    /// Links entry `id` as the most recent and charges its `charge` bytes
+    /// (every caller has just computed them).
+    void attach_front(std::uint32_t id, std::size_t charge) noexcept;
+    /// Moves linked entry `id` to the most recent position; its charge is
+    /// unchanged.
+    void touch(std::uint32_t id) noexcept;
 
     [[nodiscard]] std::uint32_t most_recent() const noexcept { return head_; }
     [[nodiscard]] std::uint32_t least_recent() const noexcept {
@@ -220,18 +237,24 @@ class StorageEngine {
     // large block. The size is measured: with one doubling vector, or
     // 1024- or 64-entry pages, glibc returned more freed heap to the OS
     // between hpres_bench rounds and ycsb-a-64k-bytes paid to re-fault
-    // it at setup; 32-entry (2.3 KB) pages did not.
+    // it at setup; 32-entry pages (2.3 KB then, 1.8 KB now) did not.
     static constexpr std::uint32_t kPageShift = 5;
     static constexpr std::uint32_t kPageEntries = 1u << kPageShift;
     using Page = std::array<Entry, kPageEntries>;
 
-    /// Puts `id` in the first empty slot of its probe sequence.
-    void place(std::uint32_t id) noexcept;
+    /// A probe-table slot: an entry's key hash beside its id.
+    struct Slot {
+      std::uint32_t hash = 0;
+      std::uint32_t id = kNil;  ///< kNil = empty
+    };
+
+    /// Puts `slot` in the first empty slot of its probe sequence.
+    void place(Slot slot) noexcept;
 
     std::vector<std::unique_ptr<Page>> pages_;
     std::uint32_t end_ = 0;      ///< ids below this have been handed out
     std::uint32_t free_ = kNil;  ///< head of the freed-id list
-    std::vector<std::uint32_t> slots_;  ///< power of two, kNil = empty
+    std::vector<Slot> slots_;    ///< power of two
     std::size_t size_ = 0;
     std::uint32_t head_ = kNil;  ///< most recent
     std::uint32_t tail_ = kNil;  ///< least recent
@@ -240,11 +263,14 @@ class StorageEngine {
 
   /// Erasure-coded fragments carry a stored ChunkInfo; charge its bytes so
   /// the memory-efficiency accounting sees per-fragment metadata too.
-  [[nodiscard]] static std::size_t charge_for(
-      const Key& key, const SharedBytes& value,
-      const std::optional<ChunkInfo>& chunk) {
-    return key.size() + (value ? value->size() : 0) + kItemOverhead +
-           (chunk ? sizeof(ChunkInfo) : 0);
+  [[nodiscard]] static std::size_t charge_for(std::size_t key_size,
+                                              const SharedBytes& value,
+                                              bool has_chunk) noexcept {
+    return key_size + (value ? value->size() : 0) + kItemOverhead +
+           (has_chunk ? sizeof(ChunkInfo) : 0);
+  }
+  [[nodiscard]] static std::size_t charge_of(const Entry& entry) noexcept {
+    return charge_for(entry.key.view().size(), entry.value, entry.has_chunk);
   }
 
   bool erase_hashed(const Key& key, std::uint32_t hash) {
@@ -252,7 +278,7 @@ class StorageEngine {
   }
   void evict_one();
   void evict_one_from_ssd();
-  void demote_to_ssd(Entry entry);
+  void demote_to_ssd(Entry entry, std::uint32_t hash);
 
   std::uint64_t capacity_;
   Tier mem_;

@@ -162,6 +162,32 @@ TEST(Store, ChunkMetadataRoundTrips) {
   EXPECT_EQ(*got->chunk, info);
 }
 
+TEST(Store, ChunkMetadataRoundTripsAtFieldLimits) {
+  // The widest fields a fragment carries: a value past 4 GiB, the last of
+  // 16 slots, and k + m = ec::kMaxSlots.
+  const ChunkInfo info{5ull << 30, 15, 12, 4};
+  constexpr std::size_t kItem =
+      64 + 1 + StorageEngine::kItemOverhead + sizeof(ChunkInfo);
+  StorageEngine store(kItem);
+  store.enable_ssd(SsdConfig{kItem});
+  const auto check = [&](bool from_ssd) {
+    const auto got = store.get("c");
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->chunk, std::optional<ChunkInfo>(info));
+    EXPECT_EQ(got->from_ssd, from_ssd);
+  };
+  ASSERT_TRUE(store.set("c", value_of(64), info).ok());
+  check(false);
+  ASSERT_TRUE(store.set("c", value_of(64, 2), info).ok());  // in place
+  check(false);
+  ASSERT_TRUE(store.set("d", value_of(64), ChunkInfo{}).ok());
+  ASSERT_EQ(store.stats().demotions, 1u);  // "c" lives only on the SSD
+  check(true);                             // promoted back
+  EXPECT_EQ(store.stats().promotions, 1u);
+  EXPECT_EQ(store.keys(), (std::vector<Key>{"c"}));
+  check(false);
+}
+
 TEST(Store, StatsTrackHitsAndOps) {
   StorageEngine store(1 << 20);
   ASSERT_TRUE(store.set("k", value_of(10)).ok());
@@ -199,18 +225,21 @@ struct ModelStore {
   struct Tier {
     std::map<Key, Item> items;
     std::list<Key> lru;
+    std::map<Key, std::list<Key>::iterator> lru_pos;  ///< each key in lru
     std::uint64_t used = 0;
 
     void push_front(const Key& key, Item item) {
       used += item.charge;
       lru.push_front(key);
+      lru_pos.emplace(key, lru.begin());
       items.emplace(key, std::move(item));
     }
     Item take(const Key& key) {
       const auto it = items.find(key);
       Item item = std::move(it->second);
       items.erase(it);
-      lru.remove(key);
+      lru.erase(lru_pos.at(key));
+      lru_pos.erase(key);
       used -= item.charge;
       return item;
     }
@@ -268,8 +297,7 @@ struct ModelStore {
     ++stats.get_ops;
     if (const auto it = mem.items.find(key); it != mem.items.end()) {
       ++stats.hits;
-      mem.lru.remove(key);
-      mem.lru.push_front(key);
+      mem.lru.splice(mem.lru.begin(), mem.lru, mem.lru_pos.at(key));
       return StorageEngine::GetResult{it->second.value, it->second.chunk,
                                       false};
     }
@@ -303,12 +331,12 @@ std::array<std::uint64_t, 11> fields(const StoreStats& s) {
           s.demoted_bytes, s.promotions, s.ssd_hits};
 }
 
-/// Keys of every stored shape: 1 byte, exactly the 22 inline bytes, one
-/// past them, 200 bytes, and fragment keys.
+/// Keys of every stored shape: 1 byte, exactly the 19 inline bytes, one
+/// past them, 22, 23 and 200 bytes, and fragment keys.
 std::vector<Key> differential_keys() {
   std::vector<Key> keys;
   for (char c = 'a'; c <= 'z'; ++c) keys.emplace_back(1, c);
-  for (const std::size_t len : {22u, 23u, 200u}) {
+  for (const std::size_t len : {19u, 20u, 22u, 23u, 200u}) {
     for (int i = 0; i < 40; ++i) {
       Key key = std::to_string(len) + "/" + std::to_string(i) + "/";
       key.resize(len, 'x');
@@ -412,6 +440,59 @@ TEST(StoreDifferential, MatchesReferenceModelWithSsd) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     run_differential(seed, 8 * 1024);
   }
+}
+
+TEST(StoreDifferential, MatchesReferenceModelAtHighLoad) {
+  // Nothing is evicted, so the index only grows: about 30k fragment keys
+  // under a mostly-Set mix carry the probe table through every 7/8 growth
+  // threshold up to 14,336 items, and Erases keep running backward-shift
+  // deletion just below each one and at about 80% load at the end.
+  constexpr std::uint64_t kCapacity = std::uint64_t{1} << 30;
+  std::vector<Key> keys;
+  for (int i = 0; i < 6000; ++i) {
+    Key base = "user" + std::to_string(100000000000 + i);
+    ASSERT_EQ(base.size(), 16u);  // a YCSB key
+    for (std::size_t slot = 0; slot < 5; ++slot) {
+      keys.push_back(chunk_key(base, slot));
+    }
+  }
+  StorageEngine store(kCapacity);
+  ModelStore model;
+  model.capacity = kCapacity;
+  const SharedBytes value = value_of(16);
+  Xoshiro256 rng(7);
+  std::size_t peak_items = 0;
+  for (int step = 0; step < 150'000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const Key& key = keys[rng.next_below(keys.size())];
+    const std::uint64_t dice = rng.next_below(100);
+    if (dice < 55) {
+      const ChunkInfo chunk{rng.next_below(1 << 20),
+                            static_cast<std::uint32_t>(rng.next_below(5)), 3,
+                            2};
+      ASSERT_EQ(store.set(key, value, chunk).code(),
+                model.set(key, value, chunk));
+    } else if (dice < 60) {
+      ASSERT_EQ(store.erase(key), model.erase(key));
+    } else {
+      const auto got = store.get(key);
+      const auto want = model.get(key);
+      ASSERT_EQ(got.status().code(), want.status().code());
+      if (want.ok()) {
+        EXPECT_EQ(got->chunk, want->chunk);
+      }
+    }
+    ASSERT_EQ(fields(store.stats()), fields(model.stats));
+    ASSERT_EQ(store.bytes_used(), model.mem.used);
+    ASSERT_EQ(store.items(), model.mem.items.size());
+    peak_items = std::max(peak_items, store.items());
+    if (step % 1000 == 999) {
+      ASSERT_EQ(store.keys(),
+                std::vector<Key>(model.mem.lru.begin(), model.mem.lru.end()));
+    }
+  }
+  EXPECT_GT(peak_items, 14'336u);  // past the 16,384-slot table's 7/8
+  EXPECT_EQ(store.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -9,16 +9,21 @@
 // and a fragment key one string; a whole Client->Server Get round trip is
 // pinned with and without a deadline, and an answered deadline wait
 // leaves no timer behind. A whole erasure Get and Set through the engine
-// are pinned too, and a degraded materialized Get that decodes. Nothing
+// are pinned too, and a degraded materialized Get that decodes. The
+// counters also track live bytes, which pin the store index's host bytes
+// per fragment key. Nothing
 // outlives a drained run: once a cluster has run dry and is destroyed,
 // every block it allocated is freed. This file replaces the global
 // operator new and delete with counting ones, so it builds as its own test
 // executable (test_sim_alloc) and the counters reach no other suite.
+#include <malloc.h>
+
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <optional>
 #include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -38,14 +43,20 @@
 namespace {
 std::size_t g_allocations = 0;
 std::size_t g_frees = 0;
+std::size_t g_live_bytes = 0;  ///< usable bytes of every live block
 
 void* counted_malloc(std::size_t size) noexcept {
   ++g_allocations;
-  return std::malloc(size == 0 ? 1 : size);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) g_live_bytes += malloc_usable_size(p);
+  return p;
 }
 
 void counted_free(void* p) noexcept {
-  if (p != nullptr) ++g_frees;
+  if (p != nullptr) {
+    ++g_frees;
+    g_live_bytes -= malloc_usable_size(p);
+  }
   std::free(p);
 }
 }  // namespace
@@ -313,12 +324,37 @@ TEST(SimAlloc, StoreInsertOfNewFragmentKeyAllocatesNothing) {
   ASSERT_TRUE(store.set(key, value, chunk).ok());
   EXPECT_EQ(g_allocations - before, 0u);
 
-  // A key past the 22 inline bytes takes exactly its own heap buffer.
+  // A key past the 19 inline bytes takes exactly its own heap buffer.
   const kv::Key long_key(23, 'k');
   before = g_allocations;
   ASSERT_TRUE(store.set(long_key, value, chunk).ok());
   EXPECT_EQ(g_allocations - before, 1u);
   EXPECT_EQ(store.items(), 3u);
+}
+
+TEST(SimAlloc, StoreBytesPerFragmentKey) {
+  // The host footprint of the index: 100,000 fragment keys (slots 0-4 of
+  // 20,000 16-byte YCSB keys) sharing one value, as in a size-only run,
+  // cost their entries, pages and probe table, and nothing else.
+  constexpr std::size_t kItems = 100'000;
+  const SharedBytes value = make_shared_bytes(make_pattern(64, 1));
+  const kv::ChunkInfo chunk{1024, 0, 3, 2};
+  const std::size_t before = g_live_bytes;
+  {
+    kv::StorageEngine store(std::uint64_t{1} << 40);
+    for (std::size_t i = 0; i < kItems / 5; ++i) {
+      const kv::Key base = "user" + std::to_string(100000000000 + i);
+      ASSERT_EQ(base.size(), 16u);
+      for (std::size_t slot = 0; slot < 5; ++slot) {
+        ASSERT_TRUE(store.set(kv::chunk_key(base, slot), value, chunk).ok());
+      }
+    }
+    ASSERT_EQ(store.items(), kItems);
+    const double per_item =
+        static_cast<double>(g_live_bytes - before) / kItems;
+    EXPECT_LE(per_item, 68.0);
+  }
+  EXPECT_EQ(g_live_bytes, before);
 }
 
 TEST(SimAlloc, ChunkKeyAllocatesOnce) {

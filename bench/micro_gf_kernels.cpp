@@ -116,8 +116,9 @@ std::vector<ReadRow> bench_read_path(double min_secs) {
   std::vector<ReadRow> rows;
   for (const std::size_t size : {std::size_t{1024}, std::size_t{16384}}) {
     const Bytes value = make_pattern(size, 60);
-    const std::vector<SharedBytes> fragments =
+    const Fragments encoded =
         encode_value(codec, value, size, /*materialize=*/true);
+    const std::span<const SharedBytes> fragments(encoded.data(), codec.n());
     const ChunkLayout layout = make_layout(size, codec.k(), codec.alignment());
     FragmentScratch scratch;
     for (const Pattern& p : patterns) {

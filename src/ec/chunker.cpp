@@ -65,54 +65,66 @@ Result<Bytes> join_fragments(std::span<const ConstByteSpan> data_fragments,
   return out;
 }
 
-std::vector<SharedBytes> encode_value(const Codec& codec, ConstByteSpan value,
-                                      std::size_t size, bool materialize) {
+Fragments encode_value(const Codec& codec, ConstByteSpan value,
+                       std::size_t size, bool materialize) {
   const ChunkLayout layout = make_layout(size, codec.k(), codec.alignment());
+  const std::size_t k = codec.k();
+  const std::size_t n = codec.n();
+  Fragments out;
   if (!materialize) {
-    return std::vector<SharedBytes>(codec.n(),
-                                    zero_bytes(layout.fragment_size));
+    std::fill_n(out.begin(), n, zero_bytes(layout.fragment_size));
+    return out;
   }
   assert(value.size() == size);
-  std::vector<Bytes> data = split_value(value, layout);
-  std::vector<ConstByteSpan> data_spans(data.begin(), data.end());
-  // The encode overwrites every parity byte; each buffer is built in place
-  // rather than copied from a zeroed prototype.
-  std::vector<Bytes> parity;
-  parity.reserve(codec.m());
-  for (std::size_t i = 0; i < codec.m(); ++i) {
-    parity.emplace_back(layout.fragment_size);
+  std::array<ConstByteSpan, kMaxSlots> data{};
+  std::array<ByteSpan, kMaxSlots> parity{};
+  std::size_t offset = 0;
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    out[slot] = SharedBytes::uninitialized(layout.fragment_size);
+    const ByteSpan frag = out[slot].writable();
+    if (slot >= k) {
+      parity[slot - k] = frag;  // the encode writes every byte
+      continue;
+    }
+    // Each payload byte is written once; only the tail pad is zeroed.
+    const std::size_t take = std::min(frag.size(), value.size() - offset);
+    std::copy_n(value.begin() + static_cast<std::ptrdiff_t>(offset), take,
+                frag.begin());
+    std::fill(frag.begin() + static_cast<std::ptrdiff_t>(take), frag.end(),
+              std::byte{0});
+    offset += take;
+    data[slot] = frag;
   }
-  std::vector<ByteSpan> parity_spans(parity.begin(), parity.end());
-  codec.encode(data_spans, parity_spans);
-  std::vector<SharedBytes> out;
-  out.reserve(codec.n());
-  for (auto& f : data) out.push_back(make_shared_bytes(std::move(f)));
-  for (auto& p : parity) out.push_back(make_shared_bytes(std::move(p)));
+  codec.encode(std::span(data.data(), k), std::span(parity.data(), n - k));
   return out;
 }
 
 namespace {
 
-ConstByteSpan span_of(const SharedBytes& frag) {
-  return frag ? ConstByteSpan(*frag) : ConstByteSpan{};
+/// Decodes every wanted slot that is not a source into `outputs` (by
+/// slot), reading the sources where they were fetched.
+Status decode_into(const Codec& codec, std::span<const SharedBytes> fragments,
+                   const ReadSet& sources, SlotMask want,
+                   std::span<const ByteSpan> outputs) {
+  std::array<ConstByteSpan, kMaxSlots> in{};
+  for (const std::size_t s : sources) in[s] = fragments[s].span();
+  return codec.decode(sources, std::span(in.data(), codec.n()), want,
+                      outputs);
 }
 
-/// Rebuilds every wanted slot that is not a source into `sc`, at
-/// `fragment_size` bytes, reading the sources where they were fetched.
+/// Rebuilds the wanted non-source slots into `sc`, at `fragment_size`
+/// bytes.
 Status rebuild_into(const Codec& codec, std::span<const SharedBytes> fragments,
                     const ReadSet& sources, SlotMask want,
                     std::size_t fragment_size, FragmentScratch& sc) {
   const std::size_t n = codec.n();
-  std::array<ConstByteSpan, kMaxSlots> in{};
-  for (const std::size_t s : sources) in[s] = span_of(fragments[s]);
   std::array<ByteSpan, kMaxSlots> out{};
   for (std::size_t w = 0; w < n; ++w) {
     if (!has_slot(want, w) || sources.contains(w)) continue;
     sc.storage[w].resize(fragment_size);
     out[w] = sc.storage[w];
   }
-  return codec.decode(sources, std::span(in.data(), n), want,
-                      std::span(out.data(), n));
+  return decode_into(codec, fragments, sources, want, std::span(out.data(), n));
 }
 
 }  // namespace
@@ -140,7 +152,7 @@ Result<Bytes> assemble(const Codec& codec,
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
     spans[slot - range.first] = has_slot(missing, slot)
                                     ? ConstByteSpan(scratch.storage[slot])
-                                    : span_of(fragments[slot]);
+                                    : fragments[slot].span();
   }
   const std::span<const ConstByteSpan> data(spans.data(), range.count());
   if (!slice) return join_fragments(data, layout);
@@ -148,27 +160,33 @@ Result<Bytes> assemble(const Codec& codec,
                                 slice->len);
 }
 
-Result<std::vector<SharedBytes>> rebuild_fragments(
-    const Codec& codec, std::span<const SharedBytes> fragments,
-    const ReadSet& sources, SlotMask want, std::size_t fragment_size,
-    bool materialize, FragmentScratch& scratch) {
-  std::vector<SharedBytes> out(codec.n());
+Result<Fragments> rebuild_fragments(const Codec& codec,
+                                    std::span<const SharedBytes> fragments,
+                                    const ReadSet& sources, SlotMask want,
+                                    std::size_t fragment_size,
+                                    bool materialize) {
+  const std::size_t n = codec.n();
+  Fragments out;
   if (!materialize) {
-    for (std::size_t w = 0; w < codec.n(); ++w) {
+    for (std::size_t w = 0; w < n; ++w) {
       if (has_slot(want, w)) out[w] = zero_bytes(fragment_size);
     }
     return out;
   }
-  assert(fragments.size() == codec.n());
-  const Status s =
-      rebuild_into(codec, fragments, sources, want, fragment_size, scratch);
-  if (!s.ok()) return s;
-  for (std::size_t w = 0; w < codec.n(); ++w) {
+  assert(fragments.size() == n);
+  std::array<ByteSpan, kMaxSlots> dst{};
+  for (std::size_t w = 0; w < n; ++w) {
     if (!has_slot(want, w)) continue;
-    out[w] = sources.contains(w)
-                 ? fragments[w]
-                 : make_shared_bytes(std::move(scratch.storage[w]));
+    if (sources.contains(w)) {
+      out[w] = fragments[w];
+      continue;
+    }
+    out[w] = SharedBytes::uninitialized(fragment_size);
+    dst[w] = out[w].writable();
   }
+  const Status s =
+      decode_into(codec, fragments, sources, want, std::span(dst.data(), n));
+  if (!s.ok()) return s;
   return out;
 }
 

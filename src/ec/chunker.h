@@ -1,7 +1,8 @@
 // Value <-> fragment conversion, the one owner of the fragment format:
 // splits a key-value pair's value of size D into K equal fragments of size
 // ceil(D/K) (zero-padded, aligned for the codec), encodes them (or stands
-// in shared zero placeholders in size-only mode), and reassembles values
+// in shared zero placeholders in size-only mode), building every fragment
+// once in its own shared block, and reassembles values
 // from fetched fragments. Reassembly reads the fetched buffers in place:
 // a healthy read joins them directly, and a read that misses a data
 // fragment it needs decodes just that fragment into a scratch buffer by
@@ -46,13 +47,19 @@ struct ChunkLayout {
 [[nodiscard]] Result<Bytes> join_fragments(
     std::span<const ConstByteSpan> data_fragments, const ChunkLayout& layout);
 
-/// The n fragments of a `size`-byte value by slot, k data then m parity.
-/// In size-only mode (`materialize` false) `value` is ignored and every
-/// slot aliases one shared zero buffer of the fragment size.
-[[nodiscard]] std::vector<SharedBytes> encode_value(const Codec& codec,
-                                                    ConstByteSpan value,
-                                                    std::size_t size,
-                                                    bool materialize);
+/// A value's fragments by slot, k data then m parity; slots from the
+/// codec's n on are null. One handle per slot the codec can have, so it
+/// lives on the stack or in a coroutine frame, never on the heap.
+using Fragments = std::array<SharedBytes, kMaxSlots>;
+static_assert(sizeof(Fragments) == 128, "kMaxSlots one-word handles");
+
+/// The n fragments of a `size`-byte value. Each is one block built in
+/// place: a data fragment copies its share of `value` and zeroes only the
+/// tail pad, and parity is encoded into uninitialized blocks. In size-only
+/// mode (`materialize` false) `value` is ignored and every slot aliases one
+/// shared zero buffer of the fragment size.
+[[nodiscard]] Fragments encode_value(const Codec& codec, ConstByteSpan value,
+                                     std::size_t size, bool materialize);
 
 /// Bytes [offset, offset + len) of a coded object: one record of a packed
 /// stripe.
@@ -61,10 +68,10 @@ struct ValueSlice {
   std::size_t len = 0;
 };
 
-/// Reusable rebuild buffers, one per engine, server or repair coordinator:
-/// filling and consuming them never suspends, so all of an owner's ops
-/// share them, and degraded reads stop allocating at steady state. Only
-/// wanted slots get a buffer; sources are read where they were fetched.
+/// Reusable rebuild buffers, one per engine or server: filling and
+/// consuming them never suspends, so all of an owner's ops share them, and
+/// degraded reads stop allocating at steady state. Only wanted slots get a
+/// buffer; sources are read where they were fetched.
 struct FragmentScratch {
   std::array<Bytes, kMaxSlots> storage;  ///< by slot: rebuilt wanted slots
 };
@@ -83,11 +90,13 @@ struct FragmentScratch {
                                      FragmentScratch& scratch);
 
 /// Rebuilds every slot in `want` (data or parity) from `sources` and
-/// returns the n fragments by slot, filled for the wanted slots only. In
-/// size-only mode they are shared zero placeholders of `fragment_size`.
-[[nodiscard]] Result<std::vector<SharedBytes>> rebuild_fragments(
+/// returns them by slot, null where not wanted. A wanted source is shared
+/// as fetched; every other wanted slot is decoded straight into a fresh
+/// block. In size-only mode they are shared zero placeholders of
+/// `fragment_size`.
+[[nodiscard]] Result<Fragments> rebuild_fragments(
     const Codec& codec, std::span<const SharedBytes> fragments,
     const ReadSet& sources, SlotMask want, std::size_t fragment_size,
-    bool materialize, FragmentScratch& scratch);
+    bool materialize);
 
 }  // namespace hpres::ec

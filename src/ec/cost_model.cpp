@@ -93,16 +93,15 @@ double time_encode_ns(const Codec& codec, std::size_t value_size,
 double time_decode_ns(const Codec& codec, std::size_t value_size,
                       int iterations) {
   const Bytes value = make_pattern(value_size, /*seed=*/43);
-  const std::vector<SharedBytes> fragments =
-      encode_value(codec, value, value_size, true);
+  const Fragments fragments = encode_value(codec, value, value_size, true);
   // One lost data fragment: its slot is the decode's only output.
   const ReadSet sources =
       codec.select(codec.data_mask(), codec.all_slots() & ~slot_bit(0))
           .value();
-  std::vector<ConstByteSpan> in(fragments.size());
+  std::vector<ConstByteSpan> in(codec.n());
   for (const std::size_t s : sources) in[s] = *fragments[s];
   Bytes rebuilt(fragments[0]->size());
-  std::vector<ByteSpan> out(fragments.size());
+  std::vector<ByteSpan> out(codec.n());
   out[0] = rebuilt;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iterations; ++i) {

@@ -326,9 +326,8 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   co_await self->workers_.execute(self->slow(ec.cost.encode_ns(value_size)));
   ht.compute_span("server/encode", encode_begin);
 
-  const std::vector<SharedBytes> fragments = ec::encode_value(
-      *ec.codec, req.value ? ConstByteSpan(*req.value) : ConstByteSpan{},
-      value_size, ec.materialize);
+  const ec::Fragments fragments = ec::encode_value(
+      *ec.codec, req.value.span(), value_size, ec.materialize);
 
   std::vector<sim::Future<Response>> pending;
   pending.reserve(n);

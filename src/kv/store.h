@@ -4,7 +4,7 @@
 // bytes of cached data lost to eviction pressure.
 //
 // Each tier (memory, and the optional SSD tier) is one compact index:
-// 56-byte entries live in fixed 32-entry pages and are named by a 32-bit
+// 48-byte entries live in fixed 32-entry pages and are named by a 32-bit
 // id; the key sits inline in its entry up to 19 bytes (a YCSB fragment key
 // is 18), with a heap buffer only for longer keys; the LRU order is a
 // doubly linked list of ids threaded through the entries; and lookup is
@@ -186,7 +186,7 @@ class StorageEngine {
     void set_chunk(const std::optional<ChunkInfo>& chunk) noexcept;
     [[nodiscard]] std::optional<ChunkInfo> chunk() const noexcept;
   };
-  static_assert(sizeof(Entry) == 56, "an entry is 56 bytes");
+  static_assert(sizeof(Entry) == 48, "an entry is 48 bytes");
 
   /// One tier (memory or SSD): paged entries, the probe table over their
   /// hashes and ids, the LRU list through them, and the bytes charged.
@@ -237,7 +237,7 @@ class StorageEngine {
     // large block. The size is measured: with one doubling vector, or
     // 1024- or 64-entry pages, glibc returned more freed heap to the OS
     // between hpres_bench rounds and ycsb-a-64k-bytes paid to re-fault
-    // it at setup; 32-entry pages (2.3 KB then, 1.8 KB now) did not.
+    // it at setup; 32-entry pages (2.3 KB then, 1.5 KB now) did not.
     static constexpr std::uint32_t kPageShift = 5;
     static constexpr std::uint32_t kPageEntries = 1u << kPageShift;
     using Page = std::array<Entry, kPageEntries>;

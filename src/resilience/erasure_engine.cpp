@@ -117,9 +117,8 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   span(*op, "set/encode", sim().now() - encode_ns - post_ns, encode_ns);
   span(*op, "set/request", sim().now() - post_ns, post_ns);
 
-  const std::vector<SharedBytes> fragments = ec::encode_value(
-      *codec_, value ? ConstByteSpan(*value) : ConstByteSpan{}, value_size,
-      ctx().materialize);
+  const ec::Fragments fragments = ec::encode_value(
+      *codec_, value.span(), value_size, ctx().materialize);
 
   // Distribute all K+M fragments with non-blocking requests: the
   // response waits overlap, approaching Equation 7's max over fragments.
@@ -574,10 +573,8 @@ sim::Task<Status> ErasureEngine::set_packed(kv::Key key, SharedBytes value,
   entry.key = key;
   entry.len = static_cast<std::uint32_t>(value_size);
   if (ctx().materialize) {
-    const ConstByteSpan v =
-        value ? ConstByteSpan(*value) : ConstByteSpan{};
-    entry.offset =
-        static_cast<std::uint32_t>(ec::stripe_append(st->buffer, key, v));
+    entry.offset = static_cast<std::uint32_t>(
+        ec::stripe_append(st->buffer, key, value.span()));
     st->used = st->buffer.size();
   } else {
     entry.offset = static_cast<std::uint32_t>(
@@ -665,7 +662,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
                    cpu_t0 + encode_ns, post_ns);
   }
 
-  const std::vector<SharedBytes> fragments = ec::encode_value(
+  const ec::Fragments fragments = ec::encode_value(
       *self->codec_, st->buffer, stripe_bytes, self->ctx().materialize);
 
   // Fragment fan-out under the stripe's own base key (the repair

@@ -134,9 +134,9 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   record_phase(tr, rtrace, "repair/reconstruct", 2,
                ctx_.sim->now() - reconstruct_ns);
 
-  const Result<std::vector<SharedBytes>> rebuilt =
+  const Result<ec::Fragments> rebuilt =
       ec::rebuild_fragments(*codec_, fetched, fetch, rebuild,
-                            layout.fragment_size, ctx_.materialize, scratch_);
+                            layout.fragment_size, ctx_.materialize);
   if (!rebuilt.ok()) co_return rebuilt.status();
 
   // Phase 4 — re-place rebuilt fragments on their designated owners.

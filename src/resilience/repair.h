@@ -115,8 +115,6 @@ class RepairCoordinator {
   const ec::Codec* codec_;
   ec::CostModel cost_;
   RepairStats stats_;
-  /// Rebuild buffers (repairs run one key at a time).
-  ec::FragmentScratch scratch_;
   bool purge_orphans_ = false;
 };
 

@@ -1,5 +1,8 @@
 #include "common/bytes.h"
 
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -26,11 +29,58 @@ TEST(Bytes, PatternPrefixStable) {
   EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
 }
 
+TEST(Bytes, SharedBytesIsOneWord) {
+  EXPECT_EQ(sizeof(SharedBytes), sizeof(void*));
+}
+
 TEST(Bytes, SharedBytesAliasesWithoutCopy) {
-  const SharedBytes s = make_shared_bytes(make_pattern(100, 1));
-  const SharedBytes alias = s;
-  EXPECT_EQ(s->data(), alias->data());
-  EXPECT_EQ(s.use_count(), 2);
+  SharedBytes s = make_shared_bytes(make_pattern(100, 1));
+  EXPECT_EQ(s.use_count(), 1u);
+  {
+    const SharedBytes alias = s;
+    SharedBytes moved = alias;
+    const SharedBytes taken = std::move(moved);
+    EXPECT_EQ(moved, nullptr);
+    EXPECT_EQ(alias, s);
+    EXPECT_EQ(taken, s);
+    EXPECT_EQ(s->data(), alias->data());
+    EXPECT_EQ(s.use_count(), 3u);
+  }
+  // The copies dropped their references; the last one (test_sim_alloc's
+  // SimAlloc.SharedBytesLastDropFrees counts it) frees the block.
+  EXPECT_EQ(s.use_count(), 1u);
+  s = nullptr;
+  EXPECT_EQ(s.use_count(), 0u);
+  EXPECT_TRUE(s.span().empty());
+}
+
+TEST(Bytes, SharedBytesAdoptsWithoutCopy) {
+  Bytes b = make_pattern(100, 2);
+  const std::byte* const data = b.data();
+  const SharedBytes s = make_shared_bytes(std::move(b));
+  EXPECT_EQ(s->data(), data);
+  EXPECT_EQ(*s, make_pattern(100, 2));
+
+  // An uninitialized block holds what was written into it.
+  SharedBytes filled = SharedBytes::uninitialized(100);
+  fill_pattern(filled.writable(), 2);
+  EXPECT_EQ(*filled, *s);
+  EXPECT_EQ(Bytes(*filled), make_pattern(100, 2));
+}
+
+TEST(Bytes, SharedBytesCopiedAndDroppedAcrossThreads) {
+  const SharedBytes s = make_shared_bytes(make_pattern(64, 3));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&s] {
+      for (int i = 0; i < 10'000; ++i) {
+        const SharedBytes copy = s;
+        ASSERT_EQ(copy->size(), 64u);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(s.use_count(), 1u);
 }
 
 TEST(Units, TransferTimeMatchesLineRate) {

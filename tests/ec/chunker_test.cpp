@@ -161,9 +161,11 @@ TEST(FragmentStep, EncodeAssembleRoundTripsEveryErasurePattern) {
     const Bytes value = make_pattern(1000 + 13, n);
     const ChunkLayout layout =
         make_layout(value.size(), codec->k(), codec->alignment());
-    const std::vector<SharedBytes> encoded =
+    const Fragments encoded =
         encode_value(*codec, value, value.size(), /*materialize=*/true);
-    ASSERT_EQ(encoded.size(), n);
+    for (std::size_t s = 0; s < kMaxSlots; ++s) {
+      ASSERT_EQ(encoded[s] != nullptr, s < n) << codec->name() << " " << s;
+    }
     // A slice that straddles the first fragment boundary.
     const ValueSlice slice{layout.fragment_size - 5, 40};
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
@@ -191,17 +193,42 @@ TEST(FragmentStep, EncodeAssembleRoundTripsEveryErasurePattern) {
   }
 }
 
+TEST(FragmentStep, EncodeBuildsZeroPaddedFragmentsInPlace) {
+  // Fragments are filled in uninitialized buffers: the data slots must
+  // still hold split_value's zero-padded shares, and parity the codec's
+  // encode of them, byte for byte.
+  for (const auto& codec : all_codecs()) {
+    const std::size_t k = codec->k();
+    const Bytes value = make_pattern(1000 + 13, 5);
+    const ChunkLayout layout =
+        make_layout(value.size(), k, codec->alignment());
+    ASSERT_LT(value.size(), k * layout.fragment_size) << codec->name();
+    const Fragments encoded =
+        encode_value(*codec, value, value.size(), /*materialize=*/true);
+    const std::vector<Bytes> data = split_value(value, layout);
+    std::vector<Bytes> parity(codec->m(), Bytes(layout.fragment_size));
+    const std::vector<ConstByteSpan> in(data.begin(), data.end());
+    std::vector<ByteSpan> out(parity.begin(), parity.end());
+    codec->encode(in, out);
+    for (std::size_t s = 0; s < codec->n(); ++s) {
+      EXPECT_EQ(*encoded[s], s < k ? data[s] : parity[s - k])
+          << codec->name() << " slot " << s;
+    }
+  }
+}
+
 TEST(FragmentStep, SizeOnlyEncodeReturnsSharedPlaceholders) {
   for (const auto& codec : all_codecs()) {
     const ChunkLayout layout = make_layout(1000, codec->k(), codec->alignment());
-    const std::vector<SharedBytes> frags =
+    const Fragments all =
         encode_value(*codec, {}, 1000, /*materialize=*/false);
-    ASSERT_EQ(frags.size(), codec->n());
+    const std::span<const SharedBytes> frags(all.data(), codec->n());
     for (const SharedBytes& f : frags) {
       ASSERT_NE(f, nullptr);
       EXPECT_EQ(f->size(), layout.fragment_size);
       EXPECT_EQ(f, frags[0]);  // one shared buffer, no per-slot allocation
     }
+    EXPECT_EQ(all[codec->n()], nullptr);
     FragmentScratch scratch;
     const ReadSet healthy =
         codec->select(codec->data_mask(), codec->data_mask()).value();
@@ -255,7 +282,8 @@ TEST(FragmentStep, HealthyAssembleWithNullParityNeverDecodes) {
   CountingCodec codec(*rs);
   const Bytes value = make_pattern(3000, 4);
   const ChunkLayout layout = make_layout(value.size(), 3, 1);
-  std::vector<SharedBytes> frags = encode_value(codec, value, value.size(), true);
+  Fragments encoded = encode_value(codec, value, value.size(), true);
+  const std::span<SharedBytes> frags(encoded.data(), codec.n());
   frags[3] = nullptr;  // parity never fetched
   frags[4] = nullptr;
   FragmentScratch scratch;
@@ -293,8 +321,7 @@ TEST(FragmentStep, RebuildFragmentsRestoresDataAndParity) {
     const Bytes value = make_pattern(777, 8);
     const ChunkLayout layout =
         make_layout(value.size(), codec->k(), codec->alignment());
-    const std::vector<SharedBytes> encoded =
-        encode_value(*codec, value, value.size(), true);
+    const Fragments encoded = encode_value(*codec, value, value.size(), true);
     // Lose the first data slot and the last parity slot.
     const std::vector<std::size_t> lost_slots{0, codec->n() - 1};
     const SlotMask lost = slot_bit(0) | slot_bit(codec->n() - 1);
@@ -303,16 +330,15 @@ TEST(FragmentStep, RebuildFragmentsRestoresDataAndParity) {
     ASSERT_TRUE(sources.ok()) << codec->name();
     std::vector<SharedBytes> fetched(codec->n());
     for (const std::size_t s : *sources) fetched[s] = encoded[s];
-    FragmentScratch scratch;
-    const Result<std::vector<SharedBytes>> rebuilt = rebuild_fragments(
-        *codec, fetched, *sources, lost, layout.fragment_size, true, scratch);
+    const Result<Fragments> rebuilt = rebuild_fragments(
+        *codec, fetched, *sources, lost, layout.fragment_size, true);
     ASSERT_TRUE(rebuilt.ok()) << codec->name();
     for (const std::size_t s : lost_slots) {
       ASSERT_NE((*rebuilt)[s], nullptr);
       EXPECT_EQ(*(*rebuilt)[s], *encoded[s]) << codec->name() << " slot " << s;
     }
-    const Result<std::vector<SharedBytes>> sized = rebuild_fragments(
-        *codec, fetched, *sources, lost, layout.fragment_size, false, scratch);
+    const Result<Fragments> sized = rebuild_fragments(
+        *codec, fetched, *sources, lost, layout.fragment_size, false);
     ASSERT_TRUE(sized.ok());
     for (const std::size_t s : lost_slots) {
       EXPECT_EQ((*sized)[s]->size(), layout.fragment_size);
@@ -326,10 +352,10 @@ TEST(Chunker, DegradedReadsSourcesInPlace) {
     const Bytes value = make_pattern(2000 + 3, 11);
     const ChunkLayout layout =
         make_layout(value.size(), codec->k(), codec->alignment());
-    const std::vector<SharedBytes> encoded =
+    const Fragments encoded =
         encode_value(*codec, value, value.size(), /*materialize=*/true);
     std::vector<Bytes> before(n);
-    for (std::size_t s = 0; s < n; ++s) before[s] = *encoded[s];
+    for (std::size_t s = 0; s < n; ++s) before[s] = Bytes(*encoded[s]);
     // Each read hands over only its read set; the buffers stay shared with
     // `encoded`, so a write or a reallocation would show there.
     const auto fetch = [&](const ReadSet& sources) {
@@ -367,24 +393,20 @@ TEST(Chunker, DegradedReadsSourcesInPlace) {
     const Result<ReadSet> repair =
         codec->select(lost, codec->all_slots() & ~lost);
     ASSERT_TRUE(repair.ok()) << codec->name();
-    FragmentScratch repair_scratch;
-    const Result<std::vector<SharedBytes>> rebuilt =
+    const Result<Fragments> rebuilt =
         rebuild_fragments(*codec, fetch(*repair), *repair, lost,
-                          layout.fragment_size, true, repair_scratch);
+                          layout.fragment_size, true);
     ASSERT_TRUE(rebuilt.ok()) << codec->name();
-    for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t s = 0; s < kMaxSlots; ++s) {
       ASSERT_EQ((*rebuilt)[s] != nullptr, has_slot(lost, s)) << s;
       if (has_slot(lost, s)) {
         EXPECT_EQ(*(*rebuilt)[s], before[s]) << s;
+        // Decoded straight into a fresh block the caller alone holds.
+        EXPECT_EQ((*rebuilt)[s].use_count(), 1u)
+            << codec->name() << " rebuild slot " << s;
       }
     }
     expect_sources_untouched(*repair, "rebuild");
-    // The rebuilt buffers moved out to the caller, and nothing else was
-    // ever sized.
-    for (std::size_t s = 0; s < kMaxSlots; ++s) {
-      EXPECT_EQ(repair_scratch.storage[s].capacity(), 0u)
-          << codec->name() << " rebuild slot " << s;
-    }
   }
 }
 

@@ -196,8 +196,8 @@ TEST(ZeroBytes, CacheAliasesPerSize) {
   const SharedBytes a = zero_bytes(4096);
   const SharedBytes b = zero_bytes(4096);
   const SharedBytes c = zero_bytes(8192);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
   EXPECT_EQ(a->size(), 4096u);
   for (const auto byte : *a) EXPECT_EQ(byte, std::byte{0});
 }

@@ -205,7 +205,8 @@ TEST(Store, ValueSharingAvoidsCopies) {
   const auto v = value_of(100);
   ASSERT_TRUE(store.set("k", v).ok());
   const auto got = store.get("k");
-  EXPECT_EQ(got->value.get(), v.get());  // same buffer, not a copy
+  EXPECT_EQ(got->value, v);  // the same block, not a copy
+  EXPECT_EQ(v.use_count(), 3u);
 }
 
 // --- Differential check against a reference model --------------------------
@@ -399,7 +400,7 @@ void run_differential(std::uint64_t seed, std::uint64_t ssd_capacity) {
       const auto want = model.get(key);
       ASSERT_EQ(got.status().code(), want.status().code());
       if (want.ok()) {
-        EXPECT_EQ(got->value.get(), want->value.get());
+        EXPECT_EQ(got->value, want->value);
         EXPECT_EQ(got->chunk, want->chunk);
         EXPECT_EQ(got->from_ssd, want->from_ssd);
       }

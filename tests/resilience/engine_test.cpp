@@ -250,7 +250,7 @@ TEST_F(EngineTest, DegradedGetRejectsTruncatedParityFragment) {
       const auto stored = store.get(ckey);
       EXPECT_TRUE(stored.ok());
       if (!stored.ok()) co_return;
-      const Bytes& full = *stored->value;
+      const ByteBlock& full = *stored->value;
       EXPECT_TRUE(store
                       .set(ckey, make_shared_bytes(Bytes(full.begin(),
                                                          full.end() - 64)),

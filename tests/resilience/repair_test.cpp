@@ -289,7 +289,7 @@ TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
         const kv::Key ckey = kv::chunk_key("obj", slot);
         const auto got = t->owner_store("obj", slot).get(ckey);
         EXPECT_TRUE(got.ok());
-        lost.push_back(got.ok() ? *got->value : Bytes{});
+        lost.push_back(got.ok() ? Bytes(*got->value) : Bytes{});
         t->owner_store("obj", slot).erase(ckey);
       }
 

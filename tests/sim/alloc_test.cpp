@@ -352,9 +352,34 @@ TEST(SimAlloc, StoreBytesPerFragmentKey) {
     ASSERT_EQ(store.items(), kItems);
     const double per_item =
         static_cast<double>(g_live_bytes - before) / kItems;
-    EXPECT_LE(per_item, 68.0);
+    EXPECT_LE(per_item, 60.0);
   }
   EXPECT_EQ(g_live_bytes, before);
+}
+
+TEST(SimAlloc, SharedBytesLastDropFrees) {
+  const std::size_t live = g_live_bytes;
+  std::size_t before = g_allocations;
+  {
+    // A block and its buffer, and copies allocate nothing.
+    SharedBytes block = SharedBytes::uninitialized(100);
+    const SharedBytes copy = block;
+    EXPECT_EQ(g_allocations - before, 2u);
+    block = nullptr;
+    EXPECT_GT(g_live_bytes, live);  // the copy still holds it
+  }
+  EXPECT_EQ(g_live_bytes, live);
+  Bytes bytes(100);
+  before = g_allocations;
+  const std::size_t frees = g_frees;
+  {
+    // An adopted Bytes costs the block header only, and the last drop
+    // frees both.
+    const SharedBytes block = make_shared_bytes(std::move(bytes));
+    const SharedBytes copy = block;
+    EXPECT_EQ(g_allocations - before, 1u);
+  }
+  EXPECT_EQ(g_frees - frees, 2u);
 }
 
 TEST(SimAlloc, ChunkKeyAllocatesOnce) {
@@ -626,10 +651,16 @@ TEST(SimAlloc, ErasureDegradedGetAllocationBudget) {
 }
 
 TEST(SimAlloc, ErasureSetAllocationBudget) {
-  // The encoded fragment list (its slots share one cached zero buffer) and
-  // the n = 5 fragment keys. The fan-out's futures and owners live in the
-  // op's frame.
-  EXPECT_EQ(erasure_op_allocations({.get = false}), 6u);
+  // The n = 5 fragment keys. The encoded fragments (every slot shares one
+  // cached zero buffer), the fan-out's futures and owners live in the op's
+  // frame.
+  EXPECT_EQ(erasure_op_allocations({.get = false}), 5u);
+}
+
+TEST(SimAlloc, ErasureMaterializedSetAllocationBudget) {
+  // Per fragment one block header and one buffer, filled in place (the
+  // data copied in, parity encoded into it), and the n = 5 fragment keys.
+  EXPECT_EQ(erasure_op_allocations({.get = false, .materialize = true}), 15u);
 }
 
 }  // namespace

@@ -69,8 +69,7 @@ inline std::uint64_t scaled(std::uint64_t ops) {
 //                             256 records = 6 KiB/node)
 //   --shards=N                event-loop shards for every Testbench point
 //                             (fig13_dfsio refuses N > 1; micro_shard_scaling
-//                             sweeps its own counts); overrides the
-//                             HPRES_SHARDS env var. 1 = the deterministic
+//                             sweeps its own counts). 1 = the deterministic
 //                             oracle mode (the default). The whole
 //                             observability stack works at any shard
 //                             count: parallel runs record into per-shard
@@ -81,7 +80,7 @@ inline std::uint64_t scaled(std::uint64_t ops) {
 //   --shard-profile-out=FILE  per-shard runtime profile JSON (window
 //                             counts/lengths, barrier stall vs busy wall
 //                             time, cross-shard message rates, lane
-//                             occupancy/spills) for every Testbench point
+//                             occupancy) for every Testbench point
 // With no flags everything is off and benchmarks run exactly as before —
 // observation never touches simulation state, so results are identical
 // either way. The latency recorder itself is always on (O(1) memory per
@@ -96,10 +95,6 @@ class ObsSession {
   /// Parses the observability flags; unknown arguments are ignored.
   void init(int argc, char** argv) {
     wall_start_ = std::chrono::steady_clock::now();
-    if (const char* env = std::getenv("HPRES_SHARDS")) {
-      const std::int64_t v = std::atoll(env);
-      shards_ = v < 1 ? 1 : static_cast<std::size_t>(v);
-    }
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       const auto int_flag = [&arg](std::string_view prefix,
@@ -167,7 +162,7 @@ class ObsSession {
     return "pt" + std::to_string(point_seq_++);
   }
 
-  /// Shard count every Testbench runs at (--shards / HPRES_SHARDS).
+  /// Shard count every Testbench runs at (--shards).
   /// Tracing, flight recording and the health monitor all run shard-safe
   /// through per-shard domains.
   [[nodiscard]] std::size_t effective_shards() const noexcept {
@@ -282,8 +277,6 @@ class ObsSession {
         obs::json::append_u64(out, sp.msgs_out);
         out += ",\"msgs_in\":";
         obs::json::append_u64(out, sp.msgs_in);
-        out += ",\"spills_out\":";
-        obs::json::append_u64(out, sp.spills_out);
         out += ",\"lane_occupancy_hw\":";
         obs::json::append_u64(out, sp.lane_occupancy_hw);
         out += ",\"busy_wall_ns\":";
@@ -365,7 +358,7 @@ inline std::int64_t arg_int(int argc, char** argv, std::string_view prefix,
 /// Harness drivers spawn onto their client's own loop (spawn_client) and
 /// mutate or observe the cluster only between run() calls, so every
 /// harness runs at any shard count. `shards` defaults to the process
-/// --shards / HPRES_SHARDS count.
+/// --shards count.
 class Testbench {
  public:
   Testbench(const cluster::Testbed& bed, std::size_t servers,
@@ -528,7 +521,6 @@ class Testbench {
       reg.gauge("shard.events", labels).set(i64(sp.events));
       reg.gauge("shard.msgs_out", labels).set(i64(sp.msgs_out));
       reg.gauge("shard.msgs_in", labels).set(i64(sp.msgs_in));
-      reg.gauge("shard.spills_out", labels).set(i64(sp.spills_out));
       reg.gauge("shard.lane_occupancy_hw", labels)
           .set(i64(sp.lane_occupancy_hw));
     }

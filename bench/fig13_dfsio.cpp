@@ -123,8 +123,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: fig13_dfsio is oracle-only: its Lustre model is one"
                  " serial pipe that all %zu maps share across hosts."
-                 " Requested %zu shards; re-run without --shards /"
-                 " HPRES_SHARDS.\n",
+                 " Requested %zu shards; re-run without --shards.\n",
                  kHosts * kMapsPerHost, n);
     return 2;
   }

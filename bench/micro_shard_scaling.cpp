@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
                      std::to_string(last.shards) +
                      " (rounds=" + std::to_string(prof.rounds) + ")",
                  {"shard", "events", "stall_pct", "msgs_out", "msgs_in",
-                  "spills", "lane_hw"});
+                  "lane_hw"});
     for (std::size_t s = 0; s < prof.per_shard.size(); ++s) {
       const sim::ShardProfile& sp = prof.per_shard[s];
       print_cell(std::to_string(s));
@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
       print_cell(sim::RuntimeProfile::stall_fraction(sp) * 100.0);
       print_cell(std::to_string(sp.msgs_out));
       print_cell(std::to_string(sp.msgs_in));
-      print_cell(std::to_string(sp.spills_out));
       print_cell(std::to_string(sp.lane_occupancy_hw));
       end_row();
     }
@@ -243,8 +242,6 @@ int main(int argc, char** argv) {
       obs::json::append_u64(json, sp.msgs_out);
       json += ", \"msgs_in\": ";
       obs::json::append_u64(json, sp.msgs_in);
-      json += ", \"spills_out\": ";
-      obs::json::append_u64(json, sp.spills_out);
       json += ", \"lane_occupancy_hw\": ";
       obs::json::append_u64(json, sp.lane_occupancy_hw);
       json += "}";

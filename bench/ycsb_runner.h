@@ -70,7 +70,7 @@ struct YcsbRunOpts {
   std::size_t slow_server = 0;
   std::string point_label = {};
   /// Shard count for the parallel runtime. Defaults to the process
-  /// --shards / HPRES_SHARDS count (oracle when unset). Fault injection
+  /// --shards count (oracle when unset). Fault injection
   /// works at any count: FaultSchedule applies events from a runtime
   /// quiesce hook.
   std::size_t shards = ObsSession::instance().effective_shards();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -36,12 +37,9 @@ ShardRuntime::ShardRuntime(std::size_t shards, SimDur lookahead_ns)
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Simulator>());
   }
-  lanes_.reserve(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(kLaneCapacity));
-  }
+  lanes_.resize(n * n);
   scratch_.resize(n);
-  prof_.resize(n);
+  local_.resize(n);
   next_time_ = std::make_unique<std::atomic<SimTime>[]>(n);
   for (std::size_t i = 0; i < n; ++i) next_time_[i] = Simulator::kNever;
 }
@@ -72,7 +70,7 @@ RuntimeProfile ShardRuntime::profile() const {
   }
   out.per_shard.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardProfile p = prof_[s].p;
+    ShardProfile p = local_[s].p;
     p.events = shards_[s]->events_executed();
     out.per_shard.push_back(p);
   }
@@ -88,35 +86,30 @@ std::uint64_t ShardRuntime::events_executed() const noexcept {
 void ShardRuntime::post(std::size_t from, std::size_t to, SimTime due,
                         std::function<void()> fn) {
   assert(from < shards_.size() && to < shards_.size());
-  Lane& ln = lane(from, to);
-  ShardProfile& prof = prof_[from].p;  // post runs on `from`'s thread
-  ++prof.msgs_out;
-  Msg m{due, static_cast<std::uint32_t>(from), std::move(fn)};
-  if (ln.ring.try_push(std::move(m))) return;
-  // Ring full: spill under a lock. The spill preserves lane FIFO order
-  // because a full ring stays full until the next barrier drain, so all
-  // later pushes in this window spill too.
-  ++prof.spills_out;
-  const std::lock_guard<std::mutex> lock(ln.spill_mu);
-  ln.spill.push_back(std::move(m));
+  Local& local = local_[from];  // post runs on `from`'s thread
+  ++local.p.msgs_out;
+  local.posted_min = std::min(local.posted_min, due);
+  lane(from, to)[fill_.load(std::memory_order_relaxed)].push_back(
+      Msg{due, static_cast<std::uint32_t>(from), std::move(fn)});
 }
 
-void ShardRuntime::drain(std::size_t s) {
+SimTime ShardRuntime::publish(std::size_t s) {
+  Local& local = local_[s];
+  const SimTime horizon =
+      std::min(shards_[s]->next_event_time(), local.posted_min);
+  local.posted_min = Simulator::kNever;
+  return horizon;
+}
+
+void ShardRuntime::drain(std::size_t s, std::size_t parity) {
   std::vector<Msg>& msgs = scratch_[s];
-  ShardProfile& prof = prof_[s].p;  // drain runs on `s`'s thread
-  msgs.clear();
+  ShardProfile& prof = local_[s].p;  // drain runs on `s`'s thread
   for (std::size_t from = 0; from < shards_.size(); ++from) {
-    Lane& ln = lane(from, s);
-    const std::size_t before = msgs.size();
-    Msg m;
-    while (ln.ring.try_pop(m)) msgs.push_back(std::move(m));
-    {
-      const std::lock_guard<std::mutex> lock(ln.spill_mu);
-      for (Msg& sp : ln.spill) msgs.push_back(std::move(sp));
-      ln.spill.clear();
-    }
+    std::vector<Msg>& in = lane(from, s)[parity];
     prof.lane_occupancy_hw =
-        std::max<std::uint64_t>(prof.lane_occupancy_hw, msgs.size() - before);
+        std::max<std::uint64_t>(prof.lane_occupancy_hw, in.size());
+    std::move(in.begin(), in.end(), std::back_inserter(msgs));
+    in.clear();
   }
   if (msgs.empty()) return;
   prof.msgs_in += msgs.size();
@@ -147,6 +140,9 @@ SimTime ShardRuntime::run_hooks(SimTime min_next) noexcept {
 }
 
 void ShardRuntime::compute_window() noexcept {
+  // The window about to run posts into the parity the last one drained.
+  fill_.store(fill_.load(std::memory_order_relaxed) ^ 1,
+              std::memory_order_relaxed);
   SimTime min_next = Simulator::kNever;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     min_next =
@@ -190,17 +186,18 @@ SimTime ShardRuntime::run() {
     // clock at the last executed event, so a cap never reorders events and
     // the returned time is the last event's. Posts (none from the fabric
     // with one shard) are still honoured so tests exercise the API
-    // uniformly.
+    // uniformly: the parity never flips, so each drain takes the posts of
+    // the window before it.
     const auto t0 = std::chrono::steady_clock::now();
     Simulator& sim = *shards_[0];
     for (;;) {
-      drain(0);
-      const SimTime min_next = sim.next_event_time();
+      drain(0, fill_.load(std::memory_order_relaxed));
+      const SimTime min_next = publish(0);
       const SimTime cap = run_hooks(min_next);
       if (min_next == Simulator::kNever) break;
       sim.run(cap);
     }
-    prof_[0].p.busy_wall_ns +=
+    local_[0].p.busy_wall_ns +=
         wall_ns_since(t0, std::chrono::steady_clock::now());
     return sim.now();
   }
@@ -208,13 +205,12 @@ SimTime ShardRuntime::run() {
   done_.store(false, std::memory_order_relaxed);
 
   const auto completion = [this]() noexcept { compute_window(); };
-  std::barrier<std::decay_t<decltype(completion)>> horizon(
+  std::barrier<std::decay_t<decltype(completion)>> round(
       static_cast<std::ptrdiff_t>(n), completion);
-  std::barrier<> window_done(static_cast<std::ptrdiff_t>(n));
 
   const auto worker = [&](std::size_t s) {
     Simulator& sim = *shards_[s];
-    ShardProfile& prof = prof_[s].p;
+    ShardProfile& prof = local_[s].p;
     auto mark = std::chrono::steady_clock::now();
     const auto lap = [&mark]() {
       const auto now = std::chrono::steady_clock::now();
@@ -223,19 +219,15 @@ SimTime ShardRuntime::run() {
       return ns;
     };
     while (true) {
-      // Phase A: merge inbound messages, publish this shard's horizon.
-      drain(s);
-      next_time_[s].store(sim.next_event_time(), std::memory_order_relaxed);
+      next_time_[s].store(publish(s), std::memory_order_relaxed);
       prof.busy_wall_ns += lap();
-      horizon.arrive_and_wait();  // completion computes window_ / done_
+      round.arrive_and_wait();  // completion: hooks, window_ / done_, parity
       prof.stall_wall_ns += lap();
       if (done_.load(std::memory_order_relaxed)) break;
-      // Phase B: run the window in parallel. Cross-shard sends land in the
-      // lanes and are merged by their targets at the next Phase A.
+      // Every other shard's posts from the previous window are visible past
+      // the barrier; this window's posts go to the other parity.
+      drain(s, fill_.load(std::memory_order_relaxed) ^ 1);
       sim.run_window(window_.load(std::memory_order_relaxed));
-      prof.busy_wall_ns += lap();
-      window_done.arrive_and_wait();  // all sends visible before next drain
-      prof.stall_wall_ns += lap();
     }
   };
 

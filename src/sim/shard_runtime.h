@@ -2,18 +2,28 @@
 // shards advanced in lockstep windows by real threads.
 //
 // Synchronization model (classic conservative PDES with lookahead):
-// execution proceeds in rounds. In each round every shard first drains its
-// inbound cross-shard queues — merging each message into its own event
-// queue at the message's exact due time — and publishes the timestamp of
-// its earliest pending event. A barrier then computes the global window
-//   window_end = min over shards of next_event_time + lookahead
-// and every shard runs all events strictly before window_end in parallel.
+// execution proceeds in rounds, one barrier each. In a round every shard
+//   1. publishes its horizon: the earlier of its own next event time and
+//      the earliest due time it posted to another shard since its last
+//      publish (those messages are not merged yet, so the sender vouches
+//      for them);
+//   2. arrives at the barrier, whose completion step runs the quiesce hooks
+//      and computes the global window
+//        window_end = min over shards of horizon + lookahead,
+//      then flips the lane parity;
+//   3. drains the lane parity the previous window filled, merging each
+//      message into its own event queue at the message's exact due time;
+//   4. runs every event strictly before window_end, posting cross-shard
+//      messages into the other parity.
 // Safety: a cross-shard message sent at local time t is due at >= t + L
 // (L = lookahead, derived from the minimum fabric wire latency), and every
-// event executed this round has t >= min(next_event_time), so every message
+// event executed this round has t >= min(horizon), so every message
 // produced inside a window is due at or after the window's end — it is
 // always merged before the receiver's clock reaches it, and simulated
-// causality holds without rollback.
+// causality holds without rollback. Each (from, to) lane is a pair of plain
+// vectors: within a round the sender appends to one parity while the
+// receiver drains the other, and the barrier orders one round's appends
+// before the next round's drain, so no lane needs a lock or an atomic.
 //
 // Determinism: for a fixed (program, seeds, shard count) the execution is
 // bit-reproducible. Each shard's event loop is deterministic, and inbound
@@ -27,12 +37,12 @@
 // every control-plane action has one implementation at every shard count.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/units.h"
@@ -47,10 +57,9 @@ namespace hpres::sim {
 struct ShardProfile {
   std::uint64_t events = 0;      ///< events executed by the shard's Simulator
   std::uint64_t msgs_out = 0;    ///< cross-shard messages posted by the shard
-  std::uint64_t spills_out = 0;  ///< posts that overflowed an SPSC ring
   std::uint64_t msgs_in = 0;     ///< cross-shard messages merged on drain
   std::uint64_t lane_occupancy_hw = 0;  ///< max msgs from one lane per drain
-  std::uint64_t stall_wall_ns = 0;  ///< wall time blocked on round barriers
+  std::uint64_t stall_wall_ns = 0;  ///< wall time blocked on the barrier
   std::uint64_t busy_wall_ns = 0;   ///< wall time draining + running windows
 };
 
@@ -108,9 +117,9 @@ class ShardRuntime {
   }
 
   /// Enqueues `fn` to run on shard `to` at simulated time `due`. Must be
-  /// called from shard `from`'s thread (each (from, to) lane is a bounded
-  /// SPSC ring; overflow falls back to a mutexed spill vector). The due
-  /// time must respect the lookahead contract: due >= sender now + L.
+  /// called from shard `from`'s thread (each (from, to) lane has exactly
+  /// one writer), or between run() calls. The due time must respect the
+  /// lookahead contract: due >= sender now + L.
   void post(std::size_t from, std::size_t to, SimTime due,
             std::function<void()> fn);
 
@@ -159,56 +168,23 @@ class ShardRuntime {
     std::function<void()> fn;
   };
 
-  /// Bounded single-producer/single-consumer ring; the producer is the
-  /// `from` shard's thread (run phase), the consumer the `to` shard's
-  /// thread (drain phase). Rounds are barrier-separated so the two never
-  /// overlap, but the ring stays correct even if draining ever becomes
-  /// opportunistic mid-window.
-  class SpscRing {
-   public:
-    explicit SpscRing(std::size_t capacity) : slots_(capacity) {}
-
-    [[nodiscard]] bool try_push(Msg&& m) {
-      const std::size_t t = tail_.load(std::memory_order_relaxed);
-      if (t - head_.load(std::memory_order_acquire) == slots_.size()) {
-        return false;
-      }
-      slots_[t % slots_.size()] = std::move(m);
-      tail_.store(t + 1, std::memory_order_release);
-      return true;
-    }
-
-    [[nodiscard]] bool try_pop(Msg& out) {
-      const std::size_t h = head_.load(std::memory_order_relaxed);
-      if (tail_.load(std::memory_order_acquire) == h) return false;
-      out = std::move(slots_[h % slots_.size()]);
-      head_.store(h + 1, std::memory_order_release);
-      return true;
-    }
-
-   private:
-    std::vector<Msg> slots_;
-    alignas(64) std::atomic<std::size_t> head_{0};
-    alignas(64) std::atomic<std::size_t> tail_{0};
-  };
-
-  /// One inbound lane per (from, to) shard pair.
-  struct Lane {
-    explicit Lane(std::size_t capacity) : ring(capacity) {}
-    SpscRing ring;
-    std::mutex spill_mu;
-    std::vector<Msg> spill;  ///< unbounded fallback when the ring is full
-  };
-
-  static constexpr std::size_t kLaneCapacity = 256;
+  /// One (from, to) lane, indexed by round parity: `from` appends to
+  /// parity fill_ during its window while `to` drains the other one, which
+  /// the previous window filled.
+  using Lane = std::array<std::vector<Msg>, 2>;
 
   [[nodiscard]] Lane& lane(std::size_t from, std::size_t to) {
-    return *lanes_[from * shards_.size() + to];
+    return lanes_[from * shards_.size() + to];
   }
 
-  /// Merges every queued inbound message into shard `s`'s event queue at
-  /// its due time, in canonical (due, source shard, FIFO) order.
-  void drain(std::size_t s);
+  /// Publishes shard `s`'s horizon: its next event time, lowered to the
+  /// earliest due time it posted since its last publish.
+  [[nodiscard]] SimTime publish(std::size_t s);
+
+  /// Merges every message in shard `s`'s inbound lanes of `parity` into
+  /// its event queue at its due time, in canonical (due, source shard,
+  /// FIFO) order.
+  void drain(std::size_t s, std::size_t parity);
 
   /// Runs every registered quiesce hook at `min_next`; returns the earliest
   /// pending hook action (the window cap), kNever when none remain.
@@ -216,27 +192,31 @@ class ShardRuntime {
 
   /// Barrier completion step: runs the quiesce hooks, then computes the
   /// next window (or termination) from the published per-shard horizons,
-  /// capped at the earliest pending hook action. Runs on exactly one
-  /// thread while the others are blocked in the barrier.
+  /// capped at the earliest pending hook action, and flips the lane
+  /// parity. Runs on exactly one thread while the others are blocked in
+  /// the barrier.
   void compute_window() noexcept;
 
-  /// False-sharing pad: each shard's profile lives on its own cache line.
-  struct alignas(64) PaddedProfile {
+  /// State only shard s's thread touches, on its own cache line: the
+  /// profile and the earliest due time posted since the last publish.
+  struct alignas(64) Local {
     ShardProfile p;
+    SimTime posted_min = Simulator::kNever;
   };
 
   std::vector<std::unique_ptr<Simulator>> shards_;
-  std::vector<std::unique_ptr<Lane>> lanes_;  // [from * n + to]
-  std::vector<std::vector<Msg>> scratch_;     // per-shard drain buffer
+  std::vector<Lane> lanes_;                // [from * n + to]
+  std::vector<std::vector<Msg>> scratch_;  // per-shard drain buffer
   SimDur lookahead_;
   std::vector<QuiesceHook> hooks_;  ///< removed slots stay as empty fns
-  std::vector<PaddedProfile> prof_;
+  std::vector<Local> local_;
 
   // Round state. Plain-ish values written either before a barrier arrival
   // or inside its completion step; the barrier's phase transition provides
   // the happens-before edges. Relaxed atomics keep TSan provably quiet.
   std::unique_ptr<std::atomic<SimTime>[]> next_time_;
   std::atomic<SimTime> window_{0};
+  std::atomic<std::size_t> fill_{0};  ///< lane parity posts append to
   std::atomic<bool> done_{false};
   std::atomic<std::uint64_t> rounds_{0};
 

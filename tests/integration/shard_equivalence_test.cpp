@@ -1,9 +1,10 @@
 // Oracle-vs-parallel equivalence gates for the shard runtime: identical op
 // counts, fabric conservation at quiescence, bit-identical repeats for a
-// fixed shard count, and latency magnitudes within tolerance. These are the
-// statistical-equivalence checks the multi-shard mode ships behind. A
-// delayed hedge, whose wake-up is a deadline re-armed on every pass of the
-// fetch loop, must fire at exactly the same instant at every shard count.
+// fixed shard count, a pinned sharded schedule, and latency magnitudes
+// within tolerance. These are the statistical-equivalence checks the
+// multi-shard mode ships behind. A delayed hedge, whose wake-up is a
+// deadline re-armed on every pass of the fetch loop, must fire at exactly
+// the same instant at every shard count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,6 +36,7 @@ struct ShardedOutcome {
   net::FabricStats fabric;
   std::uint64_t in_flight_bytes = 0;
   std::uint64_t in_flight_messages = 0;
+  std::uint64_t rounds = 0;  ///< barrier rounds, preload included
 };
 
 /// One small YCSB-A run at the given shard count: 8 servers, 8 clients,
@@ -107,6 +109,7 @@ ShardedOutcome run_sharded_ycsb(std::size_t shards, std::uint64_t seed) {
   out.fabric = cl.fabric().stats();
   out.in_flight_bytes = cl.fabric().in_flight_bytes();
   out.in_flight_messages = cl.fabric().in_flight_messages();
+  out.rounds = cl.runtime().rounds();
   return out;
 }
 
@@ -149,6 +152,36 @@ TEST(ShardEquivalence, FixedShardCountIsBitReproducible) {
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.read_latency_sum, b.read_latency_sum);
+}
+
+// The sharded schedule itself, pinned at 2 and 4 shards: a change to the
+// round protocol (horizons, windows, lane drains, merge order) that moves
+// any event, message or round fails here, even if it stays reproducible.
+TEST(ShardEquivalence, ShardedSchedulePinned) {
+  struct Pin {
+    std::size_t shards;
+    SimTime makespan;
+    std::uint64_t events;
+    std::int64_t read_latency_sum;
+    std::uint64_t messages_sent;
+    std::uint64_t reads;
+    std::uint64_t rounds;
+  };
+  const Pin pins[] = {
+      {2, 2'461'481, 70'194, 7'863'790, 13'644, 589, 2'503},
+      {4, 2'435'693, 74'374, 7'772'798, 13'644, 589, 2'649},
+  };
+  for (const Pin& pin : pins) {
+    const ShardedOutcome o = run_sharded_ycsb(pin.shards, 7);
+    EXPECT_EQ(o.makespan, pin.makespan) << "shards=" << pin.shards;
+    EXPECT_EQ(o.events, pin.events) << "shards=" << pin.shards;
+    EXPECT_EQ(o.read_latency_sum, pin.read_latency_sum)
+        << "shards=" << pin.shards;
+    EXPECT_EQ(o.fabric.messages_sent, pin.messages_sent)
+        << "shards=" << pin.shards;
+    EXPECT_EQ(o.reads, pin.reads) << "shards=" << pin.shards;
+    EXPECT_EQ(o.rounds, pin.rounds) << "shards=" << pin.shards;
+  }
 }
 
 TEST(ShardEquivalence, LatencyMagnitudesWithinTolerance) {

@@ -1,13 +1,16 @@
 // Conservative shard-runtime semantics: window math, cross-shard delivery,
-// termination, oracle equivalence, quiesce hooks at one shard, and
-// fixed-shard-count determinism.
+// horizons bounded by undrained posts, canonical merge order, termination,
+// oracle equivalence, quiesce hooks at one shard, and fixed-shard-count
+// determinism.
 #include "sim/shard_runtime.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -166,11 +169,12 @@ TEST(ShardRuntime, PingPongAcrossShards) {
   EXPECT_GT(rt.rounds(), 0u);
 }
 
-// Lane overflow: more same-round messages than the SPSC ring holds must all
-// arrive (the spill vector) and still in FIFO order per source shard.
+// A burst of same-round messages on one lane, far more than any harness
+// produces per window, must all arrive and still in FIFO order per source
+// shard.
 TEST(ShardRuntime, LaneOverflowPreservesAllMessagesInOrder)  {
   ShardRuntime rt(2, kLookahead);
-  constexpr std::size_t kMessages = 1'000;  // > kLaneCapacity
+  constexpr std::size_t kMessages = 1'000;
   std::vector<std::size_t> order;
   rt.shard(0).spawn([](ShardRuntime* r,
                        std::vector<std::size_t>* out) -> Task<void> {
@@ -186,6 +190,105 @@ TEST(ShardRuntime, LaneOverflowPreservesAllMessagesInOrder)  {
     EXPECT_EQ(order[i], i);
     if (order[i] != i) break;
   }
+}
+
+// A message still sitting in its lane when the horizons are published must
+// bound the next window through its sender. Shard 0 posts to an idle shard
+// 1 and sleeps for 100 lookaheads; shard 1 answers on arrival. If the
+// horizon ignored the undrained post, the run would end with it in the lane
+// (dropped) or shard 0 would run past the reply's due time (late).
+TEST(ShardRuntime, UndrainedPostBoundsTheWindow) {
+  constexpr SimTime kPostAt = 100;
+  ShardRuntime rt(2, kLookahead);
+  std::mutex mu;  // both shards log; the mutex keeps TSan exact
+  std::vector<std::pair<std::size_t, SimTime>> log;
+  const auto note = [&](std::size_t s) {
+    const std::lock_guard<std::mutex> lock(mu);
+    log.emplace_back(s, rt.shard(s).now());
+  };
+  rt.shard(0).spawn([](ShardRuntime* r, decltype(note)* noted) -> Task<void> {
+    Simulator* self = &r->shard(0);
+    co_await self->delay(kPostAt);
+    r->post(0, 1, self->now() + kLookahead, [r, noted] {
+      (*noted)(1);
+      r->post(1, 0, r->shard(1).now() + kLookahead,
+              [noted] { (*noted)(0); });
+    });
+    co_await self->delay(100 * kLookahead);
+    (*noted)(0);
+  }(&rt, &note));
+  rt.run();
+  const std::vector<std::pair<std::size_t, SimTime>> want{
+      {1, kPostAt + kLookahead},
+      {0, kPostAt + 2 * kLookahead},
+      {0, kPostAt + 100 * kLookahead}};
+  EXPECT_EQ(log, want);
+}
+
+// Shards 0-2 post to shard 3 over two consecutive windows, with equal due
+// times inside each window. Shard 3 must run them in (due, source shard,
+// FIFO) order whatever the thread interleaving, reproducibly, and every
+// posted message must be counted once on each side.
+TEST(ShardRuntime, CrossShardMergeOrderIsCanonical) {
+  struct Entry {
+    SimTime due;
+    std::size_t from;
+    int idx;  ///< post order on the source shard
+    bool operator==(const Entry&) const = default;
+  };
+  const auto run = [] {
+    ShardRuntime rt(4, kLookahead);
+    std::vector<Entry> ran;  // only shard 3's thread appends
+    std::vector<Entry> posted[3];
+    struct Sender {
+      static Task<void> run(ShardRuntime* r, std::size_t s,
+                            std::vector<Entry>* sent,
+                            std::vector<Entry>* ran) {
+        Simulator* self = &r->shard(s);
+        int idx = 0;
+        const auto send = [&](SimTime due) {
+          sent->push_back({due, s, idx});
+          r->post(s, 3, due, [r, ran, due, s, i = idx] {
+            EXPECT_EQ(r->shard(3).now(), due);
+            ran->push_back({due, s, i});
+          });
+          ++idx;
+        };
+        const auto ss = static_cast<SimTime>(s);
+        co_await self->delay(5);  // first window: [0, L)
+        send(kLookahead + 5);     // equal across shards
+        send(kLookahead + 50 - ss);
+        send(kLookahead + 5);     // FIFO behind the first
+        co_await self->delay(kLookahead);  // second window
+        send(3 * kLookahead);
+        send(3 * kLookahead + 7 * ss);
+        send(3 * kLookahead);
+      }
+    };
+    for (std::size_t s = 0; s < 3; ++s) {
+      rt.shard(s).spawn(Sender::run(&rt, s, &posted[s], &ran));
+    }
+    rt.run();
+    std::vector<Entry> want;
+    for (const auto& p : posted) want.insert(want.end(), p.begin(), p.end());
+    std::sort(want.begin(), want.end(), [](const Entry& a, const Entry& b) {
+      return std::tie(a.due, a.from, a.idx) < std::tie(b.due, b.from, b.idx);
+    });
+    EXPECT_EQ(ran, want);
+    const RuntimeProfile prof = rt.profile();
+    std::uint64_t out = 0;
+    std::uint64_t in = 0;
+    for (const ShardProfile& sp : prof.per_shard) {
+      out += sp.msgs_out;
+      in += sp.msgs_in;
+    }
+    EXPECT_EQ(out, want.size());
+    EXPECT_EQ(in, out);
+    return ran;
+  };
+  const std::vector<Entry> first = run();
+  EXPECT_EQ(first.size(), 18u);
+  EXPECT_EQ(run(), first);
 }
 
 // Fixed (program, shard count) => bit-identical execution order, regardless

@@ -68,7 +68,7 @@ void check_footprint_accounting(std::uint64_t pairs) {
   p.m = 2;
   p.alignment = 1;
   p.item_overhead = kv::StorageEngine::kItemOverhead;
-  p.chunk_info_bytes = sizeof(kv::ChunkInfo);
+  p.chunk_info_bytes = kv::kChunkInfoBytes;
   double predicted = 0.0;
   for (std::uint64_t i = 0; i < pairs; ++i) {
     p.key_size = ("c0-" + std::to_string(i)).size();

@@ -2,8 +2,8 @@
 // the per-op host time of a server's StorageEngine holding fragment keys,
 // at the per-server sizes of the end-to-end benchmark (50,000 items on
 // ycsb-a-16k, 100,000 on ycsb-b-1k-wide). For each size N it fills 5
-// stores with N fragment keys each (chunk_key of 16-byte YCSB keys, slots
-// 0-4) that share one value, as in a size-only run, and reports:
+// stores with N fragments each (16-byte YCSB base keys, slots 0-4) that
+// share one value, as in a size-only run, and reports:
 //   - live host bytes per item, from the mallinfo2() delta of the fill;
 //   - the median ns of a Get and of an overwrite Set of a resident key,
 //     over batches of ops in a seeded random order across the 5 stores,
@@ -35,6 +35,7 @@ using hpres::Bytes;
 using hpres::SharedBytes;
 using hpres::Xoshiro256;
 using hpres::kv::ChunkInfo;
+using hpres::kv::ItemId;
 using hpres::kv::Key;
 using hpres::kv::StorageEngine;
 
@@ -77,25 +78,27 @@ double median(std::vector<double> v) {
 Row bench_size(std::size_t items, std::size_t timed_ops) {
   // Keys are built before the fill, so the footprint counts only the
   // stores. Each store gets its own YCSB keys.
-  std::vector<std::vector<Key>> keys(kStores);
+  std::vector<std::vector<ItemId>> keys(kStores);
   for (std::size_t s = 0; s < kStores; ++s) {
     keys[s].reserve(items);
     for (std::size_t i = 0; i < items / kSlots; ++i) {
       const Key base =
           "user" + std::to_string(100000000000 + s * items + i);
-      for (std::size_t slot = 0; slot < kSlots; ++slot) {
-        keys[s].push_back(hpres::kv::chunk_key(base, slot));
+      for (std::uint8_t slot = 0; slot < kSlots; ++slot) {
+        keys[s].push_back(ItemId{base, slot});
       }
     }
   }
   const SharedBytes value = hpres::make_shared_bytes(Bytes(1024));
-  const ChunkInfo chunk{3 * 1024, 0, 3, 2};
+  const ChunkInfo chunk{3 * 1024};
 
   std::vector<StorageEngine*> stores;
   const std::size_t before = live_heap_bytes();
   for (std::size_t s = 0; s < kStores; ++s) {
     stores.push_back(new StorageEngine(std::uint64_t{1} << 40));
-    for (const Key& key : keys[s]) (void)stores[s]->set(key, value, chunk);
+    for (const ItemId& id : keys[s]) {
+      (void)stores[s]->set(id.key, id.slot, value, chunk);
+    }
   }
   Row row;
   row.items = items;
@@ -105,7 +108,7 @@ Row bench_size(std::size_t items, std::size_t timed_ops) {
 
   using Clock = std::chrono::steady_clock;
   Xoshiro256 rng(kSeed);
-  std::array<const Key*, kBatch> batch_keys{};
+  std::array<const ItemId*, kBatch> batch_keys{};
   std::array<StorageEngine*, kBatch> batch_stores{};
   const auto run = [&](bool get) {
     std::vector<double> ns_per_op;
@@ -117,10 +120,12 @@ Row bench_size(std::size_t items, std::size_t timed_ops) {
       }
       const auto t0 = Clock::now();
       for (std::size_t j = 0; j < kBatch; ++j) {
+        const ItemId& id = *batch_keys[j];
         if (get) {
-          g_sink = g_sink + batch_stores[j]->get(*batch_keys[j])->value->size();
+          g_sink = g_sink +
+                   batch_stores[j]->get(id.key, id.slot)->value->size();
         } else {
-          (void)batch_stores[j]->set(*batch_keys[j], value, chunk);
+          (void)batch_stores[j]->set(id.key, id.slot, value, chunk);
         }
       }
       const double ns =

@@ -238,20 +238,15 @@ sim::Task<void> PlacementManager::migrate_key(kv::Key key, bool cleanup_ok) {
       need_repair = true;  // old copy unreachable: rebuild below
       continue;
     }
-    kv::Request fetch;
-    fetch.verb = kv::Verb::kGet;
-    fetch.key = kv::chunk_key(key, slot);
-    kv::Response got =
-        co_await ctx_.client->invoke(node_of(old_owner), std::move(fetch));
+    kv::Response got = co_await ctx_.client->invoke(
+        node_of(old_owner), kv::fragment_request(kv::Verb::kGet, key, slot));
     if (got.code != StatusCode::kOk || !got.value) {
       need_repair = true;
       continue;
     }
     // if_absent: a concurrent client write under the new epoch already
     // placed fresher bytes here — the stale copy must never clobber it.
-    kv::Request put;
-    put.verb = kv::Verb::kSet;
-    put.key = kv::chunk_key(key, slot);
+    kv::Request put = kv::fragment_request(kv::Verb::kSet, key, slot);
     put.value = got.value;
     put.chunk = got.chunk;
     put.if_absent = true;
@@ -278,11 +273,9 @@ sim::Task<void> PlacementManager::migrate_key(kv::Key key, bool cleanup_ok) {
   if (moved_any) ++stats_.keys_moved;
   if (cleanup_ok) {
     for (const auto& [slot, old_owner] : copied) {
-      kv::Request del;
-      del.verb = kv::Verb::kDelete;
-      del.key = kv::chunk_key(key, slot);
-      const kv::Response resp =
-          co_await ctx_.client->invoke(node_of(old_owner), std::move(del));
+      const kv::Response resp = co_await ctx_.client->invoke(
+          node_of(old_owner),
+          kv::fragment_request(kv::Verb::kDelete, key, slot));
       if (resp.code == StatusCode::kOk) ++stats_.cleanup_deletes;
     }
   }
@@ -335,7 +328,7 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
     kv::Request req;
     req.verb = kv::Verb::kSetStripeIndex;
     req.key = loc->stripe;
-    req.chunk = kv::ChunkInfo{loc->stripe_bytes, 0, 0, 0};
+    req.chunk = kv::ChunkInfo{loc->stripe_bytes};
     req.stripe_index.push_back(
         kv::StripeIndexEntry{key, loc->offset, loc->len});
     req.if_absent = true;

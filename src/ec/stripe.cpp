@@ -118,7 +118,7 @@ StorageFootprint predict_footprint(const FootprintParams& p) {
   StorageFootprint out;
   const std::size_t n = p.k + p.m;
 
-  // Per-key striping: n fragments, each stored under a key.size()+2 chunk
+  // Per-key striping: n fragments, each charged as a key.size()+2 chunk
   // key with its own item overhead and ChunkInfo.
   const ChunkLayout per_key = make_layout(p.value_size, p.k, p.alignment);
   out.striped_per_key =

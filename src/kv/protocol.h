@@ -5,6 +5,12 @@
 // erasure-code the value and distribute the fragments itself (Era-SE-*),
 // and kGetDecode asks it to aggregate fragments from its peers and return
 // the reassembled value (Era-*-SD).
+//
+// A fragment travels as its identity, not as a composed key: the request
+// carries the object's base key plus the fragment's slot, and the server
+// stores it under that pair. Simulated costs still price a fragment as if
+// it were keyed by its composed chunk_key (kSlotKeyBytes more than its
+// base key), so the wire and the store charge what a Memcached item would.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +53,27 @@ enum class Verb : std::uint8_t {
   return "?";
 }
 
+/// Slot of a request (or stored item) that names a whole value rather than
+/// one fragment of a coded object.
+inline constexpr std::uint8_t kNoSlot = 0xFF;
+
+/// Bytes a fragment's key adds to its base key in every simulated charge:
+/// the separator and slot digit that chunk_key appends.
+inline constexpr std::size_t kSlotKeyBytes = 2;
+
 /// Metadata stored with (and returned alongside) each erasure-coded
-/// fragment, sufficient for any reader to size its reassembly buffers.
+/// fragment, sufficient for any reader to size its reassembly buffers. The
+/// fragment's slot is part of its identity (Request::slot), not of this.
 struct ChunkInfo {
   std::uint64_t original_size = 0;  ///< whole-value size before chunking
-  std::uint32_t chunk_index = 0;    ///< 0..k+m-1 (>= k means parity)
-  std::uint16_t k = 0;
-  std::uint16_t m = 0;
 
   [[nodiscard]] bool operator==(const ChunkInfo&) const = default;
 };
+
+/// Bytes of fragment metadata the capacity model charges per stored
+/// fragment: a Memcached item's header of whole-value size, fragment
+/// index, k and m.
+inline constexpr std::size_t kChunkInfoBytes = 16;
 
 /// Locator for a value packed into a shared stripe: which stripe holds it
 /// and where the value bytes sit inside the stripe payload. `stripe_bytes`
@@ -84,6 +101,9 @@ struct StripeIndexEntry {
 
 struct Request {
   Verb verb = Verb::kGet;
+  /// kSet/kGet/kDelete: the fragment of `key`'s coded object this names,
+  /// or kNoSlot for the whole value stored under `key`.
+  std::uint8_t slot = kNoSlot;
   Key key;
   SharedBytes value;  ///< payload for kSet/kSetEncode; null otherwise
   std::optional<ChunkInfo> chunk;
@@ -142,13 +162,19 @@ using WireBody = std::variant<Request, Response>;
 using KvFabric = net::Fabric<WireBody>;
 using KvEnvelope = net::Envelope<WireBody>;
 
+/// Simulated size of `r`'s key: a fragment request pays for its composed
+/// chunk_key.
+[[nodiscard]] inline std::size_t key_bytes(const Request& r) noexcept {
+  return r.key.size() + (r.slot != kNoSlot ? kSlotKeyBytes : 0);
+}
+
 /// Payload size used for wire timing (key + value + fixed verb framing).
 /// Stripe-index batches and locator replies are charged per entry; both
 /// contribute zero bytes when absent, so the legacy paths are unchanged.
 [[nodiscard]] inline std::size_t payload_bytes(const Request& r) noexcept {
   std::size_t index_bytes = 0;
   for (const auto& e : r.stripe_index) index_bytes += e.key.size() + 12;
-  return r.key.size() + (r.value ? r.value->size() : 0) + index_bytes + 16;
+  return key_bytes(r) + (r.value ? r.value->size() : 0) + index_bytes + 16;
 }
 
 [[nodiscard]] inline std::size_t payload_bytes(const Response& r) noexcept {
@@ -159,56 +185,44 @@ using KvEnvelope = net::Envelope<WireBody>;
   return (r.value ? r.value->size() : 0) + keys_bytes + loc_bytes + 16;
 }
 
-/// Key under which fragment `index` of `key` is stored. The separator byte
-/// cannot occur in benchmarks' printable keys, so chunk keys never collide
-/// with user keys.
+/// The composed key of fragment `index` of `key` — what a Memcached client
+/// would store the fragment under, and what simulated charges price a
+/// fragment's key as. The separator byte cannot occur in benchmarks'
+/// printable keys, so chunk keys never collide with user keys.
 [[nodiscard]] inline Key chunk_key(const Key& key, std::size_t index) {
   Key out;
-  out.reserve(key.size() + 2);  // one allocation, not a copy and a regrow
+  out.reserve(key.size() + kSlotKeyBytes);  // one allocation, no regrow
   out.append(key);
   out.push_back('\x01');
   out.push_back(static_cast<char>('0' + index));
   return out;
 }
 
+/// A `verb` request for fragment `slot` of the coded object under `base`.
+[[nodiscard]] inline Request fragment_request(Verb verb, const Key& base,
+                                              std::size_t slot) {
+  Request req;
+  req.verb = verb;
+  req.slot = static_cast<std::uint8_t>(slot);
+  req.key = base;
+  return req;
+}
+
 /// The kSet that stores fragment `slot` of a coded object of
 /// `original_size` bytes under `base`; every fragment write is built here.
 [[nodiscard]] inline Request fragment_put(const Key& base, std::size_t slot,
                                           SharedBytes fragment,
-                                          std::uint64_t original_size,
-                                          std::size_t k, std::size_t m) {
-  Request req;
-  req.verb = Verb::kSet;
-  req.key = chunk_key(base, slot);
+                                          std::uint64_t original_size) {
+  Request req = fragment_request(Verb::kSet, base, slot);
   req.value = std::move(fragment);
-  req.chunk = ChunkInfo{original_size, static_cast<std::uint32_t>(slot),
-                        static_cast<std::uint16_t>(k),
-                        static_cast<std::uint16_t>(m)};
+  req.chunk = ChunkInfo{original_size};
   return req;
 }
 
-/// Inverse of chunk_key: base key and fragment slot, or nullopt when the
-/// key is not a fragment key.
-struct ParsedChunkKey {
-  Key base;
-  std::size_t slot = 0;
-};
-
-[[nodiscard]] inline std::optional<ParsedChunkKey> parse_chunk_key(
-    const Key& stored) {
-  if (stored.size() < 2 || stored[stored.size() - 2] != '\x01') {
-    return std::nullopt;
-  }
-  ParsedChunkKey out;
-  out.base = stored.substr(0, stored.size() - 2);
-  out.slot = static_cast<std::size_t>(stored.back() - '0');
-  return out;
-}
-
 /// Synthetic base key for packed stripe `seq` minted by `client`. The
-/// leading '\x02' byte keeps stripe keys disjoint from user keys and from
-/// '\x01'-separated fragment keys; the client id makes concurrently packing
-/// clients mint non-colliding stripes.
+/// leading '\x02' byte keeps stripe keys disjoint from printable user keys;
+/// the client id makes concurrently packing clients mint non-colliding
+/// stripes.
 [[nodiscard]] inline Key stripe_key(NodeId client, std::uint64_t seq) {
   Key out;
   out.push_back('\x02');

@@ -139,7 +139,7 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
   const std::uint64_t life = self->crashes_;
   std::size_t touched =
       req.value ? req.value->size()
-                : (req.verb == Verb::kGet ? 0 : req.key.size());
+                : (req.verb == Verb::kGet ? 0 : key_bytes(req));
   if (req.verb == Verb::kSetStripeIndex) {
     touched = 0;  // ingest cost scales with the locator batch, not the key
     for (const auto& e : req.stripe_index) touched += e.key.size() + 12;
@@ -164,14 +164,14 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
   resp.trace = trace;
   switch (req.verb) {
     case Verb::kSet: {
-      if (req.if_absent && store_.get(req.key).ok()) {
+      if (req.if_absent && store_.get(req.key, req.slot).ok()) {
         // Migration copy racing a fresher write under the new epoch: the
         // resident value wins, and the copy acks as a no-op.
         resp.code = StatusCode::kOk;
         break;
       }
       const std::uint64_t demoted_before = store_.stats().demoted_bytes;
-      resp.code = store_.set(req.key, req.value, req.chunk).code();
+      resp.code = store_.set(req.key, req.slot, req.value, req.chunk).code();
       const std::uint64_t demoted =
           store_.stats().demoted_bytes - demoted_before;
       if (demoted > 0) {
@@ -196,7 +196,7 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
         out.work_ns = read_cost(0);
         break;
       }
-      auto got = store_.get(req.key);
+      auto got = store_.get(req.key, req.slot);
       if (!got.ok()) {
         resp.code = got.status().code();
         break;
@@ -234,8 +234,8 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
         }
         break;
       }
-      resp.code =
-          store_.erase(req.key) ? StatusCode::kOk : StatusCode::kNotFound;
+      resp.code = store_.erase(req.key, req.slot) ? StatusCode::kOk
+                                                  : StatusCode::kNotFound;
       break;
     }
     case Verb::kScan: {
@@ -246,14 +246,7 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
         for (const auto& [key, loc] : stripe_dir_) resp.keys.push_back(key);
       } else {
         // Distinct base keys of every fragment held here; repair discovery.
-        for (const Key& stored : store_.keys()) {
-          if (auto parsed = parse_chunk_key(stored); parsed) {
-            resp.keys.push_back(std::move(parsed->base));
-          }
-        }
-        std::sort(resp.keys.begin(), resp.keys.end());
-        resp.keys.erase(std::unique(resp.keys.begin(), resp.keys.end()),
-                        resp.keys.end());
+        resp.keys = store_.fragment_bases();
       }
       resp.code = StatusCode::kOk;
       out.work_ns = static_cast<SimDur>(
@@ -293,7 +286,6 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   const ServerEcContext& ec = *self->ec_;
   const std::uint64_t life = self->crashes_;
   const std::size_t value_size = req.value ? req.value->size() : 0;
-  const std::size_t k = ec.codec->k();
   const std::size_t n = ec.codec->n();
 
   // Ingest the full value and stage it locally under the plain key, then
@@ -335,10 +327,9 @@ sim::Task<void> Server::handle_set_encode(Server* self, KvEnvelope env) {
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (self->crashed_since(life)) co_return;
     const std::size_t owner = place.owner(slot);
-    Request put = fragment_put(req.key, slot, fragments[slot], value_size, k,
-                               ec.codec->m());
+    Request put = fragment_put(req.key, slot, fragments[slot], value_size);
     if (owner == ec.my_index) {
-      (void)self->store_.set(put.key, put.value, put.chunk);
+      (void)self->store_.set(put.key, put.slot, put.value, put.chunk);
       continue;
     }
     co_await self->workers_.execute(kPeerIssueNs);
@@ -403,9 +394,8 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   std::vector<sim::Future<Response>> remote(n);  // invalid: local slot
   for (const std::size_t slot : chosen) {
     const std::size_t owner = place.owner(slot);
-    const Key ckey = chunk_key(req.key, slot);
     if (owner == ec.my_index) {
-      auto got = self->store_.get(ckey);
+      auto got = self->store_.get(req.key, static_cast<std::uint8_t>(slot));
       fetched[slot].code = got.status().code();
       if (got.ok()) {
         co_await self->workers_.execute(
@@ -416,9 +406,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
       continue;
     }
     co_await self->workers_.execute(kPeerIssueNs);
-    Request peer;
-    peer.verb = Verb::kGet;
-    peer.key = ckey;
+    Request peer = fragment_request(Verb::kGet, req.key, slot);
     peer.trace = ht.ctx();
     remote[slot] = self->call((*ec.server_nodes)[owner], std::move(peer));
   }

@@ -6,14 +6,19 @@
 #include <functional>
 #include <utility>
 
+#include "common/rng.h"
 #include "ec/codec.h"
 
 namespace hpres::kv {
 
 namespace {
 
-std::uint32_t hash_of(std::string_view key) {
-  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
+/// Hash of item (key, slot): the key's hash with the slot folded in, so
+/// the fragments of one base key land in unrelated probe positions.
+std::uint32_t hash_of(std::string_view key, std::uint8_t slot) {
+  const std::uint64_t h = splitmix64(std::hash<std::string_view>{}(key) ^
+                                     std::uint64_t{slot});
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
 std::size_t size_of(const SharedBytes& value) {
@@ -72,33 +77,19 @@ void StorageEngine::StoredKey::release() noexcept {
   tag_ = 0;
 }
 
-// --- Entry ------------------------------------------------------------------
-
-void StorageEngine::Entry::set_chunk(
-    const std::optional<ChunkInfo>& chunk) noexcept {
-  const ChunkInfo info = chunk.value_or(ChunkInfo{});
-  original_size = info.original_size;
-  chunk_index = static_cast<std::uint8_t>(info.chunk_index);
-  k = static_cast<std::uint8_t>(info.k);
-  m = static_cast<std::uint8_t>(info.m);
-  has_chunk = chunk.has_value();
-}
-
-std::optional<ChunkInfo> StorageEngine::Entry::chunk() const noexcept {
-  if (!has_chunk) return std::nullopt;
-  return ChunkInfo{original_size, chunk_index, k, m};
-}
-
 // --- Tier -------------------------------------------------------------------
 
 std::uint32_t StorageEngine::Tier::find(std::string_view key,
+                                        std::uint8_t slot,
                                         std::uint32_t hash) const {
   if (slots_.empty()) return kNil;
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t p = hash & mask;; p = (p + 1) & mask) {
-    const Slot slot = slots_[p];
-    if (slot.id == kNil) return kNil;
-    if (slot.hash == hash && at(slot.id).key.view() == key) return slot.id;
+    const Slot probe = slots_[p];
+    if (probe.id == kNil) return kNil;
+    if (probe.hash != hash) continue;
+    const Entry& entry = at(probe.id);
+    if (entry.slot == slot && entry.key.view() == key) return probe.id;
   }
 }
 
@@ -196,50 +187,60 @@ void StorageEngine::Tier::touch(std::uint32_t id) noexcept {
 
 // --- StorageEngine ----------------------------------------------------------
 
-Status StorageEngine::set(const Key& key, SharedBytes value,
-                          std::optional<ChunkInfo> chunk) {
-  assert(!chunk || (chunk->k + chunk->m <= ec::kMaxSlots &&
-                    chunk->chunk_index < ec::kMaxSlots));
+Status StorageEngine::set(std::string_view key, std::uint8_t slot,
+                          SharedBytes value, std::optional<ChunkInfo> chunk) {
   ++stats_.set_ops;
-  const std::uint32_t hash = hash_of(key);
-  const std::size_t charge = charge_for(key.size(), value, chunk.has_value());
+  const bool fragment = slot != kNoSlot;
+  if (fragment != chunk.has_value() || (fragment && slot >= ec::kMaxSlots) ||
+      (chunk && chunk->original_size > UINT32_MAX)) {
+    return Status{
+        StatusCode::kInvalidArgument,
+        "a fragment carries a 32-bit ChunkInfo, a whole value none"};
+  }
+  const std::uint32_t hash = hash_of(key, slot);
+  const std::size_t charge = charge_for(key.size(), value, fragment);
   if (charge > capacity_) {
     ++stats_.rejected_sets;
-    erase_hashed(key, hash);
+    erase_hashed(key, slot, hash);
     return Status{StatusCode::kOutOfMemory, "item exceeds server capacity"};
   }
+  const auto original_size =
+      static_cast<std::uint32_t>(chunk ? chunk->original_size : 0);
 
   // Drop any stale SSD copy so a later promotion cannot resurrect it.
-  ssd_.erase(key, hash);
-  if (const std::uint32_t id = mem_.find(key, hash); id != kNil) {
+  ssd_.erase(key, slot, hash);
+  if (const std::uint32_t id = mem_.find(key, slot, hash); id != kNil) {
     // Overwrite in place. The entry sits outside the LRU while room is
     // made, so it is never its own victim, then returns at the front.
     mem_.detach(id);
     while (mem_.used() + charge > capacity_) evict_one();
     Entry& entry = mem_.at(id);
     entry.value = std::move(value);
-    entry.set_chunk(chunk);
+    entry.original_size = original_size;
     mem_.attach_front(id, charge);
     return Status::Ok();
   }
   while (mem_.used() + charge > capacity_) evict_one();
-  Entry entry{.value = std::move(value), .key = StoredKey(key)};
-  entry.set_chunk(chunk);
-  mem_.push_front(std::move(entry), hash, charge);
+  mem_.push_front(Entry{.value = std::move(value),
+                        .original_size = original_size,
+                        .slot = slot,
+                        .key = StoredKey(key)},
+                  hash, charge);
   return Status::Ok();
 }
 
-Result<StorageEngine::GetResult> StorageEngine::get(const Key& key) {
+Result<StorageEngine::GetResult> StorageEngine::get(std::string_view key,
+                                                    std::uint8_t slot) {
   ++stats_.get_ops;
-  const std::uint32_t hash = hash_of(key);
-  if (const std::uint32_t id = mem_.find(key, hash); id != kNil) {
+  const std::uint32_t hash = hash_of(key, slot);
+  if (const std::uint32_t id = mem_.find(key, slot, hash); id != kNil) {
     ++stats_.hits;
     mem_.touch(id);  // refresh LRU position
     const Entry& entry = mem_.at(id);
     return GetResult{entry.value, entry.chunk(), false};
   }
   // Memory miss: consult the SSD tier, promoting on a hit.
-  const std::uint32_t sid = ssd_.find(key, hash);
+  const std::uint32_t sid = ssd_.find(key, slot, hash);
   if (sid == kNil) {
     ++stats_.misses;
     return Status{StatusCode::kNotFound};
@@ -258,17 +259,31 @@ Result<StorageEngine::GetResult> StorageEngine::get(const Key& key) {
   return out;
 }
 
-bool StorageEngine::erase(const Key& key) {
-  return erase_hashed(key, hash_of(key));
+bool StorageEngine::erase(std::string_view key, std::uint8_t slot) {
+  return erase_hashed(key, slot, hash_of(key, slot));
 }
 
-std::vector<Key> StorageEngine::keys() const {
+std::vector<ItemId> StorageEngine::keys() const {
+  std::vector<ItemId> out;
+  out.reserve(mem_.size());
+  for (std::uint32_t id = mem_.most_recent(); id != kNil;
+       id = mem_.at(id).next) {
+    const Entry& entry = mem_.at(id);
+    out.push_back(ItemId{Key(entry.key.view()), entry.slot});
+  }
+  return out;
+}
+
+std::vector<Key> StorageEngine::fragment_bases() const {
   std::vector<Key> out;
   out.reserve(mem_.size());
   for (std::uint32_t id = mem_.most_recent(); id != kNil;
        id = mem_.at(id).next) {
-    out.emplace_back(mem_.at(id).key.view());
+    const Entry& entry = mem_.at(id);
+    if (entry.is_fragment()) out.emplace_back(entry.key.view());
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -276,7 +291,8 @@ void StorageEngine::evict_one() {
   assert(mem_.size() > 0 && "capacity accounting underflow");
   ++stats_.evictions;
   const std::uint32_t id = mem_.least_recent();
-  const std::uint32_t hash = hash_of(mem_.at(id).key.view());
+  const Entry& victim = mem_.at(id);
+  const std::uint32_t hash = hash_of(victim.key.view(), victim.slot);
   Entry entry = mem_.take(id, hash);
   if (ssd_enabled() && charge_of(entry) <= ssd_capacity_) {
     demote_to_ssd(std::move(entry), hash);
@@ -290,7 +306,7 @@ void StorageEngine::demote_to_ssd(Entry entry, std::uint32_t hash) {
   while (ssd_.used() + charge > ssd_capacity_) evict_one_from_ssd();
   // set() drops the SSD copy before writing memory and promotion takes it
   // out, so a key is never in both tiers.
-  assert(ssd_.find(entry.key.view(), hash) == kNil);
+  assert(ssd_.find(entry.key.view(), entry.slot, hash) == kNil);
   ++stats_.demotions;
   stats_.demoted_bytes += size_of(entry.value);
   ssd_.push_front(std::move(entry), hash, charge);
@@ -300,8 +316,9 @@ void StorageEngine::evict_one_from_ssd() {
   assert(ssd_.size() > 0 && "SSD accounting underflow");
   ++stats_.evictions;
   const std::uint32_t id = ssd_.least_recent();
-  stats_.evicted_bytes +=
-      size_of(ssd_.take(id, hash_of(ssd_.at(id).key.view())).value);
+  const Entry& victim = ssd_.at(id);
+  stats_.evicted_bytes += size_of(
+      ssd_.take(id, hash_of(victim.key.view(), victim.slot)).value);
 }
 
 }  // namespace hpres::kv

@@ -3,23 +3,29 @@
 // memory-efficiency experiment (Figure 10): bytes used, evictions, and the
 // bytes of cached data lost to eviction pressure.
 //
+// An item is named by a key and a slot (ItemId): fragment `slot` of the
+// coded object under a base key, or (kNoSlot) the whole value under a key.
+// Only fragments carry stored metadata (ChunkInfo), and a fragment's index
+// is its slot, so it is not stored twice.
+//
 // Each tier (memory, and the optional SSD tier) is one compact index:
-// 48-byte entries live in fixed 32-entry pages and are named by a 32-bit
-// id; the key sits inline in its entry up to 19 bytes (a YCSB fragment key
-// is 18), with a heap buffer only for longer keys; the LRU order is a
-// doubly linked list of ids threaded through the entries; and lookup is
-// one power-of-two, linear-probing table of 8-byte {hash, id} slots at
-// load <= 7/8, with backward-shift deletion (no tombstones). A probe reads
-// an entry only when its slot's 32-bit hash matches, and table growth and
-// deletion never read one. Every public call hashes its key once;
-// eviction rehashes its victim's key. Overwriting a resident key updates
-// its entry in place; demotion and promotion move an entry by value
-// between the tiers.
+// 40-byte entries live in fixed 64-entry pages and are named by a 32-bit
+// id; the key sits inline in its entry up to 18 bytes (a YCSB base key is
+// 16), with a heap buffer only for longer keys; the LRU order is a doubly
+// linked list of ids threaded through the entries; and lookup is one
+// power-of-two, linear-probing table of 8-byte {hash, id} slots at load
+// <= 7/8, with backward-shift deletion (no tombstones). A probe reads an
+// entry only when its slot's 32-bit hash of (key, slot) matches, and table
+// growth and deletion never read one. Every public call hashes its item
+// once; eviction rehashes its victim's. Overwriting a resident item
+// updates its entry in place; demotion and promotion move an entry by
+// value between the tiers.
 //
 // The capacity charge (charge_for) models a Memcached item and is
 // independent of this host layout: changing the layout moves no simulated
-// value. An entry does not store its charge; it is recomputed from the
-// entry's key, value and chunk flag.
+// value. A fragment is charged as if keyed by its composed chunk_key,
+// plus kChunkInfoBytes of metadata. An entry does not store its charge;
+// it is recomputed from the entry's key, slot and value.
 #pragma once
 
 #include <array>
@@ -75,6 +81,15 @@ struct SsdConfig {
   std::uint64_t capacity_bytes = 0;
 };
 
+/// A stored item's identity: fragment `slot` of the coded object under base
+/// key `key`, or the whole value stored under `key` (slot kNoSlot).
+struct ItemId {
+  Key key;
+  std::uint8_t slot = kNoSlot;
+
+  [[nodiscard]] auto operator<=>(const ItemId&) const = default;
+};
+
 class StorageEngine {
  public:
   /// Per-item metadata + hash-table overhead charged against capacity,
@@ -101,13 +116,20 @@ class StorageEngine {
   StorageEngine(const StorageEngine&) = delete;
   StorageEngine& operator=(const StorageEngine&) = delete;
 
-  /// Inserts or replaces; evicts LRU items as needed. Fails with
+  /// Inserts or replaces item (key, slot); evicts LRU items as needed. A
+  /// fragment (slot below ec::kMaxSlots) comes with its ChunkInfo, whose
+  /// original_size must fit in 32 bits, and a whole value (kNoSlot) with
+  /// none; anything else fails with kInvalidArgument. Fails with
   /// kOutOfMemory only when the single item exceeds total capacity, and
-  /// then drops any old value of `key` (as memcached unlinks the old item
-  /// when a SET fails), so a later get() never serves the replaced bytes.
-  /// A chunk's k + m is at most ec::kMaxSlots.
-  Status set(const Key& key, SharedBytes value,
-             std::optional<ChunkInfo> chunk = std::nullopt);
+  /// then drops any old value of the item (as memcached unlinks the old
+  /// item when a SET fails), so a later get() never serves the replaced
+  /// bytes.
+  Status set(std::string_view key, std::uint8_t slot, SharedBytes value,
+             std::optional<ChunkInfo> chunk);
+  /// Inserts or replaces the whole value under `key`.
+  Status set(std::string_view key, SharedBytes value) {
+    return set(key, kNoSlot, std::move(value), std::nullopt);
+  }
 
   struct GetResult {
     SharedBytes value;
@@ -115,11 +137,11 @@ class StorageEngine {
     bool from_ssd = false;  ///< served via promotion from the SSD tier
   };
 
-  /// Fetches and refreshes LRU position.
-  Result<GetResult> get(const Key& key);
+  /// Fetches item (key, slot) and refreshes its LRU position.
+  Result<GetResult> get(std::string_view key, std::uint8_t slot = kNoSlot);
 
-  /// Removes a key; returns whether it existed.
-  bool erase(const Key& key);
+  /// Removes item (key, slot); returns whether it existed.
+  bool erase(std::string_view key, std::uint8_t slot = kNoSlot);
 
   /// Drops every item from both tiers without touching the op counters —
   /// total state loss of a crashed node (FaultSchedule crash-with-wipe).
@@ -128,9 +150,13 @@ class StorageEngine {
     ssd_ = Tier{};
   }
 
-  /// Snapshot of every in-memory key, in LRU order (most recent first).
-  /// Used by the scan verb for repair discovery; O(items).
-  [[nodiscard]] std::vector<Key> keys() const;
+  /// Snapshot of every in-memory item, in LRU order (most recent first);
+  /// O(items).
+  [[nodiscard]] std::vector<ItemId> keys() const;
+
+  /// The distinct base keys of every in-memory fragment, sorted. Used by
+  /// the scan verb for repair discovery; O(items log items).
+  [[nodiscard]] std::vector<Key> fragment_bases() const;
 
   [[nodiscard]] std::uint64_t bytes_used() const noexcept {
     return mem_.used();
@@ -143,7 +169,7 @@ class StorageEngine {
   static constexpr std::uint32_t kNil = UINT32_MAX;
 
   /// A key held inline when it fits in kInline bytes, else in one heap
-  /// buffer of exactly its length. 20 bytes, byte-aligned.
+  /// buffer of exactly its length. 19 bytes, byte-aligned.
   class StoredKey {
    public:
     StoredKey() noexcept = default;
@@ -155,7 +181,7 @@ class StorageEngine {
     [[nodiscard]] std::string_view view() const noexcept;
 
    private:
-    static constexpr std::size_t kInline = 19;
+    static constexpr std::size_t kInline = 18;
     static constexpr std::uint8_t kHeap = 0xFF;
 
     void release() noexcept;
@@ -167,33 +193,34 @@ class StorageEngine {
   };
 
   /// One stored item. A free entry has a null value and an empty key, and
-  /// `next` links it into its tier's free list. Its key's hash lives in the
+  /// `next` links it into its tier's free list. Its hash lives in the
   /// tier's probe table and its charge is recomputed (charge_of), so the
-  /// entry stores neither; the ChunkInfo fields narrow to 8 bits, since a
-  /// fragment's slot and k + m are below ec::kMaxSlots.
+  /// entry stores neither.
   struct Entry {
     SharedBytes value;
     std::uint32_t prev = kNil;  ///< LRU neighbour towards the most recent
     std::uint32_t next = kNil;  ///< LRU neighbour towards the least recent
-    // ChunkInfo, meaningful only when has_chunk.
-    std::uint64_t original_size = 0;
-    std::uint8_t chunk_index = 0;
-    std::uint8_t k = 0;
-    std::uint8_t m = 0;
-    bool has_chunk = false;
+    std::uint32_t original_size = 0;  ///< a fragment's ChunkInfo
+    std::uint8_t slot = kNoSlot;
     StoredKey key;
 
-    void set_chunk(const std::optional<ChunkInfo>& chunk) noexcept;
-    [[nodiscard]] std::optional<ChunkInfo> chunk() const noexcept;
+    [[nodiscard]] bool is_fragment() const noexcept {
+      return slot != kNoSlot;
+    }
+    [[nodiscard]] std::optional<ChunkInfo> chunk() const noexcept {
+      if (!is_fragment()) return std::nullopt;
+      return ChunkInfo{original_size};
+    }
   };
-  static_assert(sizeof(Entry) == 48, "an entry is 48 bytes");
+  static_assert(sizeof(Entry) == 40, "an entry is 40 bytes");
 
   /// One tier (memory or SSD): paged entries, the probe table over their
   /// hashes and ids, the LRU list through them, and the bytes charged.
   class Tier {
    public:
-    /// Id of the entry holding `key` (whose hash is `hash`), or kNil.
-    [[nodiscard]] std::uint32_t find(std::string_view key,
+    /// Id of the entry holding item (key, slot), whose hash is `hash`, or
+    /// kNil.
+    [[nodiscard]] std::uint32_t find(std::string_view key, std::uint8_t slot,
                                      std::uint32_t hash) const;
     [[nodiscard]] Entry& at(std::uint32_t id) noexcept {
       return (*pages_[id >> kPageShift])[id & (kPageEntries - 1)];
@@ -202,15 +229,15 @@ class StorageEngine {
       return (*pages_[id >> kPageShift])[id & (kPageEntries - 1)];
     }
 
-    /// Stores `entry` (whose key, hashing to `hash`, is absent) as the most
-    /// recent, charging its `charge` bytes; returns its id.
+    /// Stores `entry` (whose item, hashing to `hash`, is absent) as the
+    /// most recent, charging its `charge` bytes; returns its id.
     std::uint32_t push_front(Entry entry, std::uint32_t hash,
                              std::size_t charge);
-    /// Unindexes, unlinks and uncharges entry `id`, whose key hashes to
+    /// Unindexes, unlinks and uncharges entry `id`, whose item hashes to
     /// `hash`, handing it back.
     Entry take(std::uint32_t id, std::uint32_t hash);
-    bool erase(std::string_view key, std::uint32_t hash) {
-      const std::uint32_t id = find(key, hash);
+    bool erase(std::string_view key, std::uint8_t slot, std::uint32_t hash) {
+      const std::uint32_t id = find(key, slot, hash);
       if (id == kNil) return false;
       take(id, hash);
       return true;
@@ -234,15 +261,18 @@ class StorageEngine {
 
    private:
     // Small fixed pages: entries never move, and growth never copies a
-    // large block. The size is measured: with one doubling vector, or
-    // 1024- or 64-entry pages, glibc returned more freed heap to the OS
-    // between hpres_bench rounds and ycsb-a-64k-bytes paid to re-fault
-    // it at setup; 32-entry pages (2.3 KB then, 1.5 KB now) did not.
-    static constexpr std::uint32_t kPageShift = 5;
+    // large block. The size is measured, because some page sizes make
+    // glibc return more freed heap to the OS between hpres_bench rounds,
+    // which ycsb-a-64k-bytes then pays to re-fault at setup: a doubling
+    // vector and 1024-entry pages did, and so did 64-entry pages of
+    // 72-byte entries (4.6 KB) and 32-entry pages of 40-byte ones
+    // (1.25 KB: +18% minor faults per round). 32-entry pages of 72- and
+    // 48-byte entries (2.3 and 1.5 KB) did not, nor do these (2.5 KB).
+    static constexpr std::uint32_t kPageShift = 6;
     static constexpr std::uint32_t kPageEntries = 1u << kPageShift;
     using Page = std::array<Entry, kPageEntries>;
 
-    /// A probe-table slot: an entry's key hash beside its id.
+    /// A probe-table slot: an entry's item hash beside its id.
     struct Slot {
       std::uint32_t hash = 0;
       std::uint32_t id = kNil;  ///< kNil = empty
@@ -261,20 +291,23 @@ class StorageEngine {
     std::uint64_t used_ = 0;
   };
 
-  /// Erasure-coded fragments carry a stored ChunkInfo; charge its bytes so
-  /// the memory-efficiency accounting sees per-fragment metadata too.
+  /// A fragment is charged as if keyed by its composed chunk_key, plus its
+  /// stored ChunkInfo, so the memory-efficiency accounting sees
+  /// per-fragment metadata too.
   [[nodiscard]] static std::size_t charge_for(std::size_t key_size,
                                               const SharedBytes& value,
-                                              bool has_chunk) noexcept {
+                                              bool fragment) noexcept {
     return key_size + (value ? value->size() : 0) + kItemOverhead +
-           (has_chunk ? sizeof(ChunkInfo) : 0);
+           (fragment ? kSlotKeyBytes + kChunkInfoBytes : 0);
   }
   [[nodiscard]] static std::size_t charge_of(const Entry& entry) noexcept {
-    return charge_for(entry.key.view().size(), entry.value, entry.has_chunk);
+    return charge_for(entry.key.view().size(), entry.value,
+                      entry.is_fragment());
   }
 
-  bool erase_hashed(const Key& key, std::uint32_t hash) {
-    return mem_.erase(key, hash) || ssd_.erase(key, hash);
+  bool erase_hashed(std::string_view key, std::uint8_t slot,
+                    std::uint32_t hash) {
+    return mem_.erase(key, slot, hash) || ssd_.erase(key, slot, hash);
   }
   void evict_one();
   void evict_one_from_ssd();

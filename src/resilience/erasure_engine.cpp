@@ -71,10 +71,8 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key,
   for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
     const std::size_t owner = place.owner(slot);
     if (!membership().up(owner)) continue;
-    kv::Request frag;
-    frag.verb = kv::Verb::kDelete;
-    frag.key = kv::chunk_key(key, slot);
-    pending.push_back(client().call_async(node_of(owner), std::move(frag)));
+    pending.push_back(client().call_async(
+        node_of(owner), kv::fragment_request(kv::Verb::kDelete, key, slot)));
     if (!staged_sent) {
       // Clear any staged full copy left by a server-side encode. The
       // stager is the first owner that was live at Set time, so routing
@@ -128,8 +126,8 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
   for (std::size_t slot = 0; slot < n; ++slot) {
     owners[slot] = place.owner(slot);
     if (!membership().up(owners[slot])) continue;
-    kv::Request req = kv::fragment_put(key, slot, fragments[slot], value_size,
-                                       k, codec_->m());
+    kv::Request req =
+        kv::fragment_put(key, slot, fragments[slot], value_size);
     req.trace = op->trace;
     pending[slot] = client().call(node_of(owners[slot]), std::move(req));
   }
@@ -410,9 +408,7 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
 
 void ErasureEngine::issue_fetch(FragmentFetch* f, std::size_t slot,
                                 bool hedge, const obs::TraceContext& trace) {
-  kv::Request req;
-  req.verb = kv::Verb::kGet;
-  req.key = kv::chunk_key(f->base, slot);
+  kv::Request req = kv::fragment_request(kv::Verb::kGet, f->base, slot);
   req.trace = trace;
   f->inflight[slot] =
       client().call(node_of(f->place.owner(slot)), std::move(req));
@@ -677,8 +673,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
     if (!self->membership().up(owner)) continue;
     frag_pending.push_back(self->client().call(
         self->node_of(owner),
-        kv::fragment_put(st->skey, slot, fragments[slot], stripe_bytes, k,
-                         m)));
+        kv::fragment_put(st->skey, slot, fragments[slot], stripe_bytes)));
     frag_owners.push_back(owner);
   }
 
@@ -694,9 +689,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
       kv::Request req;
       req.verb = kv::Verb::kSetStripeIndex;
       req.key = st->skey;
-      req.chunk = kv::ChunkInfo{stripe_bytes, 0,
-                                static_cast<std::uint16_t>(k),
-                                static_cast<std::uint16_t>(m)};
+      req.chunk = kv::ChunkInfo{stripe_bytes};
       req.stripe_index = live;
       dir_pending.push_back(
           self->client().call(self->node_of(owner), std::move(req)));

@@ -101,7 +101,7 @@ class ErasureEngine final : public Engine {
     FragmentFetch(kv::Key base_key, kv::Placement owners, std::size_t n)
         : base(std::move(base_key)), place(owners),
           available(ec::first_slots(n)) {}
-    kv::Key base;                     ///< slot i lives at chunk_key(base, i)
+    kv::Key base;                     ///< every slot's base key
     kv::Placement place;              ///< base's owners
     ec::SlotMask available;           ///< slots not (yet) known-failed
     ec::SlotMask have = 0;            ///< slots whose frags[slot] arrived

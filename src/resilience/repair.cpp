@@ -60,9 +60,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
       const std::size_t owner = place.owner(slot);
       if (!ctx_.membership->up(owner)) continue;
       owner_alive |= ec::slot_bit(slot);
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(key, slot);
+      kv::Request req = kv::fragment_request(kv::Verb::kGet, key, slot);
       req.head_only = true;
       req.trace = rtrace;
       pending[slot] = ctx_.client->call_async((*ctx_.server_nodes)[owner],
@@ -104,9 +102,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     std::vector<sim::Future<kv::Response>> pending;
     pending.reserve(fetch.size());
     for (const std::size_t slot : fetch) {
-      kv::Request req;
-      req.verb = kv::Verb::kGet;
-      req.key = kv::chunk_key(key, slot);
+      kv::Request req = kv::fragment_request(kv::Verb::kGet, key, slot);
       req.trace = rtrace;
       const std::size_t owner = place.owner(slot);
       pending.push_back(ctx_.client->call_async((*ctx_.server_nodes)[owner],
@@ -145,8 +141,8 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   writes.reserve(rebuilt_count);
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (!ec::has_slot(rebuild, slot)) continue;
-    kv::Request req = kv::fragment_put(key, slot, (*rebuilt)[slot],
-                                       value_size, k, codec_->m());
+    kv::Request req =
+        kv::fragment_put(key, slot, (*rebuilt)[slot], value_size);
     req.trace = rtrace;
     const std::size_t owner = place.owner(slot);
     writes.push_back(
@@ -190,12 +186,10 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
   deletes.reserve(n);
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (!ec::has_slot(present, slot)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kDelete;
-    req.key = kv::chunk_key(key, slot);
     const std::size_t owner = place.owner(slot);
-    deletes.push_back(
-        ctx_.client->call_async((*ctx_.server_nodes)[owner], std::move(req)));
+    deletes.push_back(ctx_.client->call_async(
+        (*ctx_.server_nodes)[owner],
+        kv::fragment_request(kv::Verb::kDelete, key, slot)));
   }
   for (const auto& f : deletes) {
     const kv::Response resp = co_await f.wait();

@@ -128,7 +128,7 @@ TEST(Stripe, FootprintPackedBeatsStripedForSmallValues) {
   p.stripe_capacity = 16 * 1024;
   p.stripe_key_size = 8;
   p.item_overhead = 56;        // kv::Store kItemOverhead
-  p.chunk_info_bytes = 16;     // sizeof(kv::ChunkInfo)
+  p.chunk_info_bytes = 16;     // kv::kChunkInfoBytes
   p.locator_entry_overhead = 12;
   p.locator_copies = 3;        // m + 1
   const StorageFootprint f = predict_footprint(p);

@@ -430,13 +430,12 @@ TEST(PlacementEpoch, FailoverAfterJoinFetchesFromTheNewOwner) {
   const std::size_t new_owner = grown.slot_index(key, 2);
   ASSERT_TRUE(cl.server(cl.ring().slot_index(key, 0))
                   .store()
-                  .erase(kv::chunk_key(key, 0)));
-  const auto fragment =
-      cl.server(old_owner).store().get(kv::chunk_key(key, 2));
+                  .erase(key, 0));
+  const auto fragment = cl.server(old_owner).store().get(key, 2);
   ASSERT_TRUE(fragment.ok());
   ASSERT_TRUE(cl.server(new_owner)
                   .store()
-                  .set(kv::chunk_key(key, 2), fragment->value, fragment->chunk)
+                  .set(key, 2, fragment->value, fragment->chunk)
                   .ok());
   const std::uint64_t old_gets = cl.server(old_owner).store().stats().get_ops;
   const std::uint64_t new_gets = cl.server(new_owner).store().stats().get_ops;

@@ -1,4 +1,4 @@
-// Wire-protocol helpers: payload sizing, chunk-key round trips, verb names.
+// Wire-protocol helpers: payload sizing, fragment identity, verb names.
 #include "kv/protocol.h"
 
 #include <gtest/gtest.h>
@@ -6,32 +6,29 @@
 namespace hpres::kv {
 namespace {
 
-TEST(Protocol, ChunkKeyRoundTrips) {
-  for (std::size_t slot = 0; slot < 14; ++slot) {
-    const Key ck = chunk_key("some/base:key", slot);
-    const auto parsed = parse_chunk_key(ck);
-    ASSERT_TRUE(parsed.has_value()) << "slot " << slot;
-    EXPECT_EQ(parsed->base, "some/base:key");
-    EXPECT_EQ(parsed->slot, slot);
-  }
-}
-
 TEST(Protocol, ChunkKeysAreDistinctPerSlot) {
   EXPECT_NE(chunk_key("k", 0), chunk_key("k", 1));
   EXPECT_NE(chunk_key("k", 0), chunk_key("q", 0));
 }
 
-TEST(Protocol, PlainKeysDoNotParseAsChunks) {
-  EXPECT_FALSE(parse_chunk_key("ordinary-key").has_value());
-  EXPECT_FALSE(parse_chunk_key("").has_value());
-  EXPECT_FALSE(parse_chunk_key("x").has_value());
-}
-
 TEST(Protocol, ChunkKeysNeverCollideWithPrintableUserKeys) {
   // The separator is \x01, unreachable from printable benchmark keys.
   const Key user = "user000000000001";
-  EXPECT_FALSE(parse_chunk_key(user).has_value());
   EXPECT_NE(chunk_key(user, 0), user);
+  EXPECT_EQ(chunk_key(user, 0).size(), user.size() + kSlotKeyBytes);
+}
+
+TEST(Protocol, FragmentRequestsCarryBaseKeyAndSlot) {
+  const Request get = fragment_request(Verb::kGet, "obj", 4);
+  EXPECT_EQ(get.verb, Verb::kGet);
+  EXPECT_EQ(get.key, "obj");
+  EXPECT_EQ(get.slot, 4u);
+  const Request put = fragment_put("obj", 2, zero_bytes(10), 30);
+  EXPECT_EQ(put.verb, Verb::kSet);
+  EXPECT_EQ(put.key, "obj");
+  EXPECT_EQ(put.slot, 2u);
+  EXPECT_EQ(put.chunk, std::optional<ChunkInfo>(ChunkInfo{30}));
+  EXPECT_EQ(Request{}.slot, kNoSlot);  // a whole value by default
 }
 
 TEST(Protocol, RequestPayloadCountsKeyAndValue) {
@@ -40,6 +37,20 @@ TEST(Protocol, RequestPayloadCountsKeyAndValue) {
   EXPECT_EQ(payload_bytes(r), 10u + 16u);
   r.value = make_shared_bytes(Bytes(100));
   EXPECT_EQ(payload_bytes(r), 10u + 100u + 16u);
+}
+
+TEST(Protocol, SlottedRequestPaysComposedKeyBytes) {
+  // A fragment request is priced as if keyed by chunk_key(base, slot).
+  for (const Verb verb : {Verb::kGet, Verb::kSet, Verb::kDelete}) {
+    Request slotted = fragment_request(verb, "user000000000042", 3);
+    Request composed;
+    composed.verb = verb;
+    composed.key = chunk_key("user000000000042", 3);
+    EXPECT_EQ(payload_bytes(slotted), payload_bytes(composed));
+    EXPECT_EQ(key_bytes(slotted), composed.key.size());
+    slotted.value = composed.value = zero_bytes(700);
+    EXPECT_EQ(payload_bytes(slotted), payload_bytes(composed));
+  }
 }
 
 TEST(Protocol, ResponsePayloadCountsValueAndKeys) {
@@ -61,10 +72,10 @@ TEST(Protocol, VerbNamesAreStable) {
 }
 
 TEST(Protocol, ChunkInfoEquality) {
-  const ChunkInfo a{100, 2, 3, 2};
+  const ChunkInfo a{100};
   ChunkInfo b = a;
   EXPECT_EQ(a, b);
-  b.chunk_index = 3;
+  b.original_size = 101;
   EXPECT_NE(a, b);
 }
 

@@ -106,6 +106,25 @@ TEST(ServerClient, CallToFailedServerFailsFast) {
   });
 }
 
+TEST(ServerClient, ScanReturnsEachFragmentBaseKeyOnce) {
+  Cluster c(ClusterConfig{.num_servers = 1, .num_clients = 1});
+  run_on(c, [](Cluster* cl) -> sim::Task<void> {
+    auto& client = cl->client(0);
+    for (const std::size_t slot : {0u, 3u}) {
+      const Response put = co_await client.invoke(
+          0, fragment_put("obj", slot, zero_bytes(64), 192));
+      EXPECT_EQ(put.code, StatusCode::kOk);
+    }
+    // A whole value (a server-side encode's staged copy) is not a fragment.
+    (void)co_await client.invoke(0, make_set("staged", 64));
+    Request scan;
+    scan.verb = Verb::kScan;
+    const Response r = co_await client.invoke(0, std::move(scan));
+    EXPECT_EQ(r.code, StatusCode::kOk);
+    EXPECT_EQ(r.keys, (std::vector<Key>{"obj"}));
+  });
+}
+
 // Sets still waiting on a server's workers when it crashes die with the
 // process. Even when the server restarts with its store intact before
 // those handlers reach the front of the queue, none of them may write a
@@ -118,8 +137,9 @@ TEST(ServerClient, SetsQueuedAtCrashNeverLand) {
     server.set_slowdown(1'000.0);  // each Set holds a worker for ~3.5 ms
     std::vector<sim::Future<Response>> acks;
     for (std::size_t i = 0; i < kSets; ++i) {
-      acks.push_back(
-          cl->client(0).call(0, make_set(chunk_key("queued", i), 4096)));
+      acks.push_back(cl->client(0).call(
+          0, fragment_put("queued", i, make_shared_bytes(make_pattern(4096, 1)),
+                          3 * 4096)));
     }
     co_await cl->sim().delay(20'000);  // every Set is on the workers now
     server.fail();
@@ -128,7 +148,8 @@ TEST(ServerClient, SetsQueuedAtCrashNeverLand) {
     server.set_slowdown(1.0);
     co_await cl->sim().delay(50'000'000);  // long past every worker slot
     for (std::size_t i = 0; i < kSets; ++i) {
-      EXPECT_FALSE(server.store().get(chunk_key("queued", i)).ok())
+      EXPECT_FALSE(
+          server.store().get("queued", static_cast<std::uint8_t>(i)).ok())
           << "fragment " << i << " landed in a crashed server";
       EXPECT_FALSE(acks[i].ready()) << "a crashed server acked Set " << i;
     }
@@ -283,13 +304,12 @@ TEST_F(ServerEcTest, FragmentsCarryChunkMetadata) {
     (void)co_await cl->client(0).invoke(primary, std::move(set));
     co_await cl->sim().delay(units::kMillisecond);
     const std::size_t owner2 = cl->ring().slot_index("obj", 2);
-    auto got = cl->server(owner2).store().get(chunk_key("obj", 2));
+    auto got = cl->server(owner2).store().get("obj", 2);
     EXPECT_TRUE(got.ok());
     if (got.ok() && got->chunk.has_value()) {
       EXPECT_EQ(got->chunk->original_size, 12'345u);
-      EXPECT_EQ(got->chunk->chunk_index, 2u);
-      EXPECT_EQ(got->chunk->k, 3u);
-      EXPECT_EQ(got->chunk->m, 2u);
+      // Stored as (base key, slot), not under a composed key.
+      EXPECT_FALSE(cl->server(owner2).store().get(chunk_key("obj", 2)).ok());
     } else {
       ADD_FAILURE() << "fragment or metadata missing";
     }

@@ -1,6 +1,6 @@
-// Storage engine: LRU eviction, capacity accounting, chunk metadata, and a
-// differential check of the compact index against a std::map + std::list
-// reference model.
+// Storage engine: LRU eviction, capacity accounting, fragment identity and
+// metadata, and a differential check of the compact index against a
+// std::map + std::list reference model.
 #include "kv/store.h"
 
 #include <gtest/gtest.h>
@@ -105,7 +105,7 @@ TEST(Store, OverwriteUnderPressureEvictsOthersInLruOrder) {
   ASSERT_TRUE(store.set("b", bigger).ok());
   // Room came from "a" then "c", never from "b" itself, which is now the
   // most recent key.
-  EXPECT_EQ(store.keys(), (std::vector<Key>{"b", "d"}));
+  EXPECT_EQ(store.keys(), (std::vector<ItemId>{{"b"}, {"d"}}));
   EXPECT_EQ(store.stats().evictions, 2u);
   EXPECT_EQ(store.stats().evicted_bytes, 2000u);
   EXPECT_EQ(store.bytes_used(),
@@ -126,7 +126,7 @@ TEST(Store, OverwriteOfDemotedKeyDropsSsdCopy) {
   const auto fresh = value_of(1000, 9);
   ASSERT_TRUE(store.set("a", fresh).ok());
   // The SSD copy of "a" is gone, and making room demoted "b".
-  EXPECT_EQ(store.keys(), (std::vector<Key>{"a", "c"}));
+  EXPECT_EQ(store.keys(), (std::vector<ItemId>{{"a"}, {"c"}}));
   EXPECT_EQ(store.stats().demotions, 2u);
   EXPECT_EQ(store.stats().evictions, 2u);
   EXPECT_EQ(store.bytes_used(), 2 * kItem);
@@ -154,38 +154,112 @@ TEST(Store, EvictionCascadeMakesRoomForLargeItem) {
 
 TEST(Store, ChunkMetadataRoundTrips) {
   StorageEngine store(1 << 20);
-  const ChunkInfo info{123456, 2, 3, 2};
-  ASSERT_TRUE(store.set("c", value_of(64), info).ok());
-  const auto got = store.get("c");
+  const ChunkInfo info{123456};
+  ASSERT_TRUE(store.set("c", 2, value_of(64), info).ok());
+  const auto got = store.get("c", 2);
   ASSERT_TRUE(got.ok());
   ASSERT_TRUE(got->chunk.has_value());
   EXPECT_EQ(*got->chunk, info);
+  // Another slot of the same base key, and its whole value, are other
+  // items.
+  EXPECT_FALSE(store.get("c", 1).ok());
+  EXPECT_FALSE(store.get("c").ok());
 }
 
 TEST(Store, ChunkMetadataRoundTripsAtFieldLimits) {
-  // The widest fields a fragment carries: a value past 4 GiB, the last of
-  // 16 slots, and k + m = ec::kMaxSlots.
-  const ChunkInfo info{5ull << 30, 15, 12, 4};
-  constexpr std::size_t kItem =
-      64 + 1 + StorageEngine::kItemOverhead + sizeof(ChunkInfo);
+  // The widest fields a fragment carries: a value of 4 GiB - 1 bytes and
+  // the last of ec::kMaxSlots slots.
+  const ChunkInfo info{UINT32_MAX};
+  constexpr std::uint8_t kLast = 15;
+  constexpr std::size_t kItem = 64 + 1 + StorageEngine::kItemOverhead +
+                                kSlotKeyBytes + kChunkInfoBytes;
   StorageEngine store(kItem);
   store.enable_ssd(SsdConfig{kItem});
   const auto check = [&](bool from_ssd) {
-    const auto got = store.get("c");
+    const auto got = store.get("c", kLast);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->chunk, std::optional<ChunkInfo>(info));
     EXPECT_EQ(got->from_ssd, from_ssd);
   };
-  ASSERT_TRUE(store.set("c", value_of(64), info).ok());
+  ASSERT_TRUE(store.set("c", kLast, value_of(64), info).ok());
   check(false);
-  ASSERT_TRUE(store.set("c", value_of(64, 2), info).ok());  // in place
+  ASSERT_TRUE(store.set("c", kLast, value_of(64, 2), info).ok());  // in place
   check(false);
-  ASSERT_TRUE(store.set("d", value_of(64), ChunkInfo{}).ok());
+  ASSERT_TRUE(store.set("d", 0, value_of(64), ChunkInfo{}).ok());
   ASSERT_EQ(store.stats().demotions, 1u);  // "c" lives only on the SSD
   check(true);                             // promoted back
   EXPECT_EQ(store.stats().promotions, 1u);
-  EXPECT_EQ(store.keys(), (std::vector<Key>{"c"}));
+  EXPECT_EQ(store.keys(), (std::vector<ItemId>{{"c", kLast}}));
   check(false);
+}
+
+TEST(Store, RejectsOriginalSizeAbove32Bits) {
+  StorageEngine store(1 << 20);
+  ASSERT_TRUE(store.set("c", 1, value_of(64), ChunkInfo{1}).ok());
+  // A refused write leaves the resident fragment as it was.
+  EXPECT_EQ(store.set("c", 1, value_of(64), ChunkInfo{1ull << 32}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.get("c", 1)->chunk, std::optional<ChunkInfo>(ChunkInfo{1}));
+  EXPECT_EQ(store.set("d", 1, value_of(64), ChunkInfo{5ull << 30}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.items(), 1u);
+}
+
+TEST(Store, FragmentsCarryChunkInfoAndWholeValuesNone) {
+  StorageEngine store(1 << 20);
+  EXPECT_EQ(store.set("c", 1, value_of(64), std::nullopt).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.set("c", kNoSlot, value_of(64), ChunkInfo{64}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.set("c", 16, value_of(64), ChunkInfo{64}).code(),
+            StatusCode::kInvalidArgument);  // past ec::kMaxSlots
+  EXPECT_EQ(store.items(), 0u);
+  ASSERT_TRUE(store.set("c", value_of(64)).ok());
+  EXPECT_EQ(store.get("c")->chunk, std::nullopt);
+}
+
+TEST(Store, SlottedAndPlainKeysAreDistinct) {
+  // A whole value stored under the composed key of fragment ("b", 2) is a
+  // different item from that fragment.
+  StorageEngine store(1 << 20);
+  const auto plain = value_of(40, 1);
+  const auto fragment = value_of(40, 2);
+  ASSERT_TRUE(store.set(chunk_key("b", 2), plain).ok());
+  ASSERT_TRUE(store.set("b", 2, fragment, ChunkInfo{120}).ok());
+  EXPECT_EQ(store.items(), 2u);
+  EXPECT_EQ(store.get(chunk_key("b", 2))->value, plain);
+  EXPECT_EQ(store.get("b", 2)->value, fragment);
+
+  EXPECT_TRUE(store.erase(chunk_key("b", 2)));
+  EXPECT_FALSE(store.get(chunk_key("b", 2)).ok());
+  EXPECT_EQ(store.get("b", 2)->value, fragment);
+  ASSERT_TRUE(store.set(chunk_key("b", 2), plain).ok());
+  EXPECT_TRUE(store.erase("b", 2));
+  EXPECT_FALSE(store.get("b", 2).ok());
+  EXPECT_EQ(store.get(chunk_key("b", 2))->value, plain);
+}
+
+TEST(Store, SlottedChargeCountsComposedKey) {
+  // A fragment is charged as the Memcached item chunk_key(base, slot)
+  // would be, plus its stored ChunkInfo.
+  const Key base = "user000000000042";  // a 16-byte YCSB key
+  StorageEngine store(1 << 20);
+  ASSERT_TRUE(store.set(base, 3, value_of(100), ChunkInfo{300}).ok());
+  EXPECT_EQ(store.bytes_used(), 18u + 100 + 56 + 16);
+
+  StorageEngine plain(1 << 20);
+  ASSERT_TRUE(plain.set(chunk_key(base, 3), value_of(100)).ok());
+  EXPECT_EQ(store.bytes_used(), plain.bytes_used() + kChunkInfoBytes);
+}
+
+TEST(Store, FragmentBasesListsEachBaseKeyOnce) {
+  StorageEngine store(1 << 20);
+  for (const std::uint8_t slot : {std::uint8_t{3}, std::uint8_t{0}}) {
+    ASSERT_TRUE(store.set("obj", slot, value_of(8), ChunkInfo{24}).ok());
+  }
+  ASSERT_TRUE(store.set("alpha", 4, value_of(8), ChunkInfo{24}).ok());
+  ASSERT_TRUE(store.set("staged", value_of(24)).ok());  // not a fragment
+  EXPECT_EQ(store.fragment_bases(), (std::vector<Key>{"alpha", "obj"}));
 }
 
 TEST(Store, StatsTrackHitsAndOps) {
@@ -216,7 +290,7 @@ std::size_t size_of(const SharedBytes& value) {
 }
 
 /// The store's contract in its plainest form: per tier, a std::map of items
-/// and a std::list of keys in LRU order (front = most recent).
+/// and a std::list of their ids in LRU order (front = most recent).
 struct ModelStore {
   struct Item {
     SharedBytes value;
@@ -224,29 +298,29 @@ struct ModelStore {
     std::size_t charge = 0;
   };
   struct Tier {
-    std::map<Key, Item> items;
-    std::list<Key> lru;
-    std::map<Key, std::list<Key>::iterator> lru_pos;  ///< each key in lru
+    std::map<ItemId, Item> items;
+    std::list<ItemId> lru;
+    std::map<ItemId, std::list<ItemId>::iterator> lru_pos;  ///< each id in lru
     std::uint64_t used = 0;
 
-    void push_front(const Key& key, Item item) {
+    void push_front(const ItemId& id, Item item) {
       used += item.charge;
-      lru.push_front(key);
-      lru_pos.emplace(key, lru.begin());
-      items.emplace(key, std::move(item));
+      lru.push_front(id);
+      lru_pos.emplace(id, lru.begin());
+      items.emplace(id, std::move(item));
     }
-    Item take(const Key& key) {
-      const auto it = items.find(key);
+    Item take(const ItemId& id) {
+      const auto it = items.find(id);
       Item item = std::move(it->second);
       items.erase(it);
-      lru.erase(lru_pos.at(key));
-      lru_pos.erase(key);
+      lru.erase(lru_pos.at(id));
+      lru_pos.erase(id);
       used -= item.charge;
       return item;
     }
-    bool erase(const Key& key) {
-      if (!items.contains(key)) return false;
-      take(key);
+    bool erase(const ItemId& id) {
+      if (!items.contains(id)) return false;
+      take(id);
       return true;
     }
   };
@@ -259,66 +333,74 @@ struct ModelStore {
 
   void evict_one() {
     ++stats.evictions;
-    const Key key = mem.lru.back();
-    Item item = mem.take(key);
+    const ItemId id = mem.lru.back();
+    Item item = mem.take(id);
     if (ssd_capacity == 0 || item.charge > ssd_capacity) {
       stats.evicted_bytes += size_of(item.value);
       return;
     }
     while (ssd.used + item.charge > ssd_capacity) {
       ++stats.evictions;
-      const Key victim = ssd.lru.back();
+      const ItemId victim = ssd.lru.back();
       stats.evicted_bytes += size_of(ssd.take(victim).value);
     }
     ++stats.demotions;
     stats.demoted_bytes += size_of(item.value);
-    ssd.push_front(key, std::move(item));
+    ssd.push_front(id, std::move(item));
   }
 
-  StatusCode set(const Key& key, SharedBytes value,
+  StatusCode set(const ItemId& id, SharedBytes value,
                  std::optional<ChunkInfo> chunk) {
     ++stats.set_ops;
-    const std::size_t charge = key.size() + size_of(value) +
-                               StorageEngine::kItemOverhead +
-                               (chunk ? sizeof(ChunkInfo) : 0);
+    // A fragment carries a ChunkInfo whose size fits 32 bits; a whole
+    // value carries none.
+    const bool fragment = id.slot != kNoSlot;
+    if (fragment != chunk.has_value() ||
+        (chunk && chunk->original_size > UINT32_MAX)) {
+      return StatusCode::kInvalidArgument;
+    }
+    // A fragment is charged as its composed chunk_key plus a ChunkInfo.
+    const std::size_t charge =
+        id.key.size() + size_of(value) + StorageEngine::kItemOverhead +
+        (fragment ? kSlotKeyBytes + kChunkInfoBytes : 0);
     if (charge > capacity) {
       ++stats.rejected_sets;
-      erase(key);
+      erase(id);
       return StatusCode::kOutOfMemory;
     }
     // An overwritten item leaves the LRU before room is made, so it is
     // never its own victim.
-    erase(key);
+    erase(id);
     while (mem.used + charge > capacity) evict_one();
-    mem.push_front(key, Item{std::move(value), chunk, charge});
+    mem.push_front(id, Item{std::move(value), chunk, charge});
     return StatusCode::kOk;
   }
 
-  Result<StorageEngine::GetResult> get(const Key& key) {
+  Result<StorageEngine::GetResult> get(const ItemId& id) {
     ++stats.get_ops;
-    if (const auto it = mem.items.find(key); it != mem.items.end()) {
+    if (const auto it = mem.items.find(id); it != mem.items.end()) {
       ++stats.hits;
-      mem.lru.splice(mem.lru.begin(), mem.lru, mem.lru_pos.at(key));
+      mem.lru.splice(mem.lru.begin(), mem.lru, mem.lru_pos.at(id));
       return StorageEngine::GetResult{it->second.value, it->second.chunk,
                                       false};
     }
-    if (!ssd.items.contains(key)) {
+    if (!ssd.items.contains(id)) {
       ++stats.misses;
       return Status{StatusCode::kNotFound};
     }
     ++stats.hits;
     ++stats.ssd_hits;
     ++stats.promotions;
-    Item item = ssd.take(key);
+    Item item = ssd.take(id);
     StorageEngine::GetResult out{item.value, item.chunk, true};
     while (mem.used + item.charge > capacity && !mem.lru.empty()) {
       evict_one();
     }
-    mem.push_front(key, std::move(item));
+    mem.push_front(id, std::move(item));
     return out;
   }
 
-  bool erase(const Key& key) { return mem.erase(key) || ssd.erase(key); }
+  bool erase(const ItemId& id) { return mem.erase(id) || ssd.erase(id); }
 
   void clear() {
     mem = Tier{};
@@ -332,29 +414,42 @@ std::array<std::uint64_t, 11> fields(const StoreStats& s) {
           s.demoted_bytes, s.promotions, s.ssd_hits};
 }
 
-/// Keys of every stored shape: 1 byte, exactly the 19 inline bytes, one
-/// past them, 22, 23 and 200 bytes, and fragment keys.
-std::vector<Key> differential_keys() {
-  std::vector<Key> keys;
-  for (char c = 'a'; c <= 'z'; ++c) keys.emplace_back(1, c);
-  for (const std::size_t len : {19u, 20u, 22u, 23u, 200u}) {
-    for (int i = 0; i < 40; ++i) {
-      Key key = std::to_string(len) + "/" + std::to_string(i) + "/";
-      key.resize(len, 'x');
-      keys.push_back(key);
-    }
+/// Items of every stored shape: whole values under keys of 1 byte, exactly
+/// the 18 inline bytes, one past them, 22, 23 and 200 bytes; fragments of
+/// 16-byte (YCSB), 18-, 19- and 200-byte base keys; and whole values under
+/// the composed chunk_key of some of those fragments.
+std::vector<ItemId> differential_items() {
+  std::vector<ItemId> items;
+  for (char c = 'a'; c <= 'z'; ++c) items.push_back(ItemId{Key(1, c)});
+  const auto sized_key = [](std::size_t len, int i) {
+    Key key = std::to_string(len) + "/" + std::to_string(i) + "/";
+    key.resize(len, 'x');
+    return key;
+  };
+  for (const std::size_t len : {18u, 19u, 22u, 23u, 200u}) {
+    for (int i = 0; i < 40; ++i) items.push_back(ItemId{sized_key(len, i)});
   }
+  std::vector<Key> bases;
   for (int i = 0; i < 30; ++i) {
-    for (std::size_t slot = 0; slot < 5; ++slot) {
-      keys.push_back(chunk_key("user" + std::to_string(1000 + i), slot));
+    bases.push_back("user" + std::to_string(100000000000 + i));
+  }
+  for (const std::size_t len : {18u, 19u, 200u}) {
+    for (int i = 0; i < 4; ++i) bases.push_back(sized_key(len, 100 + i));
+  }
+  for (const Key& base : bases) {
+    for (std::uint8_t slot = 0; slot < 5; ++slot) {
+      items.push_back(ItemId{base, slot});
     }
   }
-  return keys;
+  for (int i = 0; i < 10; ++i) {
+    items.push_back(ItemId{chunk_key(bases[static_cast<std::size_t>(i)], 1)});
+  }
+  return items;
 }
 
 void run_differential(std::uint64_t seed, std::uint64_t ssd_capacity) {
   constexpr std::uint64_t kCapacity = 16 * 1024;
-  const std::vector<Key> keys = differential_keys();
+  const std::vector<ItemId> items = differential_items();
   StorageEngine store(kCapacity);
   ModelStore model;
   model.capacity = kCapacity;
@@ -369,35 +464,43 @@ void run_differential(std::uint64_t seed, std::uint64_t ssd_capacity) {
     return make_shared_bytes(make_pattern(rng.next_below(max_size + 1),
                                           rng()));
   };
-  const auto random_chunk = [&]() -> std::optional<ChunkInfo> {
-    if (rng.next_below(2) == 0) return std::nullopt;
-    return ChunkInfo{rng.next_below(1 << 20),
-                     static_cast<std::uint32_t>(rng.next_below(6)), 4, 2};
+  // The item's own shape, but now and then a malformed set: a fragment
+  // without ChunkInfo or with a size past 32 bits, or a whole value with
+  // one.
+  const auto random_chunk = [&](const ItemId& id) -> std::optional<ChunkInfo> {
+    const std::uint64_t dice = rng.next_below(100);
+    if ((id.slot != kNoSlot) == (dice == 0)) return std::nullopt;
+    if (dice == 1) return ChunkInfo{(1ull << 32) + rng.next_below(1 << 20)};
+    return ChunkInfo{rng.next_below(1 << 20)};
+  };
+  const auto valid_chunk = [&](const ItemId& id) -> std::optional<ChunkInfo> {
+    if (id.slot == kNoSlot) return std::nullopt;
+    return ChunkInfo{rng.next_below(1 << 20)};
   };
 
   for (int step = 0; step < 20'000; ++step) {
     SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
                  std::to_string(step));
-    const Key& key = keys[rng.next_below(keys.size())];
+    const ItemId& id = items[rng.next_below(items.size())];
     const std::uint64_t dice = rng.next_below(1000);
     if (dice < 380) {  // set, mostly small so the tiers hold many entries
       const SharedBytes value =
           random_value(rng.next_below(10) == 0 ? 2000 : 80);
-      const auto chunk = random_chunk();
-      ASSERT_EQ(store.set(key, value, chunk).code(),
-                model.set(key, value, chunk));
-    } else if (dice < 480) {  // overwrite of a resident key
+      const auto chunk = random_chunk(id);
+      ASSERT_EQ(store.set(id.key, id.slot, value, chunk).code(),
+                model.set(id, value, chunk));
+    } else if (dice < 480) {  // overwrite of a resident item
       if (model.mem.lru.empty()) continue;
       auto it = model.mem.lru.begin();
       std::advance(it, rng.next_below(model.mem.lru.size()));
-      const Key resident = *it;
+      const ItemId resident = *it;
       const SharedBytes value = random_value(120);
-      const auto chunk = random_chunk();
-      ASSERT_EQ(store.set(resident, value, chunk).code(),
+      const auto chunk = random_chunk(resident);
+      ASSERT_EQ(store.set(resident.key, resident.slot, value, chunk).code(),
                 model.set(resident, value, chunk));
     } else if (dice < 860) {
-      const auto got = store.get(key);
-      const auto want = model.get(key);
+      const auto got = store.get(id.key, id.slot);
+      const auto want = model.get(id);
       ASSERT_EQ(got.status().code(), want.status().code());
       if (want.ok()) {
         EXPECT_EQ(got->value, want->value);
@@ -405,12 +508,13 @@ void run_differential(std::uint64_t seed, std::uint64_t ssd_capacity) {
         EXPECT_EQ(got->from_ssd, want->from_ssd);
       }
     } else if (dice < 970) {
-      ASSERT_EQ(store.erase(key), model.erase(key));
+      ASSERT_EQ(store.erase(id.key, id.slot), model.erase(id));
     } else if (dice < 998) {  // oversize: rejected, drops any old value
       const SharedBytes value = make_shared_bytes(
           make_pattern(kCapacity + rng.next_below(500), rng()));
-      ASSERT_EQ(store.set(key, value, std::nullopt).code(),
-                model.set(key, value, std::nullopt));
+      const auto chunk = valid_chunk(id);
+      ASSERT_EQ(store.set(id.key, id.slot, value, chunk).code(),
+                model.set(id, value, chunk));
     } else {
       store.clear();
       model.clear();
@@ -420,8 +524,8 @@ void run_differential(std::uint64_t seed, std::uint64_t ssd_capacity) {
     ASSERT_EQ(store.ssd_bytes_used(), model.ssd.used);
     ASSERT_EQ(store.items(), model.mem.items.size());
     peak_items = std::max(peak_items, store.items());
-    ASSERT_EQ(store.keys(),
-              std::vector<Key>(model.mem.lru.begin(), model.mem.lru.end()));
+    ASSERT_EQ(store.keys(), std::vector<ItemId>(model.mem.lru.begin(),
+                                                model.mem.lru.end()));
   }
   const StoreStats& stats = store.stats();
   EXPECT_GT(peak_items, 64u);  // entries spanned several pages
@@ -444,17 +548,17 @@ TEST(StoreDifferential, MatchesReferenceModelWithSsd) {
 }
 
 TEST(StoreDifferential, MatchesReferenceModelAtHighLoad) {
-  // Nothing is evicted, so the index only grows: about 30k fragment keys
-  // under a mostly-Set mix carry the probe table through every 7/8 growth
+  // Nothing is evicted, so the index only grows: about 30k fragments under
+  // a mostly-Set mix carry the probe table through every 7/8 growth
   // threshold up to 14,336 items, and Erases keep running backward-shift
   // deletion just below each one and at about 80% load at the end.
   constexpr std::uint64_t kCapacity = std::uint64_t{1} << 30;
-  std::vector<Key> keys;
+  std::vector<ItemId> items;
   for (int i = 0; i < 6000; ++i) {
     Key base = "user" + std::to_string(100000000000 + i);
     ASSERT_EQ(base.size(), 16u);  // a YCSB key
-    for (std::size_t slot = 0; slot < 5; ++slot) {
-      keys.push_back(chunk_key(base, slot));
+    for (std::uint8_t slot = 0; slot < 5; ++slot) {
+      items.push_back(ItemId{base, slot});
     }
   }
   StorageEngine store(kCapacity);
@@ -465,19 +569,17 @@ TEST(StoreDifferential, MatchesReferenceModelAtHighLoad) {
   std::size_t peak_items = 0;
   for (int step = 0; step < 150'000; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
-    const Key& key = keys[rng.next_below(keys.size())];
+    const ItemId& id = items[rng.next_below(items.size())];
     const std::uint64_t dice = rng.next_below(100);
     if (dice < 55) {
-      const ChunkInfo chunk{rng.next_below(1 << 20),
-                            static_cast<std::uint32_t>(rng.next_below(5)), 3,
-                            2};
-      ASSERT_EQ(store.set(key, value, chunk).code(),
-                model.set(key, value, chunk));
+      const ChunkInfo chunk{rng.next_below(1 << 20)};
+      ASSERT_EQ(store.set(id.key, id.slot, value, chunk).code(),
+                model.set(id, value, chunk));
     } else if (dice < 60) {
-      ASSERT_EQ(store.erase(key), model.erase(key));
+      ASSERT_EQ(store.erase(id.key, id.slot), model.erase(id));
     } else {
-      const auto got = store.get(key);
-      const auto want = model.get(key);
+      const auto got = store.get(id.key, id.slot);
+      const auto want = model.get(id);
       ASSERT_EQ(got.status().code(), want.status().code());
       if (want.ok()) {
         EXPECT_EQ(got->chunk, want->chunk);
@@ -488,8 +590,8 @@ TEST(StoreDifferential, MatchesReferenceModelAtHighLoad) {
     ASSERT_EQ(store.items(), model.mem.items.size());
     peak_items = std::max(peak_items, store.items());
     if (step % 1000 == 999) {
-      ASSERT_EQ(store.keys(),
-                std::vector<Key>(model.mem.lru.begin(), model.mem.lru.end()));
+      ASSERT_EQ(store.keys(), std::vector<ItemId>(model.mem.lru.begin(),
+                                                  model.mem.lru.end()));
     }
   }
   EXPECT_GT(peak_items, 14'336u);  // past the 16,384-slot table's 7/8

@@ -244,16 +244,16 @@ TEST_F(EngineTest, DegradedGetRejectsTruncatedParityFragment) {
                             make_shared_bytes(make_pattern(30'000, 11)));
       // A torn or stale write leaves a short parity fragment behind that
       // still carries the key's ChunkInfo.
-      const kv::Key ckey = kv::chunk_key("obj", 3);
       kv::StorageEngine& store =
           cl->server(cl->ring().slot_index("obj", 3)).store();
-      const auto stored = store.get(ckey);
+      const auto stored = store.get("obj", 3);
       EXPECT_TRUE(stored.ok());
       if (!stored.ok()) co_return;
       const ByteBlock& full = *stored->value;
       EXPECT_TRUE(store
-                      .set(ckey, make_shared_bytes(Bytes(full.begin(),
-                                                         full.end() - 64)),
+                      .set("obj", 3,
+                           make_shared_bytes(
+                               Bytes(full.begin(), full.end() - 64)),
                            stored->chunk)
                       .ok());
       // Losing data slot 0 binds the read on {1, 2, 3}: the decode must

@@ -93,7 +93,7 @@ TEST_F(FailureHandlingTest, DeleteUnderFailureLeavesNoResurrection) {
       EXPECT_TRUE(del.ok()) << del;
       // The down owner still holds its fragment — an orphan out of reach.
       EXPECT_TRUE(
-          cl->server(owner0).store().get(kv::chunk_key("victim", 0)).ok());
+          cl->server(owner0).store().get("victim", 0).ok());
       cl->recover_server(owner0);
       // One stale fragment cannot resurrect the value: k are required.
       const Result<Bytes> got = co_await e->get("victim");
@@ -105,7 +105,7 @@ TEST_F(FailureHandlingTest, DeleteUnderFailureLeavesNoResurrection) {
       EXPECT_GE(repair->stats().orphaned_keys, 1u);
       EXPECT_GE(repair->stats().orphan_fragments_purged, 1u);
       EXPECT_FALSE(
-          cl->server(owner0).store().get(kv::chunk_key("victim", 0)).ok());
+          cl->server(owner0).store().get("victim", 0).ok());
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_, &repair);

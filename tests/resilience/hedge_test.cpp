@@ -301,7 +301,8 @@ TEST_F(HedgeTest, HedgingNeverChangesReturnedValues) {
           const std::size_t owner = cl->ring().slot_index(key, slot);
           if (fault == Fault::kOwnerDown) cl->fail_server(owner);
           if (fault == Fault::kLiveMiss) {
-            (void)cl->server(owner).store().erase(kv::chunk_key(key, slot));
+            (void)cl->server(owner).store().erase(
+                key, static_cast<std::uint8_t>(slot));
           }
           if (fault == Fault::kLoss) cl->fabric().set_loss(0.25, seed + i);
           for (Engine* e : {p, h}) {

@@ -78,8 +78,8 @@ TEST_F(RepairTest, RebuildsFragmentsOntoRecoveredServer) {
       cl->fail_server(victim);
       // Simulate total state loss on the dead node.
       while (!cl->server(victim).store().keys().empty()) {
-        cl->server(victim).store().erase(
-            cl->server(victim).store().keys().front());
+        const kv::ItemId id = cl->server(victim).store().keys().front();
+        cl->server(victim).store().erase(id.key, id.slot);
       }
       cl->recover_server(victim);
       EXPECT_EQ(cl->server(victim).store().items(), 0u);
@@ -172,7 +172,8 @@ TEST_F(RepairTest, UnrepairableBeyondTolerance) {
       // Wipe three fragments (owners stay up, data gone): only 2 < k left.
       for (std::size_t slot = 0; slot < 3; ++slot) {
         const std::size_t owner = cl->ring().slot_index("doomed", slot);
-        cl->server(owner).store().erase(kv::chunk_key("doomed", slot));
+        cl->server(owner).store().erase("doomed",
+                                        static_cast<std::uint8_t>(slot));
       }
       const Status s = co_await rc->repair_key("doomed");
       EXPECT_EQ(s.code(), StatusCode::kTooManyFailures);
@@ -196,7 +197,8 @@ TEST_F(RepairTest, RepairAllCoversEveryAffectedKey) {
       // Node 0 loses everything, then rejoins empty.
       cl->fail_server(0);
       while (!cl->server(0).store().keys().empty()) {
-        cl->server(0).store().erase(cl->server(0).store().keys().front());
+        const kv::ItemId id = cl->server(0).store().keys().front();
+        cl->server(0).store().erase(id.key, id.slot);
       }
       cl->recover_server(0);
 
@@ -286,11 +288,11 @@ TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
       EXPECT_TRUE((co_await e->set("obj", make_shared_bytes(original))).ok());
       std::vector<Bytes> lost;
       for (const std::size_t slot : {0u, 1u}) {
-        const kv::Key ckey = kv::chunk_key("obj", slot);
-        const auto got = t->owner_store("obj", slot).get(ckey);
+        const auto id = static_cast<std::uint8_t>(slot);
+        const auto got = t->owner_store("obj", slot).get("obj", id);
         EXPECT_TRUE(got.ok());
         lost.push_back(got.ok() ? Bytes(*got->value) : Bytes{});
-        t->owner_store("obj", slot).erase(ckey);
+        t->owner_store("obj", slot).erase("obj", id);
       }
 
       const Status s = co_await rc->repair_key("obj");
@@ -299,8 +301,8 @@ TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
       EXPECT_EQ(rc->stats().fragments_rebuilt, 2u);
       EXPECT_EQ(rc->stats().unrepairable_keys, 0u);
       for (const std::size_t slot : {0u, 1u}) {
-        const auto got =
-            t->owner_store("obj", slot).get(kv::chunk_key("obj", slot));
+        const auto got = t->owner_store("obj", slot).get(
+            "obj", static_cast<std::uint8_t>(slot));
         EXPECT_TRUE(got.ok()) << slot;
         if (got.ok()) { EXPECT_EQ(*got->value, lost[slot]) << slot; }
       }
@@ -326,7 +328,8 @@ TEST_F(LrcRepairTest, UndecodablePatternIsUnrepairableInBothModes) {
           (co_await e->set("obj", make_shared_bytes(make_pattern(9000, 13))))
               .ok());
       for (const std::size_t slot : {0u, 1u, 4u}) {
-        t->owner_store("obj", slot).erase(kv::chunk_key("obj", slot));
+        t->owner_store("obj", slot).erase("obj",
+                                          static_cast<std::uint8_t>(slot));
       }
       for (RepairCoordinator* rc : {mat, sized}) {
         const Status s = co_await rc->repair_key("obj");
@@ -337,7 +340,7 @@ TEST_F(LrcRepairTest, UndecodablePatternIsUnrepairableInBothModes) {
       }
       for (const std::size_t slot : {0u, 1u, 4u}) {
         EXPECT_FALSE(t->owner_store("obj", slot)
-                         .get(kv::chunk_key("obj", slot))
+                         .get("obj", static_cast<std::uint8_t>(slot))
                          .ok())
             << slot;
       }

@@ -5,17 +5,17 @@
 // idle, so each budget is pinned twice: from a cold pool (the first use
 // after an idle run) and from a warm one (while the simulator is kept
 // awake). A spawned process costs only its own frame, a worker charge one
-// frame, a fabric delivery and overwriting a resident store key nothing,
-// and a fragment key one string; a whole Client->Server Get round trip is
-// pinned with and without a deadline, and an answered deadline wait
-// leaves no timer behind. A whole erasure Get and Set through the engine
-// are pinned too, and a degraded materialized Get that decodes. The
+// frame, a fabric delivery and overwriting a resident store item nothing,
+// and a composed chunk_key one string; a whole Client->Server Get round
+// trip is pinned with and without a deadline, and an answered deadline
+// wait leaves no timer behind. A whole erasure Get and Set through the
+// engine are pinned too, and a degraded materialized Get that decodes. The
 // counters also track live bytes, which pin the store index's host bytes
-// per fragment key. Nothing
-// outlives a drained run: once a cluster has run dry and is destroyed,
-// every block it allocated is freed. This file replaces the global
-// operator new and delete with counting ones, so it builds as its own test
-// executable (test_sim_alloc) and the counters reach no other suite.
+// per fragment. Nothing outlives a drained run: once a cluster has run
+// dry and is destroyed, every block it allocated is freed. This file
+// replaces the global operator new and delete with counting ones, so it
+// builds as its own test executable (test_sim_alloc) and the counters
+// reach no other suite.
 #include <malloc.h>
 
 #include <cstddef>
@@ -297,14 +297,14 @@ TEST(SimAlloc, WorkerPoolExecuteAllocatesOneFrame) {
 
 TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
   kv::StorageEngine store(1 << 20);
-  const kv::Key key = kv::chunk_key("user0000000000042", 3);
-  ASSERT_EQ(key.size(), 19u);  // past the small-string buffer
-  const kv::ChunkInfo chunk{16384, 3, 3, 2};
+  const kv::Key key = "user0000000000042";
+  ASSERT_EQ(key.size(), 17u);  // past the small-string buffer
+  const kv::ChunkInfo chunk{16384};
   const SharedBytes first = make_shared_bytes(make_pattern(64, 1));
   const SharedBytes second = make_shared_bytes(make_pattern(64, 2));
-  ASSERT_TRUE(store.set(key, first, chunk).ok());
+  ASSERT_TRUE(store.set(key, 3, first, chunk).ok());
   const std::size_t before = g_allocations;
-  const Status status = store.set(key, second, chunk);
+  const Status status = store.set(key, 3, second, chunk);
   EXPECT_EQ(g_allocations - before, 0u);
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(store.items(), 1u);
@@ -312,47 +312,46 @@ TEST(SimAlloc, StoreOverwriteOfResidentKeyAllocatesNothing) {
 
 TEST(SimAlloc, StoreInsertOfNewFragmentKeyAllocatesNothing) {
   kv::StorageEngine store(1 << 20);
-  const kv::ChunkInfo chunk{16384, 3, 3, 2};
+  const kv::ChunkInfo chunk{16384};
   const SharedBytes value = make_shared_bytes(make_pattern(64, 1));
   // The first insert allocates the entry page and the probe table; both
   // then have room for the next one.
-  ASSERT_TRUE(store.set(kv::chunk_key("user0000000000041", 3), value, chunk)
-                  .ok());
-  const kv::Key key = kv::chunk_key("user0000000000042", 3);
-  ASSERT_EQ(key.size(), 19u);  // past the small-string buffer
+  ASSERT_TRUE(store.set("user0000000000041", 3, value, chunk).ok());
+  const kv::Key key = "user0000000000042";
+  ASSERT_EQ(key.size(), 17u);  // past the small-string buffer
   std::size_t before = g_allocations;
-  ASSERT_TRUE(store.set(key, value, chunk).ok());
+  ASSERT_TRUE(store.set(key, 3, value, chunk).ok());
   EXPECT_EQ(g_allocations - before, 0u);
 
-  // A key past the 19 inline bytes takes exactly its own heap buffer.
-  const kv::Key long_key(23, 'k');
+  // A base key past the 18 inline bytes takes exactly its own heap buffer.
+  const kv::Key long_key(19, 'k');
   before = g_allocations;
-  ASSERT_TRUE(store.set(long_key, value, chunk).ok());
+  ASSERT_TRUE(store.set(long_key, 3, value, chunk).ok());
   EXPECT_EQ(g_allocations - before, 1u);
   EXPECT_EQ(store.items(), 3u);
 }
 
 TEST(SimAlloc, StoreBytesPerFragmentKey) {
-  // The host footprint of the index: 100,000 fragment keys (slots 0-4 of
+  // The host footprint of the index: 100,000 fragments (slots 0-4 of
   // 20,000 16-byte YCSB keys) sharing one value, as in a size-only run,
   // cost their entries, pages and probe table, and nothing else.
   constexpr std::size_t kItems = 100'000;
   const SharedBytes value = make_shared_bytes(make_pattern(64, 1));
-  const kv::ChunkInfo chunk{1024, 0, 3, 2};
+  const kv::ChunkInfo chunk{1024};
   const std::size_t before = g_live_bytes;
   {
     kv::StorageEngine store(std::uint64_t{1} << 40);
     for (std::size_t i = 0; i < kItems / 5; ++i) {
       const kv::Key base = "user" + std::to_string(100000000000 + i);
       ASSERT_EQ(base.size(), 16u);
-      for (std::size_t slot = 0; slot < 5; ++slot) {
-        ASSERT_TRUE(store.set(kv::chunk_key(base, slot), value, chunk).ok());
+      for (std::uint8_t slot = 0; slot < 5; ++slot) {
+        ASSERT_TRUE(store.set(base, slot, value, chunk).ok());
       }
     }
     ASSERT_EQ(store.items(), kItems);
     const double per_item =
         static_cast<double>(g_live_bytes - before) / kItems;
-    EXPECT_LE(per_item, 60.0);
+    EXPECT_LE(per_item, 52.0);
   }
   EXPECT_EQ(g_live_bytes, before);
 }
@@ -453,13 +452,13 @@ std::size_t get_round_trip_allocations(kv::RpcPolicy policy, bool warm) {
   client.set_policy(policy);
   server.start();
   client.start();
-  const kv::Key key = kv::chunk_key("user0000000000042", 3);
+  // A fragment read: its 17-byte base key is past the small-string buffer.
+  const kv::Key key = "user0000000000042";
   EXPECT_TRUE(server.store()
-                  .set(key, make_shared_bytes(make_pattern(4096, 1)))
+                  .set(key, 3, make_shared_bytes(make_pattern(4096, 1)),
+                       kv::ChunkInfo{3 * 4096})
                   .ok());
-  kv::Request get;
-  get.verb = kv::Verb::kGet;
-  get.key = key;
+  const kv::Request get = kv::fragment_request(kv::Verb::kGet, key, 3);
   std::optional<KeepAwake> awake;
   if (warm) awake.emplace(sim);
   std::size_t allocations = 0;
@@ -540,13 +539,13 @@ TEST(SimAlloc, AnsweredDeadlineWaitLeavesNothingArmed) {
 Task<void> set_then_get(kv::Client* client, kv::NodeId server, int keys,
                         int* ok) {
   for (int i = 0; i < keys; ++i) {
-    kv::Request set;
-    set.verb = kv::Verb::kSet;
-    set.key = kv::chunk_key("user0000000000042", static_cast<std::size_t>(i));
-    set.value = make_shared_bytes(make_pattern(1024, static_cast<std::uint64_t>(i)));
-    kv::Request get;
-    get.verb = kv::Verb::kGet;
-    get.key = set.key;
+    const auto slot = static_cast<std::size_t>(i);
+    kv::Request set = kv::fragment_put(
+        "user0000000000042", slot,
+        make_shared_bytes(make_pattern(1024, static_cast<std::uint64_t>(i))),
+        3 * 1024);
+    kv::Request get =
+        kv::fragment_request(kv::Verb::kGet, "user0000000000042", slot);
     const Future<kv::Response> set_done = client->call(server, std::move(set));
     if ((co_await set_done.wait()).code == StatusCode::kOk) ++*ok;
     const Future<kv::Response> get_done = client->call(server, std::move(get));
@@ -636,30 +635,31 @@ std::size_t erasure_op_allocations(ErasureOp op) {
 }
 
 TEST(SimAlloc, ErasureGetAllocationBudget) {
-  // The k = 3 fragment keys and the assembled value. Masks, the read set,
-  // owners, fetch futures and fragments live in the op's frame.
+  // The k = 3 fragment requests' copies of the 17-byte base key and the
+  // assembled value. Masks, the read set, owners, fetch futures and
+  // fragments live in the op's frame.
   EXPECT_EQ(erasure_op_allocations({.get = true}), 4u);
 }
 
 TEST(SimAlloc, ErasureDegradedGetAllocationBudget) {
   // Slot 0's owner is down, so the Get binds a parity fragment and decodes
   // data slot 0 into the engine's warm scratch buffer, reading the fetched
-  // fragments in place: as healthy, the 3 fragment keys and the value.
+  // fragments in place: as healthy, the 3 base-key copies and the value.
   EXPECT_EQ(erasure_op_allocations(
                 {.get = true, .materialize = true, .fail_slot0 = true}),
             4u);
 }
 
 TEST(SimAlloc, ErasureSetAllocationBudget) {
-  // The n = 5 fragment keys. The encoded fragments (every slot shares one
-  // cached zero buffer), the fan-out's futures and owners live in the op's
-  // frame.
+  // The n = 5 fragment requests' base-key copies. The encoded fragments
+  // (every slot shares one cached zero buffer), the fan-out's futures and
+  // owners live in the op's frame.
   EXPECT_EQ(erasure_op_allocations({.get = false}), 5u);
 }
 
 TEST(SimAlloc, ErasureMaterializedSetAllocationBudget) {
   // Per fragment one block header and one buffer, filled in place (the
-  // data copied in, parity encoded into it), and the n = 5 fragment keys.
+  // data copied in, parity encoded into it), and the n = 5 base-key copies.
   EXPECT_EQ(erasure_op_allocations({.get = false, .materialize = true}), 15u);
 }
 

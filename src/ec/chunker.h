@@ -57,7 +57,10 @@ static_assert(sizeof(Fragments) == 128, "kMaxSlots one-word handles");
 /// place: a data fragment copies its share of `value` and zeroes only the
 /// tail pad, and parity is encoded into uninitialized blocks. In size-only
 /// mode (`materialize` false) `value` is ignored and every slot aliases one
-/// shared zero buffer of the fragment size.
+/// shared zero buffer of the fragment size. The fragments keep no view of
+/// `value`: a caller that held the value only to encode it can let it go
+/// once this returns, so an in-flight Set holds the fragments (n/k of the
+/// value) and not the value beside them.
 [[nodiscard]] Fragments encode_value(const Codec& codec, ConstByteSpan value,
                                      std::size_t size, bool materialize);
 

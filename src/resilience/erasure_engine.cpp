@@ -117,6 +117,11 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
 
   const ec::Fragments fragments = ec::encode_value(
       *codec_, value.span(), value_size, ctx().materialize);
+  // The fragments hold every byte now and nothing below reads the value:
+  // drop this op's handle so a materialized value is freed at encode, not
+  // at the last fragment ack (unless the caller still holds it, e.g.
+  // Engine::set's retry copy under a placement view).
+  value = nullptr;
 
   // Distribute all K+M fragments with non-blocking requests: the
   // response waits overlap, approaching Equation 7's max over fragments.
@@ -660,6 +665,10 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
 
   const ec::Fragments fragments = ec::encode_value(
       *self->codec_, st->buffer, stripe_bytes, self->ctx().materialize);
+  // The packed records live on in the fragments; the staged values (not
+  // this buffer) serve read-your-writes until the commit, so free it now
+  // rather than when the last waiter lets go of the stripe.
+  st->buffer = Bytes();
 
   // Fragment fan-out under the stripe's own base key (the repair
   // coordinator discovers and rebuilds stripes through the same

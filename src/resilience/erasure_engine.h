@@ -157,7 +157,8 @@ class ErasureEngine final : public Engine {
   struct StripeState {
     explicit StripeState(sim::Simulator& s) : done(s) {}
     kv::Key skey;                 ///< synthetic stripe base key
-    Bytes buffer;                 ///< packed records (materialize mode)
+    Bytes buffer;                 ///< packed records (materialize mode),
+                                  ///< freed once the stripe is encoded
     std::size_t used = 0;         ///< payload bytes appended so far
     std::vector<kv::StripeIndexEntry> records;
     std::vector<SharedBytes> values;  ///< staged copy per record

@@ -9,7 +9,9 @@
 // and a composed chunk_key one string; a whole Client->Server Get round
 // trip is pinned with and without a deadline, and an answered deadline
 // wait leaves no timer behind. A whole erasure Get and Set through the
-// engine are pinned too, and a degraded materialized Get that decodes. The
+// engine are pinned too, and a degraded materialized Get that decodes. A
+// client-encoded Set lets its value go once the fragments exist, and
+// Async-Rep's replica writes share one block. The
 // counters also track live bytes, which pin the store index's host bytes
 // per fragment. Nothing outlives a drained run: once a cluster has run
 // dry and is destroyed, every block it allocated is freed. This file
@@ -661,6 +663,79 @@ TEST(SimAlloc, ErasureMaterializedSetAllocationBudget) {
   // Per fragment one block header and one buffer, filled in place (the
   // data copied in, parity encoded into it), and the n = 5 base-key copies.
   EXPECT_EQ(erasure_op_allocations({.get = false, .materialize = true}), 15u);
+}
+
+/// A materialized 64 KiB iset under `design` on 5 servers (RS(3,2), or 3
+/// replicas), run until `before` simulated ns after the issue and then to
+/// completion, while the test keeps one handle to the value.
+struct InFlightSet {
+  std::size_t in_flight = 0;  ///< the value's use_count() at `before`
+  bool acked_early = false;   ///< the Set had resolved by `before`
+  bool ok = false;
+  std::size_t use_count_after = 0;
+  std::size_t stored_same_block = 0;  ///< stores holding the value's block
+};
+
+InFlightSet run_in_flight_set(resilience::Design design, SimDur before) {
+  constexpr std::size_t kValueBytes = 64 * 1024;
+  const ec::RsVandermondeCodec codec(3, 2);
+  const ec::CostModel cost =
+      ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+  cluster::ClusterConfig config;
+  config.num_servers = 5;
+  cluster::Cluster cl(config);
+  const std::unique_ptr<resilience::Engine> engine = resilience::make_engine(
+      design, cl.engine_context(0, /*materialize=*/true), 3, &codec, cost);
+  cl.start();
+  const kv::Key key = "user0000000000042";
+  const SharedBytes value = make_shared_bytes(make_pattern(kValueBytes, 42));
+  const SimTime t0 = cl.sim().now();
+  const Future<Status> done = engine->iset(key, value);
+  cl.sim().run(t0 + before);
+  InFlightSet out;
+  out.in_flight = value.use_count();
+  out.acked_early = done.ready();
+  cl.run();
+  out.ok = done.ready() && done.try_get()->ok();
+  out.use_count_after = value.use_count();
+  for (std::size_t s = 0; s < cl.num_servers(); ++s) {
+    const auto item = cl.server(s).store().get(key, kv::kNoSlot);
+    if (item.ok() && item->value == value) ++out.stored_same_block;
+  }
+  return out;
+}
+
+TEST(SimAlloc, ClientEncodedSetDropsValueAtEncode) {
+  // The op's one CPU slice is the encode plus the n = 5 posts; the value
+  // is encoded at its end. One ns later every fragment put is on the
+  // wire and none is acked, and the op already let its value go: the
+  // test's handle is the only one left.
+  const ec::CostModel cost =
+      ec::CostModel::defaults(ec::Scheme::kRsVandermonde, 3, 2);
+  const SimDur slice = cost.encode_ns(64 * 1024) + 5 * kv::Client::kIssueNs;
+  for (const resilience::Design design :
+       {resilience::Design::kEraCeCd, resilience::Design::kEraCeSd}) {
+    SCOPED_TRACE(std::string(resilience::to_string(design)));
+    const InFlightSet r = run_in_flight_set(design, slice + 1);
+    EXPECT_FALSE(r.acked_early);
+    EXPECT_EQ(r.in_flight, 1u);
+    EXPECT_TRUE(r.ok);
+    EXPECT_EQ(r.use_count_after, 1u);
+  }
+}
+
+TEST(SimAlloc, AsyncReplicasShareOneBlock) {
+  // Async-Rep posts its F = 3 replica writes back to back, each carrying
+  // a handle to the caller's block, not a copy: mid-flight the block is
+  // named by the test, the op's frame and the three requests, and at the
+  // end by the test and the three stores.
+  const InFlightSet r = run_in_flight_set(resilience::Design::kAsyncRep,
+                                          3 * kv::Client::kIssueNs + 1);
+  EXPECT_FALSE(r.acked_early);
+  EXPECT_EQ(r.in_flight, 5u);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.stored_same_block, 3u);
+  EXPECT_EQ(r.use_count_after, 4u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (stdlib only; CI runs this).
 
-Five checks over the user-facing markdown:
+Six checks over the user-facing markdown:
 
 1. Every relative link target in README.md / DESIGN.md / EXPERIMENTS.md /
    ROADMAP.md / docs/*.md resolves to a file or directory in the repo
@@ -23,6 +23,10 @@ Five checks over the user-facing markdown:
 5. Every backticked identifier in the first column of a docs/TUNING.md
    table still occurs in src/, bench/, tools/ or benchmark/ — a deleted
    knob takes its row with it. Flags (``--x``) are check 2's job.
+6. Every ``BENCH_*.json`` at the repo root is named by the bench/
+   harness that writes it (a source file under bench/ holds the file
+   name), and EXPERIMENTS.md cites the file in a paragraph that also names
+   that harness — a committed result must say which command produced it.
 
 Exit code 0 = clean; 1 = problems (each printed one per line).
 """
@@ -194,6 +198,27 @@ def check_tuning_rows(errors: list) -> None:
                     f" {', '.join(SYMBOL_DIRS)}")
 
 
+def check_bench_results(errors: list) -> None:
+    """Every root BENCH_*.json has a writing harness under bench/ and an
+    EXPERIMENTS.md paragraph that cites both."""
+    harnesses = {p.stem: p.read_text(errors="replace")
+                 for p in sorted((REPO / "bench").glob("*.cpp"))}
+    experiments = REPO / "EXPERIMENTS.md"
+    paragraphs = (re.split(r"\n\s*\n", experiments.read_text())
+                  if experiments.is_file() else [])
+    for result in sorted(REPO.glob("BENCH_*.json")):
+        name = result.name
+        writers = [stem for stem, text in harnesses.items() if name in text]
+        if not writers:
+            errors.append(f"{name}: no bench/ harness names it")
+            continue
+        if not any(name in para and any(w in para for w in writers)
+                   for para in paragraphs):
+            errors.append(
+                f"{name}: EXPERIMENTS.md cites it in no paragraph that also"
+                f" names its harness ({', '.join(writers)})")
+
+
 def main() -> int:
     errors = []
     check_links(errors)
@@ -201,6 +226,7 @@ def main() -> int:
     check_orphans(errors)
     check_symbols(errors)
     check_tuning_rows(errors)
+    check_bench_results(errors)
     for e in errors:
         print(e)
     print(f"check_docs: {len(DOCS)} files checked, {len(errors)} problem(s)")

@@ -120,7 +120,6 @@ std::vector<ReadRow> bench_read_path(double min_secs) {
         encode_value(codec, value, size, /*materialize=*/true);
     const std::span<const SharedBytes> fragments(encoded.data(), codec.n());
     const ChunkLayout layout = make_layout(size, codec.k(), codec.alignment());
-    FragmentScratch scratch;
     for (const Pattern& p : patterns) {
       const double ns = measure_ns(
           [&] {
@@ -128,7 +127,7 @@ std::vector<ReadRow> bench_read_path(double min_secs) {
                 codec.select(codec.data_mask(), p.available, p.preference);
             const hpres::Result<Bytes> got =
                 assemble(codec, fragments, *sources, layout, std::nullopt,
-                         /*materialize=*/true, scratch);
+                         /*materialize=*/true);
             sink_bytes(*got);
           },
           min_secs);

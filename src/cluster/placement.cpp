@@ -240,15 +240,14 @@ sim::Task<void> PlacementManager::migrate_key(kv::Key key, bool cleanup_ok) {
     }
     kv::Response got = co_await ctx_.client->invoke(
         node_of(old_owner), kv::fragment_request(kv::Verb::kGet, key, slot));
-    if (got.code != StatusCode::kOk || !got.value) {
+    if (got.code != StatusCode::kOk || !got.value || !got.chunk) {
       need_repair = true;
       continue;
     }
     // if_absent: a concurrent client write under the new epoch already
     // placed fresher bytes here — the stale copy must never clobber it.
-    kv::Request put = kv::fragment_request(kv::Verb::kSet, key, slot);
-    put.value = got.value;
-    put.chunk = got.chunk;
+    kv::Request put =
+        kv::fragment_put(key, slot, got.value, got.chunk->original_size);
     put.if_absent = true;
     const kv::Response ack =
         co_await ctx_.client->invoke(node_of(new_owner), std::move(put));

@@ -40,31 +40,6 @@ std::vector<Bytes> split_value(ConstByteSpan value,
   return out;
 }
 
-Result<Bytes> join_fragments(std::span<const ConstByteSpan> data_fragments,
-                             const ChunkLayout& layout) {
-  if (data_fragments.size() != layout.k) {
-    return Status{StatusCode::kInvalidArgument, "fragment count != k"};
-  }
-  for (const auto& f : data_fragments) {
-    if (f.size() != layout.fragment_size) {
-      return Status{StatusCode::kInvalidArgument, "fragment size mismatch"};
-    }
-  }
-  if (layout.original_size > layout.k * layout.fragment_size) {
-    return Status{StatusCode::kInvalidArgument, "layout overflows fragments"};
-  }
-  Bytes out;
-  out.reserve(layout.original_size);
-  for (std::size_t i = 0; i < layout.k && out.size() < layout.original_size;
-       ++i) {
-    const std::size_t take =
-        std::min(layout.fragment_size, layout.original_size - out.size());
-    out.insert(out.end(), data_fragments[i].data(),
-               data_fragments[i].data() + take);
-  }
-  return out;
-}
-
 Fragments encode_value(const Codec& codec, ConstByteSpan value,
                        std::size_t size, bool materialize) {
   const ChunkLayout layout = make_layout(size, codec.k(), codec.alignment());
@@ -112,52 +87,60 @@ Status decode_into(const Codec& codec, std::span<const SharedBytes> fragments,
                       outputs);
 }
 
-/// Rebuilds the wanted non-source slots into `sc`, at `fragment_size`
-/// bytes.
-Status rebuild_into(const Codec& codec, std::span<const SharedBytes> fragments,
-                    const ReadSet& sources, SlotMask want,
-                    std::size_t fragment_size, FragmentScratch& sc) {
-  const std::size_t n = codec.n();
-  std::array<ByteSpan, kMaxSlots> out{};
-  for (std::size_t w = 0; w < n; ++w) {
-    if (!has_slot(want, w) || sources.contains(w)) continue;
-    sc.storage[w].resize(fragment_size);
-    out[w] = sc.storage[w];
-  }
-  return decode_into(codec, fragments, sources, want, std::span(out.data(), n));
-}
-
 }  // namespace
 
 Result<Bytes> assemble(const Codec& codec,
                        std::span<const SharedBytes> fragments,
                        const ReadSet& sources, const ChunkLayout& layout,
-                       std::optional<ValueSlice> slice, bool materialize,
-                       FragmentScratch& scratch) {
-  if (!materialize) return Bytes(slice ? slice->len : layout.original_size);
+                       std::optional<ValueSlice> slice, bool materialize) {
+  const std::size_t offset = slice ? slice->offset : 0;
+  const std::size_t len = slice ? slice->len : layout.original_size;
+  if (!materialize) return Bytes(len);
   assert(fragments.size() == codec.n());
-  const FragmentRange range =
-      slice ? owning_fragments(layout, slice->offset, slice->len)
-            : FragmentRange{0, layout.k - 1};
+  const FragmentRange range = slice ? owning_fragments(layout, offset, len)
+                                    : FragmentRange{0, layout.k - 1};
   SlotMask missing = 0;
-  for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    if (!sources.contains(slot)) missing |= slot_bit(slot);
-  }
-  if (missing != 0) {
-    const Status s = rebuild_into(codec, fragments, sources, missing,
-                                  layout.fragment_size, scratch);
-    if (!s.ok()) return s;
-  }
   std::array<ConstByteSpan, kMaxSlots> spans{};
   for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    spans[slot - range.first] = has_slot(missing, slot)
-                                    ? ConstByteSpan(scratch.storage[slot])
-                                    : fragments[slot].span();
+    if (!sources.contains(slot)) missing |= slot_bit(slot);
+    spans[slot - range.first] = fragments[slot].span();
   }
-  const std::span<const ConstByteSpan> data(spans.data(), range.count());
-  if (!slice) return join_fragments(data, layout);
-  return extract_from_fragments(data, range, layout, slice->offset,
-                                slice->len);
+  if (missing == 0) {
+    return extract_from_fragments(std::span(spans.data(), range.count()),
+                                  range, layout, offset, len);
+  }
+  // Degraded: the range's fragments side by side, the sources copied in
+  // and each missing slot decoded into its place, then trimmed to the
+  // result.
+  const std::size_t frag = layout.fragment_size;
+  if (offset + len > layout.k * frag) {
+    return Status{StatusCode::kInvalidArgument, "range overflows stripe"};
+  }
+  Bytes out;
+  // The one allocation: `out` never grows past it, so the spans into it
+  // stay valid.
+  out.reserve(range.count() * frag);
+  std::array<ByteSpan, kMaxSlots> rebuilt{};
+  for (std::size_t slot = range.first; slot <= range.last; ++slot) {
+    if (has_slot(missing, slot)) {
+      out.resize(out.size() + frag);
+      rebuilt[slot] = ByteSpan(out).last(frag);
+      continue;
+    }
+    const ConstByteSpan source = spans[slot - range.first];
+    if (source.size() != frag) {
+      return Status{StatusCode::kInvalidArgument, "fragment size mismatch"};
+    }
+    out.insert(out.end(), source.begin(), source.end());
+  }
+  const Status s = decode_into(codec, fragments, sources, missing,
+                               std::span(rebuilt.data(), codec.n()));
+  if (!s.ok()) return s;
+  const auto value_begin =
+      out.begin() + static_cast<std::ptrdiff_t>(offset - range.first * frag);
+  out.erase(out.begin(), value_begin);
+  out.resize(len);
+  return out;
 }
 
 Result<Fragments> rebuild_fragments(const Codec& codec,

@@ -3,13 +3,14 @@
 // ceil(D/K) (zero-padded, aligned for the codec), encodes them (or stands
 // in shared zero placeholders in size-only mode), building every fragment
 // once in its own shared block, and reassembles values
-// from fetched fragments. Reassembly reads the fetched buffers in place:
-// a healthy read joins them directly, and a read that misses a data
-// fragment it needs decodes just that fragment into a scratch buffer by
-// applying the read set's precomputed plan over the sources, which are
-// never copied or written. Fragment size and original size travel with
-// every fragment so a Get can size its reassembly buffers from any single
-// chunk's metadata.
+// from fetched fragments. Reassembly holds no state and reads the fetched
+// buffers in place: a healthy read copies the value out of them, and a
+// read that misses a data fragment it needs lays the fragments it covers
+// side by side in the result buffer, where the read set's precomputed plan
+// decodes the missing ones, so the sources are never written and the
+// result is the only allocation. Fragment size and original size travel
+// with every fragment so a Get can size its reassembly buffers from any
+// single chunk's metadata.
 #pragma once
 
 #include <array>
@@ -42,11 +43,6 @@ struct ChunkLayout {
 [[nodiscard]] std::vector<Bytes> split_value(ConstByteSpan value,
                                              const ChunkLayout& layout);
 
-/// Reassembles the original value from the k data fragments (in index
-/// order). Fails if sizes disagree with the layout.
-[[nodiscard]] Result<Bytes> join_fragments(
-    std::span<const ConstByteSpan> data_fragments, const ChunkLayout& layout);
-
 /// A value's fragments by slot, k data then m parity; slots from the
 /// codec's n on are null. One handle per slot the codec can have, so it
 /// lives on the stack or in a coroutine frame, never on the heap.
@@ -71,26 +67,21 @@ struct ValueSlice {
   std::size_t len = 0;
 };
 
-/// Reusable rebuild buffers, one per engine or server: filling and
-/// consuming them never suspends, so all of an owner's ops share them, and
-/// degraded reads stop allocating at steady state. Only wanted slots get a
-/// buffer; sources are read where they were fetched.
-struct FragmentScratch {
-  std::array<Bytes, kMaxSlots> storage;  ///< by slot: rebuilt wanted slots
-};
-
 /// The whole object, or `slice` of it, from `fragments` (by slot, null
 /// where not fetched) bound on `sources`, the read set the codec selected.
-/// Reads straight from the fetched buffers and runs Codec::decode only
-/// when a data slot the result needs is not a source. In size-only mode
-/// returns a zero buffer of the result size.
+/// When every data slot the result needs is a source, copies it straight
+/// out of the fetched buffers (extract_from_fragments). Otherwise the
+/// result buffer holds the needed data slots side by side, Codec::decode
+/// writes each missing one into its place, and the buffer is trimmed to
+/// the result. kInvalidArgument when a fragment it reads is not
+/// `layout.fragment_size` bytes. In size-only mode returns a zero buffer
+/// of the result size.
 [[nodiscard]] Result<Bytes> assemble(const Codec& codec,
                                      std::span<const SharedBytes> fragments,
                                      const ReadSet& sources,
                                      const ChunkLayout& layout,
                                      std::optional<ValueSlice> slice,
-                                     bool materialize,
-                                     FragmentScratch& scratch);
+                                     bool materialize);
 
 /// Rebuilds every slot in `want` (data or parity) from `sources` and
 /// returns them by slot, null where not wanted. A wanted source is shared

@@ -182,27 +182,6 @@ Result<ReadSet> MatrixCodec::select(
   return out;
 }
 
-Result<ReadSet> MatrixCodec::bind(std::span<const std::size_t> sources) const {
-  ReadSet out;
-  for (const std::size_t s : sources) {
-    if (s >= n() || out.contains(s)) {
-      return Status{StatusCode::kInvalidArgument,
-                    "sources must be distinct independent slots"};
-    }
-    out.push(s);
-  }
-  if (by_mask_[out.mask()] == kDependent) {
-    return Status{StatusCode::kInvalidArgument,
-                  "sources must be distinct independent slots"};
-  }
-  out.plan_ = plan_of(out.mask());
-  if (out.plan_ == nullptr) {
-    return Status{StatusCode::kTooManyFailures,
-                  "sources produce no slot beyond themselves"};
-  }
-  return out;
-}
-
 Status MatrixCodec::decode(const ReadSet& sources,
                            std::span<const ConstByteSpan> fragments,
                            SlotMask want,

@@ -107,7 +107,7 @@ class ReadSet {
   [[nodiscard]] const std::uint8_t* end() const noexcept {
     return slots_.data() + size_;
   }
-  /// Non-null once a codec selected or bound the set.
+  /// Non-null once a codec selected the set.
   [[nodiscard]] const DecodePlan* plan() const noexcept { return plan_; }
 
  private:
@@ -161,13 +161,6 @@ class Codec {
       SlotMask want, SlotMask available,
       std::span<const std::size_t> preference = {}) const = 0;
 
-  /// The read set of exactly `sources`, in that order. kInvalidArgument
-  /// for a slot past n, a repeated slot or dependent rows; kTooManyFailures
-  /// for independent slots this codec plans no decode from (too few to
-  /// produce anything beyond themselves).
-  [[nodiscard]] virtual Result<ReadSet> bind(
-      std::span<const std::size_t> sources) const = 0;
-
   /// Fills each slot in `want` that is not a source, by applying the read
   /// set's plan. `fragments` holds n spans by slot, of which the sources
   /// are read (and never written); `outputs` holds n spans by slot, of
@@ -217,9 +210,6 @@ class MatrixCodec : public Codec {
   [[nodiscard]] Result<ReadSet> select(
       SlotMask want, SlotMask available,
       std::span<const std::size_t> preference = {}) const override;
-
-  [[nodiscard]] Result<ReadSet> bind(
-      std::span<const std::size_t> sources) const override;
 
   [[nodiscard]] Status decode(const ReadSet& sources,
                               std::span<const ConstByteSpan> fragments,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace hpres::ec {
 
@@ -99,7 +98,10 @@ Result<Bytes> extract_from_fragments(std::span<const ConstByteSpan> fragments,
   if (offset + len > layout.k * layout.fragment_size) {
     return Status{StatusCode::kInvalidArgument, "range overflows stripe"};
   }
-  Bytes out(len);
+  // The segments run in order, so each is appended: every byte is
+  // written once and nothing is zero-filled first.
+  Bytes out;
+  out.reserve(len);
   for (std::size_t i = 0; i < fragments.size(); ++i) {
     const std::size_t slot = range.first + i;
     const std::size_t frag_begin = slot * layout.fragment_size;
@@ -107,9 +109,8 @@ Result<Bytes> extract_from_fragments(std::span<const ConstByteSpan> fragments,
     const std::size_t seg_end =
         std::min(offset + len, frag_begin + layout.fragment_size);
     if (seg_begin >= seg_end) continue;
-    std::memcpy(out.data() + (seg_begin - offset),
-                fragments[i].data() + (seg_begin - frag_begin),
-                seg_end - seg_begin);
+    const std::byte* seg = fragments[i].data() + (seg_begin - frag_begin);
+    out.insert(out.end(), seg, seg + (seg_end - seg_begin));
   }
   return out;
 }

@@ -72,9 +72,12 @@ struct FragmentRange {
                                              std::size_t offset,
                                              std::size_t len);
 
-/// Splices the value bytes at [offset, offset+len) out of the data
-/// fragments covering that range. `fragments[i]` must be the data fragment
-/// for slot `range.first + i` (whole fragments, layout.fragment_size each).
+/// Copies the value bytes at [offset, offset+len) out of the data
+/// fragments covering that range, appending each byte once; a whole value
+/// is [0, original_size) over slots 0..k-1. `fragments[i]` must be the
+/// data fragment for slot `range.first + i` (whole fragments,
+/// layout.fragment_size each), else kInvalidArgument, as for a range past
+/// the k fragments.
 [[nodiscard]] Result<Bytes> extract_from_fragments(
     std::span<const ConstByteSpan> fragments, const FragmentRange& range,
     const ChunkLayout& layout, std::size_t offset, std::size_t len);

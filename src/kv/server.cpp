@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "ec/chunker.h"
+
 namespace hpres::kv {
 
 namespace {
@@ -439,7 +441,7 @@ sim::Task<void> Server::handle_get_decode(Server* self, KvEnvelope env) {
   Result<Bytes> value = ec::assemble(
       *ec.codec, frags, chosen,
       ec::make_layout(value_size, k, ec.codec->alignment()), std::nullopt,
-      ec.materialize, self->scratch_);
+      ec.materialize);
   if (!value.ok()) {
     resp.code = value.status().code();
     self->reply(env.src, std::move(resp));

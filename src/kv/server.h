@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "ec/chunker.h"
 #include "ec/codec.h"
 #include "ec/cost_model.h"
 #include "kv/hash_ring.h"
@@ -203,8 +202,6 @@ class Server final : public RpcNode {
   std::map<Key, StripeLoc> stripe_dir_;
   std::uint64_t stripe_dir_bytes_ = 0;
   std::optional<ServerEcContext> ec_;
-  /// Rebuild buffers for degraded server-side decodes.
-  ec::FragmentScratch scratch_;
   obs::LanePool handler_lanes_;
   bool failed_ = false;
   std::uint64_t crashes_ = 0;  ///< fail() calls so far

@@ -464,7 +464,7 @@ sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
                          std::span(f->frags.data(), codec_->n()),
                          f->decode_set,
                          ec::make_layout(coded_bytes, k, codec_->alignment()),
-                         slice, ctx().materialize, scratch_);
+                         slice, ctx().materialize);
 }
 
 std::span<const std::size_t> ErasureEngine::load_preference(
@@ -874,7 +874,7 @@ sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
                                             codec_->data_mask())
                                  .value(),
                              layout, ec::ValueSlice{loc.offset, loc.len},
-                             ctx().materialize, scratch_);
+                             ctx().materialize);
     }
   }
 

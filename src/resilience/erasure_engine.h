@@ -238,9 +238,6 @@ class ErasureEngine final : public Engine {
   /// engine sees (piggybacked Server::queue_depth). Only consulted when a
   /// read path asks for a load preference.
   NodeLoadTracker load_;
-
-  /// Rebuild buffers for degraded reads (see ec::FragmentScratch).
-  ec::FragmentScratch scratch_;
 };
 
 }  // namespace hpres::resilience

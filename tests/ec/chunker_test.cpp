@@ -6,13 +6,22 @@
 
 #include <bit>
 #include <memory>
+#include <optional>
 
 #include "common/bytes.h"
 #include "ec/codec.h"
 #include "ec/lrc.h"
+#include "ec/stripe.h"
 
 namespace hpres::ec {
 namespace {
+
+/// The whole value out of its k data fragments, as a healthy Get copies it.
+Result<Bytes> join(std::span<const ConstByteSpan> data,
+                   const ChunkLayout& layout) {
+  return extract_from_fragments(data, FragmentRange{0, layout.k - 1}, layout,
+                                0, layout.original_size);
+}
 
 TEST(Chunker, LayoutDividesEvenly) {
   const ChunkLayout l = make_layout(3000, 3, 1);
@@ -48,7 +57,7 @@ TEST(Chunker, ValueSmallerThanAlignmentRoundTrips) {
   const std::vector<Bytes> frags = split_value(value, layout);
   ASSERT_EQ(frags.size(), 4u);
   const std::vector<ConstByteSpan> spans(frags.begin(), frags.end());
-  const Result<Bytes> joined = join_fragments(spans, layout);
+  const Result<Bytes> joined = join(spans, layout);
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(*joined, value);
 }
@@ -64,7 +73,7 @@ TEST(Chunker, ValueSmallerThanKBytesRoundTrips) {
   EXPECT_EQ(frags[2][0], std::byte{0});
   EXPECT_EQ(frags[3][0], std::byte{0});
   const std::vector<ConstByteSpan> spans(frags.begin(), frags.end());
-  const Result<Bytes> joined = join_fragments(spans, layout);
+  const Result<Bytes> joined = join(spans, layout);
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(*joined, value);
 }
@@ -75,7 +84,7 @@ TEST(Chunker, ExactlyKTimesAlignmentHasNoPadding) {
   const Bytes value = make_pattern(32, 2);
   const std::vector<Bytes> frags = split_value(value, layout);
   const std::vector<ConstByteSpan> spans(frags.begin(), frags.end());
-  const Result<Bytes> joined = join_fragments(spans, layout);
+  const Result<Bytes> joined = join(spans, layout);
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(*joined, value);
 }
@@ -90,7 +99,7 @@ TEST(Chunker, SplitJoinRoundTripAcrossSizes) {
       const std::vector<Bytes> frags = split_value(value, layout);
       ASSERT_EQ(frags.size(), k);
       const std::vector<ConstByteSpan> spans(frags.begin(), frags.end());
-      const Result<Bytes> joined = join_fragments(spans, layout);
+      const Result<Bytes> joined = join(spans, layout);
       ASSERT_TRUE(joined.ok()) << "size=" << size << " k=" << k;
       EXPECT_EQ(*joined, value);
     }
@@ -114,7 +123,7 @@ TEST(Chunker, JoinRejectsWrongArity) {
   const ChunkLayout layout = make_layout(100, 3, 1);
   const Bytes frag(layout.fragment_size);
   const std::vector<ConstByteSpan> two{frag, frag};
-  EXPECT_EQ(join_fragments(two, layout).status().code(),
+  EXPECT_EQ(join(two, layout).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -123,7 +132,7 @@ TEST(Chunker, JoinRejectsWrongFragmentSize) {
   const Bytes good(layout.fragment_size);
   const Bytes bad(layout.fragment_size + 1);
   const std::vector<ConstByteSpan> frags{good, bad};
-  EXPECT_EQ(join_fragments(frags, layout).status().code(),
+  EXPECT_EQ(join(frags, layout).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -132,7 +141,7 @@ TEST(Chunker, JoinRejectsInconsistentLayout) {
   layout.original_size = 1000;  // exceeds k * fragment_size
   const Bytes frag(layout.fragment_size);
   const std::vector<ConstByteSpan> frags{frag, frag};
-  EXPECT_EQ(join_fragments(frags, layout).status().code(),
+  EXPECT_EQ(join(frags, layout).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -155,7 +164,6 @@ Bytes slice_of(const Bytes& value, std::size_t offset, std::size_t len) {
 }
 
 TEST(FragmentStep, EncodeAssembleRoundTripsEveryErasurePattern) {
-  FragmentScratch scratch;
   for (const auto& codec : all_codecs()) {
     const std::size_t n = codec->n();
     const Bytes value = make_pattern(1000 + 13, n);
@@ -180,12 +188,12 @@ TEST(FragmentStep, EncodeAssembleRoundTripsEveryErasurePattern) {
       // Only the bound read set is handed over; every other slot is null.
       std::vector<SharedBytes> fetched(n);
       for (const std::size_t s : *sources) fetched[s] = encoded[s];
-      const Result<Bytes> whole = assemble(*codec, fetched, *sources, layout,
-                                           std::nullopt, true, scratch);
+      const Result<Bytes> whole =
+          assemble(*codec, fetched, *sources, layout, std::nullopt, true);
       ASSERT_TRUE(whole.ok()) << codec->name() << " mask " << mask;
       EXPECT_EQ(*whole, value) << codec->name() << " mask " << mask;
       const Result<Bytes> part =
-          assemble(*codec, fetched, *sources, layout, slice, true, scratch);
+          assemble(*codec, fetched, *sources, layout, slice, true);
       ASSERT_TRUE(part.ok()) << codec->name() << " mask " << mask;
       EXPECT_EQ(*part, slice_of(value, slice.offset, slice.len))
           << codec->name() << " mask " << mask;
@@ -229,12 +237,10 @@ TEST(FragmentStep, SizeOnlyEncodeReturnsSharedPlaceholders) {
       EXPECT_EQ(f, frags[0]);  // one shared buffer, no per-slot allocation
     }
     EXPECT_EQ(all[codec->n()], nullptr);
-    FragmentScratch scratch;
     const ReadSet healthy =
         codec->select(codec->data_mask(), codec->data_mask()).value();
     const Result<Bytes> value = assemble(*codec, frags, healthy, layout,
-                                         std::nullopt, /*materialize=*/false,
-                                         scratch);
+                                         std::nullopt, /*materialize=*/false);
     ASSERT_TRUE(value.ok());
     EXPECT_EQ(value->size(), 1000u);
   }
@@ -260,10 +266,6 @@ class CountingCodec final : public Codec {
       std::span<const std::size_t> preference = {}) const override {
     return inner_->select(want, available, preference);
   }
-  [[nodiscard]] Result<ReadSet> bind(
-      std::span<const std::size_t> sources) const override {
-    return inner_->bind(sources);
-  }
   [[nodiscard]] Status decode(const ReadSet& sources,
                               std::span<const ConstByteSpan> fragments,
                               SlotMask want,
@@ -286,34 +288,84 @@ TEST(FragmentStep, HealthyAssembleWithNullParityNeverDecodes) {
   const std::span<SharedBytes> frags(encoded.data(), codec.n());
   frags[3] = nullptr;  // parity never fetched
   frags[4] = nullptr;
-  FragmentScratch scratch;
   const ReadSet healthy =
       codec.select(codec.data_mask(), codec.data_mask()).value();
   const Result<Bytes> got =
-      assemble(codec, frags, healthy, layout, std::nullopt, true, scratch);
+      assemble(codec, frags, healthy, layout, std::nullopt, true);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, value);
   EXPECT_EQ(codec.decodes, 0);
-  for (const Bytes& b : scratch.storage) {
-    EXPECT_TRUE(b.empty());  // nothing copied either
-  }
 
   // A slice whose fragment is a source needs no decode even when another
   // data slot is missing from the read set.
-  const std::vector<std::size_t> degraded_slots{1, 2, 3};
-  const ReadSet degraded = codec.bind(degraded_slots).value();
+  const ReadSet degraded =
+      codec.select(codec.data_mask(), codec.all_slots() & ~slot_bit(0))
+          .value();
+  ASSERT_EQ(degraded.mask(), slot_bit(1) | slot_bit(2) | slot_bit(3));
   frags[3] = encode_value(codec, value, value.size(), true)[3];
   const Result<Bytes> part = assemble(codec, frags, degraded, layout,
-                                      ValueSlice{1500, 200}, true, scratch);
+                                      ValueSlice{1500, 200}, true);
   ASSERT_TRUE(part.ok());
   EXPECT_EQ(*part, slice_of(value, 1500, 200));
   EXPECT_EQ(codec.decodes, 0);
   // The whole value does need slot 0 rebuilt.
-  const Result<Bytes> whole = assemble(codec, frags, degraded, layout,
-                                       std::nullopt, true, scratch);
+  const Result<Bytes> whole =
+      assemble(codec, frags, degraded, layout, std::nullopt, true);
   ASSERT_TRUE(whole.ok());
   EXPECT_EQ(*whole, value);
   EXPECT_EQ(codec.decodes, 1);
+}
+
+TEST(FragmentStep, AssembleRejectsAWrongLengthSourceOnEveryPath) {
+  // A torn write leaves a fragment of another length. Whichever path reads
+  // it, copying it out or decoding from it, assemble must refuse it, and
+  // read the same fragments fine once the torn one is whole again.
+  const auto codec = make_codec(Scheme::kRsVandermonde, 3, 2);
+  const Bytes value = make_pattern(3000, 17);
+  const ChunkLayout layout = make_layout(value.size(), 3, 1);  // 1000 each
+  const Fragments encoded = encode_value(*codec, value, value.size(), true);
+  struct Case {
+    const char* path;
+    SlotMask lost;                     ///< slots the read set avoids
+    std::optional<ValueSlice> slice;  ///< nullopt: the whole value
+    std::size_t torn;                 ///< a slot the read reads
+  };
+  const Case cases[] = {
+      {"healthy whole", 0, std::nullopt, 1},
+      {"healthy slice", 0, ValueSlice{1500, 200}, 1},
+      {"degraded whole, torn data source", slot_bit(0), std::nullopt, 2},
+      {"degraded whole, torn parity source", slot_bit(0), std::nullopt, 3},
+      {"degraded slice, torn source in the slice", slot_bit(0),
+       ValueSlice{900, 200}, 1},
+      {"degraded slice, torn source outside it", slot_bit(0),
+       ValueSlice{100, 200}, 3},
+  };
+  for (const Case& c : cases) {
+    const ReadSet sources =
+        codec->select(codec->data_mask(), codec->all_slots() & ~c.lost)
+            .value();
+    ASSERT_TRUE(sources.contains(c.torn)) << c.path;
+    std::vector<SharedBytes> fetched(codec->n());
+    for (const std::size_t s : sources) fetched[s] = encoded[s];
+    const Bytes whole_fragment(*encoded[c.torn]);
+    for (const std::size_t torn_size :
+         {layout.fragment_size - 1, layout.fragment_size + 1}) {
+      Bytes torn = whole_fragment;
+      torn.resize(torn_size);
+      fetched[c.torn] = make_shared_bytes(std::move(torn));
+      const Result<Bytes> got =
+          assemble(*codec, fetched, sources, layout, c.slice, true);
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+          << c.path << ", " << torn_size << " bytes";
+    }
+    fetched[c.torn] = encoded[c.torn];
+    const Result<Bytes> got =
+        assemble(*codec, fetched, sources, layout, c.slice, true);
+    ASSERT_TRUE(got.ok()) << c.path;
+    EXPECT_EQ(*got, c.slice ? slice_of(value, c.slice->offset, c.slice->len)
+                            : value)
+        << c.path;
+  }
 }
 
 TEST(FragmentStep, RebuildFragmentsRestoresDataAndParity) {
@@ -371,22 +423,16 @@ TEST(Chunker, DegradedReadsSourcesInPlace) {
       }
     };
 
-    // A Get that lost data slot 0 binds a parity slot in its place.
+    // A Get that lost data slot 0 reads a parity slot in its place.
     const Result<ReadSet> get =
         codec->select(codec->data_mask(), codec->all_slots() & ~slot_bit(0));
     ASSERT_TRUE(get.ok()) << codec->name();
     ASSERT_FALSE(get->contains(0));
-    FragmentScratch scratch;
-    const Result<Bytes> whole = assemble(*codec, fetch(*get), *get, layout,
-                                         std::nullopt, true, scratch);
+    const Result<Bytes> whole =
+        assemble(*codec, fetch(*get), *get, layout, std::nullopt, true);
     ASSERT_TRUE(whole.ok()) << codec->name();
     EXPECT_EQ(*whole, value) << codec->name();
     expect_sources_untouched(*get, "assemble");
-    // Only the wanted slot got a buffer: no source was copied in.
-    for (std::size_t s = 0; s < kMaxSlots; ++s) {
-      EXPECT_EQ(scratch.storage[s].capacity() > 0, s == 0)
-          << codec->name() << " assemble slot " << s;
-    }
 
     // A repair of data slot 0 and the last parity.
     const SlotMask lost = slot_bit(0) | slot_bit(n - 1);

@@ -18,6 +18,7 @@
 #include "ec/lrc.h"
 #include "ec/raid6.h"
 #include "ec/rs_vandermonde.h"
+#include "ec/stripe.h"
 
 namespace hpres::ec {
 namespace {
@@ -90,7 +91,9 @@ void expect_full_recovery(const Codec& codec, ConstByteSpan value,
   }
   std::vector<ConstByteSpan> data(
       working.begin(), working.begin() + static_cast<std::ptrdiff_t>(codec.k()));
-  const Result<Bytes> joined = join_fragments(data, golden.layout);
+  const Result<Bytes> joined =
+      extract_from_fragments(data, FragmentRange{0, codec.k() - 1},
+                             golden.layout, 0, golden.layout.original_size);
   ASSERT_TRUE(joined.ok());
   EXPECT_TRUE(std::equal(joined->begin(), joined->end(), value.begin(),
                          value.end()));
@@ -427,17 +430,15 @@ TEST(Decode, RejectsSourcesThatDoNotSpanWant) {
   const LrcCodec lrc(4, 2, 1);
   const Encoded golden = encode_value(lrc, make_pattern(4 * 64, 8));
   std::vector<Bytes> working = golden.fragments;
-  // Group 0 (slots 0, 1, local parity 4) cannot produce data slot 2.
-  const std::vector<std::size_t> group0{0, 4};
-  const Result<ReadSet> local = lrc.bind(group0);
+  // Group 0 (slots 0, 1, local parity 4): slot 1's local repair set,
+  // {0, 4}, cannot produce data slot 2...
+  const Result<ReadSet> local = lrc.select(slot_bit(1), lrc.all_slots());
   ASSERT_TRUE(local.ok());
+  ASSERT_EQ(local->mask(), slot_bit(0) | slot_bit(4));
   EXPECT_EQ(decode_into(lrc, *local, slot_bit(2), working).code(),
             StatusCode::kTooManyFailures);
   // ...but it does produce slot 1.
   EXPECT_TRUE(decode_into(lrc, *local, slot_bit(1), working).ok());
-  // Dependent sources are a caller error, not a decodability verdict.
-  const std::vector<std::size_t> dependent{0, 1, 4};
-  EXPECT_EQ(lrc.bind(dependent).status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Decode plans ----------------------------------------------------------
@@ -658,42 +659,6 @@ TEST(CodecPlan, SelectionAndDecodeMatchTheReference) {
             }
           }
         }
-      }
-    }
-  }
-}
-
-TEST(CodecPlan, BindRejectsWhatThePerCallDecodeRejected) {
-  Xoshiro256 rng(7);
-  for (const auto& c : plan_codecs()) {
-    const std::size_t n = c->n();
-    for (int trial = 0; trial < 400; ++trial) {
-      // Random lists: any length up to n + 1, slots up to n + 1, repeats.
-      std::vector<std::size_t> sources(rng.next_below(n + 2));
-      for (std::size_t& s : sources) s = rng.next_below(n + 2);
-      const std::string where = std::string(c->name()) + " k" +
-                                std::to_string(c->k()) + " trial " +
-                                std::to_string(trial);
-      const Result<ReadSet> bound = c->bind(sources);
-      if (reference::source_check(*c, sources) ==
-          StatusCode::kInvalidArgument) {
-        ASSERT_FALSE(bound.ok()) << where;
-        EXPECT_EQ(bound.status().code(), StatusCode::kInvalidArgument)
-            << where;
-        continue;
-      }
-      if (sources.size() == c->k()) {
-        // k independent rows produce every slot, in the caller's order.
-        ASSERT_TRUE(bound.ok()) << where;
-        EXPECT_EQ(slots_of(*bound), sources) << where;
-        EXPECT_EQ(bound->plan()->rebuilds, c->all_slots() & ~bound->mask())
-            << where;
-      } else if (!bound.ok()) {
-        // Fewer independent rows than k and no local repair set: the
-        // per-call decode could produce nothing beyond them either (for an
-        // MDS code), which it reported as kTooManyFailures.
-        EXPECT_EQ(bound.status().code(), StatusCode::kTooManyFailures)
-            << where;
       }
     }
   }

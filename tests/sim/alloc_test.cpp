@@ -9,7 +9,8 @@
 // and a composed chunk_key one string; a whole Client->Server Get round
 // trip is pinned with and without a deadline, and an answered deadline
 // wait leaves no timer behind. A whole erasure Get and Set through the
-// engine are pinned too, and a degraded materialized Get that decodes. A
+// engine are pinned too, and a degraded materialized Get that decodes, whose
+// reassembly allocates only the value it returns. A
 // client-encoded Set lets its value go once the fragments exist, and
 // Async-Rep's replica writes share one block. The
 // counters also track live bytes, which pin the store index's host bytes
@@ -20,6 +21,8 @@
 // reach no other suite.
 #include <malloc.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -31,6 +34,7 @@
 
 #include "cluster/cluster.h"
 #include "common/bytes.h"
+#include "ec/chunker.h"
 #include "ec/cost_model.h"
 #include "ec/rs_vandermonde.h"
 #include "kv/client.h"
@@ -644,9 +648,10 @@ TEST(SimAlloc, ErasureGetAllocationBudget) {
 }
 
 TEST(SimAlloc, ErasureDegradedGetAllocationBudget) {
-  // Slot 0's owner is down, so the Get binds a parity fragment and decodes
-  // data slot 0 into the engine's warm scratch buffer, reading the fetched
-  // fragments in place: as healthy, the 3 base-key copies and the value.
+  // Slot 0's owner is down, so the Get reads a parity fragment instead and
+  // decodes data slot 0 straight into its place in the value's buffer,
+  // reading the fetched fragments in place: as healthy, the 3 base-key
+  // copies and the value.
   EXPECT_EQ(erasure_op_allocations(
                 {.get = true, .materialize = true, .fail_slot0 = true}),
             4u);
@@ -663,6 +668,42 @@ TEST(SimAlloc, ErasureMaterializedSetAllocationBudget) {
   // Per fragment one block header and one buffer, filled in place (the
   // data copied in, parity encoded into it), and the n = 5 base-key copies.
   EXPECT_EQ(erasure_op_allocations({.get = false, .materialize = true}), 15u);
+}
+
+TEST(SimAlloc, DegradedAssembleAllocatesOnlyTheResult) {
+  // RS(3,2) without data slot 0: the read set is {1, 2, 3}. Assembling the
+  // whole value, or a packed slice that straddles slots 0 and 1, lays the
+  // needed fragments side by side in the one buffer it returns and decodes
+  // slot 0 into it. The first (cold) call of each allocates that block and
+  // nothing else: no rebuild buffer, no copy of a source.
+  const ec::RsVandermondeCodec codec(3, 2);
+  const Bytes value = make_pattern(3000, 7);
+  const ec::ChunkLayout layout =
+      ec::make_layout(value.size(), codec.k(), codec.alignment());
+  const ec::Fragments encoded =
+      ec::encode_value(codec, value, value.size(), /*materialize=*/true);
+  const ec::ReadSet sources =
+      codec.select(codec.data_mask(), codec.all_slots() & ~ec::slot_bit(0))
+          .value();
+  ASSERT_FALSE(sources.contains(0));
+  std::array<SharedBytes, 5> fetched;
+  for (const std::size_t s : sources) fetched[s] = encoded[s];
+  const ec::ValueSlice slice{layout.fragment_size - 100, 300};
+  for (const std::optional<ec::ValueSlice> read :
+       {std::optional<ec::ValueSlice>{}, std::optional{slice}}) {
+    const std::size_t before = g_allocations;
+    const Result<Bytes> got = ec::assemble(codec, fetched, sources, layout,
+                                           read, /*materialize=*/true);
+    const std::size_t allocations = g_allocations - before;
+    EXPECT_EQ(allocations, 1u) << (read ? "slice" : "whole");
+    ASSERT_TRUE(got.ok());
+    const std::size_t offset = read ? read->offset : 0;
+    const std::size_t len = read ? read->len : value.size();
+    EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                           value.begin() + static_cast<std::ptrdiff_t>(offset),
+                           value.begin() +
+                               static_cast<std::ptrdiff_t>(offset + len)));
+  }
 }
 
 /// A materialized 64 KiB iset under `design` on 5 servers (RS(3,2), or 3

@@ -26,7 +26,6 @@
 #include "obs/json.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
-#include "obs/prometheus.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "resilience/factory.h"
@@ -53,8 +52,8 @@ inline std::uint64_t scaled(std::uint64_t ops) {
 // One per process: holds the span tracer, metrics registry and latency
 // recorder every Testbench registers into. Enabled by harness flags:
 //   --trace-out=FILE          Chrome trace_event JSON (Perfetto-loadable)
-//   --metrics-out=FILE        metrics snapshot JSON
-//   --prom-out=FILE           metrics in Prometheus text exposition format
+//   --metrics-out=FILE        metrics snapshot JSON (the one metrics export;
+//                             histograms carry p50/p95/p99/p999)
 //   --sample-interval-us=N    periodic gauge sampling (0 disables; defaults
 //                             to 100 us when tracing is on)
 //   --trace-tail-us=N         tail sampling: keep full span detail only for
@@ -116,8 +115,6 @@ class ObsSession {
         metrics_out_ = std::string(arg.substr(14));
       } else if (arg.starts_with("--trace-out=")) {
         trace_out_ = std::string(arg.substr(12));
-      } else if (arg.starts_with("--prom-out=")) {
-        prom_out_ = std::string(arg.substr(11));
       } else if (int_flag("--sample-interval-us=", &v)) {
         sample_interval_ns_ = v * 1'000;
       } else if (int_flag("--trace-tail-us=", &v)) {
@@ -147,7 +144,7 @@ class ObsSession {
   }
 
   [[nodiscard]] bool metrics_enabled() const noexcept {
-    return !metrics_out_.empty() || !prom_out_.empty();
+    return !metrics_out_.empty();
   }
   [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] obs::MetricsRegistry& registry() noexcept { return registry_; }
@@ -207,15 +204,13 @@ class ObsSession {
                  effective_shards(),
                  std::thread::hardware_concurrency());
     int rc = 0;
-    if (metrics_enabled()) registry_.capture();
-    if (!metrics_out_.empty() && !registry_.write_json(metrics_out_)) {
-      std::fprintf(stderr, "error: cannot write %s\n", metrics_out_.c_str());
-      rc = 1;
-    }
-    if (!prom_out_.empty() &&
-        !obs::write_prometheus(registry_, prom_out_)) {
-      std::fprintf(stderr, "error: cannot write %s\n", prom_out_.c_str());
-      rc = 1;
+    if (metrics_enabled()) {
+      registry_.capture();
+      if (!registry_.write_json(metrics_out_)) {
+        std::fprintf(stderr, "error: cannot write %s\n",
+                     metrics_out_.c_str());
+        rc = 1;
+      }
     }
     if (!trace_out_.empty()) {
       // Tail sampling: drop tagged span detail for every op the recorder
@@ -306,7 +301,6 @@ class ObsSession {
   std::string flight_out_;
   std::string metrics_out_;
   std::string trace_out_;
-  std::string prom_out_;
   std::string shard_profile_out_;
   SimDur sample_interval_ns_ = 0;
   std::size_t flight_ring_ = obs::FlightRecorder::kDefaultRingSize;
@@ -486,7 +480,7 @@ class Testbench {
   }
 
   /// The recorder is the only per-op latency record, so the metrics
-  /// exports carry its series: one owned histogram latency.<op>_ns per
+  /// export carries its series: one owned histogram latency.<op>_ns per
   /// {op, degraded}, with the point's schemes folded together.
   void register_latency(obs::MetricsRegistry& reg) const {
     const obs::LatencyRecorder merged = merged_latency();
@@ -499,7 +493,7 @@ class Testbench {
   }
 
   /// Only sim-deterministic profile fields become shard.* gauges: the
-  /// metrics/prometheus exports are byte-diffed across repeat runs, so the
+  /// --metrics-out export is byte-diffed across repeat runs, so the
   /// wall-clock fields (busy/stall) live only in --shard-profile-out and
   /// the harness stall tables.
   void register_shard_metrics(obs::MetricsRegistry& reg,

@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
     p.stripe_key_size = kv::stripe_key(0, 0).size();
     p.item_overhead = kv::StorageEngine::kItemOverhead;
     p.chunk_info_bytes = kv::kChunkInfoBytes;
-    p.locator_entry_overhead = 12;
+    p.locator_entry_overhead = kv::kLocatorEntryBytes;
     p.locator_copies = kM + 1;
     const ec::StorageFootprint f = ec::predict_footprint(p);
     r.predicted_ratio =

@@ -6,7 +6,7 @@
 // HealthSample per server (windowed signal deltas + instantaneous handler
 // queue depth + the membership oracle's view) and runs one detector tick.
 // Transitions are mirrored into the flight recorder (kHealthState) and
-// into owned Prometheus gauges (health.score_x1000 / health.node_state); a
+// into owned registry gauges (health.score_x1000 / health.node_state); a
 // cluster-wide burst of RPC deadline expiries in one window triggers an
 // automatic flight dump.
 //

@@ -88,6 +88,11 @@ struct StripeLoc {
   [[nodiscard]] bool operator==(const StripeLoc&) const = default;
 };
 
+/// Bytes a locator entry charges beyond its key: offset, len and
+/// stripe_bytes, three u32. Priced on the wire (index batches, locator
+/// replies) and in each server's stripe directory.
+inline constexpr std::size_t kLocatorEntryBytes = 12;
+
 /// One entry of a batched kSetStripeIndex install: the user key plus its
 /// sub-slot range. The stripe base key and stripe_bytes are shared by the
 /// whole batch and ride in Request::key / Request::chunk->original_size.
@@ -173,7 +178,9 @@ using KvEnvelope = net::Envelope<WireBody>;
 /// contribute zero bytes when absent, so the legacy paths are unchanged.
 [[nodiscard]] inline std::size_t payload_bytes(const Request& r) noexcept {
   std::size_t index_bytes = 0;
-  for (const auto& e : r.stripe_index) index_bytes += e.key.size() + 12;
+  for (const auto& e : r.stripe_index) {
+    index_bytes += e.key.size() + kLocatorEntryBytes;
+  }
   return key_bytes(r) + (r.value ? r.value->size() : 0) + index_bytes + 16;
 }
 
@@ -181,7 +188,7 @@ using KvEnvelope = net::Envelope<WireBody>;
   std::size_t keys_bytes = 0;
   for (const auto& k : r.keys) keys_bytes += k.size() + 4;
   const std::size_t loc_bytes =
-      r.stripe ? r.stripe->stripe.size() + 12 : 0;
+      r.stripe ? r.stripe->stripe.size() + kLocatorEntryBytes : 0;
   return (r.value ? r.value->size() : 0) + keys_bytes + loc_bytes + 16;
 }
 

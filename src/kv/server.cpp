@@ -144,7 +144,9 @@ sim::Task<void> Server::handle_plain(Server* self, KvEnvelope env) {
                 : (req.verb == Verb::kGet ? 0 : key_bytes(req));
   if (req.verb == Verb::kSetStripeIndex) {
     touched = 0;  // ingest cost scales with the locator batch, not the key
-    for (const auto& e : req.stripe_index) touched += e.key.size() + 12;
+    for (const auto& e : req.stripe_index) {
+      touched += e.key.size() + kLocatorEntryBytes;
+    }
   }
   const SimTime enqueued = self->sim().now();
   const SimDur first_cost = self->touch_cost(touched);
@@ -228,7 +230,8 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
         // or delete); the stripe bytes themselves become garbage in place.
         auto it = stripe_dir_.find(req.key);
         if (it != stripe_dir_.end()) {
-          stripe_dir_bytes_ -= it->first.size() + it->second.stripe.size() + 12;
+          stripe_dir_bytes_ -= it->first.size() + it->second.stripe.size() +
+                               kLocatorEntryBytes;
           stripe_dir_.erase(it);
           resp.code = StatusCode::kOk;
         } else {
@@ -267,10 +270,12 @@ Server::PlainOutcome Server::apply_plain(const Request& req,
           // Migration re-installs must not clobber a locator a concurrent
           // overwrite already refreshed (see Request::if_absent).
           if (req.if_absent) continue;
-          stripe_dir_bytes_ -= it->first.size() + it->second.stripe.size() + 12;
+          stripe_dir_bytes_ -= it->first.size() + it->second.stripe.size() +
+                               kLocatorEntryBytes;
         }
         stripe_dir_[e.key] = StripeLoc{req.key, e.offset, e.len, stripe_bytes};
-        stripe_dir_bytes_ += e.key.size() + req.key.size() + 12;
+        stripe_dir_bytes_ +=
+            e.key.size() + req.key.size() + kLocatorEntryBytes;
       }
       resp.code = StatusCode::kOk;
       break;

@@ -2,6 +2,10 @@
 // with {component, node, op} labels, snapshotting to deterministic,
 // stably-ordered JSON.
 //
+// Each entry holds exactly one kind (a scalar entry owns no histogram
+// buckets), fixed by its first registration: re-registering a
+// (name, labels) under another kind is a programming error.
+//
 // Two registration styles:
 //   * owned   — registry.counter(...)/gauge(...)/histogram(...) return a
 //               stable reference the caller increments directly;
@@ -24,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "common/histogram.h"
 
@@ -105,18 +110,10 @@ class MetricsRegistry {
   /// Deterministic, stably-ordered JSON snapshot of every metric.
   [[nodiscard]] std::string to_json() const;
 
-  /// Prometheus text-exposition snapshot: counters and gauges as scalar
-  /// samples, histograms as summaries (quantile series + _sum + _count).
-  /// Defined in obs/prometheus.cpp; same deterministic ordering as
-  /// to_json().
-  [[nodiscard]] std::string to_prometheus() const;
-
   /// Writes to_json() to `path`; false on I/O failure.
   bool write_json(const std::string& path) const;
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
-
   struct Key {
     std::string name;
     MetricLabels labels;
@@ -125,14 +122,14 @@ class MetricsRegistry {
   };
 
   struct Entry {
-    Kind kind = Kind::kCounter;
-    Counter counter;
-    Gauge gauge;
-    LatencyHistogram hist;
+    std::variant<Counter, Gauge, LatencyHistogram> metric;
     Reader reader;  // bound scalar source
   };
 
-  Entry& upsert(std::string name, MetricLabels labels, Kind kind);
+  /// The (name, labels) entry, created holding an `M` if absent.
+  template <class M>
+  Entry& upsert(std::string name, MetricLabels labels);
+  /// Counter or gauge reading (bound source first); not for histograms.
   [[nodiscard]] static std::int64_t scalar_reading(const Entry& e);
 
   std::map<Key, Entry> entries_;

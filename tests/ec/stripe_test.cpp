@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "kv/protocol.h"
 
 namespace hpres::ec {
 namespace {
@@ -129,7 +130,7 @@ TEST(Stripe, FootprintPackedBeatsStripedForSmallValues) {
   p.stripe_key_size = 8;
   p.item_overhead = 56;        // kv::Store kItemOverhead
   p.chunk_info_bytes = 16;     // kv::kChunkInfoBytes
-  p.locator_entry_overhead = 12;
+  p.locator_entry_overhead = kv::kLocatorEntryBytes;
   p.locator_copies = 3;        // m + 1
   const StorageFootprint f = predict_footprint(p);
   EXPECT_GE(f.savings_ratio, 2.0);
@@ -149,7 +150,7 @@ TEST(Stripe, FootprintConvergesForLargeValues) {
   p.stripe_key_size = 8;
   p.item_overhead = 56;
   p.chunk_info_bytes = 16;
-  p.locator_entry_overhead = 12;
+  p.locator_entry_overhead = kv::kLocatorEntryBytes;
   p.locator_copies = 3;
   const StorageFootprint f = predict_footprint(p);
   EXPECT_LT(f.savings_ratio, 1.3);

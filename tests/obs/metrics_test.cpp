@@ -133,9 +133,47 @@ TEST(MetricsRegistry, JsonCarriesLabelsAndKinds) {
        {"\"ops\"", "\"engine\"", "\"client0\"", "\"set\"",
         "\"type\":\"counter\"", "\"value\":4", "\"type\":\"gauge\"",
         "\"value\":-17", "\"type\":\"histogram\"", "\"p50\":",
-        "\"schema\":\"hpres-metrics-v1\""}) {
+        "\"p999\":", "\"schema\":\"hpres-metrics-v1\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
+}
+
+TEST(MetricsRegistry, JsonEscapesHostileLabelValues) {
+  MetricsRegistry reg;
+  reg.counter("evil", MetricLabels{"back\\slash", "quo\"te", "new\nline"})
+      .inc(7);
+  const std::string json = reg.to_json();
+
+  EXPECT_NE(json.find("\"component\":\"back\\\\slash\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"node\":\"quo\\\"te\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"op\":\"new\\nline\""), std::string::npos) << json;
+
+  // The raw hostile bytes must not survive unescaped: a literal newline
+  // would split the one-line record in two, a literal quote would end the
+  // string early.
+  EXPECT_EQ(json.find("new\nline"), std::string::npos) << json;
+  EXPECT_EQ(json.find("quo\"te\""), std::string::npos) << json;
+  const std::size_t open = json.find("{\"name\":\"evil\"");
+  ASSERT_NE(open, std::string::npos) << json;
+  const std::size_t eol = json.find('\n', open);
+  ASSERT_NE(eol, std::string::npos);
+  EXPECT_EQ(json.substr(open, eol - open).back(), '}') << json;
+}
+
+TEST(MetricsRegistry, JsonHostileValueRoundTripsThroughAllThreeLabels) {
+  // The same worst-case value (backslash, quote, newline) in every label
+  // slot comes out escaped in each, and the record still ends in its value.
+  const std::string evil = "a\\\"\n";
+  MetricsRegistry reg;
+  reg.gauge("g", MetricLabels{evil, evil, evil}).set(42);
+  const std::string json = reg.to_json();
+  const std::string escaped = "\"a\\\\\\\"\\n\"";
+  for (const char* slot : {"\"component\":", "\"node\":", "\"op\":"}) {
+    EXPECT_NE(json.find(slot + escaped), std::string::npos) << slot << json;
+  }
+  EXPECT_EQ(json.find(evil), std::string::npos) << json;
+  EXPECT_NE(json.find("\"value\":42}"), std::string::npos) << json;
 }
 
 TEST(MetricsRegistry, WriteJsonRoundTrips) {

@@ -142,26 +142,27 @@ TEST(Arpe, CommitBufferDoesNotBlockWhenPoolHasSpares) {
   EXPECT_EQ(arpe.stats().commit_buffer_waits, 0u);
 }
 
-TEST(BufferPool, WatermarkExportsAsPrometheusGauge) {
-  // high_water is a watermark, not an event count: it must carry gauge
-  // semantics in the Prometheus exposition (rate() over it is meaningless)
-  // while the true event counters stay counters.
+TEST(BufferPool, WatermarkExportsAsGauge) {
+  // high_water is a watermark, not an event count: it must export with
+  // gauge semantics (a rate over it is meaningless) while the true event
+  // counters stay counters.
   sim::Simulator sim;
   BufferPool pool(sim, 4);
   ASSERT_TRUE(pool.try_acquire());
   obs::MetricsRegistry reg;
   pool.stats().register_with(reg, "client0", "pt0");
   reg.capture();
-  const std::string out = reg.to_prometheus();
-  EXPECT_NE(out.find("# TYPE hpres_bufpool_high_water gauge"),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("# TYPE hpres_bufpool_acquisitions counter"),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("# TYPE hpres_bufpool_backpressure_waits counter"),
-            std::string::npos)
-      << out;
+  const std::string out = reg.to_json();
+  for (const char* record :
+       {"{\"name\":\"bufpool.high_water\",\"component\":\"bufpool\","
+        "\"node\":\"client0\",\"op\":\"pt0\",\"type\":\"gauge\"",
+        "{\"name\":\"bufpool.acquisitions\",\"component\":\"bufpool\","
+        "\"node\":\"client0\",\"op\":\"pt0\",\"type\":\"counter\"",
+        "{\"name\":\"bufpool.backpressure_waits\",\"component\":"
+        "\"bufpool\",\"node\":\"client0\",\"op\":\"pt0\","
+        "\"type\":\"counter\""}) {
+    EXPECT_NE(out.find(record), std::string::npos) << record << "\n" << out;
+  }
   pool.release();
 }
 

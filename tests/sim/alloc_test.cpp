@@ -14,7 +14,8 @@
 // client-encoded Set lets its value go once the fragments exist, and
 // Async-Rep's replica writes share one block. The
 // counters also track live bytes, which pin the store index's host bytes
-// per fragment. Nothing outlives a drained run: once a cluster has run
+// per fragment and a metrics registry's host bytes per scalar entry.
+// Nothing outlives a drained run: once a cluster has run
 // dry and is destroyed, every block it allocated is freed. This file
 // replaces the global operator new and delete with counting ones, so it
 // builds as its own test executable (test_sim_alloc) and the counters
@@ -41,6 +42,7 @@
 #include "kv/server.h"
 #include "kv/store.h"
 #include "net/fabric.h"
+#include "obs/metrics.h"
 #include "resilience/factory.h"
 #include "sim/frame_pool.h"
 #include "sim/future.h"
@@ -358,6 +360,41 @@ TEST(SimAlloc, StoreBytesPerFragmentKey) {
     const double per_item =
         static_cast<double>(g_live_bytes - before) / kItems;
     EXPECT_LE(per_item, 52.0);
+  }
+  EXPECT_EQ(g_live_bytes, before);
+}
+
+TEST(SimAlloc, MetricsScalarEntriesAllocateNoHistogram) {
+  // A bound counter or gauge entry holds its key, labels and reading, and
+  // no histogram buckets (3,776 of them would be ~30 KB per entry).
+  constexpr std::size_t kEach = 1'000;
+  std::array<std::uint64_t, kEach> counts{};
+  std::array<std::int64_t, kEach> levels{};
+  const std::size_t before = g_live_bytes;
+  {
+    obs::MetricsRegistry reg;
+    for (std::size_t i = 0; i < kEach; ++i) {
+      counts[i] = i;
+      levels[i] = -static_cast<std::int64_t>(i);
+      const obs::MetricLabels labels{"store", "n" + std::to_string(i), "get"};
+      reg.bind_counter("store.hits", labels, &counts[i]);
+      reg.bind_gauge("store.level", labels, &levels[i]);
+    }
+    reg.capture();
+    ASSERT_EQ(reg.size(), 2 * kEach);
+    EXPECT_EQ(reg.value_of("store.hits", {"store", "n7", "get"}), 7);
+    EXPECT_EQ(reg.value_of("store.level", {"store", "n7", "get"}), -7);
+    const double per_entry =
+        static_cast<double>(g_live_bytes - before) / (2 * kEach);
+    EXPECT_LE(per_entry, 512.0);
+
+    // A histogram entry still owns its buckets and reports percentiles.
+    LatencyHistogram& h = reg.histogram("lat", {"store", "", "get"});
+    for (std::int64_t v = 1; v <= 1000; ++v) h.record(v);
+    EXPECT_EQ(h.count(), 1000u);
+    EXPECT_NEAR(static_cast<double>(h.p50()), 500.0, 500.0 / 64);
+    EXPECT_NEAR(static_cast<double>(h.quantile(0.999)), 999.0, 999.0 / 64);
+    EXPECT_NE(reg.to_json().find("\"p999\":"), std::string::npos);
   }
   EXPECT_EQ(g_live_bytes, before);
 }

@@ -6,6 +6,9 @@
 // repair coordinator rebuilds its fragments from the survivors. Reported
 // per value size: repair throughput, per-key repair latency, and the
 // degraded-read penalty the repair removes (degraded vs healthy Get).
+//
+// Exits 1 (stderr) unless, at every value size, the repair rebuilt exactly
+// one fragment per key with no unrepairable key and no failed scan.
 #include "bench_util.h"
 #include "resilience/repair.h"
 
@@ -19,6 +22,7 @@ struct Point {
   double repair_mib_s = 0.0;       // rebuilt bytes / time
   double healthy_get_us = 0.0;
   double degraded_get_us = 0.0;
+  resilience::RepairStats repair;
 };
 
 sim::Task<void> populate(resilience::Engine* engine, std::uint64_t keys,
@@ -77,6 +81,7 @@ Point run_point(std::uint64_t keys, std::size_t value_size) {
   bench.spawn_client(0, repair_all(sim, &repair, &repair_ns));
   bench.run();
   out.repair_ms = units::to_ms(repair_ns);
+  out.repair = repair.stats();
   out.repair_mib_s =
       static_cast<double>(repair.stats().bytes_rebuilt) / (1024.0 * 1024.0) /
       units::to_s(repair_ns);
@@ -94,10 +99,24 @@ int main(int argc, char** argv) {
   print_header("Repair cost vs value size",
                {"value", "repair_ms", "repair_MiB/s", "healthy_get",
                 "degraded_get", "penalty"});
+  bool ok = true;
   for (const std::size_t size :
        {std::size_t{16} * 1024, std::size_t{64} * 1024,
         std::size_t{256} * 1024, std::size_t{1024} * 1024}) {
     const Point point = run_point(keys, size);
+    const resilience::RepairStats& r = point.repair;
+    if (r.fragments_rebuilt != keys || r.unrepairable_keys != 0 ||
+        r.scan_failures != 0) {
+      std::fprintf(stderr,
+                   "error: %s rebuilt %llu fragments for %llu keys, %llu "
+                   "unrepairable, %llu failed scans\n",
+                   size_label(size).c_str(),
+                   static_cast<unsigned long long>(r.fragments_rebuilt),
+                   static_cast<unsigned long long>(keys),
+                   static_cast<unsigned long long>(r.unrepairable_keys),
+                   static_cast<unsigned long long>(r.scan_failures));
+      ok = false;
+    }
     print_cell(size_label(size));
     print_cell(point.repair_ms);
     print_cell(point.repair_mib_s);
@@ -106,5 +125,6 @@ int main(int argc, char** argv) {
     print_cell(point.degraded_get_us / point.healthy_get_us);
     end_row();
   }
-  return obs_finalize();
+  const int rc = obs_finalize();
+  return ok ? rc : 1;
 }

@@ -42,7 +42,7 @@ struct RunOut {
   workload::YcsbResult merged;
   SimDur makespan_ns = 0;
   cluster::PlacementStats placement;
-  std::uint64_t fragments_rebuilt = 0;  ///< repair-path rebuilds during moves
+  resilience::RepairStats moves;  ///< the migration's per-key work
   std::uint64_t wrong_epoch_retries = 0;
   std::uint64_t fallback_gets = 0;
   std::uint64_t readback_failures = 0;  ///< post-run full sweep
@@ -159,7 +159,7 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
   out.makespan_ns = b.cl.now_quiesced() - start;
   for (const auto& r : results) out.merged.merge(r);
   out.placement = b.manager->stats();
-  out.fragments_rebuilt = b.manager->stats().fragments_rebuilt;
+  out.moves = b.manager->repair_stats();
   for (std::size_t c = 0; c < kClients; ++c) {
     out.wrong_epoch_retries += b.engines[c]->stats().wrong_epoch_retries;
     out.fallback_gets += b.engines[c]->stats().placement_fallback_gets;
@@ -274,19 +274,20 @@ int main_impl(int argc, char** argv) {
   print_run("join+drain", elastic);
 
   const cluster::PlacementStats& ps = elastic.placement;
+  const resilience::RepairStats& moves = elastic.moves;
   const double moved_mib =
-      static_cast<double>(ps.moved_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(moves.bytes_copied) / (1024.0 * 1024.0);
   const double per_key =
-      ps.keys_moved == 0
+      moves.keys_repaired == 0
           ? 0.0
-          : static_cast<double>(ps.moved_bytes) /
-                static_cast<double>(ps.keys_moved) / 1024.0;
+          : static_cast<double>(moves.bytes_copied) /
+                static_cast<double>(moves.keys_repaired) / 1024.0;
   print_header("migration cost (elastic run)",
                {"epochs", "keys_moved", "frags_moved", "moved_MiB",
                 "KiB_per_key", "locators", "cleanups"});
   print_cell(static_cast<double>(ps.changes));
-  print_cell(static_cast<double>(ps.keys_moved));
-  print_cell(static_cast<double>(ps.fragments_moved));
+  print_cell(static_cast<double>(moves.keys_repaired));
+  print_cell(static_cast<double>(moves.fragments_copied));
   print_cell(moved_mib);
   print_cell(per_key);
   print_cell(static_cast<double>(ps.locators_moved));
@@ -300,7 +301,7 @@ int main_impl(int argc, char** argv) {
   print_cell(static_cast<double>(ps.epoch_acks));
   print_cell(static_cast<double>(elastic.wrong_epoch_retries));
   print_cell(static_cast<double>(elastic.fallback_gets));
-  print_cell(static_cast<double>(elastic.fragments_rebuilt));
+  print_cell(static_cast<double>(moves.fragments_rebuilt));
   print_cell(static_cast<double>(elastic.readback_failures));
   end_row();
 

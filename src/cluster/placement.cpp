@@ -4,7 +4,6 @@
 #include <cassert>
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 namespace hpres::cluster {
@@ -188,97 +187,29 @@ sim::Task<std::size_t> PlacementManager::install_epochs() {
 }
 
 sim::Task<void> PlacementManager::migrate_all(bool cleanup_ok) {
-  // Discovery rides the repair coordinator's scan (fragment base keys,
-  // including packed-stripe bases) plus the locator-directory walk. Both
-  // sets are deduped and ordered, so the pass is deterministic.
+  // Both key sets are deduped and ordered, so the pass is deterministic.
   std::set<kv::Key> bases;
   std::set<kv::Key> locators;
-  for (std::size_t s = 0; s < ctx_.membership->size(); ++s) {
-    if (!ctx_.membership->up(s)) continue;
-    Result<std::vector<kv::Key>> found = co_await repair_.discover(s);
-    if (found.ok()) {
-      bases.insert(found->begin(), found->end());
-    } else {
-      ++stats_.scan_failures;
-    }
-    kv::Request req;
-    req.verb = kv::Verb::kScan;
-    req.stripe_lookup = true;
-    const kv::Response resp =
-        co_await ctx_.client->invoke(node_of(s), std::move(req));
-    if (resp.code == StatusCode::kOk) {
-      locators.insert(resp.keys.begin(), resp.keys.end());
-    } else {
-      ++stats_.scan_failures;
-    }
-  }
+  (void)co_await repair_.discover_all(&bases, &locators);
   paced_ = 0;
   for (const kv::Key& key : bases) {
-    co_await migrate_key(key, cleanup_ok);
+    ec::SlotMask moved = 0;
+    (void)co_await repair_.reconcile_key(key, prev_ring_, ring(), &moved);
+    if (cleanup_ok) {
+      kv::Placement old_place = prev_ring_.place(key);
+      for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
+        if (!ec::has_slot(moved, slot)) continue;
+        const kv::Response resp = co_await ctx_.client->invoke(
+            node_of(old_place.owner(slot)),
+            kv::fragment_request(kv::Verb::kDelete, key, slot));
+        if (resp.code == StatusCode::kOk) ++stats_.cleanup_deletes;
+      }
+    }
+    co_await pace();
   }
   for (const kv::Key& key : locators) {
     co_await migrate_locator(key, cleanup_ok);
   }
-}
-
-sim::Task<void> PlacementManager::migrate_key(kv::Key key, bool cleanup_ok) {
-  ++stats_.keys_scanned;
-  const std::size_t n = codec_->n();
-  bool moved_any = false;
-  bool need_repair = false;
-  // (slot, old owner) pairs whose copy landed — cleanup targets.
-  std::vector<std::pair<std::size_t, std::size_t>> copied;
-  kv::Placement old_place = prev_ring_.place(key);
-  kv::Placement new_place = ring().place(key);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t old_owner = old_place.owner(slot);
-    const std::size_t new_owner = new_place.owner(slot);
-    if (old_owner == new_owner) continue;
-    if (!ctx_.membership->up(old_owner)) {
-      need_repair = true;  // old copy unreachable: rebuild below
-      continue;
-    }
-    kv::Response got = co_await ctx_.client->invoke(
-        node_of(old_owner), kv::fragment_request(kv::Verb::kGet, key, slot));
-    if (got.code != StatusCode::kOk || !got.value || !got.chunk) {
-      need_repair = true;
-      continue;
-    }
-    // if_absent: a concurrent client write under the new epoch already
-    // placed fresher bytes here — the stale copy must never clobber it.
-    kv::Request put =
-        kv::fragment_put(key, slot, got.value, got.chunk->original_size);
-    put.if_absent = true;
-    const kv::Response ack =
-        co_await ctx_.client->invoke(node_of(new_owner), std::move(put));
-    if (ack.code != StatusCode::kOk) {
-      need_repair = true;
-      continue;
-    }
-    ++stats_.fragments_moved;
-    stats_.moved_bytes += got.value->size();
-    moved_any = true;
-    copied.emplace_back(slot, old_owner);
-  }
-  if (need_repair) {
-    // The copies above are durable at their new positions, so the repair
-    // probe (which resolves under the live ring) sees them; only the
-    // fragments whose old owner is gone get rebuilt from survivors.
-    const std::uint64_t before = repair_.stats().fragments_rebuilt;
-    co_await repair_.repair_key(key);
-    stats_.fragments_rebuilt += repair_.stats().fragments_rebuilt - before;
-    moved_any = true;
-  }
-  if (moved_any) ++stats_.keys_moved;
-  if (cleanup_ok) {
-    for (const auto& [slot, old_owner] : copied) {
-      const kv::Response resp = co_await ctx_.client->invoke(
-          node_of(old_owner),
-          kv::fragment_request(kv::Verb::kDelete, key, slot));
-      if (resp.code == StatusCode::kOk) ++stats_.cleanup_deletes;
-    }
-  }
-  co_await pace();
 }
 
 sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
@@ -304,7 +235,6 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
     if (!contains(old_owners, s)) changed = true;
   }
   if (!changed) co_return;
-  ++stats_.keys_scanned;
   // Any old dir owner still holding the locator can source it.
   std::optional<kv::StripeLoc> loc;
   for (const std::size_t s : old_owners) {

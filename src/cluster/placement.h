@@ -12,12 +12,11 @@
 //      (kPlacementEpoch). From the moment a server installs it, writes
 //      stamped with an older epoch bounce with kWrongEpoch and the engine
 //      re-runs them under the refreshed ring.
-//   3. Migrate — a scan-driven pass (reusing RepairCoordinator discovery)
-//      copies every fragment whose owner changed from its old position to
-//      its new one with if_absent semantics, falls back to erasure rebuild
-//      when an old owner is gone, and re-homes packed-stripe locator
-//      directory entries. Copies are paced so foreground traffic keeps
-//      its latency envelope.
+//   3. Migrate — the embedded RepairCoordinator discovers every key
+//      (discover_all) and reconciles it from the pre-cutover ring to the
+//      live one (reconcile_key), counting the per-key work in its
+//      RepairStats; packed-stripe locator entries are re-homed here. Keys
+//      are paced so foreground traffic keeps its latency envelope.
 //   4. Finish — the view's previous ring is cleared and (epoch acks
 //      permitting) the stale copies at old positions are deleted.
 //
@@ -42,16 +41,8 @@ namespace hpres::cluster {
 struct PlacementStats {
   std::uint64_t changes = 0;           ///< completed join/leave transitions
   std::uint64_t epoch_acks = 0;        ///< kPlacementEpoch acks received
-  std::uint64_t keys_scanned = 0;      ///< keys examined by migration passes
-  std::uint64_t keys_moved = 0;        ///< keys with >= 1 fragment relocated
-  std::uint64_t fragments_moved = 0;   ///< fragments copied old -> new owner
-  std::uint64_t fragments_rebuilt = 0; ///< fragments recreated via repair
-  std::uint64_t moved_bytes = 0;       ///< fragment payload bytes copied
   std::uint64_t locators_moved = 0;    ///< stripe locator entries re-homed
   std::uint64_t cleanup_deletes = 0;   ///< stale copies removed at finish
-  /// Migration discovery scans (fragment or locator) that failed; keys
-  /// held only behind a failed scan are not migrated by that pass.
-  std::uint64_t scan_failures = 0;
 
   /// Registers every field into `reg` under component "placement".
   void register_with(obs::MetricsRegistry& reg, std::string node,
@@ -60,15 +51,8 @@ struct PlacementStats {
                                    std::move(op)};
     reg.bind_counter("placement.changes", labels, &changes);
     reg.bind_counter("placement.epoch_acks", labels, &epoch_acks);
-    reg.bind_counter("placement.keys_scanned", labels, &keys_scanned);
-    reg.bind_counter("placement.keys_moved", labels, &keys_moved);
-    reg.bind_counter("placement.fragments_moved", labels, &fragments_moved);
-    reg.bind_counter("placement.fragments_rebuilt", labels,
-                     &fragments_rebuilt);
-    reg.bind_counter("placement.moved_bytes", labels, &moved_bytes);
     reg.bind_counter("placement.locators_moved", labels, &locators_moved);
     reg.bind_counter("placement.cleanup_deletes", labels, &cleanup_deletes);
-    reg.bind_counter("placement.scan_failures", labels, &scan_failures);
   }
 };
 
@@ -119,6 +103,10 @@ class PlacementManager {
   [[nodiscard]] const PlacementStats& stats() const noexcept {
     return stats_;
   }
+  /// Migration's per-key work (keys scanned, fragments copied, ...).
+  [[nodiscard]] const resilience::RepairStats& repair_stats() const noexcept {
+    return repair_.stats();
+  }
 
   /// Registers the placement counters, the current epoch gauge, and the
   /// embedded repair coordinator's counters into `reg`.
@@ -145,7 +133,6 @@ class PlacementManager {
   /// the number of acks (cleanup is gated on acks == live servers).
   sim::Task<std::size_t> install_epochs();
   sim::Task<void> migrate_all(bool cleanup_ok);
-  sim::Task<void> migrate_key(kv::Key key, bool cleanup_ok);
   sim::Task<void> migrate_locator(kv::Key key, bool cleanup_ok);
   sim::Task<void> pace();
 

@@ -1,24 +1,40 @@
 #include "resilience/repair.h"
 
 #include <bit>
-#include <set>
 
 namespace hpres::resilience {
 
-sim::Task<Result<std::vector<kv::Key>>> RepairCoordinator::discover(
-    std::size_t via_server_index) {
+sim::Task<Status> RepairCoordinator::discover(std::size_t via_server_index,
+                                              std::set<kv::Key>* into,
+                                              bool locators) {
   if (!ctx_.membership->up(via_server_index)) {
     co_return Status{StatusCode::kUnavailable, "scan target is down"};
   }
   kv::Request req;
   req.verb = kv::Verb::kScan;
-  const kv::Response resp = co_await ctx_.client->invoke(
-      (*ctx_.server_nodes)[via_server_index], std::move(req));
+  req.stripe_lookup = locators;
+  const kv::Response resp =
+      co_await ctx_.client->invoke(node(via_server_index), std::move(req));
   if (resp.code != StatusCode::kOk) {
     ++stats_.scan_failures;
     co_return Status{resp.code};
   }
-  co_return resp.keys;
+  into->insert(resp.keys.begin(), resp.keys.end());
+  co_return Status::Ok();
+}
+
+sim::Task<Status> RepairCoordinator::discover_all(
+    std::set<kv::Key>* bases, std::set<kv::Key>* locators) {
+  StatusCode worst = StatusCode::kOk;
+  for (std::size_t s = 0; s < ctx_.membership->size(); ++s) {
+    if (!ctx_.membership->up(s)) continue;
+    const Status found = co_await discover(s, bases);
+    if (!found.ok()) worst = found.code();
+    if (locators == nullptr) continue;
+    const Status dir = co_await discover(s, locators, true);
+    if (!dir.ok()) worst = dir.code();
+  }
+  co_return Status{worst};
 }
 
 void RepairCoordinator::record_phase(obs::Tracer* tr,
@@ -37,19 +53,22 @@ void RepairCoordinator::record_phase(obs::Tracer* tr,
   }
 }
 
-sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
+sim::Task<Status> RepairCoordinator::reconcile_key(kv::Key key,
+                                                   const kv::HashRing& from,
+                                                   const kv::HashRing& to,
+                                                   ec::SlotMask* moved) {
   ++stats_.keys_scanned;
-  const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
   obs::Tracer* const tr = ctx_.live_tracer();
-  // Each key's repair is one causal trace: the probe/fetch/replace RPCs and
-  // their server handling carry it, so a repair storm is attributable in
-  // the trace viewer just like a client op.
+  // Each key's reconcile is one causal trace: the probe/copy/fetch/replace
+  // RPCs and their server handling carry it, so a repair storm is
+  // attributable in the trace viewer just like a client op.
   const obs::TraceContext rtrace{tr != nullptr ? tr->new_trace_id() : 0,
                                  trace_tid(), 0};
 
-  // Phase 1 — presence probe: head-only Gets, no fragment payloads move.
-  kv::Placement place = ctx_.ring->place(key);
+  // Phase 1 — presence probe at every live `to` owner: head-only Gets, no
+  // fragment payloads move.
+  kv::Placement place = to.place(key);
   ec::SlotMask owner_alive = 0;
   ec::SlotMask present = 0;
   std::optional<kv::ChunkInfo> meta;
@@ -63,8 +82,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
       kv::Request req = kv::fragment_request(kv::Verb::kGet, key, slot);
       req.head_only = true;
       req.trace = rtrace;
-      pending[slot] = ctx_.client->call_async((*ctx_.server_nodes)[owner],
-                                              std::move(req));
+      pending[slot] = ctx_.client->call_async(node(owner), std::move(req));
     }
     for (std::size_t slot = 0; slot < n; ++slot) {
       if (!pending[slot].valid()) continue;
@@ -75,6 +93,39 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     }
   }
   record_phase(tr, rtrace, "repair/probe", 0, probe_t0);
+
+  // Phase 1b — copy: a missing slot whose `from` owner is another live
+  // server comes from that owner while it still holds the fragment. This
+  // is the one place a slot is chosen for copy rather than rebuild; under
+  // one ring (`from` == `to`) no slot qualifies.
+  kv::Placement from_place = from.place(key);
+  ec::SlotMask relocated = 0;
+  std::size_t copies = 0;
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const std::size_t source = from_place.owner(slot);
+    if (source == place.owner(slot) || !ctx_.membership->up(source)) continue;
+    relocated |= ec::slot_bit(slot);
+    if (!ec::has_slot(owner_alive & ~present, slot)) continue;
+    kv::Request get = kv::fragment_request(kv::Verb::kGet, key, slot);
+    get.trace = rtrace;
+    const kv::Response got =
+        co_await ctx_.client->invoke(node(source), std::move(get));
+    if (got.code != StatusCode::kOk || !got.value || !got.chunk) continue;
+    kv::Request put =
+        kv::fragment_put(key, slot, got.value, got.chunk->original_size);
+    put.if_absent = true;
+    put.trace = rtrace;
+    const kv::Response ack =
+        co_await ctx_.client->invoke(node(place.owner(slot)), std::move(put));
+    if (ack.code != StatusCode::kOk) continue;
+    present |= ec::slot_bit(slot);
+    meta = got.chunk;
+    ++copies;
+    ++stats_.fragments_copied;
+    stats_.bytes_copied += got.value->size();
+  }
+  if (moved != nullptr) *moved = relocated & present;
+
   const ec::SlotMask rebuild = owner_alive & ~present;
   const auto rebuilt_count = static_cast<std::size_t>(std::popcount(rebuild));
   // Phase 2 — choose the fetch set: the codec names the survivors that
@@ -89,12 +140,15 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     co_return Status{StatusCode::kTooManyFailures,
                      "surviving fragments cannot rebuild the key"};
   }
-  if (rebuild == 0) co_return Status::Ok();
+  if (rebuild == 0) {
+    if (copies != 0) ++stats_.keys_repaired;
+    co_return Status::Ok();
+  }
   const ec::ReadSet& fetch = *selected;
 
   const std::size_t value_size = meta->original_size;
   const ec::ChunkLayout layout =
-      ec::make_layout(value_size, k, codec_->alignment());
+      ec::make_layout(value_size, codec_->k(), codec_->alignment());
 
   std::vector<SharedBytes> fetched(n);
   const SimTime fetch_t0 = ctx_.sim->now();
@@ -104,9 +158,8 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     for (const std::size_t slot : fetch) {
       kv::Request req = kv::fragment_request(kv::Verb::kGet, key, slot);
       req.trace = rtrace;
-      const std::size_t owner = place.owner(slot);
-      pending.push_back(ctx_.client->call_async((*ctx_.server_nodes)[owner],
-                                                std::move(req)));
+      pending.push_back(
+          ctx_.client->call_async(node(place.owner(slot)), std::move(req)));
     }
     for (std::size_t i = 0; i < fetch.size(); ++i) {
       kv::Response resp = co_await pending[i].wait();
@@ -135,7 +188,9 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
                             layout.fragment_size, ctx_.materialize);
   if (!rebuilt.ok()) co_return rebuilt.status();
 
-  // Phase 4 — re-place rebuilt fragments on their designated owners.
+  // Phase 4 — re-place rebuilt fragments on their designated owners. A
+  // client Set that landed after the probe is newer than these bytes, so
+  // the put only fills an absent slot.
   const SimTime replace_t0 = ctx_.sim->now();
   std::vector<sim::Future<kv::Response>> writes;
   writes.reserve(rebuilt_count);
@@ -143,10 +198,10 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
     if (!ec::has_slot(rebuild, slot)) continue;
     kv::Request req =
         kv::fragment_put(key, slot, (*rebuilt)[slot], value_size);
+    req.if_absent = true;
     req.trace = rtrace;
-    const std::size_t owner = place.owner(slot);
     writes.push_back(
-        ctx_.client->call_async((*ctx_.server_nodes)[owner], std::move(req)));
+        ctx_.client->call_async(node(place.owner(slot)), std::move(req)));
   }
   StatusCode worst = StatusCode::kOk;
   for (const auto& f : writes) {
@@ -156,7 +211,7 @@ sim::Task<Status> RepairCoordinator::repair_key(kv::Key key) {
   record_phase(tr, rtrace, "repair/replace", 3, replace_t0);
   if (worst == StatusCode::kOk) {
     ++stats_.keys_repaired;
-    if (fetch.size() < k) ++stats_.local_repairs;
+    if (fetch.size() < codec_->k()) ++stats_.local_repairs;
     stats_.fragments_rebuilt += rebuilt_count;
     stats_.bytes_rebuilt += rebuilt_count * layout.fragment_size;
   }
@@ -176,8 +231,8 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
     probe.verb = kv::Verb::kGet;
     probe.key = key;
     probe.head_only = true;
-    const kv::Response resp = co_await ctx_.client->invoke(
-        (*ctx_.server_nodes)[owner], std::move(probe));
+    const kv::Response resp =
+        co_await ctx_.client->invoke(node(owner), std::move(probe));
     if (resp.code == StatusCode::kOk) co_return;
     break;  // one stager probe suffices; the stager is the first live owner
   }
@@ -186,9 +241,8 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
   deletes.reserve(n);
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (!ec::has_slot(present, slot)) continue;
-    const std::size_t owner = place.owner(slot);
     deletes.push_back(ctx_.client->call_async(
-        (*ctx_.server_nodes)[owner],
+        node(place.owner(slot)),
         kv::fragment_request(kv::Verb::kDelete, key, slot)));
   }
   for (const auto& f : deletes) {
@@ -199,18 +253,9 @@ sim::Task<void> RepairCoordinator::purge_orphan(kv::Key key,
 
 sim::Task<Status> RepairCoordinator::repair_all() {
   std::set<kv::Key> keys;
-  StatusCode worst = StatusCode::kOk;
-  for (std::size_t s = 0; s < ctx_.membership->size(); ++s) {
-    if (!ctx_.membership->up(s)) continue;
-    Result<std::vector<kv::Key>> found = co_await discover(s);
-    if (!found.ok()) {
-      worst = found.status().code();
-      continue;
-    }
-    keys.insert(found->begin(), found->end());
-  }
+  StatusCode worst = (co_await discover_all(&keys, nullptr)).code();
   for (const kv::Key& key : keys) {
-    const Status s = co_await repair_key(key);
+    const Status s = co_await reconcile_key(key, *ctx_.ring, *ctx_.ring);
     if (!s.ok()) worst = s.code();
   }
   co_return Status{worst};

@@ -1,14 +1,20 @@
-// Fragment repair coordinator — the recovery machinery the paper defers to
-// future work ("we plan to undertake detailed recovery overhead analysis").
+// Fragment reconciler — the recovery the paper defers to future work ("we
+// plan to undertake detailed recovery overhead analysis"), and the data
+// mover of an elastic placement change.
 //
-// When a failed server comes back empty (or a replacement takes its node
-// id), every key keeps working in degraded mode, but each degraded Get
-// pays T_decode and one fewer failure is now tolerable. The coordinator
-// restores full redundancy: it discovers affected keys by scanning a live
-// peer's fragment index, fetches the surviving fragments the codec selects
-// per key (k, or a local group under repair locality), rebuilds the missing
-// ones with the real codec, and re-places them on their designated owners.
+// reconcile_key(key, from, to) puts every fragment of a key at its owner
+// under `to`: a slot already there is left alone, a slot whose `from`
+// owner is up and holds it is copied from there, and any other slot is
+// rebuilt from the survivors the codec selects (k, or a local group under
+// repair locality). Every write is an if_absent fragment put, so a client
+// Set that lands first is never overwritten. Repair — a failed server
+// came back empty and its keys read degraded — is reconcile_key(key,
+// ring, ring); migration (cluster::PlacementManager) is reconcile_key(key,
+// previous ring, live ring). Both discover keys through discover_all and
+// count per-key work in one RepairStats.
 #pragma once
+
+#include <set>
 
 #include "ec/chunker.h"
 #include "ec/codec.h"
@@ -19,7 +25,9 @@ namespace hpres::resilience {
 
 struct RepairStats {
   std::uint64_t keys_scanned = 0;
-  std::uint64_t keys_repaired = 0;      ///< had at least one fragment rebuilt
+  std::uint64_t keys_repaired = 0;  ///< had >= 1 fragment copied or rebuilt
+  std::uint64_t fragments_copied = 0;   ///< moved from their `from` owner
+  std::uint64_t bytes_copied = 0;
   std::uint64_t fragments_rebuilt = 0;
   std::uint64_t bytes_rebuilt = 0;
   std::uint64_t fragments_read = 0;     ///< survivor fragments fetched
@@ -28,7 +36,9 @@ struct RepairStats {
   std::uint64_t unrepairable_keys = 0;  ///< survivors cannot rebuild the key
   std::uint64_t orphaned_keys = 0;      ///< unreconstructable leftovers found
   std::uint64_t orphan_fragments_purged = 0;  ///< stray fragments deleted
-  std::uint64_t scan_failures = 0;  ///< kScan RPCs that did not answer OK
+  /// Discovery kScans (fragment or locator) that did not answer OK; keys
+  /// held only behind a failed scan are not reconciled by that pass.
+  std::uint64_t scan_failures = 0;
 
   /// Registers every field into `reg` under component "repair".
   void register_with(obs::MetricsRegistry& reg, std::string node,
@@ -36,6 +46,8 @@ struct RepairStats {
     const obs::MetricLabels labels{"repair", std::move(node), std::move(op)};
     reg.bind_counter("repair.keys_scanned", labels, &keys_scanned);
     reg.bind_counter("repair.keys_repaired", labels, &keys_repaired);
+    reg.bind_counter("repair.fragments_copied", labels, &fragments_copied);
+    reg.bind_counter("repair.bytes_copied", labels, &bytes_copied);
     reg.bind_counter("repair.fragments_rebuilt", labels, &fragments_rebuilt);
     reg.bind_counter("repair.bytes_rebuilt", labels, &bytes_rebuilt);
     reg.bind_counter("repair.fragments_read", labels, &fragments_read);
@@ -70,19 +82,32 @@ class RepairCoordinator {
   /// unrepairable-key accounting should otherwise stay non-destructive.
   void set_purge_orphans(bool on) noexcept { purge_orphans_ = on; }
 
-  /// Enumerates the base keys whose fragments a live server holds
-  /// (kScan). Repairing every key discovered through any single live
+  /// Adds to `*into` the base keys whose fragments a live server holds
+  /// (kScan), or with `locators` the keys of its packed-stripe locator
+  /// directory. Repairing every key discovered through any single live
   /// server covers all keys that server shares a fragment with. A scan
   /// that fails counts in RepairStats::scan_failures.
-  sim::Task<Result<std::vector<kv::Key>>> discover(
-      std::size_t via_server_index);
+  sim::Task<Status> discover(std::size_t via_server_index,
+                             std::set<kv::Key>* into, bool locators = false);
 
-  /// Restores every missing fragment of `key` whose designated owner is
-  /// alive. No-op (OK) when the key is fully intact; kTooManyFailures when
-  /// the surviving fragments cannot decode it.
-  sim::Task<Status> repair_key(kv::Key key);
+  /// Scans every live server in index order into `bases` and, when
+  /// `locators` is non-null, its locator directory into `locators` right
+  /// after. Returns the last failed scan's code (OK when none failed).
+  sim::Task<Status> discover_all(std::set<kv::Key>* bases,
+                                 std::set<kv::Key>* locators);
 
-  /// Discovers via every live server and repairs every affected key.
+  /// Puts every fragment of `key` at its live owner under `to` (see the
+  /// file comment). `*moved`, when non-null, is set to the slots now at
+  /// their `to` owner whose `from` owner is another live server: that
+  /// server's copy is stale, for the caller to delete. OK when nothing was
+  /// missing; kTooManyFailures when the survivors cannot decode the key.
+  /// Both rings must outlive the call.
+  sim::Task<Status> reconcile_key(kv::Key key, const kv::HashRing& from,
+                                  const kv::HashRing& to,
+                                  ec::SlotMask* moved = nullptr);
+
+  /// Discovers via every live server and reconciles every key found
+  /// under the live ring.
   /// Returns the last failure among the scans and the key repairs, so a
   /// server that never answered its scan does not pass as repaired.
   sim::Task<Status> repair_all();
@@ -97,8 +122,12 @@ class RepairCoordinator {
            (obs::Tracer::kLanesPerNode - 1);
   }
 
-  /// Closes one repair_key phase that began at `t0`: a `name` span on the
-  /// coordinator's lane under `trace` (when `tr` is live) and a
+  [[nodiscard]] net::NodeId node(std::size_t server) const {
+    return (*ctx_.server_nodes)[server];
+  }
+
+  /// Closes one reconcile_key phase that began at `t0`: a `name` span on
+  /// the coordinator's lane under `trace` (when `tr` is live) and a
   /// kRepairPhase flight record carrying the phase's duration and `code`
   /// (0 probe, 1 fetch, 2 reconstruct, 3 replace).
   void record_phase(obs::Tracer* tr, const obs::TraceContext& trace,

@@ -107,10 +107,11 @@ TEST(Placement, JoinThenLeaveKeepsEveryValueByteExact) {
   const cluster::PlacementStats& after_join = h.manager->stats();
   EXPECT_EQ(after_join.changes, 1u);
   EXPECT_EQ(after_join.epoch_acks, kProvisioned);  // all six are up
-  EXPECT_GT(after_join.fragments_moved, 0u);
-  EXPECT_GT(after_join.moved_bytes, 0u);
   EXPECT_GT(after_join.cleanup_deletes, 0u);
-  EXPECT_EQ(after_join.scan_failures, 0u);
+  const resilience::RepairStats& moves = h.manager->repair_stats();
+  EXPECT_GT(moves.fragments_copied, 0u);
+  EXPECT_GT(moves.bytes_copied, 0u);
+  EXPECT_EQ(moves.scan_failures, 0u);
 
   std::size_t mismatches = 0;
   h.cl.sim().spawn(
@@ -284,7 +285,7 @@ TEST(Placement, ShardedRuntimeMigratesThroughQuiesceHook) {
   h.cl.run();
   EXPECT_EQ(h.cl.ring().epoch(), 2u);
   EXPECT_FALSE(h.manager->in_transition());
-  EXPECT_GT(h.manager->stats().fragments_moved, 0u);
+  EXPECT_GT(h.manager->repair_stats().fragments_copied, 0u);
 
   std::size_t mismatches = 0;
   h.cl.sim_for_client(0).spawn(
@@ -309,7 +310,27 @@ TEST(Placement, FailedDiscoveryScansAreCounted) {
   h.manager->coordinator_sim().spawn(run_join(h.manager.get(), 4));
   h.cl.run();
   EXPECT_EQ(h.manager->stats().changes, 1u);
-  EXPECT_EQ(h.manager->stats().scan_failures, 2u);
+  EXPECT_EQ(h.manager->repair_stats().scan_failures, 2u);
+
+  // Each unit of work is exported once: summed over the repair.* and
+  // placement.* names, two failed scans, 10 rebuilt fragments and one
+  // scan of each of the 60 keys.
+  obs::MetricsRegistry reg;
+  h.manager->register_metrics(reg, "join");
+  reg.capture();
+  const auto exported = [&reg](const std::string& name) {
+    std::int64_t total = 0;
+    for (const char* component : {"repair", "placement"}) {
+      total += reg.value_of(std::string(component) + "." + name,
+                            obs::MetricLabels{component, "coordinator",
+                                              "join"})
+                   .value_or(0);
+    }
+    return total;
+  };
+  EXPECT_EQ(exported("scan_failures"), 2);
+  EXPECT_EQ(exported("fragments_rebuilt"), 10);
+  EXPECT_EQ(exported("keys_scanned"), static_cast<std::int64_t>(kKeys));
 }
 
 sim::Task<void> install_epoch(kv::Client* client, kv::NodeId server,

@@ -35,16 +35,10 @@ TEST_F(RepairTest, DiscoverListsBaseKeysOfFragments) {
     static sim::Task<void> run(Engine* e, RepairCoordinator* rc) {
       (void)co_await e->set("alpha", make_shared_bytes(make_pattern(9000, 1)));
       (void)co_await e->set("beta", make_shared_bytes(make_pattern(9000, 2)));
-      const auto keys = co_await rc->discover(0);
-      EXPECT_TRUE(keys.ok());
-      if (keys.ok()) {
-        // Every server holds one fragment of each key (5 = k+m servers).
-        EXPECT_EQ(keys->size(), 2u);
-        EXPECT_NE(std::find(keys->begin(), keys->end(), "alpha"),
-                  keys->end());
-        EXPECT_NE(std::find(keys->begin(), keys->end(), "beta"),
-                  keys->end());
-      }
+      std::set<kv::Key> keys;
+      EXPECT_TRUE((co_await rc->discover(0, &keys)).ok());
+      // Every server holds one fragment of each key (5 = k+m servers).
+      EXPECT_EQ(keys, (std::set<kv::Key>{"alpha", "beta"}));
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get(), repair.get());
@@ -56,8 +50,10 @@ TEST_F(RepairTest, DiscoverFromDeadServerFails) {
   cluster_.start();
   struct Body {
     static sim::Task<void> run(RepairCoordinator* rc) {
-      const auto keys = co_await rc->discover(2);
-      EXPECT_EQ(keys.status().code(), StatusCode::kUnavailable);
+      std::set<kv::Key> keys;
+      const Status s = co_await rc->discover(2, &keys);
+      EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+      EXPECT_TRUE(keys.empty());
     }
   };
   run_sim(cluster_.sim(), Body::run, repair.get());
@@ -84,7 +80,8 @@ TEST_F(RepairTest, RebuildsFragmentsOntoRecoveredServer) {
       cl->recover_server(victim);
       EXPECT_EQ(cl->server(victim).store().items(), 0u);
 
-      const Status s = co_await rc->repair_key("obj");
+      const Status s =
+          co_await rc->reconcile_key("obj", cl->ring(), cl->ring());
       EXPECT_TRUE(s.ok()) << s;
       EXPECT_EQ(rc->stats().fragments_rebuilt, 1u);
       EXPECT_EQ(cl->server(victim).store().items(), 1u);
@@ -145,19 +142,74 @@ TEST_F(RepairTest, RebuildsPackedStripeFragments) {
 }
 
 TEST_F(RepairTest, IntactKeyIsNoOp) {
+  // Under one ring an intact key costs n head-only probes and their n
+  // answers: no copy, fetch or put goes out.
   auto engine = make_engine(Design::kEraCeCd);
   auto repair = make_coordinator();
   cluster_.start();
   struct Body {
-    static sim::Task<void> run(Engine* e, RepairCoordinator* rc) {
+    static sim::Task<void> run(Engine* e, RepairCoordinator* rc,
+                               cluster::Cluster* cl) {
       (void)co_await e->set("fine", make_shared_bytes(make_pattern(5000, 4)));
-      const Status s = co_await rc->repair_key("fine");
+      const std::uint64_t sent = cl->fabric().stats().messages_sent;
+      const std::uint64_t bytes = cl->fabric().stats().bytes_sent;
+      const Status s =
+          co_await rc->reconcile_key("fine", cl->ring(), cl->ring());
       EXPECT_TRUE(s.ok());
       EXPECT_EQ(rc->stats().fragments_rebuilt, 0u);
       EXPECT_EQ(rc->stats().keys_repaired, 0u);
+      EXPECT_EQ(cl->fabric().stats().messages_sent - sent, 2 * kServers);
+      EXPECT_LT(cl->fabric().stats().bytes_sent - bytes, 5000u / 3);
+      EXPECT_EQ(rc->stats().fragments_read, 0u);
+      EXPECT_EQ(rc->stats().fragments_copied, 0u);
     }
   };
-  run_sim(cluster_.sim(), Body::run, engine.get(), repair.get());
+  run_sim(cluster_.sim(), Body::run, engine.get(), repair.get(), &cluster_);
+}
+
+TEST_F(RepairTest, SetBetweenProbeAndPutSurvives) {
+  // Slot 0 of "obj" is lost. A client Set of newer bytes lands after the
+  // reconcile's probe saw slot 0 missing and before its put of the
+  // fragment rebuilt from the older survivors: the put must not overwrite
+  // the Set's fragment, so the key reads back as the Set wrote it.
+  auto engine = make_engine(Design::kEraCeCd);
+  auto repair = make_coordinator();
+  cluster_.start();
+  struct Body {
+    static sim::Task<void> reconcile(RepairCoordinator* rc,
+                                     cluster::Cluster* cl, bool* done) {
+      const Status s =
+          co_await rc->reconcile_key("obj", cl->ring(), cl->ring());
+      EXPECT_TRUE(s.ok()) << s;
+      *done = true;
+    }
+    static sim::Task<void> run(Engine* e, RepairCoordinator* rc,
+                               cluster::Cluster* cl) {
+      const Bytes older = make_pattern(60'000, 21);
+      const Bytes newer = make_pattern(60'000, 22);
+      EXPECT_TRUE((co_await e->set("obj", make_shared_bytes(older))).ok());
+      kv::StorageEngine& lost =
+          cl->server(cl->ring().slot_index("obj", 0)).store();
+      lost.erase("obj", 0);
+      const std::uint64_t probes = lost.stats().get_ops;
+      bool done = false;
+      cl->sim().spawn(reconcile(rc, cl, &done));
+      // The probe's miss is the next store Get at slot 0's owner.
+      while (lost.stats().get_ops == probes) {
+        co_await cl->sim().delay(100);
+      }
+      EXPECT_TRUE((co_await e->set("obj", make_shared_bytes(newer))).ok());
+      EXPECT_FALSE(done) << "the Set must land before the reconcile's put";
+      while (!done) co_await cl->sim().delay(units::kMicrosecond);
+      EXPECT_EQ(rc->stats().fragments_rebuilt, 1u);
+      const Result<Bytes> got = co_await e->get("obj");
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (got.ok()) {
+        EXPECT_TRUE(*got == newer) << "older rebuilt bytes overwrote the Set";
+      }
+    }
+  };
+  run_sim(cluster_.sim(), Body::run, engine.get(), repair.get(), &cluster_);
 }
 
 TEST_F(RepairTest, UnrepairableBeyondTolerance) {
@@ -175,7 +227,8 @@ TEST_F(RepairTest, UnrepairableBeyondTolerance) {
         cl->server(owner).store().erase("doomed",
                                         static_cast<std::uint8_t>(slot));
       }
-      const Status s = co_await rc->repair_key("doomed");
+      const Status s =
+          co_await rc->reconcile_key("doomed", cl->ring(), cl->ring());
       EXPECT_EQ(s.code(), StatusCode::kTooManyFailures);
       EXPECT_EQ(rc->stats().unrepairable_keys, 1u);
     }
@@ -273,6 +326,7 @@ class LrcRepairTest : public ::testing::Test {
   kv::StorageEngine& owner_store(const kv::Key& key, std::size_t slot) {
     return cluster_.server(cluster_.ring().slot_index(key, slot)).store();
   }
+  [[nodiscard]] const kv::HashRing& ring() const { return cluster_.ring(); }
 };
 
 TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
@@ -295,7 +349,8 @@ TEST_F(LrcRepairTest, RebuildsDecodableLossOfTwoDataSlots) {
         t->owner_store("obj", slot).erase("obj", id);
       }
 
-      const Status s = co_await rc->repair_key("obj");
+      const Status s =
+          co_await rc->reconcile_key("obj", t->ring(), t->ring());
       EXPECT_TRUE(s.ok()) << s;
       EXPECT_EQ(rc->stats().keys_repaired, 1u);
       EXPECT_EQ(rc->stats().fragments_rebuilt, 2u);
@@ -332,7 +387,8 @@ TEST_F(LrcRepairTest, UndecodablePatternIsUnrepairableInBothModes) {
                                           static_cast<std::uint8_t>(slot));
       }
       for (RepairCoordinator* rc : {mat, sized}) {
-        const Status s = co_await rc->repair_key("obj");
+        const Status s =
+            co_await rc->reconcile_key("obj", t->ring(), t->ring());
         EXPECT_EQ(s.code(), StatusCode::kTooManyFailures);
         EXPECT_EQ(rc->stats().unrepairable_keys, 1u);
         EXPECT_EQ(rc->stats().keys_repaired, 0u);

@@ -8,6 +8,7 @@
 // absolute microseconds — are the reproduction target (EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include "obs/trace.h"
 #include "resilience/factory.h"
 #include "sim/shard_runtime.h"
+#include "workload/ycsb.h"
 
 namespace hpres::bench {
 
@@ -454,10 +456,46 @@ class Testbench {
     return merged_latency().rows();
   }
 
-  /// Drops recorded latencies (harnesses reset between preload and the
-  /// measured pass).
-  void clear_latency() {
+  /// `op`'s recorded latencies, pooled over scheme and degraded.
+  [[nodiscard]] LatencyHistogram latency(std::string_view op) const {
+    return merged_latency().pooled(op);
+  }
+
+  /// YCSB preload: records [0, record_count) split over the first
+  /// min(8, clients) clients, each loading on its own shard, run to
+  /// quiescence. The preload's latencies are then dropped, so percentiles
+  /// cover the measured pass only.
+  void preload(const workload::YcsbConfig& cfg) {
+    const std::size_t loaders = std::min<std::size_t>(8, engines_.size());
+    const std::uint64_t stride = (cfg.record_count + loaders - 1) / loaders;
+    for (std::size_t l = 0; l < loaders; ++l) {
+      const std::uint64_t first = l * stride;
+      const std::uint64_t last =
+          std::min<std::uint64_t>(first + stride, cfg.record_count);
+      if (first >= last) continue;
+      spawn_client(l, workload::ycsb_load(&cluster_.sim_for_client(l),
+                                          engines_[l].get(), cfg, first,
+                                          last));
+    }
+    run();
     for (obs::LatencyRecorder& r : recorders_) r.clear();
+  }
+
+  /// YCSB measured pass: client `c` runs its op stream with seed
+  /// cfg.seed + 1000 + c, all clients concurrently, to quiescence. Returns
+  /// the merged counts; `done_at` is the latest client's last completion.
+  workload::YcsbResult run_clients(const workload::YcsbConfig& cfg) {
+    std::vector<workload::YcsbResult> results(engines_.size());
+    for (std::size_t c = 0; c < engines_.size(); ++c) {
+      spawn_client(c, workload::ycsb_client(&cluster_.sim_for_client(c),
+                                            engines_[c].get(), cfg,
+                                            cfg.seed + 1000 + c,
+                                            &results[c]));
+    }
+    run();
+    workload::YcsbResult merged;
+    for (const workload::YcsbResult& r : results) merged.merge(r);
+    return merged;
   }
 
   /// Runs the cluster to quiescence (Cluster::run), so the quiesce hooks

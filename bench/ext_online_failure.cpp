@@ -13,8 +13,6 @@
 // shard loops, crash/restart injection and the health monitor run from
 // runtime quiesce hooks, and the workload end is the latest client
 // completion. The repair pass stays a single coroutine on client 0's loop.
-#include <algorithm>
-
 #include "bench_util.h"
 #include "cluster/fault_schedule.h"
 #include "cluster/health_monitor.h"
@@ -50,6 +48,7 @@ workload::YcsbConfig bench_config() {
 struct RunOut {
   workload::YcsbResult merged;
   SimDur makespan_ns = 0;
+  LatencyHistogram get_latency;  ///< measured pass, pooled over degraded
   std::uint64_t rpc_timeouts = 0;
   std::uint64_t rpc_retries = 0;
   std::uint64_t rpc_expired = 0;
@@ -77,16 +76,6 @@ struct RunOut {
   }
 };
 
-/// Runs one client's op stream and stamps its completion time into the
-/// client's own slot: with deadlines armed, stray timer events outlive the
-/// last op, so the quiesced clock overstates the makespan.
-sim::Task<void> client_proc(sim::Simulator* sim, resilience::Engine* engine,
-                            workload::YcsbConfig cfg, std::uint64_t seed,
-                            workload::YcsbResult* result, SimTime* done_at) {
-  co_await workload::ycsb_client(sim, engine, cfg, seed, result);
-  *done_at = sim->now();
-}
-
 sim::Task<void> repair_proc(resilience::RepairCoordinator* repair) {
   (void)co_await repair->repair_all();
 }
@@ -112,20 +101,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   hm.detector.min_samples = 6;
   cluster::HealthMonitor monitor(bench.cluster(), hm);
 
-  {  // Preload, partitioned across the clients.
-    const std::uint64_t stride = (cfg.record_count + kClients - 1) / kClients;
-    for (std::size_t l = 0; l < kClients; ++l) {
-      const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
-      const std::uint64_t last =
-          std::min<std::uint64_t>(first + stride, cfg.record_count);
-      if (first >= last) continue;
-      bench.spawn_client(
-          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
-                                 &bench.engine(l), cfg, first, last));
-    }
-    bench.run();
-  }
-  bench.clear_latency();  // percentiles cover the measured pass only
+  bench.preload(cfg);
 
   const SimTime start = bench.cluster().now_quiesced();
   if (inject) {
@@ -139,17 +115,12 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   monitor.arm();
 
   RunOut out;
-  std::vector<workload::YcsbResult> results(kClients);
-  std::vector<SimTime> done_at(kClients, start);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    bench.spawn_client(
-        c, client_proc(&bench.cluster().sim_for_client(c), &bench.engine(c),
-                       cfg, cfg.seed + 1000 + c, &results[c], &done_at[c]));
-  }
-  bench.run();
+  out.merged = bench.run_clients(cfg);
   // The monitor's final tick runs from the main thread once all shards park.
   monitor.request_stop();
-  const SimTime end = *std::max_element(done_at.begin(), done_at.end());
+  // The last op's completion ends the pass: with deadlines armed, stray
+  // timer events outlive it, so the quiesced clock overstates the makespan.
+  const SimTime end = out.merged.done_at;
   out.makespan_ns = end - start;
   // 10 ms symptom-propagation grace: the full RPC deadline ladder plus a
   // couple of detector windows (see obs::analyze_detection).
@@ -157,7 +128,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
       fault_log, monitor.detector().transitions(), end,
       10 * units::kMillisecond);
   out.latency = bench.latency_rows();
-  for (const auto& r : results) out.merged.merge(r);
+  out.get_latency = bench.latency("get");
   for (std::size_t c = 0; c < kClients; ++c) {
     const kv::RpcStats& rpc = bench.cluster().client(c).rpc_stats();
     out.rpc_timeouts += rpc.timeouts;
@@ -193,8 +164,8 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
 void print_run(const std::string& label, const RunOut& run) {
   print_cell(label);
   print_cell(run.merged.throughput_ops_per_s(run.makespan_ns));
-  print_cell(units::to_us(static_cast<SimDur>(run.merged.read_latency.mean())));
-  print_cell(units::to_us(run.merged.read_latency.p99()));
+  print_cell(units::to_us(static_cast<SimDur>(run.get_latency.mean())));
+  print_cell(units::to_us(run.get_latency.p99()));
   print_cell(100.0 * run.availability());
   print_cell(static_cast<double>(run.merged.timeouts));
   print_cell(static_cast<double>(run.merged.unavailable));

@@ -41,6 +41,9 @@ constexpr int kM = 2;
 struct RunOut {
   workload::YcsbResult merged;
   SimDur makespan_ns = 0;
+  /// Measured-pass latencies, pooled over degraded (the sweep excluded).
+  LatencyHistogram get_latency;
+  LatencyHistogram set_latency;
   cluster::PlacementStats placement;
   resilience::RepairStats moves;  ///< the migration's per-key work
   std::uint64_t wrong_epoch_retries = 0;
@@ -62,7 +65,8 @@ struct RunOut {
 // active ring and the placement manager's view on every client, which the
 // shared bench ctor does not wire. The view is each engine's only
 // placement attachment: mid-transition Get misses re-run in the same
-// engine under the view's previous ring.
+// engine under the view's previous ring. Latencies land in one recorder
+// per shard, as in Testbench.
 struct ScaleoutBench {
   ScaleoutBench(const cluster::Testbed& bed, std::size_t shards,
                 const char* label)
@@ -75,7 +79,8 @@ struct ScaleoutBench {
           cfg.initial_active_servers = kInitialActive;
           cfg.shards = shards;
           return cfg;
-        }()) {
+        }()),
+        recorders(cl.num_shards()) {
     ObsSession& obs = ObsSession::instance();
     cl.set_tracer(&obs.tracer(), obs.tracer().declare_process(label));
     cl.enable_server_ec(codec, cost, /*materialize=*/false);
@@ -84,9 +89,12 @@ struct ScaleoutBench {
         cl, codec, cost, cl.engine_context(kClients, /*materialize=*/false));
     cl.set_placement_view(manager->view());
     for (std::size_t c = 0; c < kClients; ++c) {
+      resilience::EngineContext ctx =
+          cl.engine_context(c, /*materialize=*/false);
+      ctx.recorder = &recorders[cl.fabric().shard_of(
+          static_cast<net::NodeId>(kProvisioned + c))];
       engines.push_back(resilience::make_engine(
-          resilience::Design::kEraCeCd,
-          cl.engine_context(c, /*materialize=*/false), 3, &codec, cost));
+          resilience::Design::kEraCeCd, ctx, 3, &codec, cost));
     }
     cl.start();
     if (obs.metrics_enabled()) {
@@ -102,6 +110,7 @@ struct ScaleoutBench {
   ec::RsVandermondeCodec codec;
   ec::CostModel cost;
   cluster::Cluster cl;
+  std::vector<obs::LatencyRecorder> recorders;  // outlive the engines
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   std::unique_ptr<cluster::PlacementManager> manager;
 };
@@ -136,6 +145,7 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
     }
     b.cl.run();
   }
+  for (obs::LatencyRecorder& r : b.recorders) r.clear();
 
   const SimTime start = b.cl.now_quiesced();
   std::optional<cluster::FaultSchedule> schedule;
@@ -158,6 +168,10 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
   b.cl.run();
   out.makespan_ns = b.cl.now_quiesced() - start;
   for (const auto& r : results) out.merged.merge(r);
+  for (const obs::LatencyRecorder& r : b.recorders) {
+    out.get_latency.merge(r.pooled("get"));
+    out.set_latency.merge(r.pooled("set"));
+  }
   out.placement = b.manager->stats();
   out.moves = b.manager->repair_stats();
   for (std::size_t c = 0; c < kClients; ++c) {
@@ -228,10 +242,9 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
 void print_run(const char* label, const RunOut& run) {
   print_cell(label);
   print_cell(run.merged.throughput_ops_per_s(run.makespan_ns));
-  print_cell(
-      units::to_us(static_cast<SimDur>(run.merged.read_latency.mean())));
-  print_cell(units::to_us(run.merged.read_latency.p99()));
-  print_cell(units::to_us(run.merged.write_latency.p99()));
+  print_cell(units::to_us(static_cast<SimDur>(run.get_latency.mean())));
+  print_cell(units::to_us(run.get_latency.p99()));
+  print_cell(units::to_us(run.set_latency.p99()));
   print_cell(100.0 * run.availability());
   print_cell(static_cast<double>(run.merged.failures));
   end_row();

@@ -104,10 +104,10 @@ void run_hedged_section(int argc, char** argv) {
                 "fired", "wins", "wasted_KB"});
   const auto row = [](const char* label, const YcsbRun& run) {
     print_cell(label);
-    print_cell(units::to_us(run.merged.read_latency.quantile(0.50)));
-    print_cell(units::to_us(run.merged.read_latency.p95()));
-    print_cell(units::to_us(run.merged.read_latency.p99()));
-    print_cell(units::to_us(run.merged.read_latency.quantile(0.999)));
+    print_cell(units::to_us(run.get_latency.p50()));
+    print_cell(units::to_us(run.get_latency.p95()));
+    print_cell(units::to_us(run.get_latency.p99()));
+    print_cell(units::to_us(run.get_latency.quantile(0.999)));
     print_cell(static_cast<double>(run.hedged_gets));
     print_cell(static_cast<double>(run.hedges_fired));
     print_cell(static_cast<double>(run.hedge_wins));
@@ -117,12 +117,10 @@ void run_hedged_section(int argc, char** argv) {
   row("unhedged", plain);
   row("hedged", hedged);
 
-  const double p99_plain = units::to_us(plain.merged.read_latency.p99());
-  const double p99_hedged = units::to_us(hedged.merged.read_latency.p99());
-  const double p50_plain =
-      units::to_us(plain.merged.read_latency.quantile(0.50));
-  const double p50_hedged =
-      units::to_us(hedged.merged.read_latency.quantile(0.50));
+  const double p99_plain = units::to_us(plain.get_latency.p99());
+  const double p99_hedged = units::to_us(hedged.get_latency.p99());
+  const double p50_plain = units::to_us(plain.get_latency.p50());
+  const double p50_hedged = units::to_us(hedged.get_latency.p50());
   if (p99_plain > 0.0 && p50_plain > 0.0) {
     std::printf("\nhedging: p99 %+.1f%%, p50 %+.1f%% vs unhedged"
                 " (negative = faster); suppressed=%llu failover=%llu\n",

@@ -8,7 +8,6 @@
 // set HPRES_BENCH_SCALE to grow them.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "bench_util.h"
@@ -23,6 +22,10 @@ struct YcsbRun {
   /// Measured-pass percentile rows ({op, scheme, degraded}, p50..p99.9)
   /// from the always-on LatencyRecorder; preload ops are excluded.
   std::vector<obs::LatencyRow> latency;
+  /// The same recorder's measured-pass histograms of each op, pooled over
+  /// scheme and degraded.
+  LatencyHistogram get_latency;
+  LatencyHistogram set_latency;
   /// Hedging / failure-handling counters summed over all client engines
   /// (measured pass; the preload runs before a fault or hedge can fire).
   std::uint64_t hedged_gets = 0;
@@ -31,7 +34,6 @@ struct YcsbRun {
   std::uint64_t hedges_suppressed = 0;
   std::uint64_t hedge_wasted_bytes = 0;
   std::uint64_t failover_fetches = 0;
-  std::uint64_t degraded_gets = 0;
   /// Fabric counters at quiescence, merged over all shards (conservation
   /// identities: sent == delivered + dropped, in bytes and messages).
   net::FabricStats fabric;
@@ -45,12 +47,10 @@ struct YcsbRun {
     return merged.throughput_ops_per_s(makespan_ns);
   }
   [[nodiscard]] double avg_read_us() const {
-    return units::to_us(
-        static_cast<SimDur>(merged.read_latency.mean()));
+    return units::to_us(static_cast<SimDur>(get_latency.mean()));
   }
   [[nodiscard]] double avg_write_us() const {
-    return units::to_us(
-        static_cast<SimDur>(merged.write_latency.mean()));
+    return units::to_us(static_cast<SimDur>(set_latency.mean()));
   }
 };
 
@@ -59,11 +59,7 @@ struct YcsbRunOpts {
   std::size_t servers = 5;
   std::size_t clients = 150;
   std::uint32_t rep_factor = 3;
-  resilience::ArpeParams arpe = {};
   resilience::HedgeParams hedge = {};
-  /// RPC deadline policy armed on every node when set (required for runs
-  /// that crash servers mid-op; harmless otherwise).
-  std::optional<kv::RpcPolicy> policy;
   /// > 1.0: gray-slow `slow_server` by this compute factor from the start
   /// of the measured pass (the preload runs at full speed).
   double slow_factor = 1.0;
@@ -79,55 +75,28 @@ struct YcsbRunOpts {
 inline YcsbRun run_ycsb(const cluster::Testbed& bed,
                         resilience::Design design, workload::YcsbConfig cfg,
                         const YcsbRunOpts& opts) {
-  const std::size_t clients = opts.clients;
-  Testbench bench(bed, opts.servers, clients, design, 3, 2, opts.rep_factor,
-                  opts.arpe, opts.hedge, opts.point_label, {}, opts.shards);
-  if (opts.policy) bench.cluster().set_rpc_policy(*opts.policy);
+  Testbench bench(bed, opts.servers, opts.clients, design, 3, 2,
+                  opts.rep_factor, {}, opts.hedge, opts.point_label, {},
+                  opts.shards);
   cluster::FaultSchedule faults(bench.cluster());
-
-  // Preload, partitioned over a handful of loader clients. Each loader runs
-  // on its own client's shard; run() drives every shard loop to quiescence.
-  const std::size_t loaders = std::min<std::size_t>(8, clients);
-  {
-    const std::uint64_t stride =
-        (cfg.record_count + loaders - 1) / loaders;
-    for (std::size_t l = 0; l < loaders; ++l) {
-      const std::uint64_t first = static_cast<std::uint64_t>(l) * stride;
-      const std::uint64_t last = std::min<std::uint64_t>(
-          first + stride, cfg.record_count);
-      if (first >= last) continue;
-      bench.spawn_client(
-          l, workload::ycsb_load(&bench.cluster().sim_for_client(l),
-                                 &bench.engine(l), cfg, first, last));
-    }
-    bench.run();
-  }
-  // Percentiles cover the measured pass only (preload ops dropped; their
-  // span detail is also not tail-kept, which is the point of the preload).
-  bench.clear_latency();
+  bench.preload(cfg);
 
   // Measured phase: every client runs its stream concurrently.
   YcsbRun run;
-  std::vector<workload::YcsbResult> results(clients);
   const SimTime start = bench.cluster().now_quiesced();
   if (opts.slow_factor > 1.0) {
     faults.add_slowdown(start, opts.slow_server, opts.slow_factor);
     faults.arm();
   }
-  for (std::size_t c = 0; c < clients; ++c) {
-    bench.spawn_client(
-        c, workload::ycsb_client(&bench.cluster().sim_for_client(c),
-                                 &bench.engine(c), cfg, cfg.seed + 1000 + c,
-                                 &results[c]));
-  }
-  bench.run();
+  run.merged = bench.run_clients(cfg);
   run.makespan_ns = bench.cluster().now_quiesced() - start;
-  for (const auto& r : results) run.merged.merge(r);
   run.latency = bench.latency_rows();
+  run.get_latency = bench.latency("get");
+  run.set_latency = bench.latency("set");
   run.fabric = bench.cluster().fabric().stats();
   run.sim_events = bench.cluster().runtime().events_executed();
   run.profile = bench.cluster().runtime().profile();
-  for (std::size_t c = 0; c < clients; ++c) {
+  for (std::size_t c = 0; c < opts.clients; ++c) {
     const resilience::EngineStats& eng = bench.engine(c).stats();
     run.hedged_gets += eng.hedged_gets;
     run.hedges_fired += eng.hedges_fired;
@@ -135,7 +104,6 @@ inline YcsbRun run_ycsb(const cluster::Testbed& bed,
     run.hedges_suppressed += eng.hedges_suppressed;
     run.hedge_wasted_bytes += eng.hedge_wasted_bytes;
     run.failover_fetches += eng.failover_fetches;
-    run.degraded_gets += eng.degraded_gets;
   }
   return run;
 }

@@ -10,6 +10,7 @@
 
 #include "cluster/testbeds.h"
 #include "ec/rs_vandermonde.h"
+#include "obs/latency.h"
 #include "resilience/factory.h"
 #include "workload/ycsb.h"
 
@@ -21,6 +22,7 @@ struct Setup {
   cluster::Cluster cluster;
   ec::RsVandermondeCodec codec{3, 2};
   ec::CostModel cost;
+  obs::LatencyRecorder recorder;  ///< every op's latency; outlives engine
   std::unique_ptr<resilience::Engine> engine;
 
   Setup(resilience::Design design, std::size_t clients)
@@ -35,15 +37,19 @@ struct Setup {
     ctx.membership = &cluster.membership();
     ctx.server_nodes = &cluster.server_nodes();
     ctx.materialize = false;
+    ctx.recorder = &recorder;
     engine = resilience::make_engine(design, ctx, 3, &codec, cost);
     cluster.start();
   }
 };
 
+/// Preloads the cache, drops the preload's latencies, then runs the mix.
 sim::Task<void> run_mix(sim::Simulator* sim, resilience::Engine* engine,
+                        obs::LatencyRecorder* recorder,
                         workload::YcsbConfig cfg,
                         workload::YcsbResult* result) {
   co_await workload::ycsb_load(sim, engine, cfg, 0, cfg.record_count);
+  recorder->clear();
   co_await workload::ycsb_client(sim, engine, cfg, /*seed=*/7, result);
 }
 
@@ -55,18 +61,20 @@ bool report(const char* label, resilience::Design design) {
   cfg.ops_per_client = 2'000;
   cfg.value_size = 32 * 1024;         // large cached query pages
   workload::YcsbResult result;
-  setup.cluster.sim().spawn(
-      run_mix(&setup.cluster.sim(), setup.engine.get(), cfg, &result));
+  setup.cluster.sim().spawn(run_mix(&setup.cluster.sim(), setup.engine.get(),
+                                    &setup.recorder, cfg, &result));
   setup.cluster.run();
+  const LatencyHistogram reads = setup.recorder.pooled("get");
+  const LatencyHistogram writes = setup.recorder.pooled("set");
 
   std::printf(
       "%-12s reads: avg %6.1f us p99 %6.1f us | writes: avg %6.1f us p99"
       " %6.1f us | cache memory %5.1f MiB\n",
       label,
-      units::to_us(static_cast<SimDur>(result.read_latency.mean())),
-      units::to_us(result.read_latency.p99()),
-      units::to_us(static_cast<SimDur>(result.write_latency.mean())),
-      units::to_us(result.write_latency.p99()),
+      units::to_us(static_cast<SimDur>(reads.mean())),
+      units::to_us(reads.p99()),
+      units::to_us(static_cast<SimDur>(writes.mean())),
+      units::to_us(writes.p99()),
       static_cast<double>(setup.cluster.total_bytes_used()) /
           (1024.0 * 1024.0));
   return result.failures == 0;

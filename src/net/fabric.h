@@ -203,19 +203,8 @@ class Fabric {
     bool scheduled_ = false;  ///< a pass of dispatch_ is due
   };
 
-  /// Single-loop fabric: every node on one simulator (the deterministic
-  /// oracle configuration, and the only constructor tests existed with
-  /// before sharding).
-  Fabric(sim::Simulator& sim, FabricParams params, std::size_t num_nodes)
-      : params_(params), nics_(num_nodes) {
-    node_sim_.assign(num_nodes, &sim);
-    node_shard_.assign(num_nodes, 0);
-    shard_state_.push_back(std::make_unique<ShardState>());
-    init_inboxes();
-  }
-
-  /// Shard-aware fabric: node `i` lives on `runtime.shard(node_shard[i])`.
-  /// With one shard this is exactly the oracle configuration above.
+  /// Node `i` lives on `runtime.shard(node_shard[i])`. A one-shard runtime
+  /// is the deterministic oracle configuration: every node on one loop.
   /// `shard_sinks` (one record per shard, or empty for none) are the
   /// observability records each shard records into; they must outlive the
   /// fabric.
@@ -476,7 +465,6 @@ class Fabric {
     // the in-flight charge starts there too: each shard's counters are
     // touched only by its own thread, which is what keeps this path free
     // of atomics and data races.
-    assert(runtime_ != nullptr);
     runtime_->post(node_shard_[src], node_shard_[dst], arrival,
                    [this, arrival, ser, msg, tid = trace.trace_id,
                     e = std::move(env)]() mutable {
@@ -643,7 +631,7 @@ class Fabric {
 
   FabricParams params_;
   std::vector<NicState> nics_;
-  sim::ShardRuntime* runtime_ = nullptr;
+  sim::ShardRuntime* runtime_;
   std::vector<std::uint32_t> node_shard_;
   std::vector<sim::Simulator*> node_sim_;
   std::vector<std::unique_ptr<ShardState>> shard_state_;

@@ -48,6 +48,14 @@ const LatencyHistogram* LatencyRecorder::histogram(
   return it == series_.end() ? nullptr : &it->second.hist;
 }
 
+LatencyHistogram LatencyRecorder::pooled(std::string_view op) const {
+  LatencyHistogram out;
+  for (const auto& [key, s] : series_) {
+    if (key.op == op) out.merge(s.hist);
+  }
+  return out;
+}
+
 std::vector<LatencyRow> LatencyRecorder::rows() const {
   std::vector<LatencyRow> out;
   out.reserve(series_.size());

@@ -77,6 +77,10 @@ class LatencyRecorder {
   /// Histogram for a label set; nullptr if nothing recorded under it.
   [[nodiscard]] const LatencyHistogram* histogram(const LatencyKey& key) const;
 
+  /// Every histogram recorded under `op`, merged over scheme and degraded
+  /// (exact: counts, sum, min, max and buckets add).
+  [[nodiscard]] LatencyHistogram pooled(std::string_view op) const;
+
   /// Snapshot of every label set, sorted by key (deterministic).
   [[nodiscard]] std::vector<LatencyRow> rows() const;
 

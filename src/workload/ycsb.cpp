@@ -5,14 +5,12 @@
 namespace hpres::workload {
 
 void YcsbResult::merge(const YcsbResult& other) {
-  read_latency.merge(other.read_latency);
-  write_latency.merge(other.write_latency);
   reads += other.reads;
   writes += other.writes;
   failures += other.failures;
   timeouts += other.timeouts;
   unavailable += other.unavailable;
-  duration_ns = std::max(duration_ns, other.duration_ns);
+  done_at = std::max(done_at, other.done_at);
 }
 
 double YcsbResult::throughput_ops_per_s(SimDur makespan_ns) const {
@@ -56,22 +54,18 @@ sim::Task<void> ycsb_client(sim::Simulator* sim, resilience::Engine* engine,
   const SharedBytes write_value =
       make_shared_bytes(make_pattern(config.value_size, client_seed));
 
-  const SimTime begin = sim->now();
   for (std::uint64_t op = 0; op < config.ops_per_client; ++op) {
     const std::uint64_t id = keygen.next(rng);
     const std::string key = ycsb_key(id, config.key_size);
     const bool is_read = rng.next_double() < config.read_fraction;
-    const SimTime op_start = sim->now();
     StatusCode code = StatusCode::kOk;
     if (is_read) {
       const Result<Bytes> r = co_await engine->get(key);
       ++result->reads;
-      result->read_latency.record(sim->now() - op_start);
       code = r.status().code();
     } else {
       const Status s = co_await engine->set(key, write_value);
       ++result->writes;
-      result->write_latency.record(sim->now() - op_start);
       code = s.code();
     }
     if (code != StatusCode::kOk) {
@@ -80,7 +74,7 @@ sim::Task<void> ycsb_client(sim::Simulator* sim, resilience::Engine* engine,
       if (code == StatusCode::kUnavailable) ++result->unavailable;
     }
   }
-  result->duration_ns = sim->now() - begin;
+  result->done_at = sim->now();
 }
 
 }  // namespace hpres::workload

@@ -6,7 +6,6 @@
 
 #include <string>
 
-#include "common/histogram.h"
 #include "resilience/engine.h"
 #include "workload/zipf.h"
 
@@ -30,16 +29,15 @@ struct YcsbConfig {
   }
 };
 
-/// Per-client (mergeable) result set.
+/// Per-client (mergeable) op counts. Per-op latency is not here: the
+/// engine's LatencyRecorder is its one record.
 struct YcsbResult {
-  LatencyHistogram read_latency;
-  LatencyHistogram write_latency;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t failures = 0;
   std::uint64_t timeouts = 0;     ///< failures that resolved kTimeout
   std::uint64_t unavailable = 0;  ///< failures that resolved kUnavailable
-  SimDur duration_ns = 0;  ///< this client's first-op to last-completion
+  SimTime done_at = 0;  ///< when this client's last op completed (merge: max)
 
   void merge(const YcsbResult& other);
 
@@ -57,8 +55,8 @@ sim::Task<void> ycsb_load(sim::Simulator* sim, resilience::Engine* engine,
                           std::uint64_t last);
 
 /// Runs one client's op stream: ops_per_client operations, read/write mix
-/// per config, keys from a scrambled-Zipfian distribution. Op latencies and
-/// counts land in *result.
+/// per config, keys from a scrambled-Zipfian distribution. Op counts and
+/// the completion time land in *result.
 sim::Task<void> ycsb_client(sim::Simulator* sim, resilience::Engine* engine,
                             YcsbConfig config, std::uint64_t client_seed,
                             YcsbResult* result);

@@ -26,11 +26,13 @@ RunOutcome run_small_ycsb(std::uint64_t seed) {
   cluster::Cluster cl(
       cluster::ClusterConfig{.num_servers = 5, .num_clients = 4});
   cl.enable_server_ec(codec, cost, false);
+  obs::LatencyRecorder recorder;  // one shard: every engine records here
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < 4; ++c) {
-    engines.push_back(resilience::make_engine(
-        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
-        cost));
+    resilience::EngineContext ctx = cl.engine_context(c, false);
+    ctx.recorder = &recorder;
+    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
+                                              ctx, 3, &codec, cost));
   }
   cl.start();
 
@@ -58,10 +60,8 @@ RunOutcome run_small_ycsb(std::uint64_t seed) {
   RunOutcome out;
   out.makespan = makespan;
   out.events = cl.sim().events_executed();
-  for (const auto& r : results) {
-    out.reads += r.reads;
-    out.read_latency_sum += r.read_latency.sum();
-  }
+  for (const auto& r : results) out.reads += r.reads;
+  out.read_latency_sum = recorder.pooled("get").sum();
   return out;
 }
 

@@ -5,7 +5,6 @@
 // recorder attached is byte-identical to one without them.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -74,11 +73,13 @@ PlaneOutcome run_plane_ycsb(std::uint64_t seed, Fault fault,
   obs::FlightRecorder flight(64);
   if (with_plane) cl.set_flight_recorder(&flight);
 
+  obs::LatencyRecorder recorder;  // one shard: every engine records here
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < kClients; ++c) {
-    engines.push_back(resilience::make_engine(
-        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
-        cost));
+    resilience::EngineContext ctx = cl.engine_context(c, false);
+    ctx.recorder = &recorder;
+    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
+                                              ctx, 3, &codec, cost));
   }
   cl.start();
   cl.register_metrics(registry, "plane");
@@ -101,35 +102,34 @@ PlaneOutcome run_plane_ycsb(std::uint64_t seed, Fault fault,
   cfg.value_size = 8192;
   cfg.seed = seed;
   std::vector<workload::YcsbResult> results(kClients);
-  // Each client stamps its own completion; the latest one ends the
-  // workload (stray RPC-deadline timers outlive it).
-  std::vector<SimTime> done_at(kClients, 0);
   struct Proc {
     static sim::Task<void> run(sim::Simulator* sim, resilience::Engine* e,
                                workload::YcsbConfig c, std::uint64_t s,
-                               workload::YcsbResult* r, bool load,
-                               SimTime* done_at) {
+                               workload::YcsbResult* r, bool load) {
       if (load) co_await workload::ycsb_load(sim, e, c, 0, c.record_count);
       co_await workload::ycsb_client(sim, e, c, s, r);
-      *done_at = sim->now();
     }
   };
   for (std::size_t c = 0; c < kClients; ++c) {
     cl.sim().spawn(Proc::run(&cl.sim(), engines[c].get(), cfg, seed + 7 * c,
-                             &results[c], c == 0, &done_at[c]));
+                             &results[c], c == 0));
   }
 
   PlaneOutcome out;
   out.makespan = cl.run();
   monitor.request_stop();  // a no-op when the monitor was never armed
   out.events = cl.runtime().events_executed();
-  const SimTime end = *std::max_element(done_at.begin(), done_at.end());
+  workload::YcsbResult merged;
   for (std::size_t c = 0; c < kClients; ++c) {
-    out.ops += results[c].reads + results[c].writes;
-    out.failures += results[c].failures;
+    merged.merge(results[c]);
     out.rpc_timeouts += cl.client(c).rpc_stats().timeouts;
-    out.read_latency_sum += results[c].read_latency.sum();
   }
+  out.ops = merged.reads + merged.writes;
+  out.failures = merged.failures;
+  out.read_latency_sum = recorder.pooled("get").sum();
+  // The latest client's last op ends the workload (stray RPC-deadline
+  // timers outlive it).
+  const SimTime end = merged.done_at;
   out.detector_ticks = monitor.ticks();
   out.report = obs::analyze_detection(
       fault_log, monitor.detector().transitions(), end, kGraceNs);

@@ -18,6 +18,7 @@
 #include "ec/cost_model.h"
 #include "ec/rs_vandermonde.h"
 #include "obs/flight_recorder.h"
+#include "obs/latency.h"
 #include "obs/trace.h"
 #include "resilience/factory.h"
 #include "workload/ycsb.h"
@@ -49,11 +50,16 @@ ShardedOutcome run_sharded_ycsb(std::size_t shards, std::uint64_t seed) {
   config.shards = shards;
   cluster::Cluster cl(config);
   cl.enable_server_ec(codec, cost, false);
+  // One latency recorder per shard: engines on different shard threads
+  // never share one.
+  std::vector<obs::LatencyRecorder> recorders(cl.num_shards());
   std::vector<std::unique_ptr<resilience::Engine>> engines;
   for (std::size_t c = 0; c < kClients; ++c) {
-    engines.push_back(resilience::make_engine(
-        resilience::Design::kEraCeCd, cl.engine_context(c, false), 3, &codec,
-        cost));
+    resilience::EngineContext ctx = cl.engine_context(c, false);
+    ctx.recorder = &recorders[cl.fabric().shard_of(
+        static_cast<net::NodeId>(config.num_servers + c))];
+    engines.push_back(resilience::make_engine(resilience::Design::kEraCeCd,
+                                              ctx, 3, &codec, cost));
   }
   cl.start();
 
@@ -77,6 +83,7 @@ ShardedOutcome run_sharded_ycsb(std::size_t shards, std::uint64_t seed) {
     lsim.spawn(Loader::run(&lsim, engines[0].get(), cfg));
     cl.run();
   }
+  for (obs::LatencyRecorder& r : recorders) r.clear();
 
   std::vector<workload::YcsbResult> results(kClients);
   struct Proc {
@@ -99,7 +106,9 @@ ShardedOutcome run_sharded_ycsb(std::size_t shards, std::uint64_t seed) {
     out.reads += r.reads;
     out.writes += r.writes;
     out.failures += r.failures;
-    out.read_latency_sum += r.read_latency.sum();
+  }
+  for (const obs::LatencyRecorder& r : recorders) {
+    out.read_latency_sum += r.pooled("get").sum();
   }
   out.read_latency_mean =
       out.reads > 0

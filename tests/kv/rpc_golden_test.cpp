@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "kv/client.h"
+#include "sim/shard_runtime.h"
 
 namespace hpres::kv {
 namespace {
@@ -121,8 +122,9 @@ sim::Task<void> caller(Client* client, const Scenario* s, std::size_t index,
 
 std::vector<std::string> run_scenario(const Scenario& s) {
   std::vector<std::string> log;
-  sim::Simulator sim;
-  KvFabric fabric(sim, net::FabricParams{}, 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  KvFabric fabric(runtime, net::FabricParams{}, {0, 0});
   Responder responder(sim, fabric, 0, s.replies, &log);
   Client client(sim, fabric, 1);
   client.set_policy(s.policy);

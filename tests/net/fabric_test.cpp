@@ -64,8 +64,9 @@ class Receiver : public sim::Callback {
 };
 
 TEST(Fabric, UnloadedTransferMatchesEquationOne) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 7, 4096);
   sim.run();
@@ -75,8 +76,9 @@ TEST(Fabric, UnloadedTransferMatchesEquationOne) {
 }
 
 TEST(Fabric, ZeroByteMessageTakesLatencyOnly) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 0);
   sim.run();
@@ -85,8 +87,9 @@ TEST(Fabric, ZeroByteMessageTakesLatencyOnly) {
 }
 
 TEST(Fabric, SenderNicSerializesConcurrentSends) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 3);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0, 0});
   Receiver rx1(fabric, 1);
   Receiver rx2(fabric, 2);
   fabric.send(0, 1, 1, 10'000);
@@ -99,8 +102,9 @@ TEST(Fabric, SenderNicSerializesConcurrentSends) {
 }
 
 TEST(Fabric, ReceiverNicQueuesIncast) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 3);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0, 0});
   Receiver rx(fabric, 2);
   // Two different senders target node 2 simultaneously.
   fabric.send(0, 2, 1, 10'000);
@@ -112,8 +116,9 @@ TEST(Fabric, ReceiverNicQueuesIncast) {
 }
 
 TEST(Fabric, ParallelDisjointPairsDoNotInterfere) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 4);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0, 0, 0});
   Receiver rx2(fabric, 2);
   Receiver rx3(fabric, 3);
   fabric.send(0, 2, 1, 10'000);
@@ -126,8 +131,9 @@ TEST(Fabric, ParallelDisjointPairsDoNotInterfere) {
 TEST(Fabric, RendezvousAddsHandshakeRoundTrip) {
   FabricParams p = flat_params();
   p.rendezvous_threshold = 16 * 1024;
-  sim::Simulator sim;
-  TestFabric fabric(sim, p, 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, p, {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 16 * 1024);      // rendezvous: 2L handshake first
   sim.run();
@@ -139,8 +145,9 @@ TEST(Fabric, RendezvousAddsHandshakeRoundTrip) {
 TEST(Fabric, EagerCopyCostDelaysSmallMessages) {
   FabricParams p = flat_params();
   p.eager_copy_ns_per_byte = 1.0;
-  sim::Simulator sim;
-  TestFabric fabric(sim, p, 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, p, {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 1'000);
   sim.run();
@@ -152,8 +159,9 @@ TEST(Fabric, EagerCopyCostDelaysSmallMessages) {
 TEST(Fabric, HeaderBytesRideTheWire) {
   FabricParams p = flat_params();
   p.header_bytes = 64;
-  sim::Simulator sim;
-  TestFabric fabric(sim, p, 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, p, {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 1'000);
   sim.run();
@@ -161,8 +169,9 @@ TEST(Fabric, HeaderBytesRideTheWire) {
 }
 
 TEST(Fabric, SendToFailedNodeIsDropped) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   fabric.set_node_up(1, false);
   fabric.send(0, 1, 1, 100);
   sim.run();
@@ -173,8 +182,9 @@ TEST(Fabric, SendToFailedNodeIsDropped) {
 }
 
 TEST(Fabric, FifoPerPairEvenWithMixedSizes) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 50'000);  // big first
   fabric.send(0, 1, 2, 10);      // small cannot overtake on an RC QP
@@ -189,8 +199,9 @@ TEST(Fabric, FifoPerPairEvenWithMixedSizes) {
 }
 
 TEST(Fabric, LoopbackSkipsNic) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 0);
   fabric.send(0, 0, 1, 1'000'000);
   sim.run();
@@ -199,8 +210,9 @@ TEST(Fabric, LoopbackSkipsNic) {
 }
 
 TEST(Fabric, StatsCountTraffic) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 1);
   fabric.send(0, 1, 1, 100);
   fabric.send(0, 1, 2, 200);
@@ -210,8 +222,9 @@ TEST(Fabric, StatsCountTraffic) {
 }
 
 TEST(Fabric, DroppedMessagesCountBytesAndConserve) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 3);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0, 0});
   fabric.set_node_up(1, false);
   fabric.send(0, 1, 1, 700);  // dst down: dropped
   fabric.send(1, 2, 2, 300);  // src down: dropped
@@ -233,8 +246,9 @@ TEST(Fabric, DroppedMessagesCountBytesAndConserve) {
 
 TEST(Fabric, SeededLossIsDeterministicAndConserves) {
   auto run_lossy = [](std::uint64_t seed) {
-    sim::Simulator sim;
-    TestFabric fabric(sim, flat_params(), 2);
+    sim::ShardRuntime runtime(1, 0);
+    sim::Simulator& sim = runtime.shard(0);
+    TestFabric fabric(runtime, flat_params(), {0, 0});
     fabric.set_loss(0.5, seed);
     for (int i = 0; i < 200; ++i) fabric.send(0, 1, i, 64);
     sim.run();
@@ -252,8 +266,9 @@ TEST(Fabric, SeededLossIsDeterministicAndConserves) {
 }
 
 TEST(Fabric, FullLossDropsEverything) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   fabric.set_loss(1.0);
   for (int i = 0; i < 10; ++i) fabric.send(0, 1, i, 32);
   sim.run();
@@ -273,8 +288,9 @@ sim::Task<void> send_spaced(sim::Simulator* sim, TestFabric* fabric, int count,
 }
 
 TEST(Fabric, InboxDeliversInFifoOrder) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 1);
   sim.spawn(send_spaced(&sim, &fabric, 5, 10));
   sim.run();
@@ -286,8 +302,9 @@ TEST(Fabric, InboxDeliversInFifoOrder) {
 }
 
 TEST(Fabric, InboxBuffersUntilReceived) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   fabric.send(0, 1, 7, 100);
   fabric.send(0, 1, 8, 100);
   sim.run();  // both land with nobody receiving
@@ -304,8 +321,9 @@ TEST(Fabric, InboxBuffersUntilReceived) {
 }
 
 TEST(Fabric, InboxTryRecvDoesNotSuspend) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   EXPECT_FALSE(fabric.inbox(1).try_recv().has_value());
   fabric.send(0, 1, 3, 100);
   sim.run();
@@ -324,8 +342,9 @@ sim::Task<void> send_after(sim::Simulator* sim, TestFabric* fabric, SimDur d,
 }
 
 TEST(Fabric, LandingOnIdleInboxSchedulesDispatchOnce) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 2);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0});
   Receiver rx(fabric, 1);
   sim.run();  // the first pass finds the inbox empty
   EXPECT_EQ(rx.passes, 1);
@@ -343,8 +362,9 @@ TEST(Fabric, LandingOnIdleInboxSchedulesDispatchOnce) {
 }
 
 TEST(Fabric, LandingsBeforeDispatchRunsShareOnePass) {
-  sim::Simulator sim;
-  TestFabric fabric(sim, flat_params(), 4);
+  sim::ShardRuntime runtime(1, 0);
+  sim::Simulator& sim = runtime.shard(0);
+  TestFabric fabric(runtime, flat_params(), {0, 0, 0, 0});
   Receiver rx(fabric, 1);
   sim.run();
   // Zero-byte messages from three senders all land at t = L, one after

@@ -149,6 +149,22 @@ TEST(LatencyRecorder, LabelsSeparateAndSortDeterministically) {
   EXPECT_EQ(rows[2].key.op, "set");
 }
 
+TEST(LatencyRecorder, PooledMergesOneOpOverSchemeAndDegraded) {
+  LatencyRecorder rec;
+  rec.record("get", "era", false, 20);
+  rec.record("get", "era", true, 30);
+  rec.record("get", "rep", false, 40);
+  rec.record("set", "era", false, 10);
+  const LatencyHistogram gets = rec.pooled("get");
+  EXPECT_EQ(gets.count(), 3u);
+  EXPECT_EQ(gets.sum(), 90);
+  EXPECT_EQ(gets.min(), 20);
+  EXPECT_EQ(gets.max(), 40);
+  EXPECT_EQ(gets.p50(), 30);
+  EXPECT_EQ(rec.pooled("set").count(), 1u);
+  EXPECT_EQ(rec.pooled("del").count(), 0u);
+}
+
 TEST(LatencyRecorder, TailKeepsThresholdHitsAndSlowestReservoir) {
   LatencyRecorder rec;
   rec.set_tail({/*threshold_ns=*/1'000'000, /*keep_slowest=*/3});

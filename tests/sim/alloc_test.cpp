@@ -46,6 +46,7 @@
 #include "resilience/factory.h"
 #include "sim/frame_pool.h"
 #include "sim/future.h"
+#include "sim/shard_runtime.h"
 #include "sim/sync.h"
 
 namespace {
@@ -460,8 +461,9 @@ class SumReceiver : public Callback {
 };
 
 TEST(SimAlloc, FabricDeliveryAllocatesNothing) {
-  Simulator sim;
-  net::Fabric<int> fabric(sim, net::FabricParams{}, 2);
+  ShardRuntime runtime(1, 0);
+  Simulator& sim = runtime.shard(0);
+  net::Fabric<int> fabric(runtime, net::FabricParams{}, {0, 0});
   SumReceiver receiver(fabric, 1);
   // The first delivery warms up the record pool and the event queues.
   fabric.send(0, 1, 1, 4096);
@@ -488,8 +490,9 @@ Task<void> get_once(kv::Client* client, kv::NodeId server, kv::Request req,
 /// `warm`: the simulator is kept awake, so the first round trip's frames,
 /// call record and Promise state stay pooled for the second.
 std::size_t get_round_trip_allocations(kv::RpcPolicy policy, bool warm) {
-  Simulator sim;
-  kv::KvFabric fabric(sim, net::FabricParams{}, 2);
+  ShardRuntime runtime(1, 0);
+  Simulator& sim = runtime.shard(0);
+  kv::KvFabric fabric(runtime, net::FabricParams{}, {0, 0});
   kv::Server server(sim, fabric, 0, kv::ServerParams{});
   kv::Client client(sim, fabric, 1);
   client.set_policy(policy);

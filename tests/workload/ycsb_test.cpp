@@ -1,9 +1,11 @@
 // YCSB driver: key formatting, load + run phases against a simulated
-// cluster, read/write mix, result merging.
+// cluster, read/write mix, result merging, and the engine's recorder as
+// the one per-op latency record.
 #include "workload/ycsb.h"
 
 #include <gtest/gtest.h>
 
+#include "cluster/fault_schedule.h"
 #include "testing/fixtures.h"
 #include "workload/ohb.h"
 
@@ -29,19 +31,16 @@ TEST(YcsbResult, MergeAggregates) {
   YcsbResult b;
   a.reads = 10;
   a.writes = 5;
-  a.duration_ns = 1000;
-  a.read_latency.record(100);
+  a.done_at = 1000;
   b.reads = 3;
   b.writes = 7;
   b.failures = 2;
-  b.duration_ns = 2000;
-  b.read_latency.record(300);
+  b.done_at = 2000;
   a.merge(b);
   EXPECT_EQ(a.reads, 13u);
   EXPECT_EQ(a.writes, 12u);
   EXPECT_EQ(a.failures, 2u);
-  EXPECT_EQ(a.duration_ns, 2000);  // max, not sum
-  EXPECT_EQ(a.read_latency.count(), 2u);
+  EXPECT_EQ(a.done_at, 2000);  // max, not sum
 }
 
 TEST(YcsbResult, ThroughputFromMakespan) {
@@ -84,10 +83,13 @@ TEST_F(YcsbDriverTest, LoadThenRunProducesExpectedMix) {
   EXPECT_GT(result.writes, 140u);
   // Every key was preloaded, so no failures.
   EXPECT_EQ(result.failures, 0u);
-  EXPECT_GT(result.duration_ns, 0);
-  EXPECT_GT(result.read_latency.count(), 0u);
-  EXPECT_GT(result.write_latency.count(), 0u);
-  EXPECT_GT(result.throughput_ops_per_s(result.duration_ns), 0.0);
+  EXPECT_GT(result.done_at, 0);
+  EXPECT_LE(result.done_at, cluster_.sim().now());
+  EXPECT_GT(result.throughput_ops_per_s(result.done_at), 0.0);
+  // The recorder holds every op once: the preload's Sets and the mix.
+  EXPECT_EQ(recorder_.pooled("get").count(), result.reads);
+  EXPECT_EQ(recorder_.pooled("set").count(),
+            cfg.record_count + result.writes);
 }
 
 TEST_F(YcsbDriverTest, ReadHeavyMixSkewsToReads) {
@@ -110,6 +112,44 @@ TEST_F(YcsbDriverTest, ReadHeavyMixSkewsToReads) {
           &result);
   EXPECT_GT(result.reads, 7 * result.writes);
   EXPECT_EQ(result.failures, 0u);
+}
+
+// Under a crash of more servers than the code tolerates, with deadlines
+// armed, the recorder still holds exactly one latency per op the client
+// counted, failed ops included.
+TEST_F(YcsbDriverTest, RecorderCountsEveryOpThroughACrash) {
+  cluster_.set_rpc_policy(kv::RpcPolicy{.timeout_ns = 500'000,
+                                        .max_retries = 1,
+                                        .backoff_ns = 50'000});
+  auto engine = make_engine(resilience::Design::kEraCeCd);
+  cluster_.start();
+  YcsbConfig cfg;
+  cfg.record_count = 200;
+  cfg.ops_per_client = 400;
+  cfg.value_size = 4096;
+  cluster_.sim().spawn(
+      ycsb_load(&cluster_.sim(), engine.get(), cfg, 0, cfg.record_count));
+  cluster_.run();
+  recorder_.clear();
+
+  const SimTime start = cluster_.now_quiesced();
+  cluster::FaultSchedule faults(cluster_);
+  for (const std::size_t server : {1u, 2u, 3u}) {
+    faults.add_crash(start + units::kMillisecond, server);
+  }
+  faults.arm();
+  YcsbResult result;
+  cluster_.sim().spawn(
+      ycsb_client(&cluster_.sim(), engine.get(), cfg, 77, &result));
+  cluster_.run();
+
+  EXPECT_EQ(faults.fired(), 3u);
+  EXPECT_EQ(result.reads + result.writes, cfg.ops_per_client);
+  ASSERT_GT(result.failures, 0u);
+  EXPECT_LT(result.failures, cfg.ops_per_client);  // some ops ran first
+  EXPECT_GT(result.done_at, start);
+  EXPECT_EQ(recorder_.pooled("get").count(), result.reads);
+  EXPECT_EQ(recorder_.pooled("set").count(), result.writes);
 }
 
 class OhbDriverTest : public FiveNodeClusterTest {};

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -24,7 +23,6 @@
 #include "cluster/testbeds.h"
 #include "ec/rs_vandermonde.h"
 #include "obs/flight_recorder.h"
-#include "obs/json.h"
 #include "obs/latency.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -49,6 +47,27 @@ inline std::uint64_t scaled(std::uint64_t ops) {
   return v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
 }
 
+/// Parses an `--flag=N` integer harness argument; `fallback` when absent.
+/// Exits with code 2 on a malformed value. The observability flags below
+/// parse through it too.
+inline std::int64_t arg_int(int argc, char** argv, std::string_view prefix,
+                            std::int64_t fallback) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with(prefix)) continue;
+    const std::string value(arg.substr(prefix.size()));
+    try {
+      return std::stoll(value);
+    } catch (const std::exception&) {
+      std::fprintf(stderr, "error: %.*s expects an integer, got \"%s\"\n",
+                   static_cast<int>(prefix.size() - 1), prefix.data(),
+                   value.c_str());
+      std::exit(2);
+    }
+  }
+  return fallback;
+}
+
 // --- Observability session ----------------------------------------------------
 //
 // One per process: holds the span tracer, metrics registry and latency
@@ -66,8 +85,6 @@ inline std::uint64_t scaled(std::uint64_t ops) {
 //                             always-on ring recorder (crash / timeout-burst
 //                             dumps overwrite FILE, freshest wins, and each
 //                             Testbench teardown writes a "finalize" dump)
-//   --flight-ring=N           flight-recorder ring size per node (default
-//                             256 records = 6 KiB/node)
 //   --shards=N                event-loop shards for every Testbench point
 //                             (fig13_dfsio refuses N > 1; micro_shard_scaling
 //                             sweeps its own counts). 1 = the deterministic
@@ -78,10 +95,6 @@ inline std::uint64_t scaled(std::uint64_t ops) {
 //                             quiescence, so exports are bit-reproducible
 //                             for a fixed (seed, shard count) and
 //                             byte-identical to oracle output at N <= 1.
-//   --shard-profile-out=FILE  per-shard runtime profile JSON (window
-//                             counts/lengths, barrier stall vs busy wall
-//                             time, cross-shard message rates, lane
-//                             occupancy) for every Testbench point
 // With no flags everything is off and benchmarks run exactly as before —
 // observation never touches simulation state, so results are identical
 // either way. The latency recorder itself is always on (O(1) memory per
@@ -98,43 +111,23 @@ class ObsSession {
     wall_start_ = std::chrono::steady_clock::now();
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
-      const auto int_flag = [&arg](std::string_view prefix,
-                                   std::int64_t* out) {
-        if (!arg.starts_with(prefix)) return false;
-        const std::string value(arg.substr(prefix.size()));
-        try {
-          *out = std::stoll(value);
-        } catch (const std::exception&) {
-          std::fprintf(stderr, "error: %.*s expects an integer, got \"%s\"\n",
-                       static_cast<int>(prefix.size() - 1), prefix.data(),
-                       value.c_str());
-          std::exit(2);
-        }
-        return true;
-      };
-      std::int64_t v = 0;
       if (arg.starts_with("--metrics-out=")) {
         metrics_out_ = std::string(arg.substr(14));
       } else if (arg.starts_with("--trace-out=")) {
         trace_out_ = std::string(arg.substr(12));
-      } else if (int_flag("--sample-interval-us=", &v)) {
-        sample_interval_ns_ = v * 1'000;
-      } else if (int_flag("--trace-tail-us=", &v)) {
-        tail_.threshold_ns = v * 1'000;
-      } else if (int_flag("--trace-tail-keep=", &v)) {
-        tail_.keep_slowest = v < 0 ? 0 : static_cast<std::size_t>(v);
       } else if (arg.starts_with("--flight-out=")) {
         flight_out_ = std::string(arg.substr(13));
-      } else if (int_flag("--flight-ring=", &v)) {
-        flight_ring_ = v < 1 ? 1 : static_cast<std::size_t>(v);
-      } else if (int_flag("--shards=", &v)) {
-        shards_ = v < 1 ? 1 : static_cast<std::size_t>(v);
-      } else if (arg.starts_with("--shard-profile-out=")) {
-        shard_profile_out_ = std::string(arg.substr(20));
       }
     }
+    sample_interval_ns_ =
+        arg_int(argc, argv, "--sample-interval-us=", 0) * 1'000;
+    tail_.threshold_ns = arg_int(argc, argv, "--trace-tail-us=", 0) * 1'000;
+    tail_.keep_slowest = static_cast<std::size_t>(std::max<std::int64_t>(
+        0, arg_int(argc, argv, "--trace-tail-keep=", 0)));
+    shards_ = static_cast<std::size_t>(
+        std::max<std::int64_t>(1, arg_int(argc, argv, "--shards=", 1)));
     if (!flight_out_.empty()) {
-      flight_ = std::make_unique<obs::FlightRecorder>(flight_ring_);
+      flight_ = std::make_unique<obs::FlightRecorder>();
       flight_->set_dump_path(flight_out_);
     }
     tracer_.set_enabled(!trace_out_.empty());
@@ -166,18 +159,6 @@ class ObsSession {
   /// through per-shard domains.
   [[nodiscard]] std::size_t effective_shards() const noexcept {
     return shards_;
-  }
-
-  [[nodiscard]] bool shard_profile_enabled() const noexcept {
-    return !shard_profile_out_.empty();
-  }
-
-  /// Folds one finished Testbench point's runtime profile into the
-  /// --shard-profile-out report (no-op when the flag is absent).
-  void add_profile_point(const std::string& label,
-                         const sim::RuntimeProfile& prof) {
-    if (shard_profile_out_.empty()) return;
-    profile_points_.push_back(ProfilePoint{label, prof});
   }
 
   /// Folds a finished cluster's executed-event count into the process
@@ -225,87 +206,21 @@ class ObsSession {
         rc = 1;
       }
     }
-    if (!shard_profile_out_.empty() &&
-        !write_shard_profile(shard_profile_out_)) {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   shard_profile_out_.c_str());
-      rc = 1;
-    }
     return rc;
   }
 
  private:
   ObsSession() = default;
 
-  struct ProfilePoint {
-    std::string label;
-    sim::RuntimeProfile prof;
-  };
-
-  [[nodiscard]] bool write_shard_profile(const std::string& path) const {
-    std::string out;
-    out += "{\"shard_profile\":{\"version\":1,\"points\":[";
-    for (std::size_t p = 0; p < profile_points_.size(); ++p) {
-      const ProfilePoint& pt = profile_points_[p];
-      if (p != 0) out.push_back(',');
-      out += "\n{\"label\":";
-      obs::json::append_string(out, pt.label);
-      out += ",\"shards\":";
-      obs::json::append_u64(out, pt.prof.shards);
-      out += ",\"lookahead_ns\":";
-      obs::json::append_i64(out, pt.prof.lookahead_ns);
-      out += ",\"rounds\":";
-      obs::json::append_u64(out, pt.prof.rounds);
-      out += ",\"advance_ns\":{\"min\":";
-      obs::json::append_i64(out, pt.prof.min_advance_ns);
-      out += ",\"max\":";
-      obs::json::append_i64(out, pt.prof.max_advance_ns);
-      out += ",\"mean\":";
-      obs::json::append_fixed(out, pt.prof.mean_advance_ns, 1);
-      out += "},\"per_shard\":[";
-      for (std::size_t s = 0; s < pt.prof.per_shard.size(); ++s) {
-        const sim::ShardProfile& sp = pt.prof.per_shard[s];
-        if (s != 0) out.push_back(',');
-        out += "\n{\"shard\":";
-        obs::json::append_u64(out, s);
-        out += ",\"events\":";
-        obs::json::append_u64(out, sp.events);
-        out += ",\"msgs_out\":";
-        obs::json::append_u64(out, sp.msgs_out);
-        out += ",\"msgs_in\":";
-        obs::json::append_u64(out, sp.msgs_in);
-        out += ",\"lane_occupancy_hw\":";
-        obs::json::append_u64(out, sp.lane_occupancy_hw);
-        out += ",\"busy_wall_ns\":";
-        obs::json::append_u64(out, sp.busy_wall_ns);
-        out += ",\"stall_wall_ns\":";
-        obs::json::append_u64(out, sp.stall_wall_ns);
-        out += ",\"stall_fraction\":";
-        obs::json::append_fixed(
-            out, sim::RuntimeProfile::stall_fraction(sp), 4);
-        out.push_back('}');
-      }
-      out += "]}";
-    }
-    out += "\n]}}\n";
-    std::ofstream file(path, std::ios::trunc);
-    if (!file) return false;
-    file << out;
-    return file.good();
-  }
-
   obs::Tracer tracer_;
   obs::MetricsRegistry registry_;
   obs::LatencyRecorder recorder_;
   obs::LatencyRecorder::TailParams tail_;
   std::unique_ptr<obs::FlightRecorder> flight_;
-  std::vector<ProfilePoint> profile_points_;
   std::string flight_out_;
   std::string metrics_out_;
   std::string trace_out_;
-  std::string shard_profile_out_;
   SimDur sample_interval_ns_ = 0;
-  std::size_t flight_ring_ = obs::FlightRecorder::kDefaultRingSize;
   std::uint64_t point_seq_ = 0;
   std::size_t shards_ = 1;
   std::uint64_t sim_events_ = 0;
@@ -317,26 +232,6 @@ inline void obs_init(int argc, char** argv) {
   ObsSession::instance().init(argc, argv);
 }
 
-/// Parses an `--flag=N` integer harness argument; `fallback` when absent.
-/// Exits with code 2 on a malformed value (same contract as the
-/// observability flags above).
-inline std::int64_t arg_int(int argc, char** argv, std::string_view prefix,
-                            std::int64_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with(prefix)) continue;
-    const std::string value(arg.substr(prefix.size()));
-    try {
-      return std::stoll(value);
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "error: %.*s expects an integer, got \"%s\"\n",
-                   static_cast<int>(prefix.size() - 1), prefix.data(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return fallback;
-}
 [[nodiscard]] inline int obs_finalize() {
   return ObsSession::instance().finalize();
 }
@@ -414,13 +309,11 @@ class Testbench {
     // order), then snapshot/export — so every export sees the merged view.
     if (sampler_ != nullptr) sampler_->flush(cluster_.now_quiesced());
     cluster_.merge_obs_domains();
-    const sim::RuntimeProfile prof = cluster_.runtime().profile();
     // shard.* runtime gauges only exist for parallel points: an oracle
     // point's metrics output stays byte-identical to the pre-shard bench.
     if (obs.metrics_enabled() && cluster_.num_shards() > 1) {
-      register_shard_metrics(obs.registry(), prof);
+      register_shard_metrics(obs.registry(), cluster_.runtime().profile());
     }
-    obs.add_profile_point(label_, prof);
     if (obs.metrics_enabled()) {
       register_latency(obs.registry());
       obs.registry().capture();
@@ -532,8 +425,8 @@ class Testbench {
 
   /// Only sim-deterministic profile fields become shard.* gauges: the
   /// --metrics-out export is byte-diffed across repeat runs, so the
-  /// wall-clock fields (busy/stall) live only in --shard-profile-out and
-  /// the harness stall tables.
+  /// wall-clock fields (busy/stall) live only in micro_shard_scaling's
+  /// stall table and BENCH_shard_scaling.json.
   void register_shard_metrics(obs::MetricsRegistry& reg,
                               const sim::RuntimeProfile& prof) {
     const auto i64 = [](std::uint64_t v) {

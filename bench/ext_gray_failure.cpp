@@ -46,17 +46,6 @@ kv::RpcPolicy guard_policy() {
   return policy;
 }
 
-/// 1 ms detector windows: wide enough that every server clears
-/// min_samples per window at this op rate, so detection lag is dominated
-/// by the kFlagAfter hysteresis (2 ticks), not by sample starvation.
-cluster::HealthMonitorParams monitor_params() {
-  cluster::HealthMonitorParams p;
-  p.interval_ns = 1 * units::kMillisecond;
-  p.slo_ns = 2 * units::kMillisecond;
-  p.detector.min_samples = 6;
-  return p;
-}
-
 workload::YcsbConfig bench_config() {
   workload::YcsbConfig cfg = workload::YcsbConfig::workload_a();
   cfg.record_count = scaled(400);
@@ -96,7 +85,7 @@ RunOut run_once(FaultMode mode, SimDur dry_makespan_ns) {
   cluster::FaultSchedule faults(bench.cluster(), kDetectionLagNs);
   obs::FaultLog fault_log;
   faults.set_fault_log(&fault_log);
-  cluster::HealthMonitor monitor(bench.cluster(), monitor_params());
+  cluster::HealthMonitor monitor(bench.cluster());
   {
     ObsSession& obs = ObsSession::instance();
     if (obs.metrics_enabled()) {

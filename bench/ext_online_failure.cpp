@@ -96,10 +96,7 @@ RunOut run_once(SimDur dry_makespan_ns, resilience::HedgeParams hedge = {}) {
   faults.set_fault_log(&fault_log);
   // Health plane armed on every run: the fault-free baseline doubles as
   // the false-positive control, the crash runs measure detection latency.
-  cluster::HealthMonitorParams hm;
-  hm.interval_ns = 1 * units::kMillisecond;
-  hm.detector.min_samples = 6;
-  cluster::HealthMonitor monitor(bench.cluster(), hm);
+  cluster::HealthMonitor monitor(bench.cluster());
 
   bench.preload(cfg);
 

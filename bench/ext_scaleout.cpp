@@ -116,12 +116,11 @@ struct ScaleoutBench {
 };
 
 sim::Task<void> sweep_proc(sim::Simulator* sim, resilience::Engine* engine,
-                           workload::YcsbConfig cfg, std::uint64_t first,
-                           std::uint64_t last, std::uint64_t* failures) {
+                           std::uint64_t first, std::uint64_t last,
+                           std::uint64_t* failures) {
   (void)sim;
   for (std::uint64_t i = first; i < last; ++i) {
-    Result<Bytes> got =
-        co_await engine->get(workload::ycsb_key(i, cfg.key_size));
+    Result<Bytes> got = co_await engine->get(workload::ycsb_key(i));
     if (!got.ok()) ++*failures;
   }
 }
@@ -192,26 +191,25 @@ RunOut run_once(const cluster::Testbed& bed, std::size_t shards,
           std::min<std::uint64_t>(first + stride, cfg.record_count);
       if (first >= last) continue;
       b.cl.sim_for_client(l).spawn(
-          sweep_proc(&b.cl.sim_for_client(l), b.engines[l].get(), cfg,
-                     first, last, &out.readback_failures));
+          sweep_proc(&b.cl.sim_for_client(l), b.engines[l].get(), first,
+                     last, &out.readback_failures));
     }
     b.cl.run();
   }
   out.sim_events = b.cl.runtime().events_executed();
   ObsSession::instance().add_sim_events(out.sim_events);
-  ObsSession::instance().add_profile_point(label, b.cl.runtime().profile());
 
   // Host-side audit (elastic pass): the set of records whose primary
   // changed must agree with the HashRing::moved_ranges diff of the
   // before/after rings.
   if (elastic) {
-    const kv::HashRing before(kProvisioned, 128, 0x5eed, kInitialActive);
+    const kv::HashRing before(kProvisioned, kInitialActive);
     const kv::HashRing& after = b.cl.ring();
     const auto ranges = kv::HashRing::moved_ranges(before, after);
     std::uint64_t moved = 0;
     std::uint64_t disagree = 0;
     for (std::uint64_t i = 0; i < cfg.record_count; ++i) {
-      const std::string key = workload::ycsb_key(i, cfg.key_size);
+      const std::string key = workload::ycsb_key(i);
       const bool primary_moved =
           before.primary_index(key) != after.primary_index(key);
       if (primary_moved) ++moved;
@@ -256,12 +254,8 @@ int main_impl(int argc, char** argv) {
   const cluster::Testbed bed = cluster::ri_qdr();
 
   workload::YcsbConfig cfg = workload::YcsbConfig::workload_a();
-  cfg.record_count = static_cast<std::uint64_t>(
-      arg_int(argc, argv, "--records=",
-              static_cast<std::int64_t>(scaled(300))));
-  cfg.ops_per_client = static_cast<std::uint64_t>(
-      arg_int(argc, argv, "--ops=",
-              static_cast<std::int64_t>(scaled(400))));
+  cfg.record_count = scaled(300);
+  cfg.ops_per_client = scaled(400);
   cfg.seed = static_cast<std::uint64_t>(
       arg_int(argc, argv, "--seed=", 0xCC5B));
 

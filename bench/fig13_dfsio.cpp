@@ -23,7 +23,6 @@ using namespace hpres::boldio;  // NOLINT(google-build-using-namespace)
 constexpr std::size_t kHosts = 8;
 constexpr std::size_t kMapsPerHost = 4;
 constexpr std::size_t kDirectMaps = 48;  // 12 hosts x 4 maps
-constexpr std::size_t kChunk = 1024 * 1024;
 
 cluster::Testbed boldio_testbed() {
   cluster::Testbed bed = cluster::ri_qdr();
@@ -44,14 +43,12 @@ BoldioOutcome run_boldio(resilience::Design design, std::uint64_t data_bytes) {
   Testbench bench(boldio_testbed(), /*servers=*/5, /*clients=*/kHosts,
                   design);
   cluster::Cluster& cluster = bench.cluster();
-  LustreModel lustre(cluster.sim(), LustreParams{});
-  BoldioClientParams cparams;
-  cparams.chunk_bytes = kChunk;
+  LustreModel lustre(cluster.sim());
   std::vector<std::unique_ptr<BoldioClient>> clients;
   clients.reserve(kHosts);
   for (std::size_t h = 0; h < kHosts; ++h) {
     clients.push_back(std::make_unique<BoldioClient>(
-        cluster.sim_for_client(h), bench.engine(h), &lustre, cparams));
+        cluster.sim_for_client(h), bench.engine(h), &lustre));
   }
 
   const std::size_t maps = kHosts * kMapsPerHost;
@@ -95,14 +92,14 @@ BoldioOutcome run_boldio(resilience::Design design, std::uint64_t data_bytes) {
 
 BoldioOutcome run_direct(std::uint64_t data_bytes) {
   sim::Simulator sim;
-  LustreModel lustre(sim, LustreParams{});
+  LustreModel lustre(sim);
   const std::uint64_t file_bytes = data_bytes / kDirectMaps;
   BoldioOutcome out;
   for (const bool write : {true, false}) {
     const SimTime start = sim.now();
     sim::Latch done(sim, kDirectMaps);
     for (std::size_t m = 0; m < kDirectMaps; ++m) {
-      sim.spawn(dfsio_direct_map(&lustre, file_bytes, kChunk, write, &done));
+      sim.spawn(dfsio_direct_map(&lustre, file_bytes, write, &done));
     }
     sim.run();
     DfsioResult& r = write ? out.write : out.read;

@@ -87,7 +87,7 @@ int main() {
   const auto engine = resilience::make_engine(resilience::Design::kEraCeCd,
                                               ctx, 3, &codec, cost);
 
-  boldio::LustreModel lustre(cl.sim(), boldio::LustreParams{});
+  boldio::LustreModel lustre(cl.sim());
   boldio::BoldioClient client(cl.sim(), *engine, &lustre);
 
   cl.start();

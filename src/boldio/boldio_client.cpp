@@ -9,25 +9,24 @@ sim::Task<Status> BoldioClient::write_file(std::string name,
   // Hadoop write stream -> chunk Sets, bounded by the pipeline depth. The
   // same chunk payload buffer is shared: content is a size-preserving
   // stand-in for file data (DESIGN.md: benchmarks run size-only).
-  const SharedBytes chunk_payload = zero_bytes(params_.chunk_bytes);
+  const SharedBytes chunk_payload = zero_bytes(kChunkBytes);
   std::uint64_t failures_before = engine_->stats().set_failures;
   std::uint64_t remaining = bytes;
   std::uint64_t index = 0;
   std::size_t in_flight = 0;
   while (remaining > 0) {
-    const std::size_t this_chunk = remaining >= params_.chunk_bytes
-                                       ? params_.chunk_bytes
+    const std::size_t this_chunk = remaining >= kChunkBytes
+                                       ? kChunkBytes
                                        : static_cast<std::size_t>(remaining);
     SharedBytes payload =
-        this_chunk == params_.chunk_bytes ? chunk_payload
-                                          : zero_bytes(this_chunk);
-    // Map-task stream processing for this chunk (see BoldioClientParams).
+        this_chunk == kChunkBytes ? chunk_payload : zero_bytes(this_chunk);
+    // Map-task stream processing for this chunk (see kStreamWriteNsPerByte).
     co_await sim_->delay(static_cast<SimDur>(
-        params_.stream_write_ns_per_byte * static_cast<double>(this_chunk)));
+        kStreamWriteNsPerByte * static_cast<double>(this_chunk)));
     (void)engine_->iset(file_chunk_key(name, index), std::move(payload));
     remaining -= this_chunk;
     ++index;
-    if (++in_flight >= params_.pipeline_depth) {
+    if (++in_flight >= kPipelineDepth) {
       co_await engine_->wait_all();
       in_flight = 0;
     }
@@ -57,13 +56,13 @@ sim::Task<Status> BoldioClient::read_file(std::string name,
   std::size_t in_flight = 0;
   while (remaining > 0) {
     const std::uint64_t this_chunk =
-        remaining >= params_.chunk_bytes ? params_.chunk_bytes : remaining;
+        remaining >= kChunkBytes ? kChunkBytes : remaining;
     co_await sim_->delay(static_cast<SimDur>(
-        params_.stream_read_ns_per_byte * static_cast<double>(this_chunk)));
+        kStreamReadNsPerByte * static_cast<double>(this_chunk)));
     (void)engine_->iget(file_chunk_key(name, index));
     remaining -= this_chunk;
     ++index;
-    if (++in_flight >= params_.pipeline_depth) {
+    if (++in_flight >= kPipelineDepth) {
       co_await engine_->wait_all();
       in_flight = 0;
     }

@@ -13,19 +13,6 @@
 
 namespace hpres::boldio {
 
-struct BoldioClientParams {
-  std::size_t chunk_bytes = 1024 * 1024;  ///< Hadoop stream chunking (1 MB)
-  std::size_t pipeline_depth = 16;        ///< chunks in flight per stream
-  /// Hadoop map-task stream processing cost, charged per byte on the map's
-  /// own stream (serialization, record framing, JVM copies). Writes are far
-  /// heavier than reads; these rates (~90 MB/s per writing map, ~420 MB/s
-  /// per reading map) reproduce the per-map throughputs implied by the
-  /// paper's TestDFSIO numbers — with 32 maps they, not the RDMA fabric,
-  /// are the Boldio-side bottleneck, which is why Era and Async-Rep tie.
-  double stream_write_ns_per_byte = 11.0;
-  double stream_read_ns_per_byte = 2.4;
-};
-
 struct BoldioStats {
   std::uint64_t files_written = 0;
   std::uint64_t files_read = 0;
@@ -36,11 +23,22 @@ struct BoldioStats {
 
 class BoldioClient {
  public:
+  static constexpr std::size_t kChunkBytes = 1024 * 1024;  ///< Hadoop chunk
+  static constexpr std::size_t kPipelineDepth = 16;  ///< chunks in flight
+  /// Hadoop map-task stream processing cost, charged per byte on the map's
+  /// own stream (serialization, record framing, JVM copies). Writes are far
+  /// heavier than reads; these rates (~90 MB/s per writing map, ~420 MB/s
+  /// per reading map) reproduce the per-map throughputs implied by the
+  /// paper's TestDFSIO numbers — with 32 maps they, not the RDMA fabric,
+  /// are the Boldio-side bottleneck, which is why Era and Async-Rep tie.
+  static constexpr double kStreamWriteNsPerByte = 11.0;
+  static constexpr double kStreamReadNsPerByte = 2.4;
+
   /// `engine` provides resilient chunk storage; `lustre` receives the
   /// asynchronous persistence stream (may be null to disable flushing).
   BoldioClient(sim::Simulator& sim, resilience::Engine& engine,
-               LustreModel* lustre, BoldioClientParams params = {})
-      : sim_(&sim), engine_(&engine), lustre_(lustre), params_(params) {}
+               LustreModel* lustre)
+      : sim_(&sim), engine_(&engine), lustre_(lustre) {}
   BoldioClient(const BoldioClient&) = delete;
   BoldioClient& operator=(const BoldioClient&) = delete;
 
@@ -69,7 +67,6 @@ class BoldioClient {
   sim::Simulator* sim_;
   resilience::Engine* engine_;
   LustreModel* lustre_;
-  BoldioClientParams params_;
   BoldioStats stats_;
 };
 

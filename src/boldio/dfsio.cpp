@@ -18,12 +18,11 @@ sim::Task<void> dfsio_boldio_map(BoldioClient* client, std::string file,
 }
 
 sim::Task<void> dfsio_direct_map(LustreModel* lustre, std::uint64_t bytes,
-                                 std::size_t chunk_bytes, bool write,
-                                 sim::Latch* done) {
+                                 bool write, sim::Latch* done) {
+  constexpr std::uint64_t kChunk = BoldioClient::kChunkBytes;
   std::uint64_t remaining = bytes;
   while (remaining > 0) {
-    const std::uint64_t this_chunk =
-        remaining >= chunk_bytes ? chunk_bytes : remaining;
+    const std::uint64_t this_chunk = remaining >= kChunk ? kChunk : remaining;
     if (write) {
       co_await lustre->write(this_chunk);
     } else {

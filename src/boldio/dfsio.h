@@ -11,12 +11,6 @@
 
 namespace hpres::boldio {
 
-struct DfsioConfig {
-  std::size_t num_maps = 32;
-  std::uint64_t file_bytes = 512ULL * 1024 * 1024;
-  std::size_t chunk_bytes = 1024 * 1024;
-};
-
 struct DfsioResult {
   std::uint64_t total_bytes = 0;
   SimDur makespan_ns = 0;
@@ -36,9 +30,8 @@ sim::Task<void> dfsio_boldio_map(BoldioClient* client, std::string file,
                                  sim::Latch* done, std::uint64_t* failures);
 
 /// One Lustre-Direct map task: streams the file to/from Lustre in
-/// chunk-sized requests (Hadoop's sequential record writer).
+/// BoldioClient::kChunkBytes requests (Hadoop's sequential record writer).
 sim::Task<void> dfsio_direct_map(LustreModel* lustre, std::uint64_t bytes,
-                                 std::size_t chunk_bytes, bool write,
-                                 sim::Latch* done);
+                                 bool write, sim::Latch* done);
 
 }  // namespace hpres::boldio

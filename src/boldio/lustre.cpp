@@ -16,21 +16,21 @@ sim::Task<void> LustreModel::transfer(std::uint64_t bytes,
   // The caller additionally cannot beat its own stream cap, and pays the
   // metadata round trip.
   const SimTime stream_done =
-      now + units::transfer_time_ns(bytes, params_.per_stream_gbps);
-  const SimTime done = std::max(agg_done, stream_done) + params_.metadata_ns;
+      now + units::transfer_time_ns(bytes, kPerStreamGbps);
+  const SimTime done = std::max(agg_done, stream_done) + kMetadataNs;
   co_await sim_->delay(done - now);
 }
 
 sim::Task<void> LustreModel::write(std::uint64_t bytes) {
   ++stats_.write_ops;
   stats_.bytes_written += bytes;
-  co_await transfer(bytes, params_.aggregate_write_gbps, &write_busy_until_);
+  co_await transfer(bytes, kAggregateWriteGbps, &write_busy_until_);
 }
 
 sim::Task<void> LustreModel::read(std::uint64_t bytes) {
   ++stats_.read_ops;
   stats_.bytes_read += bytes;
-  co_await transfer(bytes, params_.aggregate_read_gbps, &read_busy_until_);
+  co_await transfer(bytes, kAggregateReadGbps, &read_busy_until_);
 }
 
 }  // namespace hpres::boldio

@@ -18,13 +18,6 @@
 
 namespace hpres::boldio {
 
-struct LustreParams {
-  double aggregate_write_gbps = 9.0;   ///< shared OST write bandwidth
-  double aggregate_read_gbps = 18.5;   ///< shared OST read bandwidth
-  double per_stream_gbps = 2.4;        ///< single-client stream cap
-  SimDur metadata_ns = 200'000;        ///< open/lookup/close round trip
-};
-
 struct LustreStats {
   std::uint64_t bytes_written = 0;
   std::uint64_t bytes_read = 0;
@@ -34,12 +27,15 @@ struct LustreStats {
 
 class LustreModel {
  public:
-  LustreModel(sim::Simulator& sim, LustreParams params)
-      : sim_(&sim), params_(params) {}
+  static constexpr double kAggregateWriteGbps = 9.0;  ///< shared OST write
+  static constexpr double kAggregateReadGbps = 18.5;  ///< shared OST read
+  static constexpr double kPerStreamGbps = 2.4;  ///< single-client stream cap
+  static constexpr SimDur kMetadataNs = 200'000;  ///< open/lookup/close trip
+
+  explicit LustreModel(sim::Simulator& sim) : sim_(&sim) {}
   LustreModel(const LustreModel&) = delete;
   LustreModel& operator=(const LustreModel&) = delete;
 
-  [[nodiscard]] const LustreParams& params() const noexcept { return params_; }
   [[nodiscard]] const LustreStats& stats() const noexcept { return stats_; }
 
   /// Writes `bytes`, suspending for the modeled duration: queueing on the
@@ -54,7 +50,6 @@ class LustreModel {
                            SimTime* pipe_busy_until);
 
   sim::Simulator* sim_;
-  LustreParams params_;
   SimTime write_busy_until_ = 0;
   SimTime read_busy_until_ = 0;
   LustreStats stats_;

@@ -32,8 +32,7 @@ Cluster::Cluster(ClusterConfig config)
       runtime_(effective_shards(config), config.fabric.latency_ns),
       sinks_(runtime_.num_shards()),
       fabric_(runtime_, config.fabric, shard_map(config), sinks_),
-      ring_(config.num_servers, kv::HashRing::kDefaultVnodes,
-            kv::HashRing::kDefaultSeed, config.initial_active_servers),
+      ring_(config.num_servers, config.initial_active_servers),
       membership_(config.num_servers) {
   servers_.reserve(config.num_servers);
   server_nodes_.reserve(config.num_servers);
@@ -76,8 +75,8 @@ void Cluster::set_health_signals(obs::HealthSignals* signals) {
   const bool per_shard = signals != nullptr && runtime_.parallel();
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
     if (per_shard) {
-      shard_signals_.push_back(std::make_unique<obs::HealthSignals>(
-          signals->num_nodes(), signals->slo_ns()));
+      shard_signals_.push_back(
+          std::make_unique<obs::HealthSignals>(signals->num_nodes()));
     }
     sinks_[s].health = per_shard ? shard_signals_[s].get() : signals;
   }

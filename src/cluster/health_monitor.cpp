@@ -2,11 +2,10 @@
 
 namespace hpres::cluster {
 
-HealthMonitor::HealthMonitor(Cluster& cluster, HealthMonitorParams params)
+HealthMonitor::HealthMonitor(Cluster& cluster)
     : cluster_(&cluster),
-      params_(params),
-      signals_(cluster.num_servers(), params.slo_ns),
-      detector_(cluster.num_servers(), params.detector),
+      signals_(cluster.num_servers()),
+      detector_(cluster.num_servers()),
       samples_(cluster.num_servers()) {}
 
 HealthMonitor::~HealthMonitor() {
@@ -20,7 +19,7 @@ void HealthMonitor::arm() {
   // Every shard thread is parked when the hook fires, so sampling queue
   // depths, membership and the per-shard signal domains is race-free, and
   // capping windows at the next boundary keeps tick times exact.
-  next_tick_ = cluster_->now_quiesced() + params_.interval_ns;
+  next_tick_ = cluster_->now_quiesced() + kIntervalNs;
   hook_id_ = cluster_->runtime().add_quiesce_hook(
       [this](SimTime min_next) { return on_quiesce(min_next); });
 }
@@ -106,7 +105,7 @@ SimTime HealthMonitor::on_quiesce(SimTime min_next) {
   if (stop_) return sim::Simulator::kNever;
   while (min_next != sim::Simulator::kNever && next_tick_ <= min_next) {
     tick_at(next_tick_);
-    next_tick_ += params_.interval_ns;
+    next_tick_ += kIntervalNs;
   }
   // At full quiescence (min_next == kNever) nothing is pending: the final
   // partial window is covered by the request_stop() tick.

@@ -2,7 +2,7 @@
 // the passive per-node signals (obs::HealthSignals, fed by rpc/fabric hot
 // paths) and the online anomaly detector (obs::HealthDetector).
 //
-// Every `interval_ns` of simulated time the monitor assembles one
+// Every kIntervalNs of simulated time the monitor assembles one
 // HealthSample per server (windowed signal deltas + instantaneous handler
 // queue depth + the membership oracle's view) and runs one detector tick.
 // Transitions are mirrored into the flight recorder (kHealthState) and
@@ -33,25 +33,18 @@
 
 namespace hpres::cluster {
 
-struct HealthMonitorParams {
-  /// Detector tick period (simulated). 100µs ≈ a few hundred ops per
-  /// window at the simulated service rates — enough samples to clear
-  /// HealthParams::min_samples without detection lag suffering.
-  SimDur interval_ns = 100 * units::kMicrosecond;
-  /// Per-response latency SLO classifying over-SLO responses for the
-  /// burn-rate rule.
-  SimDur slo_ns = 2 * units::kMillisecond;
-  /// Detector sample floor (its thresholds and hysteresis are constants).
-  obs::HealthParams detector;
-};
-
 class HealthMonitor {
  public:
   /// Cluster-wide RPC deadline expiries in a single window that trigger an
   /// automatic flight-recorder dump ("timeout-burst").
   static constexpr std::uint64_t kTimeoutBurst = 8;
+  /// Detector tick period (simulated). 1 ms windows are wide enough that
+  /// every server clears HealthDetector::kMinSamples per window at the
+  /// YCSB harnesses' op rates, so detection lag is dominated by the
+  /// detector's 2-tick flag hysteresis, not by sample starvation.
+  static constexpr SimDur kIntervalNs = 1 * units::kMillisecond;
 
-  explicit HealthMonitor(Cluster& cluster, HealthMonitorParams params = {});
+  explicit HealthMonitor(Cluster& cluster);
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
   ~HealthMonitor();
@@ -95,7 +88,6 @@ class HealthMonitor {
   SimTime on_quiesce(SimTime min_next);
 
   Cluster* cluster_;
-  HealthMonitorParams params_;
   obs::HealthSignals signals_;
   obs::HealthDetector detector_;
   std::vector<obs::HealthSample> samples_;   ///< reused per tick

@@ -6,10 +6,9 @@
 
 namespace hpres::kv {
 
-HashRing::HashRing(std::size_t num_servers, std::size_t vnodes,
-                   std::uint64_t seed, std::size_t initial_active)
-    : num_servers_(num_servers), vnodes_(vnodes), seed_(seed) {
-  assert(num_servers >= 1 && vnodes >= 1);
+HashRing::HashRing(std::size_t num_servers, std::size_t initial_active)
+    : num_servers_(num_servers) {
+  assert(num_servers >= 1);
   assert(initial_active <= num_servers);
   const std::size_t active =
       initial_active == 0 ? num_servers : initial_active;
@@ -26,9 +25,9 @@ void HashRing::rebuild() {
   // harmless (last writer wins on one point of many).
   ring_.clear();
   for (const std::size_t s : active_) {
-    for (std::size_t v = 0; v < vnodes_; ++v) {
+    for (std::size_t v = 0; v < kVnodes; ++v) {
       const std::uint64_t point =
-          splitmix64(seed_ ^ splitmix64(s * 0x10001 + v));
+          splitmix64(kSeed ^ splitmix64(s * 0x10001 + v));
       ring_[point] = s;
     }
   }

@@ -62,18 +62,16 @@ class Placement {
 
 class HashRing {
  public:
-  /// The cluster ring's shape: ketama points per server and hash seed.
-  static constexpr std::size_t kDefaultVnodes = 128;
-  static constexpr std::uint64_t kDefaultSeed = 0x5eed;
+  /// The ring's shape: ketama points per server and hash seed. Every ring
+  /// shares them, so two rings differ only in their active sets.
+  static constexpr std::size_t kVnodes = 128;
+  static constexpr std::uint64_t kSeed = 0x5eed;
 
   /// `num_servers` servers indexed 0..num_servers-1, each projected onto
-  /// the ring at `vnodes` points. `initial_active` bounds the initially
+  /// the ring at kVnodes points. `initial_active` bounds the initially
   /// active prefix [0, initial_active); 0 means every provisioned server
   /// starts active (the classic fixed-membership ring).
-  explicit HashRing(std::size_t num_servers,
-                    std::size_t vnodes = kDefaultVnodes,
-                    std::uint64_t seed = kDefaultSeed,
-                    std::size_t initial_active = 0);
+  explicit HashRing(std::size_t num_servers, std::size_t initial_active = 0);
 
   /// Provisioned index space (stable across joins/leaves): fragment slot
   /// counts and per-server bookkeeping are sized against this.
@@ -142,10 +140,10 @@ class HashRing {
     }
   };
 
-  /// Exact diff of primary ownership between two rings sharing a seed:
-  /// every returned range changed owner, and any key hashing outside all
-  /// ranges keeps its primary. The migration pass only touches keys whose
-  /// hash a range covers.
+  /// Exact diff of primary ownership between two rings: every returned
+  /// range changed owner, and any key hashing outside all ranges keeps its
+  /// primary. The migration pass only touches keys whose hash a range
+  /// covers.
   [[nodiscard]] static std::vector<MovedRange> moved_ranges(
       const HashRing& before, const HashRing& after);
 
@@ -172,8 +170,6 @@ class HashRing {
   void resolve(Placement& p) const;
 
   std::size_t num_servers_;
-  std::size_t vnodes_;
-  std::uint64_t seed_;
   std::uint64_t epoch_ = 1;
   std::vector<std::size_t> active_;            // ascending server indices
   std::map<std::uint64_t, std::size_t> ring_;  // point -> server index

@@ -225,6 +225,7 @@ class Fabric {
       shard_state_.push_back(std::make_unique<ShardState>());
       if (!shard_sinks.empty()) shard_state_[s]->sinks = &shard_sinks[s];
     }
+    seed_loss_streams(kLossSeed);
     init_inboxes();
   }
 
@@ -321,21 +322,18 @@ class Fabric {
   /// with probability `probability` (counted under drops_injected). Models
   /// a flaky link for timeout/retry experiments; deterministic per seed.
   /// Pass 0 to disable (the default — no RNG draw on the send path).
-  /// Each shard draws from its own stream (shard 0 keeps the seed's
-  /// classic stream, so oracle runs are byte-identical to pre-shard code).
+  /// Reseeds every shard's stream (seed_loss_streams).
   void set_loss(double probability, std::uint64_t seed = 0x10553) {
     loss_probability_ = probability;
-    for (std::size_t s = 0; s < shard_state_.size(); ++s) {
-      shard_state_[s]->loss_rng =
-          Xoshiro256(seed + s * 0x9E3779B97F4A7C15ULL);
-    }
+    seed_loss_streams(seed);
   }
 
   /// Per-node silent loss: messages to or from `id` are additionally
   /// dropped with probability `probability` — a gray-lossy NIC whose peers
   /// see timeouts while membership still says the node is alive. Shares
-  /// the set_loss RNG stream; with every probability at 0 the send path
-  /// draws no RNG at all, keeping loss-free runs bit-identical.
+  /// the set_loss RNG streams (seeded with kLossSeed until set_loss
+  /// reseeds them); with every probability at 0 the send path draws no RNG
+  /// at all, keeping loss-free runs bit-identical.
   void set_node_loss(NodeId id, double probability) {
     assert(id < nics_.size());
     if (nics_[id].loss > 0.0 && probability <= 0.0) --lossy_nodes_;
@@ -553,6 +551,19 @@ class Fabric {
       free = d;
     }
   };
+
+  /// The loss streams' seed until set_loss reseeds them.
+  static constexpr std::uint64_t kLossSeed = 0xC0FFEE;
+
+  /// Gives each shard its own loss stream: shard s draws from seed +
+  /// s·0x9E3779B97F4A7C15, so shard 0's stream is the seed's own and a
+  /// one-shard run draws exactly what a single stream would.
+  void seed_loss_streams(std::uint64_t seed) {
+    for (std::size_t s = 0; s < shard_state_.size(); ++s) {
+      shard_state_[s]->loss_rng =
+          Xoshiro256(seed + s * 0x9E3779B97F4A7C15ULL);
+    }
+  }
 
   void init_inboxes() {
     inboxes_.reserve(node_sim_.size());

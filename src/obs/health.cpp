@@ -154,12 +154,12 @@ std::size_t HealthDetector::tick(SimTime now_ns,
     // never accumulate.
     if (trials == 0 && s.queue_depth == 0) continue;
     const bool lossy =
-        trials >= params_.min_samples &&
+        trials >= kMinSamples &&
         static_cast<double>(failures) >
             kLossyRate * static_cast<double>(trials);
 
     // Slow evidence: relative outlier with an absolute floor.
-    const bool enough_rtt = s.window.responses >= params_.min_samples;
+    const bool enough_rtt = s.window.responses >= kMinSamples;
     const bool slow = enough_rtt &&
                       st.score > kSlowRatio * median_ &&
                       st.score > kSlowFloor;

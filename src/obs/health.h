@@ -61,9 +61,11 @@ struct HealthWindow {
 /// Indices are *server indices* (server NodeId == index by convention).
 class HealthSignals {
  public:
-  /// `slo_ns` classifies each observed RTT for the burn-rate rule.
-  explicit HealthSignals(std::size_t nodes, SimDur slo_ns)
-      : cum_(nodes), last_(nodes), slo_ns_(slo_ns) {}
+  /// Per-response latency SLO: a slower response counts as over-SLO for
+  /// the detector's burn-rate rule.
+  static constexpr SimDur kSloNs = 2 * units::kMillisecond;
+
+  explicit HealthSignals(std::size_t nodes) : cum_(nodes), last_(nodes) {}
 
   void on_timeout(std::size_t node) noexcept {
     if (node < cum_.size()) ++cum_[node].timeouts;
@@ -76,14 +78,13 @@ class HealthSignals {
     HealthWindow& c = cum_[node];
     ++c.responses;
     c.rtt_sum_ns += rtt_ns;
-    if (rtt_ns > slo_ns_) ++c.over_slo;
+    if (rtt_ns > kSloNs) ++c.over_slo;
   }
   void on_drop(std::size_t node) noexcept {
     if (node < cum_.size()) ++cum_[node].drops;
   }
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return cum_.size(); }
-  [[nodiscard]] SimDur slo_ns() const noexcept { return slo_ns_; }
   [[nodiscard]] const HealthWindow& cumulative(std::size_t node) const {
     return cum_.at(node);
   }
@@ -95,7 +96,6 @@ class HealthSignals {
  private:
   std::vector<HealthWindow> cum_;
   std::vector<HealthWindow> last_;
-  SimDur slo_ns_;
 };
 
 // ---------------------------------------------------------------------------
@@ -110,12 +110,6 @@ enum class NodeHealthState : std::uint8_t {
 };
 
 [[nodiscard]] const char* node_health_state_name(NodeHealthState s) noexcept;
-
-/// The detector's evidence thresholds, SLO burn-rate rule and hysteresis
-/// are constants (health.cpp); only the sample floor varies per harness.
-struct HealthParams {
-  std::uint64_t min_samples = 8;  ///< windows with fewer attempts abstain
-};
 
 /// Per-node per-tick input assembled by the monitor.
 struct HealthSample {
@@ -133,10 +127,15 @@ struct HealthTransition {
   double median = 0.0;       ///< cluster median score that tick
 };
 
+/// The detector's evidence thresholds, SLO burn-rate rule and hysteresis
+/// are constants (health.cpp); only the sample floor is declared here.
 class HealthDetector {
  public:
-  HealthDetector(std::size_t nodes, HealthParams params = {})
-      : params_(params), nodes_(nodes) {}
+  /// Windows with fewer attempts (or, for the slow rule, responses) than
+  /// this abstain on that rule.
+  static constexpr std::uint64_t kMinSamples = 6;
+
+  explicit HealthDetector(std::size_t nodes) : nodes_(nodes) {}
 
   /// Folds one window of samples (one entry per node) into the per-node
   /// state machines. Returns the number of state transitions this tick.
@@ -157,7 +156,6 @@ class HealthDetector {
       const noexcept {
     return transitions_;
   }
-  [[nodiscard]] const HealthParams& params() const noexcept { return params_; }
 
  private:
   struct NodeState {
@@ -172,7 +170,6 @@ class HealthDetector {
 
   void transition(SimTime now_ns, std::size_t node, NodeHealthState to);
 
-  HealthParams params_;
   std::vector<NodeState> nodes_;
   std::vector<HealthTransition> transitions_;
   double median_ = 1.0;

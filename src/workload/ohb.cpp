@@ -4,9 +4,12 @@ namespace hpres::workload {
 
 namespace {
 
-kv::Key ohb_key(std::uint64_t i, std::size_t key_size) {
+/// OHB's keys are 16 B, like the paper's YCSB keys.
+constexpr std::size_t kOhbKeyBytes = 16;
+
+kv::Key ohb_key(std::uint64_t i) {
   std::string out = "ohb-" + std::to_string(i);
-  if (out.size() < key_size) out.append(key_size - out.size(), 'x');
+  if (out.size() < kOhbKeyBytes) out.append(kOhbKeyBytes - out.size(), 'x');
   return out;
 }
 
@@ -19,7 +22,7 @@ sim::Task<void> ohb_set_workload(sim::Simulator* sim,
       make_shared_bytes(make_pattern(config.value_size, config.seed));
   const SimTime t0 = sim->now();
   for (std::uint64_t i = 0; i < config.operations; ++i) {
-    const Status s = co_await engine->set(ohb_key(i, config.key_size), value);
+    const Status s = co_await engine->set(ohb_key(i), value);
     if (!s.ok()) ++result->failures;
   }
   result->total_ns = sim->now() - t0;
@@ -31,8 +34,7 @@ sim::Task<void> ohb_get_workload(sim::Simulator* sim,
                                  OhbResult* result) {
   const SimTime t0 = sim->now();
   for (std::uint64_t i = 0; i < config.operations; ++i) {
-    const Result<Bytes> r =
-        co_await engine->get(ohb_key(i, config.key_size));
+    const Result<Bytes> r = co_await engine->get(ohb_key(i));
     if (!r.ok()) ++result->failures;
   }
   result->total_ns = sim->now() - t0;

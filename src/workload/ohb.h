@@ -12,7 +12,6 @@ namespace hpres::workload {
 struct OhbConfig {
   std::uint64_t operations = 1'000;  ///< paper: 1K ops per point
   std::size_t value_size = 4096;
-  std::size_t key_size = 16;
   std::uint64_t seed = 0x0B5;
 };
 
@@ -28,7 +27,8 @@ struct OhbResult {
   }
 };
 
-/// Issues `operations` blocking Sets ("ohb-<i>" keys) and fills *result.
+/// Issues `operations` blocking Sets ("ohb-<i>" keys padded with 'x' to
+/// 16 B) and fills *result.
 sim::Task<void> ohb_set_workload(sim::Simulator* sim,
                                  resilience::Engine* engine, OhbConfig config,
                                  OhbResult* result);

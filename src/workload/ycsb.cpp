@@ -19,14 +19,14 @@ double YcsbResult::throughput_ops_per_s(SimDur makespan_ns) const {
          (static_cast<double>(makespan_ns) / 1e9);
 }
 
-std::string ycsb_key(std::uint64_t id, std::size_t key_size) {
+std::string ycsb_key(std::uint64_t id) {
   std::string digits = std::to_string(id);
   std::string out = "user";
-  if (out.size() + digits.size() < key_size) {
-    out.append(key_size - out.size() - digits.size(), '0');
+  if (out.size() + digits.size() < kYcsbKeyBytes) {
+    out.append(kYcsbKeyBytes - out.size() - digits.size(), '0');
   }
   out += digits;
-  if (out.size() > key_size) out.resize(key_size);
+  if (out.size() > kYcsbKeyBytes) out.resize(kYcsbKeyBytes);
   return out;
 }
 
@@ -38,7 +38,7 @@ sim::Task<void> ycsb_load(sim::Simulator* sim, resilience::Engine* engine,
   // load phase's host memory flat even for millions of records.
   const SharedBytes value = zero_bytes(config.value_size);
   for (std::uint64_t id = first; id < last; ++id) {
-    (void)engine->iset(ycsb_key(id, config.key_size), value);
+    (void)engine->iset(ycsb_key(id), value);
     // Bound the pipeline depth during load.
     if ((id - first + 1) % 64 == 0) co_await engine->wait_all();
   }
@@ -49,14 +49,13 @@ sim::Task<void> ycsb_client(sim::Simulator* sim, resilience::Engine* engine,
                             YcsbConfig config, std::uint64_t client_seed,
                             YcsbResult* result) {
   Xoshiro256 rng(client_seed);
-  const ScrambledZipfianGenerator keygen(config.record_count,
-                                         config.zipf_theta);
+  const ScrambledZipfianGenerator keygen(config.record_count);
   const SharedBytes write_value =
       make_shared_bytes(make_pattern(config.value_size, client_seed));
 
   for (std::uint64_t op = 0; op < config.ops_per_client; ++op) {
     const std::uint64_t id = keygen.next(rng);
-    const std::string key = ycsb_key(id, config.key_size);
+    const std::string key = ycsb_key(id);
     const bool is_read = rng.next_double() < config.read_fraction;
     StatusCode code = StatusCode::kOk;
     if (is_read) {

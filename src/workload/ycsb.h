@@ -16,8 +16,6 @@ struct YcsbConfig {
   std::uint64_t record_count = 250'000;
   std::uint64_t ops_per_client = 2'500;
   std::size_t value_size = 16 * 1024;
-  std::size_t key_size = 16;         ///< paper fixes keys at 16 B
-  double zipf_theta = ZipfianGenerator::kYcsbTheta;
   std::uint64_t seed = 0xCC5B;
 
   /// Canonical presets.
@@ -45,8 +43,12 @@ struct YcsbResult {
   [[nodiscard]] double throughput_ops_per_s(SimDur makespan_ns) const;
 };
 
-/// Zero-padded YCSB-style key ("user00000001234") of exactly key_size.
-[[nodiscard]] std::string ycsb_key(std::uint64_t id, std::size_t key_size);
+/// The paper fixes keys at 16 B.
+inline constexpr std::size_t kYcsbKeyBytes = 16;
+
+/// Zero-padded YCSB-style key ("user000000001234") of exactly
+/// kYcsbKeyBytes.
+[[nodiscard]] std::string ycsb_key(std::uint64_t id);
 
 /// Loads records [first, last) through an engine (the preload phase).
 /// Values are size-only unless the engine materializes.
@@ -55,7 +57,8 @@ sim::Task<void> ycsb_load(sim::Simulator* sim, resilience::Engine* engine,
                           std::uint64_t last);
 
 /// Runs one client's op stream: ops_per_client operations, read/write mix
-/// per config, keys from a scrambled-Zipfian distribution. Op counts and
+/// per config, keys from a scrambled-Zipfian distribution (θ =
+/// ZipfianGenerator::kYcsbTheta). Op counts and
 /// the completion time land in *result.
 sim::Task<void> ycsb_client(sim::Simulator* sim, resilience::Engine* engine,
                             YcsbConfig config, std::uint64_t client_seed,

@@ -22,25 +22,24 @@ class UniformGenerator {
 };
 
 /// Zipfian-distributed ranks in [0, items): rank r is drawn with
-/// probability proportional to 1 / (r+1)^theta. Implementation follows
+/// probability proportional to 1 / (r+1)^kYcsbTheta. Implementation follows
 /// Gray et al., "Quickly Generating Billion-Record Synthetic Databases"
 /// (the algorithm YCSB uses).
 class ZipfianGenerator {
  public:
+  /// YCSB's Zipfian constant, the paper's one request skew.
   static constexpr double kYcsbTheta = 0.99;
 
-  explicit ZipfianGenerator(std::uint64_t items, double theta = kYcsbTheta);
+  explicit ZipfianGenerator(std::uint64_t items);
 
   [[nodiscard]] std::uint64_t items() const noexcept { return items_; }
-  [[nodiscard]] double theta() const noexcept { return theta_; }
 
   [[nodiscard]] std::uint64_t next(Xoshiro256& rng) const;
 
  private:
-  static double zeta(std::uint64_t n, double theta);
+  static double zeta(std::uint64_t n);
 
   std::uint64_t items_;
-  double theta_;
   double alpha_;
   double zetan_;
   double eta_;
@@ -50,9 +49,8 @@ class ZipfianGenerator {
 /// clustered at the low end of the keyspace (YCSB ScrambledZipfian).
 class ScrambledZipfianGenerator {
  public:
-  explicit ScrambledZipfianGenerator(std::uint64_t items,
-                                     double theta = ZipfianGenerator::kYcsbTheta)
-      : zipf_(items, theta), items_(items) {}
+  explicit ScrambledZipfianGenerator(std::uint64_t items)
+      : zipf_(items), items_(items) {}
 
   [[nodiscard]] std::uint64_t next(Xoshiro256& rng) const {
     // Lemire multiply-shift, not `% items_`: the modulo folds the hash's

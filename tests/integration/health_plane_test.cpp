@@ -31,16 +31,8 @@ kv::RpcPolicy test_policy() {
   return policy;
 }
 
-cluster::HealthMonitorParams test_monitor_params() {
-  cluster::HealthMonitorParams p;
-  p.interval_ns = 200 * units::kMicrosecond;
-  p.slo_ns = 1 * units::kMillisecond;
-  p.detector.min_samples = 4;
-  return p;
-}
-
-/// Symptom-propagation grace: the 500 us x2 deadline ladder plus a couple
-/// of 200 us detector windows.
+/// Symptom-propagation grace: the 500 us x2 deadline ladder plus one 1 ms
+/// detector window.
 constexpr SimDur kGraceNs = 2 * units::kMillisecond;
 
 struct PlaneOutcome {
@@ -88,12 +80,14 @@ PlaneOutcome run_plane_ycsb(std::uint64_t seed, Fault fault,
   obs::FaultLog fault_log;
   faults.set_fault_log(&fault_log);
   if (fault == Fault::kCrash) {
-    faults.add_crash(2 * units::kMillisecond, 1);
+    // The run lasts about 3 ms: the crash leaves the 1 ms detector ticks
+    // room to flag it before the workload ends.
+    faults.add_crash(1 * units::kMillisecond, 1);
     faults.add_restart(6 * units::kMillisecond, 1);
     faults.arm();
   }
 
-  cluster::HealthMonitor monitor(cl, test_monitor_params());
+  cluster::HealthMonitor monitor(cl);
   if (with_plane) monitor.arm();
 
   workload::YcsbConfig cfg;
@@ -146,7 +140,7 @@ TEST(HealthPlane, ClosedLoopDetectsInjectedCrash) {
       << "injected crash never flagged by the detector";
   EXPECT_EQ(out.report.faults[0].flagged_as, obs::NodeHealthState::kDown);
   // Detection latency: membership lag (200 us) + at most one detector
-  // window (200 us) + scheduling slop; far under a second either way.
+  // window (1 ms) + scheduling slop; far under a second either way.
   EXPECT_GT(out.report.faults[0].latency_ns, 0);
   EXPECT_LT(out.report.faults[0].latency_ns, 2 * units::kMillisecond);
   EXPECT_EQ(out.report.false_positives, 0u);
@@ -189,7 +183,7 @@ BurstOutcome run_burst(bool crash, const std::string& dump_path) {
     faults.add_crash(100 * units::kMicrosecond, 1);
     faults.arm();
   }
-  cluster::HealthMonitor monitor(cl, test_monitor_params());
+  cluster::HealthMonitor monitor(cl);
   monitor.arm();
   for (std::size_t i = 0; i < 32; ++i) {
     cl.sim().spawn(set_one(engine.get(), i));

@@ -68,7 +68,7 @@ ObsOutcome run_observed_ycsb(std::size_t shards, std::uint64_t seed,
   obs::Tracer tracer(knobs.observe);
   const std::uint32_t pid = tracer.declare_process("sharded-obs-pt");
   obs::FlightRecorder flight(knobs.flight_ring);
-  obs::HealthSignals signals(kServers + kClients, /*slo_ns=*/2'000'000);
+  obs::HealthSignals signals(kServers + kClients);
   if (knobs.observe) {
     cl.set_tracer(&tracer, pid);
     cl.set_flight_recorder(&flight);
@@ -254,7 +254,7 @@ TEST(ShardedObs, DetachedInstrumentsRecordNothing) {
     const std::uint32_t pid = tracer.declare_process("detached-pt");
     const std::size_t declared_events = tracer.event_count();
     obs::FlightRecorder flight(64);
-    obs::HealthSignals signals(kServers + kClients, /*slo_ns=*/2'000'000);
+    obs::HealthSignals signals(kServers + kClients);
     cl.set_tracer(&tracer, pid);
     cl.set_health_signals(&signals);
     cl.set_flight_recorder(&flight);
@@ -385,7 +385,7 @@ TEST(Cluster, EngineContextWiresClientShardDomains) {
     obs::Tracer tracer(true);
     const std::uint32_t pid = tracer.declare_process("ctx-pt");
     obs::FlightRecorder flight;
-    obs::HealthSignals signals(kServers, /*slo_ns=*/2'000'000);
+    obs::HealthSignals signals(kServers);
     cl.set_tracer(&tracer, pid);
     cl.set_flight_recorder(&flight);
     cl.set_health_signals(&signals);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -275,6 +276,55 @@ TEST(Fabric, FullLossDropsEverything) {
   EXPECT_EQ(fabric.stats().drops_injected, 10u);
   EXPECT_EQ(fabric.stats().messages_delivered, 0u);
   EXPECT_EQ(fabric.inbox(1).size(), 0u);
+}
+
+sim::Task<void> send_numbered(TestFabric* fabric, NodeId src, NodeId dst,
+                              int first, int count) {
+  for (int i = 0; i < count; ++i) fabric->send(src, dst, first + i, 0);
+  co_return;
+}
+
+/// Which of 64 messages node 2 — silently dropping half of its traffic —
+/// received from sender 0 (bodies 0..63) and, when `both_send`, from
+/// sender 1 (bodies 64..127). `node_shard` places the three nodes.
+std::vector<std::vector<bool>> lossy_deliveries(
+    std::vector<std::uint32_t> node_shard, bool both_send) {
+  constexpr int kCount = 64;
+  const FabricParams p = flat_params();
+  const std::size_t shards =
+      *std::max_element(node_shard.begin(), node_shard.end()) + 1;
+  sim::ShardRuntime runtime(shards, p.latency_ns);
+  TestFabric fabric(runtime, p, node_shard);
+  fabric.set_node_loss(2, 0.5);
+  Receiver rx(fabric, 2);
+  runtime.shard(node_shard[0]).spawn(send_numbered(&fabric, 0, 2, 0, kCount));
+  if (both_send) {
+    runtime.shard(node_shard[1]).spawn(
+        send_numbered(&fabric, 1, 2, kCount, kCount));
+  }
+  runtime.run();
+  std::vector<std::vector<bool>> got(2, std::vector<bool>(kCount, false));
+  for (const auto& [body, at] : rx.log) {
+    const auto id = static_cast<std::size_t>(body);
+    got[id / kCount][id % kCount] = true;
+  }
+  return got;
+}
+
+TEST(Fabric, PerNodeLossDrawsOneStreamPerShard) {
+  // Senders 0 and 1 sit on different shards and send the lossy node the
+  // same traffic. Each shard draws from its own loss stream, so the two
+  // drop patterns differ...
+  const auto two = lossy_deliveries({0, 1, 1}, /*both_send=*/true);
+  EXPECT_NE(two[0], two[1]);
+  for (const std::vector<bool>& sender : two) {
+    const auto kept = std::count(sender.begin(), sender.end(), true);
+    EXPECT_GT(kept, 0);
+    EXPECT_LT(kept, 64);
+  }
+  // ...and shard 0's stream is the one a single loop draws.
+  const auto one = lossy_deliveries({0, 0, 0}, /*both_send=*/false);
+  EXPECT_EQ(two[0], one[0]);
 }
 
 // --- Inbox -----------------------------------------------------------------

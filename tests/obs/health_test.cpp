@@ -13,12 +13,6 @@ namespace {
 
 constexpr std::size_t kNodes = 5;
 
-HealthParams tight_params() {
-  HealthParams p;
-  p.min_samples = 4;
-  return p;
-}
-
 /// A window of `responses` replies averaging `rtt_us` microseconds each.
 HealthSample ok_window(std::uint64_t responses = 20, double rtt_us = 10.0) {
   HealthSample s;
@@ -45,7 +39,7 @@ TEST(HealthDetector, AllNodesSlowIsNotAnOutlier) {
   // a saturated fabric). The cluster median rises with them, so nobody is
   // an *outlier* and nobody gets flagged — gray-failure detection is
   // relative by design.
-  HealthDetector det(kNodes, tight_params());
+  HealthDetector det(kNodes);
   SimTime t = 0;
   for (int tick = 0; tick < 10; ++tick) {
     det.tick(t += 1000, uniform(300.0));  // 30x the healthy 10 us
@@ -57,7 +51,7 @@ TEST(HealthDetector, AllNodesSlowIsNotAnOutlier) {
 }
 
 TEST(HealthDetector, SingleSlowOutlierIsFlagged) {
-  HealthDetector det(kNodes, tight_params());
+  HealthDetector det(kNodes);
   SimTime t = 0;
   for (int tick = 0; tick < 5; ++tick) {
     std::vector<HealthSample> samples = uniform(10.0);
@@ -77,11 +71,29 @@ TEST(HealthDetector, SingleSlowOutlierIsFlagged) {
   EXPECT_EQ(det.transitions()[1].node, 2u);
 }
 
+TEST(HealthDetector, WindowsBelowTheSampleFloorAbstain) {
+  // The same 40x outlier is no evidence when each window holds fewer than
+  // kMinSamples responses, and flags once windows reach the floor.
+  constexpr std::uint64_t kFloor = HealthDetector::kMinSamples;
+  for (const std::uint64_t responses : {kFloor - 1, kFloor}) {
+    HealthDetector det(kNodes);
+    SimTime t = 0;
+    for (int tick = 0; tick < 5; ++tick) {
+      std::vector<HealthSample> samples = uniform(10.0);
+      samples[2] = ok_window(responses, 400.0);
+      det.tick(t += 1000, samples);
+    }
+    EXPECT_EQ(det.state(2), responses < kFloor ? NodeHealthState::kHealthy
+                                               : NodeHealthState::kGraySlow)
+        << responses << " responses per window";
+  }
+}
+
 TEST(HealthDetector, FlappingNodeNeverClearsHysteresis) {
   // One bad window, one clean window, repeated: the evidence streak resets
   // every other tick, so the 2-tick flag streak is never reached — the
   // node bounces between suspect and healthy but is never flagged.
-  HealthDetector det(kNodes, tight_params());
+  HealthDetector det(kNodes);
   SimTime t = 0;
   for (int tick = 0; tick < 20; ++tick) {
     std::vector<HealthSample> samples = uniform(10.0);
@@ -97,7 +109,7 @@ TEST(HealthDetector, FlappingNodeNeverClearsHysteresis) {
 }
 
 TEST(HealthDetector, LossyNodeIsFlaggedLossy) {
-  HealthDetector det(kNodes, tight_params());
+  HealthDetector det(kNodes);
   SimTime t = 0;
   for (int tick = 0; tick < 4; ++tick) {
     std::vector<HealthSample> samples = uniform(10.0);
@@ -112,7 +124,7 @@ TEST(HealthDetector, EmptyWindowsHoldStateAndStreaks) {
   // its RPC deadline, so the windows between drop bursts are silent.
   // Silence is not health evidence — it must neither clear an existing
   // flag nor reset the clean-streak bookkeeping.
-  HealthDetector det(kNodes, tight_params());
+  HealthDetector det(kNodes);
   SimTime t = 0;
   // Drive node 3 to gray-lossy.
   for (int tick = 0; tick < 3; ++tick) {
@@ -145,8 +157,7 @@ TEST(HealthDetector, BurnRateNeedsBothWindows) {
   // moves the fast EWMA but not the slow one — no evidence. Sustained
   // burn moves both and flags the node even when its RTT is not an
   // outlier (e.g. bimodal latency with a healthy-looking mean).
-  HealthParams p = tight_params();
-  HealthDetector det(kNodes, p);
+  HealthDetector det(kNodes);
   SimTime t = 0;
 
   // One hiccup tick, then clean: never flagged.
@@ -168,7 +179,7 @@ TEST(HealthDetector, BurnRateNeedsBothWindows) {
 }
 
 TEST(HealthDetector, MembershipDownIsImmediate) {
-  HealthDetector det(kNodes, tight_params());
+  HealthDetector det(kNodes);
   std::vector<HealthSample> samples = uniform(10.0);
   samples[1].up = false;
   det.tick(1000, samples);
@@ -256,9 +267,10 @@ TEST(AnalyzeDetection, UnclearedFaultWindowExtendsToEnd) {
 // --- HealthSignals: windowed deltas ----------------------------------------
 
 TEST(HealthSignals, TakeWindowReturnsDeltasAndAdvances) {
-  HealthSignals sig(2, /*slo_ns=*/1'000'000);
-  sig.on_response(0, 500'000);    // under SLO
-  sig.on_response(0, 2'000'000);  // over SLO
+  constexpr SimDur kSlo = HealthSignals::kSloNs;
+  HealthSignals sig(2);
+  sig.on_response(0, kSlo);      // at the SLO: not over it
+  sig.on_response(0, kSlo + 1);  // over SLO
   sig.on_timeout(0);
   sig.on_retry(0);
   sig.on_drop(1);
@@ -268,7 +280,7 @@ TEST(HealthSignals, TakeWindowReturnsDeltasAndAdvances) {
   EXPECT_EQ(w0.timeouts, 1u);
   EXPECT_EQ(w0.retries, 1u);
   EXPECT_EQ(w0.over_slo, 1u);
-  EXPECT_EQ(w0.rtt_sum_ns, 2'500'000);
+  EXPECT_EQ(w0.rtt_sum_ns, 2 * kSlo + 1);
   EXPECT_EQ(sig.take_window(1).drops, 1u);
 
   // Second take with no new activity: all-zero window, not cumulative.

@@ -16,14 +16,14 @@ using hpres::testing::FiveNodeClusterTest;
 using hpres::testing::run_sim;
 
 TEST(YcsbKey, FixedWidthPadding) {
-  EXPECT_EQ(ycsb_key(0, 16), "user000000000000");
-  EXPECT_EQ(ycsb_key(1234, 16), "user000000001234");
-  EXPECT_EQ(ycsb_key(0, 16).size(), 16u);
-  EXPECT_EQ(ycsb_key(99, 8).size(), 8u);
+  EXPECT_EQ(ycsb_key(0), "user000000000000");
+  EXPECT_EQ(ycsb_key(1234), "user000000001234");
+  EXPECT_EQ(ycsb_key(0).size(), kYcsbKeyBytes);
+  EXPECT_EQ(ycsb_key(123'456'789'012'345).size(), kYcsbKeyBytes);
 }
 
 TEST(YcsbKey, DistinctIdsDistinctKeys) {
-  EXPECT_NE(ycsb_key(1, 16), ycsb_key(2, 16));
+  EXPECT_NE(ycsb_key(1), ycsb_key(2));
 }
 
 TEST(YcsbResult, MergeAggregates) {

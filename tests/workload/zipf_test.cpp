@@ -56,7 +56,7 @@ TEST(Zipfian, LowRanksDominante) {
 }
 
 TEST(Zipfian, MonotoneDecreasingFrequencies) {
-  ZipfianGenerator gen(100, 0.99);
+  ZipfianGenerator gen(100);
   Xoshiro256 rng(4);
   std::vector<int> counts(100, 0);
   for (int i = 0; i < 300'000; ++i) ++counts[gen.next(rng)];

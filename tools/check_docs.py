@@ -6,10 +6,14 @@ Six checks over the user-facing markdown:
 1. Every relative link target in README.md / DESIGN.md / EXPERIMENTS.md /
    ROADMAP.md / docs/*.md resolves to a file or directory in the repo
    (external http(s)/mailto links and pure #anchors are skipped).
-2. Every ``--flag`` mentioned in docs/TUNING.md is actually parsed
-   somewhere under bench/, tools/ or src/ — a renamed or removed flag
-   must take its documentation with it. Environment knobs (HPRES_*)
-   are held to the same rule in every doc but ROADMAP.md (history).
+2. Every ``--flag`` mentioned in a DOCS file or in the CI workflow
+   (.github/workflows/ci.yml) still occurs somewhere under bench/,
+   tools/, src/, tests/, examples/ or benchmark/ — a renamed or removed
+   flag must take its documentation and its CI steps with it. Harnesses
+   ignore arguments they do not parse, so a CI step passing a deleted
+   flag would otherwise pass silently. Flags of the build and test tools
+   (FOREIGN_FLAGS) are exempt. Environment knobs (HPRES_*) are held to
+   the same rule in every doc but ROADMAP.md (history).
 3. No orphan docs: every markdown file under docs/ must be reachable —
    linked from README.md or DESIGN.md (directly or via another doc
    under docs/) — and listed in DOCS above so its own links are
@@ -46,6 +50,10 @@ DOCS = [
     "docs/TUNING.md",
 ]
 SOURCE_DIRS = ["bench", "tools", "src", "tests", "examples"]
+FLAG_FILES = DOCS + [".github/workflows/ci.yml"]
+FLAG_DIRS = SOURCE_DIRS + ["benchmark"]
+# cmake, ctest and googletest flags the docs and CI quote.
+FOREIGN_FLAGS = {"--gtest", "--output-on-failure", "--target", "--test-dir"}
 SYMBOL_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
 SYMBOL_DIRS = ["src", "bench", "tools", "benchmark"]
 
@@ -87,17 +95,18 @@ def source_corpus(dirs=SOURCE_DIRS) -> str:
 
 
 def check_flags(errors: list) -> None:
-    tuning = REPO / "docs" / "TUNING.md"
-    if not tuning.is_file():
-        errors.append("docs/TUNING.md: missing, flag gate skipped")
-        return
-    text = tuning.read_text()
+    corpus = source_corpus(FLAG_DIRS)
+    for name in FLAG_FILES:
+        path = REPO / name
+        if not path.is_file():
+            errors.append(f"{name}: missing, flag gate skipped")
+            continue
+        for flag in sorted(set(FLAG_RE.findall(path.read_text()))):
+            # The parsers match on "--flag=" or the bare token; either form
+            # in the sources counts.
+            if flag not in corpus and flag not in FOREIGN_FLAGS:
+                errors.append(f"{name}: flag {flag} not found in sources")
     corpus = source_corpus()
-    for flag in sorted(set(FLAG_RE.findall(text))):
-        # The parsers match on "--flag=" or the bare token; either form in
-        # the sources counts.
-        if flag not in corpus:
-            errors.append(f"docs/TUNING.md: flag {flag} not found in sources")
     for doc in DOCS:
         if doc == "ROADMAP.md" or not (REPO / doc).is_file():
             continue

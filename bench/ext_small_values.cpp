@@ -9,6 +9,11 @@
 // prediction, and the striped/packed savings ratio. The crossover is the
 // smallest swept size where packing stops paying (ratio < 1.05).
 //
+// Each point reads back every 97th key and exits 1 (stderr) when a Get
+// fails or returns the wrong length, or when the packed Gets that resolved
+// through a locator are not every sampled key on a packed point (value
+// below the threshold) and none on any other.
+//
 // Writes BENCH_small_values.json. Flags:
 //   --pack-threshold=N   packing threshold in bytes (default 4096; 0 = off,
 //                        both configurations must then match exactly)
@@ -36,8 +41,19 @@ std::string key_of(std::uint64_t i) {
   return buf;
 }
 
+struct Point {
+  double bytes_per_key = 0.0;
+  std::uint64_t locator_entries = 0;
+  std::uint64_t stripes_sealed = 0;
+  std::uint64_t fill_x1000 = 0;
+  // Readback of every 97th key (not reported; checked in main).
+  std::uint64_t sampled = 0;
+  std::uint64_t bad_gets = 0;  ///< failed or wrong-length Gets
+  std::uint64_t packed_get_hits = 0;
+};
+
 sim::Task<void> loader(resilience::Engine* engine, std::uint64_t keys,
-                       std::size_t value_size) {
+                       std::size_t value_size, Point* p) {
   const SharedBytes value = zero_bytes(value_size);
   for (std::uint64_t i = 0; i < keys; ++i) {
     (void)engine->iset(key_of(i), value);
@@ -46,16 +62,11 @@ sim::Task<void> loader(resilience::Engine* engine, std::uint64_t keys,
   co_await engine->wait_all();
   // Exercise the read path (locator lookup + sub-slot fetch when packed).
   for (std::uint64_t i = 0; i < keys; i += 97) {
-    (void)co_await engine->get(key_of(i));
+    const Result<Bytes> got = co_await engine->get(key_of(i));
+    ++p->sampled;
+    if (!got.ok() || got->size() != value_size) ++p->bad_gets;
   }
 }
-
-struct Point {
-  double bytes_per_key = 0.0;
-  std::uint64_t locator_entries = 0;
-  std::uint64_t stripes_sealed = 0;
-  std::uint64_t fill_x1000 = 0;
-};
 
 Point run_point(std::size_t value_size, std::uint64_t keys,
                 std::size_t pack_threshold) {
@@ -67,9 +78,9 @@ Point run_point(std::size_t value_size, std::uint64_t keys,
   Testbench bench(cluster::ri_qdr(), kServers, /*clients=*/1,
                   resilience::Design::kEraCeCd, kK, kM, /*rep_factor=*/3,
                   arpe, {}, {}, pack);
-  bench.spawn_client(0, loader(&bench.engine(0), keys, value_size));
-  bench.run();
   Point p;
+  bench.spawn_client(0, loader(&bench.engine(0), keys, value_size, &p));
+  bench.run();
   std::uint64_t stored = bench.cluster().total_bytes_used();
   for (std::size_t s = 0; s < kServers; ++s) {
     stored += bench.cluster().server(s).stripe_index_bytes();
@@ -78,6 +89,7 @@ Point run_point(std::size_t value_size, std::uint64_t keys,
   p.bytes_per_key = static_cast<double>(stored) / static_cast<double>(keys);
   p.stripes_sealed = bench.engine(0).stats().stripes_sealed;
   p.fill_x1000 = bench.engine(0).stats().stripe_fill_x1000;
+  p.packed_get_hits = bench.engine(0).stats().packed_get_hits;
   return p;
 }
 
@@ -110,11 +122,30 @@ int main(int argc, char** argv) {
                 "stripes", "fill%"});
 
   std::vector<Row> rows;
+  bool readback_ok = true;
+  // Every sampled Get must return its value, and on a packed point
+  // (value below the threshold) every one must resolve through a locator.
+  const auto check_readback = [&](const Point& p, std::size_t size,
+                                  bool packed_point) {
+    const std::uint64_t want_hits = packed_point ? p.sampled : 0;
+    if (p.bad_gets == 0 && p.packed_get_hits == want_hits) return;
+    std::fprintf(stderr,
+                 "readback failed at %zu B (%s): %llu bad Gets of %llu, "
+                 "%llu packed hits, want %llu\n",
+                 size, packed_point ? "packed" : "striped",
+                 static_cast<unsigned long long>(p.bad_gets),
+                 static_cast<unsigned long long>(p.sampled),
+                 static_cast<unsigned long long>(p.packed_get_hits),
+                 static_cast<unsigned long long>(want_hits));
+    readback_ok = false;
+  };
   for (const std::size_t size : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u}) {
     Row r;
     r.value_size = size;
     r.striped = run_point(size, keys, /*pack_threshold=*/0);
     r.packed = run_point(size, keys, pack_threshold);
+    check_readback(r.striped, size, false);
+    check_readback(r.packed, size, size < pack_threshold);
     r.ratio = r.packed.bytes_per_key > 0.0
                   ? r.striped.bytes_per_key / r.packed.bytes_per_key
                   : 0.0;
@@ -129,7 +160,6 @@ int main(int argc, char** argv) {
     p.item_overhead = kv::StorageEngine::kItemOverhead;
     p.chunk_info_bytes = kv::kChunkInfoBytes;
     p.locator_entry_overhead = kv::kLocatorEntryBytes;
-    p.locator_copies = kM + 1;
     const ec::StorageFootprint f = ec::predict_footprint(p);
     r.predicted_ratio =
         size < pack_threshold ? f.savings_ratio : 1.0;
@@ -203,5 +233,6 @@ int main(int argc, char** argv) {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return obs_finalize();
+  const int rc = obs_finalize();
+  return readback_ok ? rc : 1;
 }

@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "ec/stripe.h"
+
 namespace hpres::cluster {
 
 namespace {
@@ -216,7 +218,7 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
                                                   bool cleanup_ok) {
   // Locator directory entries replicate on the first m+1 dir owners; the
   // sets under the two rings usually overlap, so only the difference moves.
-  const std::size_t copies = codec_->m() + 1;
+  const std::size_t copies = ec::locator_copies(codec_->m());
   std::vector<std::size_t> old_owners;
   std::vector<std::size_t> new_owners;
   old_owners.reserve(copies);
@@ -239,12 +241,8 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
   std::optional<kv::StripeLoc> loc;
   for (const std::size_t s : old_owners) {
     if (!ctx_.membership->up(s)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kGet;
-    req.key = key;
-    req.stripe_lookup = true;
     const kv::Response resp =
-        co_await ctx_.client->invoke(node_of(s), std::move(req));
+        co_await ctx_.client->invoke(node_of(s), kv::locator_lookup(key));
     if (resp.code == StatusCode::kOk && resp.stripe) {
       loc = resp.stripe;
       break;
@@ -254,12 +252,9 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
   bool moved = false;
   for (const std::size_t s : new_owners) {
     if (contains(old_owners, s)) continue;  // already hosts the entry
-    kv::Request req;
-    req.verb = kv::Verb::kSetStripeIndex;
-    req.key = loc->stripe;
-    req.chunk = kv::ChunkInfo{loc->stripe_bytes};
-    req.stripe_index.push_back(
-        kv::StripeIndexEntry{key, loc->offset, loc->len});
+    kv::Request req = kv::locator_install(
+        loc->stripe, loc->stripe_bytes,
+        {kv::StripeIndexEntry{key, loc->offset, loc->len}});
     req.if_absent = true;
     const kv::Response resp =
         co_await ctx_.client->invoke(node_of(s), std::move(req));
@@ -269,12 +264,8 @@ sim::Task<void> PlacementManager::migrate_locator(kv::Key key,
   if (cleanup_ok) {
     for (const std::size_t s : old_owners) {
       if (contains(new_owners, s) || !ctx_.membership->up(s)) continue;
-      kv::Request del;
-      del.verb = kv::Verb::kDelete;
-      del.key = key;
-      del.stripe_lookup = true;
       const kv::Response resp =
-          co_await ctx_.client->invoke(node_of(s), std::move(del));
+          co_await ctx_.client->invoke(node_of(s), kv::locator_unlink(key));
       if (resp.code == StatusCode::kOk) ++stats_.cleanup_deletes;
     }
   }

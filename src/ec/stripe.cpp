@@ -140,7 +140,7 @@ StorageFootprint predict_footprint(const FootprintParams& p) {
       static_cast<double>(p.stripe_key_size + 2 + packed.fragment_size +
                           p.item_overhead + p.chunk_info_bytes);
   const double locator =
-      static_cast<double>(p.locator_copies) *
+      static_cast<double>(locator_copies(p.m)) *
       static_cast<double>(p.key_size + p.stripe_key_size +
                           p.locator_entry_overhead);
   out.packed_per_key =

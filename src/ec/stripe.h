@@ -58,6 +58,12 @@ struct StripeRecord {
 [[nodiscard]] Result<std::vector<StripeRecord>> stripe_parse(
     ConstByteSpan stripe);
 
+/// Copies of a packed record's locator: one at each of the first m+1
+/// owners of the record's key, so m failures always leave one.
+[[nodiscard]] constexpr std::size_t locator_copies(std::size_t m) noexcept {
+  return m + 1;
+}
+
 /// Inclusive range of data-fragment slots whose byte ranges overlap
 /// [offset, offset+len) under `layout`. Empty ranges (len == 0) pin to the
 /// fragment containing `offset` so callers need no special case.
@@ -66,6 +72,9 @@ struct FragmentRange {
   std::size_t last = 0;  ///< inclusive
 
   [[nodiscard]] std::size_t count() const noexcept { return last - first + 1; }
+  [[nodiscard]] SlotMask mask() const noexcept {
+    return first_slots(last + 1) & ~first_slots(first);
+  }
 };
 
 [[nodiscard]] FragmentRange owning_fragments(const ChunkLayout& layout,
@@ -103,7 +112,6 @@ struct FootprintParams {
   std::size_t item_overhead = 0;     ///< kv::Store per-item overhead
   std::size_t chunk_info_bytes = 0;  ///< stored ChunkInfo bytes per fragment
   std::size_t locator_entry_overhead = 0;  ///< per directory entry, per copy
-  std::size_t locator_copies = 0;          ///< directory replication (m+1)
 };
 
 /// Predicts per-key stored bytes for both paths. Mirrors the simulator's

@@ -226,6 +226,44 @@ using KvEnvelope = net::Envelope<WireBody>;
   return req;
 }
 
+/// The kGet of `key`'s stripe locator at one of its directory owners.
+[[nodiscard]] inline Request locator_lookup(const Key& key) {
+  Request req;
+  req.verb = Verb::kGet;
+  req.key = key;
+  req.stripe_lookup = true;
+  return req;
+}
+
+/// The kDelete of `key`'s stripe locator at one of its directory owners.
+[[nodiscard]] inline Request locator_unlink(const Key& key) {
+  Request req = locator_lookup(key);
+  req.verb = Verb::kDelete;
+  return req;
+}
+
+/// The kSetStripeIndex that points `entries` into the `stripe_bytes`-byte
+/// stripe under base key `stripe`, at one directory owner.
+[[nodiscard]] inline Request locator_install(
+    const Key& stripe, std::uint64_t stripe_bytes,
+    std::vector<StripeIndexEntry> entries) {
+  Request req;
+  req.verb = Verb::kSetStripeIndex;
+  req.key = stripe;
+  req.chunk = ChunkInfo{stripe_bytes};
+  req.stripe_index = std::move(entries);
+  return req;
+}
+
+/// The kScan of a server's stored base keys, or of its locator directory
+/// when `locators`.
+[[nodiscard]] inline Request scan_request(bool locators) {
+  Request req;
+  req.verb = Verb::kScan;
+  req.stripe_lookup = locators;
+  return req;
+}
+
 /// Synthetic base key for packed stripe `seq` minted by `client`. The
 /// leading '\x02' byte keeps stripe keys disjoint from printable user keys;
 /// the client id makes concurrently packing clients mint non-colliding

@@ -79,8 +79,8 @@ void Server::recover() {
 
 namespace {
 constexpr bool is_write_verb(Verb v) noexcept {
-  return v == Verb::kSet || v == Verb::kSetEncode || v == Verb::kDelete ||
-         v == Verb::kSetStripeIndex;
+  return v == Verb::kSet || v == Verb::kSetEncode ||
+         v == Verb::kSetStripeIndex || v == Verb::kDelete;
 }
 }  // namespace
 

@@ -64,7 +64,7 @@ sim::Task<Status> ErasureEngine::do_del(kv::Key key,
     // then drops the record's locator install — and unlink committed
     // locator entries at the directory owners.
     staging_.erase(key);
-    co_await unlink_locator(key, ring, &pending);
+    unlink_locator(key, ring, &pending);
   }
   bool staged_sent = false;
   kv::Placement place = ring.place(key);
@@ -97,7 +97,6 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
                                                    SharedBytes value,
                                                    OpContext* op) {
   const std::size_t value_size = value ? value->size() : 0;
-  const std::size_t k = codec_->k();
   const std::size_t n = codec_->n();
   kv::Placement place = op->ring->place(key);
 
@@ -125,34 +124,46 @@ sim::Task<Status> ErasureEngine::set_client_encode(kv::Key key,
 
   // Distribute all K+M fragments with non-blocking requests: the
   // response waits overlap, approaching Equation 7's max over fragments.
-  // A down owner's slot stays an invalid future.
-  std::array<sim::Future<kv::Response>, kMaxSlots> pending;
-  std::array<std::size_t, kMaxSlots> owners{};
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    owners[slot] = place.owner(slot);
-    if (!membership().up(owners[slot])) continue;
-    kv::Request req =
-        kv::fragment_put(key, slot, fragments[slot], value_size);
-    req.trace = op->trace;
-    pending[slot] = client().call(node_of(owners[slot]), std::move(req));
-  }
-
-  WriteTally tally;
+  FragmentPuts puts;
+  post_fragments(&puts, key, place, fragments, value_size, op->trace);
   const SimTime fanout_t0 = sim().now();
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    if (!pending[slot].valid()) continue;
-    const kv::Response resp = co_await pending[slot].wait();
+  const WriteTally tally = co_await await_fragments(&puts, fanout_t0);
+  span(*op, "set/fanout", fanout_t0, sim().now() - fanout_t0);
+  // Durability requires at least k fragments (any k reconstruct the value).
+  co_return tally.verdict(codec_->k(), "fewer than k fragments stored");
+}
+
+void ErasureEngine::post_fragments(FragmentPuts* puts, const kv::Key& base,
+                                   kv::Placement& place,
+                                   const ec::Fragments& fragments,
+                                   std::size_t original_size,
+                                   const obs::TraceContext& trace) {
+  for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
+    puts->owners[slot] = place.owner(slot);
+    if (!membership().up(puts->owners[slot])) continue;
+    kv::Request req =
+        kv::fragment_put(base, slot, fragments[slot], original_size);
+    req.trace = trace;
+    puts->pending[slot] =
+        client().call(node_of(puts->owners[slot]), std::move(req));
+  }
+}
+
+sim::Task<Engine::WriteTally> ErasureEngine::await_fragments(
+    FragmentPuts* puts, SimTime t0) {
+  WriteTally tally;
+  for (std::size_t slot = 0; slot < codec_->n(); ++slot) {
+    if (!puts->pending[slot].valid()) continue;
+    const kv::Response resp = co_await puts->pending[slot].wait();
     tally.add(resp.code);
     if (resp.code == StatusCode::kOk) {
       // Passive load learning from the piggybacked queue depth; purely
       // observational (no events, no RNG), so timing is unchanged.
-      load_.observe_rtt(owners[slot], sim().now() - fanout_t0,
+      load_.observe_rtt(puts->owners[slot], sim().now() - t0,
                         resp.queue_depth);
     }
   }
-  span(*op, "set/fanout", fanout_t0, sim().now() - fanout_t0);
-  // Durability requires at least k fragments (any k reconstruct the value).
-  co_return tally.verdict(k, "fewer than k fragments stored");
+  co_return tally;
 }
 
 sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
@@ -185,11 +196,10 @@ sim::Task<Status> ErasureEngine::set_server_encode(kv::Key key,
 sim::Task<Result<Bytes>> ErasureEngine::get_client_decode(kv::Key key,
                                                           OpContext* op) {
   const kv::Placement place = op->ring->place(key);
-  FragmentFetch f(std::move(key), place, codec_->n());
+  FragmentFetch f(std::move(key), place, codec_->n(), codec_->data_mask());
   const Status s = co_await fetch_fragments(&f, op);
   if (s.ok() && f.meta) {
-    co_return co_await decode_fragments(&f, f.meta->original_size,
-                                        std::nullopt, op);
+    co_return co_await decode_fragments(&f, op);
   }
   if (f.posted && !client_encodes(design_)) {
     // Server-side encode may still be distributing this key's fragments;
@@ -211,50 +221,49 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   const std::size_t n = codec_->n();
   const bool hedging = hedge_.delta > 0;
 
-  // Needing to work around a dead owner costs one T_check (Equation 4).
-  bool down = false;
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (!membership().up(f->place.owner(slot))) {
       f->available &= ~ec::slot_bit(slot);
-      down = true;
     }
-    f->slots[slot].attempted = ec::has_slot(f->have, slot);
   }
   const auto arrived = [f] {
     return static_cast<std::size_t>(std::popcount(f->have));
   };
-  if (down || f->degraded) {
-    if (!f->degraded) {
-      f->degraded = true;
-      ++stats().degraded_gets;
-    }
-    op->degraded = true;
+  // A packed record whose covering owners are all live reads only those
+  // fragments: no T_check, no hedge, nothing to decode.
+  const bool direct = f->slice && (f->want & ~f->available) == 0;
+  if (!direct && f->available != codec_->all_slots()) {
+    // Needing to work around a dead owner costs one T_check (Equation 4).
+    mark_degraded(f, op);
     co_await sim().delay(kv::Membership::kCheckCostNs);
   }
 
   // Codec-aware read set: an MDS code takes the first k live owners, data
-  // slots first; LRC skips dependent rows. Hedging ranks owners by load
-  // (power-of-two-choices among near-equal scores).
+  // slots first; LRC skips dependent rows. Either way slot order takes
+  // every live data slot, so a direct read's record lies inside the set.
+  // Hedging ranks owners by load (power-of-two-choices among near-equal
+  // scores).
   std::array<std::size_t, kMaxSlots> ranked;
   std::span<const std::size_t> preference;
-  if (hedging) {
+  if (hedging && !direct) {
     preference = load_preference(f->place, /*randomize=*/true, ranked);
   }
   Result<ec::ReadSet> selected =
       codec_->select(codec_->data_mask(), f->available, preference);
   if (!selected.ok()) co_return selected.status();
+  // The slots whose arrival binds the read set.
+  ec::SlotMask need = direct ? f->want : selected->mask();
 
   // The non-blocking fetches are posted back-to-back from one CPU slice;
   // the responses overlap (Equation 8).
-  const auto to_post =
-      static_cast<std::size_t>(std::popcount(selected->mask() & ~f->have));
-  const SimDur post_ns = static_cast<SimDur>(to_post) * issue_cost();
+  const SimDur post_ns =
+      static_cast<SimDur>(std::popcount(need)) * issue_cost();
   co_await client().cpu().execute(post_ns);
   span(*op, "get/request", sim().now() - post_ns, post_ns);
   f->posted = true;
   const SimTime fetch_t0 = sim().now();
   for (const std::size_t slot : *selected) {
-    if (!ec::has_slot(f->have, slot)) {
+    if (ec::has_slot(need, slot)) {
       issue_fetch(f, slot, /*hedge=*/false, op->trace);
     }
   }
@@ -263,7 +272,8 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   // hedge delay has passed, and only while the op is short of k arrivals.
   std::array<std::size_t, kMaxSlots> hedge_slots;
   std::size_t hedge_count = 0;
-  for (std::size_t i = 0; i < n && hedge_count < hedge_.delta; ++i) {
+  const std::size_t hedge_budget = direct ? 0 : hedge_.delta;
+  for (std::size_t i = 0; i < n && hedge_count < hedge_budget; ++i) {
     const std::size_t slot = preference.empty() ? i : preference[i];
     if (!f->slots[slot].attempted && ec::has_slot(f->available, slot)) {
       hedge_slots[hedge_count++] = slot;
@@ -274,9 +284,10 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
 
   for (;;) {
     fold_arrivals(f);
-    if (f->have == selected->mask()) {
-      // Exactly the selection arrived: it is the decode set (the codec's
-      // answer over these arrivals, without asking it again).
+    if (f->have == need) {
+      // Exactly the selection arrived, or a direct read's part of it: it
+      // is the decode set (the codec's answer over these arrivals, without
+      // asking it again).
       f->decode_set = *selected;
       break;
     }
@@ -296,17 +307,14 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
       // Fetches that resolved during the T_check count toward the new
       // selection; a failure among them triggers another round.
       f->failed = false;
-      if (!f->degraded) {
-        f->degraded = true;
-        ++stats().degraded_gets;
-      }
-      op->degraded = true;
+      mark_degraded(f, op);
       co_await sim().delay(kv::Membership::kCheckCostNs);
       fold_arrivals(f);
       preference = load_preference(f->place, /*randomize=*/hedging, ranked);
       selected = codec_->select(codec_->data_mask(), f->available,
                                 preference);
       if (!selected.ok()) break;  // fewer than k survivors
+      need = selected->mask();
       for (const std::size_t slot : *selected) {
         if (f->slots[slot].attempted) continue;
         ++stats().failover_fetches;
@@ -411,6 +419,15 @@ sim::Task<Status> ErasureEngine::fetch_fragments(FragmentFetch* f,
   co_return bound ? Status::Ok() : Status{f->worst, "missing fragments"};
 }
 
+void ErasureEngine::mark_degraded(FragmentFetch* f, OpContext* op) {
+  if (!f->degraded) {
+    f->degraded = true;
+    if (!f->counted) ++stats().degraded_gets;
+    if (f->slice) ++stats().packed_degraded_gets;
+  }
+  op->degraded = true;
+}
+
 void ErasureEngine::issue_fetch(FragmentFetch* f, std::size_t slot,
                                 bool hedge, const obs::TraceContext& trace) {
   kv::Request req = kv::fragment_request(kv::Verb::kGet, f->base, slot);
@@ -448,23 +465,20 @@ void ErasureEngine::fold_arrivals(FragmentFetch* f) {
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::decode_fragments(
-    const FragmentFetch* f, std::size_t coded_bytes,
-    std::optional<ec::ValueSlice> slice, OpContext* op) {
-  const std::size_t k = codec_->k();
-  const auto missing_data = static_cast<std::size_t>(
-      std::popcount(codec_->data_mask() & ~f->decode_set.mask()));
-  if (missing_data > 0) {
+    const FragmentFetch* f, OpContext* op) {
+  const std::size_t coded_bytes = f->meta->original_size;
+  const ec::SlotMask missing = codec_->data_mask() & ~f->decode_set.mask();
+  if ((missing & f->want) != 0) {
     // T_decode on the client CPU, only on the degraded path.
-    const SimDur decode_ns =
-        cost_.decode_ns(coded_bytes, static_cast<unsigned>(missing_data));
+    const SimDur decode_ns = cost_.decode_ns(
+        coded_bytes, static_cast<unsigned>(std::popcount(missing)));
     co_await client().cpu().execute(decode_ns);
     span(*op, "get/decode", sim().now() - decode_ns, decode_ns);
   }
-  co_return ec::assemble(*codec_,
-                         std::span(f->frags.data(), codec_->n()),
-                         f->decode_set,
-                         ec::make_layout(coded_bytes, k, codec_->alignment()),
-                         slice, ctx().materialize);
+  co_return ec::assemble(
+      *codec_, std::span(f->frags.data(), codec_->n()), f->decode_set,
+      ec::make_layout(coded_bytes, codec_->k(), codec_->alignment()),
+      f->slice, ctx().materialize);
 }
 
 std::span<const std::size_t> ErasureEngine::load_preference(
@@ -515,21 +529,16 @@ sim::Task<Result<Bytes>> ErasureEngine::get_server_decode(
 // (primary + j) % S, is shared by every record in the stripe: one batched
 // install RPC per directory owner.
 
-sim::Task<void> ErasureEngine::unlink_locator(
-    kv::Key key, const kv::HashRing& ring,
+void ErasureEngine::unlink_locator(
+    const kv::Key& key, const kv::HashRing& ring,
     std::vector<sim::Future<kv::Response>>* out) {
-  const std::size_t m = codec_->m();
   kv::Placement place = ring.place(key);
-  for (std::size_t j = 0; j <= m; ++j) {
+  for (std::size_t j = 0; j < ec::locator_copies(codec_->m()); ++j) {
     const std::size_t owner = place.owner(j);
     if (!membership().up(owner)) continue;
-    kv::Request req;
-    req.verb = kv::Verb::kDelete;
-    req.key = key;
-    req.stripe_lookup = true;
-    out->push_back(client().call_async(node_of(owner), std::move(req)));
+    out->push_back(
+        client().call_async(node_of(owner), kv::locator_unlink(key)));
   }
-  co_return;
 }
 
 sim::Task<Status> ErasureEngine::set_routed_packed(kv::Key key,
@@ -546,7 +555,7 @@ sim::Task<Status> ErasureEngine::set_routed_packed(kv::Key key,
   // unlink committed locator entries.
   staging_.erase(key);
   std::vector<sim::Future<kv::Response>> unlink;
-  co_await unlink_locator(key, *op->ring, &unlink);
+  unlink_locator(key, *op->ring, &unlink);
   const Status s = co_await set_client_encode(key, std::move(value), op);
   for (auto& f : unlink) co_await f.wait();
   co_return s;
@@ -631,9 +640,7 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // double-buffered group commit.
   co_await self->arpe().acquire_commit_buffer();
 
-  const std::size_t k = self->codec_->k();
-  const std::size_t m = self->codec_->m();
-  const std::size_t n = self->codec_->n();
+  const std::size_t copies = ec::locator_copies(self->codec_->m());
   const std::size_t stripe_bytes = st->used;
 
   // Records overwritten (or deleted) while the stripe was filling have a
@@ -652,7 +659,8 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // and locator-install sends back-to-back (same rationale as
   // set_client_encode).
   const SimDur encode_ns = self->cost_.encode_ns(stripe_bytes);
-  const SimDur post_ns = static_cast<SimDur>(n + m + 1) * issue_cost();
+  const SimDur post_ns =
+      static_cast<SimDur>(self->codec_->n() + copies) * issue_cost();
   const SimTime cpu_t0 = self->sim().now();
   co_await self->client().cpu().execute(encode_ns + post_ns);
   if (obs::Tracer* const tr = self->ctx().live_tracer(); tr != nullptr) {
@@ -673,18 +681,10 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // Fragment fan-out under the stripe's own base key (the repair
   // coordinator discovers and rebuilds stripes through the same
   // chunk-key scan as per-key fragments).
-  std::vector<sim::Future<kv::Response>> frag_pending;
-  std::vector<std::size_t> frag_owners;
-  frag_pending.reserve(n);
+  FragmentPuts puts;
   kv::Placement stripe_place = self->ring().place(st->skey);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const std::size_t owner = stripe_place.owner(slot);
-    if (!self->membership().up(owner)) continue;
-    frag_pending.push_back(self->client().call(
-        self->node_of(owner),
-        kv::fragment_put(st->skey, slot, fragments[slot], stripe_bytes)));
-    frag_owners.push_back(owner);
-  }
+  self->post_fragments(&puts, st->skey, stripe_place, fragments,
+                       stripe_bytes, {});
 
   // Batched locator installs: all records share their primary (that is
   // how they were grouped), so they share the full m+1 directory owner
@@ -692,29 +692,17 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   std::vector<sim::Future<kv::Response>> dir_pending;
   if (!live.empty()) {
     kv::Placement dir_place = self->ring().place(st->records.front().key);
-    for (std::size_t j = 0; j <= m; ++j) {
+    for (std::size_t j = 0; j < copies; ++j) {
       const std::size_t owner = dir_place.owner(j);
       if (!self->membership().up(owner)) continue;
-      kv::Request req;
-      req.verb = kv::Verb::kSetStripeIndex;
-      req.key = st->skey;
-      req.chunk = kv::ChunkInfo{stripe_bytes};
-      req.stripe_index = live;
-      dir_pending.push_back(
-          self->client().call(self->node_of(owner), std::move(req)));
+      dir_pending.push_back(self->client().call(
+          self->node_of(owner),
+          kv::locator_install(st->skey, stripe_bytes, live)));
     }
   }
 
-  WriteTally frags;
   const SimTime fanout_t0 = self->sim().now();
-  for (std::size_t i = 0; i < frag_pending.size(); ++i) {
-    const kv::Response resp = co_await frag_pending[i].wait();
-    frags.add(resp.code);
-    if (resp.code == StatusCode::kOk) {
-      self->load_.observe_rtt(frag_owners[i], self->sim().now() - fanout_t0,
-                              resp.queue_depth);
-    }
-  }
+  const WriteTally frags = co_await self->await_fragments(&puts, fanout_t0);
   WriteTally dirs;
   for (auto& f : dir_pending) dirs.add((co_await f.wait()).code);
   if (obs::Tracer* const tr = self->ctx().live_tracer(); tr != nullptr) {
@@ -729,7 +717,8 @@ sim::Task<void> ErasureEngine::commit_stripe(ErasureEngine* self,
   // outranks both: every waiter's set retries whole (Engine::set),
   // re-staging its record under the refreshed ring. Unlike a per-key Set,
   // a durable stripe is kOk even when some owner failed.
-  const bool durable = frags.acked >= k && (live.empty() || dirs.acked >= 1);
+  const bool durable =
+      frags.acked >= self->codec_->k() && (live.empty() || dirs.acked >= 1);
   st->result = frags.bounced || dirs.bounced
                    ? Status{StatusCode::kWrongEpoch, "stale placement epoch"}
                : durable ? Status::Ok()
@@ -758,7 +747,6 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
     co_return it->second ? Bytes(*it->second) : Bytes{};
   }
 
-  const std::size_t m = codec_->m();
   bool degraded = false;
 
   // Locator query at every live directory owner in parallel: any kOk with
@@ -769,16 +757,13 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
   std::vector<sim::Future<kv::Response>> lookups;
   std::vector<std::size_t> lookup_owners;
   kv::Placement dir_place = op->ring->place(key);
-  for (std::size_t j = 0; j <= m; ++j) {
+  for (std::size_t j = 0; j < ec::locator_copies(codec_->m()); ++j) {
     const std::size_t owner = dir_place.owner(j);
     if (!membership().up(owner)) {
       degraded = true;
       continue;
     }
-    kv::Request req;
-    req.verb = kv::Verb::kGet;
-    req.key = key;
-    req.stripe_lookup = true;
+    kv::Request req = kv::locator_lookup(key);
     req.trace = op->trace;
     lookups.push_back(client().call(node_of(owner), std::move(req)));
     lookup_owners.push_back(owner);
@@ -827,67 +812,19 @@ sim::Task<Result<Bytes>> ErasureEngine::get_packed(kv::Key key,
 }
 
 sim::Task<Result<Bytes>> ErasureEngine::read_packed(kv::StripeLoc loc,
-                                                    bool degraded,
+                                                    bool counted,
                                                     OpContext* op) {
-  const std::size_t k = codec_->k();
-  const std::size_t n = codec_->n();
-  const ec::ChunkLayout layout =
-      ec::make_layout(loc.stripe_bytes, k, codec_->alignment());
-  const ec::FragmentRange range =
-      ec::owning_fragments(layout, loc.offset, loc.len);
-
-  // Healthy path: fetch only the whole data fragments covering the
-  // sub-slot range (usually one, at most two for threshold-sized values).
-  FragmentFetch f(loc.stripe, op->ring->place(loc.stripe), n);
-  bool healthy = true;
-  for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-    if (!membership().up(f.place.owner(slot))) {
-      healthy = false;
-      break;
-    }
-  }
-  if (healthy) {
-    const SimDur post_ns = static_cast<SimDur>(range.count()) * issue_cost();
-    co_await client().cpu().execute(post_ns);
-    span(*op, "get/request", sim().now() - post_ns, post_ns);
-    const SimTime fetch_t0 = sim().now();
-    for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-      issue_fetch(&f, slot, /*hedge=*/false, op->trace);
-    }
-    for (std::size_t slot = range.first; slot <= range.last; ++slot) {
-      kv::Response resp = co_await f.inflight[slot].wait();
-      f.inflight[slot] = {};
-      if (resp.code == StatusCode::kOk) {
-        load_.observe_rtt(f.place.owner(slot), sim().now() - fetch_t0,
-                          resp.queue_depth);
-        f.frags[slot] = std::move(resp.value);
-        f.have |= ec::slot_bit(slot);
-      } else {
-        f.available &= ~ec::slot_bit(slot);
-        healthy = false;
-      }
-    }
-    span(*op, "get/fetch", fetch_t0, sim().now() - fetch_t0);
-    if (healthy) {  // the record's data slots arrived: nothing to decode
-      co_return ec::assemble(*codec_, std::span(f.frags.data(), n),
-                             codec_->select(codec_->data_mask(),
-                                            codec_->data_mask())
-                                 .value(),
-                             layout, ec::ValueSlice{loc.offset, loc.len},
-                             ctx().materialize);
-    }
-  }
-
-  // Degraded: reconstruct the stripe's data from any k live fragments
-  // (whole-stripe decode, keeping the range fragments already fetched),
-  // then splice the value out.
-  ++stats().packed_degraded_gets;
-  if (!degraded) ++stats().degraded_gets;
-  f.degraded = true;
+  const ec::ValueSlice record{loc.offset, loc.len};
+  const ec::FragmentRange range = ec::owning_fragments(
+      ec::make_layout(loc.stripe_bytes, codec_->k(), codec_->alignment()),
+      record.offset, record.len);
+  const kv::Placement place = op->ring->place(loc.stripe);
+  FragmentFetch f(std::move(loc.stripe), place, codec_->n(), range.mask(),
+                  record);
+  f.counted = counted;
   const Status s = co_await fetch_fragments(&f, op);
   if (!s.ok()) co_return s;
-  co_return co_await decode_fragments(
-      &f, loc.stripe_bytes, ec::ValueSlice{loc.offset, loc.len}, op);
+  co_return co_await decode_fragments(&f, op);
 }
 
 }  // namespace hpres::resilience

@@ -59,9 +59,6 @@ class ErasureEngine final : public Engine {
   [[nodiscard]] std::size_t fault_tolerance() const noexcept override {
     return codec_->m();
   }
-  [[nodiscard]] const ec::Codec& codec() const noexcept { return *codec_; }
-  [[nodiscard]] const HedgeParams& hedge() const noexcept { return hedge_; }
-  [[nodiscard]] const PackParams& pack() const noexcept { return pack_; }
   /// Packing is live for this engine (configured on, and the design is
   /// client-encode + client-decode).
   [[nodiscard]] bool packing_active() const noexcept {
@@ -93,16 +90,21 @@ class ErasureEngine final : public Engine {
                                              OpContext* op);
 
   /// One erasure read's fetch state, owned by the Get's frame and driven by
-  /// fetch_fragments. A caller may mark slots unavailable and pre-load
-  /// fragments it already holds; the machine leaves the slots it bound in
-  /// `decode_set` (empty when the read failed). Per-slot arrays hold
-  /// kMaxSlots entries, of which the codec's n are used.
+  /// fetch_fragments, which leaves the slots it bound in `decode_set`
+  /// (empty when the read failed). Per-slot arrays hold kMaxSlots entries,
+  /// of which the codec's n are used.
   struct FragmentFetch {
-    FragmentFetch(kv::Key base_key, kv::Placement owners, std::size_t n)
-        : base(std::move(base_key)), place(owners),
-          available(ec::first_slots(n)) {}
+    FragmentFetch(kv::Key base_key, kv::Placement owners, std::size_t n,
+                  ec::SlotMask want_slots,
+                  std::optional<ec::ValueSlice> record = std::nullopt)
+        : base(std::move(base_key)), place(owners), want(want_slots),
+          slice(record), available(ec::first_slots(n)) {}
     kv::Key base;                     ///< every slot's base key
     kv::Placement place;              ///< base's owners
+    /// Data slots the read needs: all k for a whole value, or the slots
+    /// covering `slice`, one record of a packed stripe.
+    ec::SlotMask want;
+    std::optional<ec::ValueSlice> slice;
     ec::SlotMask available;           ///< slots not (yet) known-failed
     ec::SlotMask have = 0;            ///< slots whose frags[slot] arrived
     std::array<SharedBytes, kMaxSlots> frags;  ///< arrived fragments by slot
@@ -119,20 +121,28 @@ class ErasureEngine final : public Engine {
     ec::ReadSet decode_set;
     std::optional<kv::ChunkInfo> meta;  ///< chunk header of any arrival
     StatusCode worst = StatusCode::kNotFound;
-    bool degraded = false;  ///< degraded_gets counted; T_check due upfront
+    bool counted = false;   ///< the op already counted in degraded_gets
+    bool degraded = false;  ///< this read worked around a down owner
     bool posted = false;    ///< the fan-out went out
     bool failed = false;              ///< a fetch failed since re-selection
   };
 
   /// The late-binding fetch machine behind every client-decode Get (the
-  /// paper's Era-*-CD read, Equations 4 and 8). Charges T_check when an
-  /// owner is down, selects a codec-aware read set, posts its fetches from
-  /// one CPU slice and arms up to hedge().delta hedges. It then waits on
-  /// the fetches with sim::wait_any and on every wake folds each resolved
-  /// fetch in slot order, re-selects (load-ranked) over the survivors as
-  /// soon as one fails, fires hedges once due, and binds on the first k
-  /// decodable arrivals, cancelling the stragglers.
+  /// paper's Era-*-CD read, Equations 4 and 8), whole value or packed
+  /// record. Selects a codec-aware read set and posts its fetches from one
+  /// CPU slice. A packed record whose covering owners are all live fetches
+  /// only those slots of it; any other read charges T_check when an owner
+  /// is down, fetches the whole set and arms up to hedge_.delta hedges. It
+  /// then waits on the fetches with sim::wait_any and on every wake folds
+  /// each resolved fetch in slot order, re-selects (load-ranked) over the
+  /// survivors as soon as one fails, fires hedges once due, and binds once
+  /// the wanted slots or any k decodable slots arrived, cancelling the
+  /// stragglers.
   sim::Task<Status> fetch_fragments(FragmentFetch* f, OpContext* op);
+
+  /// Counts `f`'s read degraded once (a packed record read also in
+  /// packed_degraded_gets) and marks the op degraded.
+  void mark_degraded(FragmentFetch* f, OpContext* op);
 
   /// Issues one fragment fetch for `slot` of `f`.
   void issue_fetch(FragmentFetch* f, std::size_t slot, bool hedge,
@@ -141,13 +151,28 @@ class ErasureEngine final : public Engine {
   /// Folds every resolved in-flight fetch of `f` into its state.
   void fold_arrivals(FragmentFetch* f);
 
-  /// Charges T_decode when the bound read set misses a data fragment, then
-  /// assembles the `coded_bytes` object, or only `slice`'s record when
-  /// reading one value out of a packed stripe.
+  /// Once `f` bound, charges T_decode when its read set misses a wanted
+  /// slot, then assembles the coded object, or only the record `f` reads.
   sim::Task<Result<Bytes>> decode_fragments(const FragmentFetch* f,
-                                            std::size_t coded_bytes,
-                                            std::optional<ec::ValueSlice> slice,
                                             OpContext* op);
+
+  /// One coded object's fragment puts, by slot; a down owner's slot stays
+  /// an invalid future.
+  struct FragmentPuts {
+    std::array<sim::Future<kv::Response>, kMaxSlots> pending;
+    std::array<std::size_t, kMaxSlots> owners{};
+  };
+
+  /// Posts each of `fragments` (of an `original_size`-byte object under
+  /// `base`) to its live owner in `place`.
+  void post_fragments(FragmentPuts* puts, const kv::Key& base,
+                      kv::Placement& place, const ec::Fragments& fragments,
+                      std::size_t original_size,
+                      const obs::TraceContext& trace);
+
+  /// Awaits `puts` in slot order, learning each acking owner's load from
+  /// its round trip since `t0`.
+  sim::Task<WriteTally> await_fragments(FragmentPuts* puts, SimTime t0);
 
   // ---- Packed-stripe (batched small-object) write path ----------------
 
@@ -180,17 +205,15 @@ class ErasureEngine final : public Engine {
                                OpContext* op);
 
   /// Resolves a Get through the stripe locator directory: staging-map hit,
-  /// else locator query at the key's directory owners, then a sub-slot
-  /// fragment-range fetch (a whole-stripe decode through fetch_fragments
-  /// when the needed range is unreachable). Falls back to the per-key path
-  /// when no locator exists.
+  /// else locator query at the key's directory owners, then read_packed.
+  /// Falls back to the per-key path when no locator exists.
   sim::Task<Result<Bytes>> get_packed(kv::Key key, OpContext* op);
 
-  /// get_packed's read once the locator is known: the sub-slot range fetch,
-  /// else the whole-stripe decode. `degraded`: the op already counted
-  /// itself degraded. A frame of its own keeps both coroutine frames
-  /// within the frame pool's 2 KiB size classes.
-  sim::Task<Result<Bytes>> read_packed(kv::StripeLoc loc, bool degraded,
+  /// get_packed's read once the locator is known: fetch_fragments over the
+  /// slots covering the record. `counted`: the op already counted itself
+  /// degraded. A frame of its own keeps both coroutine frames within the
+  /// frame pool's 2 KiB size classes.
+  sim::Task<Result<Bytes>> read_packed(kv::StripeLoc loc, bool counted,
                                        OpContext* op);
 
   /// Detaches the active stripe of `primary` and spawns its group commit.
@@ -207,10 +230,10 @@ class ErasureEngine final : public Engine {
   static sim::Task<void> commit_stripe(ErasureEngine* self,
                                        std::shared_ptr<StripeState> st);
 
-  /// Removes the key's locator entry from its live directory owners under
-  /// `ring` (overwrite-by-large-value and deletes).
-  sim::Task<void> unlink_locator(kv::Key key, const kv::HashRing& ring,
-                                 std::vector<sim::Future<kv::Response>>* out);
+  /// Posts the removal of the key's locator entry to its live directory
+  /// owners under `ring` (overwrite-by-large-value and deletes).
+  void unlink_locator(const kv::Key& key, const kv::HashRing& ring,
+                      std::vector<sim::Future<kv::Response>>* out);
 
   /// Ranks the codec's n slots by their owners' load scores into
   /// `storage`, near-equal neighbours swapped by a seeded coin when

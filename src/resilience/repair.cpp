@@ -10,11 +10,8 @@ sim::Task<Status> RepairCoordinator::discover(std::size_t via_server_index,
   if (!ctx_.membership->up(via_server_index)) {
     co_return Status{StatusCode::kUnavailable, "scan target is down"};
   }
-  kv::Request req;
-  req.verb = kv::Verb::kScan;
-  req.stripe_lookup = locators;
-  const kv::Response resp =
-      co_await ctx_.client->invoke(node(via_server_index), std::move(req));
+  const kv::Response resp = co_await ctx_.client->invoke(
+      node(via_server_index), kv::scan_request(locators));
   if (resp.code != StatusCode::kOk) {
     ++stats_.scan_failures;
     co_return Status{resp.code};

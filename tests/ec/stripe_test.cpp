@@ -131,7 +131,6 @@ TEST(Stripe, FootprintPackedBeatsStripedForSmallValues) {
   p.item_overhead = 56;        // kv::Store kItemOverhead
   p.chunk_info_bytes = 16;     // kv::kChunkInfoBytes
   p.locator_entry_overhead = kv::kLocatorEntryBytes;
-  p.locator_copies = 3;        // m + 1
   const StorageFootprint f = predict_footprint(p);
   EXPECT_GE(f.savings_ratio, 2.0);
   EXPECT_GT(f.striped_per_key, f.packed_per_key);
@@ -151,7 +150,6 @@ TEST(Stripe, FootprintConvergesForLargeValues) {
   p.item_overhead = 56;
   p.chunk_info_bytes = 16;
   p.locator_entry_overhead = kv::kLocatorEntryBytes;
-  p.locator_copies = 3;
   const StorageFootprint f = predict_footprint(p);
   EXPECT_LT(f.savings_ratio, 1.3);
   EXPECT_GT(f.savings_ratio, 0.8);

@@ -31,6 +31,29 @@ TEST(Protocol, FragmentRequestsCarryBaseKeyAndSlot) {
   EXPECT_EQ(Request{}.slot, kNoSlot);  // a whole value by default
 }
 
+TEST(Protocol, LocatorRequestsAddressTheDirectoryNotTheStore) {
+  const Request lookup = locator_lookup("k");
+  EXPECT_EQ(lookup.verb, Verb::kGet);
+  EXPECT_EQ(lookup.key, "k");
+  EXPECT_TRUE(lookup.stripe_lookup);
+  EXPECT_EQ(lookup.slot, kNoSlot);
+  const Request unlink = locator_unlink("k");
+  EXPECT_EQ(unlink.verb, Verb::kDelete);
+  EXPECT_EQ(unlink.key, "k");
+  EXPECT_TRUE(unlink.stripe_lookup);
+  const Request install =
+      locator_install("stripe", 300, {StripeIndexEntry{"k", 11, 89}});
+  EXPECT_EQ(install.verb, Verb::kSetStripeIndex);
+  EXPECT_EQ(install.key, "stripe");
+  EXPECT_EQ(install.chunk, std::optional<ChunkInfo>(ChunkInfo{300}));
+  ASSERT_EQ(install.stripe_index.size(), 1u);
+  EXPECT_EQ(install.stripe_index[0], (StripeIndexEntry{"k", 11, 89}));
+  EXPECT_FALSE(install.if_absent);
+  EXPECT_EQ(scan_request(false).verb, Verb::kScan);
+  EXPECT_FALSE(scan_request(false).stripe_lookup);
+  EXPECT_TRUE(scan_request(true).stripe_lookup);
+}
+
 TEST(Protocol, RequestPayloadCountsKeyAndValue) {
   Request r;
   r.key = "0123456789";  // 10 bytes

@@ -1,7 +1,8 @@
 // Batched small-object write path: stripe packing + group commit.
-// Byte-exactness of packed round trips (healthy and degraded), overwrite /
-// delete races against an open stripe, capacity vs timer sealing, and the
-// off-by-default guarantee that threshold 0 never touches the new path.
+// Byte-exactness of packed round trips (healthy and degraded), the fetches
+// and lookups one packed Get sends, overwrite / delete races against an
+// open stripe, capacity vs timer sealing, and the off-by-default guarantee
+// that threshold 0 never touches the new path.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,12 +17,108 @@ namespace {
 using hpres::testing::FiveNodeClusterTest;
 using hpres::testing::run_sim;
 
-class PackingTest : public FiveNodeClusterTest {};
-
 /// Deterministic per-key test value; sizes straddle the pack threshold.
 Bytes value_for(std::size_t i, std::size_t size) {
   return make_pattern(size, i * 7 + 1);
 }
+
+/// What one Get sent: fragment fetches (store Gets at any server) and
+/// locator lookups (every other request). Each request is one message out
+/// and one reply back.
+struct GetTraffic {
+  std::uint64_t fetches = 0;
+  std::uint64_t lookups = 0;
+  std::uint64_t degraded_gets = 0;
+  std::uint64_t packed_degraded_gets = 0;
+};
+
+class PackingTest : public FiveNodeClusterTest {
+ protected:
+  /// `count` five-byte keys that share a primary server, so their records
+  /// share one stripe.
+  std::vector<kv::Key> same_primary_keys(std::size_t count) {
+    std::vector<kv::Key> keys;
+    for (std::size_t i = 100; keys.size() < count; ++i) {
+      kv::Key key = "pk" + std::to_string(i);
+      if (keys.empty() || cluster_.ring().slot_index(key, 0) ==
+                              cluster_.ring().slot_index(keys[0], 0)) {
+        keys.push_back(std::move(key));
+      }
+    }
+    return keys;
+  }
+
+  /// Packs three records into one 300-byte stripe (three 100-byte data
+  /// fragments): record 0's value lies inside slot 0, record 1's (bytes
+  /// 111-249) straddles slots 1 and 2, record 2's lies inside slot 2. Then
+  /// fails `down` (server indices), reads `keys_[read]` and returns the
+  /// traffic that Get sent.
+  GetTraffic packed_get_traffic(HedgeParams hedge, std::size_t read,
+                                std::vector<std::size_t> down = {}) {
+    auto engine = make_engine(Design::kEraCeCd, 3, {}, hedge,
+                              PackParams{.pack_threshold = 512});
+    cluster_.start();
+    GetTraffic before;
+    GetTraffic after;
+    Probe probe{this, engine.get(), read, &down, &before, &after};
+    run_sim(cluster_.sim(), Probe::run, &probe);
+    EXPECT_EQ(engine->stats().stripes_sealed, 1u);
+    EXPECT_EQ(engine->stats().packed_get_hits, 1u);
+    return GetTraffic{
+        after.fetches - before.fetches, after.lookups - before.lookups,
+        after.degraded_gets - before.degraded_gets,
+        after.packed_degraded_gets - before.packed_degraded_gets};
+  }
+
+  /// Stripe slot `slot`'s owner for the stripe packed_get_traffic writes.
+  std::size_t stripe_owner(std::size_t slot) {
+    return cluster_.ring().slot_index(
+        kv::stripe_key(cluster_.client(0).id(), 0), slot);
+  }
+
+  std::vector<kv::Key> keys_ = same_primary_keys(3);
+  std::vector<std::size_t> value_sizes_{89, 139, 39};
+
+ private:
+  struct Probe {
+    PackingTest* t;
+    Engine* e;
+    std::size_t read;
+    const std::vector<std::size_t>* down;
+    GetTraffic* before;
+    GetTraffic* after;
+
+    GetTraffic now() const {
+      GetTraffic out;
+      std::uint64_t messages = t->cluster_.fabric().stats().messages_sent;
+      for (std::size_t s = 0; s < kServers; ++s) {
+        out.fetches += t->cluster_.server(s).store().stats().get_ops;
+      }
+      out.lookups = messages / 2 - out.fetches;
+      out.degraded_gets = e->stats().degraded_gets;
+      out.packed_degraded_gets = e->stats().packed_degraded_gets;
+      return out;
+    }
+
+    static sim::Task<void> run(Probe* p) {
+      for (std::size_t i = 0; i < p->t->keys_.size(); ++i) {
+        (void)p->e->iset(p->t->keys_[i],
+                         make_shared_bytes(
+                             value_for(i, p->t->value_sizes_[i])));
+      }
+      co_await p->e->wait_all();
+      co_await p->t->cluster_.sim().delay(units::kMillisecond);  // quiesce
+      for (const std::size_t s : *p->down) p->t->cluster_.fail_server(s);
+      *p->before = p->now();
+      const Result<Bytes> got = co_await p->e->get(p->t->keys_[p->read]);
+      *p->after = p->now();
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (got.ok()) {
+        EXPECT_EQ(*got, value_for(p->read, p->t->value_sizes_[p->read]));
+      }
+    }
+  };
+};
 
 TEST_F(PackingTest, MixedPackedAndPerKeySetsRoundTripByteIdentical) {
   auto engine = make_engine(Design::kEraCeCd, 3, {}, {},
@@ -81,6 +178,53 @@ TEST_F(PackingTest, PackedGetsSurviveMServerFailures) {
     }
   };
   run_sim(cluster_.sim(), Body::run, engine.get(), &cluster_);
+}
+
+TEST_F(PackingTest, HealthyPackedGetFetchesOnlyItsRecordsFragment) {
+  const GetTraffic t = packed_get_traffic({}, /*read=*/0);
+  EXPECT_EQ(t.lookups, codec_.m() + 1);
+  EXPECT_EQ(t.fetches, 1u);
+  EXPECT_EQ(t.degraded_gets, 0u);
+  EXPECT_EQ(t.packed_degraded_gets, 0u);
+}
+
+TEST_F(PackingTest, StraddlingPackedGetFetchesBothFragments) {
+  const GetTraffic t = packed_get_traffic({}, /*read=*/1);
+  EXPECT_EQ(t.lookups, codec_.m() + 1);
+  EXPECT_EQ(t.fetches, 2u);
+}
+
+TEST_F(PackingTest, HedgingEngineFetchesOnlyTheRecordsFragment) {
+  const GetTraffic t = packed_get_traffic(HedgeParams{.delta = 1}, 0);
+  EXPECT_EQ(t.lookups, codec_.m() + 1);
+  EXPECT_EQ(t.fetches, 1u);
+}
+
+TEST_F(PackingTest, DownOwnerOutsideTheRecordKeepsThePackedGetHealthy) {
+  // A server that owns a stripe slot other than the record's and no copy
+  // of its locator (every server owns one slot of the 5-wide stripe).
+  std::size_t down = kServers;
+  for (std::size_t s = 0; s < kServers && down == kServers; ++s) {
+    bool dir_owner = false;
+    for (std::size_t j = 0; j <= codec_.m(); ++j) {
+      dir_owner |= cluster_.ring().slot_index(keys_[0], j) == s;
+    }
+    if (!dir_owner && s != stripe_owner(0)) down = s;
+  }
+  ASSERT_LT(down, kServers);
+  const GetTraffic t = packed_get_traffic({}, /*read=*/0, {down});
+  EXPECT_EQ(t.lookups, codec_.m() + 1);
+  EXPECT_EQ(t.fetches, 1u);
+  EXPECT_EQ(t.degraded_gets, 0u);
+  EXPECT_EQ(t.packed_degraded_gets, 0u);
+}
+
+TEST_F(PackingTest, DownCoveringOwnerDecodesTheStripeOnce) {
+  const GetTraffic t =
+      packed_get_traffic({}, /*read=*/0, {stripe_owner(0)});
+  EXPECT_EQ(t.fetches, codec_.k());
+  EXPECT_EQ(t.degraded_gets, 1u);
+  EXPECT_EQ(t.packed_degraded_gets, 1u);
 }
 
 TEST_F(PackingTest, OverwriteInsideOpenStripeReturnsNewestValue) {
@@ -171,14 +315,7 @@ TEST_F(PackingTest, PackedIssueCpuIsSerializeOnTheCriticalPath) {
   // Three 100-byte records (6 header + 5 key + 89 value) that share a
   // primary server, so they share one stripe: 300 bytes over k = 3 data
   // fragments of 100 bytes, each value inside one fragment.
-  std::vector<kv::Key> keys;
-  for (std::size_t i = 100; keys.size() < 3; ++i) {
-    kv::Key key = "pk" + std::to_string(i);
-    if (keys.empty() || cluster_.ring().slot_index(key, 0) ==
-                            cluster_.ring().slot_index(keys[0], 0)) {
-      keys.push_back(std::move(key));
-    }
-  }
+  const std::vector<kv::Key> keys = same_primary_keys(3);
   cluster_.start();
   struct Body {
     static sim::Task<void> run(Engine* e, const std::vector<kv::Key>* keys) {
